@@ -86,7 +86,6 @@ def parse_config(path: str):
                 mc_trials=int(doc.get("mc_trials", 64)),
                 base_seed=int(doc.get("base_seed", 0)),
                 fbm_method=str(doc.get("fbm_method", "circulant")),
-                theorem_mode=bool(doc.get("theorem_mode", True)),
             )
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from e
@@ -102,7 +101,7 @@ def _config_echo(cfg) -> dict:
     return {"experiment": "leadlag", "H": cfg.H, "n_schedule": list(cfg.n_schedule),
             "n_ref": cfg.n_ref, "d": cfg.d, "alpha": cfg.alpha,
             "mc_trials": cfg.mc_trials, "base_seed": cfg.base_seed,
-            "fbm_method": cfg.fbm_method, "theorem_mode": cfg.theorem_mode}
+            "fbm_method": cfg.fbm_method}
 
 
 def _cmd_magnetic(args) -> int:
@@ -207,6 +206,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command in ("magnetic", "leadlag") and args.config is None:
         print("config error: --config is required", file=sys.stderr)
+        return 2
+    if args.threads < 1:
+        print(f"config error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
         return 2
     try:
         return _COMMANDS[args.command](args)

@@ -17,7 +17,7 @@ import numpy as np
 from .gauss import SamplerSpec, fgn_autocov, sample_fbm
 from .leadlag import hoff_path, leadlag_area_oracle, psi_closed, psi_profile
 from .linstable import StableDrift, lyapunov_C, renorm_v
-from .tensor2 import (RenormTerm, chen_inv, chen_mul, levy_area,
+from .tensor2 import (RenormTerm, _level2_residuals, chen_inv, chen_mul, levy_area,
                       lift_piecewise_linear, translate)
 
 
@@ -46,20 +46,12 @@ def random_lifted_paths(rng, n_paths: int, max_dim: int = 4, max_segments: int =
         yield lift_piecewise_linear(t, x)
 
 
-def _interval_tensor(path):
-    """F[i, j] = second level of the interval lift S_{i,j}, all pairs."""
-    L1, L2 = path.level1, path.level2
-    F = (L2[None, :] - L2[:, None]
-         - np.einsum("id,je->ijde", L1, L1)
-         + np.einsum("id,ie->ide", L1, L1)[:, None])
-    return F
-
-
 def chen_relation_error(path) -> float:
     """Worst relative Chen defect over all triples i < j < k."""
     L1 = path.level1
-    n = path.n_points
-    F = _interval_tensor(path)
+    n, d = path.n_points, path.dim
+    idx = np.arange(n)
+    F = np.stack([*_level2_residuals(path, None, idx[:, None], idx)], -1).reshape(n, n, d, d)
     scale = max(1.0, float(np.abs(F).max()))
     worst = 0.0
     for j in range(1, n - 1):
@@ -73,7 +65,9 @@ def chen_relation_error(path) -> float:
 
 def geometricity_error(path) -> float:
     """Worst relative defect of Sym(level2) = 1/2 increment (x) increment."""
-    F = _interval_tensor(path)
+    n, d = path.n_points, path.dim
+    idx = np.arange(n)
+    F = np.stack([*_level2_residuals(path, None, idx[:, None], idx)], -1).reshape(n, n, d, d)
     U = path.level1[None, :] - path.level1[:, None]
     sym = 0.5 * (F + F.transpose(0, 1, 3, 2))
     resid = sym - 0.5 * np.einsum("ijd,ije->ijde", U, U)

@@ -173,14 +173,11 @@ class LeadLagConfig:
     mc_trials: int = 64
     base_seed: int = 0
     fbm_method: str = "circulant"
-    theorem_mode: bool = True
 
     def __post_init__(self):
-        if not (0.0 < self.H < 1.0):
-            raise ValueError("H must lie in (0, 1)")
-        if self.theorem_mode and not (0.25 < self.H <= 0.5):
+        if not (0.25 < self.H <= 0.5):
             raise ValueError("requires 1/4 < H <= 1/2")
-        if self.theorem_mode and not (0.0 <= self.alpha < self.H):
+        if not (0.0 <= self.alpha < self.H):
             raise ValueError(f"requires alpha < H = {self.H:g}")
         ns = tuple(int(n) for n in self.n_schedule)
         if len(ns) == 0:
@@ -219,10 +216,6 @@ def run_leadlag_trial(cfg: LeadLagConfig, trial_index: int) -> list[TrialResult]
     areaDev1 is the mean (i, d+i) cross entry of the raw area deviation at
     (0, 1), i.e. half the mean diagonal quadratic variation.
     """
-    if not (0.25 < cfg.H <= 0.5):
-        raise ValueError("requires 1/4 < H <= 1/2")
-    if not (0.0 <= cfg.alpha < cfg.H):
-        raise ValueError(f"requires alpha < H = {cfg.H:g}")
     spec = SamplerSpec(seed=derive_seed(cfg.base_seed, trial_index),
                        H=cfg.H, n=cfg.n_ref, d=cfg.d, method=cfg.fbm_method)
     ref = sample_fbm(spec)

@@ -120,6 +120,21 @@ def test_cli_config_rejection_exit_code(tmp_path):
     assert main(["magnetic", "--out", str(tmp_path / "o")]) == 2  # missing config
     missing = str(tmp_path / "nope.json")
     assert main(["magnetic", "--config", missing, "--out", str(tmp_path / "o")]) == 2
+    # outside the lead-lag theorem window: rejected at parse time, not mid-run;
+    # a leftover "theorem_mode" key does not open the window
+    low_h = write_config(tmp_path / "h.json",
+                         leadlag_doc(H=0.2, alpha=0.1, theorem_mode=False))
+    assert main(["leadlag", "--config", low_h, "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_rejects_threads_below_one(tmp_path, capsys, threads):
+    cfg = write_config(tmp_path / "c.json", leadlag_doc())
+    out = tmp_path / "out"
+    assert main(["leadlag", "--config", cfg, "--out", str(out), "--threads", threads]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_identities(tmp_path, capsys):

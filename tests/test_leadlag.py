@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -157,7 +159,8 @@ def test_config_validation():
     LeadLagConfig(H=0.4, n_schedule=(8, 16, 32), n_ref=256, mc_trials=2)
     with pytest.raises(ValueError):
         LeadLagConfig(H=0.2, n_schedule=(8, 16), n_ref=256)          # theorem window
-    LeadLagConfig(H=0.2, n_schedule=(8, 16), n_ref=256, theorem_mode=False)
+    with pytest.raises(TypeError):                                   # no opt-out flag
+        LeadLagConfig(H=0.2, n_schedule=(8, 16), n_ref=256, theorem_mode=False)
     with pytest.raises(ValueError):
         LeadLagConfig(H=0.4, n_schedule=(8, 16), n_ref=256, alpha=0.45)
     with pytest.raises(ValueError):
@@ -169,9 +172,11 @@ def test_config_validation():
 
 
 def test_trial_rejects_out_of_window_H():
-    cfg = LeadLagConfig(H=0.2, n_schedule=(8, 16), n_ref=256, theorem_mode=False)
-    with pytest.raises(ValueError):
-        run_leadlag_trial(cfg, 0)
+    # the window is enforced when a config is built, also by replace(), so no
+    # trial can start outside it
+    cfg = LeadLagConfig(H=0.4, n_schedule=(8, 16), n_ref=256)
+    with pytest.raises(ValueError, match="1/4 < H <= 1/2"):
+        replace(cfg, H=0.2)
 
 
 # -------------------------------------------------------------------- trials

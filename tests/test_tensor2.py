@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from roughlift import tensor2
 from roughlift import (RenormTerm, chen_inv, chen_mul, exp_step2, holder_distance,
                        identity_lift, levy_area, lift_piecewise_linear, sym_part,
                        translate, zero_lift)
 from roughlift.identities import random_lifted_paths
 
-from oracles import pl_iterated_integral
+from oracles import holder_distance_rowloop, pl_iterated_integral
 
 TOL = 1e-12
 
@@ -227,8 +230,9 @@ def test_holder_translate_value():
     g = rng.standard_normal((2, 2))
     v = RenormTerm(0.5 * (g - g.T))
     for alpha in (0.0, 0.2, 0.45):
-        got = holder_distance(translate(x, v), x, alpha)
-        assert abs(got - v.norm) <= 1e-12 * max(1.0, v.norm)
+        for limit in (16, 8):  # full sweep, and dyadic pairs, which include (0, T)
+            got = holder_distance(translate(x, v), x, alpha, full_pairs_limit=limit)
+            assert abs(got - v.norm) <= 1e-12 * max(1.0, v.norm)
 
 
 def test_holder_alpha_zero_plain_sup():
@@ -281,6 +285,53 @@ def test_holder_large_grid_uses_dyadic():
     rng = np.random.default_rng(12)
     x = lift_piecewise_linear(t, rng.standard_normal((n + 1, 1)))
     assert holder_distance(x, zero_lift(t, 1), 0.1) > 0.0
+
+
+def _random_nonuniform_pair(rng, n, d):
+    t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n))])
+    return tuple(lift_piecewise_linear(t, rng.standard_normal((n + 1, d))) for _ in range(2))
+
+
+def _assert_matches_rowloop(x, y, alpha, **kw):
+    got = holder_distance(x, y, alpha, **kw)
+    want = holder_distance_rowloop(x, y, alpha, **kw)
+    if x.dim <= 2:  # norms of <= 4 terms are summed in the same order
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-12 * want
+
+
+# block edges at 2^14 pairs per block, and the full/dyadic boundary at 2048
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 63, 64, 65, 255, 256, 257, 2048, 2049, 4096])
+def test_holder_block_kernel_matches_rowloop(n):
+    rng = np.random.default_rng(n)
+    for k, alpha in enumerate((0.0, 0.3, 0.49)):
+        d = 1 + (n + k) % 4
+        x, y = _random_nonuniform_pair(rng, n, d)
+        _assert_matches_rowloop(x, y, alpha)
+
+
+def test_holder_ragged_blocks_match_rowloop(monkeypatch):
+    # a tiny odd block size puts block edges everywhere, in both branches
+    monkeypatch.setattr(tensor2, "PAIR_BLOCK", 7)
+    rng = np.random.default_rng(14)
+    for n, limit in ((3, 2048), (6, 2048), (40, 2048), (40, 8), (100, 16)):
+        for d in (1, 2, 3):
+            x, y = _random_nonuniform_pair(rng, n, d)
+            _assert_matches_rowloop(x, y, 0.3, full_pairs_limit=limit)
+
+
+def test_holder_memory_bounded_by_block():
+    # one full n x n float64 plane at n = 2048 would be 32 MiB
+    rng = np.random.default_rng(15)
+    x, y = _random_nonuniform_pair(rng, 2048, 2)
+    tracemalloc.start()
+    try:
+        holder_distance(x, y, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 # ------------------------------------------------------------ LiftedPath API
