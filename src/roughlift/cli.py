@@ -16,7 +16,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+import typing
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -28,6 +29,13 @@ MAGNETIC_COLUMNS = ["eps", "vnorm"] + [f"{f}_{s}" for f in MAGNETIC_FIELDS
                                        for s in ("mean", "se")]
 LEADLAG_COLUMNS = ["n", "vnorm"] + [f"{f}_{s}" for f in LEADLAG_FIELDS
                                     for s in ("mean", "se")]
+
+# Config schemas.  An experiment config class's fields are its keys, their
+# type hints the JSON types and their defaults the defaults; the identities
+# and psi options map key -> type here and take defaults in their commands.
+EXPERIMENTS = {"magnetic": MagneticConfig, "leadlag": LeadLagConfig}
+IDENTITIES_OPTIONS = {"paths": int, "drifts": int, "base_seed": int}
+PSI_OPTIONS = {"H_list": tuple[float, ...], "n": int, "K_list": tuple[int, ...]}
 
 
 class ConfigError(ValueError):
@@ -51,97 +59,92 @@ def _load_json(path: str) -> dict:
     return doc
 
 
+def _coerce(key: str, hint, value):
+    """JSON ``value`` of config key ``key`` as the type ``hint``: int,
+    float, tuple[T, ...] (a list of T) or np.ndarray (a list of rows of
+    numbers)."""
+    if typing.get_origin(hint) is tuple:
+        _require(isinstance(value, list), f"config key {key!r} must be a list")
+        return tuple(_coerce(key, typing.get_args(hint)[0], v) for v in value)
+    if hint is np.ndarray:
+        _require(isinstance(value, list) and all(isinstance(row, list) for row in value),
+                 f"config key {key!r} must be a matrix given as a list of rows")
+        return np.array([[_coerce(key, float, v) for v in row] for row in value])
+    if hint is int:
+        _require(type(value) is int, f"config key {key!r} must be an integer, got {value!r}")
+        return value
+    # false for booleans, infinities, NaN and integers beyond the float range
+    _require(type(value) in (int, float) and abs(value) <= sys.float_info.max,
+             f"config key {key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _coerce_keys(doc: dict, hints: dict) -> dict:
+    unknown = sorted(set(doc) - set(hints))
+    _require(not unknown, f"unknown config keys: {', '.join(unknown)}")
+    return {key: _coerce(key, hints[key], value) for key, value in doc.items()}
+
+
 def parse_config(path: str):
     """Validated experiment config from a JSON file.
 
-    The document's ``experiment`` field selects the kind; matrices are
-    row-major nested arrays.  Every module invariant is enforced here so a
-    bad run is rejected before any sampling starts.
+    The document's ``experiment`` field selects the config class; every
+    other key must be one of its fields, of the field's type.  Every module
+    invariant is enforced here so a bad run is rejected before any sampling
+    starts.
     """
     doc = _load_json(path)
-    kind = doc.get("experiment")
-    _require(kind in ("magnetic", "leadlag"),
-             "config field 'experiment' must be 'magnetic' or 'leadlag'")
+    kind = doc.pop("experiment", None)
+    cls = EXPERIMENTS.get(kind) if isinstance(kind, str) else None
+    _require(cls is not None, "config field 'experiment' must be 'magnetic' or 'leadlag'")
     try:
-        if kind == "magnetic":
-            _require("A" in doc and "B0" in doc, "magnetic config needs matrices A and B0")
-            cfg = MagneticConfig(
-                A=np.asarray(doc["A"], dtype=float),
-                B0=np.asarray(doc["B0"], dtype=float),
-                beta=float(doc.get("beta", 0.0)),
-                eps_schedule=tuple(doc.get("eps_schedule", ())),
-                T=float(doc.get("T", 1.0)),
-                alpha=float(doc.get("alpha", 0.3)),
-                grid_n=int(doc.get("grid_n", 256)),
-                mc_trials=int(doc.get("mc_trials", 64)),
-                base_seed=int(doc.get("base_seed", 0)),
-            )
-        else:
-            cfg = LeadLagConfig(
-                H=float(doc.get("H", 0.4)),
-                n_schedule=tuple(doc.get("n_schedule", ())),
-                n_ref=int(doc.get("n_ref", 4096)),
-                d=int(doc.get("d", 1)),
-                alpha=float(doc.get("alpha", 0.3)),
-                mc_trials=int(doc.get("mc_trials", 64)),
-                base_seed=int(doc.get("base_seed", 0)),
-                fbm_method=str(doc.get("fbm_method", "circulant")),
-            )
+        return cls(**_coerce_keys(doc, typing.get_type_hints(cls)))
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from e
-    return cfg
 
 
 def _config_echo(cfg) -> dict:
+    echo = {"experiment": next(k for k, cls in EXPERIMENTS.items() if isinstance(cfg, cls))}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        echo[f.name] = (value.tolist() if isinstance(value, np.ndarray)
+                        else list(value) if isinstance(value, tuple) else value)
+    return echo
+
+
+def _cmd_experiment(args) -> int:
+    cfg = parse_config(args.config)
+    _require(isinstance(cfg, EXPERIMENTS[args.command]),
+             f"subcommand {args.command!r} needs a {args.command} config")
+    if args.seed is not None:
+        cfg = replace(cfg, base_seed=args.seed)
+    _require(args.out is not None, "--out is required for experiment runs")
     if isinstance(cfg, MagneticConfig):
-        return {"experiment": "magnetic", "A": cfg.A.tolist(), "B0": cfg.B0.tolist(),
-                "beta": cfg.beta, "eps_schedule": list(cfg.eps_schedule), "T": cfg.T,
-                "alpha": cfg.alpha, "grid_n": cfg.grid_n, "mc_trials": cfg.mc_trials,
-                "base_seed": cfg.base_seed}
-    return {"experiment": "leadlag", "H": cfg.H, "n_schedule": list(cfg.n_schedule),
-            "n_ref": cfg.n_ref, "d": cfg.d, "alpha": cfg.alpha,
-            "mc_trials": cfg.mc_trials, "base_seed": cfg.base_seed,
-            "fbm_method": cfg.fbm_method}
-
-
-def _cmd_magnetic(args) -> int:
-    cfg = parse_config(args.config)
-    _require(isinstance(cfg, MagneticConfig), "subcommand 'magnetic' needs a magnetic config")
-    if args.seed is not None:
-        cfg = replace(cfg, base_seed=args.seed)
-    _require(args.out is not None, "--out is required for experiment runs")
-    rows = magnetic_experiment(cfg, threads=args.threads)
-    notes = {"fine_grid_N": {repr(eps): fine_grid_n(cfg, eps) for eps in cfg.eps_schedule},
-             "output_grid_n": cfg.grid_n}
-    manifest = report.build_manifest("magnetic", _config_echo(cfg), rows, "eps",
+        rows = magnetic_experiment(cfg, threads=args.threads)
+        key, columns = "eps", MAGNETIC_COLUMNS
+        notes = {"fine_grid_N": {repr(eps): fine_grid_n(cfg, eps) for eps in cfg.eps_schedule},
+                 "output_grid_n": cfg.grid_n}
+    else:
+        rows = leadlag_experiment(cfg, threads=args.threads)
+        key, columns = "n", LEADLAG_COLUMNS
+        notes = {"fbm_method": "circulant", "n_ref": cfg.n_ref,
+                 "common_grid_n": cfg.n_schedule[0]}
+    manifest = report.build_manifest(args.command, _config_echo(cfg), rows, key,
                                      cfg.base_seed, notes)
-    written = report.emit(rows, manifest, args.out, MAGNETIC_COLUMNS, "eps")
-    print("\n".join(written))
+    print("\n".join(report.emit(rows, manifest, args.out, columns, key)))
     return 0
 
 
-def _cmd_leadlag(args) -> int:
-    cfg = parse_config(args.config)
-    _require(isinstance(cfg, LeadLagConfig), "subcommand 'leadlag' needs a leadlag config")
-    if args.seed is not None:
-        cfg = replace(cfg, base_seed=args.seed)
-    _require(args.out is not None, "--out is required for experiment runs")
-    rows = leadlag_experiment(cfg, threads=args.threads)
-    notes = {"fbm_method": cfg.fbm_method, "n_ref": cfg.n_ref,
-             "common_grid_n": cfg.n_schedule[0]}
-    manifest = report.build_manifest("leadlag", _config_echo(cfg), rows, "n",
-                                     cfg.base_seed, notes)
-    written = report.emit(rows, manifest, args.out, LEADLAG_COLUMNS, "n")
-    print("\n".join(written))
-    return 0
+def _options(args, hints: dict) -> dict:
+    return _coerce_keys(_load_json(args.config), hints) if args.config else {}
 
 
 def _cmd_identities(args) -> int:
-    opts = _load_json(args.config) if args.config else {}
-    seed = args.seed if args.seed is not None else int(opts.get("base_seed", 0))
-    checks = identities.run_all(seed=seed,
-                                n_paths=int(opts.get("paths", 200)),
-                                n_drifts=int(opts.get("drifts", 100)))
+    opts = _options(args, IDENTITIES_OPTIONS)
+    seed = args.seed if args.seed is not None else opts.get("base_seed", 0)
+    _require(seed >= 0, f"the identities seed must be >= 0, got {seed}")
+    checks = identities.run_all(seed=seed, n_paths=opts.get("paths", 200),
+                                n_drifts=opts.get("drifts", 100))
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"{status} {c.name} (max_err={c.max_err:.3e}, tol={c.tol:.0e})")
@@ -157,10 +160,11 @@ def _cmd_identities(args) -> int:
 
 
 def _cmd_psi(args) -> int:
-    opts = _load_json(args.config) if args.config else {}
-    h_list = [float(h) for h in opts.get("H_list", (0.30, 0.35, 0.40, 0.45, 0.50))]
-    n = int(opts.get("n", 4096))
-    k_list = [int(k) for k in opts.get("K_list", [2 ** j for j in range(13) if 2 ** j <= n])]
+    opts = _options(args, PSI_OPTIONS)
+    h_list = opts.get("H_list", (0.30, 0.35, 0.40, 0.45, 0.50))
+    n = opts.get("n", 4096)
+    k_list = opts.get("K_list", [2 ** j for j in range(13) if 2 ** j <= n])
+    _require(n >= 1 and h_list and k_list, "psi needs n >= 1 and non-empty H_list and K_list")
     _require(all(0.0 < h < 1.0 for h in h_list), "every H must lie in (0, 1)")
     _require(all(1 <= k <= n for k in k_list), "every K must satisfy 1 <= K <= n")
     rows = []
@@ -183,8 +187,8 @@ def _cmd_psi(args) -> int:
     return 0
 
 
-_COMMANDS = {"identities": _cmd_identities, "magnetic": _cmd_magnetic,
-             "leadlag": _cmd_leadlag, "psi": _cmd_psi}
+_COMMANDS = {"identities": _cmd_identities, "magnetic": _cmd_experiment,
+             "leadlag": _cmd_experiment, "psi": _cmd_psi}
 
 
 def main(argv=None) -> int:

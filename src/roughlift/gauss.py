@@ -2,7 +2,7 @@
 
 * Brownian motion: iid increments.
 * Fractional Brownian motion: circulant embedding of the increment
-  covariance (FFT, exact in law, O(n log n)), with a Cholesky fallback.
+  covariance (FFT, exact in law, O(n log n)); Cholesky as a reference.
 * The physical pair (P, W): the momentum of dP = -(M/eps^2) P dt + dW
   stepped with its exact joint Gaussian transition, so the law at grid
   points carries no discretisation error.
@@ -124,17 +124,16 @@ def fgn_autocov(k, H: float, spacing: float = 1.0) -> np.ndarray:
     return spacing ** (2 * H) * rho
 
 
-class EmbeddingError(ValueError):
-    """Circulant embedding of the increment covariance is not PSD."""
-
-
 def _fgn_circulant(z: np.ndarray, n: int, H: float) -> np.ndarray:
     """Map 2n iid normals through the real symmetric square root of the
-    circulant embedding; the first n outputs are exact unit-spacing fGn."""
+    circulant embedding; the first n outputs are exact unit-spacing fGn.
+    The embedding is nonnegative definite for fGn at every H (Dietrich &
+    Newsam 1997; Perrin et al. 2002), so a negative eigenvalue is an error.
+    """
     lags = np.concatenate([np.arange(n), np.arange(n, 0, -1)])
     g = np.fft.fft(fgn_autocov(lags, H)).real
     if g.min() < -1e-10 * g.max():
-        raise EmbeddingError(f"negative embedding eigenvalue {g.min():g}")
+        raise ValueError(f"negative embedding eigenvalue {g.min():g}")
     g = np.clip(g, 0.0, None)
     return np.fft.ifft(np.sqrt(g) * np.fft.fft(z)).real[:n]
 
@@ -148,25 +147,18 @@ def sample_fbm(spec: SamplerSpec) -> GridPath:
     """Fractional Brownian motion at times i*T/n, exact in law.
 
     Both methods consume the same 2n normals per component, so switching
-    methods (or falling back) never desynchronises the stream; at H = 1/2
-    they produce bitwise-comparable paths.
+    methods never desynchronises the stream; at H = 1/2 they produce
+    bitwise-comparable paths.  "cholesky" is the O(n^3) reference the
+    circulant route is checked against.
     """
     rng = _rng(spec.seed)
     spacing_scale = (spec.T / spec.n) ** spec.H
     vals = np.zeros((spec.n + 1, spec.d))
-    method = spec.method
+    fgn = _fgn_circulant if spec.method == "circulant" else _fgn_cholesky
     for c in range(spec.d):
         z = rng.standard_normal(2 * spec.n)
-        if method == "circulant":
-            try:
-                fgn = _fgn_circulant(z, spec.n, spec.H)
-            except EmbeddingError:
-                method = "cholesky"
-                fgn = _fgn_cholesky(z, spec.n, spec.H)
-        else:
-            fgn = _fgn_cholesky(z, spec.n, spec.H)
-        np.cumsum(spacing_scale * fgn, out=vals[1:, c])
-    return GridPath(_uniform_times(spec.n, spec.T), vals, method=method)
+        np.cumsum(spacing_scale * fgn(z, spec.n, spec.H), out=vals[1:, c])
+    return GridPath(_uniform_times(spec.n, spec.T), vals, method=spec.method)
 
 
 def required_steps(drift: StableDrift, eps: float, T: float) -> int:

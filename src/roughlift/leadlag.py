@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gauss import SamplerSpec, derive_seed, sample_fbm
-from .magnetic import mean_se
+from .report import summary_rows
 from .tensor2 import RenormTerm, holder_distance, lift_piecewise_linear, translate
 
 LEADLAG_FIELDS = ("dist_renorm", "dist_raw", "areaDev1")
@@ -165,14 +165,13 @@ class LeadLagConfig:
     coupled to the same noise.
     """
 
-    H: float
-    n_schedule: tuple
+    H: float = 0.4
+    n_schedule: tuple[int, ...] = ()
     n_ref: int = 4096
     d: int = 1
     alpha: float = 0.3
     mc_trials: int = 64
     base_seed: int = 0
-    fbm_method: str = "circulant"
 
     def __post_init__(self):
         if not (0.25 < self.H <= 0.5):
@@ -217,7 +216,7 @@ def run_leadlag_trial(cfg: LeadLagConfig, trial_index: int) -> list[TrialResult]
     (0, 1), i.e. half the mean diagonal quadratic variation.
     """
     spec = SamplerSpec(seed=derive_seed(cfg.base_seed, trial_index),
-                       H=cfg.H, n=cfg.n_ref, d=cfg.d, method=cfg.fbm_method)
+                       H=cfg.H, n=cfg.n_ref, d=cfg.d)
     ref = sample_fbm(spec)
     doubled = np.hstack([ref.values, ref.values])
     ref_lift = lift_piecewise_linear(ref.times, doubled)
@@ -244,19 +243,6 @@ def run_leadlag_trial(cfg: LeadLagConfig, trial_index: int) -> list[TrialResult]
 
 def leadlag_experiment(cfg: LeadLagConfig, threads: int = 1) -> list[dict]:
     """Per-n means and standard errors over mc_trials coupled trials."""
-    trials = range(cfg.mc_trials)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda k: run_leadlag_trial(cfg, k), trials))
-    else:
-        results = [run_leadlag_trial(cfg, k) for k in trials]
-    rows = []
-    for i, n in enumerate(cfg.n_schedule):
-        batch = [res[i] for res in results]
-        row = {"n": int(n), "vnorm": batch[0].vNorm}
-        for name in LEADLAG_FIELDS:
-            m, se = mean_se([getattr(t, name) for t in batch])
-            row[f"{name}_mean"] = m
-            row[f"{name}_se"] = se
-        rows.append(row)
-    return rows
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(lambda k: run_leadlag_trial(cfg, k), range(cfg.mc_trials)))
+    return summary_rows("n", cfg.n_schedule, zip(*results), LEADLAG_FIELDS)

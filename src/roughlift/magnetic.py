@@ -18,7 +18,8 @@ import numpy as np
 
 from .gauss import derive_Z, derive_seed, float_index, required_steps, sample_physical
 from .linstable import StableDrift, renorm_v
-from .tensor2 import IDENTITY_TOL, holder_distance, lift_piecewise_linear, translate, zero_lift
+from .report import summary_rows
+from .tensor2 import holder_distance, lift_piecewise_linear, translate, zero_lift
 
 MAGNETIC_FIELDS = ("distP_renorm", "distP_raw", "distZ_renorm", "distZ_raw", "areaDev1")
 
@@ -30,8 +31,8 @@ class MagneticConfig:
 
     A: np.ndarray
     B0: np.ndarray
-    beta: float
-    eps_schedule: tuple
+    beta: float = 0.0
+    eps_schedule: tuple[float, ...] = ()
     T: float = 1.0
     alpha: float = 0.3
     grid_n: int = 256
@@ -39,16 +40,11 @@ class MagneticConfig:
     base_seed: int = 0
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        B0 = np.asarray(self.B0, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != B0.shape:
-            raise ValueError("A and B0 must be square matrices of equal size")
-        if np.linalg.norm(A - A.T) > IDENTITY_TOL * max(1.0, np.linalg.norm(A)):
-            raise ValueError("A must be symmetric")
-        if np.min(np.linalg.eigvalsh(0.5 * (A + A.T))) <= 0.0:
+        # StableDrift checks the shapes and (anti-)symmetries; a stable
+        # A - B0 does not make A positive definite, as the theory assumes
+        drift = StableDrift(self.A, self.B0)
+        if np.min(np.linalg.eigvalsh(0.5 * (drift.A + drift.A.T))) <= 0.0:
             raise ValueError("A must be positive definite")
-        if np.linalg.norm(B0 + B0.T) > IDENTITY_TOL * max(1.0, np.linalg.norm(B0)):
-            raise ValueError("B0 must be anti-symmetric")
         if not (0.0 <= self.beta < 1.0):
             raise ValueError("requires 0 <= beta < 1")
         if not (0.0 <= self.alpha < 0.5 - self.beta / 4.0):
@@ -66,8 +62,8 @@ class MagneticConfig:
             raise ValueError("grid_n must be >= 2")
         if self.mc_trials < 1:
             raise ValueError("mc_trials must be >= 1")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B0", B0)
+        object.__setattr__(self, "A", drift.A)
+        object.__setattr__(self, "B0", drift.B)
         object.__setattr__(self, "eps_schedule", eps)
 
     @property
@@ -127,33 +123,15 @@ def run_magnetic_trial(cfg: MagneticConfig, eps: float, trial_index: int) -> Tri
                        distZ_raw=distZ_raw, areaDev1=area_dev, vNorm=v.norm)
 
 
-def mean_se(samples) -> tuple[float, float]:
-    a = np.asarray(samples, dtype=float)
-    m = float(np.mean(a))
-    se = float(np.std(a, ddof=1) / np.sqrt(len(a))) if len(a) > 1 else 0.0
-    return m, se
-
-
 def magnetic_experiment(cfg: MagneticConfig, threads: int = 1) -> list[dict]:
     """Per-eps means and standard errors over mc_trials independent trials.
 
-    Trials run in parallel when threads > 1; seeds are derived per
-    (eps, trial), and the reduction order is fixed, so the output is
-    independent of the thread count.
+    Seeds are derived per (eps, trial) and the reduction order is fixed,
+    so the output is independent of the thread count.
     """
     jobs = [(eps, k) for eps in cfg.eps_schedule for k in range(cfg.mc_trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda j: run_magnetic_trial(cfg, *j), jobs))
-    else:
-        results = [run_magnetic_trial(cfg, *j) for j in jobs]
-    rows = []
-    for i, eps in enumerate(cfg.eps_schedule):
-        batch = results[i * cfg.mc_trials:(i + 1) * cfg.mc_trials]
-        row = {"eps": float(eps), "vnorm": batch[0].vNorm}
-        for name in MAGNETIC_FIELDS:
-            m, se = mean_se([getattr(t, name) for t in batch])
-            row[f"{name}_mean"] = m
-            row[f"{name}_se"] = se
-        rows.append(row)
-    return rows
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(lambda job: run_magnetic_trial(cfg, *job), jobs))
+    batches = [results[i * cfg.mc_trials:(i + 1) * cfg.mc_trials]
+               for i in range(len(cfg.eps_schedule))]
+    return summary_rows("eps", cfg.eps_schedule, batches, MAGNETIC_FIELDS)

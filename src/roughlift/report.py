@@ -41,6 +41,26 @@ def fit_loglog(points):
     return slope, intercept, stderr
 
 
+def mean_se(samples) -> tuple[float, float]:
+    a = np.asarray(samples, dtype=float)
+    m = float(np.mean(a))
+    se = float(np.std(a, ddof=1) / np.sqrt(len(a))) if len(a) > 1 else 0.0
+    return m, se
+
+
+def summary_rows(schedule_key: str, schedule, batches, fields) -> list[dict]:
+    """One row per schedule point: the point, the counter-term norm of its
+    first trial, and the mean and standard error of each field over its
+    batch of trial results."""
+    rows = []
+    for x, batch in zip(schedule, batches):
+        row = {schedule_key: x, "vnorm": batch[0].vNorm}
+        for name in fields:
+            row[f"{name}_mean"], row[f"{name}_se"] = mean_se([getattr(t, name) for t in batch])
+        rows.append(row)
+    return rows
+
+
 def _fmt(v):
     if isinstance(v, (int, np.integer)):
         return str(int(v))

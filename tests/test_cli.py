@@ -1,9 +1,13 @@
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from roughlift.cli import (ConfigError, LEADLAG_COLUMNS, MAGNETIC_COLUMNS, main,
-                           parse_config)
+from roughlift import leadlag, magnetic
+from roughlift.cli import (ConfigError, LEADLAG_COLUMNS, MAGNETIC_COLUMNS, _config_echo,
+                           main, parse_config)
 from roughlift.leadlag import LeadLagConfig
 from roughlift.magnetic import MagneticConfig
 
@@ -32,6 +36,19 @@ def leadlag_doc(**kw):
            "mc_trials": 2, "base_seed": 5}
     doc.update(kw)
     return doc
+
+
+DOCS = {"magnetic": magnetic_doc, "leadlag": leadlag_doc}
+
+
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Make any sampling fail loudly, so a test sees it start."""
+    def sampled(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(magnetic, "sample_physical", sampled)
+    monkeypatch.setattr(leadlag, "sample_fbm", sampled)
 
 
 # -------------------------------------------------------------- parse_config
@@ -128,6 +145,52 @@ def test_cli_config_rejection_exit_code(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("kind, change", [
+    ("magnetic", {"T": math.inf}),
+    ("leadlag", {"fbm_method": "circ"}),
+    ("magnetic", {"grid_n": 16.7}),
+    ("leadlag", {"mc_trials": True}),
+    ("leadlag", {"n_schedule": [8.5, 16, 32]}),
+    ("magnetic", {"mc_trails": 2}),
+    ("magnetic", {"A": [[1.0, 0.0], [0.0, -0.1]]}),  # A - B0 stable, A not definite
+], ids=["T-infinite", "fbm_method", "grid_n-float", "mc_trials-bool",
+        "n_schedule-float", "unknown-key", "A-indefinite"])
+def test_cli_rejects_malformed_config(tmp_path, capsys, no_sampling, kind, change):
+    cfg = write_config(tmp_path / "c.json", DOCS[kind](**change))
+    out = tmp_path / "out"
+    assert main([kind, "--config", cfg, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+KEYS = sorted(set(magnetic_doc()) | set(leadlag_doc()))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(sorted(DOCS)), key=st.sampled_from(KEYS) | st.text(max_size=8),
+       value=JSON_VALUES)
+@example(kind="magnetic", key="T", value=10 ** 400)
+@example(kind="leadlag", key="n_schedule", value=[8, 2 ** 64])
+@example(kind="magnetic", key="A", value=[[1e308, -1e308], [-1e308, 1e308]])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_parse_config_accepts_or_rejects_any_edit(tmp_path, no_sampling, kind, key, value):
+    # one key of a valid doc set to any JSON value (a key of the other kind
+    # or a random one is an added key): parse_config returns a config or
+    # raises ConfigError, nothing else
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(DOCS[kind](**{key: value})))
+    try:
+        parse_config(str(path))
+    except ConfigError:
+        pass
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_cli_rejects_threads_below_one(tmp_path, capsys, threads):
     cfg = write_config(tmp_path / "c.json", leadlag_doc())
@@ -146,20 +209,29 @@ def test_cli_identities(tmp_path, capsys):
     assert all(line.startswith("PASS") for line in lines)
     doc = json.loads((out / "identities.json").read_text())
     assert all(entry["passed"] for entry in doc.values())
+    for bad in ({"paths": "x"}, {"drifts": 1.5}, {"path": 20}, {"base_seed": -1}):
+        bad_out = tmp_path / "bad"
+        rc = main(["identities", "--out", str(bad_out), "--config",
+                   write_config(tmp_path / "bad.json", bad)])
+        assert rc == 2, bad
+        assert not bad_out.exists()
 
 
 def test_manifest_config_reproduces_csv(tmp_path):
-    # the manifest's config echo plus its seed fully determine the CSV
-    cfg = write_config(tmp_path / "c.json", leadlag_doc())
-    out1 = tmp_path / "first"
-    assert main(["leadlag", "--config", cfg, "--out", str(out1), "--seed", "21"]) == 0
-    manifest = json.loads((out1 / "manifest.json").read_text())
-    echoed = dict(manifest["config"])
-    echoed["base_seed"] = manifest["base_seed"]
-    cfg2 = write_config(tmp_path / "echo.json", echoed)
-    out2 = tmp_path / "second"
-    assert main(["leadlag", "--config", cfg2, "--out", str(out2)]) == 0
-    assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+    # the manifest's config echo plus its seed fully determine the CSV, and
+    # echo -> parse -> echo is a fixed point
+    for kind, make_doc in DOCS.items():
+        cfg = write_config(tmp_path / f"{kind}.json", make_doc())
+        out1 = tmp_path / f"{kind}-first"
+        assert main([kind, "--config", cfg, "--out", str(out1), "--seed", "21"]) == 0
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        echoed = dict(manifest["config"])
+        assert echoed["base_seed"] == manifest["base_seed"] == 21
+        cfg2 = write_config(tmp_path / f"{kind}-echo.json", echoed)
+        assert _config_echo(parse_config(cfg2)) == echoed
+        out2 = tmp_path / f"{kind}-second"
+        assert main([kind, "--config", cfg2, "--out", str(out2)]) == 0
+        assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
 
 
 def test_cli_psi(tmp_path):
@@ -173,3 +245,10 @@ def test_cli_psi(tmp_path):
     assert header == "H,n,K,psi,bound,ratio"
     ratios = [float(line.split(",")[-1]) for line in b1.decode().splitlines()[1:]]
     assert max(ratios) <= 1.0
+    for bad in ({"n": "abc"}, {"K_lst": [2]}, {"H_list": 0.3}, {"K_list": [2, True]},
+                {"n": 0}, {"H_list": []}):
+        bad_out = tmp_path / "bad"
+        rc = main(["psi", "--config", write_config(tmp_path / "bad.json", bad),
+                   "--out", str(bad_out)])
+        assert rc == 2, bad
+        assert not bad_out.exists()

@@ -107,16 +107,22 @@ def test_fbm_increment_stationarity():
     assert np.all(np.abs(means - expected) <= 3.0 * ses)
 
 
-def test_fbm_embedding_failure_falls_back_to_cholesky(monkeypatch):
+def test_fbm_negative_embedding_raises(monkeypatch):
     import roughlift.gauss as gauss
 
-    def broken(z, n, H):
-        raise gauss.EmbeddingError("forced")
+    # lags 0 and +-1 only: circulant eigenvalues 1 + 2 cos(pi j / n), down to -1
+    monkeypatch.setattr(gauss, "fgn_autocov", lambda k, H: (np.abs(k) <= 1).astype(float))
+    with pytest.raises(ValueError, match="negative embedding eigenvalue"):
+        sample_fbm(SamplerSpec(seed=5, H=0.4, n=16, method="circulant"))
 
-    monkeypatch.setattr(gauss, "_fgn_circulant", broken)
-    path = sample_fbm(SamplerSpec(seed=5, H=0.4, n=16, method="circulant"))
-    assert path.method == "cholesky"
-    assert path.values.shape == (17, 1)
+
+@pytest.mark.parametrize("H", [0.26, 0.3, 0.35, 0.4, 0.45, 0.5])
+def test_fgn_embedding_eigenvalues_nonnegative(H):
+    # the minimal circulant embedding sample_fbm uses, at every n = 2^k <= 2^16
+    for k in range(17):
+        n = 2 ** k
+        lags = np.concatenate([np.arange(n), np.arange(n, 0, -1)])
+        assert np.fft.fft(fgn_autocov(lags, H)).real.min() >= 0.0, (H, n)
 
 
 def test_fbm_general_horizon_scaling():

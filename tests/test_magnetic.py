@@ -33,6 +33,8 @@ def test_config_validation():
         small_cfg(A=np.array([[1.0, 0.2], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         small_cfg(B0=np.eye(2))
+    with pytest.raises(ValueError, match="positive definite"):
+        small_cfg(A=np.diag([1.0, -0.1]))  # A - B0 is stable all the same
 
 
 # ------------------------------------------------------------------ drift_at
