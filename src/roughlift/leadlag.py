@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gauss import SamplerSpec, derive_seed, sample_fbm
-from .report import summary_rows
+from .report import MAX_GRID_STEPS, MAX_TRIALS, summary_rows
 from .tensor2 import RenormTerm, holder_distance, lift_piecewise_linear, translate
 
 LEADLAG_FIELDS = ("dist_renorm", "dist_raw", "areaDev1")
@@ -192,6 +192,11 @@ class LeadLagConfig:
                 raise ValueError(f"every n must be a multiple of the coarsest n = {ns[0]}")
         if self.d < 1 or self.mc_trials < 1:
             raise ValueError("d and mc_trials must be >= 1")
+        if self.n_ref > MAX_GRID_STEPS:
+            raise ValueError(f"n_ref = {self.n_ref} is above MAX_GRID_STEPS = {MAX_GRID_STEPS}")
+        if len(ns) * self.mc_trials > MAX_TRIALS:
+            raise ValueError(f"{len(ns)} n x {self.mc_trials} trials exceed "
+                             f"MAX_TRIALS = {MAX_TRIALS}")
         object.__setattr__(self, "n_schedule", ns)
 
 

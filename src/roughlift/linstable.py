@@ -46,8 +46,12 @@ class StableDrift:
         B = np.asarray(self.B, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != B.shape:
             raise ValueError("A and B must be square matrices of equal size")
-        tolA = IDENTITY_TOL * max(1.0, float(np.linalg.norm(A)))
-        tolB = IDENTITY_TOL * max(1.0, float(np.linalg.norm(B)))
+        with np.errstate(over="ignore"):
+            normA, normB = float(np.linalg.norm(A)), float(np.linalg.norm(B))
+        if not (np.isfinite(normA) and np.isfinite(normB)):
+            raise ValueError("the Frobenius norms of A and B must be finite")
+        tolA = IDENTITY_TOL * max(1.0, normA)
+        tolB = IDENTITY_TOL * max(1.0, normB)
         if np.linalg.norm(A - A.T) > tolA:
             raise ValueError("A must be symmetric")
         if np.linalg.norm(B + B.T) > tolB:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .gauss import derive_Z, derive_seed, float_index, required_steps, sample_physical
 from .linstable import StableDrift, renorm_v
-from .report import summary_rows
+from .report import MAX_GRID_STEPS, MAX_TRIALS, summary_rows
 from .tensor2 import holder_distance, lift_piecewise_linear, translate, zero_lift
 
 MAGNETIC_FIELDS = ("distP_renorm", "distP_raw", "distZ_renorm", "distZ_raw", "areaDev1")
@@ -43,7 +43,7 @@ class MagneticConfig:
         # StableDrift checks the shapes and (anti-)symmetries; a stable
         # A - B0 does not make A positive definite, as the theory assumes
         drift = StableDrift(self.A, self.B0)
-        if np.min(np.linalg.eigvalsh(0.5 * (drift.A + drift.A.T))) <= 0.0:
+        if np.min(np.linalg.eigvalsh(drift.A)) <= 0.0:
             raise ValueError("A must be positive definite")
         if not (0.0 <= self.beta < 1.0):
             raise ValueError("requires 0 <= beta < 1")
@@ -65,6 +65,16 @@ class MagneticConfig:
         object.__setattr__(self, "A", drift.A)
         object.__setattr__(self, "B0", drift.B)
         object.__setattr__(self, "eps_schedule", eps)
+        if len(eps) * self.mc_trials > MAX_TRIALS:
+            raise ValueError(f"{len(eps)} eps x {self.mc_trials} trials exceed "
+                             f"MAX_TRIALS = {MAX_TRIALS}")
+        try:
+            n_fine = fine_grid_n(self, eps[-1])
+        except (ZeroDivisionError, OverflowError) as e:  # eps^2 underflows or N overflows
+            raise ValueError(f"the step rule has no finite grid at eps = {eps[-1]:g}") from e
+        if n_fine > MAX_GRID_STEPS:
+            raise ValueError(f"the fine grid at eps = {eps[-1]:g} has {n_fine} steps, "
+                             f"above MAX_GRID_STEPS = {MAX_GRID_STEPS}")
 
     @property
     def d(self) -> int:

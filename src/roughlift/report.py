@@ -14,6 +14,15 @@ import numpy as np
 
 from . import __version__
 
+# Run-size bounds, checked when an experiment config is built so that a run
+# too large to finish is rejected before any sampling.  A magnetic trial
+# holds about 170 B per step of its fine grid (noise, P, W, Z and three
+# lifts), so MAX_GRID_STEPS is about 1.4 GB per worker; the job list and
+# every trial result (a few hundred bytes each) stay in memory until
+# summary_rows reduces them, so MAX_TRIALS results stay under 1 GB.
+MAX_GRID_STEPS = 2 ** 23
+MAX_TRIALS = 2 ** 20
+
 
 def fit_loglog(points):
     """Least squares of log y on log x.

@@ -3,7 +3,8 @@
 Each one takes a route that does not share code with the implementation it
 checks: direct segment integration instead of Chen products, quadrature
 instead of Lyapunov solves, Euler-Maruyama instead of exact transitions,
-a per-row pair loop instead of the blocked Hoelder kernel.
+a per-row pair loop instead of the blocked Hoelder kernel, an
+eigendecomposition and a plain loop instead of the blocked OU scan.
 """
 import numpy as np
 from scipy.integrate import quad_vec
@@ -59,6 +60,39 @@ def ou_euler_maruyama(M, eps, h, n_steps, n_paths, rng, p0=None):
         P = P - P @ G.T * dt + dW
         W = W + dW
     return P, W
+
+
+def ou_recursion_eig(E, xi):
+    """P_{k+1} = E P_k + xi_k from P_0 = 0, returned with the zero row:
+    one complex first-order filter per eigenvector of E, or a plain loop
+    when E is (near-)defective."""
+    from scipy.signal import lfilter
+
+    N, d = xi.shape
+    out = np.zeros((N + 1, d))
+    w, V = np.linalg.eig(E)
+    if np.linalg.cond(V) < 1e8:
+        eta = np.linalg.solve(V, xi.T.astype(complex))
+        q = np.empty_like(eta)
+        for i in range(d):
+            q[i] = lfilter([1.0], [1.0, -w[i]], eta[i])
+        out[1:] = (V @ q).T.real
+    else:
+        # defective meanMap: fall back to the plain scan
+        p = np.zeros(d)
+        for k in range(N):
+            p = E @ p + xi[k]
+            out[k + 1] = p
+    return out
+
+
+def ou_recursion_loop(E, xi):
+    """P_{k+1} = E P_k + xi_k from P_0 = 0, one step at a time."""
+    N, d = xi.shape
+    out = np.zeros((N + 1, d))
+    for k in range(N):
+        out[k + 1] = E @ out[k] + xi[k]
+    return out
 
 
 def _dyadic_pairs(n: int):

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import roughlift
 from roughlift import leadlag, magnetic
 from roughlift.cli import (ConfigError, LEADLAG_COLUMNS, MAGNETIC_COLUMNS, _config_echo,
                            main, parse_config)
@@ -153,8 +157,14 @@ def test_cli_config_rejection_exit_code(tmp_path):
     ("leadlag", {"n_schedule": [8.5, 16, 32]}),
     ("magnetic", {"mc_trails": 2}),
     ("magnetic", {"A": [[1.0, 0.0], [0.0, -0.1]]}),  # A - B0 stable, A not definite
+    ("magnetic", {"A": [[1e308, -1e308], [-1e308, 1e308]]}),  # norm overflows
+    ("magnetic", {"mc_trials": 10 ** 30}),
+    ("magnetic", {"grid_n": 10 ** 30}),
+    ("magnetic", {"eps_schedule": [1e-300]}),  # eps^2 underflows in the step rule
+    ("leadlag", {"n_ref": 2 ** 60}),
 ], ids=["T-infinite", "fbm_method", "grid_n-float", "mc_trials-bool",
-        "n_schedule-float", "unknown-key", "A-indefinite"])
+        "n_schedule-float", "unknown-key", "A-indefinite", "A-overflow",
+        "mc_trials-huge", "grid_n-huge", "eps-underflow", "n_ref-huge"])
 def test_cli_rejects_malformed_config(tmp_path, capsys, no_sampling, kind, change):
     cfg = write_config(tmp_path / "c.json", DOCS[kind](**change))
     out = tmp_path / "out"
@@ -178,7 +188,6 @@ KEYS = sorted(set(magnetic_doc()) | set(leadlag_doc()))
 @example(kind="magnetic", key="T", value=10 ** 400)
 @example(kind="leadlag", key="n_schedule", value=[8, 2 ** 64])
 @example(kind="magnetic", key="A", value=[[1e308, -1e308], [-1e308, 1e308]])
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_parse_config_accepts_or_rejects_any_edit(tmp_path, no_sampling, kind, key, value):
     # one key of a valid doc set to any JSON value (a key of the other kind
     # or a random one is an added key): parse_config returns a config or
@@ -198,6 +207,16 @@ def test_cli_rejects_threads_below_one(tmp_path, capsys, threads):
     assert main(["leadlag", "--config", cfg, "--out", str(out), "--threads", threads]) == 2
     assert "--threads" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs about a second of every CLI start and nothing in
+    # roughlift needs it; a fresh interpreter sees what the import pulls in
+    src = os.path.dirname(os.path.dirname(roughlift.__file__))
+    code = "import sys, roughlift.cli; print('scipy.signal' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert run.stdout.strip() == "False"
 
 
 def test_cli_identities(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import ou_recursion_eig, ou_recursion_loop
 from roughlift import (SamplerSpec, StableDrift, derive_seed, derive_Z, fgn_autocov,
-                       lyapunov_C, required_steps, sample_bm, sample_fbm,
-                       sample_physical)
-from roughlift.gauss import GridPath, float_index
+                       lyapunov_C, ou_joint_transition, required_steps, sample_bm,
+                       sample_fbm, sample_physical)
+from roughlift.gauss import GridPath, _ou_recursion, float_index
+from roughlift.identities import random_stable_drifts
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -222,6 +224,39 @@ def test_physical_halving_h_consistency():
     diff = np.abs(stats["h"][0] - stats["h/2"][0])
     se = np.sqrt(stats["h"][1] ** 2 + stats["h/2"][1] ** 2)
     assert np.all(diff <= se)
+
+
+# ---------------------------------------------------------------- OU recursion
+
+def rel_err(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+# N = 1, 2, 3 and 97, and one block length b = 32 at b^2 - 1, b^2 and b^2 + 1
+OU_LENGTHS = (1, 2, 3, 97, 32 ** 2 - 1, 32 ** 2, 32 ** 2 + 1)
+
+
+def ou_maps():
+    """Mean maps E = exp(-M r) of random stable drifts (d <= 5) at step
+    ratios r from 1e-3 to 3, a Jordan block, and E = 0 (fully relaxed)."""
+    rng = np.random.default_rng(41)
+    for k, drift in enumerate(random_stable_drifts(rng, n_drifts=20, max_dim=5)):
+        r = 10.0 ** rng.uniform(-3.0, 0.5)
+        yield f"drift{k}-d{drift.dim}", ou_joint_transition(drift, 1.0, r).meanMap
+    yield "jordan", np.array([[0.9, 1.0], [0.0, 0.9]])
+    yield "relaxed", ou_joint_transition(StableDrift(np.eye(2), J), 1e-3, 1.0).meanMap
+
+
+def test_ou_recursion_matches_oracles():
+    rng = np.random.default_rng(43)
+    for name, E in ou_maps():
+        assert name != "relaxed" or not np.any(E)
+        for N in OU_LENGTHS:
+            xi = rng.standard_normal((N, E.shape[0]))
+            P = _ou_recursion(E, xi)
+            assert P.shape == (N + 1, E.shape[0]) and np.all(P[0] == 0.0)
+            assert rel_err(P, ou_recursion_loop(E, xi)) <= 1e-12, (name, N)
+            assert rel_err(P, ou_recursion_eig(E, xi)) <= 1e-12, (name, N)
 
 
 # -------------------------------------------------------------------- derive_Z

@@ -1,6 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from oracles import ou_recursion_eig
+from roughlift import gauss
 from roughlift import (MagneticConfig, derive_Z, drift_at, fine_grid_n,
                        holder_distance, lift_piecewise_linear, magnetic_experiment,
                        renorm_v, run_magnetic_trial, sample_physical, translate)
@@ -130,6 +134,20 @@ def test_level2_counterterm_decay_rate():
         points.append((eps, np.sqrt(np.mean(acc))))
     slope, _, _ = fit_loglog(points)
     assert slope >= (1.0 - beta) - 0.15
+
+
+def test_trial_matches_eig_recursion_oracle(monkeypatch):
+    # the blocked real scan against the eigendecomposition route, field by
+    # field, on fine grids of 384 and 10560 steps
+    cfg = small_cfg(eps_schedule=(0.25, 2.0 ** -4), grid_n=64)
+    keys = [(eps, k) for eps in cfg.eps_schedule for k in range(2)]
+    new = [run_magnetic_trial(cfg, eps, k) for eps, k in keys]
+    monkeypatch.setattr(gauss, "_ou_recursion", ou_recursion_eig)
+    old = [run_magnetic_trial(cfg, eps, k) for eps, k in keys]
+    for a, b in zip(new, old):
+        for f in fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert abs(x - y) <= 1e-12 * abs(y), f.name
 
 
 # --------------------------------------------------------------- experiment
