@@ -15,11 +15,13 @@ reproduce bit-identically in any order.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linstable import StableDrift, ou_joint_transition
+from .tensor2 import ROW_BLOCK, running_sum_block
 
 _MASK64 = (1 << 64) - 1
 
@@ -98,8 +100,12 @@ class SamplerSpec:
 
 def _uniform_times(n: int, T: float) -> np.ndarray:
     # arange/n first: i/n is rounded once, so grids of different resolution
-    # agree bitwise on shared rational points.
-    return np.arange(n + 1) / n * T
+    # agree bitwise on shared rational points.  In place, so the grid costs
+    # one array of n + 1 floats.
+    t = np.arange(n + 1, dtype=float)
+    t /= n
+    t *= T
+    return t
 
 
 def sample_bm(T: float, N: int, d: int, seed: int) -> GridPath:
@@ -164,31 +170,43 @@ def required_steps(drift: StableDrift, eps: float, T: float) -> int:
     return max(1, int(np.ceil(T * normM / (STEP_SAFETY * eps ** 2))))
 
 
-def _ou_recursion(E: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """P_{k+1} = E P_k + xi_k from P_0 = 0, returned with the zero row: b
-    blocks of b = ceil(sqrt(N)) steps from a zero start at once, the block
-    starts c_j by the same recursion with E^b, then E^{m+1} c_j added."""
-    N, d = xi.shape
+def _ou_buffer(N: int, d: int) -> np.ndarray:
+    """Zeroed (b^2 + 1, d) work array of _ou_recursion, b = ceil(sqrt(N)):
+    row 0 is P_0, rows 1..N take xi_0..xi_{N-1}, the rest stay zero."""
     b = int(np.ceil(np.sqrt(N)))
-    out = np.zeros((b * b + 1, d))
-    out[1:N + 1] = xi
-    q = out[1:].reshape(b, b, d)
+    return np.zeros((b * b + 1, d))
+
+
+def _ou_recursion(E: np.ndarray, buf: np.ndarray) -> None:
+    """P_{k+1} = E P_k + xi_k from P_0 = 0, in place on an _ou_buffer whose
+    rows 1.. hold xi and come back as P: b blocks of b steps from a zero
+    start at once, the block starts c_j by the same recursion with E^b,
+    then E^{m+1} c_j added."""
+    b = math.isqrt(len(buf) - 1)
+    q = buf[1:].reshape(b, b, buf.shape[1])
     for m in range(1, b):
         q[:, m] += q[:, m - 1] @ E.T
     Eb = np.linalg.matrix_power(E, b)
-    c = np.zeros((b, d))
+    c = np.zeros((b, buf.shape[1]))
     for j in range(1, b):
         c[j] = Eb @ c[j - 1] + q[j - 1, -1]
     for m in range(b):
         c = c @ E.T
         q[:, m] += c
-    return out[:N + 1]
 
 
 def sample_physical(drift: StableDrift, eps: float, T: float, N: int,
                     seed: int) -> tuple[GridPath, GridPath]:
     """Momentum P and its driving Brownian motion W, jointly exact in law
-    at the grid points of the uniform N-step grid on [0, T]."""
+    at the grid points of the uniform N-step grid on [0, T].
+
+    The normals are drawn ROW_BLOCK steps at a time and written straight
+    into P and W, so the working memory beyond the returned P, W and times
+    is O(ROW_BLOCK d).  Philox draws are chunk-invariant, and each block's
+    product with L^T has the rows of the whole-grid product bitwise, so the
+    paths equal a one-shot draw (tests check this at ROW_BLOCK; OpenBLAS
+    moves some rows by one ulp at odd block sizes such as 7).
+    """
     if eps <= 0.0 or T <= 0.0 or N < 1:
         raise ValueError("need eps > 0, T > 0, N >= 1")
     n_req = required_steps(drift, eps, T)
@@ -200,13 +218,17 @@ def sample_physical(drift: StableDrift, eps: float, T: float, N: int,
     trans = ou_joint_transition(drift, eps, T / N)
     L = trans.noise_factor()
     rng = _rng(seed)
-    noise = rng.standard_normal((N, 2 * d)) @ L.T
-    xi, dW = noise[:, :d], noise[:, d:]
+    P = _ou_buffer(N, d)
     W = np.zeros((N + 1, d))
-    np.cumsum(dW, axis=0, out=W[1:])
-    P = _ou_recursion(trans.meanMap, xi)
+    for k0 in range(0, N, ROW_BLOCK):
+        k1 = min(k0 + ROW_BLOCK, N)
+        noise = rng.standard_normal((k1 - k0, 2 * d)) @ L.T
+        P[k0 + 1:k1 + 1] = noise[:, :d]
+        running_sum_block(noise[:, d:], W, k0)
+    _ou_recursion(trans.meanMap, P)
     times = _uniform_times(N, T)
-    return GridPath(times, P, method="ou-exact"), GridPath(times, W, method="bm")
+    return (GridPath(times, P[:N + 1], method="ou-exact"),
+            GridPath(times, W, method="bm"))
 
 
 def derive_Z(P: GridPath, W: GridPath) -> GridPath:

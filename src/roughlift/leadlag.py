@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gauss import SamplerSpec, derive_seed, sample_fbm
-from .report import MAX_GRID_STEPS, MAX_TRIALS, summary_rows
+from .report import MAX_GRID_STEPS, MAX_TRIALS, TRIAL_BYTES, summary_rows
 from .tensor2 import RenormTerm, holder_distance, lift_piecewise_linear, translate
 
 LEADLAG_FIELDS = ("dist_renorm", "dist_raw", "areaDev1")
@@ -194,6 +194,10 @@ class LeadLagConfig:
             raise ValueError("d and mc_trials must be >= 1")
         if self.n_ref > MAX_GRID_STEPS:
             raise ValueError(f"n_ref = {self.n_ref} is above MAX_GRID_STEPS = {MAX_GRID_STEPS}")
+        ref_bytes = 8 * (self.n_ref + 1) * (2 * self.d) ** 2
+        if ref_bytes > TRIAL_BYTES:
+            raise ValueError(f"d = {self.d}: the reference lift needs {ref_bytes} B, "
+                             f"above TRIAL_BYTES = {TRIAL_BYTES}")
         if len(ns) * self.mc_trials > MAX_TRIALS:
             raise ValueError(f"{len(ns)} n x {self.mc_trials} trials exceed "
                              f"MAX_TRIALS = {MAX_TRIALS}")

@@ -115,11 +115,16 @@ def run_magnetic_trial(cfg: MagneticConfig, eps: float, trial_index: int) -> Tri
     stride = n_fine // cfg.grid_n
     seed = derive_seed(cfg.base_seed, float_index(eps), trial_index)
     P, W = sample_physical(drift, eps, cfg.T, n_fine, seed)
-    Z = derive_Z(P, W)
     out_idx = np.arange(0, n_fine + 1, stride)
 
+    # each full lift is restricted as soon as it is built, and each path is
+    # dropped after its last use, so while a full lift exists at most two
+    # fine-grid paths do
     liftP = lift_piecewise_linear(P.times, P.values).restrict(out_idx)
+    Z = derive_Z(P, W)
+    del P
     liftZ = lift_piecewise_linear(Z.times, Z.values).restrict(out_idx)
+    del Z
     liftW = lift_piecewise_linear(W.times, W.values).restrict(out_idx)
 
     zero = zero_lift(liftP.times, cfg.d)

@@ -15,12 +15,16 @@ import numpy as np
 from . import __version__
 
 # Run-size bounds, checked when an experiment config is built so that a run
-# too large to finish is rejected before any sampling.  A magnetic trial
-# holds about 170 B per step of its fine grid (noise, P, W, Z and three
-# lifts), so MAX_GRID_STEPS is about 1.4 GB per worker; the job list and
+# too large to finish is rejected before any sampling.  A magnetic trial at
+# d = 2 holds 89 B per step of its fine grid at its peak: P, W, the times
+# and one full lift (tracemalloc at 1,861,120 steps; every other array is
+# O(tensor2.ROW_BLOCK)).  MAX_GRID_STEPS therefore stands for a budget of
+# TRIAL_BYTES, about 0.75 GB per worker, which also bounds the level 2 of
+# the lead-lag reference lift, (n_ref + 1) (2d)^2 floats.  The job list and
 # every trial result (a few hundred bytes each) stay in memory until
 # summary_rows reduces them, so MAX_TRIALS results stay under 1 GB.
 MAX_GRID_STEPS = 2 ** 23
+TRIAL_BYTES = 90 * MAX_GRID_STEPS
 MAX_TRIALS = 2 ** 20
 
 

@@ -4,7 +4,8 @@ Each one takes a route that does not share code with the implementation it
 checks: direct segment integration instead of Chen products, quadrature
 instead of Lyapunov solves, Euler-Maruyama instead of exact transitions,
 a per-row pair loop instead of the blocked Hoelder kernel, an
-eigendecomposition and a plain loop instead of the blocked OU scan.
+eigendecomposition and a plain loop instead of the blocked OU scan, and
+whole-grid arrays instead of the row-blocked lift and noise draw.
 """
 import numpy as np
 from scipy.integrate import quad_vec
@@ -145,3 +146,46 @@ def holder_distance_rowloop(x, y, alpha: float, full_pairs_limit: int = 2048) ->
         for i, j in _dyadic_pairs(n):
             sweep(i, j)
     return sup1 + sup2
+
+
+def lift_piecewise_linear_full(times, values):
+    """Materialising lift: whole-grid increments, offsets and level-2 terms,
+    then one cumsum per level."""
+    from roughlift.tensor2 import LiftedPath
+
+    t = np.asarray(times, dtype=float)
+    x = np.asarray(values, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    if t.ndim != 1 or len(t) < 2:
+        raise ValueError("need at least 2 grid points")
+    if np.any(np.diff(t) <= 0):
+        raise ValueError("times must be strictly increasing")
+    if x.shape[0] != len(t):
+        raise ValueError("values length must match times")
+    n, d = x.shape[0] - 1, x.shape[1]
+    inc = np.diff(x, axis=0)
+    l1 = np.zeros((n + 1, d))
+    l1[1:] = np.cumsum(inc, axis=0)
+    terms = np.einsum("nd,ne->nde", (x[:-1] - x[0]) + 0.5 * inc, inc)
+    l2 = np.zeros((n + 1, d, d))
+    np.cumsum(terms, axis=0, out=l2[1:])
+    return LiftedPath(t, l1, l2)
+
+
+def physical_whole_draw(drift, eps, T, N, seed):
+    """(times, P, W) of gauss.sample_physical with all (N, 2d) normals drawn
+    in one call, W as one cumsum and the grid as arange(N + 1) / N * T.  The
+    OU scan is the library's; the oracles above check it."""
+    from roughlift.gauss import _ou_buffer, _ou_recursion, _rng
+    from roughlift.linstable import ou_joint_transition
+
+    d = drift.dim
+    trans = ou_joint_transition(drift, eps, T / N)
+    noise = _rng(seed).standard_normal((N, 2 * d)) @ trans.noise_factor().T
+    W = np.zeros((N + 1, d))
+    np.cumsum(noise[:, d:], axis=0, out=W[1:])
+    P = _ou_buffer(N, d)
+    P[1:N + 1] = noise[:, :d]
+    _ou_recursion(trans.meanMap, P)
+    return np.arange(N + 1) / N * T, P[:N + 1], W

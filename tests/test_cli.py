@@ -162,9 +162,12 @@ def test_cli_config_rejection_exit_code(tmp_path):
     ("magnetic", {"grid_n": 10 ** 30}),
     ("magnetic", {"eps_schedule": [1e-300]}),  # eps^2 underflows in the step rule
     ("leadlag", {"n_ref": 2 ** 60}),
+    ("leadlag", {"d": 10 ** 30}),
+    ("leadlag", {"n_ref": 2 ** 23, "d": 2}),  # 1 GiB reference lift
 ], ids=["T-infinite", "fbm_method", "grid_n-float", "mc_trials-bool",
         "n_schedule-float", "unknown-key", "A-indefinite", "A-overflow",
-        "mc_trials-huge", "grid_n-huge", "eps-underflow", "n_ref-huge"])
+        "mc_trials-huge", "grid_n-huge", "eps-underflow", "n_ref-huge", "d-huge",
+        "reference-lift-over-budget"])
 def test_cli_rejects_malformed_config(tmp_path, capsys, no_sampling, kind, change):
     cfg = write_config(tmp_path / "c.json", DOCS[kind](**change))
     out = tmp_path / "out"

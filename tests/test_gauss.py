@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import ou_recursion_eig, ou_recursion_loop
+from oracles import ou_recursion_eig, ou_recursion_loop, physical_whole_draw
 from roughlift import (SamplerSpec, StableDrift, derive_seed, derive_Z, fgn_autocov,
                        lyapunov_C, ou_joint_transition, required_steps, sample_bm,
                        sample_fbm, sample_physical)
-from roughlift.gauss import GridPath, _ou_recursion, float_index
+from roughlift.gauss import GridPath, _ou_buffer, _ou_recursion, float_index
 from roughlift.identities import random_stable_drifts
+from roughlift.tensor2 import ROW_BLOCK
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -226,6 +229,31 @@ def test_physical_halving_h_consistency():
     assert np.all(diff <= se)
 
 
+# N = one block minus/plus one and a ragged third block
+@pytest.mark.parametrize("N", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 5])
+def test_physical_blocks_match_whole_draw(N):
+    drift = StableDrift(np.eye(2), 2.0 * J)
+    P, W = sample_physical(drift, 8.0, 1.0, N, seed=N)
+    times, P_want, W_want = physical_whole_draw(drift, 8.0, 1.0, N, seed=N)
+    assert np.array_equal(P.times, times) and np.array_equal(W.times, times)
+    assert np.array_equal(P.values, P_want) and np.array_equal(W.values, W_want)
+
+
+def test_physical_memory_bounded_by_block():
+    # beyond P, W and the times the sampler keeps O(ROW_BLOCK) rows (1 MiB
+    # measured); a whole-grid draw keeps 40 MiB more here
+    N, d = 2 ** 20, 2
+    drift = StableDrift(np.eye(d), J)
+    out_bytes = (N + 1) * (2 * d + 1) * 8
+    tracemalloc.start()
+    try:
+        sample_physical(drift, 0.5, 1.0, N, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out_bytes + 4 * 2 ** 20
+
+
 # ---------------------------------------------------------------- OU recursion
 
 def rel_err(a, b):
@@ -253,7 +281,10 @@ def test_ou_recursion_matches_oracles():
         assert name != "relaxed" or not np.any(E)
         for N in OU_LENGTHS:
             xi = rng.standard_normal((N, E.shape[0]))
-            P = _ou_recursion(E, xi)
+            buf = _ou_buffer(N, E.shape[0])
+            buf[1:N + 1] = xi
+            _ou_recursion(E, buf)
+            P = buf[:N + 1]
             assert P.shape == (N + 1, E.shape[0]) and np.all(P[0] == 0.0)
             assert rel_err(P, ou_recursion_loop(E, xi)) <= 1e-12, (name, N)
             assert rel_err(P, ou_recursion_eig(E, xi)) <= 1e-12, (name, N)

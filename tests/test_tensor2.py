@@ -9,7 +9,7 @@ from roughlift import (RenormTerm, chen_inv, chen_mul, exp_step2, holder_distanc
                        translate, zero_lift)
 from roughlift.identities import random_lifted_paths
 
-from oracles import holder_distance_rowloop, pl_iterated_integral
+from oracles import holder_distance_rowloop, lift_piecewise_linear_full, pl_iterated_integral
 
 TOL = 1e-12
 
@@ -152,6 +152,53 @@ def test_lift_rejects_bad_grids():
         lift_piecewise_linear([0.0, 0.0], np.zeros((2, 1)))
     with pytest.raises(ValueError):
         lift_piecewise_linear([0.0], np.zeros((1, 1)))
+    with pytest.raises(ValueError):
+        lift_piecewise_linear([0.0, 1.0, 0.5], np.zeros((3, 1)))
+
+
+def _assert_lift_matches_full(rng, n, d):
+    t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n))])
+    x = rng.standard_normal((n + 1, d))
+    x[0] = rng.standard_normal(d)  # a path that does not start at the origin
+    got, want = lift_piecewise_linear(t, x), lift_piecewise_linear_full(t, x)
+    assert np.array_equal(got.level1, want.level1), (n, d)
+    assert np.array_equal(got.level2, want.level2), (n, d)
+
+
+B = tensor2.ROW_BLOCK
+
+
+# one segment, one block minus/plus one, and a ragged fourth block
+@pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 3 * B + 5])
+def test_lift_blocks_match_full_lift(n):
+    rng = np.random.default_rng(n)
+    for d in (1, 2, 3):
+        _assert_lift_matches_full(rng, n, d)
+
+
+def test_lift_ragged_blocks_match_full_lift(monkeypatch):
+    # a tiny odd block size puts block edges everywhere
+    monkeypatch.setattr(tensor2, "ROW_BLOCK", 7)
+    rng = np.random.default_rng(16)
+    for n in (1, 6, 7, 8, 13, 14, 15, 100):
+        for d in (1, 2, 3):
+            _assert_lift_matches_full(rng, n, d)
+
+
+def test_lift_memory_bounded_by_block():
+    # beyond its two output levels the lift keeps O(ROW_BLOCK) rows (2 MiB
+    # measured); the full lift's whole-grid temporaries peak at 49 MiB here
+    n, d = 2 ** 20, 2
+    t = np.arange(n + 1) / n
+    x = np.random.default_rng(17).standard_normal((n + 1, d))
+    out_bytes = (n + 1) * (d + d * d) * 8
+    tracemalloc.start()
+    try:
+        lift_piecewise_linear(t, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out_bytes + 4 * 2 ** 20
 
 
 # ----------------------------------------------------------------- translate
