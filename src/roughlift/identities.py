@@ -17,8 +17,8 @@ import numpy as np
 from .gauss import SamplerSpec, fgn_autocov, sample_fbm
 from .leadlag import hoff_path, leadlag_area_oracle, psi_closed, psi_profile
 from .linstable import StableDrift, lyapunov_C, renorm_v
-from .tensor2 import (RenormTerm, _level2_residuals, chen_inv, chen_mul, levy_area,
-                      lift_piecewise_linear, translate)
+from .tensor2 import (RenormTerm, chen_inv, chen_mul, levy_area, lift_piecewise_linear,
+                      translate)
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,18 @@ def random_lifted_paths(rng, n_paths: int, max_dim: int = 4, max_segments: int =
         yield lift_piecewise_linear(t, x)
 
 
+def _interval_level2(path) -> np.ndarray:
+    """(n, n, d, d) second levels of the interval lifts S_{i,j} for every
+    pair of grid points: X2_j - X2_i - X1_i (x) (X1_j - X1_i)."""
+    L1, L2 = path.level1, path.level2
+    return L2[None] - L2[:, None] - np.einsum("id,ije->ijde", L1, L1[None] - L1[:, None])
+
+
 def chen_relation_error(path) -> float:
     """Worst relative Chen defect over all triples i < j < k."""
     L1 = path.level1
-    n, d = path.n_points, path.dim
-    idx = np.arange(n)
-    F = np.stack([*_level2_residuals(path, None, idx[:, None], idx)], -1).reshape(n, n, d, d)
+    n = path.n_points
+    F = _interval_level2(path)
     scale = max(1.0, float(np.abs(F).max()))
     worst = 0.0
     for j in range(1, n - 1):
@@ -65,9 +71,7 @@ def chen_relation_error(path) -> float:
 
 def geometricity_error(path) -> float:
     """Worst relative defect of Sym(level2) = 1/2 increment (x) increment."""
-    n, d = path.n_points, path.dim
-    idx = np.arange(n)
-    F = np.stack([*_level2_residuals(path, None, idx[:, None], idx)], -1).reshape(n, n, d, d)
+    F = _interval_level2(path)
     U = path.level1[None, :] - path.level1[:, None]
     sym = 0.5 * (F + F.transpose(0, 1, 3, 2))
     resid = sym - 0.5 * np.einsum("ijd,ije->ijde", U, U)

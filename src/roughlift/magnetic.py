@@ -18,7 +18,7 @@ import numpy as np
 
 from .gauss import derive_Z, derive_seed, float_index, required_steps, sample_physical
 from .linstable import StableDrift, renorm_v
-from .report import MAX_GRID_STEPS, MAX_TRIALS, summary_rows
+from .report import MAX_GRID_STEPS, MAX_TRIALS, TRIAL_BYTES, fine_step_bytes, summary_rows
 from .tensor2 import holder_distance, lift_piecewise_linear, translate, zero_lift
 
 MAGNETIC_FIELDS = ("distP_renorm", "distP_raw", "distZ_renorm", "distZ_raw", "areaDev1")
@@ -75,6 +75,11 @@ class MagneticConfig:
         if n_fine > MAX_GRID_STEPS:
             raise ValueError(f"the fine grid at eps = {eps[-1]:g} has {n_fine} steps, "
                              f"above MAX_GRID_STEPS = {MAX_GRID_STEPS}")
+        trial_bytes = n_fine * fine_step_bytes(self.d)
+        if trial_bytes > TRIAL_BYTES:
+            raise ValueError(f"d = {self.d}: a trial on the {n_fine}-step fine grid at "
+                             f"eps = {eps[-1]:g} needs {trial_bytes} B, "
+                             f"above TRIAL_BYTES = {TRIAL_BYTES}")
 
     @property
     def d(self) -> int:

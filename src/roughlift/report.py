@@ -15,17 +15,26 @@ import numpy as np
 from . import __version__
 
 # Run-size bounds, checked when an experiment config is built so that a run
-# too large to finish is rejected before any sampling.  A magnetic trial at
-# d = 2 holds 89 B per step of its fine grid at its peak: P, W, the times
-# and one full lift (tracemalloc at 1,861,120 steps; every other array is
-# O(tensor2.ROW_BLOCK)).  MAX_GRID_STEPS therefore stands for a budget of
-# TRIAL_BYTES, about 0.75 GB per worker, which also bounds the level 2 of
-# the lead-lag reference lift, (n_ref + 1) (2d)^2 floats.  The job list and
-# every trial result (a few hundred bytes each) stay in memory until
-# summary_rows reduces them, so MAX_TRIALS results stay under 1 GB.
+# too large to finish is rejected before any sampling.  At its peak a
+# magnetic trial holds fine_step_bytes(d) per step of its fine grid: P, W
+# (or Z), the times and one full lift, (3d + 1 + d^2) floats.  That is the
+# measured slope of the tracemalloc peak of one trial between 260,352 and
+# 516,608 steps: 88.0 B per step at d = 2 and 232.0 at d = 4 (440.0 at
+# d = 6); every other array is O(tensor2.ROW_BLOCK), about 2.2 MB at d = 2.
+# MAX_GRID_STEPS at d = 2 therefore stands for a budget of TRIAL_BYTES,
+# about 0.75 GB per worker, which also bounds the magnetic fine grid at any
+# d and the level 2 of the lead-lag reference lift, (n_ref + 1) (2d)^2
+# floats.  The job list and every trial result (a few hundred bytes each)
+# stay in memory until summary_rows reduces them, so MAX_TRIALS results
+# stay under 1 GB.
 MAX_GRID_STEPS = 2 ** 23
 TRIAL_BYTES = 90 * MAX_GRID_STEPS
 MAX_TRIALS = 2 ** 20
+
+
+def fine_step_bytes(d: int) -> int:
+    """Peak bytes a magnetic trial holds per fine-grid step at dimension d."""
+    return 8 * (d * d + 3 * d + 1)
 
 
 def fit_loglog(points):

@@ -23,13 +23,14 @@ import numpy as np
 # headroom for accumulation over <= 1e4 segments in double precision.
 IDENTITY_TOL = 1e-12
 
-# Full O(N^2) pair sweep in holder_distance up to this many grid intervals,
-# dyadic pairs (i, i + 2^k) beyond.
+# Full O(N^2) pair sweep in the Hoelder distances up to this many grid
+# intervals, dyadic pairs (i, i + 2^k) beyond.
 FULL_PAIRS_LIMIT = 2048
 
-# Grid pairs per block of the holder_distance sweep: one float64 plane of
-# this many pairs is 128 KiB and stays in L2.  At n = 256, d = 2, blocks of
-# 2^12 and 2^16 pairs made the sweep about 1.4x and 2x slower.
+# Grid pairs per block of the Hoelder sweep, over all lifts of a stack: one
+# float64 plane of this many pairs is 128 KiB and stays in L2.  At n = 256,
+# d = 2, blocks of 2^12 and 2^16 pairs made the sweep about 1.4x and 2x
+# slower.
 PAIR_BLOCK = 1 << 14
 
 # Grid rows per block of the fine-grid kernels (lift_piecewise_linear and
@@ -205,13 +206,24 @@ def running_sum_block(steps, out, k0: int) -> None:
     np.cumsum(steps, axis=0, out=out[k0 + 1:k0 + 1 + len(steps)])
 
 
-def lift_piecewise_linear(times, values) -> LiftedPath:
-    """Lift of the piecewise-linear path through ``values`` at ``times``.
+def lift_piecewise_linear(times, values, stride: int = 1) -> LiftedPath:
+    """Lift of the piecewise-linear path through ``values`` at ``times``,
+    returned at every ``stride``-th grid point (which must divide the
+    number of segments n).
 
-    Running second level accumulates (x_j - x_0 + inc_j/2) (x) inc_j per
-    segment, which is the Chen product of the segment exponentials.  Both
-    levels are filled ROW_BLOCK segments at a time, so the working memory
-    beyond the returned (n+1) (d + d^2) floats is O(ROW_BLOCK d^2).
+    Running second level accumulates (x_r - x_0 + inc_r/2) (x) inc_r per
+    segment, which is the Chen product of the segment exponentials.  The
+    terms of each cell of ``stride`` segments are summed by one batched
+    matmul and the cell sums carried across cells; level 1 is the carried
+    sum of the cell increments.  Blocks of about ROW_BLOCK segments (a
+    multiple of ``stride``) are done at a time, so the working memory
+    beyond the returned (n/stride + 1)(d + d^2) floats is
+    O(max(ROW_BLOCK, stride) d): 2 MiB at d = 2, 6 MiB at d = 6 (traced at
+    n = 2^20, stride 1).  At stride 1 each cell
+    sum is one product and the lift is bitwise that of summing all terms
+    with one np.cumsum; at larger strides it agrees with
+    ``lift_piecewise_linear(times, values).restrict(range(0, n + 1, stride))``
+    to rounding (about 1e-14 of max |level 2| at n = 2^15).
     """
     t = np.asarray(times, dtype=float)
     x = np.asarray(values, dtype=float)
@@ -222,18 +234,24 @@ def lift_piecewise_linear(times, values) -> LiftedPath:
     if x.shape[0] != len(t):
         raise ValueError("values length must match times")
     n, d = x.shape[0] - 1, x.shape[1]
-    l1 = np.zeros((n + 1, d))
-    l2 = np.zeros((n + 1, d, d))
-    for k0 in range(0, n, ROW_BLOCK):
-        k1 = min(k0 + ROW_BLOCK, n)
+    if stride < 1 or n % stride:
+        raise ValueError(f"stride = {stride} must be a positive divisor of n = {n}")
+    l1 = np.zeros((n // stride + 1, d))
+    l2 = np.zeros((n // stride + 1, d, d))
+    block = max(stride, ROW_BLOCK - ROW_BLOCK % stride)
+    for k0 in range(0, n, block):
+        k1 = min(k0 + block, n)
+        c0, c1 = k0 // stride, k1 // stride
         inc = x[k0 + 1:k1 + 1] - x[k0:k1]
         base = x[k0:k1] - x[0]
         base += 0.5 * inc
-        terms = l2[k0 + 1:k1 + 1]
-        np.einsum("nd,ne->nde", base, inc, out=terms)
-        running_sum_block(terms, l2, k0)
-        running_sum_block(inc, l1, k0)
-    return LiftedPath(t, l1, l2)
+        cells = l2[c0 + 1:c1 + 1]
+        np.matmul(base.reshape(c1 - c0, stride, d).transpose(0, 2, 1),
+                  inc.reshape(c1 - c0, stride, d), out=cells)
+        running_sum_block(cells, l2, c0)
+        cell_inc = inc if stride == 1 else x[k0 + stride:k1 + 1:stride] - x[k0:k1:stride]
+        running_sum_block(cell_inc, l1, c0)
+    return LiftedPath(np.ascontiguousarray(t[::stride]), l1, l2)
 
 
 def zero_lift(times, dim: int) -> LiftedPath:
@@ -256,51 +274,132 @@ def translate(path: LiftedPath, v) -> LiftedPath:
     return LiftedPath(path.times, path.level1.copy(), path.level2 + shift)
 
 
-def _pair_blocks(n: int, full_pairs_limit: int):
-    """Index blocks (i, j) of the grid pairs holder_distance sweeps.
+def _pair_blocks(n: int, full_pairs_limit: int, batch: int):
+    """Blocks (rows, cols, pair) of the grid pairs (i, j) the Hoelder sweep
+    visits, about PAIR_BLOCK // batch pairs each.
 
-    Up to ``full_pairs_limit`` intervals: rows i0 <= i < i1 as an (r, 1)
-    column against j = i0+1..n as a (1, c) row, about PAIR_BLOCK pairs per
-    block; entries with j <= i are in the block and must be masked.
-    Beyond it: the dyadic pairs (i, i + 2^k) as 1-d slices of at most
-    PAIR_BLOCK pairs.
+    ``rows`` and ``cols`` index the grid axis (the last one) of an array:
+    ``a[(..., *rows)]`` holds X_i, ``a[(..., *cols)]`` X_j.  Up to
+    ``full_pairs_limit`` intervals, rows i0 <= i < i1 come as an (r, 1)
+    column against j = i0+1..n as a (1, c) row, and ``pair`` masks out the
+    entries with j <= i.  Beyond it, the dyadic pairs (i, i + 2^k) come as
+    two 1-d slices, all of them pairs (``pair`` is True).
     """
     if n <= full_pairs_limit:
-        rows = max(1, PAIR_BLOCK // n)
+        rows = max(1, PAIR_BLOCK // (batch * n))
         for i0 in range(0, n, rows):
-            yield (np.arange(i0, min(i0 + rows, n))[:, None],
-                   np.arange(i0 + 1, n + 1)[None, :])
+            i1 = min(i0 + rows, n)
+            yield ((slice(i0, i1), None), (None, slice(i0 + 1, n + 1)),
+                   np.arange(i0, i1)[:, None] < np.arange(i0 + 1, n + 1))
         return
+    size = max(1, PAIR_BLOCK // batch)
     k = 1
     while k <= n:
-        for i0 in range(0, n - k + 1, PAIR_BLOCK):
-            i = np.arange(i0, min(i0 + PAIR_BLOCK, n - k + 1))
-            yield i, i + k
+        for i0 in range(0, n - k + 1, size):
+            i1 = min(i0 + size, n - k + 1)
+            yield (slice(i0, i1),), (slice(i0 + k, i1 + k),), True
         k *= 2
 
 
-def _level2_residuals(x: LiftedPath, y: LiftedPath | None, i, j):
-    """Second level of X_{i,j} - Y_{i,j}, one (p, q) entry at a time.
+def holder_sweep(xs, y: LiftedPath, alpha: float, shifts=None,
+                 full_pairs_limit: int = FULL_PAIRS_LIMIT):
+    """Inhomogeneous alpha-Hoelder distances of k lifts ``xs`` to one
+    target ``y``, all on one grid, from one sweep over the grid pairs.
 
-    ``i`` and ``j`` are broadcastable index arrays; each yielded plane has
-    their broadcast shape, and the entries come in row-major (p, q) order.
-    With ``y`` None this is the second level of the interval lift X_{i,j}
-    itself: X2_j - X2_i - X1_i (x) (X1_j - X1_i).
+    Returns ``(raw, shifted)``.  ``raw[m]`` is ``holder_distance(xs[m], y,
+    alpha)``, bit for bit.  With ``shifts`` of shape (k, d, d), ``shifted[m]``
+    is the distance with (t_j - t_i) shifts[m] added to every level-2
+    residual, which is ``holder_distance(translate(xs[m], shifts[m]), y,
+    alpha)`` up to rounding (the translation adds the same term to the
+    running signatures); without ``shifts`` it is None.
+
+    Each block of grid pairs is a stack of k planes, about PAIR_BLOCK pairs
+    in all, and the time-step powers and the target's cross terms are
+    computed once per block for every member and both distances.  Planes
+    live in six buffers (seven with ``shifts``) reused across blocks, so
+    besides O(k n d^2) stacked grid arrays the sweep holds
+    O(PAIR_BLOCK + k n) floats whatever the number of pairs.
     """
-    x1, y1 = x.level1, None if y is None else y.level1
-    for p in range(x.dim):
-        for q in range(x.dim):
-            l2 = x.level2[:, p, q]
-            cross = x1[i, p] * (x1[j, q] - x1[i, q])
-            if y is not None:
-                l2 = l2 - y.level2[:, p, q]
-                cross = cross - y1[i, p] * (y1[j, q] - y1[i, q])
-            yield l2[j] - l2[i] - cross
+    xs = list(xs)
+    if not (0.0 <= alpha < 0.5):
+        raise ValueError("alpha must lie in [0, 1/2)")
+    for x in xs:
+        if x.dim != y.dim:
+            raise ValueError("dimension mismatch")
+        if len(x.times) != len(y.times) or np.any(x.times != y.times):
+            raise ValueError("grids must be identical")
+    k, d, n = len(xs), y.dim, len(y.times) - 1
+    if shifts is not None:
+        shifts = np.asarray(shifts, dtype=float)
+        if shifts.shape != (k, d, d):
+            raise ValueError(f"shifts must have shape {(k, d, d)}, got {shifts.shape}")
+    if n < 1 or k < 1:
+        return np.zeros(k), None if shifts is None else np.zeros(k)
+    t = y.times
+    # grid axis last and contiguous, so block planes are read by slices
+    x1 = np.ascontiguousarray(np.stack([x.level1 for x in xs]).transpose(0, 2, 1))
+    y1 = np.ascontiguousarray(y.level1.T)
+    w = x1 - y1
+    dl2 = np.ascontiguousarray(
+        (np.stack([x.level2 for x in xs]) - y.level2).transpose(0, 2, 3, 1))
+    size = max(PAIR_BLOCK, k * n) if n <= full_pairs_limit else max(PAIR_BLOCK, k)
+    buf = np.empty((3 + (shifts is not None), size))  # planes with the batch axis
+    ybuf = np.empty((3, size))                        # planes shared by the batch
+    sup = np.zeros((3, k))  # level 1, level 2, shifted level 2
+    for rows, cols, pair in _pair_blocks(n, full_pairs_limit, k):
+        I, J = (Ellipsis, *rows), (Ellipsis, *cols)
+        shape = np.broadcast_shapes(t[I].shape, t[J].shape)
+        m = int(np.prod(shape))
+        a, r, acc, *acc_shifted = (p[:k * m].reshape((k,) + shape) for p in buf)
+        dt, power, c = (p[:m].reshape(shape) for p in ybuf)
+        np.subtract(t[J], t[I], out=dt)
+        np.copyto(dt, 1.0, where=np.logical_not(pair))  # keeps the masked powers finite
+        for p in range(d):
+            np.subtract(w[:, p][J], w[:, p][I], out=a)
+            _accumulate_square(a, acc, p == 0)
+        _fold_sup(acc, np.power(dt, alpha, out=power), pair, sup[0])
+        for p in range(d):
+            for q in range(d):
+                np.subtract(x1[:, q][J], x1[:, q][I], out=a)
+                np.multiply(x1[:, p][I], a, out=a)
+                np.subtract(y1[q][J], y1[q][I], out=c)
+                np.multiply(y1[p][I], c, out=c)
+                np.subtract(a, c, out=a)  # the Chen cross term of X - Y
+                np.subtract(dl2[:, p, q][J], dl2[:, p, q][I], out=r)
+                np.subtract(r, a, out=r)  # the level-2 residual
+                if shifts is not None:
+                    np.multiply(shifts[:, p, q].reshape((k,) + (1,) * len(shape)), dt, out=a)
+                    np.add(r, a, out=a)
+                    _accumulate_square(a, acc_shifted[0], p == q == 0)
+                _accumulate_square(r, acc, p == q == 0)
+        np.power(dt, 2.0 * alpha, out=power)
+        _fold_sup(acc, power, pair, sup[1])
+        if shifts is not None:
+            _fold_sup(acc_shifted[0], power, pair, sup[2])
+    return sup[0] + sup[1], None if shifts is None else sup[0] + sup[2]
+
+
+def _fold_sup(sq, power, pair, sup):
+    """sup = max(sup, sqrt(sq) / power over the pairs), per stack member;
+    ``sq`` is overwritten."""
+    np.sqrt(sq, out=sq)
+    np.divide(sq, power, out=sq)
+    np.maximum(sup, np.max(sq, axis=tuple(range(1, sq.ndim)), where=pair, initial=0.0), out=sup)
+
+
+def _accumulate_square(r, acc, first: bool):
+    """acc += r**2 (acc = r**2 when first); ``r`` is overwritten."""
+    if first:
+        np.multiply(r, r, out=acc)
+    else:
+        np.multiply(r, r, out=r)
+        acc += r
 
 
 def holder_distance(x: LiftedPath, y: LiftedPath, alpha: float,
                     full_pairs_limit: int = FULL_PAIRS_LIMIT) -> float:
-    """Inhomogeneous alpha-Hoelder distance between two lifts on one grid.
+    """Inhomogeneous alpha-Hoelder distance between two lifts on one grid:
+    ``holder_sweep([x], y, alpha)`` for one member.
 
     Sum of sup |X_{s,t} - Y_{s,t}| / (t-s)^alpha (Euclidean norm) and
     sup |XX_{s,t} - YY_{s,t}| / (t-s)^(2 alpha) (Frobenius norm) over grid
@@ -309,35 +408,13 @@ def holder_distance(x: LiftedPath, y: LiftedPath, alpha: float,
     (i, i + 2^k) are used, which still touches every scale.
 
     The sweep runs over blocks of about PAIR_BLOCK pairs, one plane per
-    level-1 coordinate and per level-2 entry (p, q) at a time, so besides
-    O(n) grid arrays it holds a few 128 KiB planes whatever the number of
-    pairs (about 1.1 MiB traced in all at n = 2048, d = 2).  Each plane
-    repeats, in the same order, the per-pair arithmetic of a row-by-row
-    sweep, and the squared entries are summed in index order.  The result
-    therefore equals bit for bit that of a row-by-row sweep taking its
-    norms with ``np.linalg.norm`` while a norm has at most 7 terms (lift
-    dimension <= 2); beyond that numpy sums pairwise and the last bit of a
-    norm may differ.
+    level-1 coordinate and per level-2 entry (p, q) at a time, in buffers
+    reused across blocks (about 1.6 MiB traced in all at n = 2048, d = 2).
+    Each plane repeats, in the same order, the per-pair arithmetic of a
+    row-by-row sweep, and the squared entries are summed in index order.
+    The result therefore equals bit for bit that of a row-by-row sweep
+    taking its norms with ``np.linalg.norm`` while a norm has at most 7
+    terms (lift dimension <= 2); beyond that numpy sums pairwise and the
+    last bit of a norm may differ.
     """
-    if not (0.0 <= alpha < 0.5):
-        raise ValueError("alpha must lie in [0, 1/2)")
-    if x.dim != y.dim:
-        raise ValueError("dimension mismatch")
-    if len(x.times) != len(y.times) or np.any(x.times != y.times):
-        raise ValueError("grids must be identical")
-    n = len(x.times) - 1
-    if n < 1:
-        return 0.0
-    t = x.times
-    w = x.level1 - y.level1
-    sup1 = 0.0
-    sup2 = 0.0
-    for i, j in _pair_blocks(n, full_pairs_limit):
-        pair = j > i
-        dt = np.where(pair, t[j] - t[i], 1.0)  # keeps the masked powers finite
-        sq1 = sum((w[j, p] - w[i, p]) ** 2 for p in range(x.dim))
-        sq2 = sum(r ** 2 for r in _level2_residuals(x, y, i, j))
-        sup1 = max(sup1, float(np.max(np.sqrt(sq1) / dt ** alpha, where=pair, initial=0.0)))
-        sup2 = max(sup2, float(np.max(np.sqrt(sq2) / dt ** (2.0 * alpha),
-                                      where=pair, initial=0.0)))
-    return sup1 + sup2
+    return float(holder_sweep([x], y, alpha, full_pairs_limit=full_pairs_limit)[0][0])

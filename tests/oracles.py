@@ -5,7 +5,9 @@ checks: direct segment integration instead of Chen products, quadrature
 instead of Lyapunov solves, Euler-Maruyama instead of exact transitions,
 a per-row pair loop instead of the blocked Hoelder kernel, an
 eigendecomposition and a plain loop instead of the blocked OU scan, and
-whole-grid arrays instead of the row-blocked lift and noise draw.
+whole-grid arrays instead of the row-blocked lift and noise draw; full
+lifts and one distance call each instead of the lead-lag trial's strided
+lifts and single sweep.
 """
 import numpy as np
 from scipy.integrate import quad_vec
@@ -189,3 +191,37 @@ def physical_whole_draw(drift, eps, T, N, seed):
     P[1:N + 1] = noise[:, :d]
     _ou_recursion(trans.meanMap, P)
     return np.arange(N + 1) / N * T, P[:N + 1], W
+
+
+def leadlag_trial_full_lifts(cfg, trial_index: int):
+    """leadlag.run_leadlag_trial by full lifts: every path lifted on its own
+    grid, restricted to the coarsest schedule grid, and two holder_distance
+    calls per n, the renormalised one on a translated lift."""
+    from roughlift.gauss import SamplerSpec, derive_seed, sample_fbm
+    from roughlift.leadlag import TrialResult, hoff_path, leadlag_renorm
+    from roughlift.tensor2 import holder_distance, lift_piecewise_linear, translate
+
+    spec = SamplerSpec(seed=derive_seed(cfg.base_seed, trial_index),
+                       H=cfg.H, n=cfg.n_ref, d=cfg.d)
+    ref = sample_fbm(spec)
+    doubled = np.hstack([ref.values, ref.values])
+    ref_lift = lift_piecewise_linear(ref.times, doubled)
+    n_min = cfg.n_schedule[0]
+    ref_common = ref_lift.restrict(np.arange(0, cfg.n_ref + 1, cfg.n_ref // n_min))
+    ref_area = 0.5 * (ref_lift.level2[-1] - ref_lift.level2[-1].T)
+
+    out = []
+    for n in cfg.n_schedule:
+        x = ref.values[::cfg.n_ref // n]
+        hp = hoff_path(x)
+        lift = lift_piecewise_linear(hp.times, hp.values)
+        common = lift.restrict(np.arange(0, 2 * n + 1, 2 * n // n_min))
+        ren = leadlag_renorm(cfg.H, n, cfg.d)
+        dist_ren = holder_distance(translate(common, ren.term), ref_common, cfg.alpha)
+        dist_raw = holder_distance(common, ref_common, cfg.alpha)
+        area = 0.5 * (lift.level2[-1] - lift.level2[-1].T)
+        dev = ref_area - area
+        area_dev = float(np.mean(np.diagonal(dev[:cfg.d, cfg.d:])))
+        out.append(TrialResult(n=n, dist_renorm=dist_ren, dist_raw=dist_raw,
+                               areaDev1=area_dev, vNorm=ren.term.norm))
+    return out

@@ -164,10 +164,13 @@ def test_cli_config_rejection_exit_code(tmp_path):
     ("leadlag", {"n_ref": 2 ** 60}),
     ("leadlag", {"d": 10 ** 30}),
     ("leadlag", {"n_ref": 2 ** 23, "d": 2}),  # 1 GiB reference lift
+    ("magnetic", {"A": [[float(i == j) for j in range(10)] for i in range(10)],
+                  "B0": [[0.0] * 10 for _ in range(10)],
+                  "eps_schedule": [1.1e-3]}),  # 8.3M steps at d = 10: 8.7 GB
 ], ids=["T-infinite", "fbm_method", "grid_n-float", "mc_trials-bool",
         "n_schedule-float", "unknown-key", "A-indefinite", "A-overflow",
         "mc_trials-huge", "grid_n-huge", "eps-underflow", "n_ref-huge", "d-huge",
-        "reference-lift-over-budget"])
+        "reference-lift-over-budget", "fine-grid-over-budget"])
 def test_cli_rejects_malformed_config(tmp_path, capsys, no_sampling, kind, change):
     cfg = write_config(tmp_path / "c.json", DOCS[kind](**change))
     out = tmp_path / "out"

@@ -8,6 +8,8 @@ from roughlift import (LeadLagConfig, SamplerSpec, hoff_path, leadlag_area_oracl
                        run_leadlag_trial, sample_fbm)
 from roughlift.identities import leadlag_oracle_errors, psi_bruteforce
 
+from oracles import leadlag_trial_full_lifts
+
 
 # ----------------------------------------------------------------- hoff_path
 
@@ -213,6 +215,28 @@ def test_trial_coupled_grid_alignment():
     hp = hoff_path(x8)
     assert hp.values.shape == (17, 2)
     assert np.all(hp.values[::2, 0] == x8[:, 0])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("H", [0.26, 0.4, 0.5])
+def test_trial_matches_full_lift_oracle(d, H):
+    # strided lifts and one sweep against full lifts, restrict and one
+    # holder_distance call per distance: every field within 1e-12 relative,
+    # the counter-term norm bit for bit
+    for alpha in (0.0, 0.3):
+        if alpha >= H:
+            continue
+        for schedule, n_ref in (((8, 16, 64), 256), ((16,), 64)):
+            cfg = LeadLagConfig(H=H, alpha=alpha, n_schedule=schedule, n_ref=n_ref, d=d,
+                                mc_trials=2, base_seed=11)
+            for k in range(2):
+                got, want = run_leadlag_trial(cfg, k), leadlag_trial_full_lifts(cfg, k)
+                assert [r.n for r in got] == [r.n for r in want] == list(schedule)
+                for r, w in zip(got, want):
+                    assert r.vNorm == w.vNorm
+                    for name in ("dist_renorm", "dist_raw", "areaDev1"):
+                        a, b = getattr(r, name), getattr(w, name)
+                        assert abs(a - b) <= 1e-12 * abs(b), (name, r.n, alpha, k)
 
 
 # ---------------------------------------------------------------- experiment

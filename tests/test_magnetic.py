@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -9,7 +10,7 @@ from roughlift import (MagneticConfig, derive_Z, drift_at, fine_grid_n,
                        holder_distance, lift_piecewise_linear, magnetic_experiment,
                        renorm_v, run_magnetic_trial, sample_physical, translate)
 from roughlift.gauss import derive_seed, float_index
-from roughlift.report import fit_loglog
+from roughlift.report import TRIAL_BYTES, fine_step_bytes, fit_loglog
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -152,6 +153,36 @@ def test_trial_matches_eig_recursion_oracle(monkeypatch):
         for f in fields(a):
             x, y = getattr(a, f.name), getattr(b, f.name)
             assert abs(x - y) <= 1e-12 * abs(y), f.name
+
+
+def _trial_peak_bytes(cfg, eps):
+    tracemalloc.start()
+    try:
+        run_magnetic_trial(cfg, eps, 0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_trial_memory_per_step_is_fine_step_bytes(d):
+    # the bound behind TRIAL_BYTES: the slope of a trial's traced peak over
+    # the fine-grid size (260,352 and 516,608 steps) is fine_step_bytes(d)
+    cfg = small_cfg(A=np.eye(d), B0=np.zeros((d, d)), eps_schedule=(0.0062, 0.0044),
+                    grid_n=256)
+    steps = [fine_grid_n(cfg, eps) for eps in cfg.eps_schedule]
+    peaks = [_trial_peak_bytes(cfg, eps) for eps in cfg.eps_schedule]
+    slope = (peaks[1] - peaks[0]) / (steps[1] - steps[0])
+    assert abs(slope - fine_step_bytes(d)) <= 0.01 * fine_step_bytes(d)
+    assert peaks[1] <= steps[1] * fine_step_bytes(d) + 8 * 2 ** 20
+
+
+def test_config_rejects_fine_grid_over_byte_budget():
+    # 8,264,704 steps pass MAX_GRID_STEPS, but not at d = 10
+    with pytest.raises(ValueError, match="TRIAL_BYTES"):
+        small_cfg(A=np.eye(10), B0=np.zeros((10, 10)), eps_schedule=(1.1e-3,), grid_n=256)
+    cfg = small_cfg(A=np.eye(2), B0=np.zeros((2, 2)), eps_schedule=(1.1e-3,), grid_n=256)
+    assert fine_grid_n(cfg, 1.1e-3) * fine_step_bytes(2) <= TRIAL_BYTES
 
 
 # --------------------------------------------------------------- experiment

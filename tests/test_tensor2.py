@@ -7,6 +7,7 @@ from roughlift import tensor2
 from roughlift import (RenormTerm, chen_inv, chen_mul, exp_step2, holder_distance,
                        identity_lift, levy_area, lift_piecewise_linear, sym_part,
                        translate, zero_lift)
+from roughlift.tensor2 import holder_sweep
 from roughlift.identities import random_lifted_paths
 
 from oracles import holder_distance_rowloop, lift_piecewise_linear_full, pl_iterated_integral
@@ -160,9 +161,10 @@ def _assert_lift_matches_full(rng, n, d):
     t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n))])
     x = rng.standard_normal((n + 1, d))
     x[0] = rng.standard_normal(d)  # a path that does not start at the origin
-    got, want = lift_piecewise_linear(t, x), lift_piecewise_linear_full(t, x)
-    assert np.array_equal(got.level1, want.level1), (n, d)
-    assert np.array_equal(got.level2, want.level2), (n, d)
+    got, want = lift_piecewise_linear(t, x, stride=1), lift_piecewise_linear_full(t, x)
+    # bytes, not values: a signed zero counts too
+    assert got.level1.tobytes() == want.level1.tobytes(), (n, d)
+    assert got.level2.tobytes() == want.level2.tobytes(), (n, d)
 
 
 B = tensor2.ROW_BLOCK
@@ -199,6 +201,58 @@ def test_lift_memory_bounded_by_block():
     finally:
         tracemalloc.stop()
     assert peak < out_bytes + 4 * 2 ** 20
+
+
+def _assert_strided_matches_restrict(rng, n, d, stride):
+    t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n))])
+    x = rng.standard_normal((n + 1, d))
+    x[0] = rng.standard_normal(d)
+    got = lift_piecewise_linear(t, x, stride=stride)
+    want = lift_piecewise_linear(t, x).restrict(np.arange(0, n + 1, stride))
+    assert np.array_equal(got.times, want.times)
+    for a, b in ((got.level1, want.level1), (got.level2, want.level2)):
+        assert np.abs(a - b).max() <= TOL * max(1.0, np.abs(b).max()), (n, d, stride)
+
+
+# one cell, three cells, and one cell past the first block
+@pytest.mark.parametrize("stride", [2, 3, 256])
+def test_lift_stride_matches_restricted_full_lift(stride):
+    rng = np.random.default_rng(stride)
+    for n in (stride, 3 * stride, stride * (B // stride + 1)):
+        for d in (1, 2, 3):
+            _assert_strided_matches_restrict(rng, n, d, stride)
+
+
+def test_lift_stride_ragged_blocks(monkeypatch):
+    # blocks of 6 rows at stride 3, and one cell per block once the stride
+    # exceeds the block size
+    monkeypatch.setattr(tensor2, "ROW_BLOCK", 7)
+    rng = np.random.default_rng(18)
+    for stride, n in ((3, 3), (3, 6), (3, 9), (3, 21), (3, 300), (10, 10), (10, 50)):
+        for d in (1, 2, 3):
+            _assert_strided_matches_restrict(rng, n, d, stride)
+
+
+def test_lift_rejects_stride_not_dividing_n():
+    t, x = np.arange(11.0), np.zeros((11, 2))
+    for stride in (0, -1, 3, 20):
+        with pytest.raises(ValueError, match="stride"):
+            lift_piecewise_linear(t, x, stride=stride)
+
+
+def test_lift_strided_memory_bounded_by_block():
+    # 1025 output points; the unstrided lift of this grid is 48 MiB
+    n, d, stride = 2 ** 20, 2, 2 ** 10
+    t = np.arange(n + 1) / n
+    x = np.random.default_rng(19).standard_normal((n + 1, d))
+    tracemalloc.start()
+    try:
+        lift = lift_piecewise_linear(t, x, stride=stride)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lift.n_points == n // stride + 1
+    assert peak < 4 * 2 ** 20
 
 
 # ----------------------------------------------------------------- translate
@@ -379,6 +433,51 @@ def test_holder_memory_bounded_by_block():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+def _random_stack(rng, n, d, k):
+    t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n))])
+    xs = [lift_piecewise_linear(t, rng.standard_normal((n + 1, d))) for _ in range(k)]
+    g = rng.standard_normal((k, d, d))
+    return xs, lift_piecewise_linear(t, rng.standard_normal((n + 1, d))), g - g.transpose(0, 2, 1)
+
+
+def _assert_sweep_matches_single_calls(rng, n, d, alpha, limit):
+    xs, y, v = _random_stack(rng, n, d, 5)
+    raw, shifted = holder_sweep(xs, y, alpha, v, full_pairs_limit=limit)
+    for m, x in enumerate(xs):
+        assert raw[m] == holder_distance(x, y, alpha, full_pairs_limit=limit), (n, d, m)
+        want = holder_distance(translate(x, v[m]), y, alpha, full_pairs_limit=limit)
+        assert abs(shifted[m] - want) <= TOL * want, (n, d, m)
+    _, zero_shifted = holder_sweep(xs, y, alpha, np.zeros_like(v), full_pairs_limit=limit)
+    assert np.array_equal(zero_shifted, raw)
+    assert holder_sweep(xs, y, alpha, full_pairs_limit=limit)[1] is None
+
+
+# one block, several row blocks, and the dyadic branch (n > limit)
+@pytest.mark.parametrize("n, limit", [(1, 2048), (16, 2048), (257, 2048), (100, 16), (4096, 2048)])
+def test_sweep_members_match_single_distances(n, limit):
+    rng = np.random.default_rng(n)
+    for d, alpha in ((1, 0.0), (2, 0.3), (3, 0.49)):
+        _assert_sweep_matches_single_calls(rng, n, d, alpha, limit)
+
+
+def test_sweep_ragged_blocks(monkeypatch):
+    # 7 pairs per block over a stack of 5: one row, or one dyadic pair, per block
+    monkeypatch.setattr(tensor2, "PAIR_BLOCK", 7)
+    rng = np.random.default_rng(20)
+    for n, limit in ((3, 2048), (40, 2048), (40, 8), (100, 16)):
+        _assert_sweep_matches_single_calls(rng, n, 2, 0.3, limit)
+
+
+def test_sweep_rejects_bad_stacks():
+    rng = np.random.default_rng(21)
+    xs, y, v = _random_stack(rng, 8, 2, 3)
+    with pytest.raises(ValueError, match="shifts"):
+        holder_sweep(xs, y, 0.3, v[:2])
+    other, _, _ = _random_stack(rng, 8, 2, 1)
+    with pytest.raises(ValueError, match="grids"):
+        holder_sweep(xs + other, y, 0.3)
 
 
 # ------------------------------------------------------------ LiftedPath API
