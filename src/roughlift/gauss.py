@@ -2,7 +2,8 @@
 
 * Brownian motion: iid increments.
 * Fractional Brownian motion: circulant embedding of the increment
-  covariance (FFT, exact in law, O(n log n)); Cholesky as a reference.
+  covariance (real FFTs, exact in law, O(n log n), the embedding cached per
+  (n, H)); Cholesky as a reference.
 * The physical pair (P, W): the momentum of dP = -(M/eps^2) P dt + dW
   stepped with its exact joint Gaussian transition, so the law at grid
   points carries no discretisation error.  The mean step P -> E P is a
@@ -15,6 +16,7 @@ reproduce bit-identically in any order.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -127,40 +129,66 @@ def fgn_autocov(k, H: float, spacing: float = 1.0) -> np.ndarray:
     return spacing ** (2 * H) * rho
 
 
-def _fgn_circulant(z: np.ndarray, n: int, H: float) -> np.ndarray:
-    """Map 2n iid normals through the real symmetric square root of the
-    circulant embedding; the first n outputs are exact unit-spacing fGn.
-    The embedding is nonnegative definite for fGn at every H (Dietrich &
-    Newsam 1997; Perrin et al. 2002), so a negative eigenvalue is an error.
-    """
-    lags = np.concatenate([np.arange(n), np.arange(n, 0, -1)])
-    g = np.fft.fft(fgn_autocov(lags, H)).real
+def _embedding_eigenvalues(n: int, H: float) -> np.ndarray:
+    """Eigenvalues of the minimal circulant embedding of n unit-spacing fGn
+    steps.  Its first row, the autocovariance at lags 0..n, n-1..1, is real
+    and symmetric, so the 2n eigenvalues are real and mirror about n: this
+    returns the first n + 1."""
+    r = fgn_autocov(np.arange(n + 1), H)
+    return np.fft.rfft(np.concatenate([r, r[-2:0:-1]])).real
+
+
+# The embedding depends on (n, H) alone and a run draws every trial at one
+# (n_ref, H); the test suite moves through a handful of specs at a time.  An
+# entry holds n + 1 floats, 64 MiB at n = report.MAX_GRID_STEPS, so the
+# cache keeps at most EMBEDDING_CACHE entries (256 MiB) whatever runs.
+EMBEDDING_CACHE = 4
+
+
+@functools.lru_cache(maxsize=EMBEDDING_CACHE)
+def _embedding_sqrt(n: int, H: float) -> np.ndarray:
+    """Read-only square roots of the embedding eigenvalues, built once per
+    (n, H).  The embedding is nonnegative definite for fGn at every H
+    (Dietrich & Newsam 1997; Perrin et al. 2002), so a negative eigenvalue
+    is an error, raised before anything is cached."""
+    g = _embedding_eigenvalues(n, H)
     if g.min() < -1e-10 * g.max():
         raise ValueError(f"negative embedding eigenvalue {g.min():g}")
-    g = np.clip(g, 0.0, None)
-    return np.fft.ifft(np.sqrt(g) * np.fft.fft(z)).real[:n]
+    root = np.sqrt(np.clip(g, 0.0, None))
+    root.flags.writeable = False
+    return root
 
 
-def _fgn_cholesky(z: np.ndarray, n: int, H: float) -> np.ndarray:
+def _fgn_circulant(rng: np.random.Generator, d: int, n: int, H: float) -> np.ndarray:
+    """d rows of exact unit-spacing fGn: each row of 2n iid normals mapped
+    through the real symmetric square root of the circulant embedding, first
+    n outputs kept.  Real input and a real symmetric spectrum make the map
+    one rfft/irfft pair; the normals are dropped once transformed."""
+    root = _embedding_sqrt(n, H)
+    spectrum = np.fft.rfft(rng.standard_normal((d, 2 * n)))
+    spectrum *= root
+    return np.fft.irfft(spectrum, n=2 * n)[:, :n]
+
+
+def _fgn_cholesky(rng: np.random.Generator, d: int, n: int, H: float) -> np.ndarray:
     cov = fgn_autocov(np.abs(np.subtract.outer(np.arange(n), np.arange(n))), H)
-    return np.linalg.cholesky(cov) @ z[:n]
+    return rng.standard_normal((d, 2 * n))[:, :n] @ np.linalg.cholesky(cov).T
 
 
 def sample_fbm(spec: SamplerSpec) -> GridPath:
     """Fractional Brownian motion at times i*T/n, exact in law.
 
-    Both methods consume the same 2n normals per component, so switching
-    methods never desynchronises the stream; at H = 1/2 they produce
-    bitwise-comparable paths.  "cholesky" is the O(n^3) reference the
-    circulant route is checked against.
+    Both methods consume the same 2n normals per component, drawn for all
+    components as one (d, 2n) block (the stream of d successive draws), so
+    switching methods never desynchronises the stream; at H = 1/2 they
+    produce bitwise-comparable paths.  "cholesky" is the O(n^3) reference
+    the circulant route is checked against.
     """
-    rng = _rng(spec.seed)
-    spacing_scale = (spec.T / spec.n) ** spec.H
-    vals = np.zeros((spec.n + 1, spec.d))
     fgn = _fgn_circulant if spec.method == "circulant" else _fgn_cholesky
-    for c in range(spec.d):
-        z = rng.standard_normal(2 * spec.n)
-        np.cumsum(spacing_scale * fgn(z, spec.n, spec.H), out=vals[1:, c])
+    inc = fgn(_rng(spec.seed), spec.d, spec.n, spec.H)
+    inc *= (spec.T / spec.n) ** spec.H
+    vals = np.zeros((spec.n + 1, spec.d))
+    np.cumsum(inc.T, axis=0, out=vals[1:])
     return GridPath(_uniform_times(spec.n, spec.T), vals, method=spec.method)
 
 

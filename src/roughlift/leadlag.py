@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gauss import SamplerSpec, derive_seed, sample_fbm
-from .report import MAX_GRID_STEPS, MAX_TRIALS, TRIAL_BYTES, summary_rows
+from .report import (MAX_GRID_STEPS, MAX_TRIALS, TRIAL_BYTES, leadlag_trial_bytes,
+                     summary_rows)
 from .tensor2 import RenormTerm, holder_sweep, lift_piecewise_linear
 # holder_distance and translate stay importable from here: perfbench/tracing.py
 # wraps them under this module's name
@@ -59,10 +60,12 @@ def hoff_path(samples) -> LeadLagPath:
         x = x[:, None]
     if x.shape[0] < 2:
         raise ValueError("need at least 2 samples")
-    n = x.shape[0] - 1
-    j = np.arange(2 * n + 1)
-    values = np.hstack([x[j // 2], x[(j + 1) // 2]])
-    times = j / (2 * n)
+    n, d = x.shape[0] - 1, x.shape[1]
+    values = np.empty((2 * n + 1, 2 * d))
+    values[0::2, :d] = values[0::2, d:] = x  # knot 2i: (X_i, X_i)
+    values[1::2, :d] = x[:-1]                # knot 2i+1: (X_i, X_{i+1})
+    values[1::2, d:] = x[1:]
+    times = np.arange(2 * n + 1) / (2 * n)
     return LeadLagPath(samples=x, times=times, values=values)
 
 
@@ -206,10 +209,10 @@ class LeadLagConfig:
             raise ValueError("d and mc_trials must be >= 1")
         if self.n_ref > MAX_GRID_STEPS:
             raise ValueError(f"n_ref = {self.n_ref} is above MAX_GRID_STEPS = {MAX_GRID_STEPS}")
-        ref_bytes = 8 * (self.n_ref + 1) * (2 * self.d) ** 2
-        if ref_bytes > TRIAL_BYTES:
-            raise ValueError(f"d = {self.d}: the reference lift needs {ref_bytes} B, "
-                             f"above TRIAL_BYTES = {TRIAL_BYTES}")
+        trial_bytes = leadlag_trial_bytes(self.n_ref, self.d, len(ns), ns[0])
+        if trial_bytes > TRIAL_BYTES:
+            raise ValueError(f"n_ref = {self.n_ref}, d = {self.d}: a trial needs up to "
+                             f"{trial_bytes} B, above TRIAL_BYTES = {TRIAL_BYTES}")
         if len(ns) * self.mc_trials > MAX_TRIALS:
             raise ValueError(f"{len(ns)} n x {self.mc_trials} trials exceed "
                              f"MAX_TRIALS = {MAX_TRIALS}")

@@ -96,6 +96,11 @@ class OUTransition:
 
         Tiny negative eigenvalues (roundoff from the M^{-1} cross term) are
         clipped at -1e-12 relative; anything below that is an error.
+
+        L is not continuous in the bits of the covariance: where eigenvalues
+        repeat (in equal pairs for A = I, B0 = J) eigh may return any basis
+        of each pair, so a last-bit change to covPP can move L by 2 max|L|
+        while L @ L.T moves by 1e-15, and every sample drawn through L with it.
         """
         cov = self.joint_cov()
         vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))

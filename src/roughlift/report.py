@@ -13,6 +13,7 @@ import os
 import numpy as np
 
 from . import __version__
+from .tensor2 import ROW_BLOCK
 
 # Run-size bounds, checked when an experiment config is built so that a run
 # too large to finish is rejected before any sampling.  At its peak a
@@ -23,10 +24,9 @@ from . import __version__
 # d = 6); every other array is O(tensor2.ROW_BLOCK), about 2.2 MB at d = 2.
 # MAX_GRID_STEPS at d = 2 therefore stands for a budget of TRIAL_BYTES,
 # about 0.75 GB per worker, which also bounds the magnetic fine grid at any
-# d and the level 2 of the lead-lag reference lift, (n_ref + 1) (2d)^2
-# floats.  The job list and every trial result (a few hundred bytes each)
-# stay in memory until summary_rows reduces them, so MAX_TRIALS results
-# stay under 1 GB.
+# d and a lead-lag trial (leadlag_trial_bytes).  The job list and every
+# trial result (a few hundred bytes each) stay in memory until summary_rows
+# reduces them, so MAX_TRIALS results stay under 1 GB.
 MAX_GRID_STEPS = 2 ** 23
 TRIAL_BYTES = 90 * MAX_GRID_STEPS
 MAX_TRIALS = 2 ** 20
@@ -35,6 +35,25 @@ MAX_TRIALS = 2 ** 20
 def fine_step_bytes(d: int) -> int:
     """Peak bytes a magnetic trial holds per fine-grid step at dimension d."""
     return 8 * (d * d + 3 * d + 1)
+
+
+def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int) -> int:
+    """Bound on the peak bytes of one lead-lag trial: reference grid n_ref,
+    dimension d, k schedule points, coarsest n_min.
+
+    Per reference step, 8 (4d + 1) B: the fBm draw holds the cached
+    embedding root, d rows of 2n normals and their half-spectra (4d + 1
+    floats); the later stages hold less (the path and times, the cached
+    root, the doubled path: 3d + 2 floats).  This is the measured slope of
+    a trial's tracemalloc peak between 2^19 and 2^20 steps: 40.0 B at
+    d = 1, 72.0 at d = 2, 136.0 at d = 4.  The strided lift of the doubled
+    path works on blocks of max(ROW_BLOCK, n_ref / n_min) rows of 6 x 2d
+    floats.  Per member and point of the coarsest grid, the sweep holds
+    the k lifts, its stacked copies and its planes: 12 d^2 + 6 d + 7 floats.
+    Every other array is O(ROW_BLOCK + PAIR_BLOCK), a few MiB.
+    """
+    return (8 * (4 * d + 1) * (n_ref + 1) + 48 * d * max(ROW_BLOCK, n_ref // n_min)
+            + 8 * (12 * d * d + 6 * d + 7) * k * (n_min + 1))
 
 
 def fit_loglog(points):

@@ -7,7 +7,8 @@ a per-row pair loop instead of the blocked Hoelder kernel, an
 eigendecomposition and a plain loop instead of the blocked OU scan, and
 whole-grid arrays instead of the row-blocked lift and noise draw; full
 lifts and one distance call each instead of the lead-lag trial's strided
-lifts and single sweep.
+lifts and single sweep; a complex FFT per component, with the embedding
+rebuilt on every call, instead of the cached real-spectrum fGn map.
 """
 import numpy as np
 from scipy.integrate import quad_vec
@@ -191,6 +192,33 @@ def physical_whole_draw(drift, eps, T, N, seed):
     P[1:N + 1] = noise[:, :d]
     _ou_recursion(trans.meanMap, P)
     return np.arange(N + 1) / N * T, P[:N + 1], W
+
+
+def _fgn_circulant_complex(z, n, H):
+    from roughlift.gauss import fgn_autocov
+
+    lags = np.concatenate([np.arange(n), np.arange(n, 0, -1)])
+    g = np.fft.fft(fgn_autocov(lags, H)).real
+    if g.min() < -1e-10 * g.max():
+        raise ValueError(f"negative embedding eigenvalue {g.min():g}")
+    g = np.clip(g, 0.0, None)
+    return np.fft.ifft(np.sqrt(g) * np.fft.fft(z)).real[:n]
+
+
+def sample_fbm_complex_fft(spec):
+    """gauss.sample_fbm's circulant route one component at a time: 2n
+    normals per component, the embedding's eigenvalues from a complex FFT of
+    the autocovariance row and the map from a complex FFT pair."""
+    from roughlift.gauss import GridPath, _rng, _uniform_times
+
+    rng = _rng(spec.seed)
+    spacing_scale = (spec.T / spec.n) ** spec.H
+    vals = np.zeros((spec.n + 1, spec.d))
+    for c in range(spec.d):
+        z = rng.standard_normal(2 * spec.n)
+        np.cumsum(spacing_scale * _fgn_circulant_complex(z, spec.n, spec.H),
+                  out=vals[1:, c])
+    return GridPath(_uniform_times(spec.n, spec.T), vals, method=spec.method)
 
 
 def leadlag_trial_full_lifts(cfg, trial_index: int):

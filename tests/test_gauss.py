@@ -1,12 +1,16 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import ou_recursion_eig, ou_recursion_loop, physical_whole_draw
+from oracles import (ou_recursion_eig, ou_recursion_loop, physical_whole_draw,
+                     sample_fbm_complex_fft)
 from roughlift import (SamplerSpec, StableDrift, derive_seed, derive_Z, fgn_autocov,
                        lyapunov_C, ou_joint_transition, required_steps, sample_bm,
                        sample_fbm, sample_physical)
+from roughlift import gauss
 from roughlift.gauss import GridPath, _ou_buffer, _ou_recursion, float_index
 from roughlift.identities import random_stable_drifts
 from roughlift.tensor2 import ROW_BLOCK
@@ -112,22 +116,96 @@ def test_fbm_increment_stationarity():
     assert np.all(np.abs(means - expected) <= 3.0 * ses)
 
 
-def test_fbm_negative_embedding_raises(monkeypatch):
-    import roughlift.gauss as gauss
+@pytest.fixture
+def cold_embedding_cache():
+    gauss._embedding_sqrt.cache_clear()
+    yield
+    gauss._embedding_sqrt.cache_clear()
 
+
+def test_fbm_negative_embedding_raises(monkeypatch, cold_embedding_cache):
     # lags 0 and +-1 only: circulant eigenvalues 1 + 2 cos(pi j / n), down to -1
     monkeypatch.setattr(gauss, "fgn_autocov", lambda k, H: (np.abs(k) <= 1).astype(float))
     with pytest.raises(ValueError, match="negative embedding eigenvalue"):
         sample_fbm(SamplerSpec(seed=5, H=0.4, n=16, method="circulant"))
+    assert gauss._embedding_sqrt.cache_info().currsize == 0  # the failed build is not kept
 
 
 @pytest.mark.parametrize("H", [0.26, 0.3, 0.35, 0.4, 0.45, 0.5])
 def test_fgn_embedding_eigenvalues_nonnegative(H):
-    # the minimal circulant embedding sample_fbm uses, at every n = 2^k <= 2^16
+    # the minimal circulant embedding sample_fbm uses, at every n = 2^k <= 2^16:
+    # its real half-spectrum has no negative eigenvalue, so nothing is clipped
+    # and the cached roots are the exact square roots
     for k in range(17):
         n = 2 ** k
-        lags = np.concatenate([np.arange(n), np.arange(n, 0, -1)])
-        assert np.fft.fft(fgn_autocov(lags, H)).real.min() >= 0.0, (H, n)
+        g = gauss._embedding_eigenvalues(n, H)
+        assert g.shape == (n + 1,) and g.min() >= 0.0, (H, n)
+        assert np.array_equal(gauss._embedding_sqrt(n, H), np.sqrt(g)), (H, n)
+    assert gauss._embedding_sqrt.cache_info().currsize <= gauss.EMBEDDING_CACHE
+
+
+@pytest.mark.parametrize("H", [0.26, 0.3, 0.4, 0.45, 0.5])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 2 ** 12, 2 ** 16])
+@pytest.mark.parametrize("d", [1, 3])
+def test_fbm_matches_complex_fft_oracle(H, n, d):
+    spec = SamplerSpec(seed=derive_seed(61, n, d), H=H, n=n, d=d)
+    path, want = sample_fbm(spec), sample_fbm_complex_fft(spec)
+    assert np.array_equal(path.times, want.times)
+    assert np.all(path.values[0] == 0.0)
+    assert np.abs(path.values - want.values).max() <= 1e-12 * np.abs(want.values).max()
+
+
+def test_embedding_cache_is_bounded_and_read_only(cold_embedding_cache):
+    for n in range(1, 3 * gauss.EMBEDDING_CACHE):
+        sample_fbm(SamplerSpec(seed=n, H=0.4, n=n))
+        assert gauss._embedding_sqrt.cache_info().currsize <= gauss.EMBEDDING_CACHE
+    root = gauss._embedding_sqrt(8, 0.4)
+    with pytest.raises(ValueError, match="read-only"):
+        root[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        root *= 2.0
+
+
+def test_embedding_cache_keys_on_n_and_H(cold_embedding_cache):
+    # each new (n, H) is a miss with its own roots; a repeated spec is a hit
+    keys = [(16, 0.4), (17, 0.4), (16, 0.3), (16, 0.4 + 2 ** -40)]
+    for i, (n, H) in enumerate(keys, start=1):
+        spec = SamplerSpec(seed=7, H=H, n=n, d=2)
+        want = sample_fbm_complex_fft(spec).values
+        got = sample_fbm(spec).values
+        assert gauss._embedding_sqrt.cache_info().misses == i
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(gauss._embedding_sqrt(n, H), np.sqrt(
+            np.clip(gauss._embedding_eigenvalues(n, H), 0.0, None)))
+    assert gauss._embedding_sqrt.cache_info().hits == len(keys)
+    sample_fbm(SamplerSpec(seed=8, H=0.4, n=16))
+    assert gauss._embedding_sqrt.cache_info().misses == len(keys)
+
+
+def test_fbm_threads_on_cold_cache_agree(cold_embedding_cache):
+    # more threads than cores race to build one entry, with frequent switches
+    spec = SamplerSpec(seed=19, H=0.35, n=2 ** 14, d=2)
+    workers = 4
+    barrier = threading.Barrier(workers, timeout=30)
+    out = [None] * workers
+
+    def draw(i):
+        barrier.wait()
+        out[i] = sample_fbm(spec).values.tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(i,)) for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert out[0] is not None and all(o == out[0] for o in out)
+    assert out[0] == sample_fbm(spec).values.tobytes()
 
 
 def test_fbm_general_horizon_scaling():

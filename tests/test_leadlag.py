@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 from roughlift import (LeadLagConfig, SamplerSpec, hoff_path, leadlag_area_oracle,
                        leadlag_experiment, leadlag_renorm, psi_closed, psi_profile,
                        run_leadlag_trial, sample_fbm)
+from roughlift import gauss, leadlag
 from roughlift.identities import leadlag_oracle_errors, psi_bruteforce
+from roughlift.report import MAX_GRID_STEPS, TRIAL_BYTES, leadlag_trial_bytes
 
-from oracles import leadlag_trial_full_lifts
+from oracles import leadlag_trial_full_lifts, sample_fbm_complex_fft
 
 
 # ----------------------------------------------------------------- hoff_path
@@ -237,6 +240,73 @@ def test_trial_matches_full_lift_oracle(d, H):
                     for name in ("dist_renorm", "dist_raw", "areaDev1"):
                         a, b = getattr(r, name), getattr(w, name)
                         assert abs(a - b) <= 1e-12 * abs(b), (name, r.n, alpha, k)
+
+
+def test_trial_matches_complex_fft_sampler(monkeypatch):
+    # the leadlag benchmark config, all 64 trials: with the cached real-FFT
+    # fGn map every field stays within 1e-12 relative of the trial drawn by
+    # the per-component complex-FFT route, the counter-term norm bit for bit
+    cfg = LeadLagConfig(H=0.4, alpha=0.3, n_schedule=(16, 32, 64, 128, 256, 512, 1024),
+                        n_ref=4096, d=1, mc_trials=64, base_seed=0)
+    got = [run_leadlag_trial(cfg, k) for k in range(cfg.mc_trials)]
+    monkeypatch.setattr(leadlag, "sample_fbm", sample_fbm_complex_fft)
+    for k in range(cfg.mc_trials):
+        for r, w in zip(got[k], run_leadlag_trial(cfg, k), strict=True):
+            assert r.n == w.n and r.vNorm == w.vNorm
+            for name in ("dist_renorm", "dist_raw", "areaDev1"):
+                a, b = getattr(r, name), getattr(w, name)
+                assert abs(a - b) <= 1e-12 * abs(b), (name, r.n, k)
+
+
+def _trial_peak_bytes(cfg):
+    # from a cold embedding cache, as the first trial of a run starts
+    gauss._embedding_sqrt.cache_clear()
+    tracemalloc.start()
+    try:
+        run_leadlag_trial(cfg, 0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _bound(cfg):
+    return leadlag_trial_bytes(cfg.n_ref, cfg.d, len(cfg.n_schedule), cfg.n_schedule[0])
+
+
+@pytest.mark.parametrize("d", [1, 4])
+def test_trial_memory_per_reference_step(d):
+    # the bound behind TRIAL_BYTES: the slope of a trial's traced peak over
+    # n_ref (2^19 and 2^20, reference strides within ROW_BLOCK) is the per-step
+    # term of leadlag_trial_bytes, 8 (4d + 1) B
+    cfgs = [LeadLagConfig(H=0.4, n_schedule=(32, 64), n_ref=n_ref, d=d, mc_trials=1)
+            for n_ref in (2 ** 19, 2 ** 20)]
+    peaks = [_trial_peak_bytes(cfg) for cfg in cfgs]
+    slope = (peaks[1] - peaks[0]) / (cfgs[1].n_ref - cfgs[0].n_ref)
+    per_step = (_bound(cfgs[1]) - _bound(cfgs[0])) / (cfgs[1].n_ref - cfgs[0].n_ref)
+    assert per_step == 8 * (4 * d + 1)
+    assert abs(slope - per_step) <= 0.01 * per_step
+    assert all(peak <= _bound(cfg) + 2 ** 20 for peak, cfg in zip(peaks, cfgs))
+
+
+@pytest.mark.parametrize("n_ref, d, schedule", [
+    (2 ** 20, 1, (1, 2)),            # reference stride 2^20: the lift's block term
+    (2 ** 12, 4, (512, 1024)),       # a sweep-heavy trial
+    (2 ** 12, 2, (16, 32, 64, 128, 256, 512, 1024)),
+])
+def test_trial_memory_within_bound(n_ref, d, schedule):
+    cfg = LeadLagConfig(H=0.4, n_schedule=schedule, n_ref=n_ref, d=d, mc_trials=1)
+    assert _trial_peak_bytes(cfg) <= _bound(cfg) + 2 ** 20
+
+
+def test_config_rejects_trial_over_byte_budget():
+    # n_ref = MAX_GRID_STEPS fits at d = 2 (0.70 GB) but not at d = 3 (1.02 GB)
+    cfg = LeadLagConfig(H=0.4, n_schedule=(8, 16, 32), n_ref=MAX_GRID_STEPS, d=2, mc_trials=2)
+    assert _bound(cfg) <= TRIAL_BYTES
+    with pytest.raises(ValueError, match="TRIAL_BYTES"):
+        replace(cfg, d=3)
+    # a coarse n_min makes the reference lift work on whole-stride blocks
+    with pytest.raises(ValueError, match="TRIAL_BYTES"):
+        replace(cfg, n_schedule=(1, 2))
 
 
 # ---------------------------------------------------------------- experiment
