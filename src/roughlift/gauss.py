@@ -3,7 +3,7 @@
 * Brownian motion: iid increments.
 * Fractional Brownian motion: circulant embedding of the increment
   covariance (real FFTs, exact in law, O(n log n), the embedding cached per
-  (n, H)); Cholesky as a reference.
+  (n, H)).
 * The physical pair (P, W): the momentum of dP = -(M/eps^2) P dt + dW
   stepped with its exact joint Gaussian transition, so the law at grid
   points carries no discretisation error.  The mean step P -> E P is a
@@ -58,12 +58,10 @@ def _rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class GridPath:
-    """Uniform-grid path started at the origin; ``method`` records how a
-    sampler produced it (e.g. which fBm method actually ran)."""
+    """Uniform-grid path started at the origin."""
 
     times: np.ndarray
     values: np.ndarray
-    method: str | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -87,7 +85,6 @@ class SamplerSpec:
     n: int
     d: int = 1
     T: float = 1.0
-    method: str = "circulant"
 
     def __post_init__(self):
         if not (0.0 < self.H < 1.0):
@@ -96,8 +93,6 @@ class SamplerSpec:
             raise ValueError("n and d must be >= 1")
         if self.T <= 0.0:
             raise ValueError("T must be positive")
-        if self.method not in ("circulant", "cholesky"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 def _uniform_times(n: int, T: float) -> np.ndarray:
@@ -118,7 +113,7 @@ def sample_bm(T: float, N: int, d: int, seed: int) -> GridPath:
     inc = rng.standard_normal((N, d)) * np.sqrt(T / N)
     vals = np.zeros((N + 1, d))
     np.cumsum(inc, axis=0, out=vals[1:])
-    return GridPath(_uniform_times(N, T), vals, method="bm")
+    return GridPath(_uniform_times(N, T), vals)
 
 
 def fgn_autocov(k, H: float, spacing: float = 1.0) -> np.ndarray:
@@ -170,26 +165,17 @@ def _fgn_circulant(rng: np.random.Generator, d: int, n: int, H: float) -> np.nda
     return np.fft.irfft(spectrum, n=2 * n)[:, :n]
 
 
-def _fgn_cholesky(rng: np.random.Generator, d: int, n: int, H: float) -> np.ndarray:
-    cov = fgn_autocov(np.abs(np.subtract.outer(np.arange(n), np.arange(n))), H)
-    return rng.standard_normal((d, 2 * n))[:, :n] @ np.linalg.cholesky(cov).T
-
-
 def sample_fbm(spec: SamplerSpec) -> GridPath:
     """Fractional Brownian motion at times i*T/n, exact in law.
 
-    Both methods consume the same 2n normals per component, drawn for all
-    components as one (d, 2n) block (the stream of d successive draws), so
-    switching methods never desynchronises the stream; at H = 1/2 they
-    produce bitwise-comparable paths.  "cholesky" is the O(n^3) reference
-    the circulant route is checked against.
+    The 2n normals per component are drawn for all components as one
+    (d, 2n) block (the stream of d successive draws).
     """
-    fgn = _fgn_circulant if spec.method == "circulant" else _fgn_cholesky
-    inc = fgn(_rng(spec.seed), spec.d, spec.n, spec.H)
+    inc = _fgn_circulant(_rng(spec.seed), spec.d, spec.n, spec.H)
     inc *= (spec.T / spec.n) ** spec.H
     vals = np.zeros((spec.n + 1, spec.d))
     np.cumsum(inc.T, axis=0, out=vals[1:])
-    return GridPath(_uniform_times(spec.n, spec.T), vals, method=spec.method)
+    return GridPath(_uniform_times(spec.n, spec.T), vals)
 
 
 def required_steps(drift: StableDrift, eps: float, T: float) -> int:
@@ -255,8 +241,7 @@ def sample_physical(drift: StableDrift, eps: float, T: float, N: int,
         running_sum_block(noise[:, d:], W, k0)
     _ou_recursion(trans.meanMap, P)
     times = _uniform_times(N, T)
-    return (GridPath(times, P[:N + 1], method="ou-exact"),
-            GridPath(times, W, method="bm"))
+    return GridPath(times, P[:N + 1]), GridPath(times, W)
 
 
 def derive_Z(P: GridPath, W: GridPath) -> GridPath:
@@ -264,4 +249,4 @@ def derive_Z(P: GridPath, W: GridPath) -> GridPath:
     start at zero."""
     if len(P.times) != len(W.times) or np.any(P.times != W.times):
         raise ValueError("grids must be identical")
-    return GridPath(P.times, W.values - P.values, method="derived")
+    return GridPath(P.times, W.values - P.values)

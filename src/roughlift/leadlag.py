@@ -28,7 +28,7 @@ import numpy as np
 from .gauss import SamplerSpec, derive_seed, sample_fbm
 from .report import (MAX_GRID_STEPS, MAX_TRIALS, TRIAL_BYTES, leadlag_trial_bytes,
                      summary_rows)
-from .tensor2 import RenormTerm, holder_sweep, lift_piecewise_linear
+from .tensor2 import FULL_PAIRS_LIMIT, RenormTerm, holder_sweep, lift_piecewise_linear
 # holder_distance and translate stay importable from here: perfbench/tracing.py
 # wraps them under this module's name
 from .tensor2 import holder_distance, translate  # noqa: F401
@@ -205,6 +205,9 @@ class LeadLagConfig:
                 raise ValueError(f"n_ref = {self.n_ref} must be divisible by n = {n}")
             if n % ns[0] != 0:
                 raise ValueError(f"every n must be a multiple of the coarsest n = {ns[0]}")
+        if ns[0] > FULL_PAIRS_LIMIT:  # the grid of the Hoelder sweep
+            raise ValueError(f"the coarsest n = {ns[0]} is above "
+                             f"FULL_PAIRS_LIMIT = {FULL_PAIRS_LIMIT}")
         if self.d < 1 or self.mc_trials < 1:
             raise ValueError("d and mc_trials must be >= 1")
         if self.n_ref > MAX_GRID_STEPS:

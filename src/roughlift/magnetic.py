@@ -19,7 +19,7 @@ import numpy as np
 from .gauss import derive_Z, derive_seed, float_index, required_steps, sample_physical
 from .linstable import StableDrift, renorm_v
 from .report import MAX_GRID_STEPS, MAX_TRIALS, TRIAL_BYTES, fine_step_bytes, summary_rows
-from .tensor2 import holder_distance, lift_piecewise_linear, translate, zero_lift
+from .tensor2 import FULL_PAIRS_LIMIT, holder_distance, lift_piecewise_linear, translate, zero_lift
 
 MAGNETIC_FIELDS = ("distP_renorm", "distP_raw", "distZ_renorm", "distZ_raw", "areaDev1")
 
@@ -58,8 +58,8 @@ class MagneticConfig:
             raise ValueError("eps schedule must be positive and strictly decreasing")
         if self.T <= 0.0:
             raise ValueError("T must be positive")
-        if self.grid_n < 2:
-            raise ValueError("grid_n must be >= 2")
+        if not (2 <= self.grid_n <= FULL_PAIRS_LIMIT):
+            raise ValueError(f"grid_n must lie in [2, FULL_PAIRS_LIMIT = {FULL_PAIRS_LIMIT}]")
         if self.mc_trials < 1:
             raise ValueError("mc_trials must be >= 1")
         object.__setattr__(self, "A", drift.A)

@@ -49,11 +49,12 @@ def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int) -> int:
     d = 1, 72.0 at d = 2, 136.0 at d = 4.  The strided lift of the doubled
     path works on blocks of max(ROW_BLOCK, n_ref / n_min) rows of 6 x 2d
     floats.  Per member and point of the coarsest grid, the sweep holds
-    the k lifts, its stacked copies and its planes: 12 d^2 + 6 d + 7 floats.
+    the k lifts, its stacked level-1 and level-2 differences and its
+    planes: 8 d^2 + 6 d + 7 floats.
     Every other array is O(ROW_BLOCK + PAIR_BLOCK), a few MiB.
     """
     return (8 * (4 * d + 1) * (n_ref + 1) + 48 * d * max(ROW_BLOCK, n_ref // n_min)
-            + 8 * (12 * d * d + 6 * d + 7) * k * (n_min + 1))
+            + 8 * (8 * d * d + 6 * d + 7) * k * (n_min + 1))
 
 
 def fit_loglog(points):

@@ -23,8 +23,8 @@ import numpy as np
 # headroom for accumulation over <= 1e4 segments in double precision.
 IDENTITY_TOL = 1e-12
 
-# Full O(N^2) pair sweep in the Hoelder distances up to this many grid
-# intervals, dyadic pairs (i, i + 2^k) beyond.
+# Largest grid, in intervals, a run config may ask a Hoelder distance on:
+# the sweep visits all n (n + 1) / 2 grid pairs, so its time is O(n^2).
 FULL_PAIRS_LIMIT = 2048
 
 # Grid pairs per block of the Hoelder sweep, over all lifts of a stack: one
@@ -274,37 +274,9 @@ def translate(path: LiftedPath, v) -> LiftedPath:
     return LiftedPath(path.times, path.level1.copy(), path.level2 + shift)
 
 
-def _pair_blocks(n: int, full_pairs_limit: int, batch: int):
-    """Blocks (rows, cols, pair) of the grid pairs (i, j) the Hoelder sweep
-    visits, about PAIR_BLOCK // batch pairs each.
-
-    ``rows`` and ``cols`` index the grid axis (the last one) of an array:
-    ``a[(..., *rows)]`` holds X_i, ``a[(..., *cols)]`` X_j.  Up to
-    ``full_pairs_limit`` intervals, rows i0 <= i < i1 come as an (r, 1)
-    column against j = i0+1..n as a (1, c) row, and ``pair`` masks out the
-    entries with j <= i.  Beyond it, the dyadic pairs (i, i + 2^k) come as
-    two 1-d slices, all of them pairs (``pair`` is True).
-    """
-    if n <= full_pairs_limit:
-        rows = max(1, PAIR_BLOCK // (batch * n))
-        for i0 in range(0, n, rows):
-            i1 = min(i0 + rows, n)
-            yield ((slice(i0, i1), None), (None, slice(i0 + 1, n + 1)),
-                   np.arange(i0, i1)[:, None] < np.arange(i0 + 1, n + 1))
-        return
-    size = max(1, PAIR_BLOCK // batch)
-    k = 1
-    while k <= n:
-        for i0 in range(0, n - k + 1, size):
-            i1 = min(i0 + size, n - k + 1)
-            yield (slice(i0, i1),), (slice(i0 + k, i1 + k),), True
-        k *= 2
-
-
-def holder_sweep(xs, y: LiftedPath, alpha: float, shifts=None,
-                 full_pairs_limit: int = FULL_PAIRS_LIMIT):
+def holder_sweep(xs, y: LiftedPath, alpha: float, shifts=None):
     """Inhomogeneous alpha-Hoelder distances of k lifts ``xs`` to one
-    target ``y``, all on one grid, from one sweep over the grid pairs.
+    target ``y``, all on one grid, from one sweep over all grid pairs s < t.
 
     Returns ``(raw, shifted)``.  ``raw[m]`` is ``holder_distance(xs[m], y,
     alpha)``, bit for bit.  With ``shifts`` of shape (k, d, d), ``shifted[m]``
@@ -313,11 +285,13 @@ def holder_sweep(xs, y: LiftedPath, alpha: float, shifts=None,
     alpha)`` up to rounding (the translation adds the same term to the
     running signatures); without ``shifts`` it is None.
 
-    Each block of grid pairs is a stack of k planes, about PAIR_BLOCK pairs
-    in all, and the time-step powers and the target's cross terms are
-    computed once per block for every member and both distances.  Planes
-    live in six buffers (seven with ``shifts``) reused across blocks, so
-    besides O(k n d^2) stacked grid arrays the sweep holds
+    The pairs come in blocks of grid rows i0 <= i < i1 against the columns
+    j = i0+1..n, with j <= i masked, about PAIR_BLOCK pairs over the whole
+    stack.  Each block is a stack of k planes, and the time-step powers and
+    the target's cross terms are computed once per block for every member
+    and both distances.  Planes live in six buffers (seven with ``shifts``)
+    reused across blocks, so besides the O(k n d^2) grid arrays (one
+    level-1 and one level-2 difference per member) the sweep holds
     O(PAIR_BLOCK + k n) floats whatever the number of pairs.
     """
     xs = list(xs)
@@ -337,38 +311,42 @@ def holder_sweep(xs, y: LiftedPath, alpha: float, shifts=None,
         return np.zeros(k), None if shifts is None else np.zeros(k)
     t = y.times
     # grid axis last and contiguous, so block planes are read by slices
-    x1 = np.ascontiguousarray(np.stack([x.level1 for x in xs]).transpose(0, 2, 1))
+    x1 = np.empty((k, d, n + 1))
+    dl2 = np.empty((k, d, d, n + 1))
+    for x, x1_m, dl2_m in zip(xs, x1, dl2):
+        x1_m[:] = x.level1.T
+        np.subtract(x.level2, y.level2, out=dl2_m.transpose(2, 0, 1))
     y1 = np.ascontiguousarray(y.level1.T)
     w = x1 - y1
-    dl2 = np.ascontiguousarray(
-        (np.stack([x.level2 for x in xs]) - y.level2).transpose(0, 2, 3, 1))
-    size = max(PAIR_BLOCK, k * n) if n <= full_pairs_limit else max(PAIR_BLOCK, k)
+    rows = max(1, PAIR_BLOCK // (k * n))
+    size = max(PAIR_BLOCK, k * n)
     buf = np.empty((3 + (shifts is not None), size))  # planes with the batch axis
     ybuf = np.empty((3, size))                        # planes shared by the batch
     sup = np.zeros((3, k))  # level 1, level 2, shifted level 2
-    for rows, cols, pair in _pair_blocks(n, full_pairs_limit, k):
-        I, J = (Ellipsis, *rows), (Ellipsis, *cols)
-        shape = np.broadcast_shapes(t[I].shape, t[J].shape)
-        m = int(np.prod(shape))
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        shape = (i1 - i0, n - i0)
+        m = shape[0] * shape[1]
         a, r, acc, *acc_shifted = (p[:k * m].reshape((k,) + shape) for p in buf)
         dt, power, c = (p[:m].reshape(shape) for p in ybuf)
-        np.subtract(t[J], t[I], out=dt)
+        pair = np.arange(i0, i1)[:, None] < np.arange(i0 + 1, n + 1)
+        np.subtract(t[i0 + 1:], t[i0:i1, None], out=dt)
         np.copyto(dt, 1.0, where=np.logical_not(pair))  # keeps the masked powers finite
         for p in range(d):
-            np.subtract(w[:, p][J], w[:, p][I], out=a)
+            np.subtract(w[:, p, None, i0 + 1:], w[:, p, i0:i1, None], out=a)
             _accumulate_square(a, acc, p == 0)
         _fold_sup(acc, np.power(dt, alpha, out=power), pair, sup[0])
         for p in range(d):
             for q in range(d):
-                np.subtract(x1[:, q][J], x1[:, q][I], out=a)
-                np.multiply(x1[:, p][I], a, out=a)
-                np.subtract(y1[q][J], y1[q][I], out=c)
-                np.multiply(y1[p][I], c, out=c)
+                np.subtract(x1[:, q, None, i0 + 1:], x1[:, q, i0:i1, None], out=a)
+                np.multiply(x1[:, p, i0:i1, None], a, out=a)
+                np.subtract(y1[q, i0 + 1:], y1[q, i0:i1, None], out=c)
+                np.multiply(y1[p, i0:i1, None], c, out=c)
                 np.subtract(a, c, out=a)  # the Chen cross term of X - Y
-                np.subtract(dl2[:, p, q][J], dl2[:, p, q][I], out=r)
+                np.subtract(dl2[:, p, q, None, i0 + 1:], dl2[:, p, q, i0:i1, None], out=r)
                 np.subtract(r, a, out=r)  # the level-2 residual
                 if shifts is not None:
-                    np.multiply(shifts[:, p, q].reshape((k,) + (1,) * len(shape)), dt, out=a)
+                    np.multiply(shifts[:, p, q, None, None], dt, out=a)
                     np.add(r, a, out=a)
                     _accumulate_square(a, acc_shifted[0], p == q == 0)
                 _accumulate_square(r, acc, p == q == 0)
@@ -396,16 +374,13 @@ def _accumulate_square(r, acc, first: bool):
         acc += r
 
 
-def holder_distance(x: LiftedPath, y: LiftedPath, alpha: float,
-                    full_pairs_limit: int = FULL_PAIRS_LIMIT) -> float:
+def holder_distance(x: LiftedPath, y: LiftedPath, alpha: float) -> float:
     """Inhomogeneous alpha-Hoelder distance between two lifts on one grid:
     ``holder_sweep([x], y, alpha)`` for one member.
 
     Sum of sup |X_{s,t} - Y_{s,t}| / (t-s)^alpha (Euclidean norm) and
-    sup |XX_{s,t} - YY_{s,t}| / (t-s)^(2 alpha) (Frobenius norm) over grid
-    pairs s < t.  All pairs are swept when the grid has at most
-    ``full_pairs_limit`` intervals; beyond that only the dyadic pairs
-    (i, i + 2^k) are used, which still touches every scale.
+    sup |XX_{s,t} - YY_{s,t}| / (t-s)^(2 alpha) (Frobenius norm) over all
+    grid pairs s < t.
 
     The sweep runs over blocks of about PAIR_BLOCK pairs, one plane per
     level-1 coordinate and per level-2 entry (p, q) at a time, in buffers
@@ -417,4 +392,4 @@ def holder_distance(x: LiftedPath, y: LiftedPath, alpha: float,
     terms (lift dimension <= 2); beyond that numpy sums pairwise and the
     last bit of a norm may differ.
     """
-    return float(holder_sweep([x], y, alpha, full_pairs_limit=full_pairs_limit)[0][0])
+    return float(holder_sweep([x], y, alpha)[0][0])

@@ -8,7 +8,9 @@ eigendecomposition and a plain loop instead of the blocked OU scan, and
 whole-grid arrays instead of the row-blocked lift and noise draw; full
 lifts and one distance call each instead of the lead-lag trial's strided
 lifts and single sweep; a complex FFT per component, with the embedding
-rebuilt on every call, instead of the cached real-spectrum fGn map.
+rebuilt on every call, instead of the cached real-spectrum fGn map; and
+the Cholesky factor of the fGn covariance instead of its circulant
+embedding.
 """
 import numpy as np
 from scipy.integrate import quad_vec
@@ -99,21 +101,12 @@ def ou_recursion_loop(E, xi):
     return out
 
 
-def _dyadic_pairs(n: int):
-    """Index pairs (i, i + 2^k) covering all scales of an n-interval grid."""
-    k = 1
-    while k <= n:
-        i = np.arange(0, n - k + 1)
-        yield i, i + k
-        k *= 2
-
-
-def holder_distance_rowloop(x, y, alpha: float, full_pairs_limit: int = 2048) -> float:
+def holder_distance_rowloop(x, y, alpha: float) -> float:
     """Reference alpha-Hoelder distance: one vectorised sweep per grid row.
 
     The same pairs, norms and sup as ``tensor2.holder_distance``, one row
-    i against all j > i at a time (or one dyadic scale at a time), with the
-    norms taken by ``np.linalg.norm``.
+    i against all j > i at a time, with the norms taken by
+    ``np.linalg.norm``.
     """
     if not (0.0 <= alpha < 0.5):
         raise ValueError("alpha must lie in [0, 1/2)")
@@ -141,13 +134,9 @@ def holder_distance_rowloop(x, y, alpha: float, full_pairs_limit: int = 2048) ->
         sup1 = max(sup1, float(np.max(dev1 / dt ** alpha)))
         sup2 = max(sup2, float(np.max(dev2 / dt ** (2.0 * alpha))))
 
-    if n <= full_pairs_limit:
-        for i in range(n):
-            j = np.arange(i + 1, n + 1)
-            sweep(np.full(len(j), i), j)
-    else:
-        for i, j in _dyadic_pairs(n):
-            sweep(i, j)
+    for i in range(n):
+        j = np.arange(i + 1, n + 1)
+        sweep(np.full(len(j), i), j)
     return sup1 + sup2
 
 
@@ -218,7 +207,28 @@ def sample_fbm_complex_fft(spec):
         z = rng.standard_normal(2 * spec.n)
         np.cumsum(spacing_scale * _fgn_circulant_complex(z, spec.n, spec.H),
                   out=vals[1:, c])
-    return GridPath(_uniform_times(spec.n, spec.T), vals, method=spec.method)
+    return GridPath(_uniform_times(spec.n, spec.T), vals)
+
+
+def _fgn_cholesky(rng: np.random.Generator, d: int, n: int, H: float) -> np.ndarray:
+    from roughlift.gauss import fgn_autocov
+
+    cov = fgn_autocov(np.abs(np.subtract.outer(np.arange(n), np.arange(n))), H)
+    return rng.standard_normal((d, 2 * n))[:, :n] @ np.linalg.cholesky(cov).T
+
+
+def sample_fbm_cholesky(spec):
+    """gauss.sample_fbm with the O(n^3) Cholesky factor of the fGn
+    covariance in place of the circulant embedding.  It draws the same
+    (d, 2n) block of normals and keeps the first n of each row, so at
+    H = 1/2, where both maps are the identity, the paths agree pathwise."""
+    from roughlift.gauss import GridPath, _rng, _uniform_times
+
+    inc = _fgn_cholesky(_rng(spec.seed), spec.d, spec.n, spec.H)
+    inc *= (spec.T / spec.n) ** spec.H
+    vals = np.zeros((spec.n + 1, spec.d))
+    np.cumsum(inc.T, axis=0, out=vals[1:])
+    return GridPath(_uniform_times(spec.n, spec.T), vals)
 
 
 def leadlag_trial_full_lifts(cfg, trial_index: int):

@@ -167,16 +167,27 @@ def test_cli_config_rejection_exit_code(tmp_path):
     ("magnetic", {"A": [[float(i == j) for j in range(10)] for i in range(10)],
                   "B0": [[0.0] * 10 for _ in range(10)],
                   "eps_schedule": [1.1e-3]}),  # 8.3M steps at d = 10: 8.7 GB
+    ("magnetic", {"grid_n": 2049}),  # Hoelder grids above FULL_PAIRS_LIMIT
+    ("leadlag", {"n_schedule": [4096, 8192], "n_ref": 32768}),
 ], ids=["T-infinite", "fbm_method", "grid_n-float", "mc_trials-bool",
         "n_schedule-float", "unknown-key", "A-indefinite", "A-overflow",
         "mc_trials-huge", "grid_n-huge", "eps-underflow", "n_ref-huge", "d-huge",
-        "leadlag-trial-over-budget", "fine-grid-over-budget"])
+        "leadlag-trial-over-budget", "fine-grid-over-budget",
+        "grid_n-over-pairs-limit", "n_min-over-pairs-limit"])
 def test_cli_rejects_malformed_config(tmp_path, capsys, no_sampling, kind, change):
     cfg = write_config(tmp_path / "c.json", DOCS[kind](**change))
     out = tmp_path / "out"
     assert main([kind, "--config", cfg, "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_parse_accepts_grids_at_pairs_limit(tmp_path, no_sampling):
+    # FULL_PAIRS_LIMIT = 2048 itself is a runnable Hoelder grid for both kinds
+    cfg = parse_config(write_config(tmp_path / "m.json", magnetic_doc(grid_n=2048)))
+    assert cfg.grid_n == 2048
+    doc = leadlag_doc(n_schedule=[2048, 4096], n_ref=16384)
+    assert parse_config(write_config(tmp_path / "l.json", doc)).n_schedule[0] == 2048
 
 
 JSON_VALUES = st.recursive(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import (ou_recursion_eig, ou_recursion_loop, physical_whole_draw,
-                     sample_fbm_complex_fft)
+                     sample_fbm_cholesky, sample_fbm_complex_fft)
 from roughlift import (SamplerSpec, StableDrift, derive_seed, derive_Z, fgn_autocov,
                        lyapunov_C, ou_joint_transition, required_steps, sample_bm,
                        sample_fbm, sample_physical)
@@ -59,18 +59,15 @@ def test_fbm_spec_validation():
         SamplerSpec(seed=0, H=1.2, n=4)
     with pytest.raises(ValueError):
         SamplerSpec(seed=0, H=0.4, n=0)
-    with pytest.raises(ValueError):
-        SamplerSpec(seed=0, H=0.4, n=4, method="exact")
 
 
 def test_fbm_h_half_methods_agree_pathwise():
     # both methods consume the same normals; at H = 1/2 the covariance is
     # diagonal and they reduce to the same map
     for seed in (0, 1, 2):
-        a = sample_fbm(SamplerSpec(seed=seed, H=0.5, n=64, d=2, method="circulant"))
-        b = sample_fbm(SamplerSpec(seed=seed, H=0.5, n=64, d=2, method="cholesky"))
+        spec = SamplerSpec(seed=seed, H=0.5, n=64, d=2)
+        a, b = sample_fbm(spec), sample_fbm_cholesky(spec)
         assert np.abs(a.values - b.values).max() <= 1e-10
-    assert a.method == "circulant" and b.method == "cholesky"
 
 
 def test_fbm_determinism():
@@ -127,7 +124,7 @@ def test_fbm_negative_embedding_raises(monkeypatch, cold_embedding_cache):
     # lags 0 and +-1 only: circulant eigenvalues 1 + 2 cos(pi j / n), down to -1
     monkeypatch.setattr(gauss, "fgn_autocov", lambda k, H: (np.abs(k) <= 1).astype(float))
     with pytest.raises(ValueError, match="negative embedding eigenvalue"):
-        sample_fbm(SamplerSpec(seed=5, H=0.4, n=16, method="circulant"))
+        sample_fbm(SamplerSpec(seed=5, H=0.4, n=16))
     assert gauss._embedding_sqrt.cache_info().currsize == 0  # the failed build is not kept
 
 
@@ -223,8 +220,9 @@ def test_fbm_cholesky_same_law_moments():
     term = np.empty((trials, 2))
     for i in range(trials):
         s = derive_seed(13, i)
-        term[i, 0] = sample_fbm(SamplerSpec(seed=s, H=H, n=n, method="circulant")).values[-1, 0]
-        term[i, 1] = sample_fbm(SamplerSpec(seed=s, H=H, n=n, method="cholesky")).values[-1, 0]
+        spec = SamplerSpec(seed=s, H=H, n=n)
+        term[i, 0] = sample_fbm(spec).values[-1, 0]
+        term[i, 1] = sample_fbm_cholesky(spec).values[-1, 0]
     sq = term ** 2
     ses = sq.std(axis=0, ddof=1) / np.sqrt(trials)
     assert np.all(np.abs(sq.mean(axis=0) - 1.0) <= 3.0 * ses)

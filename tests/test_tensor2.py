@@ -6,7 +6,7 @@ import pytest
 from roughlift import tensor2
 from roughlift import (RenormTerm, chen_inv, chen_mul, exp_step2, holder_distance,
                        identity_lift, levy_area, lift_piecewise_linear, sym_part,
-                       translate, zero_lift)
+                       translate)
 from roughlift.tensor2 import holder_sweep
 from roughlift.identities import random_lifted_paths
 
@@ -331,9 +331,8 @@ def test_holder_translate_value():
     g = rng.standard_normal((2, 2))
     v = RenormTerm(0.5 * (g - g.T))
     for alpha in (0.0, 0.2, 0.45):
-        for limit in (16, 8):  # full sweep, and dyadic pairs, which include (0, T)
-            got = holder_distance(translate(x, v), x, alpha, full_pairs_limit=limit)
-            assert abs(got - v.norm) <= 1e-12 * max(1.0, v.norm)
+        got = holder_distance(translate(x, v), x, alpha)
+        assert abs(got - v.norm) <= 1e-12 * max(1.0, v.norm)
 
 
 def test_holder_alpha_zero_plain_sup():
@@ -371,21 +370,18 @@ def test_holder_rejects_mismatched_grids():
         holder_distance(x, y, 0.3)
 
 
-def test_holder_dyadic_mode_bounds_full():
-    rng = np.random.default_rng(10)
-    x, y = _random_pair(rng, n=96)
-    full = holder_distance(x, y, 0.25)
-    dyadic = holder_distance(x, y, 0.25, full_pairs_limit=8)
-    assert dyadic <= full + 1e-12
-    assert dyadic >= 0.25 * full  # dyadic pairs still see every scale
-
-
-def test_holder_large_grid_uses_dyadic():
-    n = 2200  # beyond pair-sweep cutoff
+def test_holder_large_grid_is_exact():
+    # beyond FULL_PAIRS_LIMIT the sup still runs over all pairs: the translate
+    # value is attained only at (0, n), which no dyadic pair (i, i + 2^k)
+    # reaches at n = 2200; a sup over those would read (2048/2200)^(1-2a) |v|
+    n = 2200
+    assert n > tensor2.FULL_PAIRS_LIMIT
     t = np.arange(n + 1) / n
     rng = np.random.default_rng(12)
-    x = lift_piecewise_linear(t, rng.standard_normal((n + 1, 1)))
-    assert holder_distance(x, zero_lift(t, 1), 0.1) > 0.0
+    x = lift_piecewise_linear(t, rng.standard_normal((n + 1, 2)))
+    v = RenormTerm(np.array([[0.0, 1.5], [-1.5, 0.0]]))
+    got = holder_distance(translate(x, v), x, 0.1)
+    assert abs(got - v.norm) <= 1e-12 * v.norm
 
 
 def _random_nonuniform_pair(rng, n, d):
@@ -393,16 +389,16 @@ def _random_nonuniform_pair(rng, n, d):
     return tuple(lift_piecewise_linear(t, rng.standard_normal((n + 1, d))) for _ in range(2))
 
 
-def _assert_matches_rowloop(x, y, alpha, **kw):
-    got = holder_distance(x, y, alpha, **kw)
-    want = holder_distance_rowloop(x, y, alpha, **kw)
+def _assert_matches_rowloop(x, y, alpha):
+    got = holder_distance(x, y, alpha)
+    want = holder_distance_rowloop(x, y, alpha)
     if x.dim <= 2:  # norms of <= 4 terms are summed in the same order
         assert got == want
     else:
         assert abs(got - want) <= 1e-12 * want
 
 
-# block edges at 2^14 pairs per block, and the full/dyadic boundary at 2048
+# block edges at 2^14 pairs per block, and grids either side of FULL_PAIRS_LIMIT
 @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 63, 64, 65, 255, 256, 257, 2048, 2049, 4096])
 def test_holder_block_kernel_matches_rowloop(n):
     rng = np.random.default_rng(n)
@@ -413,13 +409,13 @@ def test_holder_block_kernel_matches_rowloop(n):
 
 
 def test_holder_ragged_blocks_match_rowloop(monkeypatch):
-    # a tiny odd block size puts block edges everywhere, in both branches
+    # a tiny odd block size puts block edges everywhere
     monkeypatch.setattr(tensor2, "PAIR_BLOCK", 7)
     rng = np.random.default_rng(14)
-    for n, limit in ((3, 2048), (6, 2048), (40, 2048), (40, 8), (100, 16)):
+    for n in (3, 6, 40, 100):
         for d in (1, 2, 3):
             x, y = _random_nonuniform_pair(rng, n, d)
-            _assert_matches_rowloop(x, y, 0.3, full_pairs_limit=limit)
+            _assert_matches_rowloop(x, y, 0.3)
 
 
 def test_holder_memory_bounded_by_block():
@@ -442,32 +438,32 @@ def _random_stack(rng, n, d, k):
     return xs, lift_piecewise_linear(t, rng.standard_normal((n + 1, d))), g - g.transpose(0, 2, 1)
 
 
-def _assert_sweep_matches_single_calls(rng, n, d, alpha, limit):
+def _assert_sweep_matches_single_calls(rng, n, d, alpha):
     xs, y, v = _random_stack(rng, n, d, 5)
-    raw, shifted = holder_sweep(xs, y, alpha, v, full_pairs_limit=limit)
+    raw, shifted = holder_sweep(xs, y, alpha, v)
     for m, x in enumerate(xs):
-        assert raw[m] == holder_distance(x, y, alpha, full_pairs_limit=limit), (n, d, m)
-        want = holder_distance(translate(x, v[m]), y, alpha, full_pairs_limit=limit)
+        assert raw[m] == holder_distance(x, y, alpha), (n, d, m)
+        want = holder_distance(translate(x, v[m]), y, alpha)
         assert abs(shifted[m] - want) <= TOL * want, (n, d, m)
-    _, zero_shifted = holder_sweep(xs, y, alpha, np.zeros_like(v), full_pairs_limit=limit)
+    _, zero_shifted = holder_sweep(xs, y, alpha, np.zeros_like(v))
     assert np.array_equal(zero_shifted, raw)
-    assert holder_sweep(xs, y, alpha, full_pairs_limit=limit)[1] is None
+    assert holder_sweep(xs, y, alpha)[1] is None
 
 
-# one block, several row blocks, and the dyadic branch (n > limit)
-@pytest.mark.parametrize("n, limit", [(1, 2048), (16, 2048), (257, 2048), (100, 16), (4096, 2048)])
-def test_sweep_members_match_single_distances(n, limit):
+# one block, several row blocks, and one row per block beyond FULL_PAIRS_LIMIT
+@pytest.mark.parametrize("n", [1, 16, 100, 257, 4096])
+def test_sweep_members_match_single_distances(n):
     rng = np.random.default_rng(n)
     for d, alpha in ((1, 0.0), (2, 0.3), (3, 0.49)):
-        _assert_sweep_matches_single_calls(rng, n, d, alpha, limit)
+        _assert_sweep_matches_single_calls(rng, n, d, alpha)
 
 
 def test_sweep_ragged_blocks(monkeypatch):
-    # 7 pairs per block over a stack of 5: one row, or one dyadic pair, per block
+    # 7 pairs per block over a stack of 5: one row per block
     monkeypatch.setattr(tensor2, "PAIR_BLOCK", 7)
     rng = np.random.default_rng(20)
-    for n, limit in ((3, 2048), (40, 2048), (40, 8), (100, 16)):
-        _assert_sweep_matches_single_calls(rng, n, 2, 0.3, limit)
+    for n in (3, 40, 100):
+        _assert_sweep_matches_single_calls(rng, n, 2, 0.3)
 
 
 def test_sweep_rejects_bad_stacks():
