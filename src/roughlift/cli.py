@@ -117,7 +117,10 @@ def _cmd_experiment(args) -> int:
     _require(isinstance(cfg, EXPERIMENTS[args.command]),
              f"subcommand {args.command!r} needs a {args.command} config")
     if args.seed is not None:
-        cfg = replace(cfg, base_seed=args.seed)
+        try:
+            cfg = replace(cfg, base_seed=args.seed)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
     _require(args.out is not None, "--out is required for experiment runs")
     if isinstance(cfg, MagneticConfig):
         rows = magnetic_experiment(cfg, threads=args.threads)

@@ -210,6 +210,8 @@ class LeadLagConfig:
                              f"FULL_PAIRS_LIMIT = {FULL_PAIRS_LIMIT}")
         if self.d < 1 or self.mc_trials < 1:
             raise ValueError("d and mc_trials must be >= 1")
+        if not (0 <= self.base_seed < 2 ** 64):
+            raise ValueError(f"base_seed must lie in [0, 2^64), got {self.base_seed}")
         if self.n_ref > MAX_GRID_STEPS:
             raise ValueError(f"n_ref = {self.n_ref} is above MAX_GRID_STEPS = {MAX_GRID_STEPS}")
         trial_bytes = leadlag_trial_bytes(self.n_ref, self.d, len(ns), ns[0])

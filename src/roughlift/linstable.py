@@ -10,8 +10,10 @@ A is symmetric with strictly positive spectrum (friction), B anti-symmetric
 * the exact Gaussian transition of dP = -(M/eps^2) P dt + dW jointly with
   the driving increment, used by the samplers.
 
-Sizes are tiny (d <= 16), so the Lyapunov equation is solved by Kronecker
-vectorisation rather than Bartels-Stewart.
+One Lyapunov solve serves C and the transition's finite-horizon C_r.  It
+vectorises the equation by Kronecker products rather than Bartels-Stewart,
+so it holds three d^2 x d^2 matrices (report.lyapunov_bytes); a magnetic
+config is rejected where that exceeds report.TRIAL_BYTES, i.e. beyond d = 74.
 """
 from __future__ import annotations
 
@@ -22,9 +24,9 @@ import scipy.linalg
 
 from .tensor2 import IDENTITY_TOL, RenormTerm
 
-# e^{-lam*r} underflows double precision far before this; treat the
-# transient as fully relaxed beyond it.
-_RELAXED = 350.0
+# e^{-lam r} underflows to exactly 0 well before lam r = 1000, so a step
+# with lam r beyond it is fully relaxed and taken at that r instead.
+_RELAXED = 1000.0
 
 
 @dataclass(frozen=True)
@@ -84,30 +86,23 @@ class OUTransition:
     covPW: np.ndarray
     covWW: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.meanMap.shape[0]
-
     def joint_cov(self) -> np.ndarray:
         return np.block([[self.covPP, self.covPW], [self.covPW.T, self.covWW]])
 
     def noise_factor(self) -> np.ndarray:
-        """Square root L of the joint covariance, L @ L.T = joint_cov().
+        """The symmetric root L = V sqrt(Lambda) V^T of joint_cov() = L L^T.
 
-        Tiny negative eigenvalues (roundoff from the M^{-1} cross term) are
-        clipped at -1e-12 relative; anything below that is an error.
-
-        L is not continuous in the bits of the covariance: where eigenvalues
-        repeat (in equal pairs for A = I, B0 = J) eigh may return any basis
-        of each pair, so a last-bit change to covPP can move L by 2 max|L|
-        while L @ L.T moves by 1e-15, and every sample drawn through L with it.
+        As the unique PSD root it does not depend on the basis eigh picks
+        inside repeated eigenvalues, so it moves with the covariance's bits
+        by about their rounding.  Eigenvalues down to -1e-12 relative
+        (roundoff) are clipped to 0; anything below that is an error.
         """
         cov = self.joint_cov()
         vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
         tol = 1e-12 * max(1.0, float(vals.max(initial=0.0)))
         if vals.min() < -tol:
             raise ValueError(f"joint covariance not PSD: min eigenvalue {vals.min():g}")
-        return vecs * np.sqrt(np.clip(vals, 0.0, None))
+        return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
 def mat_exp(M) -> np.ndarray:
@@ -120,27 +115,23 @@ def mat_exp(M) -> np.ndarray:
     return scipy.linalg.expm(M)
 
 
-def _lyapunov_residual(M, C):
-    d = M.shape[0]
-    return np.eye(d) - (M @ C + C @ M.T)
-
-
-def lyapunov_C(drift: StableDrift) -> np.ndarray:
-    """Stationary covariance: the unique solution of M C + C M^T = I.
-
-    Kronecker vectorised solve (O(d^6), fine for d <= 16) followed by one
-    refinement pass; refinement keeps the residual near roundoff when the
-    anti-symmetric part makes the system ill-conditioned.
-    """
-    M = drift.M
+def _lyapunov_solve(M, Q) -> np.ndarray:
+    """The X with M X + X M^T = Q (stable M, symmetric Q): Kronecker LU, then
+    one refinement pass, which keeps the residual near roundoff when the
+    anti-symmetric part makes the system ill-conditioned."""
     d = M.shape[0]
     K = np.kron(np.eye(d), M) + np.kron(M, np.eye(d))
     lu = scipy.linalg.lu_factor(K)
-    C = scipy.linalg.lu_solve(lu, np.eye(d).reshape(-1)).reshape(d, d)
-    C = 0.5 * (C + C.T)
-    R = _lyapunov_residual(M, C)
-    C = C + scipy.linalg.lu_solve(lu, R.reshape(-1)).reshape(d, d)
-    return 0.5 * (C + C.T)
+    X = scipy.linalg.lu_solve(lu, Q.reshape(-1)).reshape(d, d)
+    X = 0.5 * (X + X.T)
+    R = Q - (M @ X + X @ M.T)
+    X = X + scipy.linalg.lu_solve(lu, R.reshape(-1)).reshape(d, d)
+    return 0.5 * (X + X.T)
+
+
+def lyapunov_C(drift: StableDrift) -> np.ndarray:
+    """Stationary covariance: the unique solution of M C + C M^T = I."""
+    return _lyapunov_solve(drift.M, np.eye(drift.dim))
 
 
 def renorm_v(drift: StableDrift) -> RenormTerm:
@@ -154,21 +145,27 @@ def renorm_v(drift: StableDrift) -> RenormTerm:
     return RenormTerm(0.5 * (v - v.T))
 
 
-def partial_C(drift: StableDrift, r: float) -> np.ndarray:
-    """Finite-horizon covariance C_r = int_0^r e^{-Mu} e^{-M^T u} du.
+def _ou_integrals(drift: StableDrift, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E = e^{-Mr}, K = int_0^r e^{-Mu} du and C_r = int_0^r e^{-Mu} e^{-M^T u} du.
 
-    Evaluated as C - e^{-Mr} C e^{-M^T r}; increases monotonically to C.
-    """
+    E and K / r are the top blocks of the exponential of [[-M r, I], [0, 0]]
+    (Van Loan 1978; a coupling block r I would leak 1e-16 absolute into E at
+    large r).  C_r solves M C_r + C_r M^T = I - E E^T, written through
+    M K = I - E so that no step cancels at small r.  r is clamped at
+    lam r = _RELAXED, where E underflows to exactly 0."""
     if r < 0.0:
         raise ValueError("r must be non-negative")
-    C = lyapunov_C(drift)
-    if r == 0.0:
-        return np.zeros_like(C)
-    if drift.lam * r > _RELAXED:
-        return C
-    E = mat_exp(-drift.M * r)
-    Cr = C - E @ C @ E.T
-    return 0.5 * (Cr + Cr.T)
+    d = drift.dim
+    r = min(r, _RELAXED / drift.lam)
+    F = mat_exp(np.block([[-drift.M * r, np.eye(d)], [np.zeros((d, 2 * d))]]))
+    E, K = F[:d, :d], r * F[:d, d:]
+    MK = drift.M @ K
+    return E, K, _lyapunov_solve(drift.M, MK + MK.T - MK @ MK.T)
+
+
+def partial_C(drift: StableDrift, r: float) -> np.ndarray:
+    """Finite-horizon covariance C_r = int_0^r e^{-Mu} e^{-M^T u} du, increasing to C."""
+    return _ou_integrals(drift, r)[2]
 
 
 def ou_joint_transition(drift: StableDrift, eps: float, h: float) -> OUTransition:
@@ -176,13 +173,6 @@ def ou_joint_transition(drift: StableDrift, eps: float, h: float) -> OUTransitio
     jointly with the Brownian increment over the same step."""
     if h <= 0.0 or eps <= 0.0:
         raise ValueError("h and eps must be positive")
-    d = drift.dim
-    r = h / eps ** 2
-    if drift.lam * r > _RELAXED:
-        E = np.zeros((d, d))
-    else:
-        E = mat_exp(-drift.M * r)
-    covPP = eps ** 2 * partial_C(drift, r)
-    covPW = eps ** 2 * np.linalg.solve(drift.M, np.eye(d) - E)
-    return OUTransition(h=h, meanMap=E, covPP=covPP, covPW=covPW,
-                        covWW=h * np.eye(d))
+    E, K, Cr = _ou_integrals(drift, h / eps ** 2)
+    return OUTransition(h=h, meanMap=E, covPP=eps ** 2 * Cr, covPW=eps ** 2 * K,
+                        covWW=h * np.eye(drift.dim))

@@ -18,7 +18,8 @@ import numpy as np
 
 from .gauss import derive_Z, derive_seed, float_index, required_steps, sample_physical
 from .linstable import StableDrift, renorm_v
-from .report import MAX_GRID_STEPS, MAX_TRIALS, TRIAL_BYTES, fine_step_bytes, summary_rows
+from .report import (MAX_GRID_STEPS, MAX_TRIALS, TRIAL_BYTES, fine_step_bytes, lyapunov_bytes,
+                     summary_rows)
 from .tensor2 import FULL_PAIRS_LIMIT, holder_distance, lift_piecewise_linear, translate, zero_lift
 
 MAGNETIC_FIELDS = ("distP_renorm", "distP_raw", "distZ_renorm", "distZ_raw", "areaDev1")
@@ -62,6 +63,8 @@ class MagneticConfig:
             raise ValueError(f"grid_n must lie in [2, FULL_PAIRS_LIMIT = {FULL_PAIRS_LIMIT}]")
         if self.mc_trials < 1:
             raise ValueError("mc_trials must be >= 1")
+        if not (0 <= self.base_seed < 2 ** 64):
+            raise ValueError(f"base_seed must lie in [0, 2^64), got {self.base_seed}")
         object.__setattr__(self, "A", drift.A)
         object.__setattr__(self, "B0", drift.B)
         object.__setattr__(self, "eps_schedule", eps)
@@ -75,7 +78,7 @@ class MagneticConfig:
         if n_fine > MAX_GRID_STEPS:
             raise ValueError(f"the fine grid at eps = {eps[-1]:g} has {n_fine} steps, "
                              f"above MAX_GRID_STEPS = {MAX_GRID_STEPS}")
-        trial_bytes = n_fine * fine_step_bytes(self.d)
+        trial_bytes = max(n_fine * fine_step_bytes(self.d), lyapunov_bytes(self.d))
         if trial_bytes > TRIAL_BYTES:
             raise ValueError(f"d = {self.d}: a trial on the {n_fine}-step fine grid at "
                              f"eps = {eps[-1]:g} needs {trial_bytes} B, "

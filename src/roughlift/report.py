@@ -37,6 +37,11 @@ def fine_step_bytes(d: int) -> int:
     return 8 * (d * d + 3 * d + 1)
 
 
+def lyapunov_bytes(d: int) -> int:
+    """Traced peak of a Lyapunov solve at dimension d: 3 d^2 x d^2 floats."""
+    return 24 * d ** 4
+
+
 def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int) -> int:
     """Bound on the peak bytes of one lead-lag trial: reference grid n_ref,
     dimension d, k schedule points, coarsest n_min.

@@ -3,6 +3,8 @@
 Each one takes a route that does not share code with the implementation it
 checks: direct segment integration instead of Chen products, quadrature
 instead of Lyapunov solves, Euler-Maruyama instead of exact transitions,
+the stationary covariance and a solve with M instead of the block
+exponential of the OU transition,
 a per-row pair loop instead of the blocked Hoelder kernel, an
 eigendecomposition and a plain loop instead of the blocked OU scan, and
 whole-grid arrays instead of the row-blocked lift and noise draw; full
@@ -66,6 +68,27 @@ def ou_euler_maruyama(M, eps, h, n_steps, n_paths, rng, p0=None):
         P = P - P @ G.T * dt + dW
         W = W + dW
     return P, W
+
+
+def ou_joint_transition_lyapunov(drift, eps, h):
+    """linstable.ou_joint_transition through the stationary covariance:
+    covPP = eps^2 (C - E C E^T) and covPW = eps^2 M^{-1} (I - E), with E = 0
+    and covPP = eps^2 C beyond lam r = 350 (r = h / eps^2).  Both formulas
+    cancel at small r: about 1e-16 / r relative."""
+    from roughlift.linstable import OUTransition, lyapunov_C, mat_exp
+
+    d = drift.dim
+    r = h / eps ** 2
+    C = lyapunov_C(drift)
+    if drift.lam * r > 350.0:
+        E, Cr = np.zeros((d, d)), C
+    else:
+        E = mat_exp(-drift.M * r)
+        Cr = C - E @ C @ E.T
+        Cr = 0.5 * (Cr + Cr.T)
+    covPW = eps ** 2 * np.linalg.solve(drift.M, np.eye(d) - E)
+    return OUTransition(h=h, meanMap=E, covPP=eps ** 2 * Cr, covPW=covPW,
+                        covWW=h * np.eye(d))
 
 
 def ou_recursion_eig(E, xi):

@@ -169,16 +169,37 @@ def test_cli_config_rejection_exit_code(tmp_path):
                   "eps_schedule": [1.1e-3]}),  # 8.3M steps at d = 10: 8.7 GB
     ("magnetic", {"grid_n": 2049}),  # Hoelder grids above FULL_PAIRS_LIMIT
     ("leadlag", {"n_schedule": [4096, 8192], "n_ref": 32768}),
+    ("magnetic", {"A": [[float(i == j) for j in range(128)] for i in range(128)],
+                  "B0": [[0.0] * 128 for _ in range(128)],
+                  "eps_schedule": [10.0], "grid_n": 2}),  # 2 steps, 6.4 GB Lyapunov solve
+    ("magnetic", {"base_seed": -1}),
+    ("leadlag", {"base_seed": -1}),
+    ("magnetic", {"base_seed": 2 ** 64}),
+    ("leadlag", {"base_seed": 2 ** 64}),
 ], ids=["T-infinite", "fbm_method", "grid_n-float", "mc_trials-bool",
         "n_schedule-float", "unknown-key", "A-indefinite", "A-overflow",
         "mc_trials-huge", "grid_n-huge", "eps-underflow", "n_ref-huge", "d-huge",
         "leadlag-trial-over-budget", "fine-grid-over-budget",
-        "grid_n-over-pairs-limit", "n_min-over-pairs-limit"])
+        "grid_n-over-pairs-limit", "n_min-over-pairs-limit", "d-over-lyapunov-budget",
+        "magnetic-seed-negative", "leadlag-seed-negative", "magnetic-seed-2^64",
+        "leadlag-seed-2^64"])
 def test_cli_rejects_malformed_config(tmp_path, capsys, no_sampling, kind, change):
     cfg = write_config(tmp_path / "c.json", DOCS[kind](**change))
     out = tmp_path / "out"
     assert main([kind, "--config", cfg, "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(DOCS))
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_cli_rejects_seed_override_outside_u64(tmp_path, capsys, no_sampling, kind, seed):
+    # derive_seed masks to 64 bits, so these would run the streams of
+    # 2^64 - 1 and 0 while the manifest echoed the value given
+    cfg = write_config(tmp_path / "c.json", DOCS[kind]())
+    out = tmp_path / "out"
+    assert main([kind, "--config", cfg, "--out", str(out), "--seed", seed]) == 2
+    assert "base_seed" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import (ou_recursion_eig, ou_recursion_loop, physical_whole_draw,
-                     sample_fbm_cholesky, sample_fbm_complex_fft)
+from oracles import (finite_cov_quadrature, ou_recursion_eig, ou_recursion_loop,
+                     physical_whole_draw, sample_fbm_cholesky, sample_fbm_complex_fft)
 from roughlift import (SamplerSpec, StableDrift, derive_seed, derive_Z, fgn_autocov,
                        lyapunov_C, ou_joint_transition, required_steps, sample_bm,
                        sample_fbm, sample_physical)
@@ -287,22 +287,21 @@ def test_physical_cross_covariance_scalar():
 
 
 def test_physical_halving_h_consistency():
-    # transitions are exact in law, so refining the grid moves terminal
-    # statistics by Monte Carlo noise only
-    eps = 0.5
+    # transitions are exact in law, so on the grids of h and h/2 alike the
+    # terminal variances are the closed form: eps^2 C_{T/eps^2} for P and T
+    # for W (the exact two-half-steps identity is in test_linstable)
+    eps, T = 0.5, 1.0
     drift = StableDrift(np.eye(2), 1.0 * J)
+    exact = np.concatenate([eps ** 2 * np.diag(finite_cov_quadrature(drift.M, T / eps ** 2)),
+                            [T, T]])
     trials = 4000
-    stats = {}
-    for N, tag in ((128, "h"), (256, "h/2")):
+    for N in (128, 256):
         vals = np.empty((trials, 4))
         for i in range(trials):
-            P, W = sample_physical(drift, eps, 1.0, N, seed=derive_seed(200 + N, i))
+            P, W = sample_physical(drift, eps, T, N, seed=derive_seed(200 + N, i))
             vals[i] = np.concatenate([P.values[-1], W.values[-1]])
-        stats[tag] = (vals.var(axis=0, ddof=1),
-                      (vals ** 2).std(axis=0, ddof=1) / np.sqrt(trials))
-    diff = np.abs(stats["h"][0] - stats["h/2"][0])
-    se = np.sqrt(stats["h"][1] ** 2 + stats["h/2"][1] ** 2)
-    assert np.all(diff <= se)
+        se = (vals ** 2).std(axis=0, ddof=1) / np.sqrt(trials)
+        assert np.all(np.abs(vals.var(axis=0, ddof=1) - exact) <= 3.0 * se), N
 
 
 # N = one block minus/plus one and a ragged third block

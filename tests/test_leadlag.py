@@ -10,6 +10,7 @@ from roughlift import (LeadLagConfig, SamplerSpec, hoff_path, leadlag_area_oracl
 from roughlift import gauss, leadlag
 from roughlift.identities import leadlag_oracle_errors, psi_bruteforce
 from roughlift.report import MAX_GRID_STEPS, TRIAL_BYTES, leadlag_trial_bytes
+from roughlift.tensor2 import holder_sweep, lift_piecewise_linear
 
 from oracles import leadlag_trial_full_lifts, sample_fbm_complex_fft
 
@@ -296,6 +297,43 @@ def test_trial_memory_per_reference_step(d):
 def test_trial_memory_within_bound(n_ref, d, schedule):
     cfg = LeadLagConfig(H=0.4, n_schedule=schedule, n_ref=n_ref, d=d, mc_trials=1)
     assert _trial_peak_bytes(cfg) <= _bound(cfg) + 2 ** 20
+
+
+def _sweep_peak_bytes(k, n, d):
+    # the sweep alone at lead-lag dimension d (lifts of dimension 2d), with
+    # its input lifts allocated before tracing starts
+    rng = np.random.default_rng(k * n + d)
+    times = np.linspace(0.0, 1.0, n + 1)
+    paths = np.cumsum(rng.standard_normal((k + 1, n + 1, 2 * d)), axis=1)
+    y, *xs = (lift_piecewise_linear(times, p - p[0]) for p in paths)
+    shifts = rng.standard_normal((k, 2 * d, 2 * d))
+    tracemalloc.start()
+    try:
+        holder_sweep(xs, y, 0.3, shifts)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_sweep_memory_per_member_point(d):
+    # the sweep term of leadlag_trial_bytes: between (k, n) = (32, 128) and
+    # (64, 256), both at k n <= PAIR_BLOCK, the sweep's traced peak grows by
+    # 8 (4d^2 + 4d) B per member grid point (a level-1 and a level-2
+    # difference of the 2d-dimensional lifts, and w); the bound's per-member
+    # term, less the member's own lift (times, level 1, level 2), covers
+    # that with at most 56 B of planes
+    shapes = ((32, 128), (64, 256))
+    points = [k * (n + 1) for k, n in shapes]
+    peaks = [_sweep_peak_bytes(k, n, d) for k, n in shapes]
+    slope = (peaks[1] - peaks[0]) / (points[1] - points[0])
+    core = 8 * (4 * d * d + 4 * d)
+    assert 0.98 * core <= slope <= 1.02 * core + 56
+    n_min = 64
+    per_member = (leadlag_trial_bytes(4096, d, 3, n_min)
+                  - leadlag_trial_bytes(4096, d, 2, n_min)) / (n_min + 1)
+    sweep_term = per_member - 8 * (4 * d * d + 2 * d + 1)
+    assert slope <= sweep_term <= slope + 56
 
 
 def test_config_rejects_trial_over_byte_budget():

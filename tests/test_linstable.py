@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from roughlift import (StableDrift, lyapunov_C, mat_exp, ou_joint_transition,
+from roughlift import (MagneticConfig, StableDrift, lyapunov_C, mat_exp, ou_joint_transition,
                        partial_C, renorm_v)
 from roughlift.identities import lyapunov_suite, random_stable_drifts
+from roughlift.magnetic import drift_at, fine_grid_n
 
-from oracles import finite_cov_quadrature, ou_euler_maruyama, stationary_cov_quadrature
+from oracles import (finite_cov_quadrature, ou_euler_maruyama, ou_joint_transition_lyapunov,
+                     stationary_cov_quadrature)
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -196,3 +200,62 @@ def test_ou_transition_vs_euler_maruyama():
         return prods.std(axis=0, ddof=1) / np.sqrt(n_paths)
     assert np.all(np.abs(covPP - trans.covPP) <= 3.0 * cov_se(Pc, Pc) + 2e-3)
     assert np.all(np.abs(covPW - trans.covPW) <= 3.0 * cov_se(Pc, Wc) + 2e-3)
+
+
+def rel_err(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+def transition_drifts():
+    """A = I, B = bJ over four decades of b, and 100 random drifts with
+    |B| <= 30 (with |B| up to 1e3 the old route and this one both reach
+    2e-12 on the two-half-steps identity at r = 0.03)."""
+    yield from (StableDrift(np.eye(2), b * J) for b in (0.0, 1.0, 11.3, 100.0, 1000.0))
+    yield from random_stable_drifts(np.random.default_rng(61), 100, max_b_norm=30.0)
+
+
+@pytest.mark.parametrize("r", [1e-10, 1e-8, 1e-6, 1e-3, 0.03, 1.0, 10.0])
+def test_ou_transition_two_half_steps(r):
+    # Chapman-Kolmogorov: one step of r is two steps of r / 2, exactly
+    for drift in transition_drifts():
+        full = ou_joint_transition(drift, 1.0, r)
+        half = ou_joint_transition(drift, 1.0, r / 2)
+        E = half.meanMap
+        # E also carries the rounding of the exponential itself, which
+        # grows with |Mr| (5.5e-13 relative on e^{-4} at d = 1)
+        assert rel_err(full.meanMap, E @ E) <= 1e-12 * max(1.0, np.linalg.norm(drift.M, 1) * r)
+        assert rel_err(full.covPP, E @ half.covPP @ E.T + half.covPP) <= 1e-12
+        assert rel_err(full.covPW, E @ half.covPW + half.covPW) <= 1e-12
+
+
+def test_ou_transition_matches_lyapunov_route():
+    # where C - E C E^T and M^{-1} (I - E) do not cancel: 1e-3 <= r, lam r <= 350
+    # (up to 349 / lam: at 350 / lam the oracle's relaxed branch may fire by rounding)
+    for drift in transition_drifts():
+        for r in (1e-3, 0.03, 1.0, 10.0, 349.0 / drift.lam):
+            new = ou_joint_transition(drift, 1.0, r)
+            old = ou_joint_transition_lyapunov(drift, 1.0, r)
+            for field in ("meanMap", "covPP", "covPW"):
+                assert rel_err(getattr(new, field), getattr(old, field)) <= 1e-12, (field, r)
+
+
+@pytest.mark.parametrize("r", [1e6, 1e100, 1e300])
+def test_ou_transition_fully_relaxed(r):
+    eps = 0.5
+    for drift in transition_drifts():
+        trans = ou_joint_transition(drift, eps, eps ** 2 * r)
+        assert np.all(trans.meanMap == 0.0)
+        assert np.all(np.isfinite(trans.covPP)) and np.all(np.isfinite(trans.covPW))
+        assert rel_err(trans.covPP, eps ** 2 * lyapunov_C(drift)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [2, 7])
+def test_noise_factor_continuous_in_covariance_bits(k):
+    # the shipped joint covariances have eigenvalues in equal pairs; one ulp
+    # on covPP at a magnetic fine step moves the symmetric root by rounding
+    eps = 2.0 ** -k
+    cfg = MagneticConfig(A=np.eye(2), B0=J, beta=0.5, eps_schedule=(eps,))
+    trans = ou_joint_transition(drift_at(cfg, eps), eps, cfg.T / fine_grid_n(cfg, eps))
+    L = trans.noise_factor()
+    nudged = replace(trans, covPP=np.nextafter(trans.covPP, np.inf)).noise_factor()
+    assert np.abs(nudged - L).max() <= 1e-13 * np.abs(L).max()

@@ -4,13 +4,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from oracles import ou_recursion_eig
+from oracles import ou_joint_transition_lyapunov, ou_recursion_eig
 from roughlift import gauss
 from roughlift import (MagneticConfig, derive_Z, drift_at, fine_grid_n,
                        holder_distance, lift_piecewise_linear, magnetic_experiment,
                        renorm_v, run_magnetic_trial, sample_physical, translate)
 from roughlift.gauss import derive_seed, float_index
-from roughlift.report import TRIAL_BYTES, fine_step_bytes, fit_loglog
+from roughlift.linstable import _lyapunov_solve
+from roughlift.report import TRIAL_BYTES, fine_step_bytes, fit_loglog, lyapunov_bytes
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -155,6 +156,20 @@ def test_trial_matches_eig_recursion_oracle(monkeypatch):
             assert abs(x - y) <= 1e-12 * abs(y), f.name
 
 
+def test_trial_matches_lyapunov_transition_oracle(monkeypatch):
+    # the block-exponential transition against C - E C E^T and M^{-1}(I - E),
+    # field by field, both through the symmetric noise root
+    cfg = small_cfg(eps_schedule=(2.0 ** -2, 2.0 ** -3, 2.0 ** -4), grid_n=64)
+    keys = [(eps, k) for eps in cfg.eps_schedule for k in range(4)]
+    new = [run_magnetic_trial(cfg, eps, k) for eps, k in keys]
+    monkeypatch.setattr(gauss, "ou_joint_transition", ou_joint_transition_lyapunov)
+    old = [run_magnetic_trial(cfg, eps, k) for eps, k in keys]
+    for a, b in zip(new, old):
+        for f in fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert abs(x - y) <= 1e-12 * abs(y), f.name
+
+
 def _trial_peak_bytes(cfg, eps):
     tracemalloc.start()
     try:
@@ -183,6 +198,33 @@ def test_config_rejects_fine_grid_over_byte_budget():
         small_cfg(A=np.eye(10), B0=np.zeros((10, 10)), eps_schedule=(1.1e-3,), grid_n=256)
     cfg = small_cfg(A=np.eye(2), B0=np.zeros((2, 2)), eps_schedule=(1.1e-3,), grid_n=256)
     assert fine_grid_n(cfg, 1.1e-3) * fine_step_bytes(2) <= TRIAL_BYTES
+
+
+@pytest.mark.parametrize("d", [16, 32])
+def test_lyapunov_solve_memory_is_lyapunov_bytes(d):
+    M, Q = 2.0 * np.eye(d), np.eye(d)
+    tracemalloc.start()
+    try:
+        _lyapunov_solve(M, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lyapunov_bytes(d) <= peak <= 1.01 * lyapunov_bytes(d)
+
+
+def test_config_rejects_dimension_over_lyapunov_budget():
+    # a 2-step fine grid, but a d^2 x d^2 Kronecker system: d = 74 fits, 75 not
+    assert lyapunov_bytes(74) <= TRIAL_BYTES < lyapunov_bytes(75)
+    small_cfg(A=np.eye(74), B0=np.zeros((74, 74)), eps_schedule=(10.0,), grid_n=2)
+    with pytest.raises(ValueError, match="TRIAL_BYTES"):
+        small_cfg(A=np.eye(75), B0=np.zeros((75, 75)), eps_schedule=(10.0,), grid_n=2)
+
+
+def test_config_rejects_seed_outside_u64():
+    small_cfg(base_seed=2 ** 64 - 1)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match="base_seed"):
+            small_cfg(base_seed=seed)
 
 
 # --------------------------------------------------------------- experiment
