@@ -14,19 +14,39 @@ One Lyapunov solve serves C and the transition's finite-horizon C_r.  It
 vectorises the equation by Kronecker products rather than Bartels-Stewart,
 so it holds three d^2 x d^2 matrices (report.lyapunov_bytes); a magnetic
 config is rejected where that exceeds report.TRIAL_BYTES, i.e. beyond d = 74.
+
+The module needs numpy alone: matrix exponentials are Higham's (2005)
+scaling and squaring of [m/m] Pade approximants, and linear systems go
+through np.linalg.solve.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .tensor2 import IDENTITY_TOL, RenormTerm
 
 # e^{-lam r} underflows to exactly 0 well before lam r = 1000, so a step
 # with lam r beyond it is fully relaxed and taken at that r instead.
 _RELAXED = 1000.0
+
+# Numerator coefficients b_0..b_m of the [m/m] Pade approximant of e^X, and
+# the 1-norm theta_m up to which it is accurate to double precision without
+# scaling (Higham 2005, Table 2.3).
+_PADE = (
+    (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (5, 2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (7, 9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
+                               1512.0, 56.0, 1.0)),
+    (9, 2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
+                              30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+    (13, 5.371920351148152e0, (64764752532480000.0, 32382376266240000.0,
+                               7771770303897600.0, 1187353796428800.0, 129060195264000.0,
+                               10559470521600.0, 670442572800.0, 33522128640.0,
+                               1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
+)
 
 
 @dataclass(frozen=True)
@@ -105,27 +125,53 @@ class OUTransition:
         return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
+def _pade_exp(X) -> tuple[np.ndarray, int]:
+    """(F, s) with F^(2^s) = e^X: the [m/m] Pade approximant of e^{X / 2^s}
+    for the least m (and then s) that Higham's (2005) theta_m allows.  The
+    approximant is (V - U)^{-1} (V + U), where V + U is its numerator with
+    U the odd and V the even powers."""
+    norm = float(np.linalg.norm(X, 1))
+    s = 0
+    for m, theta, b in _PADE:
+        if norm <= theta:
+            break
+    else:
+        s = math.ceil(math.log2(norm / theta))
+        X = X / 2.0 ** s
+    X2 = X @ X
+    powers = [np.eye(X.shape[0]), X2]
+    while len(powers) <= m // 2:
+        powers.append(powers[-1] @ X2)
+    U = X @ sum(b[2 * k + 1] * P for k, P in enumerate(powers))
+    V = sum(b[2 * k] * P for k, P in enumerate(powers))
+    return np.linalg.solve(V - U, V + U), s
+
+
 def mat_exp(M) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring with Pade approximant)."""
+    """Matrix exponential: Higham's (2005) scaling and squaring, with the
+    [m/m] Pade approximant (m in 3, 5, 7, 9, 13) of e^{M / 2^s} squared s
+    times."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite")
-    return scipy.linalg.expm(M)
+    F, s = _pade_exp(M)
+    for _ in range(s):
+        F = F @ F
+    return F
 
 
 def _lyapunov_solve(M, Q) -> np.ndarray:
-    """The X with M X + X M^T = Q (stable M, symmetric Q): Kronecker LU, then
-    one refinement pass, which keeps the residual near roundoff when the
+    """The X with M X + X M^T = Q (stable M, symmetric Q): a Kronecker solve,
+    then one refinement pass, which keeps the residual near roundoff when the
     anti-symmetric part makes the system ill-conditioned."""
     d = M.shape[0]
     K = np.kron(np.eye(d), M) + np.kron(M, np.eye(d))
-    lu = scipy.linalg.lu_factor(K)
-    X = scipy.linalg.lu_solve(lu, Q.reshape(-1)).reshape(d, d)
+    X = np.linalg.solve(K, Q.reshape(-1)).reshape(d, d)
     X = 0.5 * (X + X.T)
     R = Q - (M @ X + X @ M.T)
-    X = X + scipy.linalg.lu_solve(lu, R.reshape(-1)).reshape(d, d)
+    X = X + np.linalg.solve(K, R.reshape(-1)).reshape(d, d)
     return 0.5 * (X + X.T)
 
 
@@ -150,15 +196,22 @@ def _ou_integrals(drift: StableDrift, r: float) -> tuple[np.ndarray, np.ndarray,
 
     E and K / r are the top blocks of the exponential of [[-M r, I], [0, 0]]
     (Van Loan 1978; a coupling block r I would leak 1e-16 absolute into E at
-    large r).  C_r solves M C_r + C_r M^T = I - E E^T, written through
-    M K = I - E so that no step cancels at small r.  r is clamped at
+    large r).  Its scaled Pade approximant is squared by blocks, E <- E E
+    and K <- K + E K: squaring the whole block matrix compounds the rounding
+    of its trailing identity block (1.2e-10 relative on K at A = I,
+    B = 10^4 J, r = 349).  C_r solves M C_r + C_r M^T = I - E E^T, written
+    through M K = I - E so that no step cancels at small r.  r is clamped at
     lam r = _RELAXED, where E underflows to exactly 0."""
     if r < 0.0:
         raise ValueError("r must be non-negative")
     d = drift.dim
     r = min(r, _RELAXED / drift.lam)
-    F = mat_exp(np.block([[-drift.M * r, np.eye(d)], [np.zeros((d, 2 * d))]]))
-    E, K = F[:d, :d], r * F[:d, d:]
+    F, s = _pade_exp(np.block([[-drift.M * r, np.eye(d)], [np.zeros((d, 2 * d))]]))
+    E, K = F[:d, :d], F[:d, d:]
+    for _ in range(s):
+        K = K + E @ K
+        E = E @ E
+    K = r * K
     MK = drift.M @ K
     return E, K, _lyapunov_solve(drift.M, MK + MK.T - MK @ MK.T)
 

@@ -15,6 +15,7 @@ anti-symmetric, to the second level of every interval lift.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,11 @@ FULL_PAIRS_LIMIT = 2048
 # d = 2, blocks of 2^12 and 2^16 pairs made the sweep about 1.4x and 2x
 # slower.
 PAIR_BLOCK = 1 << 14
+
+# holder_sweep's seven planes, one set per thread, kept across calls and
+# grown on demand.  A set of 2^14-float planes is about 900 KiB, which glibc
+# would mmap and page in afresh on every call.
+_sweep_planes = threading.local()
 
 # Grid rows per block of the fine-grid kernels (lift_piecewise_linear and
 # gauss.sample_physical), so their working memory beyond the arrays they
@@ -289,10 +295,10 @@ def holder_sweep(xs, y: LiftedPath, alpha: float, shifts=None):
     j = i0+1..n, with j <= i masked, about PAIR_BLOCK pairs over the whole
     stack.  Each block is a stack of k planes, and the time-step powers and
     the target's cross terms are computed once per block for every member
-    and both distances.  Planes live in six buffers (seven with ``shifts``)
-    reused across blocks, so besides the O(k n d^2) grid arrays (one
-    level-1 and one level-2 difference per member) the sweep holds
-    O(PAIR_BLOCK + k n) floats whatever the number of pairs.
+    and both distances.  Planes live in seven buffers that the calling
+    thread keeps across blocks and calls, so besides the O(k n d^2) grid
+    arrays (one level-1 and one level-2 difference per member) the sweep
+    holds O(PAIR_BLOCK + k n) floats whatever the number of pairs.
     """
     xs = list(xs)
     if not (0.0 <= alpha < 0.5):
@@ -319,9 +325,9 @@ def holder_sweep(xs, y: LiftedPath, alpha: float, shifts=None):
     y1 = np.ascontiguousarray(y.level1.T)
     w = x1 - y1
     rows = max(1, PAIR_BLOCK // (k * n))
-    size = max(PAIR_BLOCK, k * n)
-    buf = np.empty((3 + (shifts is not None), size))  # planes with the batch axis
-    ybuf = np.empty((3, size))                        # planes shared by the batch
+    planes = _planes(max(PAIR_BLOCK, k * n))
+    buf = planes[:3 + (shifts is not None)]  # planes with the batch axis
+    ybuf = planes[4:]                        # planes shared by the batch
     sup = np.zeros((3, k))  # level 1, level 2, shifted level 2
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
@@ -357,6 +363,14 @@ def holder_sweep(xs, y: LiftedPath, alpha: float, shifts=None):
     return sup[0] + sup[1], None if shifts is None else sup[0] + sup[2]
 
 
+def _planes(size: int) -> np.ndarray:
+    """This thread's seven sweep planes of at least ``size`` floats each."""
+    planes = getattr(_sweep_planes, "planes", None)
+    if planes is None or planes.shape[1] < size:
+        planes = _sweep_planes.planes = np.empty((7, size))
+    return planes
+
+
 def _fold_sup(sq, power, pair, sup):
     """sup = max(sup, sqrt(sq) / power over the pairs), per stack member;
     ``sq`` is overwritten."""
@@ -384,7 +398,8 @@ def holder_distance(x: LiftedPath, y: LiftedPath, alpha: float) -> float:
 
     The sweep runs over blocks of about PAIR_BLOCK pairs, one plane per
     level-1 coordinate and per level-2 entry (p, q) at a time, in buffers
-    reused across blocks (about 1.6 MiB traced in all at n = 2048, d = 2).
+    the thread keeps across blocks and calls (at n = 2048, d = 2, 1.2 MiB
+    traced in all on a thread's first call and 0.33 MiB on later ones).
     Each plane repeats, in the same order, the per-pair arithmetic of a
     row-by-row sweep, and the squared entries are summed in index order.
     The result therefore equals bit for bit that of a row-by-row sweep

@@ -4,7 +4,8 @@ Each one takes a route that does not share code with the implementation it
 checks: direct segment integration instead of Chen products, quadrature
 instead of Lyapunov solves, Euler-Maruyama instead of exact transitions,
 the stationary covariance and a solve with M instead of the block
-exponential of the OU transition,
+exponential of the OU transition, scipy's expm and LU factorisation instead
+of the numpy Pade step and solves,
 a per-row pair loop instead of the blocked Hoelder kernel, an
 eigendecomposition and a plain loop instead of the blocked OU scan, and
 whole-grid arrays instead of the row-blocked lift and noise draw; full
@@ -89,6 +90,38 @@ def ou_joint_transition_lyapunov(drift, eps, h):
     covPW = eps ** 2 * np.linalg.solve(drift.M, np.eye(d) - E)
     return OUTransition(h=h, meanMap=E, covPP=eps ** 2 * Cr, covPW=covPW,
                         covWW=h * np.eye(d))
+
+
+def lyapunov_solve_scipy(M, Q):
+    """linstable._lyapunov_solve through one scipy LU factorisation of the
+    Kronecker matrix, which also serves the refinement pass."""
+    import scipy.linalg
+
+    d = M.shape[0]
+    K = np.kron(np.eye(d), M) + np.kron(M, np.eye(d))
+    lu = scipy.linalg.lu_factor(K)
+    X = scipy.linalg.lu_solve(lu, Q.reshape(-1)).reshape(d, d)
+    X = 0.5 * (X + X.T)
+    R = Q - (M @ X + X @ M.T)
+    X = X + scipy.linalg.lu_solve(lu, R.reshape(-1)).reshape(d, d)
+    return 0.5 * (X + X.T)
+
+
+def ou_integrals_scipy(drift, r):
+    """linstable._ou_integrals through scipy: ``scipy.linalg.expm`` of the
+    whole block [[-M r, I], [0, 0]], and lyapunov_solve_scipy."""
+    import scipy.linalg
+
+    from roughlift.linstable import _RELAXED
+
+    if r < 0.0:
+        raise ValueError("r must be non-negative")
+    d = drift.dim
+    r = min(r, _RELAXED / drift.lam)
+    F = scipy.linalg.expm(np.block([[-drift.M * r, np.eye(d)], [np.zeros((d, 2 * d))]]))
+    E, K = F[:d, :d], r * F[:d, d:]
+    MK = drift.M @ K
+    return E, K, lyapunov_solve_scipy(drift.M, MK + MK.T - MK @ MK.T)
 
 
 def ou_recursion_eig(E, xi):

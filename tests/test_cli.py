@@ -257,6 +257,31 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     assert run.stdout.strip() == "False"
 
 
+def _fresh_python(code):
+    src = os.path.dirname(os.path.dirname(roughlift.__file__))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["roughlift", "roughlift.cli"])
+def test_import_loads_no_scipy(module):
+    # numpy is the only runtime dependency
+    run = _fresh_python(f"import sys, {module}; "
+                        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("kind", sorted(DOCS))
+def test_cli_runs_with_scipy_unimportable(tmp_path, kind):
+    cfg = write_config(tmp_path / "c.json", DOCS[kind]())
+    out = tmp_path / "out"
+    run = _fresh_python("import sys; sys.modules['scipy'] = None; from roughlift.cli import main; "
+                        f"sys.exit(main([{kind!r}, '--config', {cfg!r}, '--out', {str(out)!r}]))")
+    assert run.returncode == 0, run.stderr
+    assert (out / "results.csv").exists()
+
+
 def test_cli_identities(tmp_path, capsys):
     out = tmp_path / "ids"
     rc = main(["identities", "--out", str(out), "--config",

@@ -301,12 +301,14 @@ def test_trial_memory_within_bound(n_ref, d, schedule):
 
 def _sweep_peak_bytes(k, n, d):
     # the sweep alone at lead-lag dimension d (lifts of dimension 2d), with
-    # its input lifts allocated before tracing starts
+    # its input lifts and the thread's sweep planes (kept across calls, and
+    # O(PAIR_BLOCK) at both shapes) allocated before tracing starts
     rng = np.random.default_rng(k * n + d)
     times = np.linspace(0.0, 1.0, n + 1)
     paths = np.cumsum(rng.standard_normal((k + 1, n + 1, 2 * d)), axis=1)
     y, *xs = (lift_piecewise_linear(times, p - p[0]) for p in paths)
     shifts = rng.standard_normal((k, 2 * d, 2 * d))
+    holder_sweep(xs, y, 0.3, shifts)
     tracemalloc.start()
     try:
         holder_sweep(xs, y, 0.3, shifts)

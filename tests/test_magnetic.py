@@ -4,8 +4,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from oracles import ou_joint_transition_lyapunov, ou_recursion_eig
-from roughlift import gauss
+from oracles import (lyapunov_solve_scipy, ou_integrals_scipy, ou_joint_transition_lyapunov,
+                     ou_recursion_eig)
+from roughlift import gauss, linstable
 from roughlift import (MagneticConfig, derive_Z, drift_at, fine_grid_n,
                        holder_distance, lift_piecewise_linear, magnetic_experiment,
                        renorm_v, run_magnetic_trial, sample_physical, translate)
@@ -169,6 +170,21 @@ def test_trial_matches_lyapunov_transition_oracle(monkeypatch):
             x, y = getattr(a, f.name), getattr(b, f.name)
             assert abs(x - y) <= 1e-12 * abs(y), f.name
 
+
+
+def test_trial_matches_scipy_transition_oracle(monkeypatch):
+    # the numpy Pade step and Kronecker solves against scipy's expm and LU
+    # factorisation, field by field (vNorm through the Lyapunov solve)
+    cfg = small_cfg(eps_schedule=tuple(2.0 ** -k for k in range(2, 6)), grid_n=64)
+    keys = [(eps, k) for eps in cfg.eps_schedule for k in range(3)]
+    new = [run_magnetic_trial(cfg, eps, k) for eps, k in keys]
+    monkeypatch.setattr(linstable, "_ou_integrals", ou_integrals_scipy)
+    monkeypatch.setattr(linstable, "_lyapunov_solve", lyapunov_solve_scipy)
+    old = [run_magnetic_trial(cfg, eps, k) for eps, k in keys]
+    for a, b in zip(new, old):
+        for f in fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert abs(x - y) <= 1e-12 * abs(y), f.name
 
 def _trial_peak_bytes(cfg, eps):
     tracemalloc.start()
