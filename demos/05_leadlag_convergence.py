@@ -15,9 +15,8 @@ print("== the identity, on one draw ==")
 rng = np.random.default_rng(3)
 x = rng.standard_normal((9, 1)).cumsum(axis=0)
 x -= x[0]
-hp = hoff_path(x)
-lift = lift_piecewise_linear(hp.times, hp.values)
-area = levy_area(lift.lift_at(len(hp.times) - 1))
+lift = lift_piecewise_linear(*hoff_path(x))
+area = levy_area(lift.lift_at(len(lift.times) - 1))
 qv = float(np.sum(np.diff(x[:, 0]) ** 2))
 print("cross area from the lift:   ", area[0, 1])
 print("closed form:                ", leadlag_area_oracle(x, 0, 8)[0, 1])

@@ -18,8 +18,8 @@ identity suites (``identities``) and reporting (``report``, ``cli``).
 __version__ = "0.1.0"
 
 from .tensor2 import (StepTwoLift, LiftedPath, RenormTerm, exp_step2, chen_mul,
-                      chen_inv, levy_area, sym_part, lift_piecewise_linear,
-                      zero_lift, translate, holder_distance, identity_lift)
+                      chen_inv, levy_area, lift_piecewise_linear, zero_lift, translate,
+                      holder_distance)
 from .linstable import StableDrift, OUTransition, mat_exp, lyapunov_C, renorm_v, \
     partial_C, ou_joint_transition
 from .gauss import (GridPath, SamplerSpec, sample_bm, sample_fbm, sample_physical,
@@ -27,25 +27,23 @@ from .gauss import (GridPath, SamplerSpec, sample_bm, sample_fbm, sample_physica
 from .magnetic import MagneticConfig, drift_at, fine_grid_n, run_magnetic_trial, \
     magnetic_experiment
 from .magnetic import TrialResult as MagneticTrialResult
-from .leadlag import (LeadLagConfig, LeadLagPath, LeadLagRenorm, hoff_path,
-                      leadlag_renorm, leadlag_area_oracle, psi_closed, psi_profile,
-                      run_leadlag_trial, leadlag_experiment)
+from .leadlag import (LeadLagConfig, hoff_path, counter_terms, leadlag_area_oracle,
+                      psi_closed, psi_profile, run_leadlag_trial, leadlag_experiment)
 from .leadlag import TrialResult as LeadLagTrialResult
 from .report import fit_loglog, emit, build_manifest
 
 __all__ = [
     "__version__",
     "StepTwoLift", "LiftedPath", "RenormTerm", "exp_step2", "chen_mul", "chen_inv",
-    "levy_area", "sym_part", "lift_piecewise_linear", "zero_lift", "translate",
-    "holder_distance", "identity_lift",
+    "levy_area", "lift_piecewise_linear", "zero_lift", "translate", "holder_distance",
     "StableDrift", "OUTransition", "mat_exp", "lyapunov_C", "renorm_v", "partial_C",
     "ou_joint_transition",
     "GridPath", "SamplerSpec", "sample_bm", "sample_fbm", "sample_physical",
     "derive_Z", "derive_seed", "fgn_autocov", "required_steps",
     "MagneticConfig", "MagneticTrialResult", "drift_at", "fine_grid_n",
     "run_magnetic_trial", "magnetic_experiment",
-    "LeadLagConfig", "LeadLagPath", "LeadLagRenorm", "LeadLagTrialResult",
-    "hoff_path", "leadlag_renorm", "leadlag_area_oracle", "psi_closed",
-    "psi_profile", "run_leadlag_trial", "leadlag_experiment",
+    "LeadLagConfig", "LeadLagTrialResult", "hoff_path", "counter_terms",
+    "leadlag_area_oracle", "psi_closed", "psi_profile", "run_leadlag_trial",
+    "leadlag_experiment",
     "fit_loglog", "emit", "build_manifest",
 ]

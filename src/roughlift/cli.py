@@ -146,8 +146,11 @@ def _cmd_identities(args) -> int:
     opts = _options(args, IDENTITIES_OPTIONS)
     seed = args.seed if args.seed is not None else opts.get("base_seed", 0)
     _require(seed >= 0, f"the identities seed must be >= 0, got {seed}")
-    checks = identities.run_all(seed=seed, n_paths=opts.get("paths", 200),
-                                n_drifts=opts.get("drifts", 100))
+    n_paths, n_drifts = opts.get("paths", 200), opts.get("drifts", 100)
+    _require(1 <= n_paths <= report.MAX_TRIALS and 1 <= n_drifts <= report.MAX_TRIALS,
+             f"paths and drifts must lie in [1, MAX_TRIALS = {report.MAX_TRIALS}], "
+             f"got {n_paths} and {n_drifts}")
+    checks = identities.run_all(seed=seed, n_paths=n_paths, n_drifts=n_drifts)
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"{status} {c.name} (max_err={c.max_err:.3e}, tol={c.tol:.0e})")
@@ -167,7 +170,9 @@ def _cmd_psi(args) -> int:
     h_list = opts.get("H_list", (0.30, 0.35, 0.40, 0.45, 0.50))
     n = opts.get("n", 4096)
     k_list = opts.get("K_list", [2 ** j for j in range(13) if 2 ** j <= n])
-    _require(n >= 1 and h_list and k_list, "psi needs n >= 1 and non-empty H_list and K_list")
+    _require(1 <= n <= report.MAX_GRID_STEPS and h_list and k_list,
+             f"psi needs 1 <= n <= MAX_GRID_STEPS = {report.MAX_GRID_STEPS} "
+             "and non-empty H_list and K_list")
     _require(all(0.0 < h < 1.0 for h in h_list), "every H must lie in (0, 1)")
     _require(all(1 <= k <= n for k in k_list), "every K must satisfy 1 <= K <= n")
     rows = []

@@ -169,8 +169,7 @@ def leadlag_oracle_errors(samples) -> tuple[float, float, float]:
     over every partition pair of one sample set, relative errors."""
     x = np.asarray(samples, dtype=float)
     n, d = x.shape[0] - 1, x.shape[1]
-    hp = hoff_path(x)
-    hoff = lift_piecewise_linear(hp.times, hp.values)
+    hoff = lift_piecewise_linear(*hoff_path(x))
     ref = lift_piecewise_linear(np.arange(n + 1) / n, np.hstack([x, x]))
     worst_or = worst_diag = worst_qv = 0.0
     for m in range(n + 1):

@@ -21,14 +21,14 @@ closed forms and by direct integration of the two-segment case).
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gauss import SamplerSpec, derive_seed, sample_fbm
 from .report import (MAX_GRID_STEPS, MAX_TRIALS, TRIAL_BYTES, leadlag_trial_bytes,
                      summary_rows)
-from .tensor2 import FULL_PAIRS_LIMIT, RenormTerm, holder_sweep, lift_piecewise_linear
+from .tensor2 import FULL_PAIRS_LIMIT, holder_sweep, lift_piecewise_linear
 # holder_distance and translate stay importable from here: perfbench/tracing.py
 # wraps them under this module's name
 from .tensor2 import holder_distance, translate  # noqa: F401
@@ -36,25 +36,9 @@ from .tensor2 import holder_distance, translate  # noqa: F401
 LEADLAG_FIELDS = ("dist_renorm", "dist_raw", "areaDev1")
 
 
-@dataclass(frozen=True)
-class LeadLagPath:
-    """2d-dimensional lead-lag path built from (n+1) d-dimensional samples."""
-
-    samples: np.ndarray      # (n+1, d)
-    times: np.ndarray        # (2n+1,) knots j/(2n)
-    values: np.ndarray       # (2n+1, 2d)
-
-    @property
-    def n(self) -> int:
-        return self.samples.shape[0] - 1
-
-    @property
-    def d(self) -> int:
-        return self.samples.shape[1]
-
-
-def hoff_path(samples) -> LeadLagPath:
-    """Lead-lag knots: lag holds then moves, lead moves then holds."""
+def hoff_path(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Lead-lag knots j/(2n) and their (2n+1, 2d) values: lag holds then
+    moves, lead moves then holds."""
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
@@ -65,49 +49,16 @@ def hoff_path(samples) -> LeadLagPath:
     values[0::2, :d] = values[0::2, d:] = x  # knot 2i: (X_i, X_i)
     values[1::2, :d] = x[:-1]                # knot 2i+1: (X_i, X_{i+1})
     values[1::2, d:] = x[1:]
-    times = np.arange(2 * n + 1) / (2 * n)
-    return LeadLagPath(samples=x, times=times, values=values)
+    return np.arange(2 * n + 1) / (2 * n), values
 
 
-@dataclass(frozen=True)
-class LeadLagRenorm:
-    """Counter-term for mesh 1/n at Hurst index H.
-
-    v_scalar = n^{1-2H}/2 is the expected quadratic variation per unit
-    time (halved); the 2d x 2d term carries +v_scalar I on the (lag, lead)
-    block and -v_scalar I opposite.
-    """
-
-    H: float
-    n: int
-    d: int
-    v_scalar: float = field(init=False)
-    term: RenormTerm = field(init=False)
-
-    def __post_init__(self):
-        if not (0.0 < self.H < 1.0):
-            raise ValueError("H must lie in (0, 1)")
-        if self.n < 1 or self.d < 1:
-            raise ValueError("n and d must be >= 1")
-        vs = _v_scalar(self.H, self.n)
-        object.__setattr__(self, "v_scalar", vs)
-        object.__setattr__(self, "term", RenormTerm(_cross_blocks([vs], self.d)[0]))
-
-
-def _v_scalar(H: float, n: int) -> float:
-    return 0.5 * float(n) ** (1.0 - 2.0 * H)
-
-
-def _cross_blocks(v_scalars, d: int) -> np.ndarray:
-    """(k, 2d, 2d) stack of counter-terms: +v_m I on the (lag, lead) block
-    and -v_m I opposite."""
+def counter_terms(H: float, ns, d: int) -> np.ndarray:
+    """(k, 2d, 2d) stack of counter-terms for the meshes 1/n, n in ns: with
+    v = n^{1-2H}/2, +v I on the (lag, lead) block and -v I opposite."""
     eye, zero = np.eye(d), np.zeros((d, d))
     unit = np.block([[zero, eye], [-eye, zero]])
-    return np.asarray(v_scalars, dtype=float)[:, None, None] * unit
-
-
-def leadlag_renorm(H: float, n: int, d: int) -> LeadLagRenorm:
-    return LeadLagRenorm(H=H, n=n, d=d)
+    v = np.array([0.5 * float(n) ** (1.0 - 2.0 * H) for n in ns])
+    return v[:, None, None] * unit
 
 
 def _pathwise_levy(x: np.ndarray, m: int, k: int) -> np.ndarray:
@@ -252,11 +203,9 @@ def run_leadlag_trial(cfg: LeadLagConfig, trial_index: int) -> list[TrialResult]
     n_min = cfg.n_schedule[0]
     ref_common = lift_piecewise_linear(ref.times, np.hstack([ref.values, ref.values]),
                                        stride=cfg.n_ref // n_min)
-    lifts = []
-    for n in cfg.n_schedule:
-        hp = hoff_path(ref.values[::cfg.n_ref // n])
-        lifts.append(lift_piecewise_linear(hp.times, hp.values, stride=2 * n // n_min))
-    shifts = _cross_blocks([_v_scalar(cfg.H, n) for n in cfg.n_schedule], cfg.d)
+    lifts = [lift_piecewise_linear(*hoff_path(ref.values[::cfg.n_ref // n]),
+                                   stride=2 * n // n_min) for n in cfg.n_schedule]
+    shifts = counter_terms(cfg.H, cfg.n_schedule, cfg.d)
     dist_raw, dist_ren = holder_sweep(lifts, ref_common, cfg.alpha, shifts)
     ref_area = 0.5 * (ref_common.level2[-1] - ref_common.level2[-1].T)
     out = []

@@ -169,10 +169,6 @@ class LiftedPath:
         return LiftedPath(t, np.ascontiguousarray(l1), np.ascontiguousarray(l2))
 
 
-def identity_lift(dim: int) -> StepTwoLift:
-    return StepTwoLift(np.zeros(dim), np.zeros((dim, dim)))
-
-
 def exp_step2(increment) -> StepTwoLift:
     """Lift of a straight segment: level2 = (1/2) increment (x) increment."""
     inc = _as_vector(increment, "increment")
@@ -195,10 +191,6 @@ def chen_inv(a: StepTwoLift) -> StepTwoLift:
 def levy_area(a: StepTwoLift) -> np.ndarray:
     """Anti-symmetric part of the second level."""
     return 0.5 * (a.level2 - a.level2.T)
-
-
-def sym_part(a: StepTwoLift) -> np.ndarray:
-    return 0.5 * (a.level2 + a.level2.T)
 
 
 def running_sum_block(steps, out, k0: int) -> None:

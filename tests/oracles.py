@@ -9,11 +9,11 @@ of the numpy Pade step and solves,
 a per-row pair loop instead of the blocked Hoelder kernel, an
 eigendecomposition and a plain loop instead of the blocked OU scan, and
 whole-grid arrays instead of the row-blocked lift and noise draw; full
-lifts and one distance call each instead of the lead-lag trial's strided
-lifts and single sweep; a complex FFT per component, with the embedding
-rebuilt on every call, instead of the cached real-spectrum fGn map; and
-the Cholesky factor of the fGn covariance instead of its circulant
-embedding.
+lifts, one distance call each and a counter-term written out instead of
+the lead-lag trial's strided lifts, single sweep and counter_terms; a
+complex FFT per component, with the embedding rebuilt on every call,
+instead of the cached real-spectrum fGn map; and the Cholesky factor of
+the fGn covariance instead of its circulant embedding.
 """
 import numpy as np
 from scipy.integrate import quad_vec
@@ -290,10 +290,11 @@ def sample_fbm_cholesky(spec):
 def leadlag_trial_full_lifts(cfg, trial_index: int):
     """leadlag.run_leadlag_trial by full lifts: every path lifted on its own
     grid, restricted to the coarsest schedule grid, and two holder_distance
-    calls per n, the renormalised one on a translated lift."""
+    calls per n, the renormalised one on a translated lift.  The counter-term
+    is written out here: n^{1-2H}/2 on [[0, I], [-I, 0]]."""
     from roughlift.gauss import SamplerSpec, derive_seed, sample_fbm
-    from roughlift.leadlag import TrialResult, hoff_path, leadlag_renorm
-    from roughlift.tensor2 import holder_distance, lift_piecewise_linear, translate
+    from roughlift.leadlag import TrialResult, hoff_path
+    from roughlift.tensor2 import RenormTerm, holder_distance, lift_piecewise_linear, translate
 
     spec = SamplerSpec(seed=derive_seed(cfg.base_seed, trial_index),
                        H=cfg.H, n=cfg.n_ref, d=cfg.d)
@@ -304,18 +305,18 @@ def leadlag_trial_full_lifts(cfg, trial_index: int):
     ref_common = ref_lift.restrict(np.arange(0, cfg.n_ref + 1, cfg.n_ref // n_min))
     ref_area = 0.5 * (ref_lift.level2[-1] - ref_lift.level2[-1].T)
 
+    eye, zero = np.eye(cfg.d), np.zeros((cfg.d, cfg.d))
     out = []
     for n in cfg.n_schedule:
-        x = ref.values[::cfg.n_ref // n]
-        hp = hoff_path(x)
-        lift = lift_piecewise_linear(hp.times, hp.values)
+        lift = lift_piecewise_linear(*hoff_path(ref.values[::cfg.n_ref // n]))
         common = lift.restrict(np.arange(0, 2 * n + 1, 2 * n // n_min))
-        ren = leadlag_renorm(cfg.H, n, cfg.d)
-        dist_ren = holder_distance(translate(common, ren.term), ref_common, cfg.alpha)
+        v = 0.5 * n ** (1 - 2 * cfg.H)
+        term = RenormTerm(np.block([[zero, v * eye], [-v * eye, zero]]))
+        dist_ren = holder_distance(translate(common, term), ref_common, cfg.alpha)
         dist_raw = holder_distance(common, ref_common, cfg.alpha)
         area = 0.5 * (lift.level2[-1] - lift.level2[-1].T)
         dev = ref_area - area
         area_dev = float(np.mean(np.diagonal(dev[:cfg.d, cfg.d:])))
         out.append(TrialResult(n=n, dist_renorm=dist_ren, dist_raw=dist_raw,
-                               areaDev1=area_dev, vNorm=ren.term.norm))
+                               areaDev1=area_dev, vNorm=term.norm))
     return out

@@ -14,6 +14,7 @@ from roughlift.cli import (ConfigError, LEADLAG_COLUMNS, MAGNETIC_COLUMNS, _conf
                            main, parse_config)
 from roughlift.leadlag import LeadLagConfig
 from roughlift.magnetic import MagneticConfig
+from roughlift.report import MAX_GRID_STEPS, MAX_TRIALS
 
 MAGNETIC_HEADER = ("eps,vnorm,distP_renorm_mean,distP_renorm_se,distP_raw_mean,"
                    "distP_raw_se,distZ_renorm_mean,distZ_renorm_se,distZ_raw_mean,"
@@ -282,7 +283,11 @@ def test_cli_runs_with_scipy_unimportable(tmp_path, kind):
     assert (out / "results.csv").exists()
 
 
-def test_cli_identities(tmp_path, capsys):
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started")
+
+
+def test_cli_identities(tmp_path, capsys, monkeypatch):
     out = tmp_path / "ids"
     rc = main(["identities", "--out", str(out), "--config",
                write_config(tmp_path / "i.json", {"paths": 20, "drifts": 10})])
@@ -291,7 +296,10 @@ def test_cli_identities(tmp_path, capsys):
     assert all(line.startswith("PASS") for line in lines)
     doc = json.loads((out / "identities.json").read_text())
     assert all(entry["passed"] for entry in doc.values())
-    for bad in ({"paths": "x"}, {"drifts": 1.5}, {"path": 20}, {"base_seed": -1}):
+    monkeypatch.setattr(roughlift.identities, "run_all", _no_work)
+    for bad in ({"paths": "x"}, {"drifts": 1.5}, {"path": 20}, {"base_seed": -1},
+                {"paths": 0, "drifts": 0}, {"paths": 0}, {"drifts": 0}, {"paths": -1},
+                {"paths": MAX_TRIALS + 1}, {"drifts": MAX_TRIALS + 1}):
         bad_out = tmp_path / "bad"
         rc = main(["identities", "--out", str(bad_out), "--config",
                    write_config(tmp_path / "bad.json", bad)])
@@ -316,7 +324,7 @@ def test_manifest_config_reproduces_csv(tmp_path):
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
 
 
-def test_cli_psi(tmp_path):
+def test_cli_psi(tmp_path, monkeypatch):
     out1, out2 = tmp_path / "p1", tmp_path / "p2"
     cfg = write_config(tmp_path / "p.json", {"n": 256, "H_list": [0.3, 0.5]})
     assert main(["psi", "--config", cfg, "--out", str(out1)]) == 0
@@ -327,8 +335,10 @@ def test_cli_psi(tmp_path):
     assert header == "H,n,K,psi,bound,ratio"
     ratios = [float(line.split(",")[-1]) for line in b1.decode().splitlines()[1:]]
     assert max(ratios) <= 1.0
+    monkeypatch.setattr(roughlift.cli, "psi_closed", _no_work)
     for bad in ({"n": "abc"}, {"K_lst": [2]}, {"H_list": 0.3}, {"K_list": [2, True]},
-                {"n": 0}, {"H_list": []}):
+                {"n": 0}, {"H_list": []}, {"n": 2 ** 62, "K_list": [2 ** 62]},
+                {"n": 10 ** 400}, {"n": MAX_GRID_STEPS + 1}):
         bad_out = tmp_path / "bad"
         rc = main(["psi", "--config", write_config(tmp_path / "bad.json", bad),
                    "--out", str(bad_out)])

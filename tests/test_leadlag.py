@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from roughlift import (LeadLagConfig, SamplerSpec, hoff_path, leadlag_area_oracle,
-                       leadlag_experiment, leadlag_renorm, psi_closed, psi_profile,
+from roughlift import (LeadLagConfig, SamplerSpec, counter_terms, hoff_path,
+                       leadlag_area_oracle, leadlag_experiment, psi_closed, psi_profile,
                        run_leadlag_trial, sample_fbm)
 from roughlift import gauss, leadlag
 from roughlift.identities import leadlag_oracle_errors, psi_bruteforce
@@ -18,32 +18,32 @@ from oracles import leadlag_trial_full_lifts, sample_fbm_complex_fft
 # ----------------------------------------------------------------- hoff_path
 
 def test_hoff_knots_two_samples():
-    hp = hoff_path(np.array([[0.0], [0.7]]))
-    assert hp.values.tolist() == [[0.0, 0.0], [0.0, 0.7], [0.7, 0.7]]
-    assert hp.times.tolist() == [0.0, 0.5, 1.0]
+    times, values = hoff_path(np.array([[0.0], [0.7]]))
+    assert values.tolist() == [[0.0, 0.0], [0.0, 0.7], [0.7, 0.7]]
+    assert times.tolist() == [0.0, 0.5, 1.0]
 
 
 def test_hoff_knot_equations():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((9, 2))
-    hp = hoff_path(x)
+    _, values = hoff_path(x)
     n, d = 8, 2
     for i in range(n):
-        assert np.all(hp.values[2 * i] == np.concatenate([x[i], x[i]]))
-        assert np.all(hp.values[2 * i + 1] == np.concatenate([x[i], x[i + 1]]))
-    assert np.all(hp.values[2 * n] == np.concatenate([x[n], x[n]]))
+        assert np.all(values[2 * i] == np.concatenate([x[i], x[i]]))
+        assert np.all(values[2 * i + 1] == np.concatenate([x[i], x[i + 1]]))
+    assert np.all(values[2 * n] == np.concatenate([x[n], x[n]]))
 
 
 def test_hoff_constant_samples():
-    hp = hoff_path(np.ones((5, 3)) * 2.5)
-    assert np.all(np.diff(hp.values, axis=0) == 0.0)
+    _, values = hoff_path(np.ones((5, 3)) * 2.5)
+    assert np.all(np.diff(values, axis=0) == 0.0)
 
 
 def test_hoff_lead_lag_total_variation_equal():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((13, 2))
-    hp = hoff_path(x)
-    inc = np.diff(hp.values, axis=0)
+    _, values = hoff_path(x)
+    inc = np.diff(values, axis=0)
     tv_lag = np.sum(np.abs(inc[:, :2]), axis=0)
     tv_lead = np.sum(np.abs(inc[:, 2:]), axis=0)
     assert np.abs(tv_lag - tv_lead).max() <= 1e-14 * max(1.0, tv_lag.max())
@@ -57,17 +57,19 @@ def test_hoff_rejects_single_sample():
 # ------------------------------------------------------------- counter-term
 
 def test_renorm_scalar_values():
-    assert leadlag_renorm(0.5, 1, 1).v_scalar == 0.5
-    assert leadlag_renorm(0.5, 1024, 1).v_scalar == 0.5
-    assert abs(leadlag_renorm(0.4, 16, 1).v_scalar - 0.8705505632961241) <= 1e-15
+    # v = n^{1-2H}/2, read off the (lag, lead) block of each member
+    assert counter_terms(0.5, (1, 1024), 1)[:, 0, 1].tolist() == [0.5, 0.5]
+    assert abs(counter_terms(0.4, (16,), 1)[0, 0, 1] - 0.8705505632961241) <= 1e-15
     for H in (0.26, 0.35, 0.49):
-        assert leadlag_renorm(H, 1, 2).v_scalar == 0.5
+        assert counter_terms(H, (1,), 2)[0, 0, 2] == 0.5
 
 
 def test_renorm_block_structure():
-    ren = leadlag_renorm(0.4, 8, 2)
-    vt = ren.term.v
-    vs = ren.v_scalar
+    stack = counter_terms(0.4, (4, 8, 16), 2)
+    assert stack.shape == (3, 4, 4)
+    vt = stack[1]
+    vs = 0.5 * 8.0 ** (1.0 - 2.0 * 0.4)
+    assert np.array_equal(counter_terms(0.4, (8,), 2)[0], vt)
     assert np.all(vt[:2, :2] == 0.0) and np.all(vt[2:, 2:] == 0.0)
     assert np.all(vt[:2, 2:] == vs * np.eye(2))   # +v on the (lag, lead) block
     assert np.all(vt[2:, :2] == -vs * np.eye(2))
@@ -216,9 +218,9 @@ def test_trial_coupled_grid_alignment():
     from roughlift.gauss import derive_seed
     ref = sample_fbm(SamplerSpec(seed=derive_seed(9, 2), H=0.4, n=64, d=1))
     x8 = ref.values[::8]
-    hp = hoff_path(x8)
-    assert hp.values.shape == (17, 2)
-    assert np.all(hp.values[::2, 0] == x8[:, 0])
+    _, values = hoff_path(x8)
+    assert values.shape == (17, 2)
+    assert np.all(values[::2, 0] == x8[:, 0])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

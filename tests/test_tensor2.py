@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from roughlift import tensor2
-from roughlift import (RenormTerm, chen_inv, chen_mul, exp_step2, holder_distance,
-                       identity_lift, levy_area, lift_piecewise_linear, sym_part,
-                       translate)
+from roughlift import (RenormTerm, StepTwoLift, chen_inv, chen_mul, exp_step2,
+                       holder_distance, levy_area, lift_piecewise_linear, translate)
 from roughlift.tensor2 import holder_sweep
 from roughlift.identities import random_lifted_paths
 
@@ -45,7 +44,7 @@ def test_exp_step2_rejects_nonfinite():
 
 def test_chen_mul_identity():
     b = exp_step2([0.3, -1.2])
-    ab = chen_mul(identity_lift(2), b)
+    ab = chen_mul(StepTwoLift(np.zeros(2), np.zeros((2, 2))), b)
     assert np.abs(ab.level1 - b.level1).max() <= TOL
     assert np.abs(ab.level2 - b.level2).max() <= TOL
 
@@ -74,7 +73,7 @@ def test_chen_mul_dim_mismatch():
 # ----------------------------------------------------------------- chen_inv
 
 def test_chen_inv_identity():
-    r = chen_inv(identity_lift(3))
+    r = chen_inv(StepTwoLift(np.zeros(3), np.zeros((3, 3))))
     assert np.all(r.level1 == 0.0) and np.all(r.level2 == 0.0)
 
 
@@ -285,7 +284,8 @@ def test_translate_roundtrip_and_chen():
         a, b = path.interval(i, j), fwd.interval(i, j)
         dt = path.times[j] - path.times[i]
         assert np.abs(b.level2 - a.level2 - dt * v.v).max() <= TOL * max(1, dt * v.norm)
-        assert np.abs(sym_part(a) - sym_part(b)).max() <= TOL
+        sym_a, sym_b = a.level2 + a.level2.T, b.level2 + b.level2.T
+        assert np.abs(0.5 * (sym_a - sym_b)).max() <= TOL
 
 
 def test_translate_rejects_non_antisymmetric():
@@ -399,7 +399,7 @@ def _assert_matches_rowloop(x, y, alpha):
 
 
 # block edges at 2^14 pairs per block, and grids either side of FULL_PAIRS_LIMIT
-@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 63, 64, 65, 255, 256, 257, 2048, 2049, 4096])
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 63, 64, 65, 255, 256, 257, 2048, 2049])
 def test_holder_block_kernel_matches_rowloop(n):
     rng = np.random.default_rng(n)
     for k, alpha in enumerate((0.0, 0.3, 0.49)):
@@ -450,8 +450,8 @@ def _assert_sweep_matches_single_calls(rng, n, d, alpha):
     assert holder_sweep(xs, y, alpha)[1] is None
 
 
-# one block, several row blocks, and one row per block beyond FULL_PAIRS_LIMIT
-@pytest.mark.parametrize("n", [1, 16, 100, 257, 4096])
+# one block and several row blocks; test_sweep_ragged_blocks has one row per block
+@pytest.mark.parametrize("n", [1, 16, 100, 257])
 def test_sweep_members_match_single_distances(n):
     rng = np.random.default_rng(n)
     for d, alpha in ((1, 0.0), (2, 0.3), (3, 0.49)):
