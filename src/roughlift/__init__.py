@@ -20,8 +20,7 @@ __version__ = "0.1.0"
 from .tensor2 import (StepTwoLift, LiftedPath, RenormTerm, exp_step2, chen_mul,
                       chen_inv, levy_area, lift_piecewise_linear, zero_lift, translate,
                       holder_distance)
-from .linstable import StableDrift, OUTransition, mat_exp, lyapunov_C, renorm_v, \
-    partial_C, ou_joint_transition
+from .linstable import StableDrift, OUTransition, lyapunov_C, renorm_v, ou_joint_transition
 from .gauss import (GridPath, SamplerSpec, sample_bm, sample_fbm, sample_physical,
                     derive_Z, derive_seed, fgn_autocov, required_steps)
 from .magnetic import MagneticConfig, drift_at, fine_grid_n, run_magnetic_trial, \
@@ -36,8 +35,7 @@ __all__ = [
     "__version__",
     "StepTwoLift", "LiftedPath", "RenormTerm", "exp_step2", "chen_mul", "chen_inv",
     "levy_area", "lift_piecewise_linear", "zero_lift", "translate", "holder_distance",
-    "StableDrift", "OUTransition", "mat_exp", "lyapunov_C", "renorm_v", "partial_C",
-    "ou_joint_transition",
+    "StableDrift", "OUTransition", "lyapunov_C", "renorm_v", "ou_joint_transition",
     "GridPath", "SamplerSpec", "sample_bm", "sample_fbm", "sample_physical",
     "derive_Z", "derive_seed", "fgn_autocov", "required_steps",
     "MagneticConfig", "MagneticTrialResult", "drift_at", "fine_grid_n",

@@ -37,6 +37,9 @@ EXPERIMENTS = {"magnetic": MagneticConfig, "leadlag": LeadLagConfig}
 IDENTITIES_OPTIONS = {"paths": int, "drifts": int, "base_seed": int}
 PSI_OPTIONS = {"H_list": tuple[float, ...], "n": int, "K_list": tuple[int, ...]}
 
+# Trial workers (OS threads), each holding up to report.TRIAL_BYTES
+MAX_THREADS = 64
+
 
 class ConfigError(ValueError):
     """Rejected run configuration (exit code 2)."""
@@ -49,11 +52,11 @@ def _require(cond: bool, message: str):
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:  # RFC 8259: JSON is UTF-8
             doc = json.load(f)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, UnicodeDecodeError, nesting
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     _require(isinstance(doc, dict), "config must be a JSON object")
     return doc
@@ -219,8 +222,9 @@ def main(argv=None) -> int:
     if args.command in ("magnetic", "leadlag") and args.config is None:
         print("config error: --config is required", file=sys.stderr)
         return 2
-    if args.threads < 1:
-        print(f"config error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
+    if not 1 <= args.threads <= MAX_THREADS:
+        print(f"config error: --threads must lie in [1, MAX_THREADS = {MAX_THREADS}], "
+              f"got {args.threads}", file=sys.stderr)
         return 2
     try:
         return _COMMANDS[args.command](args)

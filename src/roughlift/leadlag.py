@@ -194,8 +194,9 @@ def run_leadlag_trial(cfg: LeadLagConfig, trial_index: int) -> list[TrialResult]
     those knots, so the distance is carried entirely by the second level.
     Every lift is built on that grid directly (a strided lift), and one
     Hoelder sweep gives the raw and renormalised distances of all n.
-    areaDev1 is the mean (i, d+i) cross entry of the raw area deviation at
-    (0, 1), i.e. half the mean diagonal quadratic variation.
+    areaDev1 is minus the mean (i, d+i) area entry of the lead-lag lift at
+    (0, 1), where the doubled path's area ([[S, S], [S, S]] at level 2) is
+    exactly 0: half the mean diagonal quadratic variation.
     """
     spec = SamplerSpec(seed=derive_seed(cfg.base_seed, trial_index),
                        H=cfg.H, n=cfg.n_ref, d=cfg.d)
@@ -207,10 +208,9 @@ def run_leadlag_trial(cfg: LeadLagConfig, trial_index: int) -> list[TrialResult]
                                    stride=2 * n // n_min) for n in cfg.n_schedule]
     shifts = counter_terms(cfg.H, cfg.n_schedule, cfg.d)
     dist_raw, dist_ren = holder_sweep(lifts, ref_common, cfg.alpha, shifts)
-    ref_area = 0.5 * (ref_common.level2[-1] - ref_common.level2[-1].T)
     out = []
     for n, lift, raw, ren, v in zip(cfg.n_schedule, lifts, dist_raw, dist_ren, shifts):
-        dev = ref_area - 0.5 * (lift.level2[-1] - lift.level2[-1].T)
+        dev = 0.5 * (lift.level2[-1].T - lift.level2[-1])
         area_dev = float(np.mean(np.diagonal(dev[:cfg.d, cfg.d:])))
         out.append(TrialResult(n=n, dist_renorm=float(ren), dist_raw=float(raw),
                                areaDev1=area_dev, vNorm=float(np.linalg.norm(v))))

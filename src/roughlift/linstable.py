@@ -15,9 +15,9 @@ vectorises the equation by Kronecker products rather than Bartels-Stewart,
 so it holds three d^2 x d^2 matrices (report.lyapunov_bytes); a magnetic
 config is rejected where that exceeds report.TRIAL_BYTES, i.e. beyond d = 74.
 
-The module needs numpy alone: matrix exponentials are Higham's (2005)
-scaling and squaring of [m/m] Pade approximants, and linear systems go
-through np.linalg.solve.
+The module needs numpy alone: the transition's one matrix exponential is
+Higham's (2005) scaling and squaring of [m/m] Pade approximants, and linear
+systems go through np.linalg.solve.
 """
 from __future__ import annotations
 
@@ -34,12 +34,8 @@ _RELAXED = 1000.0
 
 # Numerator coefficients b_0..b_m of the [m/m] Pade approximant of e^X, and
 # the 1-norm theta_m up to which it is accurate to double precision without
-# scaling (Higham 2005, Table 2.3).
+# scaling (Higham 2005, Table 2.3); see _pade_exp for why m < 9 is left out.
 _PADE = (
-    (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    (5, 2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    (7, 9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
-                               1512.0, 56.0, 1.0)),
     (9, 2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
                               30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
     (13, 5.371920351148152e0, (64764752532480000.0, 32382376266240000.0,
@@ -129,7 +125,9 @@ def _pade_exp(X) -> tuple[np.ndarray, int]:
     """(F, s) with F^(2^s) = e^X: the [m/m] Pade approximant of e^{X / 2^s}
     for the least m (and then s) that Higham's (2005) theta_m allows.  The
     approximant is (V - U)^{-1} (V + U), where V + U is its numerator with
-    U the odd and V the even powers."""
+    U the odd and V the even powers.  The one X here, _ou_integrals's block
+    [[-M r, I], [0, 0]], has identity columns of 1-norm 1, so ||X||_1 >= 1 >
+    theta_7: Higham's m = 3, 5 and 7 could never be picked and are left out."""
     norm = float(np.linalg.norm(X, 1))
     s = 0
     for m, theta, b in _PADE:
@@ -145,21 +143,6 @@ def _pade_exp(X) -> tuple[np.ndarray, int]:
     U = X @ sum(b[2 * k + 1] * P for k, P in enumerate(powers))
     V = sum(b[2 * k] * P for k, P in enumerate(powers))
     return np.linalg.solve(V - U, V + U), s
-
-
-def mat_exp(M) -> np.ndarray:
-    """Matrix exponential: Higham's (2005) scaling and squaring, with the
-    [m/m] Pade approximant (m in 3, 5, 7, 9, 13) of e^{M / 2^s} squared s
-    times."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix entries must be finite")
-    F, s = _pade_exp(M)
-    for _ in range(s):
-        F = F @ F
-    return F
 
 
 def _lyapunov_solve(M, Q) -> np.ndarray:
@@ -202,8 +185,6 @@ def _ou_integrals(drift: StableDrift, r: float) -> tuple[np.ndarray, np.ndarray,
     B = 10^4 J, r = 349).  C_r solves M C_r + C_r M^T = I - E E^T, written
     through M K = I - E so that no step cancels at small r.  r is clamped at
     lam r = _RELAXED, where E underflows to exactly 0."""
-    if r < 0.0:
-        raise ValueError("r must be non-negative")
     d = drift.dim
     r = min(r, _RELAXED / drift.lam)
     F, s = _pade_exp(np.block([[-drift.M * r, np.eye(d)], [np.zeros((d, 2 * d))]]))
@@ -214,11 +195,6 @@ def _ou_integrals(drift: StableDrift, r: float) -> tuple[np.ndarray, np.ndarray,
     K = r * K
     MK = drift.M @ K
     return E, K, _lyapunov_solve(drift.M, MK + MK.T - MK @ MK.T)
-
-
-def partial_C(drift: StableDrift, r: float) -> np.ndarray:
-    """Finite-horizon covariance C_r = int_0^r e^{-Mu} e^{-M^T u} du, increasing to C."""
-    return _ou_integrals(drift, r)[2]
 
 
 def ou_joint_transition(drift: StableDrift, eps: float, h: float) -> OUTransition:

@@ -84,7 +84,7 @@ def fit_loglog(points):
     resid = ly - (intercept + slope * lx)
     dof = len(pts) - 2
     ssr = float(np.sum(resid ** 2))
-    stderr = float(np.sqrt(ssr / dof / sxx)) if dof > 0 else 0.0
+    stderr = float(np.sqrt(ssr / dof / sxx))
     return slope, intercept, stderr
 
 

@@ -76,7 +76,7 @@ def ou_joint_transition_lyapunov(drift, eps, h):
     covPP = eps^2 (C - E C E^T) and covPW = eps^2 M^{-1} (I - E), with E = 0
     and covPP = eps^2 C beyond lam r = 350 (r = h / eps^2).  Both formulas
     cancel at small r: about 1e-16 / r relative."""
-    from roughlift.linstable import OUTransition, lyapunov_C, mat_exp
+    from roughlift.linstable import OUTransition, _pade_exp, lyapunov_C
 
     d = drift.dim
     r = h / eps ** 2
@@ -84,7 +84,9 @@ def ou_joint_transition_lyapunov(drift, eps, h):
     if drift.lam * r > 350.0:
         E, Cr = np.zeros((d, d)), C
     else:
-        E = mat_exp(-drift.M * r)
+        E, s = _pade_exp(-drift.M * r)
+        for _ in range(s):
+            E = E @ E
         Cr = C - E @ C @ E.T
         Cr = 0.5 * (Cr + Cr.T)
     covPW = eps ** 2 * np.linalg.solve(drift.M, np.eye(d) - E)
@@ -114,8 +116,6 @@ def ou_integrals_scipy(drift, r):
 
     from roughlift.linstable import _RELAXED
 
-    if r < 0.0:
-        raise ValueError("r must be non-negative")
     d = drift.dim
     r = min(r, _RELAXED / drift.lam)
     F = scipy.linalg.expm(np.block([[-drift.M * r, np.eye(d)], [np.zeros((d, 2 * d))]]))

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import roughlift
 from roughlift import leadlag, magnetic
-from roughlift.cli import (ConfigError, LEADLAG_COLUMNS, MAGNETIC_COLUMNS, _config_echo,
-                           main, parse_config)
+from roughlift.cli import (MAX_THREADS, ConfigError, LEADLAG_COLUMNS, MAGNETIC_COLUMNS,
+                           _config_echo, main, parse_config)
 from roughlift.leadlag import LeadLagConfig
 from roughlift.magnetic import MagneticConfig
 from roughlift.report import MAX_GRID_STEPS, MAX_TRIALS
@@ -21,8 +21,20 @@ MAGNETIC_HEADER = ("eps,vnorm,distP_renorm_mean,distP_renorm_se,distP_raw_mean,"
                    "distZ_raw_se,areaDev1_mean,areaDev1_se")
 
 
+# Config files that are not JSON documents: not UTF-8, nested deeper than
+# the parser's recursion limit, and an integer past Python's digit limit.
+NOT_UTF8 = b'\xff\xfe{"paths": 5}'
+TOO_DEEP = b"[" * 100_000 + b"]" * 100_000
+TOO_MANY_DIGITS = b'{"n": ' + b"1" * 5000 + b"}"
+RAW_FILES = (NOT_UTF8, TOO_DEEP, TOO_MANY_DIGITS)
+
+
 def write_config(path, doc):
-    path.write_text(json.dumps(doc))
+    """Write doc as JSON, or bytes as they are."""
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(json.dumps(doc))
     return str(path)
 
 
@@ -177,15 +189,22 @@ def test_cli_config_rejection_exit_code(tmp_path):
     ("leadlag", {"base_seed": -1}),
     ("magnetic", {"base_seed": 2 ** 64}),
     ("leadlag", {"base_seed": 2 ** 64}),
+    ("magnetic", NOT_UTF8),
+    ("leadlag", NOT_UTF8),
+    ("magnetic", TOO_DEEP),
+    ("leadlag", TOO_DEEP),
+    ("leadlag", TOO_MANY_DIGITS),
 ], ids=["T-infinite", "fbm_method", "grid_n-float", "mc_trials-bool",
         "n_schedule-float", "unknown-key", "A-indefinite", "A-overflow",
         "mc_trials-huge", "grid_n-huge", "eps-underflow", "n_ref-huge", "d-huge",
         "leadlag-trial-over-budget", "fine-grid-over-budget",
         "grid_n-over-pairs-limit", "n_min-over-pairs-limit", "d-over-lyapunov-budget",
         "magnetic-seed-negative", "leadlag-seed-negative", "magnetic-seed-2^64",
-        "leadlag-seed-2^64"])
+        "leadlag-seed-2^64", "magnetic-not-utf8", "leadlag-not-utf8", "magnetic-too-deep",
+        "leadlag-too-deep", "too-many-digits"])
 def test_cli_rejects_malformed_config(tmp_path, capsys, no_sampling, kind, change):
-    cfg = write_config(tmp_path / "c.json", DOCS[kind](**change))
+    doc = change if isinstance(change, bytes) else DOCS[kind](**change)
+    cfg = write_config(tmp_path / "c.json", doc)
     out = tmp_path / "out"
     assert main([kind, "--config", cfg, "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
@@ -248,6 +267,29 @@ def test_cli_rejects_threads_below_one(tmp_path, capsys, threads):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["identities", "psi", "leadlag", "magnetic"])
+def test_cli_rejects_threads_above_bound(tmp_path, capsys, monkeypatch, no_sampling, kind):
+    # only the bound + 1 is tried, with every work function failing, so no
+    # pool and no thread is started
+    for name in ("magnetic_experiment", "leadlag_experiment", "psi_closed"):
+        monkeypatch.setattr(roughlift.cli, name, _no_work)
+    monkeypatch.setattr(roughlift.identities, "run_all", _no_work)
+    args = [kind, "--out", str(tmp_path / "out"), "--threads", str(MAX_THREADS + 1)]
+    if kind in DOCS:
+        args += ["--config", write_config(tmp_path / "c.json", DOCS[kind]())]
+    assert main(args) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_star_import_resolves_all():
+    # a fresh namespace gets every name __all__ lists, and each only once
+    namespace = {}
+    exec("from roughlift import *", namespace)
+    assert set(roughlift.__all__) <= set(namespace)
+    assert len(set(roughlift.__all__)) == len(roughlift.__all__)
+
+
 def test_cli_import_leaves_scipy_signal_unloaded():
     # scipy.signal costs about a second of every CLI start and nothing in
     # roughlift needs it; a fresh interpreter sees what the import pulls in
@@ -299,7 +341,7 @@ def test_cli_identities(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(roughlift.identities, "run_all", _no_work)
     for bad in ({"paths": "x"}, {"drifts": 1.5}, {"path": 20}, {"base_seed": -1},
                 {"paths": 0, "drifts": 0}, {"paths": 0}, {"drifts": 0}, {"paths": -1},
-                {"paths": MAX_TRIALS + 1}, {"drifts": MAX_TRIALS + 1}):
+                {"paths": MAX_TRIALS + 1}, {"drifts": MAX_TRIALS + 1}, *RAW_FILES):
         bad_out = tmp_path / "bad"
         rc = main(["identities", "--out", str(bad_out), "--config",
                    write_config(tmp_path / "bad.json", bad)])
@@ -338,7 +380,7 @@ def test_cli_psi(tmp_path, monkeypatch):
     monkeypatch.setattr(roughlift.cli, "psi_closed", _no_work)
     for bad in ({"n": "abc"}, {"K_lst": [2]}, {"H_list": 0.3}, {"K_list": [2, True]},
                 {"n": 0}, {"H_list": []}, {"n": 2 ** 62, "K_list": [2 ** 62]},
-                {"n": 10 ** 400}, {"n": MAX_GRID_STEPS + 1}):
+                {"n": 10 ** 400}, {"n": MAX_GRID_STEPS + 1}, *RAW_FILES):
         bad_out = tmp_path / "bad"
         rc = main(["psi", "--config", write_config(tmp_path / "bad.json", bad),
                    "--out", str(bad_out)])

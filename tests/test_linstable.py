@@ -3,8 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from roughlift import (MagneticConfig, StableDrift, lyapunov_C, mat_exp, ou_joint_transition,
-                       partial_C, renorm_v)
+from roughlift import MagneticConfig, StableDrift, lyapunov_C, ou_joint_transition, renorm_v
 from roughlift.identities import lyapunov_suite, random_stable_drifts
 from roughlift.magnetic import drift_at, fine_grid_n
 
@@ -32,31 +31,6 @@ def test_drift_margin_bounded_by_friction_spectrum():
     # equality when A is a multiple of the identity
     drift = StableDrift(2.5 * np.eye(2), 800.0 * J)
     assert abs(drift.lam - 2.5) <= 1e-10
-
-
-# ------------------------------------------------------------------- mat_exp
-
-def test_mat_exp_zero():
-    assert np.abs(mat_exp(np.zeros((3, 3))) - np.eye(3)).max() == 0.0
-
-
-def test_mat_exp_diagonal():
-    got = mat_exp(np.diag([1.0, 2.0]))
-    assert np.abs(got - np.diag([np.e, np.e ** 2])).max() <= 1e-13 * np.e ** 2
-
-
-def test_mat_exp_rotation_closed_form():
-    # normal matrix: e^{-(I - bJ)} = e^{-1} R(b) with R a rotation by b
-    b = 3.0
-    expected = np.exp(-1.0) * np.array([[np.cos(b), -np.sin(b)],
-                                        [np.sin(b), np.cos(b)]])
-    got = mat_exp(-(np.eye(2) - b * J))
-    assert np.abs(got - expected).max() <= 1e-13
-
-
-def test_mat_exp_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        mat_exp(np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------- lyapunov_C
@@ -111,13 +85,11 @@ def test_renorm_v_grows_linearly_with_field():
     assert np.abs(ratios - 2.0).max() <= 1e-9
 
 
-# ----------------------------------------------------------------- partial_C
+# ------------------------------------------ finite-horizon covariance C_r
 
-def test_partial_C_zero():
-    drift = StableDrift(np.eye(2), 3.0 * J)
-    assert np.abs(partial_C(drift, 0.0)).max() == 0.0
-    with pytest.raises(ValueError):
-        partial_C(drift, -1.0)
+def partial_C(drift, r):
+    # at eps = 1 the transition's covPP is C_r bit for bit
+    return ou_joint_transition(drift, 1.0, r).covPP
 
 
 def test_partial_C_scalar():
