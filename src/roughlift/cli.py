@@ -24,6 +24,7 @@ import numpy as np
 from . import identities, report
 from .leadlag import LEADLAG_FIELDS, LeadLagConfig, leadlag_experiment, psi_closed
 from .magnetic import MAGNETIC_FIELDS, MagneticConfig, fine_grid_n, magnetic_experiment
+from .report import ConfigError
 
 MAGNETIC_COLUMNS = ["eps", "vnorm"] + [f"{f}_{s}" for f in MAGNETIC_FIELDS
                                        for s in ("mean", "se")]
@@ -39,10 +40,6 @@ PSI_OPTIONS = {"H_list": tuple[float, ...], "n": int, "K_list": tuple[int, ...]}
 
 # Trial workers (OS threads), each holding up to report.TRIAL_BYTES
 MAX_THREADS = 64
-
-
-class ConfigError(ValueError):
-    """Rejected run configuration (exit code 2)."""
 
 
 def _require(cond: bool, message: str):
@@ -124,7 +121,6 @@ def _cmd_experiment(args) -> int:
             cfg = replace(cfg, base_seed=args.seed)
         except ValueError as e:
             raise ConfigError(str(e)) from e
-    _require(args.out is not None, "--out is required for experiment runs")
     if isinstance(cfg, MagneticConfig):
         rows = magnetic_experiment(cfg, threads=args.threads)
         key, columns = "eps", MAGNETIC_COLUMNS
@@ -148,11 +144,10 @@ def _options(args, hints: dict) -> dict:
 def _cmd_identities(args) -> int:
     opts = _options(args, IDENTITIES_OPTIONS)
     seed = args.seed if args.seed is not None else opts.get("base_seed", 0)
-    _require(seed >= 0, f"the identities seed must be >= 0, got {seed}")
     n_paths, n_drifts = opts.get("paths", 200), opts.get("drifts", 100)
-    _require(1 <= n_paths <= report.MAX_TRIALS and 1 <= n_drifts <= report.MAX_TRIALS,
-             f"paths and drifts must lie in [1, MAX_TRIALS = {report.MAX_TRIALS}], "
+    _require(min(n_paths, n_drifts) >= 1, f"paths and drifts must be >= 1, "
              f"got {n_paths} and {n_drifts}")
+    report.check_run(seed=seed, trials=max(n_paths, n_drifts))
     checks = identities.run_all(seed=seed, n_paths=n_paths, n_drifts=n_drifts)
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
@@ -160,9 +155,8 @@ def _cmd_identities(args) -> int:
     if args.out is not None:
         doc = {c.name: {"max_err": float(c.max_err), "tol": float(c.tol),
                         "passed": bool(c.passed)} for c in checks}
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "identities.json"), "w", newline="") as f:
-            f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        report.write_files(args.out, {"identities.json": text})
     if not all(c.passed for c in checks):
         raise RuntimeError("identity suite failed")
     return 0
@@ -173,9 +167,8 @@ def _cmd_psi(args) -> int:
     h_list = opts.get("H_list", (0.30, 0.35, 0.40, 0.45, 0.50))
     n = opts.get("n", 4096)
     k_list = opts.get("K_list", [2 ** j for j in range(13) if 2 ** j <= n])
-    _require(1 <= n <= report.MAX_GRID_STEPS and h_list and k_list,
-             f"psi needs 1 <= n <= MAX_GRID_STEPS = {report.MAX_GRID_STEPS} "
-             "and non-empty H_list and K_list")
+    _require(n >= 1 and h_list and k_list, "psi needs n >= 1 and non-empty H_list and K_list")
+    report.check_run(grid_steps=n)
     _require(all(0.0 < h < 1.0 for h in h_list), "every H must lie in (0, 1)")
     _require(all(1 <= k <= n for k in k_list), "every K must satisfy 1 <= K <= n")
     rows = []
@@ -187,10 +180,7 @@ def _cmd_psi(args) -> int:
                          "ratio": psi / bound})
     table = report.rows_to_csv(rows, ["H", "n", "K", "psi", "bound", "ratio"])
     if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "psi.csv"), "w", newline="") as f:
-            f.write(table)
-        print(os.path.join(args.out, "psi.csv"))
+        print(*report.write_files(args.out, {"psi.csv": table}))
     else:
         print(table, end="")
     worst = max(r["ratio"] for r in rows)
@@ -219,14 +209,16 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, help="override the config base seed")
         p.add_argument("--threads", type=int, default=1, help="parallel trial workers")
     args = parser.parse_args(argv)
-    if args.command in ("magnetic", "leadlag") and args.config is None:
-        print("config error: --config is required", file=sys.stderr)
-        return 2
-    if not 1 <= args.threads <= MAX_THREADS:
-        print(f"config error: --threads must lie in [1, MAX_THREADS = {MAX_THREADS}], "
-              f"got {args.threads}", file=sys.stderr)
-        return 2
     try:
+        _require(args.command not in EXPERIMENTS or None not in (args.config, args.out),
+                 "--config and --out are required for experiment runs")
+        _require(1 <= args.threads <= MAX_THREADS,
+                 f"--threads must lie in [1, MAX_THREADS = {MAX_THREADS}], got {args.threads}")
+        parent = os.path.abspath(args.out or ".")  # the nearest existing ancestor of --out
+        while not os.path.lexists(parent):  # a dangling link is no directory
+            parent = os.path.dirname(parent)
+        _require(args.out != "" and os.path.isdir(parent),
+                 f"--out {args.out!r} names no path under a directory (nearest: {parent})")
         return _COMMANDS[args.command](args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauss import SamplerSpec, derive_seed, sample_fbm
-from .report import (MAX_GRID_STEPS, MAX_TRIALS, TRIAL_BYTES, leadlag_trial_bytes,
-                     summary_rows)
-from .tensor2 import FULL_PAIRS_LIMIT, holder_sweep, lift_piecewise_linear
+from .report import check_run, leadlag_trial_bytes, summary_rows
+from .tensor2 import holder_sweep, lift_piecewise_linear
 # holder_distance and translate stay importable from here: perfbench/tracing.py
 # wraps them under this module's name
 from .tensor2 import holder_distance, translate  # noqa: F401
@@ -156,22 +155,11 @@ class LeadLagConfig:
                 raise ValueError(f"n_ref = {self.n_ref} must be divisible by n = {n}")
             if n % ns[0] != 0:
                 raise ValueError(f"every n must be a multiple of the coarsest n = {ns[0]}")
-        if ns[0] > FULL_PAIRS_LIMIT:  # the grid of the Hoelder sweep
-            raise ValueError(f"the coarsest n = {ns[0]} is above "
-                             f"FULL_PAIRS_LIMIT = {FULL_PAIRS_LIMIT}")
         if self.d < 1 or self.mc_trials < 1:
             raise ValueError("d and mc_trials must be >= 1")
-        if not (0 <= self.base_seed < 2 ** 64):
-            raise ValueError(f"base_seed must lie in [0, 2^64), got {self.base_seed}")
-        if self.n_ref > MAX_GRID_STEPS:
-            raise ValueError(f"n_ref = {self.n_ref} is above MAX_GRID_STEPS = {MAX_GRID_STEPS}")
-        trial_bytes = leadlag_trial_bytes(self.n_ref, self.d, len(ns), ns[0])
-        if trial_bytes > TRIAL_BYTES:
-            raise ValueError(f"n_ref = {self.n_ref}, d = {self.d}: a trial needs up to "
-                             f"{trial_bytes} B, above TRIAL_BYTES = {TRIAL_BYTES}")
-        if len(ns) * self.mc_trials > MAX_TRIALS:
-            raise ValueError(f"{len(ns)} n x {self.mc_trials} trials exceed "
-                             f"MAX_TRIALS = {MAX_TRIALS}")
+        check_run(seed=self.base_seed, trials=len(ns) * self.mc_trials, grid_steps=self.n_ref,
+                  hoelder_n=ns[0],  # the coarsest grid is the grid of the Hoelder sweep
+                  trial_bytes=leadlag_trial_bytes(self.n_ref, self.d, len(ns), ns[0]))
         object.__setattr__(self, "n_schedule", ns)
 
 

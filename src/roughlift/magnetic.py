@@ -18,9 +18,8 @@ import numpy as np
 
 from .gauss import derive_Z, derive_seed, float_index, required_steps, sample_physical
 from .linstable import StableDrift, renorm_v
-from .report import (MAX_GRID_STEPS, MAX_TRIALS, TRIAL_BYTES, fine_step_bytes, lyapunov_bytes,
-                     summary_rows)
-from .tensor2 import FULL_PAIRS_LIMIT, holder_distance, lift_piecewise_linear, translate, zero_lift
+from .report import check_run, fine_step_bytes, lyapunov_bytes, summary_rows
+from .tensor2 import holder_distance, lift_piecewise_linear, translate, zero_lift
 
 MAGNETIC_FIELDS = ("distP_renorm", "distP_raw", "distZ_renorm", "distZ_raw", "areaDev1")
 
@@ -59,30 +58,20 @@ class MagneticConfig:
             raise ValueError("eps schedule must be positive and strictly decreasing")
         if self.T <= 0.0:
             raise ValueError("T must be positive")
-        if not (2 <= self.grid_n <= FULL_PAIRS_LIMIT):
-            raise ValueError(f"grid_n must lie in [2, FULL_PAIRS_LIMIT = {FULL_PAIRS_LIMIT}]")
+        if self.grid_n < 2:  # before fine_grid_n, which divides by it
+            raise ValueError("grid_n must be >= 2")
         if self.mc_trials < 1:
             raise ValueError("mc_trials must be >= 1")
-        if not (0 <= self.base_seed < 2 ** 64):
-            raise ValueError(f"base_seed must lie in [0, 2^64), got {self.base_seed}")
         object.__setattr__(self, "A", drift.A)
         object.__setattr__(self, "B0", drift.B)
         object.__setattr__(self, "eps_schedule", eps)
-        if len(eps) * self.mc_trials > MAX_TRIALS:
-            raise ValueError(f"{len(eps)} eps x {self.mc_trials} trials exceed "
-                             f"MAX_TRIALS = {MAX_TRIALS}")
         try:
             n_fine = fine_grid_n(self, eps[-1])
         except (ZeroDivisionError, OverflowError) as e:  # eps^2 underflows or N overflows
             raise ValueError(f"the step rule has no finite grid at eps = {eps[-1]:g}") from e
-        if n_fine > MAX_GRID_STEPS:
-            raise ValueError(f"the fine grid at eps = {eps[-1]:g} has {n_fine} steps, "
-                             f"above MAX_GRID_STEPS = {MAX_GRID_STEPS}")
-        trial_bytes = max(n_fine * fine_step_bytes(self.d), lyapunov_bytes(self.d))
-        if trial_bytes > TRIAL_BYTES:
-            raise ValueError(f"d = {self.d}: a trial on the {n_fine}-step fine grid at "
-                             f"eps = {eps[-1]:g} needs {trial_bytes} B, "
-                             f"above TRIAL_BYTES = {TRIAL_BYTES}")
+        check_run(seed=self.base_seed, trials=len(eps) * self.mc_trials, grid_steps=n_fine,
+                  hoelder_n=self.grid_n,
+                  trial_bytes=max(n_fine * fine_step_bytes(self.d), lyapunov_bytes(self.d)))
 
     @property
     def d(self) -> int:

@@ -13,10 +13,11 @@ import os
 import numpy as np
 
 from . import __version__
-from .tensor2 import ROW_BLOCK
+from .tensor2 import FULL_PAIRS_LIMIT, ROW_BLOCK
 
-# Run-size bounds, checked when an experiment config is built so that a run
-# too large to finish is rejected before any sampling.  At its peak a
+# Run-size bounds, all checked by check_run, which each experiment config
+# calls when it is built and the identities and psi commands call before
+# any work, so a run too large to finish is rejected first.  At its peak a
 # magnetic trial holds fine_step_bytes(d) per step of its fine grid: P, W
 # (or Z), the times and one full lift, (3d + 1 + d^2) floats.  That is the
 # measured slope of the tracemalloc peak of one trial between 260,352 and
@@ -30,6 +31,25 @@ from .tensor2 import ROW_BLOCK
 MAX_GRID_STEPS = 2 ** 23
 TRIAL_BYTES = 90 * MAX_GRID_STEPS
 MAX_TRIALS = 2 ** 20
+
+
+class ConfigError(ValueError):
+    """Rejected run configuration (exit code 2)."""
+
+
+def check_run(seed: int = 0, trials: int = 0, grid_steps: int = 0, hoelder_n: int = 0,
+              trial_bytes: int = 0):
+    """Reject a run whose seed is outside [0, 2^64) or whose size is above
+    MAX_TRIALS, MAX_GRID_STEPS, FULL_PAIRS_LIMIT or TRIAL_BYTES, naming which."""
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"base_seed must lie in [0, 2^64), got {seed}")
+    for quantity, value, name, bound in [
+            ("trials", trials, "MAX_TRIALS", MAX_TRIALS),
+            ("steps on the largest sampled grid", grid_steps, "MAX_GRID_STEPS", MAX_GRID_STEPS),
+            ("intervals of the Hoelder grid", hoelder_n, "FULL_PAIRS_LIMIT", FULL_PAIRS_LIMIT),
+            ("bytes a trial holds", trial_bytes, "TRIAL_BYTES", TRIAL_BYTES)]:
+        if value > bound:
+            raise ConfigError(f"{quantity}: {value} > {name} = {bound}")
 
 
 def fine_step_bytes(d: int) -> int:
@@ -210,19 +230,19 @@ def emit(rows: list[dict], manifest: dict, out_dir: str, columns: list[str],
         for row in rows:
             if col not in row:
                 raise ValueError(f"row missing column {col!r}")
-    csv_text = rows_to_csv(rows, columns)
-    manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    svgs = {}
     xs = [row[schedule_key] for row in rows]
-    for col in columns:
-        if col == schedule_key or col.endswith("_se"):
-            continue
-        svgs[f"{col}.svg"] = _svg_loglog(xs, [row[col] for row in rows],
-                                         title=col, xlabel=schedule_key)
+    svgs = {f"{col}.svg": _svg_loglog(xs, [row[col] for row in rows], col, schedule_key)
+            for col in columns if col != schedule_key and not col.endswith("_se")}
+    manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    return write_files(out_dir, {"results.csv": rows_to_csv(rows, columns),
+                                 "manifest.json": manifest_text, **dict(sorted(svgs.items()))})
+
+
+def write_files(out_dir: str, files: dict[str, str]) -> list[str]:
+    """Write each text to out_dir/name, making out_dir; the paths, in order."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    for name, text in [("results.csv", csv_text), ("manifest.json", manifest_text),
-                       *sorted(svgs.items())]:
+    for name, text in files.items():
         path = os.path.join(out_dir, name)
         with open(path, "w", newline="") as f:
             f.write(text)

@@ -211,12 +211,13 @@ def test_cli_rejects_malformed_config(tmp_path, capsys, no_sampling, kind, chang
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", sorted(DOCS))
+@pytest.mark.parametrize("kind", sorted(DOCS) + ["identities"])
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
-def test_cli_rejects_seed_override_outside_u64(tmp_path, capsys, no_sampling, kind, seed):
+def test_cli_rejects_seed_override_outside_u64(tmp_path, capsys, no_work, kind, seed):
     # derive_seed masks to 64 bits, so these would run the streams of
     # 2^64 - 1 and 0 while the manifest echoed the value given
-    cfg = write_config(tmp_path / "c.json", DOCS[kind]())
+    doc = DOCS[kind]() if kind in DOCS else {"paths": 5, "drifts": 5}
+    cfg = write_config(tmp_path / "c.json", doc)
     out = tmp_path / "out"
     assert main([kind, "--config", cfg, "--out", str(out), "--seed", seed]) == 2
     assert "base_seed" in capsys.readouterr().err
@@ -329,6 +330,32 @@ def _no_work(*args, **kwargs):
     raise AssertionError("work started")
 
 
+@pytest.fixture
+def no_work(monkeypatch, no_sampling):
+    """Make the work of every subcommand fail loudly, so a test sees it start."""
+    for name in ("magnetic_experiment", "leadlag_experiment", "psi_closed"):
+        monkeypatch.setattr(roughlift.cli, name, _no_work)
+    monkeypatch.setattr(roughlift.identities, "run_all", _no_work)
+
+
+@pytest.mark.parametrize("kind", ["identities", "psi", "leadlag", "magnetic"])
+@pytest.mark.parametrize("out", ["taken", "taken/sub", "dangling/sub", ""],
+                         ids=["file", "under-file", "under-dangling-link", "empty"])
+def test_cli_rejects_out_not_under_a_directory(tmp_path, capsys, no_work, kind, out):
+    # an existing file, a path below one or below a link to nothing, or no
+    # path cannot hold the outputs: rejected before any work, not after it
+    (tmp_path / "taken").write_bytes(b"kept")
+    (tmp_path / "dangling").symlink_to(tmp_path / "missing")
+    args = [kind, "--out", str(tmp_path / out) if out else out]
+    if kind in DOCS:
+        args += ["--config", write_config(tmp_path / "c.json", DOCS[kind]())]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(args) == 2
+    assert "config error" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "taken").read_bytes() == b"kept"
+
+
 def test_cli_identities(tmp_path, capsys, monkeypatch):
     out = tmp_path / "ids"
     rc = main(["identities", "--out", str(out), "--config",
@@ -340,6 +367,7 @@ def test_cli_identities(tmp_path, capsys, monkeypatch):
     assert all(entry["passed"] for entry in doc.values())
     monkeypatch.setattr(roughlift.identities, "run_all", _no_work)
     for bad in ({"paths": "x"}, {"drifts": 1.5}, {"path": 20}, {"base_seed": -1},
+                {"base_seed": 2 ** 64},
                 {"paths": 0, "drifts": 0}, {"paths": 0}, {"drifts": 0}, {"paths": -1},
                 {"paths": MAX_TRIALS + 1}, {"drifts": MAX_TRIALS + 1}, *RAW_FILES):
         bad_out = tmp_path / "bad"

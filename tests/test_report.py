@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from roughlift.report import build_manifest, emit, fit_loglog, rows_to_csv
+from roughlift import cli, report
+from roughlift.report import ConfigError, build_manifest, check_run, emit, fit_loglog, rows_to_csv
 
 
 def test_fit_exact_power_law():
@@ -75,3 +76,24 @@ def test_manifest_slopes():
     assert abs(fit["slope"] + 1.0) <= 1e-12
     assert manifest["schedule"] == [4, 8, 16]
     assert manifest["tool_version"]
+
+
+@pytest.mark.parametrize("quantity, name", [
+    ("trials", "MAX_TRIALS"), ("grid_steps", "MAX_GRID_STEPS"),
+    ("hoelder_n", "FULL_PAIRS_LIMIT"), ("trial_bytes", "TRIAL_BYTES")])
+def test_check_run_bounds(quantity, name):
+    # each bound is itself allowed; one past it is rejected by name
+    bound = getattr(report, name)
+    check_run(**{quantity: bound})
+    with pytest.raises(ConfigError, match=f": {bound + 1} > {name} = {bound}$"):
+        check_run(**{quantity: bound + 1})
+
+
+def test_check_run_seed_range():
+    check_run(seed=0)
+    check_run(seed=2 ** 64 - 1)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ConfigError, match="base_seed"):
+            check_run(seed=seed)
+    # library callers catch it as a ValueError; the CLI's name is the same class
+    assert issubclass(ConfigError, ValueError) and cli.ConfigError is ConfigError
