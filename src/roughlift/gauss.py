@@ -7,8 +7,14 @@
 * The physical pair (P, W): the momentum of dP = -(M/eps^2) P dt + dW
   stepped with its exact joint Gaussian transition, so the law at grid
   points carries no discretisation error.  The mean step P -> E P is a
-  blocked scan in real arithmetic, stable for any E: E = exp(-M h/eps^2)
-  is a 2-norm contraction (M + M^T = 2A > 0), so its powers have norm <= 1.
+  blocked scan in real arithmetic, run on each chunk of noise as it is
+  drawn, from the carried P: one matmul with the block-Toeplitz matrix of
+  E^0 .. E^(s-1) scans blocks of s steps from zero, the same scan with E^s
+  over the block ends gives the block starts, and one matmul with the
+  stacked powers E^1 .. E^s adds them back (Kogge & Stone 1973; Blelloch
+  1990).  It is stable for any E: E = exp(-M h/eps^2) is a 2-norm
+  contraction (M + M^T = 2A > 0), and every block of the Toeplitz matrix
+  and of the stacked powers, at every level, is a power of E, of norm <= 1.
 
 Everything is deterministic given (spec, seed); Monte Carlo trials derive
 per-trial substreams with a counter-based splitmix hash so parallel runs
@@ -17,7 +23,6 @@ reproduce bit-identically in any order.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,29 +193,69 @@ def required_steps(drift: StableDrift, eps: float, T: float) -> int:
     return max(1, int(np.ceil(T * normM / (STEP_SAFETY * eps ** 2))))
 
 
-def _ou_buffer(N: int, d: int) -> np.ndarray:
-    """Zeroed (b^2 + 1, d) work array of _ou_recursion, b = ceil(sqrt(N)):
-    row 0 is P_0, rows 1..N take xi_0..xi_{N-1}, the rest stay zero."""
-    b = int(np.ceil(np.sqrt(N)))
-    return np.zeros((b * b + 1, d))
+# Width, in floats, of one row of the OU scan's in-block matmul: blocks of
+# s = max(2, SCAN_WIDTH // d) steps.  Scanning 1.86M steps on one core of a
+# Xeon (OpenBLAS), widths 16 to 64 ran within about 20% of each other at
+# d = 1, 2 and 4, with no steady winner; at d = 2, widths 128 and 256 took
+# 1.3x and 1.8x as long, as the Toeplitz matrix's zero half costs flops.
+SCAN_WIDTH = 64
 
 
-def _ou_recursion(E: np.ndarray, buf: np.ndarray) -> None:
-    """P_{k+1} = E P_k + xi_k from P_0 = 0, in place on an _ou_buffer whose
-    rows 1.. hold xi and come back as P: b blocks of b steps from a zero
-    start at once, the block starts c_j by the same recursion with E^b,
-    then E^{m+1} c_j added."""
-    b = math.isqrt(len(buf) - 1)
-    q = buf[1:].reshape(b, b, buf.shape[1])
-    for m in range(1, b):
-        q[:, m] += q[:, m - 1] @ E.T
-    Eb = np.linalg.matrix_power(E, b)
-    c = np.zeros((b, buf.shape[1]))
-    for j in range(1, b):
-        c[j] = Eb @ c[j - 1] + q[j - 1, -1]
-    for m in range(b):
-        c = c @ E.T
-        q[:, m] += c
+def _scan_levels(E: np.ndarray, rows: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(T, S) of each level of _ou_scan_block on chunks of at most ``rows``
+    steps.  Level l scans with F = E^(s^l): T is the (s d)^2 Toeplitz matrix
+    whose block (i, m) is (F^(m - i))^T for i <= m and 0 otherwise, and S
+    is the (d, s d) row of (F^1)^T .. (F^s)^T.  A level of r steps leaves
+    ceil(r / s) - 1 block ends for the next, which scans them with F^s, the
+    last power of S."""
+    d = E.shape[0]
+    s = max(2, SCAN_WIDTH // d)
+    lag = np.arange(s)[None, :] - np.arange(s)[:, None]  # m - i
+    levels = []
+    F = E
+    while True:
+        powers = np.empty((s + 1, d, d))  # (F^k)^T, doubling k per matmul
+        powers[0], powers[1] = np.eye(d), F.T
+        k = 1
+        while k < s:
+            m = min(k, s - k)
+            np.matmul(powers[1:m + 1], powers[k], out=powers[k + 1:k + m + 1])
+            k += m
+        blocks = np.where((lag >= 0)[:, :, None, None], powers[np.maximum(lag, 0)], 0.0)
+        levels.append((blocks.transpose(0, 2, 1, 3).reshape(s * d, s * d),
+                       powers[1:].transpose(1, 0, 2).reshape(d, s * d)))
+        rows = -(-rows // s) - 1
+        if rows < 1:
+            return levels
+        F = powers[s].T
+
+
+def _ou_scan_block(levels, xi: np.ndarray, out: np.ndarray, k0: int) -> None:
+    """Rows k0 + 1 .. k0 + len(xi) of P_{k+1} = E P_k + xi_k, given out[k0].
+
+    The steps come in blocks of s.  One matmul with the Toeplitz T scans
+    every block from a zero start; the block starts c_j follow from the
+    block ends by the same scan with E^s (the next level), from out[k0];
+    and one matmul with S adds E^(m+1) c_j to step m of block j.
+    """
+    T, S = levels[0]
+    n, d = xi.shape
+    s = T.shape[0] // d
+    nb = -(-n // s)
+    x = np.empty((nb * s, d))
+    # copied as n records of d floats: numpy copies a strided (n, d) slice
+    # element by element, about 6x slower at d = 2
+    record = np.dtype((np.void, 8 * d))
+    x[:n].view(record)[...] = xi.view(record)
+    x[n:] = 0.0  # padded steps follow every real one: they need only be finite
+    x = x.reshape(nb, s * d)
+    y = x @ T
+    c = np.empty((nb, d))
+    c[0] = out[k0]
+    if nb > 1:
+        _ou_scan_block(levels[1:], y[:-1, -d:], c, 0)
+    y += np.matmul(c, S, out=x)
+    out[k0 + 1:k0 + 1 + n] = y.reshape(nb * s, d)[:n]
 
 
 def sample_physical(drift: StableDrift, eps: float, T: float, N: int,
@@ -218,12 +263,14 @@ def sample_physical(drift: StableDrift, eps: float, T: float, N: int,
     """Momentum P and its driving Brownian motion W, jointly exact in law
     at the grid points of the uniform N-step grid on [0, T].
 
-    The normals are drawn ROW_BLOCK steps at a time and written straight
-    into P and W, so the working memory beyond the returned P, W and times
-    is O(ROW_BLOCK d).  Philox draws are chunk-invariant, and each block's
-    product with L^T has the rows of the whole-grid product bitwise, so the
-    paths equal a one-shot draw (tests check this at ROW_BLOCK; OpenBLAS
-    moves some rows by one ulp at odd block sizes such as 7).
+    The normals are drawn ROW_BLOCK steps at a time; each chunk's OU scan
+    starts from the carried P and writes P straight away, and W is the
+    carried running sum, so the working memory beyond the returned P, W
+    and times is O(ROW_BLOCK d).  Philox draws are chunk-invariant, and
+    each block's product with L^T has the rows of the whole-grid product
+    bitwise, so the noise equals a one-shot draw (tests check this at
+    ROW_BLOCK; OpenBLAS moves some rows by one ulp at odd block sizes such
+    as 7).
     """
     if eps <= 0.0 or T <= 0.0 or N < 1:
         raise ValueError("need eps > 0, T > 0, N >= 1")
@@ -235,17 +282,17 @@ def sample_physical(drift: StableDrift, eps: float, T: float, N: int,
     d = drift.dim
     trans = ou_joint_transition(drift, eps, T / N)
     L = trans.noise_factor()
+    levels = _scan_levels(trans.meanMap, min(N, ROW_BLOCK))
     rng = _rng(seed)
-    P = _ou_buffer(N, d)
+    P = np.zeros((N + 1, d))
     W = np.zeros((N + 1, d))
     for k0 in range(0, N, ROW_BLOCK):
         k1 = min(k0 + ROW_BLOCK, N)
         noise = rng.standard_normal((k1 - k0, 2 * d)) @ L.T
-        P[k0 + 1:k1 + 1] = noise[:, :d]
+        _ou_scan_block(levels, noise[:, :d], P, k0)
         running_sum_block(noise[:, d:], W, k0)
-    _ou_recursion(trans.meanMap, P)
     times = _uniform_times(N, T)
-    return GridPath(times, P[:N + 1]), GridPath(times, W)
+    return GridPath(times, P), GridPath(times, W)
 
 
 def derive_Z(P: GridPath, W: GridPath) -> GridPath:

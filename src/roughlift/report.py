@@ -19,7 +19,9 @@ from .tensor2 import FULL_PAIRS_LIMIT, ROW_BLOCK
 # calls when it is built and the identities and psi commands call before
 # any work, so a run too large to finish is rejected first.  At its peak a
 # magnetic trial holds fine_step_bytes(d) per step of its fine grid: P, W
-# (or Z), the times and one full lift, (3d + 1 + d^2) floats.  That is the
+# (or Z), the times and one full lift, (3d + 1 + d^2) floats.  Its sampling
+# phase stays below that lift phase: P, W and the times (2d + 1 floats per
+# step), with the OU scan run per chunk in O(ROW_BLOCK d).  That is the
 # measured slope of the tracemalloc peak of one trial between 260,352 and
 # 516,608 steps: 88.0 B per step at d = 2 and 232.0 at d = 4 (440.0 at
 # d = 6); every other array is O(tensor2.ROW_BLOCK), about 2.2 MB at d = 2.

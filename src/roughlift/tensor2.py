@@ -41,7 +41,7 @@ _sweep_planes = threading.local()
 
 # Grid rows per block of the fine-grid kernels (lift_piecewise_linear and
 # gauss.sample_physical), so their working memory beyond the arrays they
-# return is O(ROW_BLOCK) whatever the grid size: about 2 MiB for a d = 2
+# return is O(ROW_BLOCK) whatever the grid size: about 3 MiB for a d = 2
 # lift.  At 1.86M steps, blocks of 2^12 to 2^17 rows ran equally fast.
 ROW_BLOCK = 1 << 15
 
@@ -198,9 +198,9 @@ def running_sum_block(steps, out, k0: int) -> None:
     ... + steps_{k-1}, given out[k0]; ``steps`` is overwritten.  The carried
     row is added to the block's first step, so the additions happen in the
     order of one np.cumsum over the whole grid and the result is bitwise
-    equal to it."""
-    if k0:
-        steps[0] += out[k0]
+    equal to it, except that a sum starts from out[0] = +0.0: a first step
+    of -0.0 comes out as +0.0, as in a matmul's 0 + a b."""
+    steps[0] += out[k0]
     np.cumsum(steps, axis=0, out=out[k0 + 1:k0 + 1 + len(steps)])
 
 
@@ -213,13 +213,14 @@ def lift_piecewise_linear(times, values, stride: int = 1) -> LiftedPath:
     segment, which is the Chen product of the segment exponentials.  The
     terms of each cell of ``stride`` segments are summed by one batched
     matmul and the cell sums carried across cells; level 1 is the carried
-    sum of the cell increments.  Blocks of about ROW_BLOCK segments (a
-    multiple of ``stride``) are done at a time, so the working memory
-    beyond the returned (n/stride + 1)(d + d^2) floats is
-    O(max(ROW_BLOCK, stride) d): 2 MiB at d = 2, 6 MiB at d = 6 (traced at
-    n = 2^20, stride 1).  At stride 1 each cell
-    sum is one product and the lift is bitwise that of summing all terms
-    with one np.cumsum; at larger strides it agrees with
+    sum of the cell increments.  At stride 1 a cell is one segment, and
+    each of the d^2 entries of its term is one product of contiguous rows,
+    carried per entry.  Blocks of about ROW_BLOCK segments (a multiple of
+    ``stride``) are done at a time, so the working memory beyond the
+    returned (n/stride + 1)(d + d^2) floats is O(max(ROW_BLOCK, stride) d):
+    2.8 MiB at d = 2, 6.3 MiB at d = 6 (traced at n = 2^20, stride 1).  At
+    stride 1 the lift is bitwise that of summing all terms with one
+    np.cumsum from +0.0; at larger strides it agrees with
     ``lift_piecewise_linear(times, values).restrict(range(0, n + 1, stride))``
     to rounding (about 1e-14 of max |level 2| at n = 2^15).
     """
@@ -240,15 +241,30 @@ def lift_piecewise_linear(times, values, stride: int = 1) -> LiftedPath:
     for k0 in range(0, n, block):
         k1 = min(k0 + block, n)
         c0, c1 = k0 // stride, k1 // stride
-        inc = x[k0 + 1:k1 + 1] - x[k0:k1]
-        base = x[k0:k1] - x[0]
-        base += 0.5 * inc
-        cells = l2[c0 + 1:c1 + 1]
-        np.matmul(base.reshape(c1 - c0, stride, d).transpose(0, 2, 1),
-                  inc.reshape(c1 - c0, stride, d), out=cells)
-        running_sum_block(cells, l2, c0)
-        cell_inc = inc if stride == 1 else x[k0 + stride:k1 + 1:stride] - x[k0:k1:stride]
-        running_sum_block(cell_inc, l1, c0)
+        if stride == 1:
+            # contiguous 1-D products and sums: the batched (d, 1) @ (1, d)
+            # matmul and strided (rows, d, d) cumsum of the branch below
+            # took 1.8x as long at d = 2
+            xt = np.ascontiguousarray(x[k0:k1 + 1].T)
+            inc = xt[:, 1:] - xt[:, :-1]
+            base = xt[:, :-1] - x[0, :, None]
+            base += 0.5 * inc
+            term = np.empty(k1 - k0)
+            for p in range(d):
+                for q in range(d):
+                    np.multiply(base[p], inc[q], out=term)
+                    running_sum_block(term, l2[:, p, q], c0)
+            for p in range(d):
+                running_sum_block(inc[p], l1[:, p], c0)
+        else:
+            inc = x[k0 + 1:k1 + 1] - x[k0:k1]
+            base = x[k0:k1] - x[0]
+            base += 0.5 * inc
+            cells = l2[c0 + 1:c1 + 1]
+            np.matmul(base.reshape(c1 - c0, stride, d).transpose(0, 2, 1),
+                      inc.reshape(c1 - c0, stride, d), out=cells)
+            running_sum_block(cells, l2, c0)
+            running_sum_block(x[k0 + stride:k1 + 1:stride] - x[k0:k1:stride], l1, c0)
     return LiftedPath(np.ascontiguousarray(t[::stride]), l1, l2)
 
 

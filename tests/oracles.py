@@ -7,7 +7,8 @@ the stationary covariance and a solve with M instead of the block
 exponential of the OU transition, scipy's expm and LU factorisation instead
 of the numpy Pade step and solves,
 a per-row pair loop instead of the blocked Hoelder kernel, an
-eigendecomposition and a plain loop instead of the blocked OU scan, and
+eigendecomposition, a plain loop and the earlier whole-grid sqrt(N)-block
+scan instead of the per-chunk block-Toeplitz OU scan, and
 whole-grid arrays instead of the row-blocked lift and noise draw; full
 lifts, one distance call each and a counter-term written out instead of
 the lead-lag trial's strided lifts, single sweep and counter_terms; a
@@ -15,6 +16,8 @@ complex FFT per component, with the embedding rebuilt on every call,
 instead of the cached real-spectrum fGn map; and the Cholesky factor of
 the fGn covariance instead of its circulant embedding.
 """
+import math
+
 import numpy as np
 from scipy.integrate import quad_vec
 
@@ -124,37 +127,89 @@ def ou_integrals_scipy(drift, r):
     return E, K, lyapunov_solve_scipy(drift.M, MK + MK.T - MK @ MK.T)
 
 
-def ou_recursion_eig(E, xi):
-    """P_{k+1} = E P_k + xi_k from P_0 = 0, returned with the zero row:
-    one complex first-order filter per eigenvector of E, or a plain loop
-    when E is (near-)defective."""
+def ou_recursion_eig(E, xi, p0=None):
+    """P_{k+1} = E P_k + xi_k from P_0 = p0 (default 0), returned with the
+    P_0 row: one complex first-order filter per eigenvector of E, started
+    from the eigen-coordinates of p0, or a plain loop when E is
+    (near-)defective."""
     from scipy.signal import lfilter
 
     N, d = xi.shape
-    out = np.zeros((N + 1, d))
+    p0 = np.zeros(d) if p0 is None else np.asarray(p0, dtype=float)
     w, V = np.linalg.eig(E)
-    if np.linalg.cond(V) < 1e8:
-        eta = np.linalg.solve(V, xi.T.astype(complex))
-        q = np.empty_like(eta)
-        for i in range(d):
-            q[i] = lfilter([1.0], [1.0, -w[i]], eta[i])
-        out[1:] = (V @ q).T.real
-    else:
+    if np.linalg.cond(V) >= 1e8:
         # defective meanMap: fall back to the plain scan
-        p = np.zeros(d)
-        for k in range(N):
-            p = E @ p + xi[k]
-            out[k + 1] = p
+        return ou_recursion_loop(E, xi, p0)
+    out = np.empty((N + 1, d))
+    out[0] = p0
+    eta = np.linalg.solve(V, xi.T.astype(complex))
+    eta0 = np.linalg.solve(V, p0.astype(complex))
+    q = np.empty_like(eta)
+    for i in range(d):
+        q[i] = lfilter([1.0], [1.0, -w[i]], eta[i], zi=[w[i] * eta0[i]])[0]
+    out[1:] = (V @ q).T.real
     return out
 
 
-def ou_recursion_loop(E, xi):
-    """P_{k+1} = E P_k + xi_k from P_0 = 0, one step at a time."""
+def ou_recursion_loop(E, xi, p0=None):
+    """P_{k+1} = E P_k + xi_k from P_0 = p0 (default 0), one step at a time."""
     N, d = xi.shape
     out = np.zeros((N + 1, d))
+    if p0 is not None:
+        out[0] = p0
     for k in range(N):
         out[k + 1] = E @ out[k] + xi[k]
     return out
+
+
+def ou_buffer(N: int, d: int) -> np.ndarray:
+    """Zeroed (b^2 + 1, d) work array of ou_recursion_blocked,
+    b = ceil(sqrt(N)): row 0 is P_0, rows 1..N take xi_0..xi_{N-1}, the
+    rest stay zero."""
+    b = int(np.ceil(np.sqrt(N)))
+    return np.zeros((b * b + 1, d))
+
+
+def ou_recursion_blocked(E, buf):
+    """P_{k+1} = E P_k + xi_k from P_0 = 0, in place on an ou_buffer whose
+    rows 1.. hold xi and come back as P: b blocks of b steps from a zero
+    start at once, the block starts c_j by the same recursion with E^b,
+    then E^{m+1} c_j added.  The library's scan before it ran per chunk."""
+    b = math.isqrt(len(buf) - 1)
+    q = buf[1:].reshape(b, b, buf.shape[1])
+    for m in range(1, b):
+        q[:, m] += q[:, m - 1] @ E.T
+    Eb = np.linalg.matrix_power(E, b)
+    c = np.zeros((b, buf.shape[1]))
+    for j in range(1, b):
+        c[j] = Eb @ c[j - 1] + q[j - 1, -1]
+    for m in range(b):
+        c = c @ E.T
+        q[:, m] += c
+
+
+def sample_physical_blocked_scan(drift, eps, T, N, seed):
+    """gauss.sample_physical with every chunk's noise written to an
+    ou_buffer and one ou_recursion_blocked over the whole grid after the
+    draws."""
+    from roughlift.gauss import GridPath, _rng, _uniform_times
+    from roughlift.linstable import ou_joint_transition
+    from roughlift.tensor2 import ROW_BLOCK, running_sum_block
+
+    d = drift.dim
+    trans = ou_joint_transition(drift, eps, T / N)
+    L = trans.noise_factor()
+    rng = _rng(seed)
+    P = ou_buffer(N, d)
+    W = np.zeros((N + 1, d))
+    for k0 in range(0, N, ROW_BLOCK):
+        k1 = min(k0 + ROW_BLOCK, N)
+        noise = rng.standard_normal((k1 - k0, 2 * d)) @ L.T
+        P[k0 + 1:k1 + 1] = noise[:, :d]
+        running_sum_block(noise[:, d:], W, k0)
+    ou_recursion_blocked(trans.meanMap, P)
+    times = _uniform_times(N, T)
+    return GridPath(times, P[:N + 1]), GridPath(times, W)
 
 
 def holder_distance_rowloop(x, y, alpha: float) -> float:
@@ -221,11 +276,27 @@ def lift_piecewise_linear_full(times, values):
     return LiftedPath(t, l1, l2)
 
 
+def ou_scan_chunks(E, xi, p0):
+    """P_{k+1} = E P_k + xi_k from P_0 = p0 by the library's OU scan, over
+    ROW_BLOCK chunks as gauss.sample_physical runs it; the oracles above
+    check it."""
+    from roughlift.gauss import _ou_scan_block, _scan_levels
+    from roughlift.tensor2 import ROW_BLOCK
+
+    N, d = xi.shape
+    P = np.empty((N + 1, d))
+    P[0] = p0
+    levels = _scan_levels(E, min(N, ROW_BLOCK))
+    for k0 in range(0, N, ROW_BLOCK):
+        _ou_scan_block(levels, xi[k0:k0 + ROW_BLOCK], P, k0)
+    return P
+
+
 def physical_whole_draw(drift, eps, T, N, seed):
     """(times, P, W) of gauss.sample_physical with all (N, 2d) normals drawn
     in one call, W as one cumsum and the grid as arange(N + 1) / N * T.  The
-    OU scan is the library's; the oracles above check it."""
-    from roughlift.gauss import _ou_buffer, _ou_recursion, _rng
+    OU scan is the library's (ou_scan_chunks)."""
+    from roughlift.gauss import _rng
     from roughlift.linstable import ou_joint_transition
 
     d = drift.dim
@@ -233,10 +304,8 @@ def physical_whole_draw(drift, eps, T, N, seed):
     noise = _rng(seed).standard_normal((N, 2 * d)) @ trans.noise_factor().T
     W = np.zeros((N + 1, d))
     np.cumsum(noise[:, d:], axis=0, out=W[1:])
-    P = _ou_buffer(N, d)
-    P[1:N + 1] = noise[:, :d]
-    _ou_recursion(trans.meanMap, P)
-    return np.arange(N + 1) / N * T, P[:N + 1], W
+    P = ou_scan_chunks(trans.meanMap, noise[:, :d], np.zeros(d))
+    return np.arange(N + 1) / N * T, P, W
 
 
 def _fgn_circulant_complex(z, n, H):

@@ -15,6 +15,7 @@ from roughlift.cli import (MAX_THREADS, ConfigError, LEADLAG_COLUMNS, MAGNETIC_C
 from roughlift.leadlag import LeadLagConfig
 from roughlift.magnetic import MagneticConfig
 from roughlift.report import MAX_GRID_STEPS, MAX_TRIALS
+from roughlift.tensor2 import ROW_BLOCK
 
 MAGNETIC_HEADER = ("eps,vnorm,distP_renorm_mean,distP_renorm_se,distP_raw_mean,"
                    "distP_raw_se,distZ_renorm_mean,distZ_renorm_se,distZ_raw_mean,"
@@ -125,6 +126,25 @@ def test_cli_magnetic_run_and_determinism(tmp_path):
     for col in MAGNETIC_COLUMNS:
         if col != "eps" and not col.endswith("_se"):
             assert (outs[0] / f"{col}.svg").exists()
+
+
+def test_cli_magnetic_threads_identical_across_chunk_carry(tmp_path):
+    # eps = 2^-5 at grid_n 16 samples 58,832 fine steps, two ROW_BLOCK
+    # chunks, so each trial's OU scan and W carry a row from its first chunk
+    # into its second; every .csv and .json byte must still match
+    path = write_config(tmp_path / "c.json",
+                        magnetic_doc(eps_schedule=[2.0 ** -5], mc_trials=3, base_seed=11))
+    steps = magnetic.fine_grid_n(parse_config(path), 2.0 ** -5)
+    assert ROW_BLOCK < steps == 58832 < 2 * ROW_BLOCK
+    blobs = []
+    for threads in ("1", "4"):
+        out = tmp_path / f"t{threads}"
+        assert main(["magnetic", "--config", path, "--out", str(out),
+                     "--threads", threads]) == 0
+        blobs.append({p.name: p.read_bytes() for p in out.iterdir()
+                      if p.suffix in (".csv", ".json")})
+    assert set(blobs[0]) == {"results.csv", "manifest.json"}
+    assert blobs[0] == blobs[1]
 
 
 def test_cli_seed_override_changes_results(tmp_path):

@@ -5,13 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import (finite_cov_quadrature, ou_recursion_eig, ou_recursion_loop,
+from oracles import (finite_cov_quadrature, ou_recursion_eig, ou_recursion_loop, ou_scan_chunks,
                      physical_whole_draw, sample_fbm_cholesky, sample_fbm_complex_fft)
 from roughlift import (SamplerSpec, StableDrift, derive_seed, derive_Z, fgn_autocov,
                        lyapunov_C, ou_joint_transition, required_steps, sample_bm,
                        sample_fbm, sample_physical)
 from roughlift import gauss
-from roughlift.gauss import GridPath, _ou_buffer, _ou_recursion, float_index
+from roughlift.gauss import SCAN_WIDTH, GridPath, _scan_levels, float_index
 from roughlift.identities import random_stable_drifts
 from roughlift.tensor2 import ROW_BLOCK
 
@@ -335,8 +335,13 @@ def rel_err(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
-# N = 1, 2, 3 and 97, and one block length b = 32 at b^2 - 1, b^2 and b^2 + 1
-OU_LENGTHS = (1, 2, 3, 97, 32 ** 2 - 1, 32 ** 2, 32 ** 2 + 1)
+def ou_lengths(d):
+    """N = 1, 2, 3 and 97; one scan block s at s - 1, s, s + 1 and s^2 (two
+    levels); a chunk at ROW_BLOCK - 1, ROW_BLOCK and ROW_BLOCK + 1 (the
+    first carry); and a ragged third chunk."""
+    s = max(2, SCAN_WIDTH // d)
+    return (1, 2, 3, 97, s - 1, s, s + 1, s * s,
+            ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 5)
 
 
 def ou_maps():
@@ -351,18 +356,36 @@ def ou_maps():
 
 
 def test_ou_recursion_matches_oracles():
+    # from a zero start on short grids and a nonzero carried P_0 on all; the
+    # eigendecomposition falls back to the loop for the Jordan block, so a
+    # non-normal E meets the loop at every length
     rng = np.random.default_rng(43)
     for name, E in ou_maps():
         assert name != "relaxed" or not np.any(E)
-        for N in OU_LENGTHS:
-            xi = rng.standard_normal((N, E.shape[0]))
-            buf = _ou_buffer(N, E.shape[0])
-            buf[1:N + 1] = xi
-            _ou_recursion(E, buf)
-            P = buf[:N + 1]
-            assert P.shape == (N + 1, E.shape[0]) and np.all(P[0] == 0.0)
-            assert rel_err(P, ou_recursion_loop(E, xi)) <= 1e-12, (name, N)
-            assert rel_err(P, ou_recursion_eig(E, xi)) <= 1e-12, (name, N)
+        d = E.shape[0]
+        for N in ou_lengths(d):
+            xi = rng.standard_normal((N, d))
+            p0 = np.zeros(d) if N <= 3 else rng.standard_normal(d)
+            P = ou_scan_chunks(E, xi, p0)
+            assert P.shape == (N + 1, d) and np.array_equal(P[0], p0)
+            assert rel_err(P, ou_recursion_eig(E, xi, p0)) <= 1e-12, (name, N)
+            if N < ROW_BLOCK - 1:  # at chunk lengths the loop takes seconds
+                assert rel_err(P, ou_recursion_loop(E, xi, p0)) <= 1e-12, (name, N)
+
+
+def test_ou_scan_at_largest_dimension():
+    # d = 74, the largest a config accepts, scans in blocks of s = 2: 15
+    # levels on a whole chunk, and a carry into a second chunk
+    from scipy.linalg import expm
+
+    d = 74
+    rng = np.random.default_rng(47)
+    B = rng.standard_normal((d, d))
+    E = expm(-0.05 * (np.eye(d) + B - B.T))
+    assert len(_scan_levels(E, ROW_BLOCK)) == 15
+    xi = rng.standard_normal((ROW_BLOCK + 3, d))
+    p0 = rng.standard_normal(d)
+    assert rel_err(ou_scan_chunks(E, xi, p0), ou_recursion_loop(E, xi, p0)) <= 1e-12
 
 
 # -------------------------------------------------------------------- derive_Z

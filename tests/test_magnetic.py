@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import (lyapunov_solve_scipy, ou_integrals_scipy, ou_joint_transition_lyapunov,
-                     ou_recursion_eig)
-from roughlift import gauss, linstable
+                     ou_recursion_eig, sample_physical_blocked_scan)
+from roughlift import gauss, linstable, magnetic
 from roughlift import (MagneticConfig, derive_Z, drift_at, fine_grid_n,
                        holder_distance, lift_piecewise_linear, magnetic_experiment,
                        renorm_v, run_magnetic_trial, sample_physical, translate)
@@ -140,21 +140,37 @@ def test_level2_counterterm_decay_rate():
 
 
 def test_trial_matches_eig_recursion_oracle(monkeypatch):
-    # the blocked real scan against the eigendecomposition route, field by
-    # field, on fine grids of 384 and 10560 steps
+    # the blocked real scan against the eigendecomposition route run on the
+    # same chunks from the same carried P, field by field, on fine grids of
+    # 384 and 10560 steps
     cfg = small_cfg(eps_schedule=(0.25, 2.0 ** -4), grid_n=64)
     keys = [(eps, k) for eps in cfg.eps_schedule for k in range(2)]
     new = [run_magnetic_trial(cfg, eps, k) for eps, k in keys]
 
-    def eig_in_place(E, buf):
-        buf[:] = ou_recursion_eig(E, buf[1:])
+    def eig_scan_block(E, xi, out, k0):
+        out[k0 + 1:k0 + 1 + len(xi)] = ou_recursion_eig(E, xi, out[k0])[1:]
 
-    monkeypatch.setattr(gauss, "_ou_recursion", eig_in_place)
+    monkeypatch.setattr(gauss, "_scan_levels", lambda E, rows: E)
+    monkeypatch.setattr(gauss, "_ou_scan_block", eig_scan_block)
     old = [run_magnetic_trial(cfg, eps, k) for eps, k in keys]
     for a, b in zip(new, old):
         for f in fields(a):
             x, y = getattr(a, f.name), getattr(b, f.name)
             assert abs(x - y) <= 1e-12 * abs(y), f.name
+
+
+def test_trial_matches_blocked_scan_oracle(monkeypatch):
+    # the per-chunk scan against the earlier whole-grid sqrt(N)-block scan,
+    # field by field, at eps = 2^-2 (512 fine steps) and at eps = 2^-7
+    # (1,861,120 fine steps, 57 chunks)
+    cfg = small_cfg(eps_schedule=(2.0 ** -2, 2.0 ** -7), grid_n=256)
+    new = [run_magnetic_trial(cfg, eps, 0) for eps in cfg.eps_schedule]
+    monkeypatch.setattr(magnetic, "sample_physical", sample_physical_blocked_scan)
+    old = [run_magnetic_trial(cfg, eps, 0) for eps in cfg.eps_schedule]
+    for a, b in zip(new, old):
+        for f in fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert abs(x - y) <= 1e-12 * abs(y), (a.eps, f.name)
 
 
 def test_trial_matches_lyapunov_transition_oracle(monkeypatch):

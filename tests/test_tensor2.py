@@ -187,7 +187,7 @@ def test_lift_ragged_blocks_match_full_lift(monkeypatch):
 
 
 def test_lift_memory_bounded_by_block():
-    # beyond its two output levels the lift keeps O(ROW_BLOCK) rows (2 MiB
+    # beyond its two output levels the lift keeps O(ROW_BLOCK) rows (2.8 MiB
     # measured); the full lift's whole-grid temporaries peak at 49 MiB here
     n, d = 2 ** 20, 2
     t = np.arange(n + 1) / n
