@@ -22,14 +22,9 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import identities, report
-from .leadlag import LEADLAG_FIELDS, LeadLagConfig, leadlag_experiment, psi_closed
-from .magnetic import MAGNETIC_FIELDS, MagneticConfig, fine_grid_n, magnetic_experiment
+from .leadlag import LeadLagConfig, leadlag_experiment, psi_closed
+from .magnetic import MagneticConfig, fine_grid_n, magnetic_experiment
 from .report import ConfigError
-
-MAGNETIC_COLUMNS = ["eps", "vnorm"] + [f"{f}_{s}" for f in MAGNETIC_FIELDS
-                                       for s in ("mean", "se")]
-LEADLAG_COLUMNS = ["n", "vnorm"] + [f"{f}_{s}" for f in LEADLAG_FIELDS
-                                    for s in ("mean", "se")]
 
 # Config schemas.  An experiment config class's fields are its keys, their
 # type hints the JSON types and their defaults the defaults; the identities
@@ -123,17 +118,14 @@ def _cmd_experiment(args) -> int:
             raise ConfigError(str(e)) from e
     if isinstance(cfg, MagneticConfig):
         rows = magnetic_experiment(cfg, threads=args.threads)
-        key, columns = "eps", MAGNETIC_COLUMNS
         notes = {"fine_grid_N": {repr(eps): fine_grid_n(cfg, eps) for eps in cfg.eps_schedule},
                  "output_grid_n": cfg.grid_n}
     else:
         rows = leadlag_experiment(cfg, threads=args.threads)
-        key, columns = "n", LEADLAG_COLUMNS
         notes = {"fbm_method": "circulant", "n_ref": cfg.n_ref,
                  "common_grid_n": cfg.n_schedule[0]}
-    manifest = report.build_manifest(args.command, _config_echo(cfg), rows, key,
-                                     cfg.base_seed, notes)
-    print("\n".join(report.emit(rows, manifest, args.out, columns, key)))
+    manifest = report.build_manifest(_config_echo(cfg), rows, notes)
+    print("\n".join(report.emit(rows, manifest, args.out)))
     return 0
 
 
@@ -178,7 +170,7 @@ def _cmd_psi(args) -> int:
             bound = 2.0 * k * float(n) ** (-4.0 * h)
             rows.append({"H": h, "n": n, "K": k, "psi": psi, "bound": bound,
                          "ratio": psi / bound})
-    table = report.rows_to_csv(rows, ["H", "n", "K", "psi", "bound", "ratio"])
+    table = report.rows_to_csv(rows)
     if args.out is not None:
         print(*report.write_files(args.out, {"psi.csv": table}))
     else:

@@ -46,24 +46,17 @@ def random_lifted_paths(rng, n_paths: int, max_dim: int = 4, max_segments: int =
         yield lift_piecewise_linear(t, x)
 
 
-def _interval_level2(path) -> np.ndarray:
-    """(n, n, d, d) second levels of the interval lifts S_{i,j} for every
-    pair of grid points: X2_j - X2_i - X1_i (x) (X1_j - X1_i)."""
-    L1, L2 = path.level1, path.level2
-    return L2[None] - L2[:, None] - np.einsum("id,ije->ijde", L1, L1[None] - L1[:, None])
-
-
 def chen_relation_error(path) -> float:
     """Worst relative Chen defect over all triples i < j < k."""
-    L1 = path.level1
     n = path.n_points
-    F = _interval_level2(path)
+    grid = np.arange(n)
+    U, F = path.intervals(grid[:, None], grid)  # S_{i,j} for every pair of points
     scale = max(1.0, float(np.abs(F).max()))
     worst = 0.0
     for j in range(1, n - 1):
         i = np.arange(j)
         k = np.arange(j + 1, n)
-        cross = np.einsum("id,ke->ikde", L1[j] - L1[i], L1[k] - L1[j])
+        cross = np.einsum("id,ke->ikde", U[i, j], U[j, k])
         resid = F[np.ix_(i, k)] - F[i, j][:, None] - F[j, k][None, :] - cross
         worst = max(worst, float(np.abs(resid).max()))
     return worst / scale
@@ -71,8 +64,8 @@ def chen_relation_error(path) -> float:
 
 def geometricity_error(path) -> float:
     """Worst relative defect of Sym(level2) = 1/2 increment (x) increment."""
-    F = _interval_level2(path)
-    U = path.level1[None, :] - path.level1[:, None]
+    grid = np.arange(path.n_points)
+    U, F = path.intervals(grid[:, None], grid)
     sym = 0.5 * (F + F.transpose(0, 1, 3, 2))
     resid = sym - 0.5 * np.einsum("ijd,ije->ijde", U, U)
     scale = max(1.0, float(np.abs(F).max()))

@@ -136,19 +136,26 @@ def _fmt(v):
     return repr(float(v))
 
 
-def rows_to_csv(rows: list[dict], columns: list[str]) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+def _columns(rows: list[dict]) -> list[str]:
+    """A results table's columns: the key order its rows share, schedule
+    key first."""
+    if not rows or any(list(row) != list(rows[0]) for row in rows):
+        raise ValueError("result rows must be non-empty and share one key order")
+    return list(rows[0])
 
 
-def build_manifest(kind: str, config: dict, rows: list[dict], schedule_key: str,
-                   base_seed: int, method_notes: dict) -> dict:
-    """Run record sufficient to reproduce the CSV byte-for-byte."""
+def rows_to_csv(rows: list[dict]) -> str:
+    lines = [_columns(rows)] + [[_fmt(v) for v in row.values()] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+def build_manifest(config: dict, rows: list[dict], method_notes: dict) -> dict:
+    """Run record sufficient to reproduce the CSV byte-for-byte, from the
+    echoed ``config`` (which names the experiment and base seed)."""
+    schedule_key, *metrics = _columns(rows)
     schedule = [row[schedule_key] for row in rows]
     slopes = {}
-    for col in rows[0]:
+    for col in metrics:
         if not (col.endswith("_mean") or col == "vnorm"):
             continue
         ys = [row[col] for row in rows]
@@ -160,9 +167,9 @@ def build_manifest(kind: str, config: dict, rows: list[dict], schedule_key: str,
             slopes[col] = None
     return {
         "tool_version": __version__,
-        "experiment": kind,
+        "experiment": config["experiment"],
         "config": config,
-        "base_seed": int(base_seed),
+        "base_seed": int(config["base_seed"]),
         "schedule": schedule,
         "rows": rows,
         "loglog_slopes": slopes,
@@ -219,24 +226,18 @@ def _svg_loglog(xs, ys, title: str, xlabel: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit(rows: list[dict], manifest: dict, out_dir: str, columns: list[str],
-         schedule_key: str) -> list[str]:
+def emit(rows: list[dict], manifest: dict, out_dir: str) -> list[str]:
     """Write results.csv, manifest.json and one SVG per metric column.
 
     Validates before touching the filesystem; identical inputs produce
     identical bytes.
     """
-    if not rows:
-        raise ValueError("no result rows to emit")
-    for col in columns:
-        for row in rows:
-            if col not in row:
-                raise ValueError(f"row missing column {col!r}")
+    schedule_key, *metrics = _columns(rows)
     xs = [row[schedule_key] for row in rows]
     svgs = {f"{col}.svg": _svg_loglog(xs, [row[col] for row in rows], col, schedule_key)
-            for col in columns if col != schedule_key and not col.endswith("_se")}
+            for col in metrics if not col.endswith("_se")}
     manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    return write_files(out_dir, {"results.csv": rows_to_csv(rows, columns),
+    return write_files(out_dir, {"results.csv": rows_to_csv(rows),
                                  "manifest.json": manifest_text, **dict(sorted(svgs.items()))})
 
 

@@ -25,7 +25,9 @@ import numpy as np
 IDENTITY_TOL = 1e-12
 
 # Largest grid, in intervals, a run config may ask a Hoelder distance on:
-# the sweep visits all n (n + 1) / 2 grid pairs, so its time is O(n^2).
+# the sweep visits all n (n + 1) / 2 grid pairs, so its time is O(n^2).  It
+# must stay in this module: perfbench/tracing.py reads
+# tensor2.FULL_PAIRS_LIMIT to count the pairs of every traced distance.
 FULL_PAIRS_LIMIT = 2048
 
 # Grid pairs per block of the Hoelder sweep, over all lifts of a stack: one
@@ -112,7 +114,7 @@ class LiftedPath:
     """Running signatures S_{0,i} of a path over a strictly increasing grid.
 
     ``level1[i]``/``level2[i]`` are the two levels of S_{0,i}; S_{0,0} is the
-    identity.  Interval lifts S_{i,j} come out of ``interval`` via group
+    identity.  Interval lifts S_{i,j} come out of ``intervals`` via group
     inversion and therefore satisfy Chen exactly.
     """
 
@@ -151,22 +153,25 @@ class LiftedPath:
         """Running lift S_{0,i}."""
         return StepTwoLift(self.level1[i].copy(), self.level2[i].copy())
 
+    def intervals(self, i, j) -> tuple[np.ndarray, np.ndarray]:
+        """Both levels of the interval lifts S_{i,j} = S_{0,i}^{-1} * S_{0,j}
+        for index arrays ``i`` and ``j`` broadcast against each other:
+        X1_j - X1_i of shape (..., d) and X2_j - X2_i - X1_i (x) (X1_j - X1_i)
+        of shape (..., d, d)."""
+        x1 = self.level1[i]
+        inc = self.level1[j] - x1
+        return inc, self.level2[j] - self.level2[i] - x1[..., :, None] * inc[..., None, :]
+
     def interval(self, i: int, j: int) -> StepTwoLift:
-        """Interval lift S_{i,j} = S_{0,i}^{-1} * S_{0,j}."""
-        inc = self.level1[j] - self.level1[i]
-        l2 = self.level2[j] - self.level2[i] - np.outer(self.level1[i], inc)
-        return StepTwoLift(inc, l2)
+        """Interval lift S_{i,j}."""
+        return StepTwoLift(*self.intervals(i, j))
 
     def restrict(self, indices) -> "LiftedPath":
         """Sub-grid path, rebased so the first retained point is the identity."""
         idx = np.asarray(indices, dtype=int)
         if idx.ndim != 1 or len(idx) < 1 or np.any(np.diff(idx) <= 0):
             raise ValueError("indices must be strictly increasing")
-        t = self.times[idx].copy()
-        l1 = self.level1[idx] - self.level1[idx[0]]
-        l2 = (self.level2[idx] - self.level2[idx[0]]
-              - np.einsum("d,ne->nde", self.level1[idx[0]], l1))
-        return LiftedPath(t, np.ascontiguousarray(l1), np.ascontiguousarray(l2))
+        return LiftedPath(self.times[idx], *self.intervals(idx[0], idx))
 
 
 def exp_step2(increment) -> StepTwoLift:

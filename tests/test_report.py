@@ -38,7 +38,7 @@ def test_fit_validation():
 
 def test_csv_shortest_roundtrip_floats():
     rows = [{"a": 0.1, "b": 1.0 / 3.0}, {"a": 2.0 ** -40, "b": 1e300}]
-    text = rows_to_csv(rows, ["a", "b"])
+    text = rows_to_csv(rows)
     lines = text.strip().split("\n")
     assert lines[0] == "a,b"
     for line, row in zip(lines[1:], rows):
@@ -54,10 +54,11 @@ def _rows():
 
 def test_emit_deterministic(tmp_path):
     rows = _rows()
-    manifest = build_manifest("leadlag", {"dummy": 1}, rows, "n", 7, {"note": "x"})
+    manifest = build_manifest({"experiment": "leadlag", "base_seed": 7, "dummy": 1}, rows,
+                              {"note": "x"})
     d1, d2 = tmp_path / "a", tmp_path / "b"
-    emit(rows, manifest, str(d1), ["n", "vnorm", "x_mean", "x_se"], "n")
-    emit(rows, manifest, str(d2), ["n", "vnorm", "x_mean", "x_se"], "n")
+    emit(rows, manifest, str(d1))
+    emit(rows, manifest, str(d2))
     for name in ("results.csv", "manifest.json", "vnorm.svg", "x_mean.svg"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
@@ -65,13 +66,49 @@ def test_emit_deterministic(tmp_path):
 def test_emit_rejects_empty_before_writing(tmp_path):
     out = tmp_path / "out"
     with pytest.raises(ValueError):
-        emit([], {}, str(out), ["n"], "n")
+        emit([], {}, str(out))
+    assert not out.exists()
+
+
+def test_tables_follow_row_key_order(tmp_path):
+    # the rows are the table's only description: columns in key order, the
+    # first key the schedule, experiment and seed from the echoed config
+    rows = [{"n": 4, "x_se": 0.01, "vnorm": 1.0, "x_mean": 0.5},
+            {"n": 8, "x_se": 0.02, "vnorm": 2.0, "x_mean": 0.25}]
+    text = rows_to_csv(rows)
+    assert text.splitlines() == ["n,x_se,vnorm,x_mean", "4,0.01,1.0,0.5", "8,0.02,2.0,0.25"]
+    manifest = build_manifest({"experiment": "leadlag", "base_seed": 3}, rows, {})
+    assert (manifest["experiment"], manifest["base_seed"]) == ("leadlag", 3)
+    assert manifest["schedule"] == [4, 8]
+    out = tmp_path / "out"
+    emit(rows, manifest, str(out))
+    assert (out / "results.csv").read_text() == text
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "results.csv", "vnorm.svg", "x_mean.svg"]
+    assert "n (log-log)" in (out / "x_mean.svg").read_text()
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [{"n": 4, "x": 1.0}, {"n": 8}],
+    [{"n": 4, "x": 1.0}, {"n": 8, "x": 1.0, "y": 2.0}],
+    [{"n": 4, "x": 1.0}, {"x": 1.0, "n": 8}],
+], ids=["empty", "missing-key", "extra-key", "reordered"])
+def test_tables_reject_empty_or_ragged_rows(tmp_path, rows):
+    out = tmp_path / "out"
+    config = {"experiment": "leadlag", "base_seed": 0}
+    with pytest.raises(ValueError, match="result rows"):
+        rows_to_csv(rows)
+    with pytest.raises(ValueError, match="result rows"):
+        build_manifest(config, rows, {})
+    with pytest.raises(ValueError, match="result rows"):
+        emit(rows, {}, str(out))
     assert not out.exists()
 
 
 def test_manifest_slopes():
     rows = _rows()
-    manifest = build_manifest("leadlag", {}, rows, "n", 0, {})
+    manifest = build_manifest({"experiment": "leadlag", "base_seed": 0}, rows, {})
     fit = manifest["loglog_slopes"]["x_mean"]
     assert abs(fit["slope"] + 1.0) <= 1e-12
     assert manifest["schedule"] == [4, 8, 16]

@@ -502,3 +502,29 @@ def test_restrict_preserves_interval_lifts():
     b = sub.interval(0, 2)
     assert np.abs(a.level1 - b.level1).max() <= TOL
     assert np.abs(a.level2 - b.level2).max() <= TOL
+
+
+def test_intervals_match_interval_restrict_and_all_pairs_formula():
+    # intervals(i, j) is the one S_{i,j} formula: bit for bit the single
+    # interval at every pair, the rows of restrict, and the all-pairs table
+    # written out from the running signatures
+    rng = np.random.default_rng(15)
+    for path in random_lifted_paths(rng, 6, max_dim=3, max_segments=12):
+        n, d = path.n_points, path.dim
+        grid = np.arange(n)
+        inc, l2 = path.intervals(grid[:, None], grid)
+        assert inc.shape == (n, n, d) and l2.shape == (n, n, d, d)
+        for i in range(n):
+            for j in range(n):
+                single = path.interval(i, j)
+                assert inc[i, j].tobytes() == single.level1.tobytes()
+                assert l2[i, j].tobytes() == single.level2.tobytes()
+        for idx in (grid, grid[1::2], grid[[0, n - 1]]):
+            sub = path.restrict(idx)
+            assert sub.level1.tobytes() == inc[idx[0], idx].tobytes()
+            assert sub.level2.tobytes() == l2[idx[0], idx].tobytes()
+        L1, L2 = path.level1, path.level2
+        U = L1[None] - L1[:, None]
+        assert inc.tobytes() == U.tobytes()
+        assert l2.tobytes() == (L2[None] - L2[:, None]
+                                - np.einsum("id,ije->ijde", L1, U)).tobytes()
