@@ -295,9 +295,13 @@ def sample_physical(drift: StableDrift, eps: float, T: float, N: int,
     return GridPath(times, P), GridPath(times, W)
 
 
-def derive_Z(P: GridPath, W: GridPath) -> GridPath:
+def derive_Z(P: GridPath, W: GridPath, out=None) -> GridPath:
     """Z = W - P pointwise; equals M X for the physical pair since both
-    start at zero."""
+    start at zero.  ``out``, a float64 array of P's shape, receives Z in
+    place of a new array; it may be ``P.values`` itself."""
     if len(P.times) != len(W.times) or np.any(P.times != W.times):
         raise ValueError("grids must be identical")
-    return GridPath(P.times, W.values - P.values)
+    if out is not None and (out.shape != P.values.shape or out.dtype != np.float64):
+        raise ValueError(f"out must be a float64 array of shape {P.values.shape}, "
+                         f"got {out.dtype} {out.shape}")
+    return GridPath(P.times, np.subtract(W.values, P.values, out=out))

@@ -114,15 +114,16 @@ def run_magnetic_trial(cfg: MagneticConfig, eps: float, trial_index: int) -> Tri
     P, W = sample_physical(drift, eps, cfg.T, n_fine, seed)
     out_idx = np.arange(0, n_fine + 1, stride)
 
-    # each full lift is restricted as soon as it is built, and each path is
-    # dropped after its last use, so while a full lift exists at most two
-    # fine-grid paths do
-    liftP = lift_piecewise_linear(P.times, P.values).restrict(out_idx)
-    Z = derive_Z(P, W)
-    del P
-    liftZ = lift_piecewise_linear(Z.times, Z.values).restrict(out_idx)
-    del Z
-    liftW = lift_piecewise_linear(W.times, W.values).restrict(out_idx)
+    # P, Z and W are lifted in turn into one level-2 buffer, each lift
+    # restricted before the next overwrites it, and Z is written over P once
+    # P's lift is restricted.  Level 1 of each full lift is a view of its
+    # path, so after sampling the trial makes no fine-grid array but the
+    # buffer, and holds P (then Z), W, the times and the buffer at its peak.
+    level2 = np.empty((n_fine + 1, cfg.d, cfg.d))
+    liftP = lift_piecewise_linear(P.times, P.values, out=level2).restrict(out_idx)
+    Z = derive_Z(P, W, out=P.values)
+    liftZ = lift_piecewise_linear(Z.times, Z.values, out=level2).restrict(out_idx)
+    liftW = lift_piecewise_linear(W.times, W.values, out=level2).restrict(out_idx)
 
     zero = zero_lift(liftP.times, cfg.d)
     distP_renorm = holder_distance(translate(liftP, v), zero, cfg.alpha)

@@ -18,18 +18,19 @@ from .tensor2 import FULL_PAIRS_LIMIT, ROW_BLOCK
 # Run-size bounds, all checked by check_run, which each experiment config
 # calls when it is built and the identities and psi commands call before
 # any work, so a run too large to finish is rejected first.  At its peak a
-# magnetic trial holds fine_step_bytes(d) per step of its fine grid: P, W
-# (or Z), the times and one full lift, (3d + 1 + d^2) floats.  Its sampling
-# phase stays below that lift phase: P, W and the times (2d + 1 floats per
-# step), with the OU scan run per chunk in O(ROW_BLOCK d).  That is the
-# measured slope of the tracemalloc peak of one trial between 260,352 and
-# 516,608 steps: 88.0 B per step at d = 2 and 232.0 at d = 4 (440.0 at
-# d = 6); every other array is O(tensor2.ROW_BLOCK), about 2.2 MB at d = 2.
-# MAX_GRID_STEPS at d = 2 therefore stands for a budget of TRIAL_BYTES,
-# about 0.75 GB per worker, which also bounds the magnetic fine grid at any
-# d and a lead-lag trial (leadlag_trial_bytes).  The job list and every
-# trial result (a few hundred bytes each) stay in memory until summary_rows
-# reduces them, so MAX_TRIALS results stay under 1 GB.
+# magnetic trial holds fine_step_bytes(d) per step of its fine grid: P (then
+# Z, written over it), W, the times and the one level-2 buffer its three
+# lifts share, (d + 1)^2 floats; level 1 of each full lift is a view of its
+# path.  Its sampling phase stays below that lift phase: P, W and the times
+# (2d + 1 floats per step), with the OU scan run per chunk in
+# O(ROW_BLOCK d).  That is the measured slope of the tracemalloc peak of one
+# trial between 260,352 and 516,608 steps: 72.0 B per step at d = 2 and
+# 200.0 at d = 4 (392.0 at d = 6); every other array is
+# O(tensor2.ROW_BLOCK), about 2.4 MB at d = 2.  TRIAL_BYTES, about 0.75 GB
+# per worker, covers MAX_GRID_STEPS at d = 2 and also bounds the magnetic
+# fine grid at any d and a lead-lag trial (leadlag_trial_bytes).  The job
+# list and every trial result (a few hundred bytes each) stay in memory
+# until summary_rows reduces them, so MAX_TRIALS results stay under 1 GB.
 MAX_GRID_STEPS = 2 ** 23
 TRIAL_BYTES = 90 * MAX_GRID_STEPS
 MAX_TRIALS = 2 ** 20
@@ -56,7 +57,7 @@ def check_run(seed: int = 0, trials: int = 0, grid_steps: int = 0, hoelder_n: in
 
 def fine_step_bytes(d: int) -> int:
     """Peak bytes a magnetic trial holds per fine-grid step at dimension d."""
-    return 8 * (d * d + 3 * d + 1)
+    return 8 * (d + 1) ** 2
 
 
 def lyapunov_bytes(d: int) -> int:

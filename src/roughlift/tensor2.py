@@ -209,22 +209,26 @@ def running_sum_block(steps, out, k0: int) -> None:
     np.cumsum(steps, axis=0, out=out[k0 + 1:k0 + 1 + len(steps)])
 
 
-def lift_piecewise_linear(times, values, stride: int = 1) -> LiftedPath:
+def lift_piecewise_linear(times, values, stride: int = 1, out=None) -> LiftedPath:
     """Lift of the piecewise-linear path through ``values`` at ``times``,
     returned at every ``stride``-th grid point (which must divide the
     number of segments n).
 
-    Running second level accumulates (x_r - x_0 + inc_r/2) (x) inc_r per
-    segment, which is the Chen product of the segment exponentials.  The
-    terms of each cell of ``stride`` segments are summed by one batched
-    matmul and the cell sums carried across cells; level 1 is the carried
-    sum of the cell increments.  At stride 1 a cell is one segment, and
-    each of the d^2 entries of its term is one product of contiguous rows,
-    carried per entry.  Blocks of about ROW_BLOCK segments (a multiple of
-    ``stride``) are done at a time, so the working memory beyond the
-    returned (n/stride + 1)(d + d^2) floats is O(max(ROW_BLOCK, stride) d):
-    2.8 MiB at d = 2, 6.3 MiB at d = 6 (traced at n = 2^20, stride 1).  At
-    stride 1 the lift is bitwise that of summing all terms with one
+    Level 1 is in closed form, x_i - x_0 at the output points, with no
+    running sums.  At stride 1 and x_0 = +0.0 it is a read-only view of
+    ``values``: the caller must not overwrite ``values`` while that lift is
+    in use.  The running second level accumulates (x_r - x_0 + inc_r/2) (x)
+    inc_r per segment, which is the Chen product of the segment
+    exponentials.  The terms of each cell of ``stride`` segments are summed
+    by one batched matmul and the cell sums carried across cells; at stride
+    1 a cell is one segment, and each of the d^2 entries of its term is one
+    product of contiguous rows, carried per entry.  Blocks of about
+    ROW_BLOCK segments (a multiple of ``stride``) are done at a time, so the
+    working memory beyond the returned arrays is O(max(ROW_BLOCK, stride) d).
+
+    ``out``, a float64 array of shape (n/stride + 1, d, d) that does not
+    overlap ``values``, receives level 2 in place of a new array.  At
+    stride 1 level 2 is bitwise that of summing all terms with one
     np.cumsum from +0.0; at larger strides it agrees with
     ``lift_piecewise_linear(times, values).restrict(range(0, n + 1, stride))``
     to rounding (about 1e-14 of max |level 2| at n = 2^15).
@@ -240,8 +244,16 @@ def lift_piecewise_linear(times, values, stride: int = 1) -> LiftedPath:
     n, d = x.shape[0] - 1, x.shape[1]
     if stride < 1 or n % stride:
         raise ValueError(f"stride = {stride} must be a positive divisor of n = {n}")
-    l1 = np.zeros((n // stride + 1, d))
-    l2 = np.zeros((n // stride + 1, d, d))
+    shape = (n // stride + 1, d, d)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {shape}, "
+                         f"got {out.dtype} {out.shape}")
+    elif np.may_share_memory(out, x):
+        raise ValueError("out must not overlap values")
+    l2 = out
+    l2[0] = 0.0
     block = max(stride, ROW_BLOCK - ROW_BLOCK % stride)
     for k0 in range(0, n, block):
         k1 = min(k0 + block, n)
@@ -259,17 +271,24 @@ def lift_piecewise_linear(times, values, stride: int = 1) -> LiftedPath:
                 for q in range(d):
                     np.multiply(base[p], inc[q], out=term)
                     running_sum_block(term, l2[:, p, q], c0)
-            for p in range(d):
-                running_sum_block(inc[p], l1[:, p], c0)
         else:
             inc = x[k0 + 1:k1 + 1] - x[k0:k1]
-            base = x[k0:k1] - x[0]
+            base = np.empty_like(inc)
+            # x_0 broadcast in (d, rows) order: in (rows, d) order numpy
+            # runs an inner loop of length d per row, 4.7x as long at d = 2.
+            # The matmul keeps the (rows, d) operands: with (d, rows) ones
+            # BLAS sums in another order and level 2 moves in its last bits.
+            np.subtract(x[k0:k1].T, x[0, :, None], out=base.T, order="C")
             base += 0.5 * inc
             cells = l2[c0 + 1:c1 + 1]
             np.matmul(base.reshape(c1 - c0, stride, d).transpose(0, 2, 1),
                       inc.reshape(c1 - c0, stride, d), out=cells)
             running_sum_block(cells, l2, c0)
-            running_sum_block(x[k0 + stride:k1 + 1:stride] - x[k0:k1:stride], l1, c0)
+    if stride == 1 and not np.any(x[0]) and not np.any(np.signbit(x[0])):
+        l1 = x.view()  # x - x_0 is x, bit for bit, when x_0 = +0.0
+        l1.flags.writeable = False
+    else:
+        l1 = x[::stride] - x[0]
     return LiftedPath(np.ascontiguousarray(t[::stride]), l1, l2)
 
 

@@ -9,7 +9,9 @@ of the numpy Pade step and solves,
 a per-row pair loop instead of the blocked Hoelder kernel, an
 eigendecomposition, a plain loop and the earlier whole-grid sqrt(N)-block
 scan instead of the per-chunk block-Toeplitz OU scan, and
-whole-grid arrays instead of the row-blocked lift and noise draw; full
+whole-grid arrays instead of the row-blocked lift and noise draw; the
+old lift, with level 1 a running sum of the increments, instead of its
+closed form x_i - x_0 in the magnetic and lead-lag trials; full
 lifts, one distance call each and a counter-term written out instead of
 the lead-lag trial's strided lifts, single sweep and counter_terms; a
 complex FFT per component, with the embedding rebuilt on every call,
@@ -274,6 +276,25 @@ def lift_piecewise_linear_full(times, values):
     l2 = np.zeros((n + 1, d, d))
     np.cumsum(terms, axis=0, out=l2[1:])
     return LiftedPath(t, l1, l2)
+
+
+def lift_strided_whole_grid(times, values, stride: int):
+    """tensor2.lift_piecewise_linear at a stride on whole-grid arrays: the
+    terms of every cell of ``stride`` segments summed by one batched matmul
+    over the whole grid, the cell sums by one cumsum, and level 1 as
+    x_i - x_0 at the cell ends."""
+    from roughlift.tensor2 import LiftedPath
+
+    t = np.asarray(times, dtype=float)
+    x = np.asarray(values, dtype=float)
+    n, d = x.shape[0] - 1, x.shape[1]
+    inc = np.diff(x, axis=0)
+    base = (x[:-1] - x[0]) + 0.5 * inc
+    cells = np.matmul(base.reshape(n // stride, stride, d).transpose(0, 2, 1),
+                      inc.reshape(n // stride, stride, d))
+    l2 = np.zeros((n // stride + 1, d, d))
+    np.cumsum(cells, axis=0, out=l2[1:])
+    return LiftedPath(t[::stride], x[::stride] - x[0], l2)
 
 
 def ou_scan_chunks(E, xi, p0):

@@ -402,3 +402,19 @@ def test_derive_Z_identities():
     assert np.all(derive_Z(zeroP, W).values == W.values)
     with pytest.raises(ValueError):
         derive_Z(P, GridPath(W.times[:64], W.values[:64] - W.values[0]))
+
+
+def test_derive_Z_into_out():
+    drift = StableDrift(np.eye(2), 2.0 * J)
+    P, W = sample_physical(drift, 0.5, 1.0, 128, seed=4)
+    fresh = derive_Z(P, W)
+    out = np.full_like(P.values, np.nan)
+    assert derive_Z(P, W, out=out).values is out
+    assert out.tobytes() == fresh.values.tobytes()
+    for bad in (np.empty((128, 2)), np.empty((129, 3)), np.empty((129, 2), dtype=np.float32)):
+        with pytest.raises(ValueError, match="out"):
+            derive_Z(P, W, out=bad)
+    # over P itself, as the magnetic trial writes it
+    Z = derive_Z(P, W, out=P.values)
+    assert Z.values is P.values
+    assert Z.values.tobytes() == fresh.values.tobytes()

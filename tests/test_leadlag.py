@@ -12,7 +12,7 @@ from roughlift.identities import leadlag_oracle_errors, psi_bruteforce
 from roughlift.report import MAX_GRID_STEPS, TRIAL_BYTES, leadlag_trial_bytes
 from roughlift.tensor2 import holder_sweep, lift_piecewise_linear
 
-from oracles import leadlag_trial_full_lifts, sample_fbm_complex_fft
+from oracles import leadlag_trial_full_lifts, lift_piecewise_linear_full, sample_fbm_complex_fft
 
 
 # ----------------------------------------------------------------- hoff_path
@@ -243,6 +243,24 @@ def test_trial_matches_full_lift_oracle(d, H):
                     for name in ("dist_renorm", "dist_raw", "areaDev1"):
                         a, b = getattr(r, name), getattr(w, name)
                         assert abs(a - b) <= 1e-12 * abs(b), (name, r.n, alpha, k)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_trial_matches_cumsum_lift_oracle(monkeypatch, d):
+    # level 1 in closed form against the old lift: a whole-grid cumsum lift
+    # (level 1 a running sum of the increments) restricted to the stride,
+    # every field within 1e-12 relative, the counter-term norm bit for bit
+    cfg = LeadLagConfig(H=0.4, alpha=0.3, n_schedule=(16, 32, 64, 128), n_ref=1024, d=d,
+                        mc_trials=4, base_seed=3)
+    got = [run_leadlag_trial(cfg, k) for k in range(cfg.mc_trials)]
+    monkeypatch.setattr(leadlag, "lift_piecewise_linear", lambda t, x, stride: (
+        lift_piecewise_linear_full(t, x).restrict(np.arange(0, len(t), stride))))
+    for k in range(cfg.mc_trials):
+        for r, w in zip(got[k], run_leadlag_trial(cfg, k), strict=True):
+            assert r.n == w.n and r.vNorm == w.vNorm
+            for name in ("dist_renorm", "dist_raw", "areaDev1"):
+                a, b = getattr(r, name), getattr(w, name)
+                assert abs(a - b) <= 1e-12 * abs(b), (name, r.n, k)
 
 
 def test_trial_matches_complex_fft_sampler(monkeypatch):

@@ -4,9 +4,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from oracles import (lyapunov_solve_scipy, ou_integrals_scipy, ou_joint_transition_lyapunov,
-                     ou_recursion_eig, sample_physical_blocked_scan)
-from roughlift import gauss, linstable, magnetic
+from oracles import (lift_piecewise_linear_full, lyapunov_solve_scipy, ou_integrals_scipy,
+                     ou_joint_transition_lyapunov, ou_recursion_eig,
+                     sample_physical_blocked_scan)
+from roughlift import gauss, linstable, magnetic, tensor2
 from roughlift import (MagneticConfig, derive_Z, drift_at, fine_grid_n,
                        holder_distance, lift_piecewise_linear, magnetic_experiment,
                        renorm_v, run_magnetic_trial, sample_physical, translate)
@@ -201,6 +202,25 @@ def test_trial_matches_scipy_transition_oracle(monkeypatch):
         for f in fields(a):
             x, y = getattr(a, f.name), getattr(b, f.name)
             assert abs(x - y) <= 1e-12 * abs(y), f.name
+
+def test_trial_matches_cumsum_lift_oracle(monkeypatch):
+    # level 1 in closed form, one reused level-2 buffer and Z written over P
+    # against the old trial: whole-grid cumsum lifts (level 1 a running sum
+    # of the increments) and a fresh Z, field by field, at eps = 2^-2 (512
+    # fine steps) and eps = 2^-6 (330,240 fine steps, 11 ROW_BLOCK chunks)
+    cfg = small_cfg(eps_schedule=(2.0 ** -2, 2.0 ** -6), grid_n=256)
+    assert fine_grid_n(cfg, 2.0 ** -6) > 10 * tensor2.ROW_BLOCK
+    keys = [(eps, k) for eps in cfg.eps_schedule for k in range(2)]
+    new = [run_magnetic_trial(cfg, eps, k) for eps, k in keys]
+    monkeypatch.setattr(magnetic, "lift_piecewise_linear",
+                        lambda t, x, out=None: lift_piecewise_linear_full(t, x))
+    monkeypatch.setattr(magnetic, "derive_Z", lambda P, W, out=None: derive_Z(P, W))
+    old = [run_magnetic_trial(cfg, eps, k) for eps, k in keys]
+    for a, b in zip(new, old):
+        for f in fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert abs(x - y) <= 1e-12 * abs(y), (a.eps, f.name)
+
 
 def _trial_peak_bytes(cfg, eps):
     tracemalloc.start()

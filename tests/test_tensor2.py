@@ -9,7 +9,8 @@ from roughlift import (RenormTerm, StepTwoLift, chen_inv, chen_mul, exp_step2,
 from roughlift.tensor2 import holder_sweep
 from roughlift.identities import random_lifted_paths
 
-from oracles import holder_distance_rowloop, lift_piecewise_linear_full, pl_iterated_integral
+from oracles import (holder_distance_rowloop, lift_piecewise_linear_full, lift_strided_whole_grid,
+                     pl_iterated_integral)
 
 TOL = 1e-12
 
@@ -156,14 +157,20 @@ def test_lift_rejects_bad_grids():
         lift_piecewise_linear([0.0, 1.0, 0.5], np.zeros((3, 1)))
 
 
+def _close(a, b):
+    return np.abs(a - b).max() <= TOL * max(1.0, np.abs(b).max())
+
+
 def _assert_lift_matches_full(rng, n, d):
     t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n))])
     x = rng.standard_normal((n + 1, d))
     x[0] = rng.standard_normal(d)  # a path that does not start at the origin
     got, want = lift_piecewise_linear(t, x, stride=1), lift_piecewise_linear_full(t, x)
-    # bytes, not values: a signed zero counts too
-    assert got.level1.tobytes() == want.level1.tobytes(), (n, d)
+    # bytes, not values: a signed zero counts too.  Level 1 is x - x_0 in
+    # closed form; the oracle's running sum of the increments rounds apart
     assert got.level2.tobytes() == want.level2.tobytes(), (n, d)
+    assert got.level1.tobytes() == (x - x[0]).tobytes(), (n, d)
+    assert _close(got.level1, want.level1), (n, d)
 
 
 B = tensor2.ROW_BLOCK
@@ -207,10 +214,13 @@ def _assert_strided_matches_restrict(rng, n, d, stride):
     x = rng.standard_normal((n + 1, d))
     x[0] = rng.standard_normal(d)
     got = lift_piecewise_linear(t, x, stride=stride)
-    want = lift_piecewise_linear(t, x).restrict(np.arange(0, n + 1, stride))
+    whole = lift_strided_whole_grid(t, x, stride)
+    want = lift_piecewise_linear_full(t, x).restrict(np.arange(0, n + 1, stride))
     assert np.array_equal(got.times, want.times)
+    assert got.level2.tobytes() == whole.level2.tobytes(), (n, d, stride)
+    assert got.level1.tobytes() == (x[::stride] - x[0]).tobytes(), (n, d, stride)
     for a, b in ((got.level1, want.level1), (got.level2, want.level2)):
-        assert np.abs(a - b).max() <= TOL * max(1.0, np.abs(b).max()), (n, d, stride)
+        assert _close(a, b), (n, d, stride)
 
 
 # one cell, three cells, and one cell past the first block
@@ -237,6 +247,55 @@ def test_lift_rejects_stride_not_dividing_n():
     for stride in (0, -1, 3, 20):
         with pytest.raises(ValueError, match="stride"):
             lift_piecewise_linear(t, x, stride=stride)
+
+
+@pytest.mark.parametrize("stride", [1, 4])
+def test_lift_into_out_equals_fresh_lift(stride):
+    rng = np.random.default_rng(20 + stride)
+    n, d = 3 * B + 8, 2
+    t = np.arange(n + 1) / n
+    x = rng.standard_normal((n + 1, d))
+    x[0] = 0.0
+    fresh = lift_piecewise_linear(t, x, stride=stride)
+    out = np.full((n // stride + 1, d, d), np.nan)  # a used buffer: row 0 is reset too
+    got = lift_piecewise_linear(t, x, stride=stride, out=out)
+    assert got.level2 is out
+    assert got.level1.tobytes() == fresh.level1.tobytes()
+    assert got.level2.tobytes() == fresh.level2.tobytes()
+
+
+def test_lift_rejects_bad_out():
+    n, d = 8, 2
+    t = np.arange(n + 1.0)
+    x = np.random.default_rng(21).standard_normal((n + 1, d))
+    for out in (np.empty((n, d, d)), np.empty((n + 1, d)), np.empty((n // 2 + 1, d, d)),
+                np.empty((n + 1, d, d), dtype=np.float32), np.empty((n + 1, d, d), dtype=int)):
+        with pytest.raises(ValueError, match="out"):
+            lift_piecewise_linear(t, x, out=out)
+    # values and out cut from one buffer, overlapping by one float
+    buf = np.zeros((n + 1) * d + (n + 1) * d * d - 1)
+    values = buf[:(n + 1) * d].reshape(n + 1, d)
+    values[1:] = x[1:]
+    with pytest.raises(ValueError, match="overlap"):
+        lift_piecewise_linear(t, values, out=buf[-(n + 1) * d * d:].reshape(n + 1, d, d))
+
+
+def test_lift_level1_is_a_view_only_at_stride_1_from_origin():
+    n, d = 12, 2
+    t = np.arange(n + 1.0)
+    x = np.random.default_rng(22).standard_normal((n + 1, d))
+    x[0] = 0.0
+    shifted, signed = x + 1.0, x.copy()
+    signed[0, 1] = -0.0  # x - x_0 then turns the -0.0 below into +0.0: no view
+    signed[3, 1] = -0.0
+    for values, stride, view in ((x, 1, True), (x, 3, False), (shifted, 1, False),
+                                 (signed, 1, False)):
+        lift = lift_piecewise_linear(t, values, stride=stride)
+        assert np.shares_memory(lift.level1, values) == view, (stride, view)
+        assert lift.level1.flags.writeable != view, (stride, view)
+        assert lift.level1.tobytes() == (values[::stride] - values[0]).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        lift_piecewise_linear(t, x).level1[1] = 0.0
 
 
 def test_lift_strided_memory_bounded_by_block():
