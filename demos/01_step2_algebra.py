@@ -26,7 +26,7 @@ print("x * x^{-1}: level1 =", round_trip.level1, " level2 =\n", round_trip.level
 print("\n== a closed loop has pure area ==")
 loop = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)], dtype=float)
 lift = lift_piecewise_linear(np.linspace(0, 1, 5), loop)
-top = lift.lift_at(4)
+top = lift.interval(0, 4)
 print("unit square, counter-clockwise: increment =", top.level1)
 print("Levy area A^{12} =", levy_area(top)[0, 1], "(the enclosed area)")
 

@@ -16,7 +16,7 @@ rng = np.random.default_rng(3)
 x = rng.standard_normal((9, 1)).cumsum(axis=0)
 x -= x[0]
 lift = lift_piecewise_linear(*hoff_path(x))
-area = levy_area(lift.lift_at(len(lift.times) - 1))
+area = levy_area(lift.interval(0, len(lift.times) - 1))
 qv = float(np.sum(np.diff(x[:, 0]) ** 2))
 print("cross area from the lift:   ", area[0, 1])
 print("closed form:                ", leadlag_area_oracle(x, 0, 8)[0, 1])

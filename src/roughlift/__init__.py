@@ -12,7 +12,8 @@ Monte Carlo convergence experiments:
 
 Supporting layers: the step-2 tensor algebra (``tensor2``), stable-drift
 matrix machinery (``linstable``), exact Gaussian samplers (``gauss``),
-identity suites (``identities``) and reporting (``report``, ``cli``).
+identity suites (``identities``), the trial runner and reporting
+(``report``, ``cli``).
 """
 
 __version__ = "0.1.0"

@@ -76,7 +76,7 @@ def inverse_error(path) -> float:
     """Worst defect of chen_mul(a, chen_inv(a)) = identity over running lifts."""
     worst = 0.0
     for i in range(path.n_points):
-        a = path.lift_at(i)
+        a = path.interval(0, i)
         r = chen_mul(a, chen_inv(a))
         scale = max(1.0, float(np.abs(a.level2).max()))
         worst = max(worst, max(np.abs(r.level1).max(), np.abs(r.level2).max()) / scale)
@@ -95,7 +95,7 @@ def translate_roundtrip_error(path, rng) -> float:
 def square_loop_area_error() -> float:
     loop = [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)]
     lift = lift_piecewise_linear(np.arange(5.0), np.array(loop, dtype=float))
-    top = lift.lift_at(4)
+    top = lift.interval(0, 4)
     area = levy_area(top)
     return max(float(np.abs(top.level1).max()), abs(area[0, 1] - 1.0),
                abs(area[1, 0] + 1.0))

@@ -20,19 +20,16 @@ closed forms and by direct integration of the two-segment case).
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gauss import SamplerSpec, derive_seed, sample_fbm
-from .report import check_run, leadlag_trial_bytes, summary_rows
-from .tensor2 import holder_sweep, lift_piecewise_linear
+from .report import check_run, run_trials
+from .tensor2 import ROW_BLOCK, holder_sweep, lift_piecewise_linear
 # holder_distance and translate stay importable from here: perfbench/tracing.py
 # wraps them under this module's name
 from .tensor2 import holder_distance, translate  # noqa: F401
-
-LEADLAG_FIELDS = ("dist_renorm", "dist_raw", "areaDev1")
 
 
 def hoff_path(samples) -> tuple[np.ndarray, np.ndarray]:
@@ -121,6 +118,26 @@ def psi_profile(K_max: int, H: float) -> np.ndarray:
     return 0.25 * (K * w2[0] + 2.0 * (K * tail_count - tail_xw))
 
 
+def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int) -> int:
+    """Bound on the peak bytes of one lead-lag trial: reference grid n_ref,
+    dimension d, k schedule points, coarsest n_min.
+
+    Per reference step, 8 (4d + 1) B: the fBm draw holds the cached
+    embedding root, d rows of 2n normals and their half-spectra (4d + 1
+    floats); the later stages hold less (the path and times, the cached
+    root, the doubled path: 3d + 2 floats).  This is the measured slope of
+    a trial's tracemalloc peak between 2^19 and 2^20 steps: 40.0 B at
+    d = 1, 72.0 at d = 2, 136.0 at d = 4.  The strided lift of the doubled
+    path works on blocks of max(ROW_BLOCK, n_ref / n_min) rows of 6 x 2d
+    floats.  Per member and point of the coarsest grid, the sweep holds
+    the k lifts, its stacked level-1 and level-2 differences and its
+    planes: 8 d^2 + 6 d + 7 floats.
+    Every other array is O(ROW_BLOCK + PAIR_BLOCK), a few MiB.
+    """
+    return (8 * (4 * d + 1) * (n_ref + 1) + 48 * d * max(ROW_BLOCK, n_ref // n_min)
+            + 8 * (8 * d * d + 6 * d + 7) * k * (n_min + 1))
+
+
 @dataclass(frozen=True)
 class LeadLagConfig:
     """Lead-lag convergence run over an increasing n-schedule.
@@ -165,7 +182,7 @@ class LeadLagConfig:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """Per-trial distances at one mesh n."""
+    """Per-trial distances at one mesh n, in results.csv column order."""
 
     n: int
     dist_renorm: float
@@ -207,6 +224,4 @@ def run_leadlag_trial(cfg: LeadLagConfig, trial_index: int) -> list[TrialResult]
 
 def leadlag_experiment(cfg: LeadLagConfig, threads: int = 1) -> list[dict]:
     """Per-n means and standard errors over mc_trials coupled trials."""
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(lambda k: run_leadlag_trial(cfg, k), range(cfg.mc_trials)))
-    return summary_rows("n", cfg.n_schedule, zip(*results), LEADLAG_FIELDS)
+    return run_trials(lambda k: run_leadlag_trial(cfg, k), cfg.mc_trials, threads)

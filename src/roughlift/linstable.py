@@ -12,7 +12,7 @@ A is symmetric with strictly positive spectrum (friction), B anti-symmetric
 
 One Lyapunov solve serves C and the transition's finite-horizon C_r.  It
 vectorises the equation by Kronecker products rather than Bartels-Stewart,
-so it holds three d^2 x d^2 matrices (report.lyapunov_bytes); a magnetic
+so it holds three d^2 x d^2 matrices (lyapunov_bytes); a magnetic
 config is rejected where that exceeds report.TRIAL_BYTES, i.e. beyond d = 74.
 
 The module needs numpy alone: the transition's one matrix exponential is
@@ -143,6 +143,13 @@ def _pade_exp(X) -> tuple[np.ndarray, int]:
     U = X @ sum(b[2 * k + 1] * P for k, P in enumerate(powers))
     V = sum(b[2 * k] * P for k, P in enumerate(powers))
     return np.linalg.solve(V - U, V + U), s
+
+
+def lyapunov_bytes(d: int) -> int:
+    """Traced peak of a Lyapunov solve at dimension d: 3 d^2 x d^2 floats,
+    the two Kronecker products _lyapunov_solve sums into K and K itself
+    (np.linalg.solve's LU work is not traced)."""
+    return 24 * d ** 4
 
 
 def _lyapunov_solve(M, Q) -> np.ndarray:

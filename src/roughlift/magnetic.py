@@ -11,17 +11,14 @@ counter-term; the translated ones shrink as eps -> 0.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gauss import derive_Z, derive_seed, float_index, required_steps, sample_physical
-from .linstable import StableDrift, renorm_v
-from .report import check_run, fine_step_bytes, lyapunov_bytes, summary_rows
+from .linstable import StableDrift, lyapunov_bytes, renorm_v
+from .report import check_run, run_trials
 from .tensor2 import holder_distance, lift_piecewise_linear, translate, zero_lift
-
-MAGNETIC_FIELDS = ("distP_renorm", "distP_raw", "distZ_renorm", "distZ_raw", "areaDev1")
 
 
 @dataclass(frozen=True)
@@ -80,7 +77,7 @@ class MagneticConfig:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """Per-trial distance statistics at one eps."""
+    """Per-trial distance statistics at one eps, in results.csv column order."""
 
     eps: float
     distP_renorm: float
@@ -103,6 +100,21 @@ def fine_grid_n(cfg: MagneticConfig, eps: float) -> int:
     output grid so restriction is an exact subsample."""
     n_req = required_steps(drift_at(cfg, eps), eps, cfg.T)
     return cfg.grid_n * int(np.ceil(max(n_req, cfg.grid_n) / cfg.grid_n))
+
+
+def fine_step_bytes(d: int) -> int:
+    """Peak bytes a magnetic trial holds per fine-grid step at dimension d.
+
+    At its peak a trial holds P (then Z, written over it), W, the times and
+    the one level-2 buffer its three lifts share: (d + 1)^2 floats a step,
+    since level 1 of each full lift is a view of its path.  Its sampling
+    phase stays below that lift phase: P, W and the times (2d + 1 floats a
+    step), with the OU scan run per chunk in O(ROW_BLOCK d).  That is the
+    measured slope of the tracemalloc peak of one trial between 260,352 and
+    516,608 steps: 72.0 B per step at d = 2 and 200.0 at d = 4 (392.0 at
+    d = 6); every other array is O(tensor2.ROW_BLOCK), about 2.4 MB at d = 2.
+    """
+    return 8 * (d + 1) ** 2
 
 
 def run_magnetic_trial(cfg: MagneticConfig, eps: float, trial_index: int) -> TrialResult:
@@ -139,12 +151,8 @@ def run_magnetic_trial(cfg: MagneticConfig, eps: float, trial_index: int) -> Tri
 def magnetic_experiment(cfg: MagneticConfig, threads: int = 1) -> list[dict]:
     """Per-eps means and standard errors over mc_trials independent trials.
 
-    Seeds are derived per (eps, trial) and the reduction order is fixed,
-    so the output is independent of the thread count.
+    Trial k runs every eps; seeds are derived per (eps, trial), so the
+    output is independent of the thread count.
     """
-    jobs = [(eps, k) for eps in cfg.eps_schedule for k in range(cfg.mc_trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(lambda job: run_magnetic_trial(cfg, *job), jobs))
-    batches = [results[i * cfg.mc_trials:(i + 1) * cfg.mc_trials]
-               for i in range(len(cfg.eps_schedule))]
-    return summary_rows("eps", cfg.eps_schedule, batches, MAGNETIC_FIELDS)
+    return run_trials(lambda k: [run_magnetic_trial(cfg, eps, k) for eps in cfg.eps_schedule],
+                      cfg.mc_trials, threads)

@@ -1,4 +1,5 @@
-"""Rate fitting and deterministic result emission.
+"""The trial runner both experiments share, run-size bounds, rate fitting
+and deterministic result emission.
 
 Outputs are byte-reproducible: floats are written with repr (the shortest
 decimal that round-trips exactly), JSON keys are sorted, and the SVG plots
@@ -9,28 +10,23 @@ from __future__ import annotations
 
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
-from .tensor2 import FULL_PAIRS_LIMIT, ROW_BLOCK
+from .tensor2 import FULL_PAIRS_LIMIT
 
 # Run-size bounds, all checked by check_run, which each experiment config
 # calls when it is built and the identities and psi commands call before
-# any work, so a run too large to finish is rejected first.  At its peak a
-# magnetic trial holds fine_step_bytes(d) per step of its fine grid: P (then
-# Z, written over it), W, the times and the one level-2 buffer its three
-# lifts share, (d + 1)^2 floats; level 1 of each full lift is a view of its
-# path.  Its sampling phase stays below that lift phase: P, W and the times
-# (2d + 1 floats per step), with the OU scan run per chunk in
-# O(ROW_BLOCK d).  That is the measured slope of the tracemalloc peak of one
-# trial between 260,352 and 516,608 steps: 72.0 B per step at d = 2 and
-# 200.0 at d = 4 (392.0 at d = 6); every other array is
-# O(tensor2.ROW_BLOCK), about 2.4 MB at d = 2.  TRIAL_BYTES, about 0.75 GB
-# per worker, covers MAX_GRID_STEPS at d = 2 and also bounds the magnetic
-# fine grid at any d and a lead-lag trial (leadlag_trial_bytes).  The job
-# list and every trial result (a few hundred bytes each) stay in memory
-# until summary_rows reduces them, so MAX_TRIALS results stay under 1 GB.
+# any work, so a run too large to finish is rejected first.  TRIAL_BYTES,
+# about 0.75 GB per worker, covers MAX_GRID_STEPS at d = 2 and bounds each
+# model of a trial's bytes, kept beside the arrays it counts:
+# magnetic.fine_step_bytes, linstable.lyapunov_bytes and
+# leadlag.leadlag_trial_bytes.  Every trial result (a few hundred bytes)
+# stays in memory until summary_rows reduces them, so MAX_TRIALS results
+# stay under 1 GB.
 MAX_GRID_STEPS = 2 ** 23
 TRIAL_BYTES = 90 * MAX_GRID_STEPS
 MAX_TRIALS = 2 ** 20
@@ -53,36 +49,6 @@ def check_run(seed: int = 0, trials: int = 0, grid_steps: int = 0, hoelder_n: in
             ("bytes a trial holds", trial_bytes, "TRIAL_BYTES", TRIAL_BYTES)]:
         if value > bound:
             raise ConfigError(f"{quantity}: {value} > {name} = {bound}")
-
-
-def fine_step_bytes(d: int) -> int:
-    """Peak bytes a magnetic trial holds per fine-grid step at dimension d."""
-    return 8 * (d + 1) ** 2
-
-
-def lyapunov_bytes(d: int) -> int:
-    """Traced peak of a Lyapunov solve at dimension d: 3 d^2 x d^2 floats."""
-    return 24 * d ** 4
-
-
-def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int) -> int:
-    """Bound on the peak bytes of one lead-lag trial: reference grid n_ref,
-    dimension d, k schedule points, coarsest n_min.
-
-    Per reference step, 8 (4d + 1) B: the fBm draw holds the cached
-    embedding root, d rows of 2n normals and their half-spectra (4d + 1
-    floats); the later stages hold less (the path and times, the cached
-    root, the doubled path: 3d + 2 floats).  This is the measured slope of
-    a trial's tracemalloc peak between 2^19 and 2^20 steps: 40.0 B at
-    d = 1, 72.0 at d = 2, 136.0 at d = 4.  The strided lift of the doubled
-    path works on blocks of max(ROW_BLOCK, n_ref / n_min) rows of 6 x 2d
-    floats.  Per member and point of the coarsest grid, the sweep holds
-    the k lifts, its stacked level-1 and level-2 differences and its
-    planes: 8 d^2 + 6 d + 7 floats.
-    Every other array is O(ROW_BLOCK + PAIR_BLOCK), a few MiB.
-    """
-    return (8 * (4 * d + 1) * (n_ref + 1) + 48 * d * max(ROW_BLOCK, n_ref // n_min)
-            + 8 * (8 * d * d + 6 * d + 7) * k * (n_min + 1))
 
 
 def fit_loglog(points):
@@ -111,24 +77,31 @@ def fit_loglog(points):
     return slope, intercept, stderr
 
 
-def mean_se(samples) -> tuple[float, float]:
-    a = np.asarray(samples, dtype=float)
-    m = float(np.mean(a))
-    se = float(np.std(a, ddof=1) / np.sqrt(len(a))) if len(a) > 1 else 0.0
-    return m, se
-
-
-def summary_rows(schedule_key: str, schedule, batches, fields) -> list[dict]:
-    """One row per schedule point: the point, the counter-term norm of its
-    first trial, and the mean and standard error of each field over its
-    batch of trial results."""
+def summary_rows(batches) -> list[dict]:
+    """One row per schedule point from its batch of trial records (one
+    dataclass type): the record's first field, the schedule point, then
+    vnorm, the vNorm of its first trial, then the mean and standard error
+    of every other field over the batch, in declaration order."""
     rows = []
-    for x, batch in zip(schedule, batches):
-        row = {schedule_key: x, "vnorm": batch[0].vNorm}
-        for name in fields:
-            row[f"{name}_mean"], row[f"{name}_se"] = mean_se([getattr(t, name) for t in batch])
+    for batch in batches:
+        key, *stats = [f.name for f in fields(batch[0]) if f.name != "vNorm"]
+        row = {key: getattr(batch[0], key), "vnorm": batch[0].vNorm}
+        for name in stats:
+            a = np.asarray([getattr(t, name) for t in batch], dtype=float)
+            row[f"{name}_mean"] = float(np.mean(a))
+            row[f"{name}_se"] = float(np.std(a, ddof=1) / np.sqrt(len(a))) if len(a) > 1 else 0.0
         rows.append(row)
     return rows
+
+
+def run_trials(trial, trials: int, threads: int) -> list[dict]:
+    """Summary rows of trial(0), ..., trial(trials - 1), each a list of one
+    record per schedule point, run on ``threads`` workers.  A trial derives
+    its seeds from its index and the pool keeps index order, so the rows do
+    not depend on the thread count."""
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(trial, range(trials)))
+    return summary_rows(zip(*results))
 
 
 def _fmt(v):

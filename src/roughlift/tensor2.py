@@ -149,10 +149,6 @@ class LiftedPath:
     def n_points(self) -> int:
         return len(self.times)
 
-    def lift_at(self, i: int) -> StepTwoLift:
-        """Running lift S_{0,i}."""
-        return StepTwoLift(self.level1[i].copy(), self.level2[i].copy())
-
     def intervals(self, i, j) -> tuple[np.ndarray, np.ndarray]:
         """Both levels of the interval lifts S_{i,j} = S_{0,i}^{-1} * S_{0,j}
         for index arrays ``i`` and ``j`` broadcast against each other:

@@ -9,7 +9,8 @@ from roughlift import (LeadLagConfig, SamplerSpec, counter_terms, hoff_path,
                        run_leadlag_trial, sample_fbm)
 from roughlift import gauss, leadlag
 from roughlift.identities import leadlag_oracle_errors, psi_bruteforce
-from roughlift.report import MAX_GRID_STEPS, TRIAL_BYTES, leadlag_trial_bytes
+from roughlift.leadlag import leadlag_trial_bytes
+from roughlift.report import MAX_GRID_STEPS, TRIAL_BYTES
 from roughlift.tensor2 import holder_sweep, lift_piecewise_linear
 
 from oracles import leadlag_trial_full_lifts, lift_piecewise_linear_full, sample_fbm_complex_fft

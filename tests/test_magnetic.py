@@ -12,8 +12,9 @@ from roughlift import (MagneticConfig, derive_Z, drift_at, fine_grid_n,
                        holder_distance, lift_piecewise_linear, magnetic_experiment,
                        renorm_v, run_magnetic_trial, sample_physical, translate)
 from roughlift.gauss import derive_seed, float_index
-from roughlift.linstable import _lyapunov_solve
-from roughlift.report import TRIAL_BYTES, fine_step_bytes, fit_loglog, lyapunov_bytes
+from roughlift.linstable import _lyapunov_solve, lyapunov_bytes
+from roughlift.magnetic import fine_step_bytes
+from roughlift.report import TRIAL_BYTES, fit_loglog
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 

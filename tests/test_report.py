@@ -1,8 +1,12 @@
+import time
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from roughlift import cli, report
-from roughlift.report import ConfigError, build_manifest, check_run, emit, fit_loglog, rows_to_csv
+from roughlift.report import (ConfigError, build_manifest, check_run, emit, fit_loglog,
+                              rows_to_csv, run_trials, summary_rows)
 
 
 def test_fit_exact_power_law():
@@ -134,3 +138,35 @@ def test_check_run_seed_range():
             check_run(seed=seed)
     # library callers catch it as a ValueError; the CLI's name is the same class
     assert issubclass(ConfigError, ValueError) and cli.ConfigError is ConfigError
+
+
+@dataclass(frozen=True)
+class _Record:
+    x: float
+    a: float
+    b: float
+    vNorm: float
+
+
+def test_summary_rows_read_the_record_fields():
+    # the first field is the schedule key, vNorm of the first trial is
+    # vnorm, every other field in declaration order a mean and an SE
+    batches = [[_Record(0.5, 1.0, 4.0, 9.0), _Record(0.5, 3.0, 4.0, 7.0)],
+               [_Record(0.25, 2.0, -1.0, 8.0)]]
+    rows = summary_rows(batches)
+    assert [list(row) for row in rows] == [["x", "vnorm", "a_mean", "a_se", "b_mean", "b_se"]] * 2
+    assert list(rows[0].values()) == [0.5, 9.0, 2.0, 1.0, 4.0, 0.0]
+    assert list(rows[1].values()) == [0.25, 8.0, 2.0, 0.0, -1.0, 0.0]
+
+
+def test_run_trials_rows_do_not_depend_on_completion_order():
+    # later trials finish first on 3 threads; the rows must equal the
+    # serial ones, whose vnorm is that of trial 0
+    def trial(k):
+        time.sleep(0.02 * (5 - k))
+        return [_Record(x, float(k * k + x), float(k) - x, k + x) for x in (1.0, 2.0)]
+
+    serial = run_trials(trial, 6, 1)
+    assert run_trials(trial, 6, 3) == serial
+    assert [(row["x"], row["vnorm"]) for row in serial] == [(1.0, 1.0), (2.0, 2.0)]
+    assert serial[0]["a_mean"] == np.mean([k * k + 1.0 for k in range(6)])

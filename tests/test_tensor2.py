@@ -113,7 +113,7 @@ def test_lift_single_segment():
 def test_lift_square_loop():
     loop = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)], dtype=float)
     lift = lift_piecewise_linear(np.arange(5.0), loop)
-    top = lift.lift_at(4)
+    top = lift.interval(0, 4)
     assert np.abs(top.level1).max() <= TOL
     area = levy_area(top)
     assert abs(area[0, 1] - 1.0) <= TOL
