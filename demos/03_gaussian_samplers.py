@@ -7,8 +7,8 @@ eps^2 C of the physical pair.
 """
 import numpy as np
 
-from roughlift import (SamplerSpec, StableDrift, derive_seed, fgn_autocov,
-                       lyapunov_C, sample_bm, sample_fbm, sample_physical)
+from roughlift import (StableDrift, derive_seed, fgn_autocov, lyapunov_C, sample_bm,
+                       sample_fbm, sample_physical)
 
 rng_trials = 20000
 
@@ -17,7 +17,7 @@ H, n = 0.25, 64
 target = fgn_autocov(1, H, 1.0 / n)
 acc = []
 for i in range(rng_trials):
-    v = sample_fbm(SamplerSpec(seed=derive_seed(0, i), H=H, n=n)).values[:, 0]
+    v = sample_fbm(seed=derive_seed(0, i), H=H, n=n).values[:, 0]
     inc = np.diff(v)
     acc.append(np.mean(inc[:-1] * inc[1:]))
 acc = np.asarray(acc)
@@ -27,7 +27,7 @@ print("(negative: rough paths anti-correlate consecutive increments)")
 
 print("\n== Cholesky cross-check at H = 1/2 ==")
 n = 128
-a = sample_fbm(SamplerSpec(seed=7, H=0.5, n=n))
+a = sample_fbm(seed=7, H=0.5, n=n)
 # sample_fbm's normals: a Philox stream keyed by the seed, 2n per component;
 # the Cholesky route maps the first n through the factor of the fGn covariance
 z = np.random.Generator(np.random.Philox(key=7)).standard_normal(2 * n)[:n]

@@ -18,12 +18,11 @@ identity suites (``identities``), the trial runner and reporting
 
 __version__ = "0.1.0"
 
-from .tensor2 import (StepTwoLift, LiftedPath, RenormTerm, exp_step2, chen_mul,
-                      chen_inv, levy_area, lift_piecewise_linear, zero_lift, translate,
-                      holder_distance)
+from .tensor2 import (StepTwoLift, LiftedPath, exp_step2, chen_mul, chen_inv, levy_area,
+                      lift_piecewise_linear, zero_lift, translate, holder_distance)
 from .linstable import StableDrift, OUTransition, lyapunov_C, renorm_v, ou_joint_transition
-from .gauss import (GridPath, SamplerSpec, sample_bm, sample_fbm, sample_physical,
-                    derive_Z, derive_seed, fgn_autocov, required_steps)
+from .gauss import (GridPath, sample_bm, sample_fbm, sample_physical, derive_Z, derive_seed,
+                    fgn_autocov, required_steps)
 from .magnetic import MagneticConfig, drift_at, fine_grid_n, run_magnetic_trial, \
     magnetic_experiment
 from .magnetic import TrialResult as MagneticTrialResult
@@ -34,10 +33,10 @@ from .report import fit_loglog, emit, build_manifest
 
 __all__ = [
     "__version__",
-    "StepTwoLift", "LiftedPath", "RenormTerm", "exp_step2", "chen_mul", "chen_inv",
+    "StepTwoLift", "LiftedPath", "exp_step2", "chen_mul", "chen_inv",
     "levy_area", "lift_piecewise_linear", "zero_lift", "translate", "holder_distance",
     "StableDrift", "OUTransition", "lyapunov_C", "renorm_v", "ou_joint_transition",
-    "GridPath", "SamplerSpec", "sample_bm", "sample_fbm", "sample_physical",
+    "GridPath", "sample_bm", "sample_fbm", "sample_physical",
     "derive_Z", "derive_seed", "fgn_autocov", "required_steps",
     "MagneticConfig", "MagneticTrialResult", "drift_at", "fine_grid_n",
     "run_magnetic_trial", "magnetic_experiment",

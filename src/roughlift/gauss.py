@@ -16,9 +16,10 @@
   contraction (M + M^T = 2A > 0), and every block of the Toeplitz matrix
   and of the stacked powers, at every level, is a power of E, of norm <= 1.
 
-Everything is deterministic given (spec, seed); Monte Carlo trials derive
-per-trial substreams with a counter-based splitmix hash so parallel runs
-reproduce bit-identically in any order.
+Everything is deterministic given the arguments and the seed, which must
+lie in [0, 2^64); Monte Carlo trials derive per-trial substreams with a
+counter-based splitmix hash so parallel runs reproduce bit-identically in
+any order.
 """
 from __future__ import annotations
 
@@ -62,7 +63,11 @@ def float_index(x: float) -> int:
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
+    """Philox stream of a seed in [0, 2^64); other seeds are rejected, not
+    wrapped onto the stream of seed mod 2^64."""
+    if not 0 <= int(seed) < 2 ** 64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
 @dataclass(frozen=True)
@@ -83,25 +88,6 @@ class GridPath:
             raise ValueError("path must start at the origin")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", x)
-
-
-@dataclass(frozen=True)
-class SamplerSpec:
-    """Parameters of one fBm draw."""
-
-    seed: int
-    H: float
-    n: int
-    d: int = 1
-    T: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.H < 1.0):
-            raise ValueError("H must lie in (0, 1)")
-        if self.n < 1 or self.d < 1:
-            raise ValueError("n and d must be >= 1")
-        if self.T <= 0.0:
-            raise ValueError("T must be positive")
 
 
 def _uniform_times(n: int, T: float) -> np.ndarray:
@@ -143,7 +129,7 @@ def _embedding_eigenvalues(n: int, H: float) -> np.ndarray:
 
 
 # The embedding depends on (n, H) alone and a run draws every trial at one
-# (n_ref, H); the test suite moves through a handful of specs at a time.  An
+# (n_ref, H); the test suite moves through a handful of (n, H) at a time.  An
 # entry holds n + 1 floats, 64 MiB at n = report.MAX_GRID_STEPS, so the
 # cache keeps at most EMBEDDING_CACHE entries (256 MiB) whatever runs.
 EMBEDDING_CACHE = 4
@@ -174,17 +160,24 @@ def _fgn_circulant(rng: np.random.Generator, d: int, n: int, H: float) -> np.nda
     return np.fft.irfft(spectrum, n=2 * n)[:, :n]
 
 
-def sample_fbm(spec: SamplerSpec) -> GridPath:
-    """Fractional Brownian motion at times i*T/n, exact in law.
+def sample_fbm(seed: int, H: float, n: int, d: int = 1, T: float = 1.0) -> GridPath:
+    """d components of fractional Brownian motion with Hurst index H at
+    times i*T/n, i = 0..n, exact in law.
 
     The 2n normals per component are drawn for all components as one
     (d, 2n) block (the stream of d successive draws).
     """
-    inc = _fgn_circulant(_rng(spec.seed), spec.d, spec.n, spec.H)
-    inc *= (spec.T / spec.n) ** spec.H
-    vals = np.zeros((spec.n + 1, spec.d))
+    if not (0.0 < H < 1.0):
+        raise ValueError("H must lie in (0, 1)")
+    if n < 1 or d < 1:
+        raise ValueError("n and d must be >= 1")
+    if T <= 0.0:
+        raise ValueError("T must be positive")
+    inc = _fgn_circulant(_rng(seed), d, n, H)
+    inc *= (T / n) ** H
+    vals = np.zeros((n + 1, d))
     np.cumsum(inc.T, axis=0, out=vals[1:])
-    return GridPath(_uniform_times(spec.n, spec.T), vals)
+    return GridPath(_uniform_times(n, T), vals)
 
 
 def required_steps(drift: StableDrift, eps: float, T: float) -> int:

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import SamplerSpec, fgn_autocov, sample_fbm
+from .gauss import fgn_autocov, sample_fbm
 from .leadlag import hoff_path, leadlag_area_oracle, psi_closed, psi_profile
 from .linstable import StableDrift, lyapunov_C, renorm_v
-from .tensor2 import (RenormTerm, chen_inv, chen_mul, levy_area, lift_piecewise_linear,
-                      translate)
+from .tensor2 import chen_inv, chen_mul, levy_area, lift_piecewise_linear, translate
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,8 @@ def inverse_error(path) -> float:
 
 def translate_roundtrip_error(path, rng) -> float:
     g = rng.standard_normal((path.dim, path.dim))
-    v = RenormTerm(0.5 * (g - g.T))
-    back = translate(translate(path, v), RenormTerm(-v.v))
+    v = 0.5 * (g - g.T)
+    back = translate(translate(path, v), -v)
     scale = max(1.0, float(np.abs(path.level2).max()))
     return max(float(np.abs(back.level1 - path.level1).max()),
                float(np.abs(back.level2 - path.level2).max())) / scale
@@ -148,7 +147,7 @@ def lyapunov_suite(n_drifts: int = 100, seed: int = 1) -> list[CheckResult]:
         v3 = -M @ C + 0.5 * np.eye(d)
         forms = max(forms, float(np.linalg.norm(v1 - v2)),
                     float(np.linalg.norm(v2 - v3)), float(np.linalg.norm(v1 - v3)))
-        v = renorm_v(drift).v
+        v = renorm_v(drift)
         anti = max(anti, float(np.linalg.norm(v + v.T)) / max(1.0, float(np.linalg.norm(v))))
     return [
         CheckResult("lyapunov-residual", res, 1e-10),
@@ -191,7 +190,7 @@ def leadlag_suite(seed: int = 2, n_sample_sets: int = 12) -> list[CheckResult]:
         h = hs[i % len(hs)]
         n = int(rng.integers(1, 33))
         d = int(rng.integers(1, 4))
-        path = sample_fbm(SamplerSpec(seed=int(rng.integers(1 << 62)), H=h, n=n, d=d))
+        path = sample_fbm(seed=int(rng.integers(1 << 62)), H=h, n=n, d=d)
         a, b, c = leadlag_oracle_errors(path.values)
         worst_or, worst_diag, worst_qv = (max(worst_or, a), max(worst_diag, b),
                                           max(worst_qv, c))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import SamplerSpec, derive_seed, sample_fbm
+from .gauss import derive_seed, fgn_autocov, sample_fbm
 from .report import check_run, run_trials
 from .tensor2 import ROW_BLOCK, holder_sweep, lift_piecewise_linear
 # holder_distance and translate stay importable from here: perfbench/tracing.py
@@ -99,7 +99,7 @@ def psi_closed(n: int, K: int, H: float) -> float:
     if not (0.0 < H < 1.0):
         raise ValueError("H must lie in (0, 1)")
     x = np.abs(np.arange(-K + 1, K))
-    w = (x + 1.0) ** (2 * H) + np.abs(x - 1.0) ** (2 * H) - 2.0 * x ** (2 * H)
+    w = 2.0 * fgn_autocov(x, H)
     return float(n) ** (-4.0 * H) / 4.0 * float(np.sum((K - x) * w ** 2))
 
 
@@ -107,8 +107,7 @@ def psi_profile(K_max: int, H: float) -> np.ndarray:
     """psi(n, K) * n^{4H} for K = 1..K_max in one vectorised sweep (the
     product is independent of n, which is what makes exhaustive bound
     checks over all (n, K) pairs cheap)."""
-    x = np.arange(K_max, dtype=float)
-    w2 = ((x + 1.0) ** (2 * H) + np.abs(x - 1.0) ** (2 * H) - 2.0 * x ** (2 * H)) ** 2
+    w2 = (2.0 * fgn_autocov(np.arange(K_max), H)) ** 2
     K = np.arange(1, K_max + 1, dtype=float)
     # phi(K) = 1/4 [K w_0^2 + 2 sum_{x=1}^{K-1} (K - x) w_x^2]
     csum = np.cumsum(w2[1:])
@@ -203,9 +202,8 @@ def run_leadlag_trial(cfg: LeadLagConfig, trial_index: int) -> list[TrialResult]
     (0, 1), where the doubled path's area ([[S, S], [S, S]] at level 2) is
     exactly 0: half the mean diagonal quadratic variation.
     """
-    spec = SamplerSpec(seed=derive_seed(cfg.base_seed, trial_index),
-                       H=cfg.H, n=cfg.n_ref, d=cfg.d)
-    ref = sample_fbm(spec)
+    ref = sample_fbm(seed=derive_seed(cfg.base_seed, trial_index), H=cfg.H, n=cfg.n_ref,
+                     d=cfg.d)
     n_min = cfg.n_schedule[0]
     ref_common = lift_piecewise_linear(ref.times, np.hstack([ref.values, ref.values]),
                                        stride=cfg.n_ref // n_min)

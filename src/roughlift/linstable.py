@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor2 import IDENTITY_TOL, RenormTerm
+from .tensor2 import IDENTITY_TOL
 
 # e^{-lam r} underflows to exactly 0 well before lam r = 1000, so a step
 # with lam r beyond it is fully relaxed and taken at that r instead.
@@ -170,15 +170,16 @@ def lyapunov_C(drift: StableDrift) -> np.ndarray:
     return _lyapunov_solve(drift.M, np.eye(drift.dim))
 
 
-def renorm_v(drift: StableDrift) -> RenormTerm:
-    """Area counter-term v = -1/2 (M C - C M^T).
+def renorm_v(drift: StableDrift) -> np.ndarray:
+    """Area counter-term v = -1/2 (M C - C M^T), as the (d, d) array of its
+    anti-symmetric part.
 
     Equivalent forms C M^T - I/2 and -M C + I/2 follow from the Lyapunov
     identity; their pairwise gaps equal half the Lyapunov residual.
     """
     C = lyapunov_C(drift)
     v = -0.5 * (drift.M @ C - C @ drift.M.T)
-    return RenormTerm(0.5 * (v - v.T))
+    return 0.5 * (v - v.T)
 
 
 def _ou_integrals(drift: StableDrift, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

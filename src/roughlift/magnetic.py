@@ -145,7 +145,8 @@ def run_magnetic_trial(cfg: MagneticConfig, eps: float, trial_index: int) -> Tri
     area_dev = float(np.linalg.norm(liftZ.level2[-1] - liftW.level2[-1]))
     return TrialResult(eps=float(eps), distP_renorm=distP_renorm,
                        distP_raw=distP_raw, distZ_renorm=distZ_renorm,
-                       distZ_raw=distZ_raw, areaDev1=area_dev, vNorm=v.norm)
+                       distZ_raw=distZ_raw, areaDev1=area_dev,
+                       vNorm=float(np.linalg.norm(v)))
 
 
 def magnetic_experiment(cfg: MagneticConfig, threads: int = 1) -> list[dict]:

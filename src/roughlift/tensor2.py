@@ -11,7 +11,7 @@ the lift over any subinterval is recovered by group inversion, so the Chen
 relation holds by construction.
 
 The area counter-term enters through ``translate``: adding (t-s)*v, with v
-anti-symmetric, to the second level of every interval lift.
+an anti-symmetric (d, d) array, to the second level of every interval lift.
 """
 from __future__ import annotations
 
@@ -86,27 +86,6 @@ class StepTwoLift:
     @property
     def dim(self) -> int:
         return self.level1.shape[0]
-
-
-@dataclass(frozen=True)
-class RenormTerm:
-    """Anti-symmetric area shift v; translation adds (t-s)*v to every interval."""
-
-    v: np.ndarray
-
-    def __post_init__(self):
-        v = _as_square(self.v, "v")
-        if not is_antisymmetric(v):
-            raise ValueError("area shift must be anti-symmetric")
-        object.__setattr__(self, "v", v)
-
-    @property
-    def dim(self) -> int:
-        return self.v.shape[0]
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.v))
 
 
 @dataclass(frozen=True)
@@ -295,16 +274,19 @@ def zero_lift(times, dim: int) -> LiftedPath:
 
 
 def translate(path: LiftedPath, v) -> LiftedPath:
-    """Shift every interval's second level by (t_j - t_i) * v.
+    """Shift every interval's second level by (t_j - t_i) * v, for v an
+    anti-symmetric (d, d) array (ValueError otherwise).
 
     Implemented on the running signatures: S_{0,i} gains (t_i - t_0) * v,
     which is interval-additive and leaves the Chen cross term untouched
     because level 1 is unchanged.
     """
-    term = v if isinstance(v, RenormTerm) else RenormTerm(np.asarray(v, dtype=float))
-    if term.dim != path.dim:
-        raise ValueError(f"dimension mismatch: {term.dim} vs {path.dim}")
-    shift = (path.times - path.times[0])[:, None, None] * term.v
+    v = _as_square(v, "v")
+    if not is_antisymmetric(v):
+        raise ValueError("area shift must be anti-symmetric")
+    if v.shape[0] != path.dim:
+        raise ValueError(f"dimension mismatch: {v.shape[0]} vs {path.dim}")
+    shift = (path.times - path.times[0])[:, None, None] * v
     return LiftedPath(path.times, path.level1.copy(), path.level2 + shift)
 
 

@@ -340,20 +340,19 @@ def _fgn_circulant_complex(z, n, H):
     return np.fft.ifft(np.sqrt(g) * np.fft.fft(z)).real[:n]
 
 
-def sample_fbm_complex_fft(spec):
+def sample_fbm_complex_fft(seed, H, n, d=1, T=1.0):
     """gauss.sample_fbm's circulant route one component at a time: 2n
     normals per component, the embedding's eigenvalues from a complex FFT of
     the autocovariance row and the map from a complex FFT pair."""
     from roughlift.gauss import GridPath, _rng, _uniform_times
 
-    rng = _rng(spec.seed)
-    spacing_scale = (spec.T / spec.n) ** spec.H
-    vals = np.zeros((spec.n + 1, spec.d))
-    for c in range(spec.d):
-        z = rng.standard_normal(2 * spec.n)
-        np.cumsum(spacing_scale * _fgn_circulant_complex(z, spec.n, spec.H),
-                  out=vals[1:, c])
-    return GridPath(_uniform_times(spec.n, spec.T), vals)
+    rng = _rng(seed)
+    spacing_scale = (T / n) ** H
+    vals = np.zeros((n + 1, d))
+    for c in range(d):
+        z = rng.standard_normal(2 * n)
+        np.cumsum(spacing_scale * _fgn_circulant_complex(z, n, H), out=vals[1:, c])
+    return GridPath(_uniform_times(n, T), vals)
 
 
 def _fgn_cholesky(rng: np.random.Generator, d: int, n: int, H: float) -> np.ndarray:
@@ -363,18 +362,18 @@ def _fgn_cholesky(rng: np.random.Generator, d: int, n: int, H: float) -> np.ndar
     return rng.standard_normal((d, 2 * n))[:, :n] @ np.linalg.cholesky(cov).T
 
 
-def sample_fbm_cholesky(spec):
+def sample_fbm_cholesky(seed, H, n, d=1, T=1.0):
     """gauss.sample_fbm with the O(n^3) Cholesky factor of the fGn
     covariance in place of the circulant embedding.  It draws the same
     (d, 2n) block of normals and keeps the first n of each row, so at
     H = 1/2, where both maps are the identity, the paths agree pathwise."""
     from roughlift.gauss import GridPath, _rng, _uniform_times
 
-    inc = _fgn_cholesky(_rng(spec.seed), spec.d, spec.n, spec.H)
-    inc *= (spec.T / spec.n) ** spec.H
-    vals = np.zeros((spec.n + 1, spec.d))
+    inc = _fgn_cholesky(_rng(seed), d, n, H)
+    inc *= (T / n) ** H
+    vals = np.zeros((n + 1, d))
     np.cumsum(inc.T, axis=0, out=vals[1:])
-    return GridPath(_uniform_times(spec.n, spec.T), vals)
+    return GridPath(_uniform_times(n, T), vals)
 
 
 def leadlag_trial_full_lifts(cfg, trial_index: int):
@@ -382,13 +381,12 @@ def leadlag_trial_full_lifts(cfg, trial_index: int):
     grid, restricted to the coarsest schedule grid, and two holder_distance
     calls per n, the renormalised one on a translated lift.  The counter-term
     is written out here: n^{1-2H}/2 on [[0, I], [-I, 0]]."""
-    from roughlift.gauss import SamplerSpec, derive_seed, sample_fbm
+    from roughlift.gauss import derive_seed, sample_fbm
     from roughlift.leadlag import TrialResult, hoff_path
-    from roughlift.tensor2 import RenormTerm, holder_distance, lift_piecewise_linear, translate
+    from roughlift.tensor2 import holder_distance, lift_piecewise_linear, translate
 
-    spec = SamplerSpec(seed=derive_seed(cfg.base_seed, trial_index),
-                       H=cfg.H, n=cfg.n_ref, d=cfg.d)
-    ref = sample_fbm(spec)
+    ref = sample_fbm(seed=derive_seed(cfg.base_seed, trial_index), H=cfg.H, n=cfg.n_ref,
+                     d=cfg.d)
     doubled = np.hstack([ref.values, ref.values])
     ref_lift = lift_piecewise_linear(ref.times, doubled)
     n_min = cfg.n_schedule[0]
@@ -401,12 +399,12 @@ def leadlag_trial_full_lifts(cfg, trial_index: int):
         lift = lift_piecewise_linear(*hoff_path(ref.values[::cfg.n_ref // n]))
         common = lift.restrict(np.arange(0, 2 * n + 1, 2 * n // n_min))
         v = 0.5 * n ** (1 - 2 * cfg.H)
-        term = RenormTerm(np.block([[zero, v * eye], [-v * eye, zero]]))
+        term = np.block([[zero, v * eye], [-v * eye, zero]])
         dist_ren = holder_distance(translate(common, term), ref_common, cfg.alpha)
         dist_raw = holder_distance(common, ref_common, cfg.alpha)
         area = 0.5 * (lift.level2[-1] - lift.level2[-1].T)
         dev = ref_area - area
         area_dev = float(np.mean(np.diagonal(dev[:cfg.d, cfg.d:])))
         out.append(TrialResult(n=n, dist_renorm=dist_ren, dist_raw=dist_raw,
-                               areaDev1=area_dev, vNorm=term.norm))
+                               areaDev1=area_dev, vNorm=float(np.linalg.norm(term))))
     return out

@@ -49,7 +49,7 @@ def test_criterion_2_magnetic_counterterm_closed_form():
     for beta in (0.0, 0.25, 0.5, 0.75, 0.9):
         for eps in (1.0, 0.25, 2.0 ** -6, 2.0 ** -10):
             b = eps ** -beta
-            v = rl.renorm_v(rl.StableDrift(np.eye(2), b * J)).v
+            v = rl.renorm_v(rl.StableDrift(np.eye(2), b * J))
             err = np.abs(v - 0.5 * b * J).max() / max(1.0, 0.5 * b)
             worst = max(worst, float(err))
     ok = worst <= 1e-10 and worst_quad <= 1e-8
@@ -158,7 +158,7 @@ def test_criterion_8_sampler_laws():
     for H in (0.3, 0.5):
         prods = np.empty(100_000)
         for i in range(len(prods)):
-            v = rl.sample_fbm(rl.SamplerSpec(seed=rl.derive_seed(81, i), H=H, n=2)).values
+            v = rl.sample_fbm(seed=rl.derive_seed(81, i), H=H, n=2).values
             prods[i] = v[1, 0] * v[2, 0]
         se = prods.std(ddof=1) / np.sqrt(len(prods))
         gap = abs(prods.mean() - 0.5)
@@ -166,8 +166,7 @@ def test_criterion_8_sampler_laws():
         details.append(f"H={H}: cov gap={gap:.2e} <= 3se={3 * se:.2e}")
     # H = 1/2 marginal matches the BM sampler (two-sample KS, 1% band)
     m = 20_000
-    fbm_term = np.array([rl.sample_fbm(rl.SamplerSpec(seed=rl.derive_seed(82, i),
-                                                      H=0.5, n=2)).values[-1, 0]
+    fbm_term = np.array([rl.sample_fbm(seed=rl.derive_seed(82, i), H=0.5, n=2).values[-1, 0]
                          for i in range(m)])
     bm_term = np.array([rl.sample_bm(1.0, 2, 1, seed=rl.derive_seed(83, i)).values[-1, 0]
                         for i in range(m)])

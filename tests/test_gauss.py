@@ -7,9 +7,9 @@ import pytest
 
 from oracles import (finite_cov_quadrature, ou_recursion_eig, ou_recursion_loop, ou_scan_chunks,
                      physical_whole_draw, sample_fbm_cholesky, sample_fbm_complex_fft)
-from roughlift import (SamplerSpec, StableDrift, derive_seed, derive_Z, fgn_autocov,
-                       lyapunov_C, ou_joint_transition, required_steps, sample_bm,
-                       sample_fbm, sample_physical)
+from roughlift import (StableDrift, derive_seed, derive_Z, fgn_autocov, lyapunov_C,
+                       ou_joint_transition, required_steps, sample_bm, sample_fbm,
+                       sample_physical)
 from roughlift import gauss
 from roughlift.gauss import SCAN_WIDTH, GridPath, _scan_levels, float_index
 from roughlift.identities import random_stable_drifts
@@ -44,6 +44,23 @@ def test_bm_single_step_variance():
     assert abs(np.var(draws, ddof=1) - 3.0) <= 3.0 * se
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 65 + 3])
+def test_seed_outside_u64_is_rejected(seed):
+    # a seed is not wrapped mod 2^64: -1 would draw the stream of 2^64 - 1,
+    # and 2^64 that of 0
+    drift = StableDrift(np.eye(2), J)
+    for draw in (lambda: sample_bm(1.0, 4, 1, seed=seed),
+                 lambda: sample_fbm(seed=seed, H=0.4, n=4),
+                 lambda: sample_physical(drift, 1.0, 1.0, 64, seed)):
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            draw()
+
+
+def test_seed_range_ends_are_distinct_streams():
+    assert np.any(sample_bm(1.0, 4, 1, seed=0).values
+                  != sample_bm(1.0, 4, 1, seed=2 ** 64 - 1).values)
+
+
 def test_bm_determinism():
     a = sample_bm(1.0, 16, 2, seed=123)
     b = sample_bm(1.0, 16, 2, seed=123)
@@ -55,24 +72,29 @@ def test_bm_determinism():
 # ----------------------------------------------------------------- sample_fbm
 
 def test_fbm_spec_validation():
-    with pytest.raises(ValueError):
-        SamplerSpec(seed=0, H=1.2, n=4)
-    with pytest.raises(ValueError):
-        SamplerSpec(seed=0, H=0.4, n=0)
+    for H in (1.2, 1.0, 0.0, -0.3):
+        with pytest.raises(ValueError, match=r"H must lie in \(0, 1\)"):
+            sample_fbm(seed=0, H=H, n=4)
+    for n, d in ((0, 1), (-1, 1), (4, 0)):
+        with pytest.raises(ValueError, match="n and d must be >= 1"):
+            sample_fbm(seed=0, H=0.4, n=n, d=d)
+    for T in (0.0, -1.0):
+        with pytest.raises(ValueError, match="T must be positive"):
+            sample_fbm(seed=0, H=0.4, n=4, T=T)
 
 
 def test_fbm_h_half_methods_agree_pathwise():
     # both methods consume the same normals; at H = 1/2 the covariance is
     # diagonal and they reduce to the same map
     for seed in (0, 1, 2):
-        spec = SamplerSpec(seed=seed, H=0.5, n=64, d=2)
-        a, b = sample_fbm(spec), sample_fbm_cholesky(spec)
+        spec = dict(seed=seed, H=0.5, n=64, d=2)
+        a, b = sample_fbm(**spec), sample_fbm_cholesky(**spec)
         assert np.abs(a.values - b.values).max() <= 1e-10
 
 
 def test_fbm_determinism():
-    spec = SamplerSpec(seed=77, H=0.3, n=32, d=2)
-    assert np.all(sample_fbm(spec).values == sample_fbm(spec).values)
+    spec = dict(seed=77, H=0.3, n=32, d=2)
+    assert np.all(sample_fbm(**spec).values == sample_fbm(**spec).values)
 
 
 def test_fbm_increment_autocov_lag1():
@@ -82,7 +104,7 @@ def test_fbm_increment_autocov_lag1():
     assert abs(fgn_autocov(1, H, 1.0 / n) - expected) <= 1e-15
     prods = []
     for i in range(20000):
-        v = sample_fbm(SamplerSpec(seed=derive_seed(3, i), H=H, n=n)).values[:, 0]
+        v = sample_fbm(seed=derive_seed(3, i), H=H, n=n).values[:, 0]
         inc = np.diff(v)
         prods.append(np.mean(inc[:-1] * inc[1:]))
     prods = np.asarray(prods)
@@ -92,7 +114,7 @@ def test_fbm_increment_autocov_lag1():
 
 def test_fbm_terminal_variance_unit():
     # R(1,1) = 1 for every H
-    draws = np.array([sample_fbm(SamplerSpec(seed=derive_seed(5, i), H=0.4, n=8)).values[-1, 0]
+    draws = np.array([sample_fbm(seed=derive_seed(5, i), H=0.4, n=8).values[-1, 0]
                       for i in range(20000)])
     sq = draws ** 2
     se = sq.std(ddof=1) / np.sqrt(len(sq))
@@ -104,7 +126,7 @@ def test_fbm_increment_stationarity():
     H, n, trials = 0.35, 16, 30000
     acc = np.zeros((trials, 3))
     for i in range(trials):
-        v = sample_fbm(SamplerSpec(seed=derive_seed(8, i), H=H, n=n)).values[:, 0]
+        v = sample_fbm(seed=derive_seed(8, i), H=H, n=n).values[:, 0]
         inc = np.diff(v)
         acc[i] = [inc[1] * inc[3], inc[6] * inc[8], inc[12] * inc[14]]
     means = acc.mean(axis=0)
@@ -124,7 +146,7 @@ def test_fbm_negative_embedding_raises(monkeypatch, cold_embedding_cache):
     # lags 0 and +-1 only: circulant eigenvalues 1 + 2 cos(pi j / n), down to -1
     monkeypatch.setattr(gauss, "fgn_autocov", lambda k, H: (np.abs(k) <= 1).astype(float))
     with pytest.raises(ValueError, match="negative embedding eigenvalue"):
-        sample_fbm(SamplerSpec(seed=5, H=0.4, n=16))
+        sample_fbm(seed=5, H=0.4, n=16)
     assert gauss._embedding_sqrt.cache_info().currsize == 0  # the failed build is not kept
 
 
@@ -145,8 +167,8 @@ def test_fgn_embedding_eigenvalues_nonnegative(H):
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 2 ** 12, 2 ** 16])
 @pytest.mark.parametrize("d", [1, 3])
 def test_fbm_matches_complex_fft_oracle(H, n, d):
-    spec = SamplerSpec(seed=derive_seed(61, n, d), H=H, n=n, d=d)
-    path, want = sample_fbm(spec), sample_fbm_complex_fft(spec)
+    spec = dict(seed=derive_seed(61, n, d), H=H, n=n, d=d)
+    path, want = sample_fbm(**spec), sample_fbm_complex_fft(**spec)
     assert np.array_equal(path.times, want.times)
     assert np.all(path.values[0] == 0.0)
     assert np.abs(path.values - want.values).max() <= 1e-12 * np.abs(want.values).max()
@@ -154,7 +176,7 @@ def test_fbm_matches_complex_fft_oracle(H, n, d):
 
 def test_embedding_cache_is_bounded_and_read_only(cold_embedding_cache):
     for n in range(1, 3 * gauss.EMBEDDING_CACHE):
-        sample_fbm(SamplerSpec(seed=n, H=0.4, n=n))
+        sample_fbm(seed=n, H=0.4, n=n)
         assert gauss._embedding_sqrt.cache_info().currsize <= gauss.EMBEDDING_CACHE
     root = gauss._embedding_sqrt(8, 0.4)
     with pytest.raises(ValueError, match="read-only"):
@@ -167,28 +189,28 @@ def test_embedding_cache_keys_on_n_and_H(cold_embedding_cache):
     # each new (n, H) is a miss with its own roots; a repeated spec is a hit
     keys = [(16, 0.4), (17, 0.4), (16, 0.3), (16, 0.4 + 2 ** -40)]
     for i, (n, H) in enumerate(keys, start=1):
-        spec = SamplerSpec(seed=7, H=H, n=n, d=2)
-        want = sample_fbm_complex_fft(spec).values
-        got = sample_fbm(spec).values
+        spec = dict(seed=7, H=H, n=n, d=2)
+        want = sample_fbm_complex_fft(**spec).values
+        got = sample_fbm(**spec).values
         assert gauss._embedding_sqrt.cache_info().misses == i
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert np.array_equal(gauss._embedding_sqrt(n, H), np.sqrt(
             np.clip(gauss._embedding_eigenvalues(n, H), 0.0, None)))
     assert gauss._embedding_sqrt.cache_info().hits == len(keys)
-    sample_fbm(SamplerSpec(seed=8, H=0.4, n=16))
+    sample_fbm(seed=8, H=0.4, n=16)
     assert gauss._embedding_sqrt.cache_info().misses == len(keys)
 
 
 def test_fbm_threads_on_cold_cache_agree(cold_embedding_cache):
     # more threads than cores race to build one entry, with frequent switches
-    spec = SamplerSpec(seed=19, H=0.35, n=2 ** 14, d=2)
+    spec = dict(seed=19, H=0.35, n=2 ** 14, d=2)
     workers = 4
     barrier = threading.Barrier(workers, timeout=30)
     out = [None] * workers
 
     def draw(i):
         barrier.wait()
-        out[i] = sample_fbm(spec).values.tobytes()
+        out[i] = sample_fbm(**spec).values.tobytes()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -202,13 +224,13 @@ def test_fbm_threads_on_cold_cache_agree(cold_embedding_cache):
     finally:
         sys.setswitchinterval(interval)
     assert out[0] is not None and all(o == out[0] for o in out)
-    assert out[0] == sample_fbm(spec).values.tobytes()
+    assert out[0] == sample_fbm(**spec).values.tobytes()
 
 
 def test_fbm_general_horizon_scaling():
     # Var(X_T) = T^{2H} via self-similar increment scaling
     H, T = 0.35, 2.0
-    draws = np.array([sample_fbm(SamplerSpec(seed=derive_seed(37, i), H=H, n=1, T=T)).values[-1, 0]
+    draws = np.array([sample_fbm(seed=derive_seed(37, i), H=H, n=1, T=T).values[-1, 0]
                       for i in range(20000)])
     sq = draws ** 2
     se = sq.std(ddof=1) / np.sqrt(len(sq))
@@ -220,9 +242,9 @@ def test_fbm_cholesky_same_law_moments():
     term = np.empty((trials, 2))
     for i in range(trials):
         s = derive_seed(13, i)
-        spec = SamplerSpec(seed=s, H=H, n=n)
-        term[i, 0] = sample_fbm(spec).values[-1, 0]
-        term[i, 1] = sample_fbm_cholesky(spec).values[-1, 0]
+        spec = dict(seed=s, H=H, n=n)
+        term[i, 0] = sample_fbm(**spec).values[-1, 0]
+        term[i, 1] = sample_fbm_cholesky(**spec).values[-1, 0]
     sq = term ** 2
     ses = sq.std(axis=0, ddof=1) / np.sqrt(trials)
     assert np.all(np.abs(sq.mean(axis=0) - 1.0) <= 3.0 * ses)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from roughlift import (LeadLagConfig, SamplerSpec, counter_terms, hoff_path,
+from roughlift import (LeadLagConfig, counter_terms, hoff_path,
                        leadlag_area_oracle, leadlag_experiment, psi_closed, psi_profile,
                        run_leadlag_trial, sample_fbm)
 from roughlift import gauss, leadlag
@@ -101,7 +101,7 @@ def test_oracle_matches_lift_on_random_fbm():
     for H in (0.3, 0.4, 0.5):
         n = int(rng.integers(2, 33))
         d = int(rng.integers(1, 4))
-        path = sample_fbm(SamplerSpec(seed=int(rng.integers(1 << 62)), H=H, n=n, d=d))
+        path = sample_fbm(seed=int(rng.integers(1 << 62)), H=H, n=n, d=d)
         err_oracle, err_diag, err_qv = leadlag_oracle_errors(path.values)
         assert err_oracle <= 1e-12
         assert err_diag <= 1e-12   # diagonal blocks equal the interpolation area
@@ -197,7 +197,7 @@ def test_trial_area_deviation_equals_half_qv():
                         base_seed=3)
     results = run_leadlag_trial(cfg, 0)
     from roughlift.gauss import derive_seed
-    ref = sample_fbm(SamplerSpec(seed=derive_seed(3, 0), H=0.4, n=256, d=2))
+    ref = sample_fbm(seed=derive_seed(3, 0), H=0.4, n=256, d=2)
     for r in results:
         x = ref.values[::256 // r.n]
         inc = np.diff(x, axis=0)
@@ -217,7 +217,7 @@ def test_trial_coupled_grid_alignment():
     # the subsampled path is the restriction of the one reference draw
     cfg = LeadLagConfig(H=0.4, n_schedule=(8,), n_ref=64, d=1, mc_trials=1, base_seed=9)
     from roughlift.gauss import derive_seed
-    ref = sample_fbm(SamplerSpec(seed=derive_seed(9, 2), H=0.4, n=64, d=1))
+    ref = sample_fbm(seed=derive_seed(9, 2), H=0.4, n=64, d=1)
     x8 = ref.values[::8]
     _, values = hoff_path(x8)
     assert values.shape == (17, 2)

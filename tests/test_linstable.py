@@ -70,17 +70,29 @@ def test_lyapunov_residual_contract():
 
 def test_renorm_v_symmetric_drift_vanishes():
     v = renorm_v(StableDrift(np.diag([1.0, 2.0, 0.4]), np.zeros((3, 3))))
-    assert np.abs(v.v).max() <= 1e-12
+    assert np.abs(v).max() <= 1e-12
+
+
+def test_renorm_v_is_the_antisymmetric_part_array():
+    # the plain (d, d) array 0.5 (v - v^T) of v = -1/2 (M C - C M^T), bit for bit
+    rng = np.random.default_rng(3)
+    for drift in random_stable_drifts(rng, 20):
+        got = renorm_v(drift)
+        C = lyapunov_C(drift)
+        v = -0.5 * (drift.M @ C - C @ drift.M.T)
+        want = 0.5 * (v - v.T)
+        assert type(got) is np.ndarray and got.dtype == np.float64
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_renorm_v_magnetic_closed_form():
     for b in (1.0, 2.0, 4.0, 8.0, 16.0):
         v = renorm_v(StableDrift(np.eye(2), b * J))
-        assert np.abs(v.v - 0.5 * b * J).max() <= 1e-10
+        assert np.abs(v - 0.5 * b * J).max() <= 1e-10
 
 
 def test_renorm_v_grows_linearly_with_field():
-    norms = [renorm_v(StableDrift(np.eye(2), 2.0 ** k * J)).norm for k in range(8)]
+    norms = [np.linalg.norm(renorm_v(StableDrift(np.eye(2), 2.0 ** k * J))) for k in range(8)]
     ratios = np.array(norms[1:]) / np.array(norms[:-1])
     assert np.abs(ratios - 2.0).max() <= 1e-9
 

@@ -98,7 +98,7 @@ def test_trial_raw_minus_renorm_area_is_exact_shift():
     raw_dev = liftZ.level2[-1] - liftW.level2[-1]
     ren_dev = translate(liftZ, v).level2[-1] - liftW.level2[-1]
     scale = max(1.0, np.abs(raw_dev).max())
-    assert np.abs((ren_dev - raw_dev) - cfg.T * v.v).max() <= 1e-12 * scale
+    assert np.abs((ren_dev - raw_dev) - cfg.T * v).max() <= 1e-12 * scale
 
 
 def test_trial_invariant_under_noise_level_shift():
@@ -134,7 +134,7 @@ def test_level2_counterterm_decay_rate():
             seed = derive_seed(cfg.base_seed, float_index(eps), k)
             P, _ = sample_physical(drift, eps, cfg.T, n_fine, seed)
             liftP = lift_piecewise_linear(P.times, P.values)
-            dev = liftP.level2[-1] + cfg.T * v.v
+            dev = liftP.level2[-1] + cfg.T * v
             acc.append(np.sum(dev ** 2))
         points.append((eps, np.sqrt(np.mean(acc))))
     slope, _, _ = fit_loglog(points)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from roughlift import tensor2
-from roughlift import (RenormTerm, StepTwoLift, chen_inv, chen_mul, exp_step2,
-                       holder_distance, levy_area, lift_piecewise_linear, translate)
+from roughlift import (StepTwoLift, chen_inv, chen_mul, exp_step2, holder_distance, levy_area,
+                       lift_piecewise_linear, translate)
 from roughlift.tensor2 import holder_sweep
 from roughlift.identities import random_lifted_paths
 
@@ -334,23 +334,34 @@ def test_translate_roundtrip_and_chen():
     rng = np.random.default_rng(5)
     path = next(random_lifted_paths(rng, 1, max_dim=3, max_segments=20))
     g = rng.standard_normal((path.dim, path.dim))
-    v = RenormTerm(0.5 * (g - g.T))
+    v = 0.5 * (g - g.T)
     fwd = translate(path, v)
-    back = translate(fwd, RenormTerm(-v.v))
+    back = translate(fwd, -v)
     assert np.abs(back.level2 - path.level2).max() <= TOL
     # translation preserves geometricity/Chen: interval symmetric parts unchanged
     for (i, j) in [(0, 1), (0, path.n_points - 1), (1, path.n_points - 1)]:
         a, b = path.interval(i, j), fwd.interval(i, j)
         dt = path.times[j] - path.times[i]
-        assert np.abs(b.level2 - a.level2 - dt * v.v).max() <= TOL * max(1, dt * v.norm)
+        assert np.abs(b.level2 - a.level2 - dt * v).max() <= TOL * max(1, dt * np.linalg.norm(v))
         sym_a, sym_b = a.level2 + a.level2.T, b.level2 + b.level2.T
         assert np.abs(0.5 * (sym_a - sym_b)).max() <= TOL
 
 
 def test_translate_rejects_non_antisymmetric():
+    # v must be a square, anti-symmetric array of the path's dimension
     path = lift_piecewise_linear([0.0, 1.0], np.zeros((2, 2)))
-    with pytest.raises(ValueError):
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="anti-symmetric"):
         translate(path, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="anti-symmetric"):
+        translate(path, J + 1e-9 * np.eye(2))
+    for v in (np.zeros((2, 3)), np.zeros(2), np.zeros((1, 2, 2))):
+        with pytest.raises(ValueError, match="square"):
+            translate(path, v)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        translate(path, np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        translate(path, [[0.0]])
 
 
 # ---------------------------------------------------------------- levy_area
@@ -388,10 +399,11 @@ def test_holder_translate_value():
     rng = np.random.default_rng(2)
     x, _ = _random_pair(rng, n=16)
     g = rng.standard_normal((2, 2))
-    v = RenormTerm(0.5 * (g - g.T))
+    v = 0.5 * (g - g.T)
+    vnorm = np.linalg.norm(v)
     for alpha in (0.0, 0.2, 0.45):
         got = holder_distance(translate(x, v), x, alpha)
-        assert abs(got - v.norm) <= 1e-12 * max(1.0, v.norm)
+        assert abs(got - vnorm) <= 1e-12 * max(1.0, vnorm)
 
 
 def test_holder_alpha_zero_plain_sup():
@@ -438,9 +450,9 @@ def test_holder_large_grid_is_exact():
     t = np.arange(n + 1) / n
     rng = np.random.default_rng(12)
     x = lift_piecewise_linear(t, rng.standard_normal((n + 1, 2)))
-    v = RenormTerm(np.array([[0.0, 1.5], [-1.5, 0.0]]))
+    v = np.array([[0.0, 1.5], [-1.5, 0.0]])
     got = holder_distance(translate(x, v), x, 0.1)
-    assert abs(got - v.norm) <= 1e-12 * v.norm
+    assert abs(got - np.linalg.norm(v)) <= 1e-12 * np.linalg.norm(v)
 
 
 def _random_nonuniform_pair(rng, n, d):
