@@ -1,14 +1,15 @@
 """Lead-lag lift of discretised fBm: quadratic variation in the area.
 
 Per sample path, the (lag, lead) cross area over [0,1] sits exactly half a
-quadratic variation below the doubled-path area (an algebraic identity of
-the closed forms); in expectation that gap is n^{1-2H}/2, which diverges
-for H < 1/2.  Adding it back as (t-s) * v restores convergence.
+quadratic variation below the doubled-path area (an algebraic identity,
+which ``leadlag_lift`` writes in closed form); in expectation that gap is
+n^{1-2H}/2, which diverges for H < 1/2.  Adding it back as (t-s) * v
+restores convergence.
 """
 import numpy as np
 
-from roughlift import (LeadLagConfig, hoff_path, leadlag_area_oracle,
-                       leadlag_experiment, levy_area, lift_piecewise_linear)
+from roughlift import (LeadLagConfig, hoff_path, leadlag_experiment, leadlag_lift,
+                       levy_area, lift_piecewise_linear)
 from roughlift.report import fit_loglog
 
 print("== the identity, on one draw ==")
@@ -19,7 +20,7 @@ lift = lift_piecewise_linear(*hoff_path(x))
 area = levy_area(lift.interval(0, len(lift.times) - 1))
 qv = float(np.sum(np.diff(x[:, 0]) ** 2))
 print("cross area from the lift:   ", area[0, 1])
-print("closed form:                ", leadlag_area_oracle(x, 0, 8)[0, 1])
+print("leadlag_lift closed form:   ", levy_area(leadlag_lift(x).interval(0, 8))[0, 1])
 print("interpolation area - QV/2:  ", 0.0 - 0.5 * qv, " (d = 1: area term is 0)")
 
 print("\n== convergence experiment (H = 0.4) ==")

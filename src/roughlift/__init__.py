@@ -26,7 +26,7 @@ from .gauss import (GridPath, sample_bm, sample_fbm, sample_physical, derive_Z, 
 from .magnetic import MagneticConfig, drift_at, fine_grid_n, run_magnetic_trial, \
     magnetic_experiment
 from .magnetic import TrialResult as MagneticTrialResult
-from .leadlag import (LeadLagConfig, hoff_path, counter_terms, leadlag_area_oracle,
+from .leadlag import (LeadLagConfig, hoff_path, counter_terms, leadlag_lift,
                       psi_closed, psi_profile, run_leadlag_trial, leadlag_experiment)
 from .leadlag import TrialResult as LeadLagTrialResult
 from .report import fit_loglog, emit, build_manifest
@@ -41,7 +41,7 @@ __all__ = [
     "MagneticConfig", "MagneticTrialResult", "drift_at", "fine_grid_n",
     "run_magnetic_trial", "magnetic_experiment",
     "LeadLagConfig", "LeadLagTrialResult", "hoff_path", "counter_terms",
-    "leadlag_area_oracle", "psi_closed", "psi_profile", "run_leadlag_trial",
+    "leadlag_lift", "psi_closed", "psi_profile", "run_leadlag_trial",
     "leadlag_experiment",
     "fit_loglog", "emit", "build_manifest",
 ]

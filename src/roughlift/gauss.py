@@ -49,11 +49,19 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _u64(value: int, name: str) -> int:
+    """``int(value)``, rejected outside [0, 2^64) rather than wrapped mod 2^64."""
+    if not 0 <= int(value) < 2 ** 64:
+        raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
+    return int(value)
+
+
 def derive_seed(base_seed: int, *indices: int) -> int:
-    """Counter-based substream seed: chain base ^ hash(index) per index."""
-    s = int(base_seed) & _MASK64
+    """Counter-based substream seed: chain base ^ hash(index) per index.
+    The base seed and every index must lie in [0, 2^64)."""
+    s = _u64(base_seed, "base seed")
     for ix in indices:
-        s = _splitmix64(s ^ _splitmix64(int(ix) & _MASK64))
+        s = _splitmix64(s ^ _splitmix64(_u64(ix, "seed index")))
     return s
 
 
@@ -63,11 +71,8 @@ def float_index(x: float) -> int:
 
 
 def _rng(seed: int) -> np.random.Generator:
-    """Philox stream of a seed in [0, 2^64); other seeds are rejected, not
-    wrapped onto the stream of seed mod 2^64."""
-    if not 0 <= int(seed) < 2 ** 64:
-        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    """Philox stream of a seed in [0, 2^64)."""
+    return np.random.Generator(np.random.Philox(key=_u64(seed, "seed")))
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,11 @@
 
 These are the fast confidence checks: algebraic identities that hold to
 roundoff (Chen relation, geometricity, group inverses, translation
-round-trips), dual-route equalities (closed-form lead-lag areas vs
-integrated lifts, quadratic-variation second moments vs brute force), and
-the Lyapunov/counter-term contracts.  Each suite returns named checks with
-the worst observed error and its tolerance; the CLI prints one pass/fail
-line per check.
+round-trips), dual-route equalities (the closed-form lead-lag lift vs the
+integrated Hoff lift, quadratic-variation second moments vs brute force),
+and the Lyapunov/counter-term contracts.  Each suite returns named checks
+with the worst observed error and its tolerance; the CLI prints one
+pass/fail line per check.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauss import fgn_autocov, sample_fbm
-from .leadlag import hoff_path, leadlag_area_oracle, psi_closed, psi_profile
+from .leadlag import hoff_path, leadlag_lift, psi_closed, psi_profile
 from .linstable import StableDrift, lyapunov_C, renorm_v
 from .tensor2 import chen_inv, chen_mul, levy_area, lift_piecewise_linear, translate
 
@@ -157,29 +157,23 @@ def lyapunov_suite(n_drifts: int = 100, seed: int = 1) -> list[CheckResult]:
 
 
 def leadlag_oracle_errors(samples) -> tuple[float, float, float]:
-    """(oracle vs lift, diagonal-block equality, cross-block QV identity)
-    over every partition pair of one sample set, relative errors."""
+    """(closed-form lift vs integrated Hoff lift, diagonal-block equality,
+    cross-block QV identity) over every ordered pair of partition points of
+    one sample set, relative to max(1, |closed-form area|) per pair."""
     x = np.asarray(samples, dtype=float)
     n, d = x.shape[0] - 1, x.shape[1]
-    hoff = lift_piecewise_linear(*hoff_path(x))
-    ref = lift_piecewise_linear(np.arange(n + 1) / n, np.hstack([x, x]))
-    worst_or = worst_diag = worst_qv = 0.0
-    for m in range(n + 1):
-        for k in range(m, n + 1):
-            lhs = levy_area(hoff.interval(2 * m, 2 * k))
-            oracle = leadlag_area_oracle(x, m, k)
-            scale = max(1.0, float(np.abs(oracle).max()))
-            worst_or = max(worst_or, float(np.abs(lhs - oracle).max()) / scale)
-            yarea = levy_area(ref.interval(m, k))
-            worst_diag = max(
-                worst_diag,
-                float(np.abs(lhs[:d, :d] - yarea[:d, :d]).max()) / scale,
-                float(np.abs(lhs[d:, d:] - yarea[d:, d:]).max()) / scale)
-            inc = np.diff(x[m:k + 1], axis=0) if k > m else np.zeros((0, d))
-            qv = inc.T @ inc
-            worst_qv = max(worst_qv, float(
-                np.abs((lhs[:d, d:] - yarea[:d, d:]) + 0.5 * qv).max()) / scale)
-    return worst_or, worst_diag, worst_qv
+    grid = np.arange(n + 1)
+    hoff = lift_piecewise_linear(*hoff_path(x)).restrict(2 * grid)
+    ref = lift_piecewise_linear(grid / n, np.hstack([x, x]))
+    level2 = [p.intervals(grid[:, None], grid)[1] for p in (hoff, leadlag_lift(x), ref)]
+    lhs, oracle, yarea = (0.5 * (F - F.swapaxes(-1, -2)) for F in level2)
+    inc = np.diff(x, axis=0, prepend=x[:1])
+    qv = np.cumsum(inc[:, :, None] * inc[:, None, :], axis=0)  # running QV, from 0
+    gap = lhs - yarea  # against the doubled path's area
+    scale = np.maximum(1.0, np.abs(oracle).max(axis=(2, 3), keepdims=True))
+    return tuple(float((np.abs(r) / scale).max()) for r in (
+        lhs - oracle, np.stack([gap[..., :d, :d], gap[..., d:, d:]]),
+        gap[..., :d, d:] + 0.5 * (qv[None, :] - qv[:, None])))
 
 
 def leadlag_suite(seed: int = 2, n_sample_sets: int = 12) -> list[CheckResult]:

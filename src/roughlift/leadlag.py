@@ -9,14 +9,15 @@ lag copy in the first d coordinates and the lead copy in the last d:
 
 linearly interpolated.  The lag-lead cross block of its Levy area over a
 block of cells picks up minus half the quadratic variation of the samples
-(the closed forms below), which for fractional Brownian motion with Hurst
-index H diverges in expectation like n^{1-2H} as the mesh shrinks.  The
-counter-term adds (t-s) * n^{1-2H}/2 back on the cross block, after which
-the lift converges to the lift of the doubled path (X, X).
+(``leadlag_lift`` writes that lift in closed form), which for fractional
+Brownian motion with Hurst index H diverges in expectation like n^{1-2H}
+as the mesh shrinks.  The counter-term adds (t-s) * n^{1-2H}/2 back on
+the cross block, after which the lift converges to the lift of the
+doubled path (X, X).
 
 Block sign convention: the translation must put +v on the (lag, lead)
-block to cancel the -QV/2 the area actually carries (verified against the
-closed forms and by direct integration of the two-segment case).
+block to cancel the -QV/2 the area actually carries (verified against
+``leadlag_lift`` and by direct integration of the two-segment case).
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .gauss import derive_seed, fgn_autocov, sample_fbm
 from .report import check_run, run_trials
-from .tensor2 import ROW_BLOCK, holder_sweep, lift_piecewise_linear
+from .tensor2 import ROW_BLOCK, LiftedPath, holder_sweep, lift_piecewise_linear
 # holder_distance and translate stay importable from here: perfbench/tracing.py
 # wraps them under this module's name
 from .tensor2 import holder_distance, translate  # noqa: F401
@@ -57,35 +58,28 @@ def counter_terms(H: float, ns, d: int) -> np.ndarray:
     return v[:, None, None] * unit
 
 
-def _pathwise_levy(x: np.ndarray, m: int, k: int) -> np.ndarray:
-    """Levy area of the piecewise-linear path through x[m..k], closed form:
-    (1/2) sum_r (x_r - x_m) (x) dx_r - transpose."""
-    seg = x[m:k + 1]
-    inc = np.diff(seg, axis=0)
-    s = np.einsum("nd,ne->de", seg[:-1] - seg[0], inc)
-    return 0.5 * (s - s.T)
+def leadlag_lift(samples) -> LiftedPath:
+    """Lead-lag lift at the even knots 2i/(2n), in closed form (no Hoff path).
 
-
-def leadlag_area_oracle(samples, m: int, k: int) -> np.ndarray:
-    """Levy area of the lead-lag lift between partition points m/n and k/n,
-    from the closed-form sums (no path integration).
-
-    Diagonal blocks equal the area of the underlying interpolation; the
-    (lag, lead) block subtracts half the quadratic variation sum.
+    Level 1 is (X_i - X_0, X_i - X_0).  Level 2 is [[D, D - Q/2], [D + Q/2, D]]
+    with D the running level 2 of the interpolated samples and Q = sum dX (x) dX
+    the running quadratic variation, so every diagonal block of the Levy
+    area is the interpolation's area and the (lag, lead) block is that area
+    minus half the QV.  Equals the integrated lift of ``hoff_path(samples)``
+    at its even knots to rounding.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
+    if x.shape[0] < 2:
+        raise ValueError("need at least 2 samples")
     n = x.shape[0] - 1
-    if not (0 <= m <= k <= n):
-        raise ValueError(f"need 0 <= m <= k <= {n}")
-    d = x.shape[1]
-    if k == m:
-        return np.zeros((2 * d, 2 * d))
-    a = _pathwise_levy(x, m, k)
-    inc = np.diff(x[m:k + 1], axis=0)
-    qv = inc.T @ inc
-    return np.block([[a, a - 0.5 * qv], [a + 0.5 * qv, a]])
+    interp = lift_piecewise_linear(np.arange(n + 1) / n, x)
+    inc = np.diff(x, axis=0, prepend=x[:1])  # a first step of 0
+    half_qv = np.cumsum(0.5 * inc[:, :, None] * inc[:, None, :], axis=0)
+    D = interp.level2
+    return LiftedPath(interp.times, np.hstack([x - x[0]] * 2),
+                      np.block([[D, D - half_qv], [D + half_qv, D]]))
 
 
 def psi_closed(n: int, K: int, H: float) -> float:
@@ -127,10 +121,11 @@ def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int) -> int:
     root, the doubled path: 3d + 2 floats).  This is the measured slope of
     a trial's tracemalloc peak between 2^19 and 2^20 steps: 40.0 B at
     d = 1, 72.0 at d = 2, 136.0 at d = 4.  The strided lift of the doubled
-    path works on blocks of max(ROW_BLOCK, n_ref / n_min) rows of 6 x 2d
-    floats.  Per member and point of the coarsest grid, the sweep holds
-    the k lifts, its stacked level-1 and level-2 differences and its
-    planes: 8 d^2 + 6 d + 7 floats.
+    path works on blocks of max(ROW_BLOCK, n_ref / n_min) rows of 3 x 2d
+    floats: the increments, the base rows and the temporary 0.5 * inc.
+    Per member and point of the coarsest grid, the sweep holds the k lifts,
+    its stacked level-1 and level-2 differences and its planes:
+    8 d^2 + 6 d + 7 floats.
     Every other array is O(ROW_BLOCK + PAIR_BLOCK), a few MiB.
     """
     return (8 * (4 * d + 1) * (n_ref + 1) + 48 * d * max(ROW_BLOCK, n_ref // n_min)

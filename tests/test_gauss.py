@@ -28,6 +28,25 @@ def test_derive_seed_deterministic_and_distinct():
     assert derive_seed(42, float_index(0.5), 3) != derive_seed(42, float_index(0.25), 3)
 
 
+def test_derive_seed_accepts_both_ends_of_u64():
+    # the values the masking route gave, so in-range seeds did not move
+    top = 2 ** 64 - 1
+    assert derive_seed(0, 0) == 12035550249420947055
+    assert derive_seed(top, top) == 7136257342804621622
+    assert derive_seed(0, top) == 6755974106381971767
+    assert derive_seed(top, 0) == 3303439293501059696
+    assert derive_seed(42, 7, 3) == 8871903242033848482
+
+
+@pytest.mark.parametrize("value", [-1, 2 ** 64])
+def test_derive_seed_rejects_outside_u64(value):
+    # not wrapped mod 2^64: -1 would give the substream of 2^64 - 1, and
+    # 2^64 that of 0
+    for args in ((value, 3), (0, value), (5, 1, value)):
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            derive_seed(*args)
+
+
 # ------------------------------------------------------------------ sample_bm
 
 def test_bm_shape_and_start():

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from roughlift import (LeadLagConfig, counter_terms, hoff_path,
-                       leadlag_area_oracle, leadlag_experiment, psi_closed, psi_profile,
+from roughlift import (LeadLagConfig, counter_terms, derive_seed, hoff_path,
+                       leadlag_experiment, leadlag_lift, levy_area, psi_closed, psi_profile,
                        run_leadlag_trial, sample_fbm)
 from roughlift import gauss, leadlag
 from roughlift.identities import leadlag_oracle_errors, psi_bruteforce
@@ -77,23 +77,44 @@ def test_renorm_block_structure():
     assert np.abs(vt + vt.T).max() == 0.0
 
 
-# -------------------------------------------------------------- area oracle
+# ------------------------------------------------------------- leadlag_lift
 
-def test_oracle_single_cell_closed_form():
-    # hand integration of the two-segment lead-lag path: cross area -a^2/2
+def test_leadlag_lift_single_cell():
+    # hand integration of the two-segment lead-lag path (0, 0) -> (0, a) ->
+    # (a, a): cross area -a^2/2, diagonal areas 0; an empty interval has none
     a = 1.3
-    area = leadlag_area_oracle(np.array([[0.0], [a]]), 0, 1)
+    lift = leadlag_lift(np.array([[0.0], [a]]))
+    area = levy_area(lift.interval(0, 1))
     assert abs(area[0, 1] + a * a / 2.0) <= 1e-15
     assert area[0, 0] == 0.0 and area[1, 1] == 0.0
+    assert np.all(levy_area(lift.interval(1, 1)) == 0.0)
 
 
-def test_oracle_empty_interval():
-    assert np.all(leadlag_area_oracle(np.zeros((4, 2)), 2, 2) == 0.0)
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("H", [0.3, 0.4, 0.5])
+def test_leadlag_lift_matches_integrated_hoff_lift(d, H):
+    # both levels against the lift of the Hoff path at its even knots
+    for n in (1, 2, 7, 32):
+        x = sample_fbm(seed=derive_seed(41, n, d), H=H, n=n, d=d).values
+        got = leadlag_lift(x)
+        want = lift_piecewise_linear(*hoff_path(x)).restrict(2 * np.arange(n + 1))
+        assert np.array_equal(got.times, want.times)
+        for level in ("level1", "level2"):
+            g, w = getattr(got, level), getattr(want, level)
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), (level, n)
 
 
-def test_oracle_index_validation():
-    with pytest.raises(ValueError):
-        leadlag_area_oracle(np.zeros((4, 1)), 1, 5)
+def test_leadlag_lift_rejects_single_sample():
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        leadlag_lift(np.zeros((1, 2)))
+
+
+def test_leadlag_lift_accepts_1d_samples():
+    x = np.array([0.0, 0.4, -0.3, 1.1])
+    got, want = leadlag_lift(x), leadlag_lift(x[:, None])
+    assert got.dim == 2
+    assert np.array_equal(got.level1, want.level1)
+    assert np.array_equal(got.level2, want.level2)
 
 
 def test_oracle_matches_lift_on_random_fbm():
@@ -106,13 +127,6 @@ def test_oracle_matches_lift_on_random_fbm():
         assert err_oracle <= 1e-12
         assert err_diag <= 1e-12   # diagonal blocks equal the interpolation area
         assert err_qv <= 1e-12     # cross block shifts by -QV/2 exactly
-
-
-def test_oracle_antisymmetric():
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal((9, 2))
-    area = leadlag_area_oracle(x, 1, 7)
-    assert np.abs(area + area.T).max() <= 1e-14 * max(1.0, np.abs(area).max())
 
 
 # ---------------------------------------------------------------- psi_closed
@@ -196,7 +210,6 @@ def test_trial_area_deviation_equals_half_qv():
     cfg = LeadLagConfig(H=0.4, n_schedule=(8, 32), n_ref=256, d=2, mc_trials=1,
                         base_seed=3)
     results = run_leadlag_trial(cfg, 0)
-    from roughlift.gauss import derive_seed
     ref = sample_fbm(seed=derive_seed(3, 0), H=0.4, n=256, d=2)
     for r in results:
         x = ref.values[::256 // r.n]
@@ -216,7 +229,6 @@ def test_trial_h_half_counterterm_is_ito_stratonovich_shift():
 def test_trial_coupled_grid_alignment():
     # the subsampled path is the restriction of the one reference draw
     cfg = LeadLagConfig(H=0.4, n_schedule=(8,), n_ref=64, d=1, mc_trials=1, base_seed=9)
-    from roughlift.gauss import derive_seed
     ref = sample_fbm(seed=derive_seed(9, 2), H=0.4, n=64, d=1)
     x8 = ref.values[::8]
     _, values = hoff_path(x8)
