@@ -122,8 +122,7 @@ def _cmd_experiment(args) -> int:
                  "output_grid_n": cfg.grid_n}
     else:
         rows = leadlag_experiment(cfg, threads=args.threads)
-        notes = {"fbm_method": "circulant", "n_ref": cfg.n_ref,
-                 "common_grid_n": cfg.n_schedule[0]}
+        notes = {"n_ref": cfg.n_ref, "common_grid_n": cfg.n_schedule[0]}
     manifest = report.build_manifest(_config_echo(cfg), rows, notes)
     print("\n".join(report.emit(rows, manifest, args.out)))
     return 0

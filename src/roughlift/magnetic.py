@@ -155,5 +155,5 @@ def magnetic_experiment(cfg: MagneticConfig, threads: int = 1) -> list[dict]:
     Trial k runs every eps; seeds are derived per (eps, trial), so the
     output is independent of the thread count.
     """
-    return run_trials(lambda k: [run_magnetic_trial(cfg, eps, k) for eps in cfg.eps_schedule],
-                      cfg.mc_trials, threads)
+    return run_trials(lambda ks: [[run_magnetic_trial(cfg, eps, k) for eps in cfg.eps_schedule]
+                                  for k in ks], cfg.mc_trials, threads)

@@ -94,13 +94,16 @@ def summary_rows(batches) -> list[dict]:
     return rows
 
 
-def run_trials(trial, trials: int, threads: int) -> list[dict]:
-    """Summary rows of trial(0), ..., trial(trials - 1), each a list of one
-    record per schedule point, run on ``threads`` workers.  A trial derives
-    its seeds from its index and the pool keeps index order, so the rows do
-    not depend on the thread count."""
+def run_trials(run_batch, trials: int, threads: int, batch: int = 1) -> list[dict]:
+    """Summary rows of trials 0, ..., trials - 1, run on ``threads`` workers
+    in batches of ``batch`` consecutive indices: run_batch(range) returns
+    one list of records (one per schedule point) per index.  A trial
+    derives its seeds from its index, the batches depend only on
+    ``trials`` and ``batch``, and the pool keeps index order, so the rows
+    do not depend on the thread count."""
+    batches = [range(k, min(k + batch, trials)) for k in range(0, trials, batch)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(trial, range(trials)))
+        results = [records for done in pool.map(run_batch, batches) for records in done]
     return summary_rows(zip(*results))
 
 

@@ -94,12 +94,13 @@ class LiftedPath:
 
     ``level1[i]``/``level2[i]`` are the two levels of S_{0,i}; S_{0,0} is the
     identity.  Interval lifts S_{i,j} come out of ``intervals`` via group
-    inversion and therefore satisfy Chen exactly.
+    inversion and therefore satisfy Chen exactly.  A batch of B paths on
+    one grid puts one leading axis of B members on both levels.
     """
 
     times: np.ndarray
-    level1: np.ndarray  # (N+1, d)
-    level2: np.ndarray  # (N+1, d, d)
+    level1: np.ndarray  # ([B,] N+1, d)
+    level2: np.ndarray  # ([B,] N+1, d, d)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -109,12 +110,12 @@ class LiftedPath:
             raise ValueError("times must be a non-empty 1-d array")
         if np.any(t[1:] <= t[:-1]):
             raise ValueError("times must be strictly increasing")
-        if l1.ndim != 2 or l2.ndim != 3:
-            raise ValueError("running signature arrays must be (N+1, d) and (N+1, d, d)")
-        d = l1.shape[1]
-        if l1.shape != (len(t), d) or l2.shape != (len(t), d, d):
+        if l1.ndim not in (2, 3) or l2.ndim != l1.ndim + 1:
+            raise ValueError("running signature arrays must be ([B,] N+1, d) and "
+                             "([B,] N+1, d, d)")
+        if l1.shape[-2] != len(t) or l2.shape != l1.shape + l1.shape[-1:]:
             raise ValueError("running signature arrays inconsistent with grid")
-        if np.any(l1[0] != 0.0) or np.any(l2[0] != 0.0):
+        if np.any(l1[..., 0, :] != 0.0) or np.any(l2[..., 0, :, :] != 0.0):
             raise ValueError("running signature must start at the identity")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "level1", l1)
@@ -122,7 +123,7 @@ class LiftedPath:
 
     @property
     def dim(self) -> int:
-        return self.level1.shape[1]
+        return self.level1.shape[-1]
 
     @property
     def n_points(self) -> int:
@@ -132,10 +133,12 @@ class LiftedPath:
         """Both levels of the interval lifts S_{i,j} = S_{0,i}^{-1} * S_{0,j}
         for index arrays ``i`` and ``j`` broadcast against each other:
         X1_j - X1_i of shape (..., d) and X2_j - X2_i - X1_i (x) (X1_j - X1_i)
-        of shape (..., d, d)."""
-        x1 = self.level1[i]
-        inc = self.level1[j] - x1
-        return inc, self.level2[j] - self.level2[i] - x1[..., :, None] * inc[..., None, :]
+        of shape (..., d, d), after the batch axis of a batch."""
+        i, j = np.broadcast_arrays(i, j)
+        x1 = self.level1[..., i, :]
+        inc = self.level1[..., j, :] - x1
+        return inc, (self.level2[..., j, :, :] - self.level2[..., i, :, :]
+                     - x1[..., :, None] * inc[..., None, :])
 
     def interval(self, i: int, j: int) -> StepTwoLift:
         """Interval lift S_{i,j}."""
@@ -187,7 +190,9 @@ def running_sum_block(steps, out, k0: int) -> None:
 def lift_piecewise_linear(times, values, stride: int = 1, out=None) -> LiftedPath:
     """Lift of the piecewise-linear path through ``values`` at ``times``,
     returned at every ``stride``-th grid point (which must divide the
-    number of segments n).
+    number of segments n).  ``values`` of shape (B, n + 1, d) is a batch of
+    B paths on one grid, lifted into one batched LiftedPath; each member's
+    lift is bitwise the one it gets alone.
 
     Level 1 is in closed form, x_i - x_0 at the output points, with no
     running sums.  At stride 1 and x_0 = +0.0 it is a read-only view of
@@ -199,10 +204,11 @@ def lift_piecewise_linear(times, values, stride: int = 1, out=None) -> LiftedPat
     1 a cell is one segment, and each of the d^2 entries of its term is one
     product of contiguous rows, carried per entry.  Blocks of about
     ROW_BLOCK segments (a multiple of ``stride``) are done at a time, so the
-    working memory beyond the returned arrays is O(max(ROW_BLOCK, stride) d).
+    working memory beyond the returned arrays is O(B max(ROW_BLOCK, stride)
+    d).
 
-    ``out``, a float64 array of shape (n/stride + 1, d, d) that does not
-    overlap ``values``, receives level 2 in place of a new array.  At
+    ``out``, a float64 array of shape ([B,] n/stride + 1, d, d) that does
+    not overlap ``values``, receives level 2 in place of a new array.  At
     stride 1 level 2 is bitwise that of summing all terms with one
     np.cumsum from +0.0; at larger strides it agrees with
     ``lift_piecewise_linear(times, values).restrict(range(0, n + 1, stride))``
@@ -214,12 +220,12 @@ def lift_piecewise_linear(times, values, stride: int = 1, out=None) -> LiftedPat
         x = x[:, None]
     if t.ndim != 1 or len(t) < 2:
         raise ValueError("need at least 2 grid points")
-    if x.shape[0] != len(t):
-        raise ValueError("values length must match times")
-    n, d = x.shape[0] - 1, x.shape[1]
+    if x.ndim > 3 or x.shape[-2] != len(t):
+        raise ValueError("values must be ([B,] len(times), d)")
+    batch, n, d = x.shape[:-2], x.shape[-2] - 1, x.shape[-1]
     if stride < 1 or n % stride:
         raise ValueError(f"stride = {stride} must be a positive divisor of n = {n}")
-    shape = (n // stride + 1, d, d)
+    shape = batch + (n // stride + 1, d, d)
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64:
@@ -228,7 +234,8 @@ def lift_piecewise_linear(times, values, stride: int = 1, out=None) -> LiftedPat
     elif np.may_share_memory(out, x):
         raise ValueError("out must not overlap values")
     l2 = out
-    l2[0] = 0.0
+    l2[..., 0, :, :] = 0.0
+    x0 = x[..., :1, :].swapaxes(-1, -2)  # (..., d, 1)
     block = max(stride, ROW_BLOCK - ROW_BLOCK % stride)
     for k0 in range(0, n, block):
         k1 = min(k0 + block, n)
@@ -237,40 +244,44 @@ def lift_piecewise_linear(times, values, stride: int = 1, out=None) -> LiftedPat
             # contiguous 1-D products and sums: the batched (d, 1) @ (1, d)
             # matmul and strided (rows, d, d) cumsum of the branch below
             # took 1.8x as long at d = 2
-            xt = np.ascontiguousarray(x[k0:k1 + 1].T)
-            inc = xt[:, 1:] - xt[:, :-1]
-            base = xt[:, :-1] - x[0, :, None]
+            xt = np.ascontiguousarray(x[..., k0:k1 + 1, :].swapaxes(-1, -2))
+            inc = xt[..., 1:] - xt[..., :-1]
+            base = xt[..., :-1] - x0
             base += 0.5 * inc
-            term = np.empty(k1 - k0)
+            term = np.empty(batch + (k1 - k0,))
             for p in range(d):
                 for q in range(d):
-                    np.multiply(base[p], inc[q], out=term)
-                    running_sum_block(term, l2[:, p, q], c0)
+                    np.multiply(base[..., p, :], inc[..., q, :], out=term)
+                    running_sum_block(term.T, l2[..., p, q].T, c0)  # rows first
         else:
-            inc = x[k0 + 1:k1 + 1] - x[k0:k1]
+            inc = x[..., k0 + 1:k1 + 1, :] - x[..., k0:k1, :]
             base = np.empty_like(inc)
             # x_0 broadcast in (d, rows) order: in (rows, d) order numpy
             # runs an inner loop of length d per row, 4.7x as long at d = 2.
             # The matmul keeps the (rows, d) operands: with (d, rows) ones
             # BLAS sums in another order and level 2 moves in its last bits.
-            np.subtract(x[k0:k1].T, x[0, :, None], out=base.T, order="C")
+            np.subtract(x[..., k0:k1, :].swapaxes(-1, -2), x0, out=base.swapaxes(-1, -2),
+                        order="C")
             base += 0.5 * inc
-            cells = l2[c0 + 1:c1 + 1]
-            np.matmul(base.reshape(c1 - c0, stride, d).transpose(0, 2, 1),
-                      inc.reshape(c1 - c0, stride, d), out=cells)
-            running_sum_block(cells, l2, c0)
-    if stride == 1 and not np.any(x[0]) and not np.any(np.signbit(x[0])):
+            cells = batch + (c1 - c0, stride, d)
+            np.matmul(base.reshape(cells).swapaxes(-1, -2), inc.reshape(cells),
+                      out=l2[..., c0 + 1:c1 + 1, :, :])
+            running_sum_block(l2[..., c0 + 1:c1 + 1, :, :].swapaxes(0, -3), l2.swapaxes(0, -3),
+                              c0)  # cells first
+    if stride == 1 and not np.any(x0) and not np.any(np.signbit(x0)):
         l1 = x.view()  # x - x_0 is x, bit for bit, when x_0 = +0.0
         l1.flags.writeable = False
     else:
-        l1 = x[::stride] - x[0]
+        l1 = x[..., ::stride, :] - x[..., :1, :]
     return LiftedPath(np.ascontiguousarray(t[::stride]), l1, l2)
 
 
 def zero_lift(times, dim: int) -> LiftedPath:
-    """Lift of the path constantly at the origin."""
+    """Lift of the path constantly at the origin.  Both levels are read-only
+    broadcast zeros, so it holds no grid-sized arrays."""
     t = np.asarray(times, dtype=float)
-    return LiftedPath(t, np.zeros((len(t), dim)), np.zeros((len(t), dim, dim)))
+    return LiftedPath(t, np.broadcast_to(0.0, (len(t), dim)),
+                      np.broadcast_to(0.0, (len(t), dim, dim)))
 
 
 def translate(path: LiftedPath, v) -> LiftedPath:
@@ -291,13 +302,15 @@ def translate(path: LiftedPath, v) -> LiftedPath:
 
 
 def holder_sweep(xs, y: LiftedPath, alpha: float, shifts=None):
-    """Inhomogeneous alpha-Hoelder distances of k lifts ``xs`` to one
-    target ``y``, all on one grid, from one sweep over all grid pairs s < t.
+    """Inhomogeneous alpha-Hoelder distances of k lifts to one target ``y``,
+    all on one grid, from one sweep over all grid pairs s < t.  ``xs`` is a
+    sequence of lifts, each one member or a batch of members; the k members
+    are theirs in order.
 
-    Returns ``(raw, shifted)``.  ``raw[m]`` is ``holder_distance(xs[m], y,
+    Returns ``(raw, shifted)``.  ``raw[m]`` is ``holder_distance(x_m, y,
     alpha)``, bit for bit.  With ``shifts`` of shape (k, d, d), ``shifted[m]``
     is the distance with (t_j - t_i) shifts[m] added to every level-2
-    residual, which is ``holder_distance(translate(xs[m], shifts[m]), y,
+    residual, which is ``holder_distance(translate(x_m, shifts[m]), y,
     alpha)`` up to rounding (the translation adds the same term to the
     running signatures); without ``shifts`` it is None.
 
@@ -305,20 +318,29 @@ def holder_sweep(xs, y: LiftedPath, alpha: float, shifts=None):
     j = i0+1..n, with j <= i masked, about PAIR_BLOCK pairs over the whole
     stack.  Each block is a stack of k planes, and the time-step powers and
     the target's cross terms are computed once per block for every member
-    and both distances.  Planes live in seven buffers that the calling
-    thread keeps across blocks and calls, so besides the O(k n d^2) grid
-    arrays (one level-1 and one level-2 difference per member) the sweep
-    holds O(PAIR_BLOCK + k n) floats whatever the number of pairs.
+    and both distances.  Planes that are exactly zero are not built: with
+    the target's level 1 all zero its cross terms, and with the members'
+    level 1 all zero as well the level-1 planes and the members' cross
+    terms.  Skipping them changes at most the sign of a zero residual
+    entry, which squaring removes, so the results are bitwise unchanged.
+    Planes live in seven buffers that the calling thread keeps across
+    blocks and calls, so besides the O(k n d^2) grid arrays (one level-2
+    difference per member, and one level-1 difference unless level 1 is
+    zero) the sweep holds O(PAIR_BLOCK + k n) floats whatever the number of
+    pairs.
     """
     xs = list(xs)
     if not (0.0 <= alpha < 0.5):
         raise ValueError("alpha must lie in [0, 1/2)")
+    if y.level1.ndim != 2:
+        raise ValueError("the target must be one lift")
     for x in xs:
         if x.dim != y.dim:
             raise ValueError("dimension mismatch")
         if len(x.times) != len(y.times) or np.any(x.times != y.times):
             raise ValueError("grids must be identical")
-    k, d, n = len(xs), y.dim, len(y.times) - 1
+    sizes = [len(x.level1) if x.level1.ndim == 3 else 1 for x in xs]
+    k, d, n = sum(sizes), y.dim, len(y.times) - 1
     if shifts is not None:
         shifts = np.asarray(shifts, dtype=float)
         if shifts.shape != (k, d, d):
@@ -326,14 +348,20 @@ def holder_sweep(xs, y: LiftedPath, alpha: float, shifts=None):
     if n < 1 or k < 1:
         return np.zeros(k), None if shifts is None else np.zeros(k)
     t = y.times
+    y_zero = not np.any(y.level1)
+    zero1 = y_zero and not any(np.any(x.level1) for x in xs)  # no level-1 planes
     # grid axis last and contiguous, so block planes are read by slices
-    x1 = np.empty((k, d, n + 1))
+    x1 = None if zero1 else np.empty((k, d, n + 1))
     dl2 = np.empty((k, d, d, n + 1))
-    for x, x1_m, dl2_m in zip(xs, x1, dl2):
-        x1_m[:] = x.level1.T
-        np.subtract(x.level2, y.level2, out=dl2_m.transpose(2, 0, 1))
-    y1 = np.ascontiguousarray(y.level1.T)
-    w = x1 - y1
+    m1 = 0
+    for x, size in zip(xs, sizes):
+        m0, m1 = m1, m1 + size
+        if not zero1:
+            x1[m0:m1] = x.level1.swapaxes(-1, -2)
+        np.subtract(x.level2, y.level2, out=np.moveaxis(dl2[m0:m1], -1, -3))
+    if not zero1:
+        y1 = np.ascontiguousarray(y.level1.T)
+        w = x1 - y1
     rows = max(1, PAIR_BLOCK // (k * n))
     planes = _planes(max(PAIR_BLOCK, k * n))
     buf = planes[:3 + (shifts is not None)]  # planes with the batch axis
@@ -348,19 +376,22 @@ def holder_sweep(xs, y: LiftedPath, alpha: float, shifts=None):
         pair = np.arange(i0, i1)[:, None] < np.arange(i0 + 1, n + 1)
         np.subtract(t[i0 + 1:], t[i0:i1, None], out=dt)
         np.copyto(dt, 1.0, where=np.logical_not(pair))  # keeps the masked powers finite
-        for p in range(d):
-            np.subtract(w[:, p, None, i0 + 1:], w[:, p, i0:i1, None], out=a)
-            _accumulate_square(a, acc, p == 0)
-        _fold_sup(acc, np.power(dt, alpha, out=power), pair, sup[0])
+        if not zero1:
+            for p in range(d):
+                np.subtract(w[:, p, None, i0 + 1:], w[:, p, i0:i1, None], out=a)
+                _accumulate_square(a, acc, p == 0)
+            _fold_sup(acc, np.power(dt, alpha, out=power), pair, sup[0])
         for p in range(d):
             for q in range(d):
-                np.subtract(x1[:, q, None, i0 + 1:], x1[:, q, i0:i1, None], out=a)
-                np.multiply(x1[:, p, i0:i1, None], a, out=a)
-                np.subtract(y1[q, i0 + 1:], y1[q, i0:i1, None], out=c)
-                np.multiply(y1[p, i0:i1, None], c, out=c)
-                np.subtract(a, c, out=a)  # the Chen cross term of X - Y
                 np.subtract(dl2[:, p, q, None, i0 + 1:], dl2[:, p, q, i0:i1, None], out=r)
-                np.subtract(r, a, out=r)  # the level-2 residual
+                if not zero1:
+                    np.subtract(x1[:, q, None, i0 + 1:], x1[:, q, i0:i1, None], out=a)
+                    np.multiply(x1[:, p, i0:i1, None], a, out=a)
+                    if not y_zero:
+                        np.subtract(y1[q, i0 + 1:], y1[q, i0:i1, None], out=c)
+                        np.multiply(y1[p, i0:i1, None], c, out=c)
+                        np.subtract(a, c, out=a)  # the Chen cross term of X - Y
+                    np.subtract(r, a, out=r)  # the level-2 residual
                 if shifts is not None:
                     np.multiply(shifts[:, p, q, None, None], dt, out=a)
                     np.add(r, a, out=a)

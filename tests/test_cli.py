@@ -166,7 +166,7 @@ def test_cli_leadlag_run(tmp_path):
     assert lines[0] == LEADLAG_HEADER
     assert len(lines) == 4
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["method_notes"]["fbm_method"] == "circulant"
+    assert manifest["method_notes"] == {"n_ref": 256, "common_grid_n": 8}
 
 
 def test_cli_config_rejection_exit_code(tmp_path):

@@ -9,9 +9,9 @@ from roughlift import (LeadLagConfig, counter_terms, derive_seed, hoff_path,
                        run_leadlag_trial, sample_fbm)
 from roughlift import gauss, leadlag
 from roughlift.identities import leadlag_oracle_errors, psi_bruteforce
-from roughlift.leadlag import leadlag_trial_bytes
+from roughlift.leadlag import BATCH_BYTES, TRIAL_BATCH, leadlag_trial_bytes
 from roughlift.report import MAX_GRID_STEPS, TRIAL_BYTES
-from roughlift.tensor2 import holder_sweep, lift_piecewise_linear
+from roughlift.tensor2 import LiftedPath, holder_sweep, lift_piecewise_linear, zero_lift
 
 from oracles import leadlag_trial_full_lifts, lift_piecewise_linear_full, sample_fbm_complex_fft
 
@@ -209,7 +209,7 @@ def test_trial_area_deviation_equals_half_qv():
     # diagonal quadratic variation of the subsampled path, per trial
     cfg = LeadLagConfig(H=0.4, n_schedule=(8, 32), n_ref=256, d=2, mc_trials=1,
                         base_seed=3)
-    results = run_leadlag_trial(cfg, 0)
+    results = run_leadlag_trial(cfg, [0])[0]
     ref = sample_fbm(seed=derive_seed(3, 0), H=0.4, n=256, d=2)
     for r in results:
         x = ref.values[::256 // r.n]
@@ -221,7 +221,7 @@ def test_trial_area_deviation_equals_half_qv():
 def test_trial_h_half_counterterm_is_ito_stratonovich_shift():
     cfg = LeadLagConfig(H=0.5, n_schedule=(64,), n_ref=1024, d=1, mc_trials=1,
                         base_seed=5, alpha=0.25)
-    rows = [run_leadlag_trial(cfg, k)[0] for k in range(6)]
+    rows = [records[0] for records in run_leadlag_trial(cfg, range(6))]
     assert all(r.vNorm == 0.5 * np.sqrt(2.0) for r in rows)
     assert np.mean([r.dist_renorm for r in rows]) < np.mean([r.dist_raw for r in rows])
 
@@ -239,23 +239,43 @@ def test_trial_coupled_grid_alignment():
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("H", [0.26, 0.4, 0.5])
 def test_trial_matches_full_lift_oracle(d, H):
-    # strided lifts and one sweep against full lifts, restrict and one
-    # holder_distance call per distance: every field within 1e-12 relative,
-    # the counter-term norm bit for bit
+    # closed-form residuals of a batch and one sweep against full 2d-dimensional
+    # lifts, restrict and one holder_distance call per distance: every field
+    # within 1e-12 relative, the counter-term norm bit for bit
     for alpha in (0.0, 0.3):
         if alpha >= H:
             continue
         for schedule, n_ref in (((8, 16, 64), 256), ((16,), 64)):
             cfg = LeadLagConfig(H=H, alpha=alpha, n_schedule=schedule, n_ref=n_ref, d=d,
                                 mc_trials=2, base_seed=11)
+            batch = run_leadlag_trial(cfg, range(2))
             for k in range(2):
-                got, want = run_leadlag_trial(cfg, k), leadlag_trial_full_lifts(cfg, k)
+                got, want = batch[k], leadlag_trial_full_lifts(cfg, k)
                 assert [r.n for r in got] == [r.n for r in want] == list(schedule)
                 for r, w in zip(got, want):
                     assert r.vNorm == w.vNorm
                     for name in ("dist_renorm", "dist_raw", "areaDev1"):
                         a, b = getattr(r, name), getattr(w, name)
                         assert abs(a - b) <= 1e-12 * abs(b), (name, r.n, alpha, k)
+
+
+def _batched(lift):
+    """A per-path lift function extended to batches of paths (a leading
+    axis): each member lifted alone, the results stacked into one lift."""
+    def lift_batch(t, x, stride):
+        if x.ndim == 2:
+            return lift(t, x, stride)
+        lifts = [lift(t, member, stride) for member in x]
+        return LiftedPath(lifts[0].times, np.stack([m.level1 for m in lifts]),
+                          np.stack([m.level2 for m in lifts]))
+    return lift_batch
+
+
+def _counted(calls, f):
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return f(*args, **kwargs)
+    return counted
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -265,11 +285,15 @@ def test_trial_matches_cumsum_lift_oracle(monkeypatch, d):
     # every field within 1e-12 relative, the counter-term norm bit for bit
     cfg = LeadLagConfig(H=0.4, alpha=0.3, n_schedule=(16, 32, 64, 128), n_ref=1024, d=d,
                         mc_trials=4, base_seed=3)
-    got = [run_leadlag_trial(cfg, k) for k in range(cfg.mc_trials)]
-    monkeypatch.setattr(leadlag, "lift_piecewise_linear", lambda t, x, stride: (
-        lift_piecewise_linear_full(t, x).restrict(np.arange(0, len(t), stride))))
+    got = run_leadlag_trial(cfg, range(cfg.mc_trials))
+    calls = []
+    monkeypatch.setattr(leadlag, "lift_piecewise_linear", _counted(calls, _batched(
+        lambda t, x, stride: lift_piecewise_linear_full(t, x).restrict(
+            np.arange(0, len(t), stride)))))
+    want = run_leadlag_trial(cfg, range(cfg.mc_trials))
+    assert len(calls) == cfg.mc_trials + len(cfg.n_schedule)  # each reference, every n
     for k in range(cfg.mc_trials):
-        for r, w in zip(got[k], run_leadlag_trial(cfg, k), strict=True):
+        for r, w in zip(got[k], want[k], strict=True):
             assert r.n == w.n and r.vNorm == w.vNorm
             for name in ("dist_renorm", "dist_raw", "areaDev1"):
                 a, b = getattr(r, name), getattr(w, name)
@@ -282,38 +306,59 @@ def test_trial_matches_complex_fft_sampler(monkeypatch):
     # the per-component complex-FFT route, the counter-term norm bit for bit
     cfg = LeadLagConfig(H=0.4, alpha=0.3, n_schedule=(16, 32, 64, 128, 256, 512, 1024),
                         n_ref=4096, d=1, mc_trials=64, base_seed=0)
-    got = [run_leadlag_trial(cfg, k) for k in range(cfg.mc_trials)]
-    monkeypatch.setattr(leadlag, "sample_fbm", sample_fbm_complex_fft)
+    batches = [range(k, k + cfg.batch) for k in range(0, cfg.mc_trials, cfg.batch)]
+    got = [records for ks in batches for records in run_leadlag_trial(cfg, ks)]
+    calls = []
+    monkeypatch.setattr(leadlag, "sample_fbm", _counted(calls, sample_fbm_complex_fft))
+    want = [records for ks in batches for records in run_leadlag_trial(cfg, ks)]
+    assert len(calls) == cfg.mc_trials
     for k in range(cfg.mc_trials):
-        for r, w in zip(got[k], run_leadlag_trial(cfg, k), strict=True):
+        for r, w in zip(got[k], want[k], strict=True):
             assert r.n == w.n and r.vNorm == w.vNorm
             for name in ("dist_renorm", "dist_raw", "areaDev1"):
                 a, b = getattr(r, name), getattr(w, name)
                 assert abs(a - b) <= 1e-12 * abs(b), (name, r.n, k)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_trial_records_do_not_depend_on_batch(d):
+    # trials 0 .. 2B + 2: each trial's records are bitwise the same run alone,
+    # in a full batch and in the ragged last batch of an experiment
+    cfg = LeadLagConfig(H=0.4, alpha=0.3, n_schedule=(8, 16, 64), n_ref=256, d=d,
+                        mc_trials=2 * TRIAL_BATCH + 3, base_seed=7)
+    assert cfg.batch == TRIAL_BATCH
+    alone = [run_leadlag_trial(cfg, [k])[0] for k in range(cfg.mc_trials)]
+    batched = [records for k in range(0, cfg.mc_trials, cfg.batch)
+               for records in run_leadlag_trial(cfg, range(k, min(k + cfg.batch, cfg.mc_trials)))]
+    assert batched == alone
+    assert run_leadlag_trial(cfg, range(3, 3 + cfg.batch)) == alone[3:3 + cfg.batch]
+
+
 def _trial_peak_bytes(cfg):
-    # from a cold embedding cache, as the first trial of a run starts
+    # one whole batch from a cold embedding cache, as the first batch of a
+    # run starts
     gauss._embedding_sqrt.cache_clear()
     tracemalloc.start()
     try:
-        run_leadlag_trial(cfg, 0)
+        run_leadlag_trial(cfg, range(cfg.batch))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def _bound(cfg):
-    return leadlag_trial_bytes(cfg.n_ref, cfg.d, len(cfg.n_schedule), cfg.n_schedule[0])
+    return leadlag_trial_bytes(cfg.n_ref, cfg.d, len(cfg.n_schedule), cfg.n_schedule[0],
+                               cfg.batch)
 
 
 @pytest.mark.parametrize("d", [1, 4])
 def test_trial_memory_per_reference_step(d):
     # the bound behind TRIAL_BYTES: the slope of a trial's traced peak over
-    # n_ref (2^19 and 2^20, reference strides within ROW_BLOCK) is the per-step
-    # term of leadlag_trial_bytes, 8 (4d + 1) B
+    # n_ref (2^19 and 2^20, reference strides within ROW_BLOCK, batches of
+    # one trial) is the per-step term of leadlag_trial_bytes, 8 (4d + 1) B
     cfgs = [LeadLagConfig(H=0.4, n_schedule=(32, 64), n_ref=n_ref, d=d, mc_trials=1)
             for n_ref in (2 ** 19, 2 ** 20)]
+    assert [cfg.batch for cfg in cfgs] == [1, 1]
     peaks = [_trial_peak_bytes(cfg) for cfg in cfgs]
     slope = (peaks[1] - peaks[0]) / (cfgs[1].n_ref - cfgs[0].n_ref)
     per_step = (_bound(cfgs[1]) - _bound(cfgs[0])) / (cfgs[1].n_ref - cfgs[0].n_ref)
@@ -333,13 +378,16 @@ def test_trial_memory_within_bound(n_ref, d, schedule):
 
 
 def _sweep_peak_bytes(k, n, d):
-    # the sweep alone at lead-lag dimension d (lifts of dimension 2d), with
-    # its input lifts and the thread's sweep planes (kept across calls, and
-    # O(PAIR_BLOCK) at both shapes) allocated before tracing starts
+    # the sweep as a lead-lag batch runs it: k residuals of lead-lag
+    # dimension d (lifts of dimension 2d) with level 1 zero, against the zero
+    # lift; the input lifts and the thread's sweep planes (kept across calls,
+    # and O(PAIR_BLOCK) at both shapes) are allocated before tracing starts
     rng = np.random.default_rng(k * n + d)
     times = np.linspace(0.0, 1.0, n + 1)
-    paths = np.cumsum(rng.standard_normal((k + 1, n + 1, 2 * d)), axis=1)
-    y, *xs = (lift_piecewise_linear(times, p - p[0]) for p in paths)
+    level2 = rng.standard_normal((k, n + 1, 2 * d, 2 * d))
+    level2[:, 0] = 0.0
+    xs = [LiftedPath(times, np.broadcast_to(0.0, (k, n + 1, 2 * d)), level2)]
+    y = zero_lift(times, 2 * d)
     shifts = rng.standard_normal((k, 2 * d, 2 * d))
     holder_sweep(xs, y, 0.3, shifts)
     tracemalloc.start()
@@ -354,32 +402,51 @@ def _sweep_peak_bytes(k, n, d):
 def test_sweep_memory_per_member_point(d):
     # the sweep term of leadlag_trial_bytes: between (k, n) = (32, 128) and
     # (64, 256), both at k n <= PAIR_BLOCK, the sweep's traced peak grows by
-    # 8 (4d^2 + 4d) B per member grid point (a level-1 and a level-2
-    # difference of the 2d-dimensional lifts, and w); the bound's per-member
-    # term, less the member's own lift (times, level 1, level 2), covers
-    # that with at most 56 B of planes
+    # 8 (4d^2) B per member grid point (the level-2 difference of the
+    # 2d-dimensional residuals; level 1 is zero, so there is no level-1
+    # difference); the bound's per-member term, less the member's own
+    # residual, covers that with at most 56 B of planes
     shapes = ((32, 128), (64, 256))
     points = [k * (n + 1) for k, n in shapes]
     peaks = [_sweep_peak_bytes(k, n, d) for k, n in shapes]
     slope = (peaks[1] - peaks[0]) / (points[1] - points[0])
-    core = 8 * (4 * d * d + 4 * d)
+    core = 8 * 4 * d * d
     assert 0.98 * core <= slope <= 1.02 * core + 56
-    n_min = 64
-    per_member = (leadlag_trial_bytes(4096, d, 3, n_min)
-                  - leadlag_trial_bytes(4096, d, 2, n_min)) / (n_min + 1)
-    sweep_term = per_member - 8 * (4 * d * d + 2 * d + 1)
+    n_min = 64  # 64 schedule points on that grid make the sweep the peak phase
+    per_member = (leadlag_trial_bytes(4096, d, 65, n_min)
+                  - leadlag_trial_bytes(4096, d, 64, n_min)) / (n_min + 1)
+    sweep_term = per_member - 8 * 4 * d * d
     assert slope <= sweep_term <= slope + 56
 
 
 def test_config_rejects_trial_over_byte_budget():
-    # n_ref = MAX_GRID_STEPS fits at d = 2 (0.70 GB) but not at d = 3 (1.02 GB)
+    # n_ref = MAX_GRID_STEPS fits at d = 2 (0.60 GB) but not at d = 3 (0.87 GB)
     cfg = LeadLagConfig(H=0.4, n_schedule=(8, 16, 32), n_ref=MAX_GRID_STEPS, d=2, mc_trials=2)
-    assert _bound(cfg) <= TRIAL_BYTES
+    assert cfg.batch == 1 and _bound(cfg) <= TRIAL_BYTES
     with pytest.raises(ValueError, match="TRIAL_BYTES"):
         replace(cfg, d=3)
-    # a coarse n_min makes the reference lift work on whole-stride blocks
-    with pytest.raises(ValueError, match="TRIAL_BYTES"):
-        replace(cfg, n_schedule=(1, 2))
+    # a coarse n_min makes the reference lift work on whole-stride blocks; with
+    # d-dimensional lifts that phase (80 B a step at d = 2) still fits
+    assert _bound(cfg) < _bound(replace(cfg, n_schedule=(1, 2))) <= TRIAL_BYTES
+
+
+def test_batches_shrink_to_the_byte_budget():
+    # TRIAL_BATCH trials while a batch stays within BATCH_BYTES, fewer as the
+    # reference grid or the sweep grows, and one trial where one trial is
+    # already over it
+    def batch(n_ref, d=1, schedule=(16, 32)):
+        return LeadLagConfig(H=0.4, n_schedule=schedule, n_ref=n_ref, d=d, mc_trials=1).batch
+
+    assert batch(4096) == TRIAL_BATCH
+    assert [batch(n_ref) for n_ref in (2 ** 15, 2 ** 16, 2 ** 17, 2 ** 18)] == [8, 5, 2, 1]
+    assert batch(4096, d=4, schedule=(512, 1024)) == 7
+    for n_ref, d, schedule in ((4096, 1, (16, 32)), (2 ** 16, 1, (16, 32)),
+                               (4096, 4, (512, 1024))):
+        cfg = LeadLagConfig(H=0.4, n_schedule=schedule, n_ref=n_ref, d=d, mc_trials=1)
+        assert _bound(cfg) <= BATCH_BYTES
+        if cfg.batch < TRIAL_BATCH:
+            assert leadlag_trial_bytes(n_ref, d, len(schedule), schedule[0],
+                                       cfg.batch + 1) > BATCH_BYTES
 
 
 # ---------------------------------------------------------------- experiment
@@ -387,10 +454,19 @@ def test_config_rejects_trial_over_byte_budget():
 def test_experiment_single_trial_table():
     cfg = LeadLagConfig(H=0.4, n_schedule=(8, 16), n_ref=128, mc_trials=1, base_seed=2)
     rows = leadlag_experiment(cfg)
-    single = run_leadlag_trial(cfg, 0)
+    single = run_leadlag_trial(cfg, [0])[0]
     assert rows[0]["dist_renorm_mean"] == single[0].dist_renorm
     assert rows[1]["areaDev1_mean"] == single[1].areaDev1
     assert rows[0]["dist_renorm_se"] == 0.0
+
+
+def test_experiment_rows_identical_at_1_2_3_threads():
+    # 2B + 3 trials: two full batches and a ragged one, spread over 1, 2 and
+    # 3 workers
+    cfg = LeadLagConfig(H=0.4, n_schedule=(8, 16, 32), n_ref=128, mc_trials=2 * TRIAL_BATCH + 3,
+                        base_seed=4)
+    rows = [leadlag_experiment(cfg, threads=threads) for threads in (1, 2, 3)]
+    assert rows[0] == rows[1] == rows[2]
 
 
 def test_experiment_thread_invariance_and_slopes():

@@ -161,12 +161,30 @@ def test_summary_rows_read_the_record_fields():
 
 def test_run_trials_rows_do_not_depend_on_completion_order():
     # later trials finish first on 3 threads; the rows must equal the
-    # serial ones, whose vnorm is that of trial 0
+    # serial ones, whose vnorm is that of trial 0, whatever the batch size
     def trial(k):
         time.sleep(0.02 * (5 - k))
         return [_Record(x, float(k * k + x), float(k) - x, k + x) for x in (1.0, 2.0)]
 
-    serial = run_trials(trial, 6, 1)
-    assert run_trials(trial, 6, 3) == serial
+    def run_batch(ks):
+        return [trial(k) for k in ks]
+
+    serial = run_trials(run_batch, 6, 1)
+    assert run_trials(run_batch, 6, 3) == serial
+    assert run_trials(run_batch, 6, 2, batch=4) == serial  # a full and a ragged batch
     assert [(row["x"], row["vnorm"]) for row in serial] == [(1.0, 1.0), (2.0, 2.0)]
     assert serial[0]["a_mean"] == np.mean([k * k + 1.0 for k in range(6)])
+
+
+def test_run_trials_batches_are_fixed_ranges():
+    # consecutive indices, batch at a time, the last batch ragged, whatever
+    # the thread count
+    for threads in (1, 2):
+        seen = []
+
+        def run_batch(ks):
+            seen.append(ks)
+            return [[_Record(1.0, float(k), 0.0, 0.0)] for k in ks]
+
+        run_trials(run_batch, 7, threads, batch=3)
+        assert sorted(seen, key=lambda ks: ks.start) == [range(0, 3), range(3, 6), range(6, 7)]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from roughlift import tensor2
-from roughlift import (StepTwoLift, chen_inv, chen_mul, exp_step2, holder_distance, levy_area,
-                       lift_piecewise_linear, translate)
+from roughlift import (LiftedPath, StepTwoLift, chen_inv, chen_mul, exp_step2, holder_distance,
+                       levy_area, lift_piecewise_linear, translate, zero_lift)
 from roughlift.tensor2 import holder_sweep
 from roughlift.identities import random_lifted_paths
 
@@ -298,6 +298,49 @@ def test_lift_level1_is_a_view_only_at_stride_1_from_origin():
         lift_piecewise_linear(t, x).level1[1] = 0.0
 
 
+@pytest.mark.parametrize("row_block", [7, B])
+@pytest.mark.parametrize("stride", [1, 3])
+def test_batched_lift_members_match_single_lifts(monkeypatch, row_block, stride):
+    # a batch is lifted member by member's bits, in one block or in many,
+    # and its restrictions and interval lifts are those of its members
+    monkeypatch.setattr(tensor2, "ROW_BLOCK", row_block)
+    rng = np.random.default_rng(23 + stride)
+    n, d = 30, 2
+    t = np.arange(n + 1) / n
+    x = rng.standard_normal((3, n + 1, d))
+    x[1, 0] = 0.0
+    batch = lift_piecewise_linear(t, x, stride=stride)
+    out = np.empty((3, n // stride + 1, d, d))
+    assert lift_piecewise_linear(t, x, stride=stride, out=out).level2 is out
+    assert batch.dim == d and batch.level1.shape == (3, n // stride + 1, d)
+    idx = [0, 2, 5]
+    sub = batch.restrict(idx)
+    inc, l2 = batch.intervals(np.array([[0], [1]]), np.array([3, 4]))
+    for m in range(3):
+        one = lift_piecewise_linear(t, x[m], stride=stride)
+        assert batch.level1[m].tobytes() == one.level1.tobytes()
+        assert batch.level2[m].tobytes() == one.level2.tobytes() == out[m].tobytes()
+        assert sub.level1[m].tobytes() == one.restrict(idx).level1.tobytes()
+        assert sub.level2[m].tobytes() == one.restrict(idx).level2.tobytes()
+        one_inc, one_l2 = one.intervals(np.array([[0], [1]]), np.array([3, 4]))
+        assert inc[m].tobytes() == one_inc.tobytes() and l2[m].tobytes() == one_l2.tobytes()
+
+
+def test_lifted_path_rejects_bad_batches():
+    t = np.arange(3.0)
+    with pytest.raises(ValueError, match="B"):
+        LiftedPath(t, np.zeros((2, 2, 3, 1)), np.zeros((2, 2, 3, 1, 1)))
+    with pytest.raises(ValueError, match="inconsistent"):
+        LiftedPath(t, np.zeros((2, 3, 1)), np.zeros((3, 3, 1, 1)))
+    with pytest.raises(ValueError, match="identity"):
+        LiftedPath(t, np.zeros((2, 3, 1)) + [[[0.0]], [[1.0]]], np.zeros((2, 3, 1, 1)))
+    with pytest.raises(ValueError, match="values"):
+        lift_piecewise_linear(t, np.zeros((2, 2, 3, 1)))
+    batch = LiftedPath(t, np.zeros((2, 3, 1)), np.zeros((2, 3, 1, 1)))
+    with pytest.raises(ValueError, match="target"):
+        holder_sweep([batch], batch, 0.3)
+
+
 def test_lift_strided_memory_bounded_by_block():
     # 1025 output points; the unstrided lift of this grid is 48 MiB
     n, d, stride = 2 ** 20, 2, 2 ** 10
@@ -535,6 +578,39 @@ def test_sweep_ragged_blocks(monkeypatch):
     rng = np.random.default_rng(20)
     for n in (3, 40, 100):
         _assert_sweep_matches_single_calls(rng, n, 2, 0.3)
+
+
+def _zero_level1(rng, t, d, signs):
+    """A lift with level 1 zero, -0.0 where ``signs`` is negative."""
+    level2 = rng.standard_normal((len(t), d, d))
+    level2[0] = 0.0
+    return LiftedPath(t, np.where(signs < 0, -0.0, 0.0), level2)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_sweep_zero_planes_match_rowloop(d):
+    # the zero target (and, with it, zero level 1 in every member) skips
+    # planes; with -0.0 entries in the inputs and translated lifts among the
+    # members every distance stays equal to the row loop's
+    rng = np.random.default_rng(22 + d)
+    n = 40
+    t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n))])
+    signs = rng.standard_normal((n + 1, d))
+    g = rng.standard_normal((d, d))
+    v = g - g.T
+    zero = zero_lift(t, d)
+    signed_zero = LiftedPath(t, np.where(signs < 0, -0.0, 0.0), np.zeros((n + 1, d, d)))
+    flat = [_zero_level1(rng, t, d, signs) for _ in range(3)]
+    flat += [translate(flat[0], v), LiftedPath(t, flat[1].level1, -flat[1].level2)]
+    moving = [lift_piecewise_linear(t, rng.standard_normal((n + 1, d))) for _ in range(2)]
+    moving.append(translate(moving[0], v))
+    for y in (zero, signed_zero):
+        for xs in (flat, moving, flat + moving):
+            raw, _ = holder_sweep(xs, y, 0.3)
+            assert raw.tolist() == [holder_distance_rowloop(x, y, 0.3) for x in xs]
+    batched = LiftedPath(t, np.broadcast_to(0.0, (len(flat), n + 1, d)),
+                         np.stack([x.level2 for x in flat]))
+    assert np.array_equal(holder_sweep([batched], zero, 0.3)[0], holder_sweep(flat, zero, 0.3)[0])
 
 
 def test_sweep_rejects_bad_stacks():
