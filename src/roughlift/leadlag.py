@@ -35,7 +35,8 @@ import numpy as np
 
 from .gauss import derive_seed, fgn_autocov, sample_fbm
 from .report import check_run, run_trials
-from .tensor2 import ROW_BLOCK, LiftedPath, holder_sweep, lift_piecewise_linear, zero_lift
+from .tensor2 import (ROW_BLOCK, LiftedPath, holder_sweep, lift_piecewise_linear,
+                      running_outer_sum, zero_lift)
 # holder_distance and translate stay importable from here: perfbench/tracing.py
 # wraps them under this module's name
 from .tensor2 import holder_distance, translate  # noqa: F401
@@ -93,15 +94,10 @@ def leadlag_lift(samples) -> LiftedPath:
 def _half_qv(x, stride: int) -> np.ndarray:
     """Half the running quadratic variation sum dX (x) dX of samples x of
     shape (..., n + 1, d), at every ``stride``-th sample: (..., n / stride
-    + 1, d, d).  The products of each cell of ``stride`` steps are summed by
-    one matmul and the cell sums carried."""
-    inc = x[..., 1:, :] - x[..., :-1, :]
-    cells = inc.reshape(inc.shape[:-2] + (-1, stride, inc.shape[-1]))
-    *batch, c, _, d = cells.shape
-    out = np.empty((*batch, c + 1, d, d))
-    out[..., 0, :, :] = 0.0
-    np.matmul(cells.swapaxes(-1, -2), cells, out=out[..., 1:, :, :])
-    np.cumsum(out, axis=-3, out=out)
+    + 1, d, d).  The lift's running sum with factors (dX, dX): bitwise rows
+    ``::stride`` of the stride-1 sum, in O(ROW_BLOCK d) working floats."""
+    out = np.empty(x.shape[:-2] + ((x.shape[-2] - 1) // stride + 1,) + x.shape[-1:] * 2)
+    running_outer_sum(x, stride, out, midpoint=False)
     out *= 0.5
     return out
 
@@ -157,44 +153,34 @@ BATCH_BYTES = 1 << 23
 def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int, batch: int = 1) -> int:
     """Bound on the peak bytes of one run_leadlag_trial call on ``batch``
     trials: reference grid n_ref, dimension d, k schedule points, coarsest
-    n_min.  It is the largest of the traced peaks of its three phases, in
-    floats of 8 B, with N = n_ref + 1 and the cached embedding root (N
-    floats) held throughout:
+    n_min.  In floats of 8 B, with N = n_ref + 1, it is what the worker
+    thread holds throughout, the cached embedding root (N floats) and the
+    scratch the lifts and QV sums keep (running_outer_sum, 2d + 1 floats a
+    block row, (2d + 1) min(batch n_ref, ROW_BLOCK)), plus the largest of
+    the traced peaks of three phases:
 
-    * sampling, N (1 + d max(batch + 3, 2 batch)): one draw holds d rows of
-      2n normals and their half-spectra (4d floats a step) beside the
-      earlier draws of the batch, and stacking the draws holds them twice;
-    * lifting, N (2 + batch d) + d max(3 R, batch max(6 R', 3 n_ref / 4))
-      + batch (n_min + 1)(4 d^2 k + 4 d^2 + 2 d): the stacked draws and the
-      times; one trial's n_ref lift, whose blocks of at most R = min(n_ref,
-      max(ROW_BLOCK, n_ref / n_min)) rows hold 3 floats a row and
-      dimension (the increments, the base rows and 0.5 * inc), or per
-      trial the blocks of a batched n-lift (at most R' = min(R, n_ref / 4)
-      rows of the strided n-samples, up to 6 floats a row and dimension
-      with the copies numpy's matmul makes of them) or the n-samples'
-      increments and their QV products (3 floats a row and dimension, at
-      most n_ref / 4 rows); and on the coarsest grid the residuals
-      (4 d^2 floats at each of the M = batch k (n_min + 1) member grid
-      points), and the reference lift, one n-lift, its difference from
+    * sampling, N d max(batch + 3, 2 batch): one draw holds d rows of 2n
+      normals and their half-spectra (4d floats a step) beside the earlier
+      draws of the batch, and stacking the draws holds them twice;
+    * lifting, N (1 + batch d) + batch (n_min + 1)(4 d^2 k + 4 d^2 + 2 d):
+      the stacked draws and the times; and on the coarsest grid the
+      residuals (4 d^2 floats at each of the M = batch k (n_min + 1) member
+      grid points), and the reference lift, one n-lift, its difference from
       the reference and half the QV;
-    * sweep, N + (8 d^2 + 7) M: per member point its residual, the sweep's
+    * sweep, (8 d^2 + 7) M: per member point its residual, the sweep's
       level-2 difference (level 1 is zero, so it makes no level-1 planes)
       and its seven planes; the zero target is broadcast zeros.
 
-    At batch = 1 and n_ref / n_min <= ROW_BLOCK sampling is the peak, and
-    the traced peak grows by 8 (4d + 1) B per reference step between 2^19
-    and 2^20 steps: 40.0 B at d = 1, 136.0 at d = 4.  Every other array is
-    O(ROW_BLOCK + PAIR_BLOCK), a few MiB.
+    At batch = 1 sampling is the peak, and the traced peak grows by 8 (4d +
+    1) B per reference step between 2^19 and 2^20 steps: 40.0 B at d = 1,
+    136.0 at d = 4.  Every other array is O(ROW_BLOCK + PAIR_BLOCK).
     """
     n = n_ref + 1
-    rows = min(n_ref, max(ROW_BLOCK, n_ref // n_min))
     points = batch * k * (n_min + 1)
-    sampling = n * (1 + d * max(batch + 3, 2 * batch))
-    blocks = max(3 * rows, batch * max(6 * min(rows, n_ref // 4), 3 * (n_ref // 4)))
-    lifting = (n * (2 + batch * d) + d * blocks
-               + batch * (n_min + 1) * (4 * d * d * k + 4 * d * d + 2 * d))
-    sweep = n + (8 * d * d + 7) * points
-    return 8 * max(sampling, lifting, sweep)
+    held = n + (2 * d + 1) * min(batch * n_ref, ROW_BLOCK)
+    sampling = n * d * max(batch + 3, 2 * batch)
+    lifting = n * (1 + batch * d) + batch * (n_min + 1) * (4 * d * d * k + 4 * d * d + 2 * d)
+    return 8 * (held + max(sampling, lifting, (8 * d * d + 7) * points))
 
 
 @dataclass(frozen=True)
@@ -296,17 +282,15 @@ def _residuals(cfg: LeadLagConfig, trials) -> tuple[np.ndarray, np.ndarray]:
     dD is the running level 2 of the d-dimensional strided lift of the
     n-samples minus that of the n_ref-samples, and Q/2 half the running
     quadratic variation sum dX (x) dX of the n-samples, both at the
-    coarsest grid.  The n_ref draws of the batch are stacked, so the lift
-    of each n is one batched call; the n_ref lift, whose blocks hold the
-    most, is made one trial at a time.
+    coarsest grid.  The batch's n_ref draws are stacked, so the reference
+    lift, and each n's lift and QV, are one batched call each.
     """
     d, n_ref, n_min = cfg.d, cfg.n_ref, cfg.n_schedule[0]
     x = np.stack([sample_fbm(seed=derive_seed(cfg.base_seed, k), H=cfg.H, n=n_ref, d=d).values
                   for k in trials])
     b = len(x)
     t = np.arange(n_ref + 1) / n_ref
-    ref = np.stack([lift_piecewise_linear(t, x_trial, stride=n_ref // n_min).level2
-                    for x_trial in x])  # one trial's blocks at a time
+    ref = lift_piecewise_linear(t, x, stride=n_ref // n_min).level2
     res = np.empty((b, len(cfg.n_schedule), n_min + 1, 2 * d, 2 * d))
     area = np.empty((b, len(cfg.n_schedule)))
     for m, n in enumerate(cfg.n_schedule):

@@ -15,6 +15,8 @@ an anti-symmetric (d, d) array, to the second level of every interval lift.
 """
 from __future__ import annotations
 
+import itertools
+import math
 import threading
 from dataclasses import dataclass
 
@@ -36,15 +38,16 @@ FULL_PAIRS_LIMIT = 2048
 # slower.
 PAIR_BLOCK = 1 << 14
 
-# holder_sweep's seven planes, one set per thread, kept across calls and
-# grown on demand.  A set of 2^14-float planes is about 900 KiB, which glibc
-# would mmap and page in afresh on every call.
-_sweep_planes = threading.local()
+# The scratch arrays of holder_sweep and running_outer_sum, cut from one
+# buffer per thread, kept across calls and grown on demand: freed, blocks of
+# about 1 MiB (seven 2^14-float sweep planes, or a batch's lift rows) go back
+# to the system, and glibc would page them in afresh on every call.
+_scratch_buffer = threading.local()
 
-# Grid rows per block of the fine-grid kernels (lift_piecewise_linear and
-# gauss.sample_physical), so their working memory beyond the arrays they
-# return is O(ROW_BLOCK) whatever the grid size: about 3 MiB for a d = 2
-# lift.  At 1.86M steps, blocks of 2^12 to 2^17 rows ran equally fast.
+# Grid rows per block of the fine-grid kernels (running_outer_sum, over a
+# whole batch, and gauss.sample_physical), so their working memory beyond
+# the arrays they return is O(ROW_BLOCK) whatever the grid size: 1.25 MiB
+# for a d = 2 lift.  At 1.86M steps, blocks of 2^12 to 2^17 rows ran equally fast.
 ROW_BLOCK = 1 << 15
 
 
@@ -197,22 +200,13 @@ def lift_piecewise_linear(times, values, stride: int = 1, out=None) -> LiftedPat
     Level 1 is in closed form, x_i - x_0 at the output points, with no
     running sums.  At stride 1 and x_0 = +0.0 it is a read-only view of
     ``values``: the caller must not overwrite ``values`` while that lift is
-    in use.  The running second level accumulates (x_r - x_0 + inc_r/2) (x)
-    inc_r per segment, which is the Chen product of the segment
-    exponentials.  The terms of each cell of ``stride`` segments are summed
-    by one batched matmul and the cell sums carried across cells; at stride
-    1 a cell is one segment, and each of the d^2 entries of its term is one
-    product of contiguous rows, carried per entry.  Blocks of about
-    ROW_BLOCK segments (a multiple of ``stride``) are done at a time, so the
-    working memory beyond the returned arrays is O(B max(ROW_BLOCK, stride)
-    d).
+    in use.  Level 2 is the running sum of (x_r - x_0 + inc_r/2) (x) inc_r,
+    the Chen product of the segment exponentials (``running_outer_sum``):
+    one np.cumsum of the terms from +0.0 at stride 1, and bitwise its rows
+    ``::stride`` at every stride, in O(ROW_BLOCK d) floats of scratch.
 
     ``out``, a float64 array of shape ([B,] n/stride + 1, d, d) that does
-    not overlap ``values``, receives level 2 in place of a new array.  At
-    stride 1 level 2 is bitwise that of summing all terms with one
-    np.cumsum from +0.0; at larger strides it agrees with
-    ``lift_piecewise_linear(times, values).restrict(range(0, n + 1, stride))``
-    to rounding (about 1e-14 of max |level 2| at n = 2^15).
+    not overlap ``values``, receives level 2 in place of a new array.
     """
     t = np.asarray(times, dtype=float)
     x = np.asarray(values, dtype=float)
@@ -233,47 +227,62 @@ def lift_piecewise_linear(times, values, stride: int = 1, out=None) -> LiftedPat
                          f"got {out.dtype} {out.shape}")
     elif np.may_share_memory(out, x):
         raise ValueError("out must not overlap values")
-    l2 = out
-    l2[..., 0, :, :] = 0.0
-    x0 = x[..., :1, :].swapaxes(-1, -2)  # (..., d, 1)
-    block = max(stride, ROW_BLOCK - ROW_BLOCK % stride)
-    for k0 in range(0, n, block):
-        k1 = min(k0 + block, n)
-        c0, c1 = k0 // stride, k1 // stride
-        if stride == 1:
-            # contiguous 1-D products and sums: the batched (d, 1) @ (1, d)
-            # matmul and strided (rows, d, d) cumsum of the branch below
-            # took 1.8x as long at d = 2
-            xt = np.ascontiguousarray(x[..., k0:k1 + 1, :].swapaxes(-1, -2))
-            inc = xt[..., 1:] - xt[..., :-1]
-            base = xt[..., :-1] - x0
-            base += 0.5 * inc
-            term = np.empty(batch + (k1 - k0,))
-            for p in range(d):
-                for q in range(d):
-                    np.multiply(base[..., p, :], inc[..., q, :], out=term)
-                    running_sum_block(term.T, l2[..., p, q].T, c0)  # rows first
-        else:
-            inc = x[..., k0 + 1:k1 + 1, :] - x[..., k0:k1, :]
-            base = np.empty_like(inc)
-            # x_0 broadcast in (d, rows) order: in (rows, d) order numpy
-            # runs an inner loop of length d per row, 4.7x as long at d = 2.
-            # The matmul keeps the (rows, d) operands: with (d, rows) ones
-            # BLAS sums in another order and level 2 moves in its last bits.
-            np.subtract(x[..., k0:k1, :].swapaxes(-1, -2), x0, out=base.swapaxes(-1, -2),
-                        order="C")
-            base += 0.5 * inc
-            cells = batch + (c1 - c0, stride, d)
-            np.matmul(base.reshape(cells).swapaxes(-1, -2), inc.reshape(cells),
-                      out=l2[..., c0 + 1:c1 + 1, :, :])
-            running_sum_block(l2[..., c0 + 1:c1 + 1, :, :].swapaxes(0, -3), l2.swapaxes(0, -3),
-                              c0)  # cells first
+    running_outer_sum(x, stride, out)
+    x0 = x[..., :1, :]
     if stride == 1 and not np.any(x0) and not np.any(np.signbit(x0)):
         l1 = x.view()  # x - x_0 is x, bit for bit, when x_0 = +0.0
         l1.flags.writeable = False
     else:
-        l1 = x[..., ::stride, :] - x[..., :1, :]
-    return LiftedPath(np.ascontiguousarray(t[::stride]), l1, l2)
+        l1 = x[..., ::stride, :] - x0
+    return LiftedPath(np.ascontiguousarray(t[::stride]), l1, out)
+
+
+def running_outer_sum(x, stride: int, out, midpoint: bool = True) -> None:
+    """The running sums sum_{r < i} a_r (x) inc_r over the segments of the
+    rows x_0, ..., x_n of ``x`` ([B,] n + 1, d), inc_r = x_{r+1} - x_r and
+    a_r = (x_r - x_0) + inc_r/2 (``midpoint``: a lift's level 2) or inc_r
+    (the quadratic variation), at every ``stride``-th i, into ``out``
+    ([B,] n/stride + 1, d, d).
+
+    Blocks of ROW_BLOCK // B segments a member are copied once into
+    contiguous (..., d, rows) order, a_r written over the copy.  Each of the
+    d^2 entries is one product of rows, summed with its carry straight into
+    ``out`` at stride 1 (``running_sum_block``), or else in place, its
+    cell-end rows copied out.  The additions are those of one np.cumsum
+    over the grid, so at every stride and block size ``out`` is bitwise
+    rows ``::stride`` of the stride-1 sums.  The blocks take 2d + 1 floats
+    a row (the copy, increments and products) of the thread's scratch
+    buffer, (2d + 1) ROW_BLOCK at most, whatever the stride or the memory
+    layout of ``x``.
+    """
+    batch, n, d = x.shape[:-2], x.shape[-2] - 1, x.shape[-1]
+    rows = min(n, max(1, ROW_BLOCK // math.prod(batch)))
+    xt, inc, term = _scratch(batch + (d, rows + 1), batch + (d, rows), batch + (rows,))
+    carry = np.zeros(batch + (d, d))  # each entry's sum up to the block
+    x0 = x[..., :1, :].swapaxes(-1, -2)
+    out[..., 0, :, :] = 0.0
+    for k0 in range(0, n, rows):
+        m = min(rows, n - k0)
+        xb, ib, steps = xt[..., :m + 1], inc[..., :m], term[..., :m]
+        np.copyto(xb, x[..., k0:k0 + m + 1, :].swapaxes(-1, -2))
+        np.subtract(xb[..., 1:], xb[..., :-1], out=ib)
+        ab = ib
+        if midpoint:  # (x_r - x_0) + inc_r/2, written over x_r
+            ab = xb[..., :-1]
+            ab -= x0
+            for p in range(d):
+                ab[..., p, :] += np.multiply(ib[..., p, :], 0.5, out=steps)
+        c0, c1 = k0 // stride + 1, (k0 + m) // stride + 1  # the block's output rows
+        for p in range(d):
+            for q in range(d):
+                np.multiply(ab[..., p, :], ib[..., q, :], out=steps)
+                if stride == 1:
+                    running_sum_block(steps.T, out[..., p, q].T, k0)  # rows first
+                else:  # summed in place from the carry, as running_sum_block adds it
+                    steps[..., 0] += carry[..., p, q]
+                    np.cumsum(steps, axis=-1, out=steps)
+                    carry[..., p, q] = steps[..., -1]
+                    out[..., c0:c1, p, q] = steps[..., c0 * stride - k0 - 1::stride]
 
 
 def zero_lift(times, dim: int) -> LiftedPath:
@@ -323,8 +332,8 @@ def holder_sweep(xs, y: LiftedPath, alpha: float, shifts=None):
     level 1 all zero as well the level-1 planes and the members' cross
     terms.  Skipping them changes at most the sign of a zero residual
     entry, which squaring removes, so the results are bitwise unchanged.
-    Planes live in seven buffers that the calling thread keeps across
-    blocks and calls, so besides the O(k n d^2) grid arrays (one level-2
+    The seven planes are cut from the calling thread's scratch buffer, kept
+    across blocks and calls, so besides the O(k n d^2) grid arrays (one level-2
     difference per member, and one level-1 difference unless level 1 is
     zero) the sweep holds O(PAIR_BLOCK + k n) floats whatever the number of
     pairs.
@@ -363,7 +372,7 @@ def holder_sweep(xs, y: LiftedPath, alpha: float, shifts=None):
         y1 = np.ascontiguousarray(y.level1.T)
         w = x1 - y1
     rows = max(1, PAIR_BLOCK // (k * n))
-    planes = _planes(max(PAIR_BLOCK, k * n))
+    planes = _scratch(*[(max(PAIR_BLOCK, k * n),)] * 7)
     buf = planes[:3 + (shifts is not None)]  # planes with the batch axis
     ybuf = planes[4:]                        # planes shared by the batch
     sup = np.zeros((3, k))  # level 1, level 2, shifted level 2
@@ -404,12 +413,15 @@ def holder_sweep(xs, y: LiftedPath, alpha: float, shifts=None):
     return sup[0] + sup[1], None if shifts is None else sup[0] + sup[2]
 
 
-def _planes(size: int) -> np.ndarray:
-    """This thread's seven sweep planes of at least ``size`` floats each."""
-    planes = getattr(_sweep_planes, "planes", None)
-    if planes is None or planes.shape[1] < size:
-        planes = _sweep_planes.planes = np.empty((7, size))
-    return planes
+def _scratch(*shapes) -> list[np.ndarray]:
+    """Arrays of the given shapes, disjoint views of this thread's scratch
+    buffer, valid until the thread calls _scratch again."""
+    sizes = [math.prod(shape) for shape in shapes]
+    buf = getattr(_scratch_buffer, "buf", None)
+    if buf is None or len(buf) < sum(sizes):
+        buf = _scratch_buffer.buf = np.empty(sum(sizes))
+    ends = itertools.accumulate(sizes)
+    return [buf[end - size:end].reshape(shape) for shape, size, end in zip(shapes, sizes, ends)]
 
 
 def _fold_sup(sq, power, pair, sup):
@@ -438,9 +450,9 @@ def holder_distance(x: LiftedPath, y: LiftedPath, alpha: float) -> float:
     grid pairs s < t.
 
     The sweep runs over blocks of about PAIR_BLOCK pairs, one plane per
-    level-1 coordinate and per level-2 entry (p, q) at a time, in buffers
-    the thread keeps across blocks and calls (at n = 2048, d = 2, 1.2 MiB
-    traced in all on a thread's first call and 0.33 MiB on later ones).
+    level-1 coordinate and per level-2 entry (p, q) at a time, in the
+    thread's kept scratch buffer (at n = 2048, d = 2, 1.2 MiB traced in all
+    on a thread's first call and 0.33 MiB on later ones).
     Each plane repeats, in the same order, the per-pair arithmetic of a
     row-by-row sweep, and the squared entries are summed in index order.
     The result therefore equals bit for bit that of a row-by-row sweep

@@ -10,6 +10,7 @@ a per-row pair loop instead of the blocked Hoelder kernel, an
 eigendecomposition, a plain loop and the earlier whole-grid sqrt(N)-block
 scan instead of the per-chunk block-Toeplitz OU scan, and
 whole-grid arrays instead of the row-blocked lift and noise draw; the
+per-cell matmul lift and QV instead of the per-entry running sums; the
 old lift, with level 1 a running sum of the increments, instead of its
 closed form x_i - x_0 in the magnetic and lead-lag trials; full
 lifts, one distance call each and a counter-term written out instead of
@@ -74,6 +75,28 @@ def ou_euler_maruyama(M, eps, h, n_steps, n_paths, rng, p0=None):
         P = P - P @ G.T * dt + dW
         W = W + dW
     return P, W
+
+
+def expected_area(drift, eps, h, N: int):
+    """Exact mean (d, d) Levy area E[A_{0,N}] of the piecewise-linear lift
+    of the OU chain P_{k+1} = E P_k + xi_k from P_0 = 0, sampled exactly at
+    step h (E = e^{-M h / eps^2}, Cov(xi) = Sigma - E Sigma E^T, Sigma =
+    eps^2 C the stationary covariance), by scipy's expm and Lyapunov solver.
+
+    inc (x) inc is symmetric, so A_{0,N} = antisym(sum_k P_k (x) P_{k+1}) and
+    E[A_{0,N}] = antisym((N Sigma - Y) E^T) with Y = sum_{k<N} E^k Sigma
+    (E^k)^T, since Cov(P_k) = Sigma - E^k Sigma (E^k)^T.  Y solves Y - E Y
+    E^T = Sigma - E^N Sigma (E^N)^T: one Kronecker solve of size d^2."""
+    from scipy.linalg import expm, solve_continuous_lyapunov
+
+    d = drift.dim
+    E = expm(-drift.M * (h / eps ** 2))
+    Sigma = eps ** 2 * solve_continuous_lyapunov(drift.M, np.eye(d))
+    EN = np.linalg.matrix_power(E, N)
+    rhs = (Sigma - EN @ Sigma @ EN.T).reshape(-1)
+    Y = np.linalg.solve(np.eye(d * d) - np.kron(E, E), rhs).reshape(d, d)
+    X = (N * Sigma - Y) @ E.T
+    return 0.5 * (X - X.T)
 
 
 def ou_joint_transition_lyapunov(drift, eps, h):
@@ -295,6 +318,22 @@ def lift_strided_whole_grid(times, values, stride: int):
     l2 = np.zeros((n // stride + 1, d, d))
     np.cumsum(cells, axis=0, out=l2[1:])
     return LiftedPath(t[::stride], x[::stride] - x[0], l2)
+
+
+def half_qv_matmul(x, stride: int):
+    """leadlag._half_qv by one matmul per cell of ``stride`` steps over the
+    whole grid, the cell sums carried by one cumsum: half the running
+    quadratic variation of samples x (..., n + 1, d) at every stride-th
+    sample."""
+    inc = x[..., 1:, :] - x[..., :-1, :]
+    cells = inc.reshape(inc.shape[:-2] + (-1, stride, inc.shape[-1]))
+    *batch, c, _, d = cells.shape
+    out = np.empty((*batch, c + 1, d, d))
+    out[..., 0, :, :] = 0.0
+    np.matmul(cells.swapaxes(-1, -2), cells, out=out[..., 1:, :, :])
+    np.cumsum(out, axis=-3, out=out)
+    out *= 0.5
+    return out
 
 
 def ou_scan_chunks(E, xi, p0):

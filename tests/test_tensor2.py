@@ -1,4 +1,5 @@
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -210,21 +211,26 @@ def test_lift_memory_bounded_by_block():
 
 
 def _assert_strided_matches_restrict(rng, n, d, stride):
+    # a batch of three strided views x[:, ::4] of finer paths
     t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n))])
-    x = rng.standard_normal((n + 1, d))
-    x[0] = rng.standard_normal(d)
-    got = lift_piecewise_linear(t, x, stride=stride)
-    whole = lift_strided_whole_grid(t, x, stride)
-    want = lift_piecewise_linear_full(t, x).restrict(np.arange(0, n + 1, stride))
+    xs = rng.standard_normal((3, 4 * n + 1, d))[:, ::4]
+    got = lift_piecewise_linear(t, xs, stride=stride)
+    for m, x in enumerate(xs):
+        one = lift_piecewise_linear(t, np.ascontiguousarray(x))
+        # level 2 is the stride-1 lift's rows, bit for bit, whatever the stride
+        assert got.level2[m].tobytes() == one.level2[::stride].tobytes(), (n, d, stride, m)
+        assert got.level1[m].tobytes() == (x[::stride] - x[0]).tobytes(), (n, d, stride, m)
+    whole = lift_strided_whole_grid(t, xs[0], stride)  # the per-cell matmul lift
+    want = lift_piecewise_linear_full(t, xs[0]).restrict(np.arange(0, n + 1, stride))
     assert np.array_equal(got.times, want.times)
-    assert got.level2.tobytes() == whole.level2.tobytes(), (n, d, stride)
-    assert got.level1.tobytes() == (x[::stride] - x[0]).tobytes(), (n, d, stride)
-    for a, b in ((got.level1, want.level1), (got.level2, want.level2)):
+    for a, b in ((got.level1[0], want.level1), (got.level2[0], want.level2),
+                 (got.level2[0], whole.level2)):
         assert _close(a, b), (n, d, stride)
 
 
-# one cell, three cells, and one cell past the first block
-@pytest.mark.parametrize("stride", [2, 3, 256])
+# one cell, three cells, and one cell past the first block; a cell longer
+# than a block
+@pytest.mark.parametrize("stride", [2, 3, 256, 2 * B + 3])
 def test_lift_stride_matches_restricted_full_lift(stride):
     rng = np.random.default_rng(stride)
     for n in (stride, 3 * stride, stride * (B // stride + 1)):
@@ -233,13 +239,47 @@ def test_lift_stride_matches_restricted_full_lift(stride):
 
 
 def test_lift_stride_ragged_blocks(monkeypatch):
-    # blocks of 6 rows at stride 3, and one cell per block once the stride
-    # exceeds the block size
+    # blocks of 7 rows over a batch of three, 2 a member, so every cell
+    # spans blocks and its sums are carried across them
     monkeypatch.setattr(tensor2, "ROW_BLOCK", 7)
     rng = np.random.default_rng(18)
     for stride, n in ((3, 3), (3, 6), (3, 9), (3, 21), (3, 300), (10, 10), (10, 50)):
         for d in (1, 2, 3):
             _assert_strided_matches_restrict(rng, n, d, stride)
+
+
+def _lift_peak_bytes(t, x, stride):
+    # on a fresh thread, which allocates its scratch buffer under tracing
+    def lift():
+        one = lift_piecewise_linear(t, x, stride=stride)
+        return one.times.nbytes + one.level1.nbytes + one.level2.nbytes
+
+    tracemalloc.start()
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            outputs = pool.submit(lift).result()
+        return tracemalloc.get_traced_memory()[1], outputs
+    finally:
+        tracemalloc.stop()
+
+
+def test_lift_long_cells_and_views_memory_bounded_by_block():
+    # beyond its outputs a lift holds O(ROW_BLOCK d) floats whatever the
+    # stride and however the input is laid out.  At d = 2 (1.25 MiB of
+    # scratch): a stride of 2^19, cells 16 blocks long (1.3 MiB traced
+    # beyond the outputs; whole-stride blocks held 24 MiB), and the lead-lag
+    # n-lift's shape, stride 4 on the n-samples x[::4] of a finer grid, as on
+    # a contiguous copy of them (1.5 MiB each)
+    n, d = 2 ** 20, 2
+    t = np.arange(n + 1) / n
+    fine = np.random.default_rng(25).standard_normal((4 * n + 1, d))
+    peaks = []
+    for x, stride in ((fine[:n + 1], 2 ** 19), (fine[::4], 4),
+                      (np.ascontiguousarray(fine[::4]), 4)):
+        peak, outputs = _lift_peak_bytes(t, x, stride)
+        assert peak < outputs + 2 * 2 ** 20, (stride, x.flags.c_contiguous)
+        peaks.append(peak)
+    assert peaks[1] <= peaks[2] + 2 ** 17  # the view costs no copies
 
 
 def test_lift_rejects_stride_not_dividing_n():
