@@ -33,7 +33,7 @@ import numpy.fft  # noqa: F401
 import numpy.random  # noqa: F401
 
 from .linstable import StableDrift, ou_joint_transition
-from .tensor2 import ROW_BLOCK, running_sum_block
+from .tensor2 import ROW_BLOCK, any_blockwise, running_sum_block
 
 _MASK64 = (1 << 64) - 1
 
@@ -297,7 +297,7 @@ def derive_Z(P: GridPath, W: GridPath, out=None) -> GridPath:
     """Z = W - P pointwise; equals M X for the physical pair since both
     start at zero.  ``out``, a float64 array of P's shape, receives Z in
     place of a new array; it may be ``P.values`` itself."""
-    if len(P.times) != len(W.times) or np.any(P.times != W.times):
+    if len(P.times) != len(W.times) or any_blockwise(np.not_equal, P.times, W.times):
         raise ValueError("grids must be identical")
     if out is not None and (out.shape != P.values.shape or out.dtype != np.float64):
         raise ValueError(f"out must be a float64 array of shape {P.values.shape}, "

@@ -118,14 +118,14 @@ def psi_closed(n: int, K: int, H: float) -> float:
     cells of mesh 1/n:
 
         n^{-4H}/4 * sum_{x=-K+1}^{K-1} (K-|x|) (|x+1|^{2H} + |x-1|^{2H} - 2|x|^{2H})^2
+
+    that is, n^{-4H} times the last entry of ``psi_profile(K, H)``.
     """
     if not (1 <= K <= n):
         raise ValueError("need 1 <= K <= n")
     if not (0.0 < H < 1.0):
         raise ValueError("H must lie in (0, 1)")
-    x = np.abs(np.arange(-K + 1, K))
-    w = 2.0 * fgn_autocov(x, H)
-    return float(n) ** (-4.0 * H) / 4.0 * float(np.sum((K - x) * w ** 2))
+    return float(n) ** (-4 * H) * float(psi_profile(K, H)[-1])
 
 
 def psi_profile(K_max: int, H: float) -> np.ndarray:
@@ -265,8 +265,8 @@ def run_leadlag_trial(cfg: LeadLagConfig, trials) -> list[list[TrialResult]]:
     members = LiftedPath(times, np.broadcast_to(0.0, (b * k, n1, d2)),
                          res.reshape(b * k, n1, d2, d2))
     shifts = counter_terms(cfg.H, cfg.n_schedule, cfg.d)
-    dist_raw, dist_ren = holder_sweep([members], zero_lift(times, d2), cfg.alpha,
-                                      np.tile(shifts, (b, 1, 1)))
+    dist_raw, dist_ren = holder_sweep(members, zero_lift(times, d2), cfg.alpha,
+                                    np.tile(shifts, (b, 1, 1)))
     vnorms = [float(np.linalg.norm(v)) for v in shifts]
     return [[TrialResult(n=n, dist_renorm=float(ren), dist_raw=float(raw), areaDev1=float(dev),
                          vNorm=vnorm)

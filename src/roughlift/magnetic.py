@@ -107,14 +107,14 @@ def fine_step_bytes(d: int) -> int:
 
     At its peak a trial holds P (then Z, written over it), W, the times and
     the one level-2 buffer its three lifts share: (d + 1)^2 floats a step,
-    since level 1 of each full lift is a view of its path, and 1 B a step
-    while a lift checks that its times increase.  Its sampling phase stays
-    below that lift phase: P, W and the times (2d + 1 floats a step), with
-    the OU scan run per chunk in O(ROW_BLOCK d).  That is the measured slope
-    of the tracemalloc peak of one trial between 260,352 and 516,608 steps:
-    73.0 B per step at d = 2 and 200.8 at d = 4; all else is O(ROW_BLOCK).
+    since level 1 of each full lift is a view of its path.  Its sampling
+    phase stays below that lift phase: P, W and the times (2d + 1 floats a
+    step), with the OU scan run per chunk in O(ROW_BLOCK d).  That is the
+    measured slope of the tracemalloc peak of one trial between 260,352 and
+    516,608 steps: 72.0 B per step at d = 2 and 200.0 at d = 4; all else is
+    O(ROW_BLOCK).
     """
-    return 8 * (d + 1) ** 2 + 1
+    return 8 * (d + 1) ** 2
 
 
 def run_magnetic_trial(cfg: MagneticConfig, eps: float, trial_index: int) -> TrialResult:

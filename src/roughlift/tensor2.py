@@ -32,7 +32,7 @@ IDENTITY_TOL = 1e-12
 # tensor2.FULL_PAIRS_LIMIT to count the pairs of every traced distance.
 FULL_PAIRS_LIMIT = 2048
 
-# Grid pairs per block of the Hoelder sweep, over all lifts of a stack: one
+# Grid pairs per block of the Hoelder sweep, over all members of a batch: one
 # float64 plane of this many pairs is 128 KiB and stays in L2.  At n = 256,
 # d = 2, blocks of 2^12 and 2^16 pairs made the sweep about 1.4x and 2x
 # slower.
@@ -63,6 +63,14 @@ def _as_square(x, name="matrix"):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     return a
+
+
+def any_blockwise(op, a, b) -> bool:
+    """np.any(op(a, b)) for two 1-d arrays of one length, compared ROW_BLOCK
+    entries at a time, so the boolean temporary is O(ROW_BLOCK) bytes and
+    not one a grid point."""
+    return any(np.any(op(a[k:k + ROW_BLOCK], b[k:k + ROW_BLOCK]))
+               for k in range(0, len(a), ROW_BLOCK))
 
 
 def is_antisymmetric(v, tol=IDENTITY_TOL):
@@ -111,7 +119,7 @@ class LiftedPath:
         l2 = np.asarray(self.level2, dtype=float)
         if t.ndim != 1 or len(t) < 1:
             raise ValueError("times must be a non-empty 1-d array")
-        if np.any(t[1:] <= t[:-1]):
+        if any_blockwise(np.less_equal, t[1:], t[:-1]):
             raise ValueError("times must be strictly increasing")
         if l1.ndim not in (2, 3) or l2.ndim != l1.ndim + 1:
             raise ValueError("running signature arrays must be ([B,] N+1, d) and "
@@ -310,11 +318,10 @@ def translate(path: LiftedPath, v) -> LiftedPath:
     return LiftedPath(path.times, path.level1.copy(), path.level2 + shift)
 
 
-def holder_sweep(xs, y: LiftedPath, alpha: float, shifts=None):
-    """Inhomogeneous alpha-Hoelder distances of k lifts to one target ``y``,
-    all on one grid, from one sweep over all grid pairs s < t.  ``xs`` is a
-    sequence of lifts, each one member or a batch of members; the k members
-    are theirs in order.
+def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None):
+    """Inhomogeneous alpha-Hoelder distances of the k members of ``x`` (one
+    lift, k = 1, or a batch of k) to one target ``y`` on the same grid,
+    from one sweep over all grid pairs s < t.
 
     Returns ``(raw, shifted)``.  ``raw[m]`` is ``holder_distance(x_m, y,
     alpha)``, bit for bit.  With ``shifts`` of shape (k, d, d), ``shifted[m]``
@@ -324,8 +331,8 @@ def holder_sweep(xs, y: LiftedPath, alpha: float, shifts=None):
     running signatures); without ``shifts`` it is None.
 
     The pairs come in blocks of grid rows i0 <= i < i1 against the columns
-    j = i0+1..n, with j <= i masked, about PAIR_BLOCK pairs over the whole
-    stack.  Each block is a stack of k planes, and the time-step powers and
+    j = i0+1..n, with j <= i masked, about PAIR_BLOCK pairs over all k
+    members.  Each block is a stack of k planes, and the time-step powers and
     the target's cross terms are computed once per block for every member
     and both distances.  Planes that are exactly zero are not built: with
     the target's level 1 all zero its cross terms, and with the members'
@@ -338,18 +345,16 @@ def holder_sweep(xs, y: LiftedPath, alpha: float, shifts=None):
     zero) the sweep holds O(PAIR_BLOCK + k n) floats whatever the number of
     pairs.
     """
-    xs = list(xs)
     if not (0.0 <= alpha < 0.5):
         raise ValueError("alpha must lie in [0, 1/2)")
     if y.level1.ndim != 2:
         raise ValueError("the target must be one lift")
-    for x in xs:
-        if x.dim != y.dim:
-            raise ValueError("dimension mismatch")
-        if len(x.times) != len(y.times) or np.any(x.times != y.times):
-            raise ValueError("grids must be identical")
-    sizes = [len(x.level1) if x.level1.ndim == 3 else 1 for x in xs]
-    k, d, n = sum(sizes), y.dim, len(y.times) - 1
+    if x.dim != y.dim:
+        raise ValueError("dimension mismatch")
+    if len(x.times) != len(y.times) or np.any(x.times != y.times):
+        raise ValueError("grids must be identical")
+    k = len(x.level1) if x.level1.ndim == 3 else 1
+    d, n = y.dim, len(y.times) - 1
     if shifts is not None:
         shifts = np.asarray(shifts, dtype=float)
         if shifts.shape != (k, d, d):
@@ -358,17 +363,12 @@ def holder_sweep(xs, y: LiftedPath, alpha: float, shifts=None):
         return np.zeros(k), None if shifts is None else np.zeros(k)
     t = y.times
     y_zero = not np.any(y.level1)
-    zero1 = y_zero and not any(np.any(x.level1) for x in xs)  # no level-1 planes
+    zero1 = y_zero and not np.any(x.level1)  # no level-1 planes
     # grid axis last and contiguous, so block planes are read by slices
-    x1 = None if zero1 else np.empty((k, d, n + 1))
     dl2 = np.empty((k, d, d, n + 1))
-    m1 = 0
-    for x, size in zip(xs, sizes):
-        m0, m1 = m1, m1 + size
-        if not zero1:
-            x1[m0:m1] = x.level1.swapaxes(-1, -2)
-        np.subtract(x.level2, y.level2, out=np.moveaxis(dl2[m0:m1], -1, -3))
+    np.subtract(x.level2, y.level2, out=np.moveaxis(dl2, -1, -3))
     if not zero1:
+        x1 = np.ascontiguousarray(x.level1.reshape(k, n + 1, d).swapaxes(1, 2))
         y1 = np.ascontiguousarray(y.level1.T)
         w = x1 - y1
     rows = max(1, PAIR_BLOCK // (k * n))
@@ -425,7 +425,7 @@ def _scratch(*shapes) -> list[np.ndarray]:
 
 
 def _fold_sup(sq, power, pair, sup):
-    """sup = max(sup, sqrt(sq) / power over the pairs), per stack member;
+    """sup = max(sup, sqrt(sq) / power over the pairs), per member;
     ``sq`` is overwritten."""
     np.sqrt(sq, out=sq)
     np.divide(sq, power, out=sq)
@@ -443,21 +443,17 @@ def _accumulate_square(r, acc, first: bool):
 
 def holder_distance(x: LiftedPath, y: LiftedPath, alpha: float) -> float:
     """Inhomogeneous alpha-Hoelder distance between two lifts on one grid:
-    ``holder_sweep([x], y, alpha)`` for one member.
+    ``holder_sweep(x, y, alpha)`` for one member.
 
     Sum of sup |X_{s,t} - Y_{s,t}| / (t-s)^alpha (Euclidean norm) and
     sup |XX_{s,t} - YY_{s,t}| / (t-s)^(2 alpha) (Frobenius norm) over all
     grid pairs s < t.
 
-    The sweep runs over blocks of about PAIR_BLOCK pairs, one plane per
-    level-1 coordinate and per level-2 entry (p, q) at a time, in the
-    thread's kept scratch buffer (at n = 2048, d = 2, 1.2 MiB traced in all
-    on a thread's first call and 0.33 MiB on later ones).
-    Each plane repeats, in the same order, the per-pair arithmetic of a
-    row-by-row sweep, and the squared entries are summed in index order.
-    The result therefore equals bit for bit that of a row-by-row sweep
-    taking its norms with ``np.linalg.norm`` while a norm has at most 7
-    terms (lift dimension <= 2); beyond that numpy sums pairwise and the
-    last bit of a norm may differ.
+    Each plane of the sweep repeats, in the same order, the per-pair
+    arithmetic of a row-by-row sweep, and the squared entries are summed in
+    index order.  The result therefore equals bit for bit that of a
+    row-by-row sweep taking its norms with ``np.linalg.norm`` while a norm
+    has at most 7 terms (lift dimension <= 2); beyond that numpy sums
+    pairwise and the last bit of a norm may differ.
     """
-    return float(holder_sweep([x], y, alpha)[0][0])
+    return float(holder_sweep(x, y, alpha)[0][0])

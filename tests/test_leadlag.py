@@ -155,11 +155,13 @@ def test_psi_matches_bruteforce():
 
 
 def test_psi_profile_is_n_free_rescaling():
+    # psi_closed is the profile rescaled, so the rescaling is checked against
+    # the independent double sum at several n
     for H in (0.3, 0.5):
         prof = psi_profile(64, H)
         for n in (64, 256, 1001):
             for K in (1, 7, 64):
-                assert abs(psi_closed(n, K, H) - prof[K - 1] * float(n) ** (-4 * H)) \
+                assert abs(psi_bruteforce(n, K, H) - prof[K - 1] * float(n) ** (-4 * H)) \
                     <= 1e-15 * max(1.0, prof[K - 1])
 
 
@@ -412,13 +414,13 @@ def _sweep_peak_bytes(k, n, d):
     times = np.linspace(0.0, 1.0, n + 1)
     level2 = rng.standard_normal((k, n + 1, 2 * d, 2 * d))
     level2[:, 0] = 0.0
-    xs = [LiftedPath(times, np.broadcast_to(0.0, (k, n + 1, 2 * d)), level2)]
+    x = LiftedPath(times, np.broadcast_to(0.0, (k, n + 1, 2 * d)), level2)
     y = zero_lift(times, 2 * d)
     shifts = rng.standard_normal((k, 2 * d, 2 * d))
-    holder_sweep(xs, y, 0.3, shifts)
+    holder_sweep(x, y, 0.3, shifts)
     tracemalloc.start()
     try:
-        holder_sweep(xs, y, 0.3, shifts)
+        holder_sweep(x, y, 0.3, shifts)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

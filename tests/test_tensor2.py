@@ -378,7 +378,7 @@ def test_lifted_path_rejects_bad_batches():
         lift_piecewise_linear(t, np.zeros((2, 2, 3, 1)))
     batch = LiftedPath(t, np.zeros((2, 3, 1)), np.zeros((2, 3, 1, 1)))
     with pytest.raises(ValueError, match="target"):
-        holder_sweep([batch], batch, 0.3)
+        holder_sweep(batch, batch, 0.3)
 
 
 def test_lift_strided_memory_bounded_by_block():
@@ -585,23 +585,32 @@ def test_holder_memory_bounded_by_block():
     assert peak < 4 * 2 ** 20
 
 
+def _stack(lifts):
+    """The lifts, all on one grid, as one batch with their members in order."""
+    return LiftedPath(lifts[0].times, np.stack([x.level1 for x in lifts]),
+                      np.stack([x.level2 for x in lifts]))
+
+
 def _random_stack(rng, n, d, k):
+    """k random lifts on one random grid, their batch, a target and k
+    anti-symmetric shifts."""
     t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n))])
     xs = [lift_piecewise_linear(t, rng.standard_normal((n + 1, d))) for _ in range(k)]
     g = rng.standard_normal((k, d, d))
-    return xs, lift_piecewise_linear(t, rng.standard_normal((n + 1, d))), g - g.transpose(0, 2, 1)
+    y = lift_piecewise_linear(t, rng.standard_normal((n + 1, d)))
+    return xs, _stack(xs), y, g - g.transpose(0, 2, 1)
 
 
 def _assert_sweep_matches_single_calls(rng, n, d, alpha):
-    xs, y, v = _random_stack(rng, n, d, 5)
-    raw, shifted = holder_sweep(xs, y, alpha, v)
+    xs, batch, y, v = _random_stack(rng, n, d, 5)
+    raw, shifted = holder_sweep(batch, y, alpha, v)
     for m, x in enumerate(xs):
         assert raw[m] == holder_distance(x, y, alpha), (n, d, m)
         want = holder_distance(translate(x, v[m]), y, alpha)
         assert abs(shifted[m] - want) <= TOL * want, (n, d, m)
-    _, zero_shifted = holder_sweep(xs, y, alpha, np.zeros_like(v))
+    _, zero_shifted = holder_sweep(batch, y, alpha, np.zeros_like(v))
     assert np.array_equal(zero_shifted, raw)
-    assert holder_sweep(xs, y, alpha)[1] is None
+    assert holder_sweep(batch, y, alpha)[1] is None
 
 
 # one block and several row blocks; test_sweep_ragged_blocks has one row per block
@@ -613,7 +622,7 @@ def test_sweep_members_match_single_distances(n):
 
 
 def test_sweep_ragged_blocks(monkeypatch):
-    # 7 pairs per block over a stack of 5: one row per block
+    # 7 pairs per block over a batch of 5: one row per block
     monkeypatch.setattr(tensor2, "PAIR_BLOCK", 7)
     rng = np.random.default_rng(20)
     for n in (3, 40, 100):
@@ -631,7 +640,7 @@ def _zero_level1(rng, t, d, signs):
 def test_sweep_zero_planes_match_rowloop(d):
     # the zero target (and, with it, zero level 1 in every member) skips
     # planes; with -0.0 entries in the inputs and translated lifts among the
-    # members every distance stays equal to the row loop's
+    # members of a batch every distance stays equal to the row loop's
     rng = np.random.default_rng(22 + d)
     n = 40
     t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n))])
@@ -646,21 +655,18 @@ def test_sweep_zero_planes_match_rowloop(d):
     moving.append(translate(moving[0], v))
     for y in (zero, signed_zero):
         for xs in (flat, moving, flat + moving):
-            raw, _ = holder_sweep(xs, y, 0.3)
+            raw, _ = holder_sweep(_stack(xs), y, 0.3)
             assert raw.tolist() == [holder_distance_rowloop(x, y, 0.3) for x in xs]
-    batched = LiftedPath(t, np.broadcast_to(0.0, (len(flat), n + 1, d)),
-                         np.stack([x.level2 for x in flat]))
-    assert np.array_equal(holder_sweep([batched], zero, 0.3)[0], holder_sweep(flat, zero, 0.3)[0])
 
 
 def test_sweep_rejects_bad_stacks():
     rng = np.random.default_rng(21)
-    xs, y, v = _random_stack(rng, 8, 2, 3)
+    _, batch, y, v = _random_stack(rng, 8, 2, 3)
     with pytest.raises(ValueError, match="shifts"):
-        holder_sweep(xs, y, 0.3, v[:2])
-    other, _, _ = _random_stack(rng, 8, 2, 1)
+        holder_sweep(batch, y, 0.3, v[:2])
+    _, other, _, _ = _random_stack(rng, 8, 2, 3)  # the same shape on another grid
     with pytest.raises(ValueError, match="grids"):
-        holder_sweep(xs + other, y, 0.3)
+        holder_sweep(other, y, 0.3)
 
 
 # ------------------------------------------------------------ LiftedPath API
