@@ -86,30 +86,27 @@ def leadlag_lift(samples) -> LiftedPath:
     """
     x = _as_samples(samples)
     n, d = x.shape[0] - 1, x.shape[1]
-    interp = lift_piecewise_linear(np.arange(n + 1) / n, x)
-    level2 = _leadlag_level2(interp.level2, _half_qv(x, 1), np.empty((n + 1, 2 * d, 2 * d)))
-    return LiftedPath(interp.times, np.hstack([x - x[0]] * 2), level2)
+    level2 = _leadlag_level2(x, 1, np.empty((n + 1, 2 * d, 2 * d)))
+    return LiftedPath(np.arange(n + 1) / n, np.hstack([x - x[0]] * 2), level2)
 
 
-def _half_qv(x, stride: int) -> np.ndarray:
-    """Half the running quadratic variation sum dX (x) dX of samples x of
-    shape (..., n + 1, d), at every ``stride``-th sample: (..., n / stride
-    + 1, d, d).  The lift's running sum with factors (dX, dX): bitwise rows
-    ``::stride`` of the stride-1 sum, in O(ROW_BLOCK d) working floats."""
-    out = np.empty(x.shape[:-2] + ((x.shape[-2] - 1) // stride + 1,) + x.shape[-1:] * 2)
-    running_outer_sum(x, stride, out, midpoint=False)
-    out *= 0.5
-    return out
-
-
-def _leadlag_level2(D, half_qv, out) -> np.ndarray:
-    """The lead-lag level 2 [[D, D - Q/2], [D + Q/2, D]] from the
-    interpolation's level 2 D and half the QV, written into ``out``."""
-    d = D.shape[-1]
-    out[..., :d, :d] = D
-    out[..., d:, d:] = D
+def _leadlag_level2(x, stride: int, out, ref=0.0) -> np.ndarray:
+    """The lead-lag level 2 [[D, D - Q/2], [D + Q/2, D]] of samples x of
+    shape (..., n + 1, d) at every ``stride``-th sample, written block by
+    block into ``out`` (..., n / stride + 1, 2d, 2d): D, the running level 2
+    of the interpolated samples less ``ref``, into the (lag, lag) block, half
+    the running quadratic variation Q = sum dX (x) dX into the (lead, lead)
+    block, then the two cross blocks from those, and D over the (lead, lead)
+    block.  Beyond the lift's times and level 1 it makes no array."""
+    m, d = x.shape[-2] - 1, x.shape[-1]
+    D, half_qv = out[..., :d, :d], out[..., d:, d:]
+    lift_piecewise_linear(np.arange(m + 1) / m, x, stride, out=D)
+    D -= ref
+    running_outer_sum(x, stride, half_qv, midpoint=False)
+    half_qv *= 0.5
     np.subtract(D, half_qv, out=out[..., :d, d:])
     np.add(D, half_qv, out=out[..., d:, :d])
+    half_qv[...] = D
     return out
 
 
@@ -162,11 +159,11 @@ def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int, batch: int = 1) 
     * sampling, N d max(batch + 3, 2 batch): one draw holds d rows of 2n
       normals and their half-spectra (4d floats a step) beside the earlier
       draws of the batch, and stacking the draws holds them twice;
-    * lifting, N (1 + batch d) + batch (n_min + 1)(4 d^2 k + 4 d^2 + 2 d):
+    * lifting, N (1 + batch d) + batch (n_min + 1)(4 d^2 k + d^2 + 2 d):
       the stacked draws and the times; and on the coarsest grid the
       residuals (4 d^2 floats at each of the M = batch k (n_min + 1) member
-      grid points), and the reference lift, one n-lift, its difference from
-      the reference and half the QV;
+      grid points), which the lead-lag level 2 of each n is written into,
+      the reference lift and the level 1 of one n-lift;
     * sweep, (8 d^2 + 7) M: per member point its residual, the sweep's
       level-2 difference (level 1 is zero, so it makes no level-1 planes)
       and its seven planes; the zero target is broadcast zeros.
@@ -179,7 +176,7 @@ def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int, batch: int = 1) 
     points = batch * k * (n_min + 1)
     held = n + (2 * d + 1) * min(batch * n_ref, ROW_BLOCK)
     sampling = n * d * max(batch + 3, 2 * batch)
-    lifting = n * (1 + batch * d) + batch * (n_min + 1) * (4 * d * d * k + 4 * d * d + 2 * d)
+    lifting = n * (1 + batch * d) + batch * (n_min + 1) * (4 * d * d * k + d * d + 2 * d)
     return 8 * (held + max(sampling, lifting, (8 * d * d + 7) * points))
 
 
@@ -279,27 +276,23 @@ def _residuals(cfg: LeadLagConfig, trials) -> tuple[np.ndarray, np.ndarray]:
     against the doubled reference on the coarsest grid, and (B, k)
     areaDev1, for the B trials of a batch and the k schedule points.
 
-    dD is the running level 2 of the d-dimensional strided lift of the
-    n-samples minus that of the n_ref-samples, and Q/2 half the running
-    quadratic variation sum dX (x) dX of the n-samples, both at the
-    coarsest grid.  The batch's n_ref draws are stacked, so the reference
-    lift, and each n's lift and QV, are one batched call each.
+    Each residual is the lead-lag level 2 of the n-samples
+    (``_leadlag_level2``) with the strided reference lift of the n_ref-samples
+    taken off its interpolated part, written straight into its slot.  The
+    batch's n_ref draws are stacked, so the reference lift, and each n's
+    lift and QV, are one batched call each.  areaDev1 is read off each
+    residual's last row: minus the mean (i, d + i) Levy area.
     """
     d, n_ref, n_min = cfg.d, cfg.n_ref, cfg.n_schedule[0]
     x = np.stack([sample_fbm(seed=derive_seed(cfg.base_seed, k), H=cfg.H, n=n_ref, d=d).values
                   for k in trials])
-    b = len(x)
-    t = np.arange(n_ref + 1) / n_ref
-    ref = lift_piecewise_linear(t, x, stride=n_ref // n_min).level2
-    res = np.empty((b, len(cfg.n_schedule), n_min + 1, 2 * d, 2 * d))
-    area = np.empty((b, len(cfg.n_schedule)))
+    ref = lift_piecewise_linear(np.arange(n_ref + 1) / n_ref, x, stride=n_ref // n_min).level2
+    res = np.empty((len(x), len(cfg.n_schedule), n_min + 1, 2 * d, 2 * d))
     for m, n in enumerate(cfg.n_schedule):
-        xn, tn, stride = x[:, ::n_ref // n], t[::n_ref // n], n // n_min
-        dD = lift_piecewise_linear(tn, xn, stride=stride).level2 - ref
-        half_qv = _half_qv(xn, stride)
-        _leadlag_level2(dD, half_qv, res[:, m])
-        area[:, m] = np.mean(np.diagonal(half_qv[:, -1], axis1=1, axis2=2), axis=1)
-    return res, area
+        _leadlag_level2(x[:, ::n_ref // n], n // n_min, res[:, m], ref)
+    end = res[:, :, -1]
+    area = 0.5 * np.diagonal(end[..., :d, d:] - end[..., d:, :d], axis1=-2, axis2=-1)
+    return res, -np.mean(area, axis=-1)
 
 
 def leadlag_experiment(cfg: LeadLagConfig, threads: int = 1) -> list[dict]:

@@ -263,6 +263,8 @@ def running_outer_sum(x, stride: int, out, midpoint: bool = True) -> None:
     buffer, (2d + 1) ROW_BLOCK at most, whatever the stride or the memory
     layout of ``x``.
     """
+    if not out.size:  # an empty batch
+        return
     batch, n, d = x.shape[:-2], x.shape[-2] - 1, x.shape[-1]
     rows = min(n, max(1, ROW_BLOCK // math.prod(batch)))
     xt, inc, term = _scratch(batch + (d, rows + 1), batch + (d, rows), batch + (rows,))
@@ -443,7 +445,8 @@ def _accumulate_square(r, acc, first: bool):
 
 def holder_distance(x: LiftedPath, y: LiftedPath, alpha: float) -> float:
     """Inhomogeneous alpha-Hoelder distance between two lifts on one grid:
-    ``holder_sweep(x, y, alpha)`` for one member.
+    ``holder_sweep(x, y, alpha)`` for one member (ValueError if ``x`` is a
+    batch).
 
     Sum of sup |X_{s,t} - Y_{s,t}| / (t-s)^alpha (Euclidean norm) and
     sup |XX_{s,t} - YY_{s,t}| / (t-s)^(2 alpha) (Frobenius norm) over all
@@ -456,4 +459,6 @@ def holder_distance(x: LiftedPath, y: LiftedPath, alpha: float) -> float:
     has at most 7 terms (lift dimension <= 2); beyond that numpy sums
     pairwise and the last bit of a norm may differ.
     """
+    if x.level1.ndim != 2:
+        raise ValueError("x must be one lift; use holder_sweep for a batch")
     return float(holder_sweep(x, y, alpha)[0][0])

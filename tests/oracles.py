@@ -14,7 +14,9 @@ per-cell matmul lift and QV instead of the per-entry running sums; the
 old lift, with level 1 a running sum of the increments, instead of its
 closed form x_i - x_0 in the magnetic and lead-lag trials; full
 lifts, one distance call each and a counter-term written out instead of
-the lead-lag trial's strided lifts, single sweep and counter_terms; a
+the lead-lag trial's strided lifts, single sweep and counter_terms; the
+lead-lag residual assembled from fresh difference and half-QV arrays
+instead of written block by block in place; a
 complex FFT per component, with the embedding rebuilt on every call,
 instead of the cached real-spectrum fGn map; and the Cholesky factor of
 the fGn covariance instead of its circulant embedding.
@@ -320,11 +322,11 @@ def lift_strided_whole_grid(times, values, stride: int):
     return LiftedPath(t[::stride], x[::stride] - x[0], l2)
 
 
-def half_qv_matmul(x, stride: int):
-    """leadlag._half_qv by one matmul per cell of ``stride`` steps over the
-    whole grid, the cell sums carried by one cumsum: half the running
-    quadratic variation of samples x (..., n + 1, d) at every stride-th
-    sample."""
+def qv_matmul(x, stride: int):
+    """The running quadratic variation sum dX (x) dX of samples x (..., n +
+    1, d) at every stride-th sample, by one matmul per cell of ``stride``
+    steps over the whole grid, the cell sums carried by one cumsum, in
+    place of tensor2.running_outer_sum(x, stride, out, midpoint=False)."""
     inc = x[..., 1:, :] - x[..., :-1, :]
     cells = inc.reshape(inc.shape[:-2] + (-1, stride, inc.shape[-1]))
     *batch, c, _, d = cells.shape
@@ -332,8 +334,39 @@ def half_qv_matmul(x, stride: int):
     out[..., 0, :, :] = 0.0
     np.matmul(cells.swapaxes(-1, -2), cells, out=out[..., 1:, :, :])
     np.cumsum(out, axis=-3, out=out)
-    out *= 0.5
     return out
+
+
+def leadlag_residuals_assembled(cfg, trials):
+    """leadlag._residuals with the residual assembled from fresh arrays: for
+    each n the difference dD of its strided lift from the reference lift,
+    then half the QV, then the four blocks [[dD, dD - Q/2], [dD + Q/2, dD]]
+    copied into the residual, and areaDev1 the mean diagonal of half the QV
+    at the last grid point.  It shares the lift and running-sum kernels with
+    the library, so it checks the in-place block assembly, bit for bit."""
+    from roughlift.gauss import derive_seed, sample_fbm
+    from roughlift.tensor2 import lift_piecewise_linear, running_outer_sum
+
+    d, n_ref, n_min = cfg.d, cfg.n_ref, cfg.n_schedule[0]
+    x = np.stack([sample_fbm(seed=derive_seed(cfg.base_seed, k), H=cfg.H, n=n_ref, d=d).values
+                  for k in trials])
+    t = np.arange(n_ref + 1) / n_ref
+    ref = lift_piecewise_linear(t, x, stride=n_ref // n_min).level2
+    res = np.empty((len(x), len(cfg.n_schedule), n_min + 1, 2 * d, 2 * d))
+    area = np.empty((len(x), len(cfg.n_schedule)))
+    for m, n in enumerate(cfg.n_schedule):
+        xn, tn, stride = x[:, ::n_ref // n], t[::n_ref // n], n // n_min
+        dD = lift_piecewise_linear(tn, xn, stride=stride).level2 - ref
+        half_qv = np.empty(dD.shape)
+        running_outer_sum(xn, stride, half_qv, midpoint=False)
+        half_qv *= 0.5
+        r = res[:, m]
+        r[..., :d, :d] = dD
+        r[..., d:, d:] = dD
+        np.subtract(dD, half_qv, out=r[..., :d, d:])
+        np.add(dD, half_qv, out=r[..., d:, :d])
+        area[:, m] = np.mean(np.diagonal(half_qv[:, -1], axis1=1, axis2=2), axis=1)
+    return res, area
 
 
 def ou_scan_chunks(E, xi, p0):

@@ -1,6 +1,6 @@
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -14,8 +14,9 @@ from roughlift.leadlag import BATCH_BYTES, TRIAL_BATCH, leadlag_trial_bytes
 from roughlift.report import MAX_GRID_STEPS, TRIAL_BYTES
 from roughlift.tensor2 import LiftedPath, holder_sweep, lift_piecewise_linear, zero_lift
 
-from oracles import (half_qv_matmul, leadlag_trial_full_lifts, lift_piecewise_linear_full,
-                     lift_strided_whole_grid, sample_fbm_complex_fft)
+from oracles import (leadlag_residuals_assembled, leadlag_trial_full_lifts,
+                     lift_piecewise_linear_full, lift_strided_whole_grid, qv_matmul,
+                     sample_fbm_complex_fft)
 
 
 # ----------------------------------------------------------------- hoff_path
@@ -265,13 +266,14 @@ def test_trial_matches_full_lift_oracle(d, H):
 
 def _batched(lift):
     """A per-path lift function extended to batches of paths (a leading
-    axis): each member lifted alone, the results stacked into one lift."""
-    def lift_batch(t, x, stride):
-        if x.ndim == 2:
-            return lift(t, x, stride)
+    axis): each member lifted alone, the results stacked into one lift, and
+    level 2 copied into ``out`` when one is given."""
+    def lift_batch(t, x, stride, out=None):
         lifts = [lift(t, member, stride) for member in x]
-        return LiftedPath(lifts[0].times, np.stack([m.level1 for m in lifts]),
-                          np.stack([m.level2 for m in lifts]))
+        level2 = np.stack([m.level2 for m in lifts])
+        if out is not None:
+            out[...] = level2
+        return LiftedPath(lifts[0].times, np.stack([m.level1 for m in lifts]), level2)
     return lift_batch
 
 
@@ -304,6 +306,12 @@ def test_trial_matches_cumsum_lift_oracle(monkeypatch, d):
                 assert abs(a - b) <= 1e-12 * abs(b), (name, r.n, k)
 
 
+def _qv_matmul_into(x, stride, out, midpoint=True):
+    # leadlag calls the running-sum kernel for the quadratic variation alone
+    assert not midpoint
+    out[...] = qv_matmul(x, stride)
+
+
 @pytest.mark.parametrize("d, schedule, n_ref", [
     (1, (16, 32, 64, 128, 256, 512, 1024), 4096),   # the leadlag benchmark shape
     (2, (16, 32, 64, 128, 256, 512, 1024), 4096),
@@ -317,7 +325,7 @@ def test_trial_matches_matmul_lift_and_qv_oracle(monkeypatch, d, schedule, n_ref
                         base_seed=13)
     got = run_leadlag_trial(cfg, range(cfg.mc_trials))
     monkeypatch.setattr(leadlag, "lift_piecewise_linear", _batched(lift_strided_whole_grid))
-    monkeypatch.setattr(leadlag, "_half_qv", half_qv_matmul)
+    monkeypatch.setattr(leadlag, "running_outer_sum", _qv_matmul_into)
     want = run_leadlag_trial(cfg, range(cfg.mc_trials))
     for k in range(cfg.mc_trials):
         for r, w in zip(got[k], want[k], strict=True):
@@ -325,6 +333,35 @@ def test_trial_matches_matmul_lift_and_qv_oracle(monkeypatch, d, schedule, n_ref
             for name in ("dist_renorm", "dist_raw", "areaDev1"):
                 a, b = getattr(r, name), getattr(w, name)
                 assert abs(a - b) <= 1e-12 * abs(b), (name, r.n, k)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("d, schedule, n_ref", [
+    (1, (16, 32, 64, 128, 256, 512, 1024), 4096),   # the leadlag benchmark shape
+    (2, (16, 32, 64, 128, 256, 512, 1024), 4096),
+    (3, (16, 64, 256), 1024),                       # odd d: blocks split unevenly in memory
+    (4, (16, 64, 256), 1024),
+    (1, (1, 2), 2 ** 16),                           # reference cells spanning blocks
+])
+def test_trial_matches_assembled_residual_oracle(monkeypatch, d, schedule, n_ref):
+    # the lead-lag level 2 written block by block into each residual against
+    # the residual assembled from a fresh dD = D - ref and half-QV array per
+    # n: residuals, areaDev1 and every trial record bit for bit
+    cfg = LeadLagConfig(H=0.4, alpha=0.3, n_schedule=schedule, n_ref=n_ref, d=d, mc_trials=8,
+                        base_seed=17)
+    trials = range(cfg.batch)
+    for got, want in zip(leadlag._residuals(cfg, trials),
+                         leadlag_residuals_assembled(cfg, trials), strict=True):
+        assert got.shape == want.shape and _bits(got) == _bits(want)
+    got = run_leadlag_trial(cfg, trials)
+    monkeypatch.setattr(leadlag, "_residuals", leadlag_residuals_assembled)
+    want = run_leadlag_trial(cfg, trials)
+    assert len(got) == len(want) == len(trials)
+    for records, oracle in zip(got, want):
+        assert _bits([astuple(r) for r in records]) == _bits([astuple(r) for r in oracle])
 
 
 def test_trial_matches_complex_fft_sampler(monkeypatch):

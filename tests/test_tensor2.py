@@ -366,6 +366,20 @@ def test_batched_lift_members_match_single_lifts(monkeypatch, row_block, stride)
         assert inc[m].tobytes() == one_inc.tobytes() and l2[m].tobytes() == one_l2.tobytes()
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+def test_empty_batch_lifts_to_an_empty_batch(stride):
+    # no members: the batched lift of shape (0, n / stride + 1, ...), as
+    # holder_sweep returns no distances for no members
+    n, d = 8, 2
+    t = np.arange(n + 1) / n
+    lift = lift_piecewise_linear(t, np.zeros((0, n + 1, d)), stride=stride)
+    assert lift.level1.shape == (0, n // stride + 1, d)
+    assert lift.level2.shape == (0, n // stride + 1, d, d)
+    assert lift.times.tobytes() == t[::stride].tobytes()
+    raw, shifted = holder_sweep(lift, zero_lift(lift.times, d), 0.3, np.zeros((0, d, d)))
+    assert raw.shape == shifted.shape == (0,)
+
+
 def test_lifted_path_rejects_bad_batches():
     t = np.arange(3.0)
     with pytest.raises(ValueError, match="B"):
@@ -667,6 +681,17 @@ def test_sweep_rejects_bad_stacks():
     _, other, _, _ = _random_stack(rng, 8, 2, 3)  # the same shape on another grid
     with pytest.raises(ValueError, match="grids"):
         holder_sweep(other, y, 0.3)
+
+
+def test_holder_distance_rejects_a_batch():
+    # a batch is measured by holder_sweep; holder_distance must not report
+    # its first member's distance as the distance of the whole batch
+    rng = np.random.default_rng(24)
+    xs, batch, y, _ = _random_stack(rng, 8, 2, 3)
+    with pytest.raises(ValueError, match="holder_sweep"):
+        holder_distance(batch, y, 0.3)
+    for m, x in enumerate(xs):
+        assert holder_distance(x, y, 0.3) == holder_sweep(batch, y, 0.3)[0][m]
 
 
 # ------------------------------------------------------------ LiftedPath API
