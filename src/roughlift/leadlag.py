@@ -36,7 +36,7 @@ import numpy as np
 from .gauss import derive_seed, fgn_autocov, sample_fbm
 from .report import check_run, run_trials
 from .tensor2 import (ROW_BLOCK, LiftedPath, holder_sweep, lift_piecewise_linear,
-                      running_outer_sum, zero_lift)
+                      running_outer_sum, sweep_blocks, zero_lift)
 # holder_distance and translate stay importable from here: perfbench/tracing.py
 # wraps them under this module's name
 from .tensor2 import holder_distance, translate  # noqa: F401
@@ -151,33 +151,42 @@ def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int, batch: int = 1) 
     """Bound on the peak bytes of one run_leadlag_trial call on ``batch``
     trials: reference grid n_ref, dimension d, k schedule points, coarsest
     n_min.  In floats of 8 B, with N = n_ref + 1, it is what the worker
-    thread holds throughout, the cached embedding root (N floats) and the
-    scratch the lifts and QV sums keep (running_outer_sum, 2d + 1 floats a
-    block row, (2d + 1) min(batch n_ref, ROW_BLOCK)), plus the largest of
-    the traced peaks of three phases:
+    thread holds throughout, the cached embedding root (N floats) and its
+    scratch buffer, plus the largest of the traced peaks of three phases.
+    The buffer is the larger of the blocks of the lifts and QV sums
+    (running_outer_sum, 2d + 1 floats a block row, (2d + 1) min(batch
+    n_ref, ROW_BLOCK)) and the planes of the sweep (tensor2.sweep_blocks,
+    for the batch's k members a trial, with shifts, against the zero
+    target): a thread holds one buffer, the largest it has been asked for.
+    The phases:
 
     * sampling, N d max(batch + 3, 2 batch): one draw holds d rows of 2n
       normals and their half-spectra (4d floats a step) beside the earlier
-      draws of the batch, and stacking the draws holds them twice;
+      draws of the batch, and stacking the draws holds them twice.  The
+      first draw of a run builds the embedding root first, which takes 4N
+      floats beside the root, within the draw's 4 N d;
     * lifting, N (1 + batch d) + batch (n_min + 1)(4 d^2 k + d^2 + 2 d):
       the stacked draws and the times; and on the coarsest grid the
       residuals (4 d^2 floats at each of the M = batch k (n_min + 1) member
       grid points), which the lead-lag level 2 of each n is written into,
       the reference lift and the level 1 of one n-lift;
-    * sweep, (8 d^2 + 7) M: per member point its residual, the sweep's
-      level-2 difference (level 1 is zero, so it makes no level-1 planes)
-      and its seven planes; the zero target is broadcast zeros.
+    * sweep, 8 d^2 M: per member point its residual and the sweep's level-2
+      difference (level 1 is zero, so it makes no level-1 planes); the
+      zero target is broadcast zeros.
 
     At batch = 1 sampling is the peak, and the traced peak grows by 8 (4d +
     1) B per reference step between 2^19 and 2^20 steps: 40.0 B at d = 1,
-    136.0 at d = 4.  Every other array is O(ROW_BLOCK + PAIR_BLOCK).
+    136.0 at d = 4.  Beyond these come numpy's iterator buffers (8192
+    elements an operand, a few at a time) and arrays of O(batch k) floats.
     """
     n = n_ref + 1
-    points = batch * k * (n_min + 1)
-    held = n + (2 * d + 1) * min(batch * n_ref, ROW_BLOCK)
+    members = batch * k
+    points = members * (n_min + 1)
+    scratch = max((2 * d + 1) * min(batch * n_ref, ROW_BLOCK),
+                  sum(sweep_blocks(members, n_min, shifted=True, zero_target=True)[1]))
     sampling = n * d * max(batch + 3, 2 * batch)
     lifting = n * (1 + batch * d) + batch * (n_min + 1) * (4 * d * d * k + d * d + 2 * d)
-    return 8 * (held + max(sampling, lifting, (8 * d * d + 7) * points))
+    return 8 * (n + scratch + max(sampling, lifting, 8 * d * d * points))
 
 
 @dataclass(frozen=True)

@@ -32,16 +32,21 @@ IDENTITY_TOL = 1e-12
 # tensor2.FULL_PAIRS_LIMIT to count the pairs of every traced distance.
 FULL_PAIRS_LIMIT = 2048
 
-# Grid pairs per block of the Hoelder sweep, over all members of a batch: one
-# float64 plane of this many pairs is 128 KiB and stays in L2.  At n = 256,
-# d = 2, blocks of 2^12 and 2^16 pairs made the sweep about 1.4x and 2x
-# slower.
-PAIR_BLOCK = 1 << 14
+# Grid pairs per block of the Hoelder sweep, over all members of a batch.  A
+# block is about 50 numpy calls, and numpy releases the interpreter lock only
+# inside each, so longer calls let the sweeps of two pool threads overlap
+# more.  On the magnetic-coarse benchmark (n = 256, d = 2, --threads 2,
+# Intel Xeon, 2 cores) blocks of 2^15 pairs cut the wall_s median from 326
+# ms at 2^14 to 265 ms (10 alternating runs each); in one process 2^16 took
+# 285 ms against 265 ms at 2^15.  One thread does more masked pairs (j <= i)
+# in the larger blocks: 371 ms against 355 ms at 2^14.
+PAIR_BLOCK = 1 << 15
 
 # The scratch arrays of holder_sweep and running_outer_sum, cut from one
 # buffer per thread, kept across calls and grown on demand: freed, blocks of
-# about 1 MiB (seven 2^14-float sweep planes, or a batch's lift rows) go back
-# to the system, and glibc would page them in afresh on every call.
+# about 1 MiB (a sweep's planes, 1.5 MiB at n = 256 against a lift, or a
+# batch's lift rows) go back to the system, and glibc would page them in
+# afresh on every call.
 _scratch_buffer = threading.local()
 
 # Grid rows per block of the fine-grid kernels (running_outer_sum, over a
@@ -341,11 +346,14 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None):
     level 1 all zero as well the level-1 planes and the members' cross
     terms.  Skipping them changes at most the sign of a zero residual
     entry, which squaring removes, so the results are bitwise unchanged.
-    The seven planes are cut from the calling thread's scratch buffer, kept
-    across blocks and calls, so besides the O(k n d^2) grid arrays (one level-2
-    difference per member, and one level-1 difference unless level 1 is
-    zero) the sweep holds O(PAIR_BLOCK + k n) floats whatever the number of
-    pairs.
+    The planes (``sweep_blocks``: three a member, a fourth with ``shifts``,
+    and two shared, a third against a target with level 1) are sized by the
+    first block, which has the most pairs, and cut from the calling thread's
+    scratch buffer, kept across blocks and calls.  So besides the O(k n d^2)
+    grid arrays (one level-2 difference per member, and one level-1
+    difference unless level 1 is zero) the sweep holds at most seven planes
+    of max(PAIR_BLOCK, k n) floats whatever the number of pairs, and less on
+    a grid whose pairs all fit in one block.
     """
     if not (0.0 <= alpha < 0.5):
         raise ValueError("alpha must lie in [0, 1/2)")
@@ -373,17 +381,16 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None):
         x1 = np.ascontiguousarray(x.level1.reshape(k, n + 1, d).swapaxes(1, 2))
         y1 = np.ascontiguousarray(y.level1.T)
         w = x1 - y1
-    rows = max(1, PAIR_BLOCK // (k * n))
-    planes = _scratch(*[(max(PAIR_BLOCK, k * n),)] * 7)
-    buf = planes[:3 + (shifts is not None)]  # planes with the batch axis
-    ybuf = planes[4:]                        # planes shared by the batch
+    shifted = shifts is not None
+    rows, sizes = sweep_blocks(k, n, shifted, y_zero)
+    planes = _scratch(*[(size,) for size in sizes])
     sup = np.zeros((3, k))  # level 1, level 2, shifted level 2
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
         shape = (i1 - i0, n - i0)
         m = shape[0] * shape[1]
-        a, r, acc, *acc_shifted = (p[:k * m].reshape((k,) + shape) for p in buf)
-        dt, power, c = (p[:m].reshape(shape) for p in ybuf)
+        a, r, acc, *acc_shifted = (p[:k * m].reshape((k,) + shape) for p in planes[:3 + shifted])
+        dt, power, *c = (p[:m].reshape(shape) for p in planes[3 + shifted:])
         pair = np.arange(i0, i1)[:, None] < np.arange(i0 + 1, n + 1)
         np.subtract(t[i0 + 1:], t[i0:i1, None], out=dt)
         np.copyto(dt, 1.0, where=np.logical_not(pair))  # keeps the masked powers finite
@@ -399,20 +406,32 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None):
                     np.subtract(x1[:, q, None, i0 + 1:], x1[:, q, i0:i1, None], out=a)
                     np.multiply(x1[:, p, i0:i1, None], a, out=a)
                     if not y_zero:
-                        np.subtract(y1[q, i0 + 1:], y1[q, i0:i1, None], out=c)
-                        np.multiply(y1[p, i0:i1, None], c, out=c)
-                        np.subtract(a, c, out=a)  # the Chen cross term of X - Y
+                        np.subtract(y1[q, i0 + 1:], y1[q, i0:i1, None], out=c[0])
+                        np.multiply(y1[p, i0:i1, None], c[0], out=c[0])
+                        np.subtract(a, c[0], out=a)  # the Chen cross term of X - Y
                     np.subtract(r, a, out=r)  # the level-2 residual
-                if shifts is not None:
+                if shifted:
                     np.multiply(shifts[:, p, q, None, None], dt, out=a)
                     np.add(r, a, out=a)
                     _accumulate_square(a, acc_shifted[0], p == q == 0)
                 _accumulate_square(r, acc, p == q == 0)
         np.power(dt, 2.0 * alpha, out=power)
         _fold_sup(acc, power, pair, sup[1])
-        if shifts is not None:
+        if shifted:
             _fold_sup(acc_shifted[0], power, pair, sup[2])
-    return sup[0] + sup[1], None if shifts is None else sup[0] + sup[2]
+    return sup[0] + sup[1], sup[0] + sup[2] if shifted else None
+
+
+def sweep_blocks(k: int, n: int, shifted: bool, zero_target: bool) -> tuple[int, list[int]]:
+    """Grid rows per block of a holder_sweep of k members on n intervals,
+    and the sizes in floats of the planes it cuts from the thread's scratch
+    buffer: a, r and acc, and acc_shifted when ``shifted``, for every member,
+    then dt and power, and the target's cross term c unless ``zero_target``,
+    shared by all members.  The first block has the most pairs, rows n a
+    member, so the planes are sized by it."""
+    rows = min(n, max(1, PAIR_BLOCK // (k * n)))
+    pairs = rows * n
+    return rows, [k * pairs] * (3 + shifted) + [pairs] * (3 - zero_target)
 
 
 def _scratch(*shapes) -> list[np.ndarray]:
@@ -421,6 +440,7 @@ def _scratch(*shapes) -> list[np.ndarray]:
     sizes = [math.prod(shape) for shape in shapes]
     buf = getattr(_scratch_buffer, "buf", None)
     if buf is None or len(buf) < sum(sizes):
+        _scratch_buffer.buf = buf = None  # the old buffer goes before the new one is made
         buf = _scratch_buffer.buf = np.empty(sum(sizes))
     ends = itertools.accumulate(sizes)
     return [buf[end - size:end].reshape(shape) for shape, size, end in zip(shapes, sizes, ends)]

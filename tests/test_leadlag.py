@@ -8,7 +8,7 @@ import pytest
 from roughlift import (LeadLagConfig, counter_terms, derive_seed, hoff_path,
                        leadlag_experiment, leadlag_lift, levy_area, psi_closed, psi_profile,
                        run_leadlag_trial, sample_fbm)
-from roughlift import gauss, leadlag
+from roughlift import gauss, leadlag, tensor2
 from roughlift.identities import leadlag_oracle_errors, psi_bruteforce
 from roughlift.leadlag import BATCH_BYTES, TRIAL_BATCH, leadlag_trial_bytes
 from roughlift.report import MAX_GRID_STEPS, TRIAL_BYTES
@@ -432,14 +432,35 @@ def test_trial_memory_per_reference_step(d):
     assert all(peak <= _bound(cfg) + 2 ** 20 for peak, cfg in zip(peaks, cfgs))
 
 
-@pytest.mark.parametrize("n_ref, d, schedule", [
+# the lead-lag benchmark's trial: n_ref, d and schedule
+BENCHMARK_SHAPE = (2 ** 12, 1, (16, 32, 64, 128, 256, 512, 1024))
+SHAPES = [
     (2 ** 20, 1, (1, 2)),            # reference stride 2^20, cells 32 blocks long
     (2 ** 12, 4, (512, 1024)),       # a sweep-heavy trial
     (2 ** 12, 2, (16, 32, 64, 128, 256, 512, 1024)),
-])
-def test_trial_memory_within_bound(n_ref, d, schedule):
+    BENCHMARK_SHAPE,
+]
+
+
+def _assert_trial_within_bound(n_ref, d, schedule):
+    # a batch may exceed the bound by numpy's iterator buffers (up to 1 MiB
+    # allowed), except at the benchmark shape, which is held to the bound
     cfg = LeadLagConfig(H=0.4, n_schedule=schedule, n_ref=n_ref, d=d, mc_trials=1)
-    assert _trial_peak_bytes(cfg) <= _bound(cfg) + 2 ** 20
+    slack = 0 if (n_ref, d, schedule) == BENCHMARK_SHAPE else 2 ** 20
+    assert _trial_peak_bytes(cfg) <= _bound(cfg) + slack
+
+
+@pytest.mark.parametrize("n_ref, d, schedule", SHAPES)
+def test_trial_memory_within_bound(n_ref, d, schedule):
+    _assert_trial_within_bound(n_ref, d, schedule)
+
+
+def test_trial_memory_bound_holds_at_4x_pair_block(monkeypatch):
+    # the sweep's planes are sized by its own largest block, and the bound
+    # charges them at that size, so it holds at 4 PAIR_BLOCK too
+    monkeypatch.setattr(tensor2, "PAIR_BLOCK", 4 * tensor2.PAIR_BLOCK)
+    for n_ref, d, schedule in SHAPES[1:]:
+        _assert_trial_within_bound(n_ref, d, schedule)
 
 
 def _sweep_peak_bytes(k, n, d):
@@ -470,16 +491,19 @@ def test_sweep_memory_per_member_point(d):
     # 8 (4d^2) B per member grid point (the level-2 difference of the
     # 2d-dimensional residuals; level 1 is zero, so there is no level-1
     # difference); the bound's per-member term, less the member's own
-    # residual, covers that with at most 56 B of planes
+    # residual, covers that with at most 56 B of planes: with k n_min >=
+    # PAIR_BLOCK a block is one grid row, and the planes grow by 4 n_min
+    # floats a member
     shapes = ((32, 128), (64, 256))
     points = [k * (n + 1) for k, n in shapes]
     peaks = [_sweep_peak_bytes(k, n, d) for k, n in shapes]
     slope = (peaks[1] - peaks[0]) / (points[1] - points[0])
     core = 8 * 4 * d * d
     assert 0.98 * core <= slope <= 1.02 * core + 56
-    n_min = 64  # 64 schedule points on that grid make the sweep the peak phase
-    per_member = (leadlag_trial_bytes(4096, d, 65, n_min)
-                  - leadlag_trial_bytes(4096, d, 64, n_min)) / (n_min + 1)
+    n_min = 64  # so many schedule points on that grid make the sweep the peak phase
+    k = tensor2.PAIR_BLOCK // n_min
+    per_member = (leadlag_trial_bytes(4096, d, k + 1, n_min)
+                  - leadlag_trial_bytes(4096, d, k, n_min)) / (n_min + 1)
     sweep_term = per_member - 8 * 4 * d * d
     assert slope <= sweep_term <= slope + 56
 
@@ -504,7 +528,9 @@ def test_batches_shrink_to_the_byte_budget():
 
     assert batch(4096) == TRIAL_BATCH
     assert [batch(n_ref) for n_ref in (2 ** 15, 2 ** 16, 2 ** 17, 2 ** 18)] == [8, 6, 3, 1]
-    assert batch(4096, d=4, schedule=(512, 1024)) == 5
+    # the sweep's planes are charged at their block size, within the lift
+    # blocks here (a cold first batch of 6 traces 8.27 MB)
+    assert batch(4096, d=4, schedule=(512, 1024)) == 6
     for n_ref, d, schedule in ((4096, 1, (16, 32)), (2 ** 16, 1, (16, 32)),
                                (4096, 4, (512, 1024))):
         cfg = LeadLagConfig(H=0.4, n_schedule=schedule, n_ref=n_ref, d=d, mc_trials=1)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -566,8 +567,19 @@ def _assert_matches_rowloop(x, y, alpha):
         assert abs(got - want) <= 1e-12 * want
 
 
-# block edges at 2^14 pairs per block, and grids either side of FULL_PAIRS_LIMIT
-@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 63, 64, 65, 255, 256, 257, 2048, 2049])
+# one-member grids at the sweep's block edges, from PAIR_BLOCK: the largest
+# grid one block sweeps whole, r rows of r pairs; the next power of two, m,
+# in blocks of PAIR_BLOCK // m rows (whole blocks for a power-of-two
+# PAIR_BLOCK); and the grids either side of each
+_ONE_BLOCK = math.isqrt(tensor2.PAIR_BLOCK)
+_WHOLE_BLOCKS = 1 << _ONE_BLOCK.bit_length()
+EDGE_GRIDS = {n + e for n in (_ONE_BLOCK, _WHOLE_BLOCKS) for e in (-1, 0, 1)}
+
+
+# the smallest grids, one-block grids, the block edges, and grids either
+# side of FULL_PAIRS_LIMIT
+@pytest.mark.parametrize("n", sorted({1, 2, 15, 16, 17, 63, 64, 65, *EDGE_GRIDS,
+                                      tensor2.FULL_PAIRS_LIMIT, tensor2.FULL_PAIRS_LIMIT + 1}))
 def test_holder_block_kernel_matches_rowloop(n):
     rng = np.random.default_rng(n)
     for k, alpha in enumerate((0.0, 0.3, 0.49)):
