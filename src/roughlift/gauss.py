@@ -32,7 +32,7 @@ import numpy as np
 import numpy.fft  # noqa: F401
 import numpy.random  # noqa: F401
 
-from .linstable import StableDrift, ou_joint_transition
+from .linstable import SETUP_CACHE, StableDrift, check_finite, ou_joint_transition
 from .tensor2 import ROW_BLOCK, any_blockwise, running_sum_block
 
 _MASK64 = (1 << 64) - 1
@@ -205,7 +205,7 @@ def _scan_levels(E: np.ndarray, rows: int) -> list[tuple[np.ndarray, np.ndarray]
     whose block (i, m) is (F^(m - i))^T for i <= m and 0 otherwise, and S
     is the (d, s d) row of (F^1)^T .. (F^s)^T.  A level of r steps leaves
     ceil(r / s) - 1 block ends for the next, which scans them with F^s, the
-    last power of S."""
+    last power of S.  The matrices are read-only."""
     d = E.shape[0]
     s = max(2, SCAN_WIDTH // d)
     lag = np.arange(s)[None, :] - np.arange(s)[:, None]  # m - i
@@ -222,6 +222,8 @@ def _scan_levels(E: np.ndarray, rows: int) -> list[tuple[np.ndarray, np.ndarray]
         blocks = np.where((lag >= 0)[:, :, None, None], powers[np.maximum(lag, 0)], 0.0)
         levels.append((blocks.transpose(0, 2, 1, 3).reshape(s * d, s * d),
                        powers[1:].transpose(1, 0, 2).reshape(d, s * d)))
+        for matrix in levels[-1]:
+            matrix.flags.writeable = False
         rows = -(-rows // s) - 1
         if rows < 1:
             return levels
@@ -256,6 +258,28 @@ def _ou_scan_block(levels, xi: np.ndarray, out: np.ndarray, k0: int) -> None:
     out[k0 + 1:k0 + 1 + n] = y.reshape(nb * s, d)[:n]
 
 
+def physical_step(drift: StableDrift, eps: float, T: float, N: int):
+    """(L, levels) of sample_physical on the uniform N-step grid on [0, T]:
+    the noise root of the exact transition over h = T/N (``noise_factor``)
+    and the OU scan's levels (_scan_levels) on chunks of at most
+    min(N, ROW_BLOCK) steps.  Memoised by value (the drift's key, eps, h and
+    the chunk rows; linstable.SETUP_CACHE entries), so the trials of a run
+    build it once per eps; the arrays are read-only.  A mean map or noise
+    root that is not finite (linstable.check_finite) raises ValueError
+    before anything is cached."""
+    return _physical_step(*drift.key(), eps, T / N, min(N, ROW_BLOCK))
+
+
+@functools.lru_cache(maxsize=SETUP_CACHE)
+def _physical_step(a: bytes, b: bytes, d: int, eps: float, h: float, rows: int):
+    trans = ou_joint_transition(StableDrift.from_key(a, b, d), eps, h)
+    L = trans.noise_factor()
+    check_finite(f"the mean map of the OU step over h = {h:g}", trans.meanMap)
+    check_finite(f"the noise root of the OU step over h = {h:g}", L)
+    L.flags.writeable = False
+    return L, _scan_levels(trans.meanMap, rows)
+
+
 def sample_physical(drift: StableDrift, eps: float, T: float, N: int,
                     seed: int) -> tuple[GridPath, GridPath]:
     """Momentum P and its driving Brownian motion W, jointly exact in law
@@ -278,9 +302,7 @@ def sample_physical(drift: StableDrift, eps: float, T: float, N: int,
             f"step h = {T / N:g} too coarse for the relaxation scale "
             f"eps^2/|M|; need N >= {n_req}")
     d = drift.dim
-    trans = ou_joint_transition(drift, eps, T / N)
-    L = trans.noise_factor()
-    levels = _scan_levels(trans.meanMap, min(N, ROW_BLOCK))
+    L, levels = physical_step(drift, eps, T, N)
     rng = _rng(seed)
     P = np.zeros((N + 1, d))
     W = np.zeros((N + 1, d))

@@ -158,7 +158,9 @@ def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int, batch: int = 1) 
     n_ref, ROW_BLOCK)) and the planes of the sweep (tensor2.sweep_blocks,
     for the batch's k members a trial, with shifts, against the zero
     target): a thread holds one buffer, the largest it has been asked for.
-    The phases:
+    On top comes the sweep's grid geometry where the sweep keeps it
+    (tensor2.GEOMETRY_KEEP; 6,400 B at the benchmark shape), which outlives
+    the call.  The phases:
 
     * sampling, N d max(batch + 3, 2 batch): one draw holds d rows of 2n
       normals and their half-spectra (4d floats a step) beside the earlier
@@ -182,11 +184,11 @@ def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int, batch: int = 1) 
     n = n_ref + 1
     members = batch * k
     points = members * (n_min + 1)
-    scratch = max((2 * d + 1) * min(batch * n_ref, ROW_BLOCK),
-                  sum(sweep_blocks(members, n_min, shifted=True, zero_target=True)[1]))
+    _, planes, kept = sweep_blocks(members, n_min, shifted=True, zero_target=True)
+    scratch = max((2 * d + 1) * min(batch * n_ref, ROW_BLOCK), sum(planes))
     sampling = n * d * max(batch + 3, 2 * batch)
     lifting = n * (1 + batch * d) + batch * (n_min + 1) * (4 * d * d * k + d * d + 2 * d)
-    return 8 * (n + scratch + max(sampling, lifting, 8 * d * d * points))
+    return 8 * (n + scratch + max(sampling, lifting, 8 * d * d * points)) + kept
 
 
 @dataclass(frozen=True)

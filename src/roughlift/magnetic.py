@@ -15,9 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import derive_Z, derive_seed, float_index, required_steps, sample_physical
+from . import linstable
+from .gauss import (derive_Z, derive_seed, float_index, physical_step, required_steps,
+                    sample_physical)
 from .linstable import StableDrift, lyapunov_bytes, renorm_v
-from .report import check_run, run_trials
+from .report import ConfigError, check_run, run_trials
 from .tensor2 import holder_distance, lift_piecewise_linear, translate, zero_lift
 
 
@@ -149,11 +151,26 @@ def run_magnetic_trial(cfg: MagneticConfig, eps: float, trial_index: int) -> Tri
                        vNorm=float(np.linalg.norm(v)))
 
 
+def check_setup(cfg: MagneticConfig) -> None:
+    """Build every eps's counter-term and OU step into the memos the trials
+    read, before any sampling: a ConfigError (a ValueError) names the first
+    eps whose C, v or OU step is not finite.  The memos are keyed by value,
+    so the trials find these entries and the check costs a run nothing."""
+    for eps in cfg.eps_schedule:
+        drift = drift_at(cfg, eps)
+        try:
+            linstable.renorm_v(drift)
+            physical_step(drift, eps, cfg.T, fine_grid_n(cfg, eps))
+        except ValueError as e:
+            raise ConfigError(f"unrunnable at eps = {eps:g}: {e}") from e
+
+
 def magnetic_experiment(cfg: MagneticConfig, threads: int = 1) -> list[dict]:
     """Per-eps means and standard errors over mc_trials independent trials.
 
     Trial k runs every eps; seeds are derived per (eps, trial), so the
-    output is independent of the thread count.
+    output is independent of the thread count.  ``check_setup`` runs first.
     """
+    check_setup(cfg)
     return run_trials(lambda ks: [[run_magnetic_trial(cfg, eps, k) for eps in cfg.eps_schedule]
                                   for k in ks], cfg.mc_trials, threads)

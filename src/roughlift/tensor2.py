@@ -15,6 +15,7 @@ an anti-symmetric (d, d) array, to the second level of every interval lift.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
@@ -42,9 +43,20 @@ FULL_PAIRS_LIMIT = 2048
 # in the larger blocks: 371 ms against 355 ms at 2^14.
 PAIR_BLOCK = 1 << 15
 
+# A sweep keeps the geometry of its grid (_geometry: the pair masks and the
+# time-step powers of every block, and the time steps with shifts), built
+# once and read-only, when a plane of it has at most GEOMETRY_KEEP *
+# PAIR_BLOCK entries over all blocks: 49,152 at n = 256 and k = 1, so the
+# magnetic output grid keeps one.  Larger grids build each block's geometry
+# into the thread's scratch buffer.  At most GEOMETRY_CACHE geometries are
+# kept, each at most (8 (2 + shifts) + 1) GEOMETRY_KEEP PAIR_BLOCK bytes
+# (1.6 MiB), whatever the grid size.
+GEOMETRY_KEEP = 2
+GEOMETRY_CACHE = 4
+
 # The scratch arrays of holder_sweep and running_outer_sum, cut from one
 # buffer per thread, kept across calls and grown on demand: freed, blocks of
-# about 1 MiB (a sweep's planes, 1.5 MiB at n = 256 against a lift, or a
+# about 1 MiB (a sweep's planes, 1 MiB at n = 256 against a lift, or a
 # batch's lift rows) go back to the system, and glibc would page them in
 # afresh on every call.
 _scratch_buffer = threading.local()
@@ -339,21 +351,24 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None):
 
     The pairs come in blocks of grid rows i0 <= i < i1 against the columns
     j = i0+1..n, with j <= i masked, about PAIR_BLOCK pairs over all k
-    members.  Each block is a stack of k planes, and the time-step powers and
-    the target's cross terms are computed once per block for every member
-    and both distances.  Planes that are exactly zero are not built: with
-    the target's level 1 all zero its cross terms, and with the members'
-    level 1 all zero as well the level-1 planes and the members' cross
-    terms.  Skipping them changes at most the sign of a zero residual
-    entry, which squaring removes, so the results are bitwise unchanged.
-    The planes (``sweep_blocks``: three a member, a fourth with ``shifts``,
-    and two shared, a third against a target with level 1) are sized by the
-    first block, which has the most pairs, and cut from the calling thread's
-    scratch buffer, kept across blocks and calls.  So besides the O(k n d^2)
-    grid arrays (one level-2 difference per member, and one level-1
-    difference unless level 1 is zero) the sweep holds at most seven planes
-    of max(PAIR_BLOCK, k n) floats whatever the number of pairs, and less on
-    a grid whose pairs all fit in one block.
+    members.  Each block is a stack of k planes.  The grid's geometry (the
+    masks and time-step powers of every block, _geometry) is shared by every
+    member and both distances, and kept across calls on a small grid
+    (GEOMETRY_KEEP); the target's cross terms are computed once per block
+    for every member.  Planes that are exactly zero are not built: with the
+    target's level 1 all zero its cross terms, and with the members' level 1
+    all zero as well the level-1 planes and the members' cross terms; and a
+    target whose level 2 is all zero is not subtracted.  Skipping them
+    changes at most the sign of a zero residual entry, which squaring
+    removes, so the results are bitwise unchanged.  The planes
+    (``sweep_blocks``) are sized by the first block, which has the most
+    pairs, and cut from the calling thread's scratch buffer, kept across
+    blocks and calls.  So besides the O(k n d^2) grid arrays (one level-2
+    difference per member, and one level-1 difference unless level 1 is
+    zero) and a kept geometry, the sweep holds at most four planes of
+    max(PAIR_BLOCK, k n) floats and four of max(PAIR_BLOCK // k, n)
+    whatever the number of pairs, and less on a grid whose pairs all fit in
+    one block.
     """
     if not (0.0 <= alpha < 0.5):
         raise ValueError("alpha must lie in [0, 1/2)")
@@ -376,29 +391,30 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None):
     zero1 = y_zero and not np.any(x.level1)  # no level-1 planes
     # grid axis last and contiguous, so block planes are read by slices
     dl2 = np.empty((k, d, d, n + 1))
-    np.subtract(x.level2, y.level2, out=np.moveaxis(dl2, -1, -3))
+    if np.any(y.level2):
+        np.subtract(x.level2, y.level2, out=np.moveaxis(dl2, -1, -3))
+    else:  # a copy, unlike the subtraction, takes no numpy iterator buffer
+        np.copyto(np.moveaxis(dl2, -1, -3), x.level2)
     if not zero1:
         x1 = np.ascontiguousarray(x.level1.reshape(k, n + 1, d).swapaxes(1, 2))
         y1 = np.ascontiguousarray(y.level1.T)
         w = x1 - y1
     shifted = shifts is not None
-    rows, sizes = sweep_blocks(k, n, shifted, y_zero)
+    rows, sizes, kept = sweep_blocks(k, n, shifted, y_zero)
     planes = _scratch(*[(size,) for size in sizes])
+    blocks = (_kept_geometry(t.tobytes(), alpha, rows, shifted) if kept
+              else _geometry(t, alpha, rows, shifted, planes[len(planes) - 2 - shifted:]))
     sup = np.zeros((3, k))  # level 1, level 2, shifted level 2
-    for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
+    for i0, i1, pair, power, power2, dt in blocks:
         shape = (i1 - i0, n - i0)
         m = shape[0] * shape[1]
         a, r, acc, *acc_shifted = (p[:k * m].reshape((k,) + shape) for p in planes[:3 + shifted])
-        dt, power, *c = (p[:m].reshape(shape) for p in planes[3 + shifted:])
-        pair = np.arange(i0, i1)[:, None] < np.arange(i0 + 1, n + 1)
-        np.subtract(t[i0 + 1:], t[i0:i1, None], out=dt)
-        np.copyto(dt, 1.0, where=np.logical_not(pair))  # keeps the masked powers finite
+        c = None if y_zero else planes[3 + shifted][:m].reshape(shape)
         if not zero1:
             for p in range(d):
                 np.subtract(w[:, p, None, i0 + 1:], w[:, p, i0:i1, None], out=a)
                 _accumulate_square(a, acc, p == 0)
-            _fold_sup(acc, np.power(dt, alpha, out=power), pair, sup[0])
+            _fold_sup(acc, power, pair, sup[0])
         for p in range(d):
             for q in range(d):
                 np.subtract(dl2[:, p, q, None, i0 + 1:], dl2[:, p, q, i0:i1, None], out=r)
@@ -406,32 +422,82 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None):
                     np.subtract(x1[:, q, None, i0 + 1:], x1[:, q, i0:i1, None], out=a)
                     np.multiply(x1[:, p, i0:i1, None], a, out=a)
                     if not y_zero:
-                        np.subtract(y1[q, i0 + 1:], y1[q, i0:i1, None], out=c[0])
-                        np.multiply(y1[p, i0:i1, None], c[0], out=c[0])
-                        np.subtract(a, c[0], out=a)  # the Chen cross term of X - Y
+                        np.subtract(y1[q, i0 + 1:], y1[q, i0:i1, None], out=c)
+                        np.multiply(y1[p, i0:i1, None], c, out=c)
+                        np.subtract(a, c, out=a)  # the Chen cross term of X - Y
                     np.subtract(r, a, out=r)  # the level-2 residual
                 if shifted:
                     np.multiply(shifts[:, p, q, None, None], dt, out=a)
                     np.add(r, a, out=a)
                     _accumulate_square(a, acc_shifted[0], p == q == 0)
                 _accumulate_square(r, acc, p == q == 0)
-        np.power(dt, 2.0 * alpha, out=power)
-        _fold_sup(acc, power, pair, sup[1])
+        _fold_sup(acc, power2, pair, sup[1])
         if shifted:
-            _fold_sup(acc_shifted[0], power, pair, sup[2])
+            _fold_sup(acc_shifted[0], power2, pair, sup[2])
     return sup[0] + sup[1], sup[0] + sup[2] if shifted else None
 
 
-def sweep_blocks(k: int, n: int, shifted: bool, zero_target: bool) -> tuple[int, list[int]]:
+def sweep_blocks(k: int, n: int, shifted: bool,
+                 zero_target: bool) -> tuple[int, list[int], int]:
     """Grid rows per block of a holder_sweep of k members on n intervals,
-    and the sizes in floats of the planes it cuts from the thread's scratch
-    buffer: a, r and acc, and acc_shifted when ``shifted``, for every member,
-    then dt and power, and the target's cross term c unless ``zero_target``,
-    shared by all members.  The first block has the most pairs, rows n a
-    member, so the planes are sized by it."""
+    the sizes in floats of the planes it cuts from the thread's scratch
+    buffer, and the bytes of the grid geometry it keeps (0 if none).
+
+    The planes: a, r and acc, and acc_shifted when ``shifted``, for every
+    member, then the target's cross term c unless ``zero_target``, shared by
+    all members, and the 2 + shifted geometry planes of one block
+    (_geometry) unless the geometry is kept.  The first block has the most
+    pairs, rows n a member, so the planes are sized by it.  A kept geometry
+    is all blocks' geometry, 8 (2 + shifted) + 1 bytes (its planes and the
+    pair mask) at each of its plane entries, and it is kept when it has at
+    most GEOMETRY_KEEP * PAIR_BLOCK entries.
+    """
     rows = min(n, max(1, PAIR_BLOCK // (k * n)))
     pairs = rows * n
-    return rows, [k * pairs] * (3 + shifted) + [pairs] * (3 - zero_target)
+    whole, last = divmod(n, rows)  # blocks of ``rows`` rows, and a last of ``last``
+    entries = rows * (whole * n - rows * whole * (whole - 1) // 2) + last * last
+    kept = entries <= GEOMETRY_KEEP * PAIR_BLOCK
+    sizes = [k * pairs] * (3 + shifted) + [pairs] * (1 - zero_target)
+    if not kept:
+        sizes += [pairs] * (2 + shifted)
+    return rows, sizes, entries * (8 * (2 + shifted) + 1) if kept else 0
+
+
+def _geometry(t, alpha: float, rows: int, shifted: bool, planes=None):
+    """The geometry of a sweep on the grid ``t`` in blocks of ``rows`` grid
+    rows: per block, its rows i0 <= i < i1, the mask of its pairs j > i
+    among the columns j = i0+1..n, (t_j - t_i)^alpha, (t_j - t_i)^(2 alpha)
+    and, when ``shifted``, t_j - t_i (else None), with t_j - t_i = 1 at the
+    masked pairs to keep their powers finite.  The planes are written into
+    ``planes`` (2 + shifted, each of at least a block) when given, the next
+    block over the last, else into new arrays."""
+    n = len(t) - 1
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        shape = (i1 - i0, n - i0)
+        if planes is None:
+            g = np.empty((2 + shifted,) + shape)
+        else:
+            g = [p[:shape[0] * shape[1]].reshape(shape) for p in planes]
+        pair = np.arange(i0, i1)[:, None] < np.arange(i0 + 1, n + 1)
+        dt = g[-1]
+        np.subtract(t[i0 + 1:], t[i0:i1, None], out=dt)
+        np.copyto(dt, 1.0, where=np.logical_not(pair))
+        np.power(dt, alpha, out=g[0])
+        np.power(dt, 2.0 * alpha, out=g[1])  # over dt itself without shifts
+        yield i0, i1, pair, g[0], g[1], dt if shifted else None
+
+
+@functools.lru_cache(maxsize=GEOMETRY_CACHE)
+def _kept_geometry(times: bytes, alpha: float, rows: int, shifted: bool) -> tuple:
+    """_geometry of the grid with the bytes ``times``, built once into
+    read-only arrays and shared by the calls and threads that sweep it."""
+    blocks = tuple(_geometry(np.frombuffer(times), alpha, rows, shifted))
+    for block in blocks:
+        for plane in block[2:]:
+            if plane is not None:
+                plane.flags.writeable = False
+    return blocks
 
 
 def _scratch(*shapes) -> list[np.ndarray]:

@@ -206,6 +206,9 @@ def test_cli_config_rejection_exit_code(tmp_path):
     ("magnetic", {"A": [[float(i == j) for j in range(128)] for i in range(128)],
                   "B0": [[0.0] * 128 for _ in range(128)],
                   "eps_schedule": [10.0], "grid_n": 2}),  # 2 steps, 6.4 GB Lyapunov solve
+    # every config rule holds, but C and v are about 5e299 and their norms
+    # overflow: the set-up check runs before any sampling
+    ("magnetic", {"A": [[1e-300, 0.0], [0.0, 1e-300]], "beta": 0.0}),
     ("magnetic", {"base_seed": -1}),
     ("leadlag", {"base_seed": -1}),
     ("magnetic", {"base_seed": 2 ** 64}),
@@ -220,6 +223,7 @@ def test_cli_config_rejection_exit_code(tmp_path):
         "mc_trials-huge", "grid_n-huge", "eps-underflow", "n_ref-huge", "d-huge",
         "leadlag-trial-over-budget", "fine-grid-over-budget",
         "grid_n-over-pairs-limit", "n_min-over-pairs-limit", "d-over-lyapunov-budget",
+        "setup-not-finite",
         "magnetic-seed-negative", "leadlag-seed-negative", "magnetic-seed-2^64",
         "leadlag-seed-2^64", "magnetic-not-utf8", "leadlag-not-utf8", "magnetic-too-deep",
         "leadlag-too-deep", "too-many-digits"])

@@ -515,8 +515,14 @@ def test_config_rejects_trial_over_byte_budget():
     with pytest.raises(ValueError, match="TRIAL_BYTES"):
         replace(cfg, d=3)
     # a coarse n_min costs nothing: the lifts' blocks hold O(ROW_BLOCK d)
-    # floats whatever the stride, so sampling stays the peak
-    assert _bound(replace(cfg, n_schedule=(1, 2))) == _bound(cfg)
+    # floats whatever the stride, so sampling stays the peak; only the kept
+    # sweep geometry (n_min^2 entries here) follows n_min
+    def kept(c):
+        return tensor2.sweep_blocks(len(c.n_schedule), c.n_schedule[0], True, True)[2]
+
+    coarse = replace(cfg, n_schedule=(1, 2))
+    assert (kept(coarse), kept(cfg)) == (25, 64 * 25)
+    assert _bound(coarse) - kept(coarse) == _bound(cfg) - kept(cfg)
 
 
 def test_batches_shrink_to_the_byte_budget():

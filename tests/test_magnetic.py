@@ -184,7 +184,34 @@ def test_momentum_area_mean_is_exact_in_law(beta, eps):
     assert abs(exact + cfg.T * renorm_v(drift)[0, 1]) > 3.0 * se
 
 
-def test_trial_matches_eig_recursion_oracle(monkeypatch):
+def _clear_setup_memos():
+    gauss._physical_step.cache_clear()
+    linstable._renorm_v.cache_clear()
+
+
+@pytest.fixture
+def patch_oracle(monkeypatch):
+    """monkeypatch.setattr for an oracle that returns how often it was
+    called.  The set-up memos are emptied after each patch, so that the
+    trials after it build their counter-term and OU step through the
+    oracle rather than read the entries of the trials before it, and at
+    teardown, so that no later test reads an oracle's entry."""
+    def patch(module, name, oracle):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return oracle(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        _clear_setup_memos()
+        return calls
+
+    yield patch
+    _clear_setup_memos()
+
+
+def test_trial_matches_eig_recursion_oracle(patch_oracle):
     # the blocked real scan against the eigendecomposition route run on the
     # same chunks from the same carried P, field by field, on fine grids of
     # 384 and 10560 steps
@@ -195,57 +222,89 @@ def test_trial_matches_eig_recursion_oracle(monkeypatch):
     def eig_scan_block(E, xi, out, k0):
         out[k0 + 1:k0 + 1 + len(xi)] = ou_recursion_eig(E, xi, out[k0])[1:]
 
-    monkeypatch.setattr(gauss, "_scan_levels", lambda E, rows: E)
-    monkeypatch.setattr(gauss, "_ou_scan_block", eig_scan_block)
+    levels = patch_oracle(gauss, "_scan_levels", lambda E, rows: E)
+    scans = patch_oracle(gauss, "_ou_scan_block", eig_scan_block)
     old = [run_magnetic_trial(cfg, eps, k) for eps, k in keys]
+    assert len(levels) == 2 and len(scans) == len(keys)  # one memo entry per eps
     for a, b in zip(new, old):
         for f in fields(a):
             x, y = getattr(a, f.name), getattr(b, f.name)
             assert abs(x - y) <= 1e-12 * abs(y), f.name
 
 
-def test_trial_matches_blocked_scan_oracle(monkeypatch):
+def test_trial_matches_blocked_scan_oracle(patch_oracle):
     # the per-chunk scan against the earlier whole-grid sqrt(N)-block scan,
     # field by field, at eps = 2^-2 (512 fine steps) and at eps = 2^-7
     # (1,861,120 fine steps, 57 chunks)
     cfg = small_cfg(eps_schedule=(2.0 ** -2, 2.0 ** -7), grid_n=256)
     new = [run_magnetic_trial(cfg, eps, 0) for eps in cfg.eps_schedule]
-    monkeypatch.setattr(magnetic, "sample_physical", sample_physical_blocked_scan)
+    calls = patch_oracle(magnetic, "sample_physical", sample_physical_blocked_scan)
     old = [run_magnetic_trial(cfg, eps, 0) for eps in cfg.eps_schedule]
+    assert len(calls) == 2
     for a, b in zip(new, old):
         for f in fields(a):
             x, y = getattr(a, f.name), getattr(b, f.name)
             assert abs(x - y) <= 1e-12 * abs(y), (a.eps, f.name)
 
 
-def test_trial_matches_lyapunov_transition_oracle(monkeypatch):
+def test_trial_matches_lyapunov_transition_oracle(patch_oracle):
     # the block-exponential transition against C - E C E^T and M^{-1}(I - E),
     # field by field, both through the symmetric noise root
     cfg = small_cfg(eps_schedule=(2.0 ** -2, 2.0 ** -3, 2.0 ** -4), grid_n=64)
     keys = [(eps, k) for eps in cfg.eps_schedule for k in range(4)]
     new = [run_magnetic_trial(cfg, eps, k) for eps, k in keys]
-    monkeypatch.setattr(gauss, "ou_joint_transition", ou_joint_transition_lyapunov)
+    calls = patch_oracle(gauss, "ou_joint_transition", ou_joint_transition_lyapunov)
     old = [run_magnetic_trial(cfg, eps, k) for eps, k in keys]
+    assert len(calls) == 3
     for a, b in zip(new, old):
         for f in fields(a):
             x, y = getattr(a, f.name), getattr(b, f.name)
             assert abs(x - y) <= 1e-12 * abs(y), f.name
 
 
-
-def test_trial_matches_scipy_transition_oracle(monkeypatch):
+def test_trial_matches_scipy_transition_oracle(patch_oracle):
     # the numpy Pade step and Kronecker solves against scipy's expm and LU
     # factorisation, field by field (vNorm through the Lyapunov solve)
     cfg = small_cfg(eps_schedule=tuple(2.0 ** -k for k in range(2, 6)), grid_n=64)
     keys = [(eps, k) for eps in cfg.eps_schedule for k in range(3)]
     new = [run_magnetic_trial(cfg, eps, k) for eps, k in keys]
-    monkeypatch.setattr(linstable, "_ou_integrals", ou_integrals_scipy)
-    monkeypatch.setattr(linstable, "_lyapunov_solve", lyapunov_solve_scipy)
+    steps = patch_oracle(linstable, "_ou_integrals", ou_integrals_scipy)
+    solves = patch_oracle(linstable, "_lyapunov_solve", lyapunov_solve_scipy)
     old = [run_magnetic_trial(cfg, eps, k) for eps, k in keys]
+    # per eps: one step, which solves for its C_r with scipy itself, and the
+    # counter-term's solve for C
+    assert len(steps) == 4 and len(solves) == 4
     for a, b in zip(new, old):
         for f in fields(a):
             x, y = getattr(a, f.name), getattr(b, f.name)
             assert abs(x - y) <= 1e-12 * abs(y), f.name
+
+
+def test_setup_is_built_once_per_eps_of_a_run():
+    # trial-major order visits every eps once per trial: each eps misses
+    # once (in check_setup) and every trial hits, at either thread count
+    cfg = small_cfg(eps_schedule=(2.0 ** -2, 2.0 ** -3, 2.0 ** -4), grid_n=16, mc_trials=5)
+    for threads in (1, 2):
+        _clear_setup_memos()
+        magnetic_experiment(cfg, threads=threads)
+        for memo in (gauss._physical_step, linstable._renorm_v):
+            info = memo.cache_info()
+            assert (info.misses, info.hits) == (3, 15), memo
+    assert linstable.SETUP_CACHE >= 3
+    L, levels = gauss.physical_step(drift_at(cfg, 0.25), 0.25, cfg.T, fine_grid_n(cfg, 0.25))
+    v = renorm_v(drift_at(cfg, 0.25))
+    for matrix in (L, v, *levels[0]):
+        assert not matrix.flags.writeable
+
+
+def test_experiment_rejects_unrunnable_setup_before_sampling(monkeypatch):
+    # A = 1e-300 I passes every config rule, but C and v are about 5e299
+    # and their norms overflow: the set-up check raises a ConfigError (a
+    # ValueError) that names the eps, and no trial samples
+    cfg = small_cfg(A=1e-300 * np.eye(2), beta=0.0)
+    monkeypatch.setattr(magnetic, "sample_physical", lambda *a: pytest.fail("sampled"))
+    with pytest.raises(ValueError, match="eps = 0.5: the stationary covariance C"):
+        magnetic_experiment(cfg)
 
 def test_trial_matches_cumsum_lift_oracle(monkeypatch):
     # level 1 in closed form, one reused level-2 buffer and Z written over P

@@ -706,6 +706,125 @@ def test_holder_distance_rejects_a_batch():
         assert holder_distance(x, y, 0.3) == holder_sweep(batch, y, 0.3)[0][m]
 
 
+
+# ------------------------------------------------- kept sweep geometry
+
+def _geometry_cases(rng, n):
+    """(x, y, shifts) sweeps on one uniform, one scaled (k/n T at T = 2.5)
+    and one non-uniform grid of n intervals: a batch of 3 lifts against the
+    zero lift and against a lift, with and without shifts."""
+    grids = [np.arange(n + 1) / n, np.arange(n + 1) / n * 2.5,
+             np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n))])]
+    for t in grids:
+        xs = [lift_piecewise_linear(t, rng.standard_normal((n + 1, 2))) for _ in range(3)]
+        g = rng.standard_normal((3, 2, 2))
+        for y in (zero_lift(t, 2), lift_piecewise_linear(t, rng.standard_normal((n + 1, 2)))):
+            for shifts in (None, g - g.transpose(0, 2, 1)):
+                yield _stack(xs), y, shifts
+                yield xs[0], y, None if shifts is None else shifts[:1]
+
+
+def _sweep_bits(cases, alpha):
+    return [tuple(None if r is None else r.tobytes() for r in holder_sweep(x, y, alpha, shifts))
+            for x, y, shifts in cases]
+
+
+@pytest.mark.parametrize("pair_block", [7, tensor2.PAIR_BLOCK])
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+def test_kept_geometry_sweeps_are_bitwise_the_block_built_ones(monkeypatch, pair_block, alpha):
+    # every sweep from a cold kept geometry, from a warm one, and after a
+    # sweep on another grid has replaced it, against blocks built into
+    # scratch (nothing kept); grids of n = 3 and 40 are kept whole at
+    # PAIR_BLOCK = 7 and the default respectively, n = 100 only at the default
+    monkeypatch.setattr(tensor2, "PAIR_BLOCK", pair_block)
+    for n in (3, 40, 100):
+        cases = list(_geometry_cases(np.random.default_rng(n), n))
+        kept = [tensor2.sweep_blocks(len(x.level1) if x.level1.ndim == 3 else 1, n,
+                                     shifts is not None, not np.any(y.level1))[2]
+                for x, y, shifts in cases]
+        assert any(kept) == (n <= (3 if pair_block == 7 else 100))
+        tensor2._kept_geometry.cache_clear()
+        cold = [_sweep_bits([case], alpha)[0] for case in cases]  # each case's first sweep
+        assert _sweep_bits(cases, alpha) == cold
+        other = next(_geometry_cases(np.random.default_rng(0), n + 1))
+        after = []
+        for case in cases:
+            tensor2._kept_geometry.cache_clear()
+            _sweep_bits([case], alpha)
+            _sweep_bits([other], alpha)
+            after.append(_sweep_bits([case], alpha)[0])
+        assert after == cold
+        monkeypatch.setattr(tensor2, "GEOMETRY_KEEP", 0)
+        assert _sweep_bits(cases, alpha) == cold
+        monkeypatch.setattr(tensor2, "GEOMETRY_KEEP", 2)
+    for x, y, shifts in cases:  # and the raw distances are the row loop's
+        if x.level1.ndim == 2:
+            assert holder_sweep(x, y, alpha)[0][0] == holder_distance_rowloop(x, y, alpha)
+
+
+def test_kept_geometry_is_read_only_and_keyed_by_grid_bits():
+    t = np.arange(17) / 16
+    tensor2._kept_geometry.cache_clear()
+    x, y = _random_pair(np.random.default_rng(30), n=16)
+    holder_distance(x, y, 0.3)
+    holder_distance(lift_piecewise_linear(t * 1.0, x.level1), zero_lift(t, 2), 0.3)
+    info = tensor2._kept_geometry.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    (block,) = tensor2._kept_geometry(t.tobytes(), 0.3, 16, False)
+    assert block[5] is None
+    for plane in block[2:5]:
+        assert not plane.flags.writeable
+
+
+def test_two_threads_sweeping_different_grids_give_the_serial_bits():
+    # both threads sweep at once, each on its own grid (kept, not kept, and
+    # batched), while the cache of kept geometries turns over
+    rng = np.random.default_rng(31)
+    jobs = [list(_geometry_cases(rng, n))[:6] for n in (16, 40, 300)]
+    tensor2._kept_geometry.cache_clear()
+    want = [_sweep_bits(cases, 0.3) for cases in jobs]
+    for _ in range(3):
+        tensor2._kept_geometry.cache_clear()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(lambda cases: [_sweep_bits(cases, 0.3) for _ in range(4)],
+                                jobs + jobs[::-1]))
+        assert [runs[0] for runs in got] == want + want[::-1]
+        assert all(len(set(map(tuple, runs))) == 1 for runs in got)
+
+
+def _retained_bytes(x, y):
+    # the traced memory a sweep leaves allocated, after a first sweep has
+    # sized the thread's scratch buffer
+    holder_distance(x, y, 0.3)
+    tracemalloc.start()
+    try:
+        holder_distance(x, y, 0.3)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweeps_keep_no_more_than_the_geometry_bound():
+    # a large grid keeps nothing after its sweep; a grid whose geometry is
+    # kept holds what sweep_blocks charges for it, within the bound
+    rng = np.random.default_rng(32)
+    x, y = _random_nonuniform_pair(rng, 2048, 2)
+    assert tensor2.sweep_blocks(1, 2048, False, False)[2] == 0
+    tensor2._kept_geometry.cache_clear()
+    assert _retained_bytes(x, y) < 2 ** 12
+    assert tensor2._kept_geometry.cache_info().currsize == 0
+    x, y = _random_nonuniform_pair(rng, 256, 2)
+    kept = tensor2.sweep_blocks(1, 256, False, False)[2]
+    assert kept == 49152 * 17 <= 17 * tensor2.GEOMETRY_KEEP * tensor2.PAIR_BLOCK
+    tensor2._kept_geometry.cache_clear()
+    tracemalloc.start()
+    try:
+        holder_distance(x, y, 0.3)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= held <= kept + 2 ** 12
+
 # ------------------------------------------------------------ LiftedPath API
 
 def test_interval_lifts_satisfy_chen():
