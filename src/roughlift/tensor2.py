@@ -34,13 +34,13 @@ IDENTITY_TOL = 1e-12
 FULL_PAIRS_LIMIT = 2048
 
 # Grid pairs per block of the Hoelder sweep, over all members of a batch.  A
-# block is about 50 numpy calls, and numpy releases the interpreter lock only
+# block is about 45 numpy calls, and numpy releases the interpreter lock only
 # inside each, so longer calls let the sweeps of two pool threads overlap
-# more.  On the magnetic-coarse benchmark (n = 256, d = 2, --threads 2,
-# Intel Xeon, 2 cores) blocks of 2^15 pairs cut the wall_s median from 326
-# ms at 2^14 to 265 ms (10 alternating runs each); in one process 2^16 took
-# 285 ms against 265 ms at 2^15.  One thread does more masked pairs (j <= i)
-# in the larger blocks: 371 ms against 355 ms at 2^14.
+# more.  The magnetic-coarse benchmark config (n = 256, d = 2, Intel Xeon, 2
+# cores, one process, 30 runs each, grid geometry kept) took a median of 214
+# ms at --threads 2 in blocks of 2^15 pairs against 256-258 ms at 2^14; at
+# --threads 1, where the larger blocks' masked pairs (j <= i) cost more, 270
+# ms against 258-261 ms, within the runs' spread.
 PAIR_BLOCK = 1 << 15
 
 # A sweep keeps the geometry of its grid (_geometry: the pair masks and the

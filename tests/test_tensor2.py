@@ -737,6 +737,7 @@ def test_kept_geometry_sweeps_are_bitwise_the_block_built_ones(monkeypatch, pair
     # scratch (nothing kept); grids of n = 3 and 40 are kept whole at
     # PAIR_BLOCK = 7 and the default respectively, n = 100 only at the default
     monkeypatch.setattr(tensor2, "PAIR_BLOCK", pair_block)
+    keep = tensor2.GEOMETRY_KEEP
     for n in (3, 40, 100):
         cases = list(_geometry_cases(np.random.default_rng(n), n))
         kept = [tensor2.sweep_blocks(len(x.level1) if x.level1.ndim == 3 else 1, n,
@@ -756,7 +757,7 @@ def test_kept_geometry_sweeps_are_bitwise_the_block_built_ones(monkeypatch, pair
         assert after == cold
         monkeypatch.setattr(tensor2, "GEOMETRY_KEEP", 0)
         assert _sweep_bits(cases, alpha) == cold
-        monkeypatch.setattr(tensor2, "GEOMETRY_KEEP", 2)
+        monkeypatch.setattr(tensor2, "GEOMETRY_KEEP", keep)
     for x, y, shifts in cases:  # and the raw distances are the row loop's
         if x.level1.ndim == 2:
             assert holder_sweep(x, y, alpha)[0][0] == holder_distance_rowloop(x, y, alpha)
