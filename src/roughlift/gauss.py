@@ -2,8 +2,8 @@
 
 * Brownian motion: iid increments.
 * Fractional Brownian motion: circulant embedding of the increment
-  covariance (real FFTs, exact in law, O(n log n), the embedding cached per
-  (n, H)).
+  covariance (real FFTs, exact in law, O(n log n)); a run builds the
+  embedding's root once (``embedding_root``) and passes it to every draw.
 * The physical pair (P, W): the momentum of dP = -(M/eps^2) P dt + dW
   stepped with its exact joint Gaussian transition, so the law at grid
   points carries no discretisation error.  The mean step P -> E P is a
@@ -23,7 +23,6 @@ any order.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,7 @@ import numpy as np
 import numpy.fft  # noqa: F401
 import numpy.random  # noqa: F401
 
-from .linstable import SETUP_CACHE, StableDrift, check_finite, ou_joint_transition
+from .linstable import StableDrift, check_finite, ou_joint_transition
 from .tensor2 import ROW_BLOCK, any_blockwise, running_sum_block
 
 _MASK64 = (1 << 64) - 1
@@ -95,7 +94,7 @@ class GridPath:
         object.__setattr__(self, "values", x)
 
 
-def _uniform_times(n: int, T: float) -> np.ndarray:
+def uniform_times(n: int, T: float) -> np.ndarray:
     # arange/n first: i/n is rounded once, so grids of different resolution
     # agree bitwise on shared rational points.  In place, so the grid costs
     # one array of n + 1 floats.
@@ -113,7 +112,7 @@ def sample_bm(T: float, N: int, d: int, seed: int) -> GridPath:
     inc = rng.standard_normal((N, d)) * np.sqrt(T / N)
     vals = np.zeros((N + 1, d))
     np.cumsum(inc, axis=0, out=vals[1:])
-    return GridPath(_uniform_times(N, T), vals)
+    return GridPath(uniform_times(N, T), vals)
 
 
 def fgn_autocov(k, H: float, spacing: float = 1.0) -> np.ndarray:
@@ -133,19 +132,11 @@ def _embedding_eigenvalues(n: int, H: float) -> np.ndarray:
     return np.fft.rfft(np.concatenate([r, r[-2:0:-1]])).real
 
 
-# The embedding depends on (n, H) alone and a run draws every trial at one
-# (n_ref, H); the test suite moves through a handful of (n, H) at a time.  An
-# entry holds n + 1 floats, 64 MiB at n = report.MAX_GRID_STEPS, so the
-# cache keeps at most EMBEDDING_CACHE entries (256 MiB) whatever runs.
-EMBEDDING_CACHE = 4
-
-
-@functools.lru_cache(maxsize=EMBEDDING_CACHE)
-def _embedding_sqrt(n: int, H: float) -> np.ndarray:
-    """Read-only square roots of the embedding eigenvalues, built once per
-    (n, H).  The embedding is nonnegative definite for fGn at every H
-    (Dietrich & Newsam 1997; Perrin et al. 2002), so a negative eigenvalue
-    is an error, raised before anything is cached."""
+def embedding_root(n: int, H: float) -> np.ndarray:
+    """Read-only square roots of the embedding eigenvalues of n fGn steps at
+    Hurst index H: what sample_fbm maps its normals through.  The embedding
+    is nonnegative definite for fGn at every H (Dietrich & Newsam 1997;
+    Perrin et al. 2002), so a negative eigenvalue raises ValueError."""
     g = _embedding_eigenvalues(n, H)
     if g.min() < -1e-10 * g.max():
         raise ValueError(f"negative embedding eigenvalue {g.min():g}")
@@ -154,23 +145,25 @@ def _embedding_sqrt(n: int, H: float) -> np.ndarray:
     return root
 
 
-def _fgn_circulant(rng: np.random.Generator, d: int, n: int, H: float) -> np.ndarray:
+def _fgn_circulant(rng: np.random.Generator, d: int, n: int, root: np.ndarray) -> np.ndarray:
     """d rows of exact unit-spacing fGn: each row of 2n iid normals mapped
-    through the real symmetric square root of the circulant embedding, first
-    n outputs kept.  Real input and a real symmetric spectrum make the map
-    one rfft/irfft pair; the normals are dropped once transformed."""
-    root = _embedding_sqrt(n, H)
+    through the real symmetric square root ``root`` of the circulant
+    embedding, first n outputs kept.  Real input and a real symmetric
+    spectrum make the map one rfft/irfft pair; the normals are dropped once
+    transformed."""
     spectrum = np.fft.rfft(rng.standard_normal((d, 2 * n)))
     spectrum *= root
     return np.fft.irfft(spectrum, n=2 * n)[:, :n]
 
 
-def sample_fbm(seed: int, H: float, n: int, d: int = 1, T: float = 1.0) -> GridPath:
+def sample_fbm(seed: int, H: float, n: int, d: int = 1, T: float = 1.0,
+               root=None) -> GridPath:
     """d components of fractional Brownian motion with Hurst index H at
     times i*T/n, i = 0..n, exact in law.
 
     The 2n normals per component are drawn for all components as one
-    (d, 2n) block (the stream of d successive draws).
+    (d, 2n) block (the stream of d successive draws).  ``root`` is
+    ``embedding_root(n, H)``, built here when not given.
     """
     if not (0.0 < H < 1.0):
         raise ValueError("H must lie in (0, 1)")
@@ -178,11 +171,15 @@ def sample_fbm(seed: int, H: float, n: int, d: int = 1, T: float = 1.0) -> GridP
         raise ValueError("n and d must be >= 1")
     if T <= 0.0:
         raise ValueError("T must be positive")
-    inc = _fgn_circulant(_rng(seed), d, n, H)
+    if root is None:
+        root = embedding_root(n, H)
+    elif root.shape != (n + 1,):
+        raise ValueError(f"root must have shape {(n + 1,)}, got {root.shape}")
+    inc = _fgn_circulant(_rng(seed), d, n, root)
     inc *= (T / n) ** H
     vals = np.zeros((n + 1, d))
     np.cumsum(inc.T, axis=0, out=vals[1:])
-    return GridPath(_uniform_times(n, T), vals)
+    return GridPath(uniform_times(n, T), vals)
 
 
 def required_steps(drift: StableDrift, eps: float, T: float) -> int:
@@ -262,26 +259,19 @@ def physical_step(drift: StableDrift, eps: float, T: float, N: int):
     """(L, levels) of sample_physical on the uniform N-step grid on [0, T]:
     the noise root of the exact transition over h = T/N (``noise_factor``)
     and the OU scan's levels (_scan_levels) on chunks of at most
-    min(N, ROW_BLOCK) steps.  Memoised by value (the drift's key, eps, h and
-    the chunk rows; linstable.SETUP_CACHE entries), so the trials of a run
-    build it once per eps; the arrays are read-only.  A mean map or noise
-    root that is not finite (linstable.check_finite) raises ValueError
-    before anything is cached."""
-    return _physical_step(*drift.key(), eps, T / N, min(N, ROW_BLOCK))
-
-
-@functools.lru_cache(maxsize=SETUP_CACHE)
-def _physical_step(a: bytes, b: bytes, d: int, eps: float, h: float, rows: int):
-    trans = ou_joint_transition(StableDrift.from_key(a, b, d), eps, h)
+    min(N, ROW_BLOCK) steps, as read-only arrays.  A mean map or noise root
+    that is not finite (linstable.check_finite) raises ValueError."""
+    h = T / N
+    trans = ou_joint_transition(drift, eps, h)
     L = trans.noise_factor()
     check_finite(f"the mean map of the OU step over h = {h:g}", trans.meanMap)
     check_finite(f"the noise root of the OU step over h = {h:g}", L)
     L.flags.writeable = False
-    return L, _scan_levels(trans.meanMap, rows)
+    return L, _scan_levels(trans.meanMap, min(N, ROW_BLOCK))
 
 
-def sample_physical(drift: StableDrift, eps: float, T: float, N: int,
-                    seed: int) -> tuple[GridPath, GridPath]:
+def sample_physical(drift: StableDrift, eps: float, T: float, N: int, seed: int,
+                    step=None) -> tuple[GridPath, GridPath]:
     """Momentum P and its driving Brownian motion W, jointly exact in law
     at the grid points of the uniform N-step grid on [0, T].
 
@@ -292,7 +282,8 @@ def sample_physical(drift: StableDrift, eps: float, T: float, N: int,
     each block's product with L^T has the rows of the whole-grid product
     bitwise, so the noise equals a one-shot draw (tests check this at
     ROW_BLOCK; OpenBLAS moves some rows by one ulp at odd block sizes such
-    as 7).
+    as 7).  ``step`` is ``physical_step(drift, eps, T, N)``, built here
+    when not given.
     """
     if eps <= 0.0 or T <= 0.0 or N < 1:
         raise ValueError("need eps > 0, T > 0, N >= 1")
@@ -302,7 +293,7 @@ def sample_physical(drift: StableDrift, eps: float, T: float, N: int,
             f"step h = {T / N:g} too coarse for the relaxation scale "
             f"eps^2/|M|; need N >= {n_req}")
     d = drift.dim
-    L, levels = physical_step(drift, eps, T, N)
+    L, levels = physical_step(drift, eps, T, N) if step is None else step
     rng = _rng(seed)
     P = np.zeros((N + 1, d))
     W = np.zeros((N + 1, d))
@@ -311,7 +302,7 @@ def sample_physical(drift: StableDrift, eps: float, T: float, N: int,
         noise = rng.standard_normal((k1 - k0, 2 * d)) @ L.T
         _ou_scan_block(levels, noise[:, :d], P, k0)
         running_sum_block(noise[:, d:], W, k0)
-    times = _uniform_times(N, T)
+    times = uniform_times(N, T)
     return GridPath(times, P), GridPath(times, W)
 
 

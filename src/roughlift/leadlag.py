@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import derive_seed, fgn_autocov, sample_fbm
-from .report import check_run, run_trials
+from .gauss import derive_seed, embedding_root, fgn_autocov, sample_fbm
+from .report import ConfigError, check_run, run_trials
 from .tensor2 import (ROW_BLOCK, LiftedPath, holder_sweep, lift_piecewise_linear,
                       running_outer_sum, sweep_blocks, zero_lift)
 # holder_distance and translate stay importable from here: perfbench/tracing.py
@@ -150,23 +150,20 @@ BATCH_BYTES = 1 << 23
 def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int, batch: int = 1) -> int:
     """Bound on the peak bytes of one run_leadlag_trial call on ``batch``
     trials: reference grid n_ref, dimension d, k schedule points, coarsest
-    n_min.  In floats of 8 B, with N = n_ref + 1, it is what the worker
-    thread holds throughout, the cached embedding root (N floats) and its
-    scratch buffer, plus the largest of the traced peaks of three phases.
-    The buffer is the larger of the blocks of the lifts and QV sums
-    (running_outer_sum, 2d + 1 floats a block row, (2d + 1) min(batch
-    n_ref, ROW_BLOCK)) and the planes of the sweep (tensor2.sweep_blocks,
-    for the batch's k members a trial, with shifts, against the zero
-    target): a thread holds one buffer, the largest it has been asked for.
-    On top comes the sweep's grid geometry where the sweep keeps it
-    (tensor2.GEOMETRY_KEEP; 6,400 B at the benchmark shape), which outlives
-    the call.  The phases:
+    n_min.  In floats of 8 B, with N = n_ref + 1, it is what the run and the
+    worker thread hold throughout, the run's embedding root (N floats,
+    built before the first batch) and the thread's scratch buffer, plus the
+    largest of the traced peaks of three phases.  The buffer is the larger
+    of the blocks of the lifts and QV sums (running_outer_sum, 2d + 1
+    floats a block row, (2d + 1) min(batch n_ref, ROW_BLOCK)) and the planes
+    of the sweep (tensor2.sweep_blocks, for the batch's k members a trial,
+    with shifts, against the zero target, with no level 1, its geometry
+    built block by block among them): a thread holds one buffer, the
+    largest it has been asked for.  The phases:
 
     * sampling, N d max(batch + 3, 2 batch): one draw holds d rows of 2n
       normals and their half-spectra (4d floats a step) beside the earlier
-      draws of the batch, and stacking the draws holds them twice.  The
-      first draw of a run builds the embedding root first, which takes 4N
-      floats beside the root, within the draw's 4 N d;
+      draws of the batch, and stacking the draws holds them twice;
     * lifting, N (1 + batch d) + batch (n_min + 1)(4 d^2 k + d^2 + 2 d):
       the stacked draws and the times; and on the coarsest grid the
       residuals (4 d^2 floats at each of the M = batch k (n_min + 1) member
@@ -184,11 +181,11 @@ def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int, batch: int = 1) 
     n = n_ref + 1
     members = batch * k
     points = members * (n_min + 1)
-    _, planes, kept = sweep_blocks(members, n_min, shifted=True, zero_target=True)
+    _, planes = sweep_blocks(members, n_min, shifted=True, zero_target=True, zero1=True)
     scratch = max((2 * d + 1) * min(batch * n_ref, ROW_BLOCK), sum(planes))
     sampling = n * d * max(batch + 3, 2 * batch)
     lifting = n * (1 + batch * d) + batch * (n_min + 1) * (4 * d * d * k + d * d + 2 * d)
-    return 8 * (n + scratch + max(sampling, lifting, 8 * d * d * points)) + kept
+    return 8 * (n + scratch + max(sampling, lifting, 8 * d * d * points))
 
 
 @dataclass(frozen=True)
@@ -252,10 +249,11 @@ class TrialResult:
     vNorm: float
 
 
-def run_leadlag_trial(cfg: LeadLagConfig, trials) -> list[list[TrialResult]]:
+def run_leadlag_trial(cfg: LeadLagConfig, trials, root=None) -> list[list[TrialResult]]:
     """One batch of coupled trials across the whole n-schedule: one record
     list per trial index in ``trials``, each bitwise the same whatever
-    batch the index is run in.
+    batch the index is run in.  ``root``, the draws' embedding root, is
+    passed to sample_fbm.
 
     Distances are measured on the coarsest schedule grid, where the
     lead-lag lift and the doubled reference (X, X) share level 1, so each
@@ -267,7 +265,7 @@ def run_leadlag_trial(cfg: LeadLagConfig, trials) -> list[list[TrialResult]]:
     (0, 1), where the doubled path's area is exactly 0: half the mean
     diagonal quadratic variation.
     """
-    res, area = _residuals(cfg, trials)
+    res, area = _residuals(cfg, trials, root)
     b, k, n1, d2 = res.shape[:4]
     times = np.arange(n1) / cfg.n_schedule[0]
     members = LiftedPath(times, np.broadcast_to(0.0, (b * k, n1, d2)),
@@ -282,7 +280,7 @@ def run_leadlag_trial(cfg: LeadLagConfig, trials) -> list[list[TrialResult]]:
             for raws, rens, devs in zip(dist_raw.reshape(b, k), dist_ren.reshape(b, k), area)]
 
 
-def _residuals(cfg: LeadLagConfig, trials) -> tuple[np.ndarray, np.ndarray]:
+def _residuals(cfg: LeadLagConfig, trials, root=None) -> tuple[np.ndarray, np.ndarray]:
     """(B, k, n_min + 1, 2d, 2d) level-2 residuals of the lead-lag lifts
     against the doubled reference on the coarsest grid, and (B, k)
     areaDev1, for the B trials of a batch and the k schedule points.
@@ -295,8 +293,8 @@ def _residuals(cfg: LeadLagConfig, trials) -> tuple[np.ndarray, np.ndarray]:
     residual's last row: minus the mean (i, d + i) Levy area.
     """
     d, n_ref, n_min = cfg.d, cfg.n_ref, cfg.n_schedule[0]
-    x = np.stack([sample_fbm(seed=derive_seed(cfg.base_seed, k), H=cfg.H, n=n_ref, d=d).values
-                  for k in trials])
+    x = np.stack([sample_fbm(seed=derive_seed(cfg.base_seed, k), H=cfg.H, n=n_ref, d=d,
+                             root=root).values for k in trials])
     ref = lift_piecewise_linear(np.arange(n_ref + 1) / n_ref, x, stride=n_ref // n_min).level2
     res = np.empty((len(x), len(cfg.n_schedule), n_min + 1, 2 * d, 2 * d))
     for m, n in enumerate(cfg.n_schedule):
@@ -308,8 +306,14 @@ def _residuals(cfg: LeadLagConfig, trials) -> tuple[np.ndarray, np.ndarray]:
 
 def leadlag_experiment(cfg: LeadLagConfig, threads: int = 1) -> list[dict]:
     """Per-n means and standard errors over mc_trials coupled trials, in
-    batches of cfg.batch.  run_leadlag_trial is looked up by name at each
-    call, so a wrapper set on this module (the traced benchmark's batch
-    span) sees every batch."""
-    return run_trials(lambda ks: run_leadlag_trial(cfg, ks), cfg.mc_trials, threads,
+    batches of cfg.batch, every draw through one embedding root built first:
+    a root that cannot be built raises a ConfigError (a ValueError) before
+    any sampling.  run_leadlag_trial is looked up by name at each call, so a
+    wrapper set on this module (the traced benchmark's batch span) sees
+    every batch."""
+    try:
+        root = embedding_root(cfg.n_ref, cfg.H)
+    except ValueError as e:
+        raise ConfigError(f"unrunnable at n_ref = {cfg.n_ref}, H = {cfg.H:g}: {e}") from e
+    return run_trials(lambda ks: run_leadlag_trial(cfg, ks, root), cfg.mc_trials, threads,
                       cfg.batch)

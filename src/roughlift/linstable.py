@@ -21,7 +21,6 @@ systems go through np.linalg.solve.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -46,16 +45,6 @@ _PADE = (
 )
 
 
-# Entries of each set-up memo: the counter-term here and the OU step of
-# gauss.physical_step, one entry per eps of a run.  Trials run trial-major,
-# so trial k asks for every eps in turn, and an LRU smaller than the schedule
-# would miss on every trial.  A schedule of more than SETUP_CACHE eps pays
-# what every trial paid without the memo: a Lyapunov solve and an exact OU
-# step per trial and eps, 0.6-0.8 ms at d = 2 (magnetic-coarse, Xeon).  An
-# entry is d^2 floats here; in gauss it is 0.1 MiB at d = 2 and 3.9 MiB at
-# d = 74, the largest dimension a config allows.
-SETUP_CACHE = 16
-
 
 @dataclass(frozen=True)
 class StableDrift:
@@ -63,7 +52,7 @@ class StableDrift:
 
     Re sigma(M) is bounded below by the smallest eigenvalue of A, so lam > 0
     whenever A is positive definite; lam equals min sigma(A) exactly when A
-    is a multiple of the identity.
+    is a multiple of the identity.  A, B and M are read-only copies.
     """
 
     A: np.ndarray
@@ -72,8 +61,8 @@ class StableDrift:
     lam: float = field(init=False)
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float)
+        A = np.array(self.A, dtype=float)
+        B = np.array(self.B, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != B.shape:
             raise ValueError("A and B must be square matrices of equal size")
         with np.errstate(over="ignore"):
@@ -90,6 +79,8 @@ class StableDrift:
         lam = float(np.min(np.linalg.eigvals(M).real))
         if lam <= 0.0:
             raise ValueError(f"drift is not stable: min Re eigenvalue = {lam:g}")
+        for matrix in (A, B, M):
+            matrix.flags.writeable = False
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "M", M)
@@ -98,15 +89,6 @@ class StableDrift:
     @property
     def dim(self) -> int:
         return self.A.shape[0]
-
-    def key(self) -> tuple[bytes, bytes, int]:
-        """The drift by value, for memos: the bytes of A and B and d."""
-        return self.A.tobytes(), self.B.tobytes(), self.dim
-
-    @staticmethod
-    def from_key(a: bytes, b: bytes, d: int) -> "StableDrift":
-        """The drift whose key() is (a, b, d), bit for bit."""
-        return StableDrift(np.frombuffer(a).reshape(d, d), np.frombuffer(b).reshape(d, d))
 
 
 @dataclass(frozen=True)
@@ -192,29 +174,21 @@ def lyapunov_C(drift: StableDrift) -> np.ndarray:
 
 
 def renorm_v(drift: StableDrift) -> np.ndarray:
-    """Area counter-term v = -1/2 (M C - C M^T), as the read-only (d, d)
-    array of its anti-symmetric part.
+    """Area counter-term v = -1/2 (M C - C M^T), as the (d, d) array of its
+    anti-symmetric part.
 
     Equivalent forms C M^T - I/2 and -M C + I/2 follow from the Lyapunov
     identity; their pairwise gaps equal half the Lyapunov residual.
 
-    Memoised by the drift's value (SETUP_CACHE entries).  A C or v whose
-    Frobenius norm is not finite (np.linalg.norm, which squares the entries)
-    raises ValueError before anything is cached: a run would report that
-    norm as inf and its distances as inf or nan.
+    A C or v whose Frobenius norm is not finite (np.linalg.norm, which
+    squares the entries) raises ValueError: a run would report that norm as
+    inf and its distances as inf or nan.
     """
-    return _renorm_v(*drift.key())
-
-
-@functools.lru_cache(maxsize=SETUP_CACHE)
-def _renorm_v(a: bytes, b: bytes, d: int) -> np.ndarray:
-    drift = StableDrift.from_key(a, b, d)
     C = lyapunov_C(drift)
     v = -0.5 * (drift.M @ C - C @ drift.M.T)
     v = 0.5 * (v - v.T)
     check_finite("the stationary covariance C", C)
     check_finite("the counter-term v", v)
-    v.flags.writeable = False
     return v
 
 

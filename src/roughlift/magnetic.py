@@ -17,10 +17,11 @@ import numpy as np
 
 from . import linstable
 from .gauss import (derive_Z, derive_seed, float_index, physical_step, required_steps,
-                    sample_physical)
+                    sample_physical, uniform_times)
 from .linstable import StableDrift, lyapunov_bytes, renorm_v
 from .report import ConfigError, check_run, run_trials
-from .tensor2 import holder_distance, lift_piecewise_linear, translate, zero_lift
+from .tensor2 import (SweepGeometry, holder_distance, lift_piecewise_linear, sweep_geometry,
+                      translate, zero_lift)
 
 
 @dataclass(frozen=True)
@@ -119,14 +120,27 @@ def fine_step_bytes(d: int) -> int:
     return 8 * (d + 1) ** 2
 
 
-def run_magnetic_trial(cfg: MagneticConfig, eps: float, trial_index: int) -> TrialResult:
-    drift = drift_at(cfg, eps)
+@dataclass(frozen=True)
+class EpsPlan:
+    """What every trial at one eps reads, built by ``plan_run``: the drift,
+    the fine step count, the output grid's stride in it, the OU step of
+    sample_physical (gauss.physical_step) and the output grid's sweep
+    geometry (None where the sweeps build their own), all read-only."""
+
+    eps: float
+    drift: StableDrift
+    n_fine: int
+    stride: int
+    step: tuple
+    geometry: SweepGeometry | None
+
+
+def run_magnetic_trial(cfg: MagneticConfig, plan: EpsPlan, trial_index: int) -> TrialResult:
+    eps, drift, n_fine = plan.eps, plan.drift, plan.n_fine
     v = renorm_v(drift)
-    n_fine = fine_grid_n(cfg, eps)
-    stride = n_fine // cfg.grid_n
     seed = derive_seed(cfg.base_seed, float_index(eps), trial_index)
-    P, W = sample_physical(drift, eps, cfg.T, n_fine, seed)
-    out_idx = np.arange(0, n_fine + 1, stride)
+    P, W = sample_physical(drift, eps, cfg.T, n_fine, seed, step=plan.step)
+    out_idx = np.arange(0, n_fine + 1, plan.stride)
 
     # P, Z and W are lifted in turn into one level-2 buffer, each lift
     # restricted before the next overwrites it, and Z is written over P once
@@ -140,10 +154,11 @@ def run_magnetic_trial(cfg: MagneticConfig, eps: float, trial_index: int) -> Tri
     liftW = lift_piecewise_linear(W.times, W.values, out=level2).restrict(out_idx)
 
     zero = zero_lift(liftP.times, cfg.d)
-    distP_renorm = holder_distance(translate(liftP, v), zero, cfg.alpha)
-    distP_raw = holder_distance(liftP, zero, cfg.alpha)
-    distZ_renorm = holder_distance(translate(liftZ, v), liftW, cfg.alpha)
-    distZ_raw = holder_distance(liftZ, liftW, cfg.alpha)
+    geometry = plan.geometry
+    distP_renorm = holder_distance(translate(liftP, v), zero, cfg.alpha, geometry=geometry)
+    distP_raw = holder_distance(liftP, zero, cfg.alpha, geometry=geometry)
+    distZ_renorm = holder_distance(translate(liftZ, v), liftW, cfg.alpha, geometry=geometry)
+    distZ_raw = holder_distance(liftZ, liftW, cfg.alpha, geometry=geometry)
     area_dev = float(np.linalg.norm(liftZ.level2[-1] - liftW.level2[-1]))
     return TrialResult(eps=float(eps), distP_renorm=distP_renorm,
                        distP_raw=distP_raw, distZ_renorm=distZ_renorm,
@@ -151,27 +166,30 @@ def run_magnetic_trial(cfg: MagneticConfig, eps: float, trial_index: int) -> Tri
                        vNorm=float(np.linalg.norm(v)))
 
 
-def check_setup(cfg: MagneticConfig) -> None:
-    """Build every eps's counter-term and OU step into the memos the trials
-    read, before any sampling: a ConfigError (a ValueError) names the first
-    eps whose C, v or OU step is not finite.  The memos are keyed by value,
-    so the trials find these entries and the check costs a run nothing."""
+def plan_run(cfg: MagneticConfig) -> list[EpsPlan]:
+    """Every eps's plan, all sharing the output grid's sweep geometry, built
+    before any sampling: a ConfigError (a ValueError) names the first eps
+    whose C, v or OU step is not finite."""
+    geometry = sweep_geometry(uniform_times(cfg.grid_n, cfg.T), cfg.alpha)
+    plans = []
     for eps in cfg.eps_schedule:
-        drift = drift_at(cfg, eps)
+        drift, n_fine = drift_at(cfg, eps), fine_grid_n(cfg, eps)
         try:  # linstable's name, so that the calls of this module's
             # renorm_v stay one per trial and eps (perfbench counts them)
             linstable.renorm_v(drift)
-            physical_step(drift, eps, cfg.T, fine_grid_n(cfg, eps))
+            plans.append(EpsPlan(eps, drift, n_fine, n_fine // cfg.grid_n,
+                                 physical_step(drift, eps, cfg.T, n_fine), geometry))
         except ValueError as e:
             raise ConfigError(f"unrunnable at eps = {eps:g}: {e}") from e
+    return plans
 
 
 def magnetic_experiment(cfg: MagneticConfig, threads: int = 1) -> list[dict]:
     """Per-eps means and standard errors over mc_trials independent trials.
 
     Trial k runs every eps; seeds are derived per (eps, trial), so the
-    output is independent of the thread count.  ``check_setup`` runs first.
+    output is independent of the thread count.  ``plan_run`` runs first.
     """
-    check_setup(cfg)
-    return run_trials(lambda ks: [[run_magnetic_trial(cfg, eps, k) for eps in cfg.eps_schedule]
+    plans = plan_run(cfg)
+    return run_trials(lambda ks: [[run_magnetic_trial(cfg, plan, k) for plan in plans]
                                   for k in ks], cfg.mc_trials, threads)

@@ -15,7 +15,6 @@ an anti-symmetric (d, d) array, to the second level of every interval lift.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import threading
@@ -43,16 +42,14 @@ FULL_PAIRS_LIMIT = 2048
 # ms against 258-261 ms, within the runs' spread.
 PAIR_BLOCK = 1 << 15
 
-# A sweep keeps the geometry of its grid (_geometry: the pair masks and the
-# time-step powers of every block, and the time steps with shifts), built
-# once and read-only, when a plane of it has at most GEOMETRY_KEEP *
-# PAIR_BLOCK entries over all blocks: 49,152 at n = 256 and k = 1, so the
-# magnetic output grid keeps one.  Larger grids build each block's geometry
-# into the thread's scratch buffer.  At most GEOMETRY_CACHE geometries are
-# kept, each at most (8 (2 + shifts) + 1) GEOMETRY_KEEP PAIR_BLOCK bytes
-# (1.6 MiB), whatever the grid size.
+# sweep_geometry builds the geometry of a sweep's grid (_geometry: the pair
+# masks and the time-step powers of every block, and the time steps with
+# shifts) once, read-only, for every sweep on that grid, when a plane of it
+# has at most GEOMETRY_KEEP * PAIR_BLOCK entries over all blocks: 49,152 at
+# n = 256 and k = 1, so the magnetic output grid has one, and none holds
+# more than (8 (2 + shifts) + 1) GEOMETRY_KEEP PAIR_BLOCK bytes (1.6 MiB).
+# Other sweeps build each block's geometry into the thread's scratch buffer.
 GEOMETRY_KEEP = 2
-GEOMETRY_CACHE = 4
 
 # The scratch arrays of holder_sweep and running_outer_sum, cut from one
 # buffer per thread, kept across calls and grown on demand: freed, blocks of
@@ -337,7 +334,7 @@ def translate(path: LiftedPath, v) -> LiftedPath:
     return LiftedPath(path.times, path.level1.copy(), path.level2 + shift)
 
 
-def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None):
+def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None, geometry=None):
     """Inhomogeneous alpha-Hoelder distances of the k members of ``x`` (one
     lift, k = 1, or a batch of k) to one target ``y`` on the same grid,
     from one sweep over all grid pairs s < t.
@@ -353,22 +350,22 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None):
     j = i0+1..n, with j <= i masked, about PAIR_BLOCK pairs over all k
     members.  Each block is a stack of k planes.  The grid's geometry (the
     masks and time-step powers of every block, _geometry) is shared by every
-    member and both distances, and kept across calls on a small grid
-    (GEOMETRY_KEEP); the target's cross terms are computed once per block
-    for every member.  Planes that are exactly zero are not built: with the
-    target's level 1 all zero its cross terms, and with the members' level 1
-    all zero as well the level-1 planes and the members' cross terms; and a
-    target whose level 2 is all zero is not subtracted.  Skipping them
+    member and both distances: it is ``geometry``, built once for the sweeps
+    of a grid (``sweep_geometry``), or else each block's is built in turn.
+    The target's cross terms are computed once per block for every member.
+    Planes that are exactly zero are not built: with the target's level 1
+    all zero its cross terms, and with the members' level 1 all zero as
+    well the level-1 planes, the members' cross terms and (t - s)^alpha;
+    and a target whose level 2 is all zero is not subtracted.  Skipping them
     changes at most the sign of a zero residual entry, which squaring
     removes, so the results are bitwise unchanged.  The planes
     (``sweep_blocks``) are sized by the first block, which has the most
     pairs, and cut from the calling thread's scratch buffer, kept across
     blocks and calls.  So besides the O(k n d^2) grid arrays (one level-2
     difference per member, and one level-1 difference unless level 1 is
-    zero) and a kept geometry, the sweep holds at most four planes of
-    max(PAIR_BLOCK, k n) floats and four of max(PAIR_BLOCK // k, n)
-    whatever the number of pairs, and less on a grid whose pairs all fit in
-    one block.
+    zero), the sweep holds at most four planes of max(PAIR_BLOCK, k n)
+    floats and four of max(PAIR_BLOCK // k, n) whatever the number of pairs,
+    and less on a grid whose pairs all fit in one block.
     """
     if not (0.0 <= alpha < 0.5):
         raise ValueError("alpha must lie in [0, 1/2)")
@@ -400,10 +397,12 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None):
         y1 = np.ascontiguousarray(y.level1.T)
         w = x1 - y1
     shifted = shifts is not None
-    rows, sizes, kept = sweep_blocks(k, n, shifted, y_zero)
+    rows, sizes = sweep_blocks(k, n, shifted, y_zero, zero1, geometry is not None)
+    if geometry is not None and geometry.key != (t.tobytes(), alpha, rows, shifted):
+        raise ValueError("the geometry is not that of this grid, alpha and sweep")
     planes = _scratch(*[(size,) for size in sizes])
-    blocks = (_kept_geometry(t.tobytes(), alpha, rows, shifted) if kept
-              else _geometry(t, alpha, rows, shifted, planes[len(planes) - 2 - shifted:]))
+    blocks = (geometry.blocks if geometry is not None
+              else _geometry(t, alpha, rows, shifted, not zero1, planes[3 + shifted + (not y_zero):]))
     sup = np.zeros((3, k))  # level 1, level 2, shifted level 2
     for i0, i1, pair, power, power2, dt in blocks:
         shape = (i1 - i0, n - i0)
@@ -437,67 +436,80 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None):
     return sup[0] + sup[1], sup[0] + sup[2] if shifted else None
 
 
-def sweep_blocks(k: int, n: int, shifted: bool,
-                 zero_target: bool) -> tuple[int, list[int], int]:
+def sweep_blocks(k: int, n: int, shifted: bool, zero_target: bool, zero1: bool = False,
+                 geometry: bool = False) -> tuple[int, list[int]]:
     """Grid rows per block of a holder_sweep of k members on n intervals,
-    the sizes in floats of the planes it cuts from the thread's scratch
-    buffer, and the bytes of the grid geometry it keeps (0 if none).
+    and the sizes in floats of the planes it cuts from the thread's scratch
+    buffer.
 
     The planes: a, r and acc, and acc_shifted when ``shifted``, for every
     member, then the target's cross term c unless ``zero_target``, shared by
-    all members, and the 2 + shifted geometry planes of one block
-    (_geometry) unless the geometry is kept.  The first block has the most
-    pairs, rows n a member, so the planes are sized by it.  A kept geometry
-    is all blocks' geometry, 8 (2 + shifted) + 1 bytes (its planes and the
-    pair mask) at each of its plane entries, and it is kept when it has at
-    most GEOMETRY_KEEP * PAIR_BLOCK entries.
+    all members, and unless the sweep is given its ``geometry``, the
+    geometry planes of one block (_geometry): (t - s)^(2 alpha), t - s when
+    ``shifted`` (else the power is written over it), and (t - s)^alpha
+    unless the members and the target have no level 1 (``zero1``).  The
+    first block has the most pairs, rows n a member, so the planes are
+    sized by it.
     """
     rows = min(n, max(1, PAIR_BLOCK // (k * n)))
     pairs = rows * n
-    whole, last = divmod(n, rows)  # blocks of ``rows`` rows, and a last of ``last``
-    entries = rows * (whole * n - rows * whole * (whole - 1) // 2) + last * last
-    kept = entries <= GEOMETRY_KEEP * PAIR_BLOCK
     sizes = [k * pairs] * (3 + shifted) + [pairs] * (1 - zero_target)
-    if not kept:
-        sizes += [pairs] * (2 + shifted)
-    return rows, sizes, entries * (8 * (2 + shifted) + 1) if kept else 0
+    if not geometry:
+        sizes += [pairs] * (1 + shifted + (not zero1))
+    return rows, sizes
 
 
-def _geometry(t, alpha: float, rows: int, shifted: bool, planes=None):
+@dataclass(frozen=True)
+class SweepGeometry:
+    """_geometry's blocks in read-only arrays, shared by the sweeps and
+    threads given them, for the grid bytes, alpha, block rows and shifting
+    of ``key``."""
+
+    key: tuple
+    blocks: tuple
+
+
+def sweep_geometry(times, alpha: float, k: int = 1,
+                   shifted: bool = False) -> SweepGeometry | None:
+    """The geometry of the sweeps of k members on the grid ``times``, with
+    or without shifts, for their ``geometry`` argument: 8 (2 + shifted) + 1
+    bytes (the planes and the pair mask) an entry, or None over
+    GEOMETRY_KEEP * PAIR_BLOCK entries a plane."""
+    t = np.asarray(times, dtype=float)
+    n = len(t) - 1
+    rows = sweep_blocks(k, n, shifted, True)[0]
+    if sum(min(rows, n - i0) * (n - i0) for i0 in range(0, n, rows)) > GEOMETRY_KEEP * PAIR_BLOCK:
+        return None
+    blocks = tuple(_geometry(t, alpha, rows, shifted))
+    for array in (a for block in blocks for a in block[2:] if a is not None):
+        array.flags.writeable = False
+    return SweepGeometry((t.tobytes(), alpha, rows, shifted), blocks)
+
+
+def _geometry(t, alpha: float, rows: int, shifted: bool, level1: bool = True, planes=None):
     """The geometry of a sweep on the grid ``t`` in blocks of ``rows`` grid
     rows: per block, its rows i0 <= i < i1, the mask of its pairs j > i
-    among the columns j = i0+1..n, (t_j - t_i)^alpha, (t_j - t_i)^(2 alpha)
-    and, when ``shifted``, t_j - t_i (else None), with t_j - t_i = 1 at the
-    masked pairs to keep their powers finite.  The planes are written into
-    ``planes`` (2 + shifted, each of at least a block) when given, the next
-    block over the last, else into new arrays."""
+    among the columns j = i0+1..n, (t_j - t_i)^alpha when ``level1`` (else
+    None), (t_j - t_i)^(2 alpha) and, when ``shifted``, t_j - t_i (else
+    None), with t_j - t_i = 1 at the masked pairs to keep their powers
+    finite.  The planes are written into ``planes`` (level1 + 1 + shifted,
+    each of at least a block) when given, the next block over the last, else
+    into new arrays."""
     n = len(t) - 1
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
         shape = (i1 - i0, n - i0)
         if planes is None:
-            g = np.empty((2 + shifted,) + shape)
+            g = np.empty((level1 + 1 + shifted,) + shape)
         else:
             g = [p[:shape[0] * shape[1]].reshape(shape) for p in planes]
         pair = np.arange(i0, i1)[:, None] < np.arange(i0 + 1, n + 1)
         dt = g[-1]
         np.subtract(t[i0 + 1:], t[i0:i1, None], out=dt)
         np.copyto(dt, 1.0, where=np.logical_not(pair))
-        np.power(dt, alpha, out=g[0])
-        np.power(dt, 2.0 * alpha, out=g[1])  # over dt itself without shifts
-        yield i0, i1, pair, g[0], g[1], dt if shifted else None
-
-
-@functools.lru_cache(maxsize=GEOMETRY_CACHE)
-def _kept_geometry(times: bytes, alpha: float, rows: int, shifted: bool) -> tuple:
-    """_geometry of the grid with the bytes ``times``, built once into
-    read-only arrays and shared by the calls and threads that sweep it."""
-    blocks = tuple(_geometry(np.frombuffer(times), alpha, rows, shifted))
-    for block in blocks:
-        for plane in block[2:]:
-            if plane is not None:
-                plane.flags.writeable = False
-    return blocks
+        power = np.power(dt, alpha, out=g[0]) if level1 else None
+        power2 = np.power(dt, 2.0 * alpha, out=g[int(level1)])  # over dt without shifts
+        yield i0, i1, pair, power, power2, dt if shifted else None
 
 
 def _scratch(*shapes) -> list[np.ndarray]:
@@ -529,10 +541,10 @@ def _accumulate_square(r, acc, first: bool):
         acc += r
 
 
-def holder_distance(x: LiftedPath, y: LiftedPath, alpha: float) -> float:
+def holder_distance(x: LiftedPath, y: LiftedPath, alpha: float, *, geometry=None) -> float:
     """Inhomogeneous alpha-Hoelder distance between two lifts on one grid:
-    ``holder_sweep(x, y, alpha)`` for one member (ValueError if ``x`` is a
-    batch).
+    ``holder_sweep(x, y, alpha, geometry=geometry)`` for one member
+    (ValueError if ``x`` is a batch).
 
     Sum of sup |X_{s,t} - Y_{s,t}| / (t-s)^alpha (Euclidean norm) and
     sup |XX_{s,t} - YY_{s,t}| / (t-s)^(2 alpha) (Frobenius norm) over all
@@ -547,4 +559,4 @@ def holder_distance(x: LiftedPath, y: LiftedPath, alpha: float) -> float:
     """
     if x.level1.ndim != 2:
         raise ValueError("x must be one lift; use holder_sweep for a batch")
-    return float(holder_sweep(x, y, alpha)[0][0])
+    return float(holder_sweep(x, y, alpha, geometry=geometry)[0][0])

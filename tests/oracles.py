@@ -18,7 +18,7 @@ the lead-lag trial's strided lifts, single sweep and counter_terms; the
 lead-lag residual assembled from fresh difference and half-QV arrays
 instead of written block by block in place; a
 complex FFT per component, with the embedding rebuilt on every call,
-instead of the cached real-spectrum fGn map; and the Cholesky factor of
+instead of the real-spectrum fGn map; and the Cholesky factor of
 the fGn covariance instead of its circulant embedding.
 """
 import math
@@ -215,11 +215,11 @@ def ou_recursion_blocked(E, buf):
         q[:, m] += c
 
 
-def sample_physical_blocked_scan(drift, eps, T, N, seed):
+def sample_physical_blocked_scan(drift, eps, T, N, seed, step=None):
     """gauss.sample_physical with every chunk's noise written to an
     ou_buffer and one ou_recursion_blocked over the whole grid after the
-    draws."""
-    from roughlift.gauss import GridPath, _rng, _uniform_times
+    draws.  It builds its own transition and ignores ``step``."""
+    from roughlift.gauss import GridPath, _rng, uniform_times
     from roughlift.linstable import ou_joint_transition
     from roughlift.tensor2 import ROW_BLOCK, running_sum_block
 
@@ -235,7 +235,7 @@ def sample_physical_blocked_scan(drift, eps, T, N, seed):
         P[k0 + 1:k1 + 1] = noise[:, :d]
         running_sum_block(noise[:, d:], W, k0)
     ou_recursion_blocked(trans.meanMap, P)
-    times = _uniform_times(N, T)
+    times = uniform_times(N, T)
     return GridPath(times, P[:N + 1]), GridPath(times, W)
 
 
@@ -337,7 +337,7 @@ def qv_matmul(x, stride: int):
     return out
 
 
-def leadlag_residuals_assembled(cfg, trials):
+def leadlag_residuals_assembled(cfg, trials, root=None):
     """leadlag._residuals with the residual assembled from fresh arrays: for
     each n the difference dD of its strided lift from the reference lift,
     then half the QV, then the four blocks [[dD, dD - Q/2], [dD + Q/2, dD]]
@@ -348,8 +348,8 @@ def leadlag_residuals_assembled(cfg, trials):
     from roughlift.tensor2 import lift_piecewise_linear, running_outer_sum
 
     d, n_ref, n_min = cfg.d, cfg.n_ref, cfg.n_schedule[0]
-    x = np.stack([sample_fbm(seed=derive_seed(cfg.base_seed, k), H=cfg.H, n=n_ref, d=d).values
-                  for k in trials])
+    x = np.stack([sample_fbm(seed=derive_seed(cfg.base_seed, k), H=cfg.H, n=n_ref, d=d,
+                             root=root).values for k in trials])
     t = np.arange(n_ref + 1) / n_ref
     ref = lift_piecewise_linear(t, x, stride=n_ref // n_min).level2
     res = np.empty((len(x), len(cfg.n_schedule), n_min + 1, 2 * d, 2 * d))
@@ -412,11 +412,12 @@ def _fgn_circulant_complex(z, n, H):
     return np.fft.ifft(np.sqrt(g) * np.fft.fft(z)).real[:n]
 
 
-def sample_fbm_complex_fft(seed, H, n, d=1, T=1.0):
+def sample_fbm_complex_fft(seed, H, n, d=1, T=1.0, root=None):
     """gauss.sample_fbm's circulant route one component at a time: 2n
     normals per component, the embedding's eigenvalues from a complex FFT of
-    the autocovariance row and the map from a complex FFT pair."""
-    from roughlift.gauss import GridPath, _rng, _uniform_times
+    the autocovariance row and the map from a complex FFT pair.  It builds
+    its own embedding and ignores ``root``."""
+    from roughlift.gauss import GridPath, _rng, uniform_times
 
     rng = _rng(seed)
     spacing_scale = (T / n) ** H
@@ -424,7 +425,7 @@ def sample_fbm_complex_fft(seed, H, n, d=1, T=1.0):
     for c in range(d):
         z = rng.standard_normal(2 * n)
         np.cumsum(spacing_scale * _fgn_circulant_complex(z, n, H), out=vals[1:, c])
-    return GridPath(_uniform_times(n, T), vals)
+    return GridPath(uniform_times(n, T), vals)
 
 
 def _fgn_cholesky(rng: np.random.Generator, d: int, n: int, H: float) -> np.ndarray:
@@ -439,13 +440,13 @@ def sample_fbm_cholesky(seed, H, n, d=1, T=1.0):
     covariance in place of the circulant embedding.  It draws the same
     (d, 2n) block of normals and keeps the first n of each row, so at
     H = 1/2, where both maps are the identity, the paths agree pathwise."""
-    from roughlift.gauss import GridPath, _rng, _uniform_times
+    from roughlift.gauss import GridPath, _rng, uniform_times
 
     inc = _fgn_cholesky(_rng(seed), d, n, H)
     inc *= (T / n) ** H
     vals = np.zeros((n + 1, d))
     np.cumsum(inc.T, axis=0, out=vals[1:])
-    return GridPath(_uniform_times(n, T), vals)
+    return GridPath(uniform_times(n, T), vals)
 
 
 def leadlag_trial_full_lifts(cfg, trial_index: int):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -233,6 +234,20 @@ def test_cli_rejects_malformed_config(tmp_path, capsys, no_sampling, kind, chang
     out = tmp_path / "out"
     assert main([kind, "--config", cfg, "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_unrunnable_leadlag_setup(tmp_path, capsys, monkeypatch, no_sampling):
+    # a circulant embedding with a negative eigenvalue (lags 0 and +-1
+    # only): the run's root is built before any sampling, so the run exits 2
+    # naming n_ref and H, and writes nothing
+    monkeypatch.setattr(roughlift.gauss, "fgn_autocov",
+                        lambda k, H: (np.abs(k) <= 1).astype(float))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", leadlag_doc())
+    assert main(["leadlag", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: unrunnable at n_ref = 256, H = 0.4: negative embedding" in err
     assert not out.exists()
 
 

@@ -154,32 +154,23 @@ def test_fbm_increment_stationarity():
     assert np.all(np.abs(means - expected) <= 3.0 * ses)
 
 
-@pytest.fixture
-def cold_embedding_cache():
-    gauss._embedding_sqrt.cache_clear()
-    yield
-    gauss._embedding_sqrt.cache_clear()
-
-
-def test_fbm_negative_embedding_raises(monkeypatch, cold_embedding_cache):
+def test_fbm_negative_embedding_raises(monkeypatch):
     # lags 0 and +-1 only: circulant eigenvalues 1 + 2 cos(pi j / n), down to -1
     monkeypatch.setattr(gauss, "fgn_autocov", lambda k, H: (np.abs(k) <= 1).astype(float))
     with pytest.raises(ValueError, match="negative embedding eigenvalue"):
         sample_fbm(seed=5, H=0.4, n=16)
-    assert gauss._embedding_sqrt.cache_info().currsize == 0  # the failed build is not kept
 
 
 @pytest.mark.parametrize("H", [0.26, 0.3, 0.35, 0.4, 0.45, 0.5])
 def test_fgn_embedding_eigenvalues_nonnegative(H):
     # the minimal circulant embedding sample_fbm uses, at every n = 2^k <= 2^16:
     # its real half-spectrum has no negative eigenvalue, so nothing is clipped
-    # and the cached roots are the exact square roots
+    # and the roots are the exact square roots
     for k in range(17):
         n = 2 ** k
         g = gauss._embedding_eigenvalues(n, H)
         assert g.shape == (n + 1,) and g.min() >= 0.0, (H, n)
-        assert np.array_equal(gauss._embedding_sqrt(n, H), np.sqrt(g)), (H, n)
-    assert gauss._embedding_sqrt.cache_info().currsize <= gauss.EMBEDDING_CACHE
+        assert np.array_equal(gauss.embedding_root(n, H), np.sqrt(g)), (H, n)
 
 
 @pytest.mark.parametrize("H", [0.26, 0.3, 0.4, 0.45, 0.5])
@@ -193,43 +184,38 @@ def test_fbm_matches_complex_fft_oracle(H, n, d):
     assert np.abs(path.values - want.values).max() <= 1e-12 * np.abs(want.values).max()
 
 
-def test_embedding_cache_is_bounded_and_read_only(cold_embedding_cache):
-    for n in range(1, 3 * gauss.EMBEDDING_CACHE):
-        sample_fbm(seed=n, H=0.4, n=n)
-        assert gauss._embedding_sqrt.cache_info().currsize <= gauss.EMBEDDING_CACHE
-    root = gauss._embedding_sqrt(8, 0.4)
+def test_embedding_root_is_read_only():
+    root = gauss.embedding_root(8, 0.4)
     with pytest.raises(ValueError, match="read-only"):
         root[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         root *= 2.0
 
 
-def test_embedding_cache_keys_on_n_and_H(cold_embedding_cache):
-    # each new (n, H) is a miss with its own roots; a repeated spec is a hit
-    keys = [(16, 0.4), (17, 0.4), (16, 0.3), (16, 0.4 + 2 ** -40)]
-    for i, (n, H) in enumerate(keys, start=1):
+def test_fbm_given_root_draws_the_same_bits():
+    # a root built once and passed in gives each (n, H) the draw that builds
+    # its own root, bit for bit; a root of another n is rejected
+    for n, H in [(16, 0.4), (17, 0.4), (16, 0.3), (16, 0.4 + 2 ** -40)]:
         spec = dict(seed=7, H=H, n=n, d=2)
+        got = sample_fbm(**spec, root=gauss.embedding_root(n, H)).values
+        assert got.tobytes() == sample_fbm(**spec).values.tobytes()
         want = sample_fbm_complex_fft(**spec).values
-        got = sample_fbm(**spec).values
-        assert gauss._embedding_sqrt.cache_info().misses == i
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        assert np.array_equal(gauss._embedding_sqrt(n, H), np.sqrt(
-            np.clip(gauss._embedding_eigenvalues(n, H), 0.0, None)))
-    assert gauss._embedding_sqrt.cache_info().hits == len(keys)
-    sample_fbm(seed=8, H=0.4, n=16)
-    assert gauss._embedding_sqrt.cache_info().misses == len(keys)
+    with pytest.raises(ValueError, match="root must have shape"):
+        sample_fbm(seed=7, H=0.4, n=16, root=gauss.embedding_root(17, 0.4))
 
 
-def test_fbm_threads_on_cold_cache_agree(cold_embedding_cache):
-    # more threads than cores race to build one entry, with frequent switches
+def test_fbm_threads_sharing_a_root_agree():
+    # more threads than cores draw through one root, with frequent switches
     spec = dict(seed=19, H=0.35, n=2 ** 14, d=2)
+    root = gauss.embedding_root(spec["n"], spec["H"])
     workers = 4
     barrier = threading.Barrier(workers, timeout=30)
     out = [None] * workers
 
     def draw(i):
         barrier.wait()
-        out[i] = sample_fbm(**spec).values.tobytes()
+        out[i] = sample_fbm(**spec, root=root).values.tobytes()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -365,8 +365,8 @@ def test_trial_matches_assembled_residual_oracle(monkeypatch, d, schedule, n_ref
 
 
 def test_trial_matches_complex_fft_sampler(monkeypatch):
-    # the leadlag benchmark config, all 64 trials: with the cached real-FFT
-    # fGn map every field stays within 1e-12 relative of the trial drawn by
+    # the leadlag benchmark config, all 64 trials: with the real-FFT fGn map
+    # every field stays within 1e-12 relative of the trial drawn by
     # the per-component complex-FFT route, the counter-term norm bit for bit
     cfg = LeadLagConfig(H=0.4, alpha=0.3, n_schedule=(16, 32, 64, 128, 256, 512, 1024),
                         n_ref=4096, d=1, mc_trials=64, base_seed=0)
@@ -399,13 +399,13 @@ def test_trial_records_do_not_depend_on_batch(d):
 
 
 def _trial_peak_bytes(cfg):
-    # one whole batch from a cold embedding cache on a fresh worker thread
-    # (no scratch buffer yet), as the first batch of a run starts
-    gauss._embedding_sqrt.cache_clear()
+    # one whole batch on a fresh worker thread (no scratch buffer yet), as
+    # the first batch of a run starts, after the run has built its root
     tracemalloc.start()
     try:
+        root = gauss.embedding_root(cfg.n_ref, cfg.H)
         with ThreadPoolExecutor(max_workers=1) as pool:
-            pool.submit(run_leadlag_trial, cfg, range(cfg.batch)).result()
+            pool.submit(run_leadlag_trial, cfg, range(cfg.batch), root).result()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -515,14 +515,8 @@ def test_config_rejects_trial_over_byte_budget():
     with pytest.raises(ValueError, match="TRIAL_BYTES"):
         replace(cfg, d=3)
     # a coarse n_min costs nothing: the lifts' blocks hold O(ROW_BLOCK d)
-    # floats whatever the stride, so sampling stays the peak; only the kept
-    # sweep geometry (n_min^2 entries here) follows n_min
-    def kept(c):
-        return tensor2.sweep_blocks(len(c.n_schedule), c.n_schedule[0], True, True)[2]
-
-    coarse = replace(cfg, n_schedule=(1, 2))
-    assert (kept(coarse), kept(cfg)) == (25, 64 * 25)
-    assert _bound(coarse) - kept(coarse) == _bound(cfg) - kept(cfg)
+    # floats whatever the stride, so sampling stays the peak
+    assert _bound(replace(cfg, n_schedule=(1, 2))) == _bound(cfg)
 
 
 def test_batches_shrink_to_the_byte_budget():
@@ -547,6 +541,19 @@ def test_batches_shrink_to_the_byte_budget():
 
 
 # ---------------------------------------------------------------- experiment
+
+def test_experiment_builds_one_embedding_root(monkeypatch):
+    # three batches, on 1 and 2 threads: the run builds its root once, and
+    # every draw reads it
+    cfg = LeadLagConfig(H=0.4, n_schedule=(8, 16), n_ref=128, mc_trials=2 * TRIAL_BATCH + 1)
+    eigenvalues = gauss._embedding_eigenvalues
+    for threads in (1, 2):
+        calls = []
+        monkeypatch.setattr(gauss, "_embedding_eigenvalues",
+                            _counted(calls, eigenvalues))
+        leadlag_experiment(cfg, threads=threads)
+        assert len(calls) == 1
+
 
 def test_experiment_single_trial_table():
     cfg = LeadLagConfig(H=0.4, n_schedule=(8, 16), n_ref=128, mc_trials=1, base_seed=2)

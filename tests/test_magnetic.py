@@ -14,7 +14,7 @@ from roughlift import (MagneticConfig, derive_Z, drift_at, fine_grid_n,
                        renorm_v, run_magnetic_trial, sample_physical, translate)
 from roughlift.gauss import derive_seed, float_index
 from roughlift.linstable import _lyapunov_solve, lyapunov_bytes, ou_joint_transition
-from roughlift.magnetic import fine_step_bytes
+from roughlift.magnetic import fine_step_bytes, plan_run
 from roughlift.report import TRIAL_BYTES, fit_loglog
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -25,6 +25,13 @@ def small_cfg(**kw):
                 T=1.0, alpha=0.3, grid_n=32, mc_trials=2, base_seed=7)
     base.update(kw)
     return MagneticConfig(**base)
+
+
+def trials(cfg, keys):
+    """The trials of the (eps, trial index) ``keys`` from the plans of a run
+    of ``cfg``."""
+    plans = {plan.eps: plan for plan in plan_run(cfg)}
+    return [run_magnetic_trial(cfg, plans[eps], k) for eps, k in keys]
 
 
 # -------------------------------------------------------------------- config
@@ -72,7 +79,7 @@ def test_drift_at_margin_constant_over_eps():
 
 def test_trial_no_field_renorm_equals_raw():
     cfg = small_cfg(B0=np.zeros((2, 2)), beta=0.0, eps_schedule=(1.0,), grid_n=16)
-    r = run_magnetic_trial(cfg, 1.0, 0)
+    (r,) = trials(cfg, [(1.0, 0)])
     assert r.vNorm == 0.0
     assert r.distP_renorm == r.distP_raw
     assert r.distZ_renorm == r.distZ_raw
@@ -80,9 +87,8 @@ def test_trial_no_field_renorm_equals_raw():
 
 def test_trial_counterterm_norm_closed_form():
     cfg = small_cfg()
-    for eps in cfg.eps_schedule:
-        r = run_magnetic_trial(cfg, eps, 0)
-        assert abs(r.vNorm - eps ** -0.5 / np.sqrt(2.0)) <= 1e-10
+    for r in trials(cfg, [(eps, 0) for eps in cfg.eps_schedule]):
+        assert abs(r.vNorm - r.eps ** -0.5 / np.sqrt(2.0)) <= 1e-10
 
 
 def test_trial_raw_minus_renorm_area_is_exact_shift():
@@ -184,18 +190,10 @@ def test_momentum_area_mean_is_exact_in_law(beta, eps):
     assert abs(exact + cfg.T * renorm_v(drift)[0, 1]) > 3.0 * se
 
 
-def _clear_setup_memos():
-    gauss._physical_step.cache_clear()
-    linstable._renorm_v.cache_clear()
-
-
 @pytest.fixture
 def patch_oracle(monkeypatch):
     """monkeypatch.setattr for an oracle that returns how often it was
-    called.  The set-up memos are emptied after each patch, so that the
-    trials after it build their counter-term and OU step through the
-    oracle rather than read the entries of the trials before it, and at
-    teardown, so that no later test reads an oracle's entry."""
+    called."""
     def patch(module, name, oracle):
         calls = []
 
@@ -204,11 +202,9 @@ def patch_oracle(monkeypatch):
             return oracle(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
-        _clear_setup_memos()
         return calls
 
-    yield patch
-    _clear_setup_memos()
+    return patch
 
 
 def test_trial_matches_eig_recursion_oracle(patch_oracle):
@@ -217,15 +213,15 @@ def test_trial_matches_eig_recursion_oracle(patch_oracle):
     # 384 and 10560 steps
     cfg = small_cfg(eps_schedule=(0.25, 2.0 ** -4), grid_n=64)
     keys = [(eps, k) for eps in cfg.eps_schedule for k in range(2)]
-    new = [run_magnetic_trial(cfg, eps, k) for eps, k in keys]
+    new = trials(cfg, keys)
 
     def eig_scan_block(E, xi, out, k0):
         out[k0 + 1:k0 + 1 + len(xi)] = ou_recursion_eig(E, xi, out[k0])[1:]
 
     levels = patch_oracle(gauss, "_scan_levels", lambda E, rows: E)
     scans = patch_oracle(gauss, "_ou_scan_block", eig_scan_block)
-    old = [run_magnetic_trial(cfg, eps, k) for eps, k in keys]
-    assert len(levels) == 2 and len(scans) == len(keys)  # one memo entry per eps
+    old = trials(cfg, keys)
+    assert len(levels) == 2 and len(scans) == len(keys)  # one plan per eps
     for a, b in zip(new, old):
         for f in fields(a):
             x, y = getattr(a, f.name), getattr(b, f.name)
@@ -237,9 +233,10 @@ def test_trial_matches_blocked_scan_oracle(patch_oracle):
     # field by field, at eps = 2^-2 (512 fine steps) and at eps = 2^-7
     # (1,861,120 fine steps, 57 chunks)
     cfg = small_cfg(eps_schedule=(2.0 ** -2, 2.0 ** -7), grid_n=256)
-    new = [run_magnetic_trial(cfg, eps, 0) for eps in cfg.eps_schedule]
+    keys = [(eps, 0) for eps in cfg.eps_schedule]
+    new = trials(cfg, keys)
     calls = patch_oracle(magnetic, "sample_physical", sample_physical_blocked_scan)
-    old = [run_magnetic_trial(cfg, eps, 0) for eps in cfg.eps_schedule]
+    old = trials(cfg, keys)
     assert len(calls) == 2
     for a, b in zip(new, old):
         for f in fields(a):
@@ -252,9 +249,9 @@ def test_trial_matches_lyapunov_transition_oracle(patch_oracle):
     # field by field, both through the symmetric noise root
     cfg = small_cfg(eps_schedule=(2.0 ** -2, 2.0 ** -3, 2.0 ** -4), grid_n=64)
     keys = [(eps, k) for eps in cfg.eps_schedule for k in range(4)]
-    new = [run_magnetic_trial(cfg, eps, k) for eps, k in keys]
+    new = trials(cfg, keys)
     calls = patch_oracle(gauss, "ou_joint_transition", ou_joint_transition_lyapunov)
-    old = [run_magnetic_trial(cfg, eps, k) for eps, k in keys]
+    old = trials(cfg, keys)
     assert len(calls) == 3
     for a, b in zip(new, old):
         for f in fields(a):
@@ -267,34 +264,45 @@ def test_trial_matches_scipy_transition_oracle(patch_oracle):
     # factorisation, field by field (vNorm through the Lyapunov solve)
     cfg = small_cfg(eps_schedule=tuple(2.0 ** -k for k in range(2, 6)), grid_n=64)
     keys = [(eps, k) for eps in cfg.eps_schedule for k in range(3)]
-    new = [run_magnetic_trial(cfg, eps, k) for eps, k in keys]
+    new = trials(cfg, keys)
     steps = patch_oracle(linstable, "_ou_integrals", ou_integrals_scipy)
     solves = patch_oracle(linstable, "_lyapunov_solve", lyapunov_solve_scipy)
-    old = [run_magnetic_trial(cfg, eps, k) for eps, k in keys]
-    # per eps: one step, which solves for its C_r with scipy itself, and the
-    # counter-term's solve for C
-    assert len(steps) == 4 and len(solves) == 4
+    old = trials(cfg, keys)
+    # per eps one step, which solves for its C_r with scipy itself, and the
+    # set-up check's solve for C; per trial and eps the counter-term's
+    assert len(steps) == 4 and len(solves) == 4 + len(keys) == 16
     for a, b in zip(new, old):
         for f in fields(a):
             x, y = getattr(a, f.name), getattr(b, f.name)
             assert abs(x - y) <= 1e-12 * abs(y), f.name
 
 
-def test_setup_is_built_once_per_eps_of_a_run():
-    # trial-major order visits every eps once per trial: each eps misses
-    # once (in check_setup) and every trial hits, at either thread count
-    cfg = small_cfg(eps_schedule=(2.0 ** -2, 2.0 ** -3, 2.0 ** -4), grid_n=16, mc_trials=5)
+def test_setup_is_built_once_per_eps_of_a_run(patch_oracle):
+    # 17 eps, one more than a schedule the earlier per-value memos could
+    # hold: one OU step per eps and one sweep geometry, which every sweep of
+    # every trial reads, at either thread count
+    cfg = small_cfg(eps_schedule=tuple(2.0 ** (-1 - j / 16) for j in range(17)), grid_n=256,
+                    mc_trials=3)
+    geometry = tensor2._geometry
     for threads in (1, 2):
-        _clear_setup_memos()
+        steps = patch_oracle(gauss, "ou_joint_transition", ou_joint_transition)
+        built = patch_oracle(tensor2, "_geometry", geometry)
         magnetic_experiment(cfg, threads=threads)
-        for memo in (gauss._physical_step, linstable._renorm_v):
-            info = memo.cache_info()
-            assert (info.misses, info.hits) == (3, 15), memo
-    assert linstable.SETUP_CACHE >= 3
-    L, levels = gauss.physical_step(drift_at(cfg, 0.25), 0.25, cfg.T, fine_grid_n(cfg, 0.25))
-    v = renorm_v(drift_at(cfg, 0.25))
-    for matrix in (L, v, *levels[0]):
-        assert not matrix.flags.writeable
+        assert (len(steps), len(built)) == (17, 1)
+
+
+def test_plan_arrays_are_read_only():
+    cfg = small_cfg(eps_schedule=(0.25,), grid_n=256)
+    (plan,) = plan_run(cfg)
+    assert plan.stride * cfg.grid_n == plan.n_fine == fine_grid_n(cfg, 0.25)
+    L, levels = plan.step
+    geometry = plan.geometry
+    arrays = [plan.drift.A, plan.drift.B, plan.drift.M, L,
+              *(m for level in levels for m in level),
+              *(a for block in geometry.blocks for a in block[2:] if a is not None)]
+    assert len(arrays) > 10
+    for a in arrays:
+        assert isinstance(a, np.ndarray) and not a.flags.writeable
 
 
 def test_experiment_rejects_unrunnable_setup_before_sampling(monkeypatch):
@@ -302,7 +310,7 @@ def test_experiment_rejects_unrunnable_setup_before_sampling(monkeypatch):
     # and their norms overflow: the set-up check raises a ConfigError (a
     # ValueError) that names the eps, and no trial samples
     cfg = small_cfg(A=1e-300 * np.eye(2), beta=0.0)
-    monkeypatch.setattr(magnetic, "sample_physical", lambda *a: pytest.fail("sampled"))
+    monkeypatch.setattr(magnetic, "sample_physical", lambda *a, **k: pytest.fail("sampled"))
     with pytest.raises(ValueError, match="eps = 0.5: the stationary covariance C"):
         magnetic_experiment(cfg)
 
@@ -314,11 +322,11 @@ def test_trial_matches_cumsum_lift_oracle(monkeypatch):
     cfg = small_cfg(eps_schedule=(2.0 ** -2, 2.0 ** -6), grid_n=256)
     assert fine_grid_n(cfg, 2.0 ** -6) > 10 * tensor2.ROW_BLOCK
     keys = [(eps, k) for eps in cfg.eps_schedule for k in range(2)]
-    new = [run_magnetic_trial(cfg, eps, k) for eps, k in keys]
+    new = trials(cfg, keys)
     monkeypatch.setattr(magnetic, "lift_piecewise_linear",
                         lambda t, x, out=None: lift_piecewise_linear_full(t, x))
     monkeypatch.setattr(magnetic, "derive_Z", lambda P, W, out=None: derive_Z(P, W))
-    old = [run_magnetic_trial(cfg, eps, k) for eps, k in keys]
+    old = trials(cfg, keys)
     for a, b in zip(new, old):
         for f in fields(a):
             x, y = getattr(a, f.name), getattr(b, f.name)
@@ -327,11 +335,12 @@ def test_trial_matches_cumsum_lift_oracle(monkeypatch):
 
 def _trial_peak_bytes(cfg, eps):
     # on a fresh worker thread, as in a run, so the trial's lifts allocate
-    # the thread's scratch buffer under tracing
+    # the thread's scratch buffer under tracing; the plan is built first
+    plan = {plan.eps: plan for plan in plan_run(cfg)}[eps]
     tracemalloc.start()
     try:
         with ThreadPoolExecutor(max_workers=1) as pool:
-            pool.submit(run_magnetic_trial, cfg, eps, 0).result()
+            pool.submit(run_magnetic_trial, cfg, plan, 0).result()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -390,7 +399,7 @@ def test_config_rejects_seed_outside_u64():
 def test_experiment_single_trial_matches():
     cfg = small_cfg(mc_trials=1, eps_schedule=(0.5,), grid_n=16)
     rows = magnetic_experiment(cfg)
-    r = run_magnetic_trial(cfg, 0.5, 0)
+    (r,) = trials(cfg, [(0.5, 0)])
     assert rows[0]["distZ_renorm_mean"] == r.distZ_renorm
     assert rows[0]["distZ_renorm_se"] == 0.0
     assert rows[0]["vnorm"] == r.vNorm
