@@ -5,7 +5,7 @@ then shows that the area shift of ``translate`` is exactly interval-linear.
 """
 import numpy as np
 
-from roughlift import (chen_inv, chen_mul, exp_step2, holder_distance, levy_area,
+from roughlift import (area_entries, chen_inv, chen_mul, exp_step2, holder_distance, levy_area,
                        lift_piecewise_linear, translate)
 
 print("== segment lifts ==")
@@ -34,7 +34,9 @@ print("\n== translation = adding (t-s) * v to every interval ==")
 rng = np.random.default_rng(0)
 path = lift_piecewise_linear(np.linspace(0, 1, 9), rng.standard_normal((9, 2)))
 v = np.array([[0.0, -2.0], [2.0, 0.0]])
-shifted = translate(path, v)
+print("a lift stores level 1 and the area entries p < q of level 2:",
+      path.area.shape, "; v's entries:", area_entries(v))
+shifted = translate(path, area_entries(v))
 for (i, j) in [(0, 8), (2, 5)]:
     gap = shifted.interval(i, j).level2 - path.interval(i, j).level2
     dt = path.times[j] - path.times[i]

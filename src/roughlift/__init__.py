@@ -19,7 +19,7 @@ identity suites (``identities``), the trial runner and reporting
 __version__ = "0.1.0"
 
 from .tensor2 import (StepTwoLift, LiftedPath, exp_step2, chen_mul, chen_inv, levy_area,
-                      lift_piecewise_linear, zero_lift, translate, holder_distance)
+                      lift_piecewise_linear, zero_lift, area_entries, translate, holder_distance)
 from .linstable import StableDrift, OUTransition, lyapunov_C, renorm_v, ou_joint_transition
 from .gauss import (GridPath, sample_bm, sample_fbm, sample_physical, derive_Z, derive_seed,
                     fgn_autocov, required_steps)
@@ -34,7 +34,8 @@ from .report import fit_loglog, emit, build_manifest
 __all__ = [
     "__version__",
     "StepTwoLift", "LiftedPath", "exp_step2", "chen_mul", "chen_inv",
-    "levy_area", "lift_piecewise_linear", "zero_lift", "translate", "holder_distance",
+    "levy_area", "lift_piecewise_linear", "zero_lift", "area_entries", "translate",
+    "holder_distance",
     "StableDrift", "OUTransition", "lyapunov_C", "renorm_v", "ou_joint_transition",
     "GridPath", "sample_bm", "sample_fbm", "sample_physical",
     "derive_Z", "derive_seed", "fgn_autocov", "required_steps",

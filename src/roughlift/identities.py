@@ -17,7 +17,8 @@ import numpy as np
 from .gauss import fgn_autocov, sample_fbm
 from .leadlag import hoff_path, leadlag_lift, psi_closed, psi_profile
 from .linstable import StableDrift, lyapunov_C, renorm_v
-from .tensor2 import chen_inv, chen_mul, levy_area, lift_piecewise_linear, translate
+from .tensor2 import (area_entries, chen_inv, chen_mul, full_level2, levy_area,
+                      lift_piecewise_linear, translate)
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,7 @@ def chen_relation_error(path) -> float:
     n = path.n_points
     grid = np.arange(n)
     U, F = path.intervals(grid[:, None], grid)  # S_{i,j} for every pair of points
+    F = full_level2(U, F)
     scale = max(1.0, float(np.abs(F).max()))
     worst = 0.0
     for j in range(1, n - 1):
@@ -62,13 +64,20 @@ def chen_relation_error(path) -> float:
 
 
 def geometricity_error(path) -> float:
-    """Worst relative defect of Sym(level2) = 1/2 increment (x) increment."""
+    """Worst relative defect of the interval level 2, derived as 1/2
+    increment (x) increment + area, against the sums of (x_r - x_i +
+    inc_r/2) (x) inc_r over the interval's segments, which do not assume
+    Sym(level2) = 1/2 increment (x) increment.  Level 1 of a stride-1 lift
+    is x - x_0 at every grid point, so it gives the segments."""
+    x = path.level1
+    inc = np.diff(x, axis=0)
+    terms = np.einsum("rd,re->rde", x[:-1] + 0.5 * inc, inc)
+    running = np.concatenate([np.zeros((1,) + terms.shape[1:]), np.cumsum(terms, axis=0)])
     grid = np.arange(path.n_points)
     U, F = path.intervals(grid[:, None], grid)
-    sym = 0.5 * (F + F.transpose(0, 1, 3, 2))
-    resid = sym - 0.5 * np.einsum("ijd,ije->ijde", U, U)
-    scale = max(1.0, float(np.abs(F).max()))
-    return float(np.abs(resid).max()) / scale
+    segments = running[None] - running[:, None] - np.einsum("id,ije->ijde", x, U)
+    scale = max(1.0, float(np.abs(segments).max()))
+    return float(np.abs(full_level2(U, F) - segments).max()) / scale
 
 
 def inverse_error(path) -> float:
@@ -84,7 +93,7 @@ def inverse_error(path) -> float:
 
 def translate_roundtrip_error(path, rng) -> float:
     g = rng.standard_normal((path.dim, path.dim))
-    v = 0.5 * (g - g.T)
+    v = area_entries(0.5 * (g - g.T))
     back = translate(translate(path, v), -v)
     scale = max(1.0, float(np.abs(path.level2).max()))
     return max(float(np.abs(back.level1 - path.level1).max()),
@@ -165,8 +174,9 @@ def leadlag_oracle_errors(samples) -> tuple[float, float, float]:
     grid = np.arange(n + 1)
     hoff = lift_piecewise_linear(*hoff_path(x)).restrict(2 * grid)
     ref = lift_piecewise_linear(grid / n, np.hstack([x, x]))
-    level2 = [p.intervals(grid[:, None], grid)[1] for p in (hoff, leadlag_lift(x), ref)]
-    lhs, oracle, yarea = (0.5 * (F - F.swapaxes(-1, -2)) for F in level2)
+    areas = [p.intervals(grid[:, None], grid)[1] for p in (hoff, leadlag_lift(x), ref)]
+    lhs, oracle, yarea = (full_level2(np.zeros(area.shape[:-1] + (2 * d,)), area)
+                          for area in areas)
     inc = np.diff(x, axis=0, prepend=x[:1])
     qv = np.cumsum(inc[:, :, None] * inc[:, None, :], axis=0)  # running QV, from 0
     gap = lhs - yarea  # against the doubled path's area

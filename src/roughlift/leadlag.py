@@ -17,7 +17,7 @@ doubled path (X, X).
 
 The experiment uses the identity directly.  At the points of the coarsest
 schedule grid the lead-lag lift and the doubled path share level 1, so a
-trial is measured by its residual there, built from d-dimensional lifts
+trial is measured by its residual there, built from d-dimensional areas
 and the running quadratic variation alone; no Hoff path or 2d-dimensional
 lift enters it.  Trials run in batches (``TRIAL_BATCH``) with the batch
 axis first, and one Hoelder sweep of all residuals of a batch against the
@@ -35,7 +35,7 @@ import numpy as np
 
 from .gauss import derive_seed, embedding_root, fgn_autocov, sample_fbm
 from .report import ConfigError, check_run, run_trials
-from .tensor2 import (ROW_BLOCK, LiftedPath, holder_sweep, lift_piecewise_linear,
+from .tensor2 import (ROW_BLOCK, LiftedPath, area_entries, holder_sweep, lift_piecewise_linear,
                       running_outer_sum, sweep_blocks, zero_lift)
 # holder_distance and translate stay importable from here: perfbench/tracing.py
 # wraps them under this module's name
@@ -77,36 +77,53 @@ def counter_terms(H: float, ns, d: int) -> np.ndarray:
 def leadlag_lift(samples) -> LiftedPath:
     """Lead-lag lift at the even knots 2i/(2n), in closed form (no Hoff path).
 
-    Level 1 is (X_i - X_0, X_i - X_0).  Level 2 is [[D, D - Q/2], [D + Q/2, D]]
-    with D the running level 2 of the interpolated samples and Q = sum dX (x) dX
-    the running quadratic variation, so every diagonal block of the Levy
-    area is the interpolation's area and the (lag, lead) block is that area
-    minus half the QV.  Equals the integrated lift of ``hoff_path(samples)``
-    at its even knots to rounding.
+    Level 1 is (X_i - X_0, X_i - X_0), and the Levy area is [[A, A - Q/2],
+    [A + Q/2, A]] (``_leadlag_area``), with A the running area of the
+    interpolated samples and Q = sum dX (x) dX the running quadratic
+    variation: every diagonal block of the area is the interpolation's area
+    and the (lag, lead) block is that area minus half the QV.  Equals the
+    integrated lift of ``hoff_path(samples)`` at its even knots to rounding.
     """
     x = _as_samples(samples)
     n, d = x.shape[0] - 1, x.shape[1]
-    level2 = _leadlag_level2(x, 1, np.empty((n + 1, 2 * d, 2 * d)))
-    return LiftedPath(np.arange(n + 1) / n, np.hstack([x - x[0]] * 2), level2)
+    area = _leadlag_area(x, 1, np.empty((n + 1, d * (2 * d - 1))))
+    return LiftedPath(np.arange(n + 1) / n, np.hstack([x - x[0]] * 2), area)
 
 
-def _leadlag_level2(x, stride: int, out, ref=0.0) -> np.ndarray:
-    """The lead-lag level 2 [[D, D - Q/2], [D + Q/2, D]] of samples x of
-    shape (..., n + 1, d) at every ``stride``-th sample, written block by
-    block into ``out`` (..., n / stride + 1, 2d, 2d): D, the running level 2
-    of the interpolated samples less ``ref``, into the (lag, lag) block, half
-    the running quadratic variation Q = sum dX (x) dX into the (lead, lead)
-    block, then the two cross blocks from those, and D over the (lead, lead)
-    block.  Beyond the lift's times and level 1 it makes no array."""
-    m, d = x.shape[-2] - 1, x.shape[-1]
-    D, half_qv = out[..., :d, :d], out[..., d:, d:]
-    lift_piecewise_linear(np.arange(m + 1) / m, x, stride, out=D)
-    D -= ref
-    running_outer_sum(x, stride, half_qv, midpoint=False)
+def _entry_index(d: int, k: int) -> np.ndarray:
+    """(d, d) positions of the entries p <= q - k among the np.triu_indices(d, k)."""
+    index, entries = np.full((d, d), -1), np.triu_indices(d, k)
+    index[entries] = np.arange(len(entries[0]))
+    return index
+
+
+def _leadlag_area(x, stride: int, out, ref=None) -> np.ndarray:
+    """The lead-lag Levy area [[A, A - Q/2], [A + Q/2, A]] of samples x of
+    shape (..., n + 1, d) at every ``stride``-th sample, as the area entries
+    p < q of dimension 2d, into ``out`` (..., n / stride + 1, d (2d - 1)):
+    A is the running area of the interpolated samples less ``ref`` and Q
+    the running quadratic variation, both from one running_outer_sum pass.
+    A diagonal entry of the (lag, lead) block is -Q_pp/2, and the entries
+    below the diagonal there are -(A_qp + Q_qp/2)."""
+    d = x.shape[-1]
+    area = np.empty(out.shape[:-1] + (d * (d - 1) // 2,))
+    half_qv = np.empty(out.shape[:-1] + (d * (d + 1) // 2,))
+    running_outer_sum(x, stride, area, half_qv)
+    if ref is not None:
+        area -= ref
     half_qv *= 0.5
-    np.subtract(D, half_qv, out=out[..., :d, d:])
-    np.add(D, half_qv, out=out[..., d:, :d])
-    half_qv[...] = D
+    ia, iq, io = _entry_index(d, 1), _entry_index(d, 0), _entry_index(2 * d, 1)
+    for p in range(d):
+        for q in range(d):
+            cross = out[..., io[p, d + q]]
+            if p < q:
+                out[..., io[p, q]] = out[..., io[d + p, d + q]] = area[..., ia[p, q]]
+                np.subtract(area[..., ia[p, q]], half_qv[..., iq[p, q]], out=cross)
+            elif p > q:
+                np.add(area[..., ia[q, p]], half_qv[..., iq[q, p]], out=cross)
+                np.negative(cross, out=cross)
+            else:
+                np.negative(half_qv[..., iq[p, p]], out=cross)
     return out
 
 
@@ -154,22 +171,23 @@ def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int, batch: int = 1) 
     worker thread hold throughout, the run's embedding root (N floats,
     built before the first batch) and the thread's scratch buffer, plus the
     largest of the traced peaks of three phases.  The buffer is the larger
-    of the blocks of the lifts and QV sums (running_outer_sum, 2d + 1
-    floats a block row, (2d + 1) min(batch n_ref, ROW_BLOCK)) and the planes
-    of the sweep (tensor2.sweep_blocks, for the batch's k members a trial,
-    with shifts, against the zero target, with no level 1, its geometry
-    built block by block among them): a thread holds one buffer, the
-    largest it has been asked for.  The phases:
+    of the blocks of the lifts and the area and QV sums (running_outer_sum,
+    2d + 1 floats a block row, (2d + 1) min(batch n_ref, ROW_BLOCK)) and the
+    planes of the sweep (tensor2.sweep_blocks, for the batch's k members a
+    trial, with shifts, against the zero target, with no level 1, its
+    geometry built block by block among them): a thread holds one buffer,
+    the largest it has been asked for.  The phases, with E = d (2d - 1) the
+    area entries of a residual:
 
     * sampling, N d max(batch + 3, 2 batch): one draw holds d rows of 2n
       normals and their half-spectra (4d floats a step) beside the earlier
       draws of the batch, and stacking the draws holds them twice;
-    * lifting, N (1 + batch d) + batch (n_min + 1)(4 d^2 k + d^2 + 2 d):
+    * lifting, N (1 + batch d) + batch (n_min + 1)(E k + d^2 + d (d - 1)/2):
       the stacked draws and the times; and on the coarsest grid the
-      residuals (4 d^2 floats at each of the M = batch k (n_min + 1) member
-      grid points), which the lead-lag level 2 of each n is written into,
-      the reference lift and the level 1 of one n-lift;
-    * sweep, 8 d^2 M: per member point its residual and the sweep's level-2
+      residuals (E floats at each of the M = batch k (n_min + 1) member
+      grid points), which the lead-lag area of each n is written into, the
+      reference lift's area, and the area and QV sums of one n;
+    * sweep, 2 E M: per member point its residual and the sweep's area
       difference (level 1 is zero, so it makes no level-1 planes); the
       zero target is broadcast zeros.
 
@@ -181,11 +199,12 @@ def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int, batch: int = 1) 
     n = n_ref + 1
     members = batch * k
     points = members * (n_min + 1)
-    _, planes = sweep_blocks(members, n_min, shifted=True, zero_target=True, zero1=True)
+    _, planes = sweep_blocks(members, n_min, shifted=True, zero1=True)
     scratch = max((2 * d + 1) * min(batch * n_ref, ROW_BLOCK), sum(planes))
     sampling = n * d * max(batch + 3, 2 * batch)
-    lifting = n * (1 + batch * d) + batch * (n_min + 1) * (4 * d * d * k + d * d + 2 * d)
-    return 8 * (n + scratch + max(sampling, lifting, 8 * d * d * points))
+    entries = d * (2 * d - 1)
+    lifting = n * (1 + batch * d) + batch * (n_min + 1) * (entries * k + d * d + d * (d - 1) // 2)
+    return 8 * (n + scratch + max(sampling, lifting, 2 * entries * points))
 
 
 @dataclass(frozen=True)
@@ -258,7 +277,7 @@ def run_leadlag_trial(cfg: LeadLagConfig, trials, root=None) -> list[list[TrialR
     Distances are measured on the coarsest schedule grid, where the
     lead-lag lift and the doubled reference (X, X) share level 1, so each
     trial reduces to its residual there (``_residuals``): level 1 zero and
-    level 2 [[dD, dD - Q/2], [dD + Q/2, dD]].  One Hoelder sweep of every
+    the area [[dA, dA - Q/2], [dA + Q/2, dA]].  One Hoelder sweep of every
     trial's residuals against the zero lift, shifted by the counter-terms,
     then gives the raw and renormalised distances of the whole batch.
     areaDev1 is minus the mean (i, d+i) area entry of the lead-lag lift at
@@ -266,13 +285,13 @@ def run_leadlag_trial(cfg: LeadLagConfig, trials, root=None) -> list[list[TrialR
     diagonal quadratic variation.
     """
     res, area = _residuals(cfg, trials, root)
-    b, k, n1, d2 = res.shape[:4]
+    b, k, n1, entries = res.shape
     times = np.arange(n1) / cfg.n_schedule[0]
-    members = LiftedPath(times, np.broadcast_to(0.0, (b * k, n1, d2)),
-                         res.reshape(b * k, n1, d2, d2))
+    members = LiftedPath(times, np.broadcast_to(0.0, (b * k, n1, 2 * cfg.d)),
+                         res.reshape(b * k, n1, entries))
     shifts = counter_terms(cfg.H, cfg.n_schedule, cfg.d)
-    dist_raw, dist_ren = holder_sweep(members, zero_lift(times, d2), cfg.alpha,
-                                    np.tile(shifts, (b, 1, 1)))
+    dist_raw, dist_ren = holder_sweep(members, zero_lift(times, 2 * cfg.d), cfg.alpha,
+                                    np.tile(area_entries(shifts), (b, 1)))
     vnorms = [float(np.linalg.norm(v)) for v in shifts]
     return [[TrialResult(n=n, dist_renorm=float(ren), dist_raw=float(raw), areaDev1=float(dev),
                          vNorm=vnorm)
@@ -281,27 +300,26 @@ def run_leadlag_trial(cfg: LeadLagConfig, trials, root=None) -> list[list[TrialR
 
 
 def _residuals(cfg: LeadLagConfig, trials, root=None) -> tuple[np.ndarray, np.ndarray]:
-    """(B, k, n_min + 1, 2d, 2d) level-2 residuals of the lead-lag lifts
+    """(B, k, n_min + 1, d (2d - 1)) area residuals of the lead-lag lifts
     against the doubled reference on the coarsest grid, and (B, k)
     areaDev1, for the B trials of a batch and the k schedule points.
 
-    Each residual is the lead-lag level 2 of the n-samples
-    (``_leadlag_level2``) with the strided reference lift of the n_ref-samples
-    taken off its interpolated part, written straight into its slot.  The
-    batch's n_ref draws are stacked, so the reference lift, and each n's
-    lift and QV, are one batched call each.  areaDev1 is read off each
-    residual's last row: minus the mean (i, d + i) Levy area.
+    Each residual is the lead-lag area of the n-samples (``_leadlag_area``)
+    with the area of the strided reference lift of the n_ref-samples taken
+    off its interpolated part, written straight into its slot.  The batch's
+    n_ref draws are stacked, so the reference lift, and each n's area and
+    QV, are one batched call each.  areaDev1 is read off each residual's
+    last row: minus the mean (i, d + i) Levy area.
     """
     d, n_ref, n_min = cfg.d, cfg.n_ref, cfg.n_schedule[0]
     x = np.stack([sample_fbm(seed=derive_seed(cfg.base_seed, k), H=cfg.H, n=n_ref, d=d,
                              root=root).values for k in trials])
-    ref = lift_piecewise_linear(np.arange(n_ref + 1) / n_ref, x, stride=n_ref // n_min).level2
-    res = np.empty((len(x), len(cfg.n_schedule), n_min + 1, 2 * d, 2 * d))
+    ref = lift_piecewise_linear(np.arange(n_ref + 1) / n_ref, x, stride=n_ref // n_min).area
+    res = np.empty((len(x), len(cfg.n_schedule), n_min + 1, d * (2 * d - 1)))
     for m, n in enumerate(cfg.n_schedule):
-        _leadlag_level2(x[:, ::n_ref // n], n // n_min, res[:, m], ref)
-    end = res[:, :, -1]
-    area = 0.5 * np.diagonal(end[..., :d, d:] - end[..., d:, :d], axis1=-2, axis2=-1)
-    return res, -np.mean(area, axis=-1)
+        _leadlag_area(x[:, ::n_ref // n], n // n_min, res[:, m], ref)
+    cross = _entry_index(2 * d, 1)[np.arange(d), d + np.arange(d)]  # the (i, d + i) entries
+    return res, -np.mean(res[:, :, -1, cross], axis=-1)
 
 
 def leadlag_experiment(cfg: LeadLagConfig, threads: int = 1) -> list[dict]:

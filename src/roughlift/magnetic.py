@@ -20,8 +20,8 @@ from .gauss import (derive_Z, derive_seed, float_index, physical_step, required_
                     sample_physical, uniform_times)
 from .linstable import StableDrift, lyapunov_bytes, renorm_v
 from .report import ConfigError, check_run, run_trials
-from .tensor2 import (SweepGeometry, holder_distance, lift_piecewise_linear, sweep_geometry,
-                      translate, zero_lift)
+from .tensor2 import (SweepGeometry, area_entries, holder_distance, lift_piecewise_linear,
+                      sweep_geometry, translate, zero_lift)
 
 
 @dataclass(frozen=True)
@@ -109,15 +109,15 @@ def fine_step_bytes(d: int) -> int:
     """Peak bytes a magnetic trial holds per fine-grid step at dimension d.
 
     At its peak a trial holds P (then Z, written over it), W, the times and
-    the one level-2 buffer its three lifts share: (d + 1)^2 floats a step,
-    since level 1 of each full lift is a view of its path.  Its sampling
-    phase stays below that lift phase: P, W and the times (2d + 1 floats a
-    step), with the OU scan run per chunk in O(ROW_BLOCK d).  That is the
-    measured slope of the tracemalloc peak of one trial between 260,352 and
-    516,608 steps: 72.0 B per step at d = 2 and 200.0 at d = 4; all else is
-    O(ROW_BLOCK).
+    the one area buffer its three lifts share: 2d + 1 + d(d - 1)/2 floats a
+    step, since level 1 of each full lift is a view of its path.  Its
+    sampling phase stays below that lift phase: P, W and the times (2d + 1
+    floats a step), with the OU scan run per chunk in O(ROW_BLOCK d).  That
+    is the measured slope of the tracemalloc peak of one trial between
+    260,352 and 516,608 steps: 48.0 B per step at d = 2 and 120.0 at d = 4;
+    all else is O(ROW_BLOCK).
     """
-    return 8 * (d + 1) ** 2
+    return 8 * (2 * d + 1 + d * (d - 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -142,22 +142,22 @@ def run_magnetic_trial(cfg: MagneticConfig, plan: EpsPlan, trial_index: int) -> 
     P, W = sample_physical(drift, eps, cfg.T, n_fine, seed, step=plan.step)
     out_idx = np.arange(0, n_fine + 1, plan.stride)
 
-    # P, Z and W are lifted in turn into one level-2 buffer, each lift
+    # P, Z and W are lifted in turn into one area buffer, each lift
     # restricted before the next overwrites it, and Z is written over P once
     # P's lift is restricted.  Level 1 of each full lift is a view of its
     # path, so after sampling the trial makes no fine-grid array but the
     # buffer, and holds P (then Z), W, the times and the buffer at its peak.
-    level2 = np.empty((n_fine + 1, cfg.d, cfg.d))
-    liftP = lift_piecewise_linear(P.times, P.values, out=level2).restrict(out_idx)
+    area = np.empty((n_fine + 1, cfg.d * (cfg.d - 1) // 2))
+    liftP = lift_piecewise_linear(P.times, P.values, out=area).restrict(out_idx)
     Z = derive_Z(P, W, out=P.values)
-    liftZ = lift_piecewise_linear(Z.times, Z.values, out=level2).restrict(out_idx)
-    liftW = lift_piecewise_linear(W.times, W.values, out=level2).restrict(out_idx)
+    liftZ = lift_piecewise_linear(Z.times, Z.values, out=area).restrict(out_idx)
+    liftW = lift_piecewise_linear(W.times, W.values, out=area).restrict(out_idx)
 
     zero = zero_lift(liftP.times, cfg.d)
-    geometry = plan.geometry
-    distP_renorm = holder_distance(translate(liftP, v), zero, cfg.alpha, geometry=geometry)
+    geometry, shift = plan.geometry, area_entries(v)
+    distP_renorm = holder_distance(translate(liftP, shift), zero, cfg.alpha, geometry=geometry)
     distP_raw = holder_distance(liftP, zero, cfg.alpha, geometry=geometry)
-    distZ_renorm = holder_distance(translate(liftZ, v), liftW, cfg.alpha, geometry=geometry)
+    distZ_renorm = holder_distance(translate(liftZ, shift), liftW, cfg.alpha, geometry=geometry)
     distZ_raw = holder_distance(liftZ, liftW, cfg.alpha, geometry=geometry)
     area_dev = float(np.linalg.norm(liftZ.level2[-1] - liftW.level2[-1]))
     return TrialResult(eps=float(eps), distP_renorm=distP_renorm,

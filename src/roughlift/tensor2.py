@@ -5,13 +5,19 @@ integral.  Adjacent intervals compose with the Chen product
 
     (a, A) * (b, B) = (a + b, A + B + a (x) b),
 
-which makes the set of lifts a group (identity (0, 0)).  Lifts of whole
-paths are stored as running signatures S_{0,i} from the first grid point;
-the lift over any subinterval is recovered by group inversion, so the Chen
-relation holds by construction.
+which makes the set of lifts a group (identity (0, 0)).
+
+Every path lift here is geometric (piecewise-linear lifts, their intervals
+and their translations by an anti-symmetric counter-term), so the symmetric
+part of its level 2 is 1/2 x (x) x (Lyons 1998; Friz & Victoir 2010, ch. 7)
+and a ``LiftedPath`` stores level 1 and the Levy area alone: the d(d-1)/2
+entries p < q of the anti-symmetric part, in np.triu_indices(d, 1) order.
+Lifts of whole paths are stored as running signatures S_{0,i} from the
+first grid point; the lift over any subinterval is recovered by group
+inversion, so the Chen relation holds by construction.
 
 The area counter-term enters through ``translate``: adding (t-s)*v, with v
-an anti-symmetric (d, d) array, to the second level of every interval lift.
+the area entries of an anti-symmetric (d, d) array, to every interval lift.
 """
 from __future__ import annotations
 
@@ -87,10 +93,28 @@ def any_blockwise(op, a, b) -> bool:
                for k in range(0, len(a), ROW_BLOCK))
 
 
-def is_antisymmetric(v, tol=IDENTITY_TOL):
+def area_entries(v) -> np.ndarray:
+    """The area entries p < q of anti-symmetric (..., d, d) arrays
+    (ValueError otherwise, at IDENTITY_TOL of each array's norm)."""
     v = np.asarray(v, dtype=float)
-    scale = max(1.0, float(np.linalg.norm(v)))
-    return float(np.linalg.norm(v + v.T)) <= tol * scale
+    if v.ndim < 2 or v.shape[-1] != v.shape[-2]:
+        raise ValueError(f"v must be square, got shape {v.shape}")
+    scale = np.maximum(1.0, np.linalg.norm(v, axis=(-2, -1)))
+    if np.any(np.linalg.norm(v + np.swapaxes(v, -1, -2), axis=(-2, -1)) > IDENTITY_TOL * scale):
+        raise ValueError("area shift must be anti-symmetric")
+    return v[(...,) + np.triu_indices(v.shape[-1], 1)]
+
+
+def full_level2(level1, area) -> np.ndarray:
+    """Level 2 of geometric lifts, (..., d, d), from their level 1 (..., d)
+    and area entries (..., d(d-1)/2): 1/2 x (x) x plus the anti-symmetric
+    array of the area."""
+    x = np.asarray(level1, dtype=float)
+    p, q = np.triu_indices(x.shape[-1], 1)
+    out = 0.5 * x[..., :, None] * x[..., None, :]
+    out[..., p, q] += area
+    out[..., q, p] -= area
+    return out
 
 
 @dataclass(frozen=True)
@@ -115,36 +139,39 @@ class StepTwoLift:
 
 @dataclass(frozen=True)
 class LiftedPath:
-    """Running signatures S_{0,i} of a path over a strictly increasing grid.
+    """Running signatures S_{0,i} of a geometric path over a strictly
+    increasing grid.
 
-    ``level1[i]``/``level2[i]`` are the two levels of S_{0,i}; S_{0,0} is the
-    identity.  Interval lifts S_{i,j} come out of ``intervals`` via group
-    inversion and therefore satisfy Chen exactly.  A batch of B paths on
-    one grid puts one leading axis of B members on both levels.
+    ``level1[i]`` and ``area[i]`` are level 1 and the area entries of
+    S_{0,i}, whose level 2 ``level2`` derives; S_{0,0} is the identity.
+    Interval lifts S_{i,j} come out of ``intervals`` via group inversion and
+    therefore satisfy Chen exactly.  A batch of B paths on one grid puts one
+    leading axis of B members on both arrays.
     """
 
     times: np.ndarray
     level1: np.ndarray  # ([B,] N+1, d)
-    level2: np.ndarray  # ([B,] N+1, d, d)
+    area: np.ndarray  # ([B,] N+1, d(d-1)/2)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         l1 = np.asarray(self.level1, dtype=float)
-        l2 = np.asarray(self.level2, dtype=float)
+        a = np.asarray(self.area, dtype=float)
         if t.ndim != 1 or len(t) < 1:
             raise ValueError("times must be a non-empty 1-d array")
         if any_blockwise(np.less_equal, t[1:], t[:-1]):
             raise ValueError("times must be strictly increasing")
-        if l1.ndim not in (2, 3) or l2.ndim != l1.ndim + 1:
+        if l1.ndim not in (2, 3) or a.ndim != l1.ndim:
             raise ValueError("running signature arrays must be ([B,] N+1, d) and "
-                             "([B,] N+1, d, d)")
-        if l1.shape[-2] != len(t) or l2.shape != l1.shape + l1.shape[-1:]:
+                             "([B,] N+1, d(d-1)/2)")
+        d = l1.shape[-1]
+        if l1.shape[-2] != len(t) or a.shape != l1.shape[:-1] + (d * (d - 1) // 2,):
             raise ValueError("running signature arrays inconsistent with grid")
-        if np.any(l1[..., 0, :] != 0.0) or np.any(l2[..., 0, :, :] != 0.0):
+        if np.any(l1[..., 0, :] != 0.0) or np.any(a[..., 0, :] != 0.0):
             raise ValueError("running signature must start at the identity")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "level1", l1)
-        object.__setattr__(self, "level2", l2)
+        object.__setattr__(self, "area", a)
 
     @property
     def dim(self) -> int:
@@ -154,20 +181,29 @@ class LiftedPath:
     def n_points(self) -> int:
         return len(self.times)
 
+    @property
+    def level2(self) -> np.ndarray:
+        """Level 2 of the running signatures, ([B,] N+1, d, d), derived
+        afresh on every call."""
+        return full_level2(self.level1, self.area)
+
     def intervals(self, i, j) -> tuple[np.ndarray, np.ndarray]:
-        """Both levels of the interval lifts S_{i,j} = S_{0,i}^{-1} * S_{0,j}
-        for index arrays ``i`` and ``j`` broadcast against each other:
-        X1_j - X1_i of shape (..., d) and X2_j - X2_i - X1_i (x) (X1_j - X1_i)
-        of shape (..., d, d), after the batch axis of a batch."""
+        """Level 1 and area of the interval lifts S_{i,j} = S_{0,i}^{-1} *
+        S_{0,j} for index arrays ``i`` and ``j`` broadcast against each
+        other: u = X1_j - X1_i of shape (..., d) and, for p < q,
+        A_j - A_i - (x_p u_q - x_q u_p)/2 at x = X1_i, of shape
+        (..., d(d-1)/2), after the batch axis of a batch."""
         i, j = np.broadcast_arrays(i, j)
         x1 = self.level1[..., i, :]
         inc = self.level1[..., j, :] - x1
-        return inc, (self.level2[..., j, :, :] - self.level2[..., i, :, :]
-                     - x1[..., :, None] * inc[..., None, :])
+        p, q = np.triu_indices(self.dim, 1)
+        cross = x1[..., p] * inc[..., q] - x1[..., q] * inc[..., p]
+        return inc, self.area[..., j, :] - self.area[..., i, :] - 0.5 * cross
 
     def interval(self, i: int, j: int) -> StepTwoLift:
         """Interval lift S_{i,j}."""
-        return StepTwoLift(*self.intervals(i, j))
+        inc, area = self.intervals(i, j)
+        return StepTwoLift(inc, full_level2(inc, area))
 
     def restrict(self, indices) -> "LiftedPath":
         """Sub-grid path, rebased so the first retained point is the identity."""
@@ -222,13 +258,13 @@ def lift_piecewise_linear(times, values, stride: int = 1, out=None) -> LiftedPat
     Level 1 is in closed form, x_i - x_0 at the output points, with no
     running sums.  At stride 1 and x_0 = +0.0 it is a read-only view of
     ``values``: the caller must not overwrite ``values`` while that lift is
-    in use.  Level 2 is the running sum of (x_r - x_0 + inc_r/2) (x) inc_r,
-    the Chen product of the segment exponentials (``running_outer_sum``):
-    one np.cumsum of the terms from +0.0 at stride 1, and bitwise its rows
-    ``::stride`` at every stride, in O(ROW_BLOCK d) floats of scratch.
+    in use.  The area comes from the running sums of the Chen products of
+    the segment exponentials (``running_outer_sum``): np.cumsum of the terms
+    from +0.0 at stride 1, and bitwise its rows ``::stride`` at every
+    stride, in O(ROW_BLOCK d) floats of scratch.
 
-    ``out``, a float64 array of shape ([B,] n/stride + 1, d, d) that does
-    not overlap ``values``, receives level 2 in place of a new array.
+    ``out``, a float64 array of shape ([B,] n/stride + 1, d(d-1)/2) that
+    does not overlap ``values``, receives the area in place of a new array.
     """
     t = np.asarray(times, dtype=float)
     x = np.asarray(values, dtype=float)
@@ -241,7 +277,7 @@ def lift_piecewise_linear(times, values, stride: int = 1, out=None) -> LiftedPat
     batch, n, d = x.shape[:-2], x.shape[-2] - 1, x.shape[-1]
     if stride < 1 or n % stride:
         raise ValueError(f"stride = {stride} must be a positive divisor of n = {n}")
-    shape = batch + (n // stride + 1, d, d)
+    shape = batch + (n // stride + 1, d * (d - 1) // 2)
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64:
@@ -259,79 +295,92 @@ def lift_piecewise_linear(times, values, stride: int = 1, out=None) -> LiftedPat
     return LiftedPath(np.ascontiguousarray(t[::stride]), l1, out)
 
 
-def running_outer_sum(x, stride: int, out, midpoint: bool = True) -> None:
-    """The running sums sum_{r < i} a_r (x) inc_r over the segments of the
-    rows x_0, ..., x_n of ``x`` ([B,] n + 1, d), inc_r = x_{r+1} - x_r and
-    a_r = (x_r - x_0) + inc_r/2 (``midpoint``: a lift's level 2) or inc_r
-    (the quadratic variation), at every ``stride``-th i, into ``out``
-    ([B,] n/stride + 1, d, d).
+def running_outer_sum(x, stride: int, area, qv=None) -> None:
+    """The running Levy areas of the piecewise-linear path through the rows
+    x_0, ..., x_n of ``x`` ([B,] n + 1, d), at every ``stride``-th i, into
+    ``area`` ([B,] n/stride + 1, d(d-1)/2).  Given ``qv`` ([B,] n/stride +
+    1, d(d+1)/2), the same pass writes the running quadratic variation
+    there: the sums of inc_p inc_q over the segments r < i for p <= q, in
+    np.triu_indices(d) order, with inc_r = x_{r+1} - x_r.
+
+    The area entry p < q is half the difference of the running sums of
+    b_p inc_q and b_q inc_p, with b_r = (x_r - x_0) + inc_r/2: the (p, q)
+    and (q, p) entries of level 2, the Chen product of the segment
+    exponentials.  The one sum of (a_p inc_q - a_q inc_p)/2, a_r = x_r -
+    x_0, is equal in exact arithmetic, but over the 1,861,120 steps at eps
+    = 2^-7 it rounds 1.5e-12 of a renormalised magnetic distance away.
 
     Blocks of ROW_BLOCK // B segments a member are copied once into
-    contiguous (..., d, rows) order, a_r written over the copy.  Each of the
-    d^2 entries is one product of rows, summed with its carry straight into
-    ``out`` at stride 1 (``running_sum_block``), or else in place, its
-    cell-end rows copied out.  The additions are those of one np.cumsum
-    over the grid, so at every stride and block size ``out`` is bitwise
-    rows ``::stride`` of the stride-1 sums.  The blocks take 2d + 1 floats
-    a row (the copy, increments and products) of the thread's scratch
-    buffer, (2d + 1) ROW_BLOCK at most, whatever the stride or the memory
-    layout of ``x``.
+    contiguous (..., d, rows) order, b_r written over the copy.  Each sum
+    starts from its carry and runs in place over the block, and its
+    cell-end rows go to the output.  The additions are those of one
+    np.cumsum over the grid, so at every stride and block size each output
+    is bitwise rows ``::stride`` of the stride-1 sums.  The blocks take 2d +
+    1 floats a row (the copy, increments and one sum at a time) of the
+    thread's scratch buffer, (2d + 1) ROW_BLOCK at most, whatever the stride
+    or the memory layout of ``x``.
     """
-    if not out.size:  # an empty batch
-        return
     batch, n, d = x.shape[:-2], x.shape[-2] - 1, x.shape[-1]
+    outs = [(area, np.triu_indices(d, 1), 2)] + ([] if qv is None else
+                                                 [(qv, np.triu_indices(d), 1)])
+    if not any(out.size for out, _, _ in outs):  # an empty batch, or no entries
+        return
     rows = min(n, max(1, ROW_BLOCK // math.prod(batch)))
     xt, inc, term = _scratch(batch + (d, rows + 1), batch + (d, rows), batch + (rows,))
-    carry = np.zeros(batch + (d, d))  # each entry's sum up to the block
+    carry = [np.zeros(batch + (len(entries[0]), sums)) for _, entries, sums in outs]
     x0 = x[..., :1, :].swapaxes(-1, -2)
-    out[..., 0, :, :] = 0.0
+    for out, _, _ in outs:
+        out[..., 0, :] = 0.0
     for k0 in range(0, n, rows):
         m = min(rows, n - k0)
         xb, ib, steps = xt[..., :m + 1], inc[..., :m], term[..., :m]
         np.copyto(xb, x[..., k0:k0 + m + 1, :].swapaxes(-1, -2))
         np.subtract(xb[..., 1:], xb[..., :-1], out=ib)
-        ab = ib
-        if midpoint:  # (x_r - x_0) + inc_r/2, written over x_r
-            ab = xb[..., :-1]
-            ab -= x0
+        bb = xb[..., :-1]
+        if area.size:  # (x_r - x_0) + inc_r/2, written over x_r
+            bb -= x0
             for p in range(d):
-                ab[..., p, :] += np.multiply(ib[..., p, :], 0.5, out=steps)
+                bb[..., p, :] += np.multiply(ib[..., p, :], 0.5, out=steps)
         c0, c1 = k0 // stride + 1, (k0 + m) // stride + 1  # the block's output rows
-        for p in range(d):
-            for q in range(d):
-                np.multiply(ab[..., p, :], ib[..., q, :], out=steps)
-                if stride == 1:
-                    running_sum_block(steps.T, out[..., p, q].T, k0)  # rows first
-                else:  # summed in place from the carry, as running_sum_block adds it
-                    steps[..., 0] += carry[..., p, q]
+        cells = slice(c0 * stride - k0 - 1, None, stride)  # and their rows in the block
+        for (out, (ps, qs), sums), carried in zip(outs, carry):
+            for e, (p, q) in enumerate(zip(ps, qs)):
+                cell_ends = out[..., c0:c1, e]
+                for j, (u, v) in enumerate(((p, q), (q, p))[:sums]):  # area: both terms
+                    np.multiply(bb[..., u, :] if sums == 2 else ib[..., u, :], ib[..., v, :],
+                                out=steps)
+                    steps[..., 0] += carried[..., e, j]
                     np.cumsum(steps, axis=-1, out=steps)
-                    carry[..., p, q] = steps[..., -1]
-                    out[..., c0:c1, p, q] = steps[..., c0 * stride - k0 - 1::stride]
+                    carried[..., e, j] = steps[..., -1]
+                    if j == 0:
+                        np.copyto(cell_ends, steps[..., cells])
+                    else:
+                        cell_ends -= steps[..., cells]
+                        cell_ends *= 0.5
 
 
 def zero_lift(times, dim: int) -> LiftedPath:
-    """Lift of the path constantly at the origin.  Both levels are read-only
-    broadcast zeros, so it holds no grid-sized arrays."""
+    """Lift of the path constantly at the origin.  Level 1 and the area are
+    read-only broadcast zeros, so it holds no grid-sized arrays."""
     t = np.asarray(times, dtype=float)
     return LiftedPath(t, np.broadcast_to(0.0, (len(t), dim)),
-                      np.broadcast_to(0.0, (len(t), dim, dim)))
+                      np.broadcast_to(0.0, (len(t), dim * (dim - 1) // 2)))
 
 
 def translate(path: LiftedPath, v) -> LiftedPath:
-    """Shift every interval's second level by (t_j - t_i) * v, for v an
-    anti-symmetric (d, d) array (ValueError otherwise).
+    """Shift every interval's area by (t_j - t_i) * v, for v the d(d-1)/2
+    area entries of an anti-symmetric (d, d) array (``area_entries``), so
+    the translated lift is geometric too.
 
     Implemented on the running signatures: S_{0,i} gains (t_i - t_0) * v,
     which is interval-additive and leaves the Chen cross term untouched
     because level 1 is unchanged.
     """
-    v = _as_square(v, "v")
-    if not is_antisymmetric(v):
-        raise ValueError("area shift must be anti-symmetric")
-    if v.shape[0] != path.dim:
-        raise ValueError(f"dimension mismatch: {v.shape[0]} vs {path.dim}")
-    shift = (path.times - path.times[0])[:, None, None] * v
-    return LiftedPath(path.times, path.level1.copy(), path.level2 + shift)
+    v = _as_vector(v, "v")
+    if v.shape != path.area.shape[-1:]:
+        raise ValueError(f"dimension mismatch: {len(v)} area entries for dimension {path.dim}")
+    shift = (path.times - path.times[0])[:, None] * v
+    return LiftedPath(path.times, path.level1.copy(), path.area + shift)
 
 
 def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None, geometry=None):
@@ -340,11 +389,17 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None, geomet
     from one sweep over all grid pairs s < t.
 
     Returns ``(raw, shifted)``.  ``raw[m]`` is ``holder_distance(x_m, y,
-    alpha)``, bit for bit.  With ``shifts`` of shape (k, d, d), ``shifted[m]``
-    is the distance with (t_j - t_i) shifts[m] added to every level-2
-    residual, which is ``holder_distance(translate(x_m, shifts[m]), y,
-    alpha)`` up to rounding (the translation adds the same term to the
-    running signatures); without ``shifts`` it is None.
+    alpha)``, bit for bit.  With ``shifts`` of shape (k, d(d-1)/2),
+    ``shifted[m]`` is the distance with (t_j - t_i) shifts[m] added to every
+    area residual, which is ``holder_distance(translate(x_m, shifts[m]), y,
+    alpha)`` up to rounding; without ``shifts`` it is None.
+
+    The lifts are geometric, so a pair's level-2 residual is the symmetric
+    1/4 (delta (x) sigma + sigma (x) delta), with delta = dX - dY and sigma =
+    dX + dY, plus the anti-symmetric array of its area residuals r.  The
+    parts are orthogonal, so its squared norm is (|delta|^2 |sigma|^2 +
+    (delta . sigma)^2) / 8, taken from the level-1 planes without
+    cancellation, plus 2 r_pq^2 for each area entry p < q.
 
     The pairs come in blocks of grid rows i0 <= i < i1 against the columns
     j = i0+1..n, with j <= i masked, about PAIR_BLOCK pairs over all k
@@ -352,20 +407,19 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None, geomet
     masks and time-step powers of every block, _geometry) is shared by every
     member and both distances: it is ``geometry``, built once for the sweeps
     of a grid (``sweep_geometry``), or else each block's is built in turn.
-    The target's cross terms are computed once per block for every member.
     Planes that are exactly zero are not built: with the target's level 1
-    all zero its cross terms, and with the members' level 1 all zero as
-    well the level-1 planes, the members' cross terms and (t - s)^alpha;
-    and a target whose level 2 is all zero is not subtracted.  Skipping them
-    changes at most the sign of a zero residual entry, which squaring
-    removes, so the results are bitwise unchanged.  The planes
-    (``sweep_blocks``) are sized by the first block, which has the most
-    pairs, and cut from the calling thread's scratch buffer, kept across
-    blocks and calls.  So besides the O(k n d^2) grid arrays (one level-2
-    difference per member, and one level-1 difference unless level 1 is
-    zero), the sweep holds at most four planes of max(PAIR_BLOCK, k n)
-    floats and four of max(PAIR_BLOCK // k, n) whatever the number of pairs,
-    and less on a grid whose pairs all fit in one block.
+    all zero sigma's planes (sigma = delta) and its cross terms, and with
+    the members' level 1 all zero as well every level-1 plane, the members'
+    cross terms and (t - s)^alpha; and a target whose area is all zero is
+    not subtracted.  Skipping them changes at most the sign of a zero
+    residual entry, which squaring removes, so the results are bitwise
+    unchanged.  The planes (``sweep_blocks``) are sized by the first block,
+    which has the most pairs, and cut from the calling thread's scratch
+    buffer, kept across blocks and calls.  So besides the O(k n d^2) grid
+    arrays (one area difference per member, and level-1 paths unless level
+    1 is zero), the sweep holds at most five planes of max(PAIR_BLOCK, k n)
+    floats and three of max(PAIR_BLOCK // k, n) whatever the number of
+    pairs, and less on a grid whose pairs all fit in one block.
     """
     if not (0.0 <= alpha < 0.5):
         raise ValueError("alpha must lie in [0, 1/2)")
@@ -377,83 +431,110 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None, geomet
         raise ValueError("grids must be identical")
     k = len(x.level1) if x.level1.ndim == 3 else 1
     d, n = y.dim, len(y.times) - 1
+    ps, qs = np.triu_indices(d, 1)
     if shifts is not None:
         shifts = np.asarray(shifts, dtype=float)
-        if shifts.shape != (k, d, d):
-            raise ValueError(f"shifts must have shape {(k, d, d)}, got {shifts.shape}")
+        if shifts.shape != (k, len(ps)):
+            raise ValueError(f"shifts must have shape {(k, len(ps))}, got {shifts.shape}")
     if n < 1 or k < 1:
         return np.zeros(k), None if shifts is None else np.zeros(k)
     t = y.times
     y_zero = not np.any(y.level1)
     zero1 = y_zero and not np.any(x.level1)  # no level-1 planes
     # grid axis last and contiguous, so block planes are read by slices
-    dl2 = np.empty((k, d, d, n + 1))
-    if np.any(y.level2):
-        np.subtract(x.level2, y.level2, out=np.moveaxis(dl2, -1, -3))
+    da = np.empty((k, len(ps), n + 1))
+    if np.any(y.area):
+        np.subtract(x.area, y.area, out=np.moveaxis(da, -1, -2))
     else:  # a copy, unlike the subtraction, takes no numpy iterator buffer
-        np.copyto(np.moveaxis(dl2, -1, -3), x.level2)
+        np.copyto(np.moveaxis(da, -1, -2), x.area)
     if not zero1:
         x1 = np.ascontiguousarray(x.level1.reshape(k, n + 1, d).swapaxes(1, 2))
-        y1 = np.ascontiguousarray(y.level1.T)
-        w = x1 - y1
+        y1 = np.ascontiguousarray(y.level1.T)[None]
+        w, s = x1 - y1, None if y_zero else x1 + y1  # the paths of delta and sigma
     shifted = shifts is not None
-    rows, sizes = sweep_blocks(k, n, shifted, y_zero, zero1, geometry is not None)
+    rows, sizes = sweep_blocks(k, n, shifted, zero1, geometry is not None)
     if geometry is not None and geometry.key != (t.tobytes(), alpha, rows, shifted):
         raise ValueError("the geometry is not that of this grid, alpha and sweep")
     planes = _scratch(*[(size,) for size in sizes])
+    members = 3 + shifted + (not zero1)  # planes of k members
     blocks = (geometry.blocks if geometry is not None
-              else _geometry(t, alpha, rows, shifted, not zero1, planes[3 + shifted + (not y_zero):]))
+              else _geometry(t, alpha, rows, shifted, not zero1, planes[members:]))
     sup = np.zeros((3, k))  # level 1, level 2, shifted level 2
     for i0, i1, pair, power, power2, dt in blocks:
         shape = (i1 - i0, n - i0)
         m = shape[0] * shape[1]
-        a, r, acc, *acc_shifted = (p[:k * m].reshape((k,) + shape) for p in planes[:3 + shifted])
-        c = None if y_zero else planes[3 + shifted][:m].reshape(shape)
-        if not zero1:
-            for p in range(d):
+        a, r, acc2, *rest = (p[:k * m].reshape((k,) + shape) for p in planes[:members])
+        acc2s = rest.pop(0) if shifted else None
+        if zero1:
+            acc2.fill(0.0)  # no level 1: the residual is all area
+        else:  # acc2 = half the symmetric part's squared norm
+            acc = rest.pop(0)
+            for p in range(d):  # |delta|^2
                 np.subtract(w[:, p, None, i0 + 1:], w[:, p, i0:i1, None], out=a)
                 _accumulate_square(a, acc, p == 0)
+            if y_zero:  # sigma = delta
+                np.multiply(acc, acc, out=acc2)
+                acc2 *= 0.125
+            else:  # |delta|^2 |sigma|^2, then (delta . sigma)^2 once acc is folded
+                for p in range(d):
+                    np.subtract(s[:, p, None, i0 + 1:], s[:, p, i0:i1, None], out=a)
+                    _accumulate_square(a, r, p == 0)
+                np.multiply(acc, r, out=acc2)
             _fold_sup(acc, power, pair, sup[0])
-        for p in range(d):
-            for q in range(d):
-                np.subtract(dl2[:, p, q, None, i0 + 1:], dl2[:, p, q, i0:i1, None], out=r)
-                if not zero1:
-                    np.subtract(x1[:, q, None, i0 + 1:], x1[:, q, i0:i1, None], out=a)
-                    np.multiply(x1[:, p, i0:i1, None], a, out=a)
-                    if not y_zero:
-                        np.subtract(y1[q, i0 + 1:], y1[q, i0:i1, None], out=c)
-                        np.multiply(y1[p, i0:i1, None], c, out=c)
-                        np.subtract(a, c, out=a)  # the Chen cross term of X - Y
-                    np.subtract(r, a, out=r)  # the level-2 residual
-                if shifted:
-                    np.multiply(shifts[:, p, q, None, None], dt, out=a)
-                    np.add(r, a, out=a)
-                    _accumulate_square(a, acc_shifted[0], p == q == 0)
-                _accumulate_square(r, acc, p == q == 0)
-        _fold_sup(acc, power2, pair, sup[1])
+            if not y_zero:
+                for p in range(d):
+                    np.subtract(w[:, p, None, i0 + 1:], w[:, p, i0:i1, None], out=a)
+                    np.subtract(s[:, p, None, i0 + 1:], s[:, p, i0:i1, None], out=acc)
+                    if p == 0:
+                        np.multiply(a, acc, out=r)
+                    else:
+                        a *= acc
+                        r += a
+                np.multiply(r, r, out=r)
+                acc2 += r
+                acc2 *= 0.0625
         if shifted:
-            _fold_sup(acc_shifted[0], power2, pair, sup[2])
+            np.copyto(acc2s, acc2)
+        for e, (p, q) in enumerate(zip(ps, qs)):
+            if not zero1:  # the Chen cross term of X - Y, halved
+                _cross_term(x1, p, q, i0, i1, a, acc)
+                if not y_zero:
+                    _cross_term(y1, p, q, i0, i1, acc, r)
+                    np.subtract(a, acc, out=a)
+                a *= 0.5
+            np.subtract(da[:, e, None, i0 + 1:], da[:, e, i0:i1, None], out=r)
+            if not zero1:
+                np.subtract(r, a, out=r)  # the area residual
+            if shifted:
+                np.multiply(shifts[:, e, None, None], dt, out=a)
+                np.add(r, a, out=a)
+                _accumulate_square(a, acc2s, False)
+            _accumulate_square(r, acc2, False)
+        for sq, out in zip((acc2, acc2s)[:1 + shifted], sup[1:]):
+            sq *= 2.0  # both halves of every area entry, the symmetric part halved
+            _fold_sup(sq, power2, pair, out)
     return sup[0] + sup[1], sup[0] + sup[2] if shifted else None
 
 
-def sweep_blocks(k: int, n: int, shifted: bool, zero_target: bool, zero1: bool = False,
+def sweep_blocks(k: int, n: int, shifted: bool, zero1: bool = False,
                  geometry: bool = False) -> tuple[int, list[int]]:
-    """Grid rows per block of a holder_sweep of k members on n intervals,
-    and the sizes in floats of the planes it cuts from the thread's scratch
-    buffer.
+    """Grid rows per block of a holder_sweep of k >= 1 members on n >= 1
+    intervals (ValueError otherwise), and the sizes in floats of the planes
+    it cuts from the thread's scratch buffer.
 
-    The planes: a, r and acc, and acc_shifted when ``shifted``, for every
-    member, then the target's cross term c unless ``zero_target``, shared by
-    all members, and unless the sweep is given its ``geometry``, the
-    geometry planes of one block (_geometry): (t - s)^(2 alpha), t - s when
-    ``shifted`` (else the power is written over it), and (t - s)^alpha
-    unless the members and the target have no level 1 (``zero1``).  The
-    first block has the most pairs, rows n a member, so the planes are
-    sized by it.
+    The planes: a, r and acc2 for every member, acc2_shifted when
+    ``shifted``, and the level-1 sum acc unless the members and the target
+    have no level 1 (``zero1``); then, unless the sweep is given its
+    ``geometry``, the geometry planes of one block (_geometry): (t - s)^(2
+    alpha), t - s when ``shifted`` (else the power is written over it), and
+    (t - s)^alpha unless ``zero1``.  The first block has the most pairs,
+    rows n a member, so the planes are sized by it.
     """
+    if k < 1 or n < 1:
+        raise ValueError(f"a sweep needs a member and an interval, got k = {k}, n = {n}")
     rows = min(n, max(1, PAIR_BLOCK // (k * n)))
     pairs = rows * n
-    sizes = [k * pairs] * (3 + shifted) + [pairs] * (1 - zero_target)
+    sizes = [k * pairs] * (3 + shifted + (not zero1))
     if not geometry:
         sizes += [pairs] * (1 + shifted + (not zero1))
     return rows, sizes
@@ -474,10 +555,13 @@ def sweep_geometry(times, alpha: float, k: int = 1,
     """The geometry of the sweeps of k members on the grid ``times``, with
     or without shifts, for their ``geometry`` argument: 8 (2 + shifted) + 1
     bytes (the planes and the pair mask) an entry, or None over
-    GEOMETRY_KEEP * PAIR_BLOCK entries a plane."""
+    GEOMETRY_KEEP * PAIR_BLOCK entries a plane, and on a one-point grid,
+    which has no pairs to sweep."""
     t = np.asarray(times, dtype=float)
     n = len(t) - 1
-    rows = sweep_blocks(k, n, shifted, True)[0]
+    if n < 1:
+        return None
+    rows = sweep_blocks(k, n, shifted)[0]
     if sum(min(rows, n - i0) * (n - i0) for i0 in range(0, n, rows)) > GEOMETRY_KEEP * PAIR_BLOCK:
         return None
     blocks = tuple(_geometry(t, alpha, rows, shifted))
@@ -532,6 +616,16 @@ def _fold_sup(sq, power, pair, sup):
     np.maximum(sup, np.max(sq, axis=tuple(range(1, sq.ndim)), where=pair, initial=0.0), out=sup)
 
 
+def _cross_term(z, p, q, i0, i1, out, tmp):
+    """out = z_p,i (z_q,j - z_q,i) - z_q,i (z_p,j - z_p,i) over a block's
+    pairs, for the paths z of shape (k, d, n + 1); ``tmp`` is overwritten."""
+    np.subtract(z[:, q, None, i0 + 1:], z[:, q, i0:i1, None], out=out)
+    np.multiply(z[:, p, i0:i1, None], out, out=out)
+    np.subtract(z[:, p, None, i0 + 1:], z[:, p, i0:i1, None], out=tmp)
+    np.multiply(z[:, q, i0:i1, None], tmp, out=tmp)
+    np.subtract(out, tmp, out=out)
+
+
 def _accumulate_square(r, acc, first: bool):
     """acc += r**2 (acc = r**2 when first); ``r`` is overwritten."""
     if first:
@@ -551,11 +645,9 @@ def holder_distance(x: LiftedPath, y: LiftedPath, alpha: float, *, geometry=None
     grid pairs s < t.
 
     Each plane of the sweep repeats, in the same order, the per-pair
-    arithmetic of a row-by-row sweep, and the squared entries are summed in
-    index order.  The result therefore equals bit for bit that of a
-    row-by-row sweep taking its norms with ``np.linalg.norm`` while a norm
-    has at most 7 terms (lift dimension <= 2); beyond that numpy sums
-    pairwise and the last bit of a norm may differ.
+    arithmetic of a row-by-row sweep, and every sum of squares is taken in
+    index order, so the result equals bit for bit that of a row-by-row
+    sweep with the same per-pair arithmetic, at every dimension.
     """
     if x.level1.ndim != 2:
         raise ValueError("x must be one lift; use holder_sweep for a batch")

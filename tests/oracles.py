@@ -15,13 +15,16 @@ old lift, with level 1 a running sum of the increments, instead of its
 closed form x_i - x_0 in the magnetic and lead-lag trials; full
 lifts, one distance call each and a counter-term written out instead of
 the lead-lag trial's strided lifts, single sweep and counter_terms; the
-lead-lag residual assembled from fresh difference and half-QV arrays
-instead of written block by block in place; a
+lead-lag residual assembled as a full anti-symmetric array from fresh
+difference and half-QV arrays instead of written entry by entry; lifts
+holding their whole d x d level 2 and sweeps squaring all of its residual
+entries (the full-level-2 route) instead of level 1 and Levy area; a
 complex FFT per component, with the embedding rebuilt on every call,
 instead of the real-spectrum fGn map; and the Cholesky factor of
 the fGn covariance instead of its circulant embedding.
 """
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad_vec
@@ -242,9 +245,11 @@ def sample_physical_blocked_scan(drift, eps, T, N, seed, step=None):
 def holder_distance_rowloop(x, y, alpha: float) -> float:
     """Reference alpha-Hoelder distance: one vectorised sweep per grid row.
 
-    The same pairs, norms and sup as ``tensor2.holder_distance``, one row
-    i against all j > i at a time, with the norms taken by
-    ``np.linalg.norm``.
+    The same pairs, residuals, norms and sup as ``tensor2.holder_distance``,
+    one row i against all j > i at a time: the level-1 residual delta = dX -
+    dY, the level-2 residual as its symmetric part, from delta and sigma =
+    dX + dY, (|delta|^2 |sigma|^2 + (delta . sigma)^2) / 8, halved, plus the
+    squares of the area residuals, then doubled; every sum in index order.
     """
     if not (0.0 <= alpha < 0.5):
         raise ValueError("alpha must lie in [0, 1/2)")
@@ -252,35 +257,42 @@ def holder_distance_rowloop(x, y, alpha: float) -> float:
         raise ValueError("dimension mismatch")
     if len(x.times) != len(y.times) or np.any(x.times != y.times):
         raise ValueError("grids must be identical")
-    n = len(x.times) - 1
+    n, d = len(x.times) - 1, x.dim
     if n < 1:
         return 0.0
     t = x.times
-    w = x.level1 - y.level1
-    dl2 = x.level2 - y.level2
-    sup1 = 0.0
-    sup2 = 0.0
-
-    def sweep(i, j):
-        nonlocal sup1, sup2
-        dt = t[j] - t[i]
-        dev1 = np.linalg.norm(w[j] - w[i], axis=-1)
-        cross = (np.einsum("nd,ne->nde", x.level1[i], x.level1[j] - x.level1[i])
-                 - np.einsum("nd,ne->nde", y.level1[i], y.level1[j] - y.level1[i]))
-        resid = dl2[j] - dl2[i] - cross
-        dev2 = np.linalg.norm(resid.reshape(len(resid), -1), axis=-1)
-        sup1 = max(sup1, float(np.max(dev1 / dt ** alpha)))
-        sup2 = max(sup2, float(np.max(dev2 / dt ** (2.0 * alpha))))
-
+    x1, y1 = x.level1, y.level1
+    w, s, da = x1 - y1, x1 + y1, x.area - y.area
+    sup1 = sup2 = 0.0
     for i in range(n):
         j = np.arange(i + 1, n + 1)
-        sweep(np.full(len(j), i), j)
+        dt = t[j] - t[i]
+        delta, sigma = w[j] - w[i], s[j] - s[i]
+        dd, ss, ds = delta[:, 0] ** 2, sigma[:, 0] ** 2, delta[:, 0] * sigma[:, 0]
+        for p in range(1, d):
+            dd, ss = dd + delta[:, p] ** 2, ss + sigma[:, p] ** 2
+            ds = ds + delta[:, p] * sigma[:, p]
+        sq = (dd * ss + ds * ds) * 0.0625
+        for e, (p, q) in enumerate(zip(*np.triu_indices(d, 1))):
+            cross = x1[i, p] * (x1[j, q] - x1[i, q]) - x1[i, q] * (x1[j, p] - x1[i, p])
+            cross -= y1[i, p] * (y1[j, q] - y1[i, q]) - y1[i, q] * (y1[j, p] - y1[i, p])
+            r = (da[j, e] - da[i, e]) - cross * 0.5
+            sq = sq + r * r
+        sup1 = max(sup1, float(np.max(np.sqrt(dd) / dt ** alpha)))
+        sup2 = max(sup2, float(np.max(np.sqrt(sq * 2.0) / dt ** (2.0 * alpha))))
     return sup1 + sup2
+
+
+def _antisym_entries(level2):
+    """Half the difference of the (p, q) and (q, p) entries, p < q, of
+    stacked (..., d, d) arrays: their area entries."""
+    p, q = np.triu_indices(level2.shape[-1], 1)
+    return (level2[..., p, q] - level2[..., q, p]) * 0.5
 
 
 def lift_piecewise_linear_full(times, values):
     """Materialising lift: whole-grid increments, offsets and level-2 terms,
-    then one cumsum per level."""
+    then one cumsum per level, the area taken from level 2."""
     from roughlift.tensor2 import LiftedPath
 
     t = np.asarray(times, dtype=float)
@@ -300,14 +312,14 @@ def lift_piecewise_linear_full(times, values):
     terms = np.einsum("nd,ne->nde", (x[:-1] - x[0]) + 0.5 * inc, inc)
     l2 = np.zeros((n + 1, d, d))
     np.cumsum(terms, axis=0, out=l2[1:])
-    return LiftedPath(t, l1, l2)
+    return LiftedPath(t, l1, _antisym_entries(l2))
 
 
 def lift_strided_whole_grid(times, values, stride: int):
     """tensor2.lift_piecewise_linear at a stride on whole-grid arrays: the
     terms of every cell of ``stride`` segments summed by one batched matmul
-    over the whole grid, the cell sums by one cumsum, and level 1 as
-    x_i - x_0 at the cell ends."""
+    over the whole grid, the cell sums by one cumsum, level 1 as x_i - x_0
+    at the cell ends and the area from level 2."""
     from roughlift.tensor2 import LiftedPath
 
     t = np.asarray(times, dtype=float)
@@ -319,7 +331,7 @@ def lift_strided_whole_grid(times, values, stride: int):
                       inc.reshape(n // stride, stride, d))
     l2 = np.zeros((n // stride + 1, d, d))
     np.cumsum(cells, axis=0, out=l2[1:])
-    return LiftedPath(t[::stride], x[::stride] - x[0], l2)
+    return LiftedPath(t[::stride], x[::stride] - x[0], _antisym_entries(l2))
 
 
 def qv_matmul(x, stride: int):
@@ -339,32 +351,33 @@ def qv_matmul(x, stride: int):
 
 def leadlag_residuals_assembled(cfg, trials, root=None):
     """leadlag._residuals with the residual assembled from fresh arrays: for
-    each n the difference dD of its strided lift from the reference lift,
-    then half the QV, then the four blocks [[dD, dD - Q/2], [dD + Q/2, dD]]
-    copied into the residual, and areaDev1 the mean diagonal of half the QV
-    at the last grid point.  It shares the lift and running-sum kernels with
-    the library, so it checks the in-place block assembly, bit for bit."""
+    each n the difference dA of its strided lift's area from the reference
+    lift's, then half the QV, then the full anti-symmetric 2d x 2d array
+    [[dA, dA - Q/2], [dA + Q/2, dA]] built block by block and its entries
+    p < q taken, and areaDev1 the mean diagonal of half the QV at the last
+    grid point.  It shares the lift and running-sum kernels with the
+    library, so it checks the entry-by-entry assembly, value for value."""
     from roughlift.gauss import derive_seed, sample_fbm
-    from roughlift.tensor2 import lift_piecewise_linear, running_outer_sum
+    from roughlift.tensor2 import full_level2, lift_piecewise_linear, running_outer_sum
 
     d, n_ref, n_min = cfg.d, cfg.n_ref, cfg.n_schedule[0]
     x = np.stack([sample_fbm(seed=derive_seed(cfg.base_seed, k), H=cfg.H, n=n_ref, d=d,
                              root=root).values for k in trials])
     t = np.arange(n_ref + 1) / n_ref
-    ref = lift_piecewise_linear(t, x, stride=n_ref // n_min).level2
-    res = np.empty((len(x), len(cfg.n_schedule), n_min + 1, 2 * d, 2 * d))
+    ref = lift_piecewise_linear(t, x, stride=n_ref // n_min).area
+    res = np.empty((len(x), len(cfg.n_schedule), n_min + 1, d * (2 * d - 1)))
     area = np.empty((len(x), len(cfg.n_schedule)))
+    p, q = np.triu_indices(d)
     for m, n in enumerate(cfg.n_schedule):
         xn, tn, stride = x[:, ::n_ref // n], t[::n_ref // n], n // n_min
-        dD = lift_piecewise_linear(tn, xn, stride=stride).level2 - ref
-        half_qv = np.empty(dD.shape)
-        running_outer_sum(xn, stride, half_qv, midpoint=False)
-        half_qv *= 0.5
-        r = res[:, m]
-        r[..., :d, :d] = dD
-        r[..., d:, d:] = dD
-        np.subtract(dD, half_qv, out=r[..., :d, d:])
-        np.add(dD, half_qv, out=r[..., d:, :d])
+        dA = lift_piecewise_linear(tn, xn, stride=stride).area - ref
+        qv = np.empty(dA.shape[:-1] + (len(p),))
+        running_outer_sum(xn, stride, np.empty(dA.shape), qv)
+        half_qv = np.empty(dA.shape[:-1] + (d, d))
+        half_qv[..., p, q] = half_qv[..., q, p] = 0.5 * qv
+        A = full_level2(np.zeros(dA.shape[:-1] + (d,)), dA)
+        full = np.block([[A, A - half_qv], [A + half_qv, A]])
+        res[:, m] = full[(...,) + np.triu_indices(2 * d, 1)]
         area[:, m] = np.mean(np.diagonal(half_qv[:, -1], axis1=1, axis2=2), axis=1)
     return res, area
 
@@ -456,7 +469,7 @@ def leadlag_trial_full_lifts(cfg, trial_index: int):
     is written out here: n^{1-2H}/2 on [[0, I], [-I, 0]]."""
     from roughlift.gauss import derive_seed, sample_fbm
     from roughlift.leadlag import TrialResult, hoff_path
-    from roughlift.tensor2 import holder_distance, lift_piecewise_linear, translate
+    from roughlift.tensor2 import area_entries, holder_distance, lift_piecewise_linear, translate
 
     ref = sample_fbm(seed=derive_seed(cfg.base_seed, trial_index), H=cfg.H, n=cfg.n_ref,
                      d=cfg.d)
@@ -473,7 +486,7 @@ def leadlag_trial_full_lifts(cfg, trial_index: int):
         common = lift.restrict(np.arange(0, 2 * n + 1, 2 * n // n_min))
         v = 0.5 * n ** (1 - 2 * cfg.H)
         term = np.block([[zero, v * eye], [-v * eye, zero]])
-        dist_ren = holder_distance(translate(common, term), ref_common, cfg.alpha)
+        dist_ren = holder_distance(translate(common, area_entries(term)), ref_common, cfg.alpha)
         dist_raw = holder_distance(common, ref_common, cfg.alpha)
         area = 0.5 * (lift.level2[-1] - lift.level2[-1].T)
         dev = ref_area - area
@@ -481,3 +494,323 @@ def leadlag_trial_full_lifts(cfg, trial_index: int):
         out.append(TrialResult(n=n, dist_renorm=dist_ren, dist_raw=dist_raw,
                                areaDev1=area_dev, vNorm=float(np.linalg.norm(term))))
     return out
+
+
+# --- the full-level-2 route ---------------------------------------------------
+#
+# Lifts that hold their whole d x d level 2, summed entry by entry, and
+# sweeps that square all d^2 level-2 residual entries of every pair: the
+# library's route before lifts were stored as level 1 and Levy area, kept
+# verbatim, its names prefixed full_, as the oracle of every TrialResult
+# field.  It shares the sweep geometry and scratch helpers of tensor2.
+
+@dataclass(frozen=True)
+class FullLiftedPath:
+    """Running signatures S_{0,i} of a path over a strictly increasing grid.
+
+    ``level1[i]``/``level2[i]`` are the two levels of S_{0,i}; S_{0,0} is the
+    identity.  Interval lifts S_{i,j} come out of ``intervals`` via group
+    inversion and therefore satisfy Chen exactly.  A batch of B paths on
+    one grid puts one leading axis of B members on both levels.
+    """
+
+    times: np.ndarray
+    level1: np.ndarray  # ([B,] N+1, d)
+    level2: np.ndarray  # ([B,] N+1, d, d)
+
+    def __post_init__(self):
+        from roughlift.tensor2 import any_blockwise
+
+        t = np.asarray(self.times, dtype=float)
+        l1 = np.asarray(self.level1, dtype=float)
+        l2 = np.asarray(self.level2, dtype=float)
+        if t.ndim != 1 or len(t) < 1:
+            raise ValueError("times must be a non-empty 1-d array")
+        if any_blockwise(np.less_equal, t[1:], t[:-1]):
+            raise ValueError("times must be strictly increasing")
+        if l1.ndim not in (2, 3) or l2.ndim != l1.ndim + 1:
+            raise ValueError("running signature arrays must be ([B,] N+1, d) and "
+                             "([B,] N+1, d, d)")
+        if l1.shape[-2] != len(t) or l2.shape != l1.shape + l1.shape[-1:]:
+            raise ValueError("running signature arrays inconsistent with grid")
+        if np.any(l1[..., 0, :] != 0.0) or np.any(l2[..., 0, :, :] != 0.0):
+            raise ValueError("running signature must start at the identity")
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "level1", l1)
+        object.__setattr__(self, "level2", l2)
+
+    @property
+    def dim(self) -> int:
+        return self.level1.shape[-1]
+
+    def intervals(self, i, j) -> tuple[np.ndarray, np.ndarray]:
+        i, j = np.broadcast_arrays(i, j)
+        x1 = self.level1[..., i, :]
+        inc = self.level1[..., j, :] - x1
+        return inc, (self.level2[..., j, :, :] - self.level2[..., i, :, :]
+                     - x1[..., :, None] * inc[..., None, :])
+
+    def restrict(self, indices) -> "FullLiftedPath":
+        idx = np.asarray(indices, dtype=int)
+        if idx.ndim != 1 or len(idx) < 1 or np.any(np.diff(idx) <= 0):
+            raise ValueError("indices must be strictly increasing")
+        return FullLiftedPath(self.times[idx], *self.intervals(idx[0], idx))
+
+
+def full_lift_piecewise_linear(times, values, stride: int = 1, out=None) -> FullLiftedPath:
+    t = np.asarray(times, dtype=float)
+    x = np.asarray(values, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    if t.ndim != 1 or len(t) < 2:
+        raise ValueError("need at least 2 grid points")
+    if x.ndim > 3 or x.shape[-2] != len(t):
+        raise ValueError("values must be ([B,] len(times), d)")
+    batch, n, d = x.shape[:-2], x.shape[-2] - 1, x.shape[-1]
+    if stride < 1 or n % stride:
+        raise ValueError(f"stride = {stride} must be a positive divisor of n = {n}")
+    shape = batch + (n // stride + 1, d, d)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {shape}, "
+                         f"got {out.dtype} {out.shape}")
+    elif np.may_share_memory(out, x):
+        raise ValueError("out must not overlap values")
+    full_running_outer_sum(x, stride, out)
+    x0 = x[..., :1, :]
+    if stride == 1 and not np.any(x0) and not np.any(np.signbit(x0)):
+        l1 = x.view()  # x - x_0 is x, bit for bit, when x_0 = +0.0
+        l1.flags.writeable = False
+    else:
+        l1 = x[..., ::stride, :] - x0
+    return FullLiftedPath(np.ascontiguousarray(t[::stride]), l1, out)
+
+
+def full_running_outer_sum(x, stride: int, out, midpoint: bool = True) -> None:
+    from roughlift import tensor2
+
+    if not out.size:  # an empty batch
+        return
+    batch, n, d = x.shape[:-2], x.shape[-2] - 1, x.shape[-1]
+    rows = min(n, max(1, tensor2.ROW_BLOCK // math.prod(batch)))
+    xt, inc, term = tensor2._scratch(batch + (d, rows + 1), batch + (d, rows), batch + (rows,))
+    carry = np.zeros(batch + (d, d))  # each entry's sum up to the block
+    x0 = x[..., :1, :].swapaxes(-1, -2)
+    out[..., 0, :, :] = 0.0
+    for k0 in range(0, n, rows):
+        m = min(rows, n - k0)
+        xb, ib, steps = xt[..., :m + 1], inc[..., :m], term[..., :m]
+        np.copyto(xb, x[..., k0:k0 + m + 1, :].swapaxes(-1, -2))
+        np.subtract(xb[..., 1:], xb[..., :-1], out=ib)
+        ab = ib
+        if midpoint:  # (x_r - x_0) + inc_r/2, written over x_r
+            ab = xb[..., :-1]
+            ab -= x0
+            for p in range(d):
+                ab[..., p, :] += np.multiply(ib[..., p, :], 0.5, out=steps)
+        c0, c1 = k0 // stride + 1, (k0 + m) // stride + 1  # the block's output rows
+        for p in range(d):
+            for q in range(d):
+                np.multiply(ab[..., p, :], ib[..., q, :], out=steps)
+                if stride == 1:
+                    tensor2.running_sum_block(steps.T, out[..., p, q].T, k0)  # rows first
+                else:  # summed in place from the carry, as running_sum_block adds it
+                    steps[..., 0] += carry[..., p, q]
+                    np.cumsum(steps, axis=-1, out=steps)
+                    carry[..., p, q] = steps[..., -1]
+                    out[..., c0:c1, p, q] = steps[..., c0 * stride - k0 - 1::stride]
+
+
+def full_zero_lift(times, dim: int) -> FullLiftedPath:
+    t = np.asarray(times, dtype=float)
+    return FullLiftedPath(t, np.broadcast_to(0.0, (len(t), dim)),
+                          np.broadcast_to(0.0, (len(t), dim, dim)))
+
+
+def full_translate(path: FullLiftedPath, v) -> FullLiftedPath:
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        raise ValueError(f"v must be square, got shape {v.shape}")
+    if np.linalg.norm(v + v.T) > 1e-12 * max(1.0, float(np.linalg.norm(v))):
+        raise ValueError("area shift must be anti-symmetric")
+    if v.shape[0] != path.dim:
+        raise ValueError(f"dimension mismatch: {v.shape[0]} vs {path.dim}")
+    shift = (path.times - path.times[0])[:, None, None] * v
+    return FullLiftedPath(path.times, path.level1.copy(), path.level2 + shift)
+
+
+def _full_sweep_blocks(k: int, n: int, shifted: bool, zero_target: bool, zero1: bool = False,
+                       geometry: bool = False) -> tuple[int, list[int]]:
+    from roughlift import tensor2
+
+    rows = min(n, max(1, tensor2.PAIR_BLOCK // (k * n)))
+    pairs = rows * n
+    sizes = [k * pairs] * (3 + shifted) + [pairs] * (1 - zero_target)
+    if not geometry:
+        sizes += [pairs] * (1 + shifted + (not zero1))
+    return rows, sizes
+
+
+def full_holder_sweep(x: FullLiftedPath, y: FullLiftedPath, alpha: float, shifts=None,
+                      geometry=None):
+    from roughlift.tensor2 import _accumulate_square, _fold_sup, _geometry, _scratch
+
+    if not (0.0 <= alpha < 0.5):
+        raise ValueError("alpha must lie in [0, 1/2)")
+    if y.level1.ndim != 2:
+        raise ValueError("the target must be one lift")
+    if x.dim != y.dim:
+        raise ValueError("dimension mismatch")
+    if len(x.times) != len(y.times) or np.any(x.times != y.times):
+        raise ValueError("grids must be identical")
+    k = len(x.level1) if x.level1.ndim == 3 else 1
+    d, n = y.dim, len(y.times) - 1
+    if shifts is not None:
+        shifts = np.asarray(shifts, dtype=float)
+        if shifts.shape != (k, d, d):
+            raise ValueError(f"shifts must have shape {(k, d, d)}, got {shifts.shape}")
+    if n < 1 or k < 1:
+        return np.zeros(k), None if shifts is None else np.zeros(k)
+    t = y.times
+    y_zero = not np.any(y.level1)
+    zero1 = y_zero and not np.any(x.level1)  # no level-1 planes
+    # grid axis last and contiguous, so block planes are read by slices
+    dl2 = np.empty((k, d, d, n + 1))
+    if np.any(y.level2):
+        np.subtract(x.level2, y.level2, out=np.moveaxis(dl2, -1, -3))
+    else:  # a copy, unlike the subtraction, takes no numpy iterator buffer
+        np.copyto(np.moveaxis(dl2, -1, -3), x.level2)
+    if not zero1:
+        x1 = np.ascontiguousarray(x.level1.reshape(k, n + 1, d).swapaxes(1, 2))
+        y1 = np.ascontiguousarray(y.level1.T)
+        w = x1 - y1
+    shifted = shifts is not None
+    rows, sizes = _full_sweep_blocks(k, n, shifted, y_zero, zero1, geometry is not None)
+    if geometry is not None and geometry.key != (t.tobytes(), alpha, rows, shifted):
+        raise ValueError("the geometry is not that of this grid, alpha and sweep")
+    planes = _scratch(*[(size,) for size in sizes])
+    blocks = (geometry.blocks if geometry is not None
+              else _geometry(t, alpha, rows, shifted, not zero1,
+                             planes[3 + shifted + (not y_zero):]))
+    sup = np.zeros((3, k))  # level 1, level 2, shifted level 2
+    for i0, i1, pair, power, power2, dt in blocks:
+        shape = (i1 - i0, n - i0)
+        m = shape[0] * shape[1]
+        a, r, acc, *acc_shifted = (p[:k * m].reshape((k,) + shape) for p in planes[:3 + shifted])
+        c = None if y_zero else planes[3 + shifted][:m].reshape(shape)
+        if not zero1:
+            for p in range(d):
+                np.subtract(w[:, p, None, i0 + 1:], w[:, p, i0:i1, None], out=a)
+                _accumulate_square(a, acc, p == 0)
+            _fold_sup(acc, power, pair, sup[0])
+        for p in range(d):
+            for q in range(d):
+                np.subtract(dl2[:, p, q, None, i0 + 1:], dl2[:, p, q, i0:i1, None], out=r)
+                if not zero1:
+                    np.subtract(x1[:, q, None, i0 + 1:], x1[:, q, i0:i1, None], out=a)
+                    np.multiply(x1[:, p, i0:i1, None], a, out=a)
+                    if not y_zero:
+                        np.subtract(y1[q, i0 + 1:], y1[q, i0:i1, None], out=c)
+                        np.multiply(y1[p, i0:i1, None], c, out=c)
+                        np.subtract(a, c, out=a)  # the Chen cross term of X - Y
+                    np.subtract(r, a, out=r)  # the level-2 residual
+                if shifted:
+                    np.multiply(shifts[:, p, q, None, None], dt, out=a)
+                    np.add(r, a, out=a)
+                    _accumulate_square(a, acc_shifted[0], p == q == 0)
+                _accumulate_square(r, acc, p == q == 0)
+        _fold_sup(acc, power2, pair, sup[1])
+        if shifted:
+            _fold_sup(acc_shifted[0], power2, pair, sup[2])
+    return sup[0] + sup[1], sup[0] + sup[2] if shifted else None
+
+
+def full_holder_distance(x: FullLiftedPath, y: FullLiftedPath, alpha: float, *,
+                         geometry=None) -> float:
+    if x.level1.ndim != 2:
+        raise ValueError("x must be one lift; use holder_sweep for a batch")
+    return float(full_holder_sweep(x, y, alpha, geometry=geometry)[0][0])
+
+
+def magnetic_trial_full_level2(cfg, plan, trial_index: int):
+    """magnetic.run_magnetic_trial on the full-level-2 route."""
+    from roughlift.gauss import derive_Z, derive_seed, float_index, sample_physical
+    from roughlift.linstable import renorm_v
+    from roughlift.magnetic import TrialResult
+
+    eps, drift, n_fine = plan.eps, plan.drift, plan.n_fine
+    v = renorm_v(drift)
+    seed = derive_seed(cfg.base_seed, float_index(eps), trial_index)
+    P, W = sample_physical(drift, eps, cfg.T, n_fine, seed, step=plan.step)
+    out_idx = np.arange(0, n_fine + 1, plan.stride)
+
+    level2 = np.empty((n_fine + 1, cfg.d, cfg.d))
+    liftP = full_lift_piecewise_linear(P.times, P.values, out=level2).restrict(out_idx)
+    Z = derive_Z(P, W, out=P.values)
+    liftZ = full_lift_piecewise_linear(Z.times, Z.values, out=level2).restrict(out_idx)
+    liftW = full_lift_piecewise_linear(W.times, W.values, out=level2).restrict(out_idx)
+
+    zero = full_zero_lift(liftP.times, cfg.d)
+    geometry = plan.geometry
+    distP_renorm = full_holder_distance(full_translate(liftP, v), zero, cfg.alpha,
+                                        geometry=geometry)
+    distP_raw = full_holder_distance(liftP, zero, cfg.alpha, geometry=geometry)
+    distZ_renorm = full_holder_distance(full_translate(liftZ, v), liftW, cfg.alpha,
+                                        geometry=geometry)
+    distZ_raw = full_holder_distance(liftZ, liftW, cfg.alpha, geometry=geometry)
+    area_dev = float(np.linalg.norm(liftZ.level2[-1] - liftW.level2[-1]))
+    return TrialResult(eps=float(eps), distP_renorm=distP_renorm,
+                       distP_raw=distP_raw, distZ_renorm=distZ_renorm,
+                       distZ_raw=distZ_raw, areaDev1=area_dev,
+                       vNorm=float(np.linalg.norm(v)))
+
+
+def _full_leadlag_level2(x, stride: int, out, ref=0.0) -> np.ndarray:
+    m, d = x.shape[-2] - 1, x.shape[-1]
+    D, half_qv = out[..., :d, :d], out[..., d:, d:]
+    full_lift_piecewise_linear(np.arange(m + 1) / m, x, stride, out=D)
+    D -= ref
+    full_running_outer_sum(x, stride, half_qv, midpoint=False)
+    half_qv *= 0.5
+    np.subtract(D, half_qv, out=out[..., :d, d:])
+    np.add(D, half_qv, out=out[..., d:, :d])
+    half_qv[...] = D
+    return out
+
+
+def _full_leadlag_residuals(cfg, trials, root=None):
+    from roughlift.gauss import derive_seed, sample_fbm
+
+    d, n_ref, n_min = cfg.d, cfg.n_ref, cfg.n_schedule[0]
+    x = np.stack([sample_fbm(seed=derive_seed(cfg.base_seed, k), H=cfg.H, n=n_ref, d=d,
+                             root=root).values for k in trials])
+    ref = full_lift_piecewise_linear(np.arange(n_ref + 1) / n_ref, x,
+                                     stride=n_ref // n_min).level2
+    res = np.empty((len(x), len(cfg.n_schedule), n_min + 1, 2 * d, 2 * d))
+    for m, n in enumerate(cfg.n_schedule):
+        _full_leadlag_level2(x[:, ::n_ref // n], n // n_min, res[:, m], ref)
+    end = res[:, :, -1]
+    area = 0.5 * np.diagonal(end[..., :d, d:] - end[..., d:, :d], axis1=-2, axis2=-1)
+    return res, -np.mean(area, axis=-1)
+
+
+def leadlag_trial_full_level2(cfg, trials, root=None):
+    """leadlag.run_leadlag_trial on the full-level-2 route: residuals of
+    2d x 2d level 2 and a sweep squaring all their entries, shifted by the
+    counter-terms' full arrays."""
+    from roughlift.leadlag import TrialResult, counter_terms
+
+    res, area = _full_leadlag_residuals(cfg, trials, root)
+    b, k, n1, d2 = res.shape[:4]
+    times = np.arange(n1) / cfg.n_schedule[0]
+    members = FullLiftedPath(times, np.broadcast_to(0.0, (b * k, n1, d2)),
+                             res.reshape(b * k, n1, d2, d2))
+    shifts = counter_terms(cfg.H, cfg.n_schedule, cfg.d)
+    dist_raw, dist_ren = full_holder_sweep(members, full_zero_lift(times, d2), cfg.alpha,
+                                           np.tile(shifts, (b, 1, 1)))
+    vnorms = [float(np.linalg.norm(v)) for v in shifts]
+    return [[TrialResult(n=n, dist_renorm=float(ren), dist_raw=float(raw), areaDev1=float(dev),
+                         vNorm=vnorm)
+             for n, raw, ren, dev, vnorm in zip(cfg.n_schedule, raws, rens, devs, vnorms)]
+            for raws, rens, devs in zip(dist_raw.reshape(b, k), dist_ren.reshape(b, k), area)]

@@ -14,9 +14,9 @@ from roughlift.leadlag import BATCH_BYTES, TRIAL_BATCH, leadlag_trial_bytes
 from roughlift.report import MAX_GRID_STEPS, TRIAL_BYTES
 from roughlift.tensor2 import LiftedPath, holder_sweep, lift_piecewise_linear, zero_lift
 
-from oracles import (leadlag_residuals_assembled, leadlag_trial_full_lifts,
-                     lift_piecewise_linear_full, lift_strided_whole_grid, qv_matmul,
-                     sample_fbm_complex_fft)
+from oracles import (leadlag_residuals_assembled, leadlag_trial_full_level2,
+                     leadlag_trial_full_lifts, lift_piecewise_linear_full,
+                     lift_strided_whole_grid, qv_matmul, sample_fbm_complex_fft)
 
 
 # ----------------------------------------------------------------- hoff_path
@@ -267,13 +267,13 @@ def test_trial_matches_full_lift_oracle(d, H):
 def _batched(lift):
     """A per-path lift function extended to batches of paths (a leading
     axis): each member lifted alone, the results stacked into one lift, and
-    level 2 copied into ``out`` when one is given."""
+    the area copied into ``out`` when one is given."""
     def lift_batch(t, x, stride, out=None):
         lifts = [lift(t, member, stride) for member in x]
-        level2 = np.stack([m.level2 for m in lifts])
+        area = np.stack([m.area for m in lifts])
         if out is not None:
-            out[...] = level2
-        return LiftedPath(lifts[0].times, np.stack([m.level1 for m in lifts]), level2)
+            out[...] = area
+        return LiftedPath(lifts[0].times, np.stack([m.level1 for m in lifts]), area)
     return lift_batch
 
 
@@ -284,11 +284,24 @@ def _counted(calls, f):
     return counted
 
 
+def _cumsum_sums_into(x, stride, area, qv):
+    # each n's area and QV, which leadlag asks of the running-sum kernel in
+    # one call, from whole-grid cumsums: the area of the cumsum lift and the
+    # running sums of the increments' products, at every stride-th sample
+    t = np.arange(x.shape[-2]) / (x.shape[-2] - 1)
+    area[...] = np.stack([lift_piecewise_linear_full(t, m).area[::stride] for m in x])
+    inc = np.diff(x, axis=-2)
+    p, q = np.triu_indices(x.shape[-1])
+    qv[..., 0, :] = 0.0
+    qv[..., 1:, :] = np.cumsum(inc[..., p] * inc[..., q], axis=-2)[..., stride - 1::stride, :]
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_trial_matches_cumsum_lift_oracle(monkeypatch, d):
     # level 1 in closed form against the old lift: a whole-grid cumsum lift
     # (level 1 a running sum of the increments) restricted to the stride,
-    # every field within 1e-12 relative, the counter-term norm bit for bit
+    # and each n's area and QV from whole-grid cumsums, every field within
+    # 1e-12 relative, the counter-term norm bit for bit
     cfg = LeadLagConfig(H=0.4, alpha=0.3, n_schedule=(16, 32, 64, 128), n_ref=1024, d=d,
                         mc_trials=4, base_seed=3)
     got = run_leadlag_trial(cfg, range(cfg.mc_trials))
@@ -296,6 +309,7 @@ def test_trial_matches_cumsum_lift_oracle(monkeypatch, d):
     monkeypatch.setattr(leadlag, "lift_piecewise_linear", _counted(calls, _batched(
         lambda t, x, stride: lift_piecewise_linear_full(t, x).restrict(
             np.arange(0, len(t), stride)))))
+    monkeypatch.setattr(leadlag, "running_outer_sum", _counted(calls, _cumsum_sums_into))
     want = run_leadlag_trial(cfg, range(cfg.mc_trials))
     assert len(calls) == 1 + len(cfg.n_schedule)  # the batch's references, every n
     for k in range(cfg.mc_trials):
@@ -306,10 +320,11 @@ def test_trial_matches_cumsum_lift_oracle(monkeypatch, d):
                 assert abs(a - b) <= 1e-12 * abs(b), (name, r.n, k)
 
 
-def _qv_matmul_into(x, stride, out, midpoint=True):
-    # leadlag calls the running-sum kernel for the quadratic variation alone
-    assert not midpoint
-    out[...] = qv_matmul(x, stride)
+def _matmul_sums_into(x, stride, area, qv):
+    # leadlag asks the running-sum kernel for each n's area and QV at once
+    t = np.arange(x.shape[-2]) / (x.shape[-2] - 1)
+    area[...] = np.stack([lift_strided_whole_grid(t, m, stride).area for m in x])
+    qv[...] = qv_matmul(x, stride)[(...,) + np.triu_indices(x.shape[-1])]
 
 
 @pytest.mark.parametrize("d, schedule, n_ref", [
@@ -325,7 +340,7 @@ def test_trial_matches_matmul_lift_and_qv_oracle(monkeypatch, d, schedule, n_ref
                         base_seed=13)
     got = run_leadlag_trial(cfg, range(cfg.mc_trials))
     monkeypatch.setattr(leadlag, "lift_piecewise_linear", _batched(lift_strided_whole_grid))
-    monkeypatch.setattr(leadlag, "running_outer_sum", _qv_matmul_into)
+    monkeypatch.setattr(leadlag, "running_outer_sum", _matmul_sums_into)
     want = run_leadlag_trial(cfg, range(cfg.mc_trials))
     for k in range(cfg.mc_trials):
         for r, w in zip(got[k], want[k], strict=True):
@@ -333,6 +348,29 @@ def test_trial_matches_matmul_lift_and_qv_oracle(monkeypatch, d, schedule, n_ref
             for name in ("dist_renorm", "dist_raw", "areaDev1"):
                 a, b = getattr(r, name), getattr(w, name)
                 assert abs(a - b) <= 1e-12 * abs(b), (name, r.n, k)
+
+
+@pytest.mark.parametrize("d, schedule, n_ref, trials", [
+    (1, (16, 32, 64, 128, 256, 512, 1024), 4096, 64),   # the leadlag benchmark
+    (2, (16, 32, 64, 128, 256, 512, 1024), 4096, 8),
+    (3, (16, 64, 256), 1024, 8),
+])
+def test_trial_matches_full_level2_oracle(d, schedule, n_ref, trials):
+    # residuals as area entries and a sweep squaring only those, against
+    # residuals holding the whole 2d x 2d level 2 and a sweep squaring all
+    # of it: every field within 1e-12 relative, the counter-term norm bit
+    # for bit
+    cfg = LeadLagConfig(H=0.4, alpha=0.3, n_schedule=schedule, n_ref=n_ref, d=d,
+                        mc_trials=trials, base_seed=0)
+    batches = [range(k, min(k + cfg.batch, trials)) for k in range(0, trials, cfg.batch)]
+    for ks in batches:
+        for records, oracle in zip(run_leadlag_trial(cfg, ks), leadlag_trial_full_level2(cfg, ks),
+                                   strict=True):
+            for r, w in zip(records, oracle, strict=True):
+                assert r.n == w.n and r.vNorm == w.vNorm
+                for name in ("dist_renorm", "dist_raw", "areaDev1"):
+                    a, b = getattr(r, name), getattr(w, name)
+                    assert abs(a - b) <= 1e-12 * abs(b), (name, r.n, ks)
 
 
 def _bits(a):
@@ -347,15 +385,17 @@ def _bits(a):
     (1, (1, 2), 2 ** 16),                           # reference cells spanning blocks
 ])
 def test_trial_matches_assembled_residual_oracle(monkeypatch, d, schedule, n_ref):
-    # the lead-lag level 2 written block by block into each residual against
-    # the residual assembled from a fresh dD = D - ref and half-QV array per
-    # n: residuals, areaDev1 and every trial record bit for bit
+    # the lead-lag area written entry by entry into each residual against
+    # the full anti-symmetric residual assembled from a fresh dA = A - ref
+    # and half-QV array per n: residuals and areaDev1 value for value (the
+    # library's -Q_pp/2 is -0.0 where the assembled 0 - Q_pp/2 is +0.0), and
+    # every trial record bit for bit
     cfg = LeadLagConfig(H=0.4, alpha=0.3, n_schedule=schedule, n_ref=n_ref, d=d, mc_trials=8,
                         base_seed=17)
     trials = range(cfg.batch)
     for got, want in zip(leadlag._residuals(cfg, trials),
                          leadlag_residuals_assembled(cfg, trials), strict=True):
-        assert got.shape == want.shape and _bits(got) == _bits(want)
+        assert got.shape == want.shape and np.array_equal(got, want)
     got = run_leadlag_trial(cfg, trials)
     monkeypatch.setattr(leadlag, "_residuals", leadlag_residuals_assembled)
     want = run_leadlag_trial(cfg, trials)
@@ -470,11 +510,11 @@ def _sweep_peak_bytes(k, n, d):
     # and O(PAIR_BLOCK) at both shapes) are allocated before tracing starts
     rng = np.random.default_rng(k * n + d)
     times = np.linspace(0.0, 1.0, n + 1)
-    level2 = rng.standard_normal((k, n + 1, 2 * d, 2 * d))
-    level2[:, 0] = 0.0
-    x = LiftedPath(times, np.broadcast_to(0.0, (k, n + 1, 2 * d)), level2)
+    area = rng.standard_normal((k, n + 1, d * (2 * d - 1)))
+    area[:, 0] = 0.0
+    x = LiftedPath(times, np.broadcast_to(0.0, (k, n + 1, 2 * d)), area)
     y = zero_lift(times, 2 * d)
-    shifts = rng.standard_normal((k, 2 * d, 2 * d))
+    shifts = rng.standard_normal((k, d * (2 * d - 1)))
     holder_sweep(x, y, 0.3, shifts)
     tracemalloc.start()
     try:
@@ -488,7 +528,7 @@ def _sweep_peak_bytes(k, n, d):
 def test_sweep_memory_per_member_point(d):
     # the sweep term of leadlag_trial_bytes: between (k, n) = (32, 128) and
     # (64, 256), both at k n <= PAIR_BLOCK, the sweep's traced peak grows by
-    # 8 (4d^2) B per member grid point (the level-2 difference of the
+    # 8 d (2d - 1) B per member grid point (the area difference of the
     # 2d-dimensional residuals; level 1 is zero, so there is no level-1
     # difference); the bound's per-member term, less the member's own
     # residual, covers that with at most 56 B of planes: with k n_min >=
@@ -498,13 +538,13 @@ def test_sweep_memory_per_member_point(d):
     points = [k * (n + 1) for k, n in shapes]
     peaks = [_sweep_peak_bytes(k, n, d) for k, n in shapes]
     slope = (peaks[1] - peaks[0]) / (points[1] - points[0])
-    core = 8 * 4 * d * d
+    core = 8 * d * (2 * d - 1)
     assert 0.98 * core <= slope <= 1.02 * core + 56
     n_min = 64  # so many schedule points on that grid make the sweep the peak phase
     k = tensor2.PAIR_BLOCK // n_min
     per_member = (leadlag_trial_bytes(4096, d, k + 1, n_min)
                   - leadlag_trial_bytes(4096, d, k, n_min)) / (n_min + 1)
-    sweep_term = per_member - 8 * 4 * d * d
+    sweep_term = per_member - 8 * d * (2 * d - 1)
     assert slope <= sweep_term <= slope + 56
 
 
@@ -529,8 +569,9 @@ def test_batches_shrink_to_the_byte_budget():
     assert batch(4096) == TRIAL_BATCH
     assert [batch(n_ref) for n_ref in (2 ** 15, 2 ** 16, 2 ** 17, 2 ** 18)] == [8, 6, 3, 1]
     # the sweep's planes are charged at their block size, within the lift
-    # blocks here (a cold first batch of 6 traces 8.27 MB)
-    assert batch(4096, d=4, schedule=(512, 1024)) == 6
+    # blocks here; its residuals of 28 area entries a point, not 64 level-2
+    # ones, let a full batch fit (a cold first batch of 8 traces 6.24 MB)
+    assert batch(4096, d=4, schedule=(512, 1024)) == TRIAL_BATCH
     for n_ref, d, schedule in ((4096, 1, (16, 32)), (2 ** 16, 1, (16, 32)),
                                (4096, 4, (512, 1024))):
         cfg = LeadLagConfig(H=0.4, n_schedule=schedule, n_ref=n_ref, d=d, mc_trials=1)

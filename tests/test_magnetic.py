@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import (expected_area, lift_piecewise_linear_full, lyapunov_solve_scipy,
-                     ou_integrals_scipy, ou_joint_transition_lyapunov, ou_recursion_eig,
-                     sample_physical_blocked_scan)
+                     magnetic_trial_full_level2, ou_integrals_scipy,
+                     ou_joint_transition_lyapunov, ou_recursion_eig, sample_physical_blocked_scan)
 from roughlift import gauss, linstable, magnetic, tensor2
 from roughlift import (MagneticConfig, derive_Z, drift_at, fine_grid_n,
                        holder_distance, lift_piecewise_linear, magnetic_experiment,
@@ -16,6 +16,7 @@ from roughlift.gauss import derive_seed, float_index
 from roughlift.linstable import _lyapunov_solve, lyapunov_bytes, ou_joint_transition
 from roughlift.magnetic import fine_step_bytes, plan_run
 from roughlift.report import TRIAL_BYTES, fit_loglog
+from roughlift.tensor2 import area_entries
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -103,7 +104,7 @@ def test_trial_raw_minus_renorm_area_is_exact_shift():
     liftZ = lift_piecewise_linear(Z.times, Z.values)
     liftW = lift_piecewise_linear(W.times, W.values)
     raw_dev = liftZ.level2[-1] - liftW.level2[-1]
-    ren_dev = translate(liftZ, v).level2[-1] - liftW.level2[-1]
+    ren_dev = translate(liftZ, area_entries(v)).level2[-1] - liftW.level2[-1]
     scale = max(1.0, np.abs(raw_dev).max())
     assert np.abs((ren_dev - raw_dev) - cfg.T * v).max() <= 1e-12 * scale
 
@@ -331,6 +332,21 @@ def test_trial_matches_cumsum_lift_oracle(monkeypatch):
         for f in fields(a):
             x, y = getattr(a, f.name), getattr(b, f.name)
             assert abs(x - y) <= 1e-12 * abs(y), (a.eps, f.name)
+
+
+@pytest.mark.parametrize("eps", [2.0 ** -2, 2.0 ** -4, 2.0 ** -7])
+def test_trial_matches_full_level2_oracle(eps):
+    # lifts as level 1 and area, and sweeps squaring only the area entries,
+    # against lifts holding all d^2 level-2 entries and sweeps squaring all
+    # of them: every field within 1e-12 relative, on the magnetic benchmark
+    # config (eps = 2^-7 is the magnetic-fine workload's 1,861,120 steps)
+    for seed in (1, 2, 5):
+        cfg = small_cfg(beta=0.5, eps_schedule=(eps,), grid_n=256, base_seed=seed)
+        (plan,) = plan_run(cfg)
+        got, want = run_magnetic_trial(cfg, plan, 0), magnetic_trial_full_level2(cfg, plan, 0)
+        for f in fields(got):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert abs(a - b) <= 1e-12 * abs(b), (eps, seed, f.name)
 
 
 def _trial_peak_bytes(cfg, eps):

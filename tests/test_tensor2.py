@@ -8,7 +8,7 @@ import pytest
 from roughlift import tensor2
 from roughlift import (LiftedPath, StepTwoLift, chen_inv, chen_mul, exp_step2, holder_distance,
                        levy_area, lift_piecewise_linear, translate, zero_lift)
-from roughlift.tensor2 import holder_sweep
+from roughlift.tensor2 import area_entries, full_level2, holder_sweep
 from roughlift.identities import random_lifted_paths
 
 from oracles import (holder_distance_rowloop, lift_piecewise_linear_full, lift_strided_whole_grid,
@@ -170,7 +170,7 @@ def _assert_lift_matches_full(rng, n, d):
     got, want = lift_piecewise_linear(t, x, stride=1), lift_piecewise_linear_full(t, x)
     # bytes, not values: a signed zero counts too.  Level 1 is x - x_0 in
     # closed form; the oracle's running sum of the increments rounds apart
-    assert got.level2.tobytes() == want.level2.tobytes(), (n, d)
+    assert got.area.tobytes() == want.area.tobytes(), (n, d)
     assert got.level1.tobytes() == (x - x[0]).tobytes(), (n, d)
     assert _close(got.level1, want.level1), (n, d)
 
@@ -196,12 +196,12 @@ def test_lift_ragged_blocks_match_full_lift(monkeypatch):
 
 
 def test_lift_memory_bounded_by_block():
-    # beyond its two output levels the lift keeps O(ROW_BLOCK) rows (2.8 MiB
-    # measured); the full lift's whole-grid temporaries peak at 49 MiB here
+    # beyond its level 1 and area the lift keeps O(ROW_BLOCK) rows; the full
+    # lift's whole-grid temporaries peak at 49 MiB here
     n, d = 2 ** 20, 2
     t = np.arange(n + 1) / n
     x = np.random.default_rng(17).standard_normal((n + 1, d))
-    out_bytes = (n + 1) * (d + d * d) * 8
+    out_bytes = (n + 1) * (d + d * (d - 1) // 2) * 8
     tracemalloc.start()
     try:
         lift_piecewise_linear(t, x)
@@ -218,8 +218,8 @@ def _assert_strided_matches_restrict(rng, n, d, stride):
     got = lift_piecewise_linear(t, xs, stride=stride)
     for m, x in enumerate(xs):
         one = lift_piecewise_linear(t, np.ascontiguousarray(x))
-        # level 2 is the stride-1 lift's rows, bit for bit, whatever the stride
-        assert got.level2[m].tobytes() == one.level2[::stride].tobytes(), (n, d, stride, m)
+        # the area is the stride-1 lift's rows, bit for bit, whatever the stride
+        assert got.area[m].tobytes() == one.area[::stride].tobytes(), (n, d, stride, m)
         assert got.level1[m].tobytes() == (x[::stride] - x[0]).tobytes(), (n, d, stride, m)
     whole = lift_strided_whole_grid(t, xs[0], stride)  # the per-cell matmul lift
     want = lift_piecewise_linear_full(t, xs[0]).restrict(np.arange(0, n + 1, stride))
@@ -253,7 +253,7 @@ def _lift_peak_bytes(t, x, stride):
     # on a fresh thread, which allocates its scratch buffer under tracing
     def lift():
         one = lift_piecewise_linear(t, x, stride=stride)
-        return one.times.nbytes + one.level1.nbytes + one.level2.nbytes
+        return one.times.nbytes + one.level1.nbytes + one.area.nbytes
 
     tracemalloc.start()
     try:
@@ -298,27 +298,28 @@ def test_lift_into_out_equals_fresh_lift(stride):
     x = rng.standard_normal((n + 1, d))
     x[0] = 0.0
     fresh = lift_piecewise_linear(t, x, stride=stride)
-    out = np.full((n // stride + 1, d, d), np.nan)  # a used buffer: row 0 is reset too
+    out = np.full((n // stride + 1, 1), np.nan)  # a used buffer: row 0 is reset too
     got = lift_piecewise_linear(t, x, stride=stride, out=out)
-    assert got.level2 is out
+    assert got.area is out
     assert got.level1.tobytes() == fresh.level1.tobytes()
-    assert got.level2.tobytes() == fresh.level2.tobytes()
+    assert got.area.tobytes() == fresh.area.tobytes()
 
 
 def test_lift_rejects_bad_out():
     n, d = 8, 2
     t = np.arange(n + 1.0)
     x = np.random.default_rng(21).standard_normal((n + 1, d))
-    for out in (np.empty((n, d, d)), np.empty((n + 1, d)), np.empty((n // 2 + 1, d, d)),
-                np.empty((n + 1, d, d), dtype=np.float32), np.empty((n + 1, d, d), dtype=int)):
+    for out in (np.empty((n, 1)), np.empty((n + 1, d)), np.empty((n // 2 + 1, 1)),
+                np.empty((n + 1, d, d)), np.empty((n + 1, 1), dtype=np.float32),
+                np.empty((n + 1, 1), dtype=int)):
         with pytest.raises(ValueError, match="out"):
             lift_piecewise_linear(t, x, out=out)
     # values and out cut from one buffer, overlapping by one float
-    buf = np.zeros((n + 1) * d + (n + 1) * d * d - 1)
+    buf = np.zeros((n + 1) * d + (n + 1) - 1)
     values = buf[:(n + 1) * d].reshape(n + 1, d)
     values[1:] = x[1:]
     with pytest.raises(ValueError, match="overlap"):
-        lift_piecewise_linear(t, values, out=buf[-(n + 1) * d * d:].reshape(n + 1, d, d))
+        lift_piecewise_linear(t, values, out=buf[-(n + 1):].reshape(n + 1, 1))
 
 
 def test_lift_level1_is_a_view_only_at_stride_1_from_origin():
@@ -351,8 +352,8 @@ def test_batched_lift_members_match_single_lifts(monkeypatch, row_block, stride)
     x = rng.standard_normal((3, n + 1, d))
     x[1, 0] = 0.0
     batch = lift_piecewise_linear(t, x, stride=stride)
-    out = np.empty((3, n // stride + 1, d, d))
-    assert lift_piecewise_linear(t, x, stride=stride, out=out).level2 is out
+    out = np.empty((3, n // stride + 1, 1))
+    assert lift_piecewise_linear(t, x, stride=stride, out=out).area is out
     assert batch.dim == d and batch.level1.shape == (3, n // stride + 1, d)
     idx = [0, 2, 5]
     sub = batch.restrict(idx)
@@ -360,9 +361,9 @@ def test_batched_lift_members_match_single_lifts(monkeypatch, row_block, stride)
     for m in range(3):
         one = lift_piecewise_linear(t, x[m], stride=stride)
         assert batch.level1[m].tobytes() == one.level1.tobytes()
-        assert batch.level2[m].tobytes() == one.level2.tobytes() == out[m].tobytes()
+        assert batch.area[m].tobytes() == one.area.tobytes() == out[m].tobytes()
         assert sub.level1[m].tobytes() == one.restrict(idx).level1.tobytes()
-        assert sub.level2[m].tobytes() == one.restrict(idx).level2.tobytes()
+        assert sub.area[m].tobytes() == one.restrict(idx).area.tobytes()
         one_inc, one_l2 = one.intervals(np.array([[0], [1]]), np.array([3, 4]))
         assert inc[m].tobytes() == one_inc.tobytes() and l2[m].tobytes() == one_l2.tobytes()
 
@@ -375,23 +376,26 @@ def test_empty_batch_lifts_to_an_empty_batch(stride):
     t = np.arange(n + 1) / n
     lift = lift_piecewise_linear(t, np.zeros((0, n + 1, d)), stride=stride)
     assert lift.level1.shape == (0, n // stride + 1, d)
-    assert lift.level2.shape == (0, n // stride + 1, d, d)
+    assert lift.area.shape == (0, n // stride + 1, 1)
     assert lift.times.tobytes() == t[::stride].tobytes()
-    raw, shifted = holder_sweep(lift, zero_lift(lift.times, d), 0.3, np.zeros((0, d, d)))
+    raw, shifted = holder_sweep(lift, zero_lift(lift.times, d), 0.3, np.zeros((0, 1)))
     assert raw.shape == shifted.shape == (0,)
 
 
 def test_lifted_path_rejects_bad_batches():
+    # the area of a batch of paths in R^2 has one entry a grid point
     t = np.arange(3.0)
     with pytest.raises(ValueError, match="B"):
-        LiftedPath(t, np.zeros((2, 2, 3, 1)), np.zeros((2, 2, 3, 1, 1)))
+        LiftedPath(t, np.zeros((2, 2, 3, 2)), np.zeros((2, 2, 3, 1)))
     with pytest.raises(ValueError, match="inconsistent"):
-        LiftedPath(t, np.zeros((2, 3, 1)), np.zeros((3, 3, 1, 1)))
+        LiftedPath(t, np.zeros((2, 3, 2)), np.zeros((3, 3, 1)))
+    with pytest.raises(ValueError, match="inconsistent"):
+        LiftedPath(t, np.zeros((2, 3, 2)), np.zeros((2, 3, 4)))  # a d x d level 2
     with pytest.raises(ValueError, match="identity"):
-        LiftedPath(t, np.zeros((2, 3, 1)) + [[[0.0]], [[1.0]]], np.zeros((2, 3, 1, 1)))
+        LiftedPath(t, np.zeros((2, 3, 2)), np.zeros((2, 3, 1)) + [[[0.0]], [[1.0]]])
     with pytest.raises(ValueError, match="values"):
         lift_piecewise_linear(t, np.zeros((2, 2, 3, 1)))
-    batch = LiftedPath(t, np.zeros((2, 3, 1)), np.zeros((2, 3, 1, 1)))
+    batch = LiftedPath(t, np.zeros((2, 3, 2)), np.zeros((2, 3, 1)))
     with pytest.raises(ValueError, match="target"):
         holder_sweep(batch, batch, 0.3)
 
@@ -415,14 +419,14 @@ def test_lift_strided_memory_bounded_by_block():
 
 def test_translate_zero():
     path = lift_piecewise_linear([0., 1., 2.], np.array([[0., 0.], [1., 0.], [1., 1.]]))
-    out = translate(path, np.zeros((2, 2)))
+    out = translate(path, np.zeros(1))
     assert np.abs(out.level2 - path.level2).max() == 0.0
 
 
 def test_translate_constant_path():
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
     path = lift_piecewise_linear([0.0, 1.0], np.zeros((2, 2)))
-    out = translate(path, J)
+    out = translate(path, area_entries(J))
     top = out.interval(0, 1)
     assert np.all(top.level1 == 0.0)
     assert np.abs(top.level2 - J).max() <= TOL
@@ -433,8 +437,8 @@ def test_translate_roundtrip_and_chen():
     path = next(random_lifted_paths(rng, 1, max_dim=3, max_segments=20))
     g = rng.standard_normal((path.dim, path.dim))
     v = 0.5 * (g - g.T)
-    fwd = translate(path, v)
-    back = translate(fwd, -v)
+    fwd = translate(path, area_entries(v))
+    back = translate(fwd, -area_entries(v))
     assert np.abs(back.level2 - path.level2).max() <= TOL
     # translation preserves geometricity/Chen: interval symmetric parts unchanged
     for (i, j) in [(0, 1), (0, path.n_points - 1), (1, path.n_points - 1)]:
@@ -446,20 +450,27 @@ def test_translate_roundtrip_and_chen():
 
 
 def test_translate_rejects_non_antisymmetric():
-    # v must be a square, anti-symmetric array of the path's dimension
+    # a shift is the area entries of a square, anti-symmetric array, so a
+    # non-anti-symmetric one has none, and translate takes the path's
+    # number of entries only
     path = lift_piecewise_linear([0.0, 1.0], np.zeros((2, 2)))
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="anti-symmetric"):
-        translate(path, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        area_entries(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="anti-symmetric"):
-        translate(path, J + 1e-9 * np.eye(2))
-    for v in (np.zeros((2, 3)), np.zeros(2), np.zeros((1, 2, 2))):
+        area_entries(J + 1e-9 * np.eye(2))
+    with pytest.raises(ValueError, match="anti-symmetric"):
+        area_entries(np.stack([J, np.eye(2)]))  # one bad array in a stack
+    assert area_entries(np.stack([J, -2.0 * J])).tolist() == [[-1.0], [2.0]]
+    for v in (np.zeros((2, 3)), np.zeros(2), np.zeros((1, 2, 3))):
         with pytest.raises(ValueError, match="square"):
+            area_entries(v)
+    for v in (np.zeros((2, 2)), np.zeros((1, 1))):
+        with pytest.raises(ValueError, match="1-d"):
             translate(path, v)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        translate(path, np.zeros((3, 3)))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        translate(path, [[0.0]])
+    for v in (area_entries(np.zeros((3, 3))), area_entries([[0.0]])):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            translate(path, v)
 
 
 # ---------------------------------------------------------------- levy_area
@@ -500,7 +511,7 @@ def test_holder_translate_value():
     v = 0.5 * (g - g.T)
     vnorm = np.linalg.norm(v)
     for alpha in (0.0, 0.2, 0.45):
-        got = holder_distance(translate(x, v), x, alpha)
+        got = holder_distance(translate(x, area_entries(v)), x, alpha)
         assert abs(got - vnorm) <= 1e-12 * max(1.0, vnorm)
 
 
@@ -549,7 +560,7 @@ def test_holder_large_grid_is_exact():
     rng = np.random.default_rng(12)
     x = lift_piecewise_linear(t, rng.standard_normal((n + 1, 2)))
     v = np.array([[0.0, 1.5], [-1.5, 0.0]])
-    got = holder_distance(translate(x, v), x, 0.1)
+    got = holder_distance(translate(x, area_entries(v)), x, 0.1)
     assert abs(got - np.linalg.norm(v)) <= 1e-12 * np.linalg.norm(v)
 
 
@@ -559,12 +570,9 @@ def _random_nonuniform_pair(rng, n, d):
 
 
 def _assert_matches_rowloop(x, y, alpha):
-    got = holder_distance(x, y, alpha)
-    want = holder_distance_rowloop(x, y, alpha)
-    if x.dim <= 2:  # norms of <= 4 terms are summed in the same order
-        assert got == want
-    else:
-        assert abs(got - want) <= 1e-12 * want
+    # every sum of squares is taken in index order on both routes, so the
+    # distances agree bit for bit at every dimension
+    assert holder_distance(x, y, alpha) == holder_distance_rowloop(x, y, alpha)
 
 
 # one-member grids at the sweep's block edges, from PAIR_BLOCK: the largest
@@ -614,17 +622,17 @@ def test_holder_memory_bounded_by_block():
 def _stack(lifts):
     """The lifts, all on one grid, as one batch with their members in order."""
     return LiftedPath(lifts[0].times, np.stack([x.level1 for x in lifts]),
-                      np.stack([x.level2 for x in lifts]))
+                      np.stack([x.area for x in lifts]))
 
 
 def _random_stack(rng, n, d, k):
-    """k random lifts on one random grid, their batch, a target and k
-    anti-symmetric shifts."""
+    """k random lifts on one random grid, their batch, a target and the
+    area entries of k anti-symmetric shifts."""
     t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n))])
     xs = [lift_piecewise_linear(t, rng.standard_normal((n + 1, d))) for _ in range(k)]
     g = rng.standard_normal((k, d, d))
     y = lift_piecewise_linear(t, rng.standard_normal((n + 1, d)))
-    return xs, _stack(xs), y, g - g.transpose(0, 2, 1)
+    return xs, _stack(xs), y, area_entries(g - g.transpose(0, 2, 1))
 
 
 def _assert_sweep_matches_single_calls(rng, n, d, alpha):
@@ -657,9 +665,9 @@ def test_sweep_ragged_blocks(monkeypatch):
 
 def _zero_level1(rng, t, d, signs):
     """A lift with level 1 zero, -0.0 where ``signs`` is negative."""
-    level2 = rng.standard_normal((len(t), d, d))
-    level2[0] = 0.0
-    return LiftedPath(t, np.where(signs < 0, -0.0, 0.0), level2)
+    area = rng.standard_normal((len(t), d * (d - 1) // 2))
+    area[0] = 0.0
+    return LiftedPath(t, np.where(signs < 0, -0.0, 0.0), area)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -672,11 +680,11 @@ def test_sweep_zero_planes_match_rowloop(d):
     t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n))])
     signs = rng.standard_normal((n + 1, d))
     g = rng.standard_normal((d, d))
-    v = g - g.T
+    v = area_entries(g - g.T)
     zero = zero_lift(t, d)
-    signed_zero = LiftedPath(t, np.where(signs < 0, -0.0, 0.0), np.zeros((n + 1, d, d)))
+    signed_zero = LiftedPath(t, np.where(signs < 0, -0.0, 0.0), np.zeros((n + 1, len(v))))
     flat = [_zero_level1(rng, t, d, signs) for _ in range(3)]
-    flat += [translate(flat[0], v), LiftedPath(t, flat[1].level1, -flat[1].level2)]
+    flat += [translate(flat[0], v), LiftedPath(t, flat[1].level1, -flat[1].area)]
     moving = [lift_piecewise_linear(t, rng.standard_normal((n + 1, d))) for _ in range(2)]
     moving.append(translate(moving[0], v))
     for y in (zero, signed_zero):
@@ -719,7 +727,7 @@ def _geometry_cases(rng, n):
         xs = [lift_piecewise_linear(t, rng.standard_normal((n + 1, 2))) for _ in range(3)]
         g = rng.standard_normal((3, 2, 2))
         for y in (zero_lift(t, 2), lift_piecewise_linear(t, rng.standard_normal((n + 1, 2)))):
-            for shifts in (None, g - g.transpose(0, 2, 1)):
+            for shifts in (None, area_entries(g - g.transpose(0, 2, 1))):
                 yield _stack(xs), y, shifts
                 yield xs[0], y, None if shifts is None else shifts[:1]
 
@@ -816,6 +824,21 @@ def test_sweeps_keep_no_more_than_the_geometry_bound():
     assert _retained_bytes(x, y) < 2 ** 12
     assert _retained_bytes(x, y, geometry) < 2 ** 12
 
+def test_one_point_grid_has_no_sweep_blocks():
+    # a one-point grid has no pairs: its sweeps give zeros, it has no
+    # geometry to keep, and its blocks, like those of a sweep of no members,
+    # are a ValueError rather than a division by zero
+    t = np.array([0.0])
+    x = LiftedPath(t, np.zeros((1, 2)), np.zeros((1, 1)))
+    assert tensor2.sweep_geometry(t, 0.3) is None
+    assert tensor2.sweep_geometry(t, 0.3, k=3, shifted=True) is None
+    raw, shifted = holder_sweep(x, zero_lift(t, 2), 0.3, np.ones((1, 1)))
+    assert raw.tolist() == shifted.tolist() == [0.0]
+    assert holder_distance(x, x, 0.3, geometry=tensor2.sweep_geometry(t, 0.3)) == 0.0
+    for k, n in ((1, 0), (0, 4), (0, 0)):
+        with pytest.raises(ValueError, match="a member and an interval"):
+            tensor2.sweep_blocks(k, n, shifted=False)
+
 # ------------------------------------------------------------ LiftedPath API
 
 def test_interval_lifts_satisfy_chen():
@@ -852,19 +875,37 @@ def test_intervals_match_interval_restrict_and_all_pairs_formula():
     for path in random_lifted_paths(rng, 6, max_dim=3, max_segments=12):
         n, d = path.n_points, path.dim
         grid = np.arange(n)
-        inc, l2 = path.intervals(grid[:, None], grid)
-        assert inc.shape == (n, n, d) and l2.shape == (n, n, d, d)
+        inc, area = path.intervals(grid[:, None], grid)
+        assert inc.shape == (n, n, d) and area.shape == (n, n, d * (d - 1) // 2)
         for i in range(n):
             for j in range(n):
                 single = path.interval(i, j)
                 assert inc[i, j].tobytes() == single.level1.tobytes()
-                assert l2[i, j].tobytes() == single.level2.tobytes()
+                assert full_level2(inc[i, j], area[i, j]).tobytes() == single.level2.tobytes()
         for idx in (grid, grid[1::2], grid[[0, n - 1]]):
             sub = path.restrict(idx)
             assert sub.level1.tobytes() == inc[idx[0], idx].tobytes()
-            assert sub.level2.tobytes() == l2[idx[0], idx].tobytes()
-        L1, L2 = path.level1, path.level2
+            assert sub.area.tobytes() == area[idx[0], idx].tobytes()
+        L1, A = path.level1, path.area
         U = L1[None] - L1[:, None]
         assert inc.tobytes() == U.tobytes()
-        assert l2.tobytes() == (L2[None] - L2[:, None]
-                                - np.einsum("id,ije->ijde", L1, U)).tobytes()
+        p, q = np.triu_indices(d, 1)
+        X = np.broadcast_to(L1[:, None], U.shape)
+        cross = X[..., p] * U[..., q] - X[..., q] * U[..., p]
+        assert area.tobytes() == (A[None] - A[:, None] - 0.5 * cross).tobytes()
+
+
+def test_level2_is_derived_from_level1_and_area():
+    # level 2 is 1/2 x (x) x plus the area's anti-symmetric array, for a
+    # batch too: the area added above the diagonal, taken off below it
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((2, 9, 3))
+    lift = lift_piecewise_linear(np.arange(9.0), x)
+    level2 = lift.level2
+    assert level2.shape == (2, 9, 3, 3)
+    sym = 0.5 * lift.level1[..., :, None] * lift.level1[..., None, :]
+    p, q = np.triu_indices(3, 1)
+    assert np.array_equal(level2[..., p, q], sym[..., p, q] + lift.area)
+    assert np.array_equal(level2[..., q, p], sym[..., q, p] - lift.area)
+    diagonal = np.arange(3)
+    assert np.array_equal(level2[..., diagonal, diagonal], sym[..., diagonal, diagonal])
