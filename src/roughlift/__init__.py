@@ -33,9 +33,8 @@ from .report import fit_loglog, emit, build_manifest
 
 __all__ = [
     "__version__",
-    "StepTwoLift", "LiftedPath", "exp_step2", "chen_mul", "chen_inv",
-    "levy_area", "lift_piecewise_linear", "zero_lift", "area_entries", "translate",
-    "holder_distance",
+    "StepTwoLift", "LiftedPath", "exp_step2", "chen_mul", "chen_inv", "levy_area",
+    "lift_piecewise_linear", "zero_lift", "area_entries", "translate", "holder_distance",
     "StableDrift", "OUTransition", "lyapunov_C", "renorm_v", "ou_joint_transition",
     "GridPath", "sample_bm", "sample_fbm", "sample_physical",
     "derive_Z", "derive_seed", "fgn_autocov", "required_steps",

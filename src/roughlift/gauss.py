@@ -7,14 +7,10 @@
 * The physical pair (P, W): the momentum of dP = -(M/eps^2) P dt + dW
   stepped with its exact joint Gaussian transition, so the law at grid
   points carries no discretisation error.  The mean step P -> E P is a
-  blocked scan in real arithmetic, run on each chunk of noise as it is
-  drawn, from the carried P: one matmul with the block-Toeplitz matrix of
-  E^0 .. E^(s-1) scans blocks of s steps from zero, the same scan with E^s
-  over the block ends gives the block starts, and one matmul with the
-  stacked powers E^1 .. E^s adds them back (Kogge & Stone 1973; Blelloch
-  1990).  It is stable for any E: E = exp(-M h/eps^2) is a 2-norm
-  contraction (M + M^T = 2A > 0), and every block of the Toeplitz matrix
-  and of the stacked powers, at every level, is a power of E, of norm <= 1.
+  blocked matmul scan in real arithmetic (``_ou_scan_block``; Kogge & Stone
+  1973; Blelloch 1990), stable for any E: E = exp(-M h/eps^2) is a 2-norm
+  contraction (M + M^T = 2A > 0), and every block of its matrices, at every
+  level, is a power of E, of norm <= 1.
 
 Everything is deterministic given the arguments and the seed, which must
 lie in [0, 2^64); Monte Carlo trials derive per-trial substreams with a
@@ -275,10 +271,9 @@ def sample_physical(drift: StableDrift, eps: float, T: float, N: int, seed: int,
     """Momentum P and its driving Brownian motion W, jointly exact in law
     at the grid points of the uniform N-step grid on [0, T].
 
-    The normals are drawn ROW_BLOCK steps at a time; each chunk's OU scan
-    starts from the carried P and writes P straight away, and W is the
-    carried running sum, so the working memory beyond the returned P, W
-    and times is O(ROW_BLOCK d).  Philox draws are chunk-invariant, and
+    The normals are drawn, scanned into P and summed into W ROW_BLOCK steps
+    at a time from the carried P and W, so the working memory beyond the
+    returned arrays is O(ROW_BLOCK d).  Philox draws are chunk-invariant, and
     each block's product with L^T has the rows of the whole-grid product
     bitwise, so the noise equals a one-shot draw (tests check this at
     ROW_BLOCK; OpenBLAS moves some rows by one ulp at odd block sizes such

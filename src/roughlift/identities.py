@@ -32,6 +32,11 @@ class CheckResult:
         return self.max_err <= self.tol
 
 
+def _checks(names, worst, tol: float) -> list[CheckResult]:
+    """One CheckResult a name, at its worst error (np.maximum keeps a nan)."""
+    return [CheckResult(name, float(err), tol) for name, err in zip(names, worst)]
+
+
 def random_lifted_paths(rng, n_paths: int, max_dim: int = 4, max_segments: int = 64):
     """Random piecewise-linear paths with their lifts."""
     for _ in range(n_paths):
@@ -66,9 +71,8 @@ def chen_relation_error(path) -> float:
 def geometricity_error(path) -> float:
     """Worst relative defect of the interval level 2, derived as 1/2
     increment (x) increment + area, against the sums of (x_r - x_i +
-    inc_r/2) (x) inc_r over the interval's segments, which do not assume
-    Sym(level2) = 1/2 increment (x) increment.  Level 1 of a stride-1 lift
-    is x - x_0 at every grid point, so it gives the segments."""
+    inc_r/2) (x) inc_r over its segments (x_r read off level 1), which do
+    not assume Sym(level2) = 1/2 increment (x) increment."""
     x = path.level1
     inc = np.diff(x, axis=0)
     terms = np.einsum("rd,re->rde", x[:-1] + 0.5 * inc, inc)
@@ -111,19 +115,12 @@ def square_loop_area_error() -> float:
 
 def tensor_suite(n_paths: int = 1000, seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    chen = geo = inv = tr = 0.0
+    worst = np.zeros(4)
     for path in random_lifted_paths(rng, n_paths):
-        chen = max(chen, chen_relation_error(path))
-        geo = max(geo, geometricity_error(path))
-        inv = max(inv, inverse_error(path))
-        tr = max(tr, translate_roundtrip_error(path, rng))
-    return [
-        CheckResult("chen-relation", chen, 1e-12),
-        CheckResult("geometricity", geo, 1e-12),
-        CheckResult("group-inverse", inv, 1e-12),
-        CheckResult("translate-roundtrip", tr, 1e-12),
-        CheckResult("square-loop-area", square_loop_area_error(), 1e-12),
-    ]
+        worst = np.maximum(worst, [chen_relation_error(path), geometricity_error(path),
+                                   inverse_error(path), translate_roundtrip_error(path, rng)])
+    return _checks(("chen-relation", "geometricity", "group-inverse", "translate-roundtrip",
+                    "square-loop-area"), [*worst, square_loop_area_error()], 1e-12)
 
 
 def random_stable_drifts(rng, n_drifts: int = 100, max_dim: int = 5,
@@ -145,24 +142,17 @@ def random_stable_drifts(rng, n_drifts: int = 100, max_dim: int = 5,
 
 def lyapunov_suite(n_drifts: int = 100, seed: int = 1) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    res = forms = anti = 0.0
+    worst = np.zeros(3)
     for drift in random_stable_drifts(rng, n_drifts):
-        M = drift.M
-        C = lyapunov_C(drift)
-        d = drift.dim
-        res = max(res, float(np.linalg.norm(M @ C + C @ M.T - np.eye(d))))
-        v1 = -0.5 * (M @ C - C @ M.T)
-        v2 = C @ M.T - 0.5 * np.eye(d)
-        v3 = -M @ C + 0.5 * np.eye(d)
-        forms = max(forms, float(np.linalg.norm(v1 - v2)),
-                    float(np.linalg.norm(v2 - v3)), float(np.linalg.norm(v1 - v3)))
+        M, C, eye = drift.M, lyapunov_C(drift), np.eye(drift.dim)
+        v1, v2, v3 = -0.5 * (M @ C - C @ M.T), C @ M.T - 0.5 * eye, -M @ C + 0.5 * eye
         v = renorm_v(drift)
-        anti = max(anti, float(np.linalg.norm(v + v.T)) / max(1.0, float(np.linalg.norm(v))))
-    return [
-        CheckResult("lyapunov-residual", res, 1e-10),
-        CheckResult("counterterm-three-forms", forms, 1e-10),
-        CheckResult("counterterm-antisymmetry", anti, 1e-12),
-    ]
+        worst = np.maximum(worst, [
+            np.linalg.norm(M @ C + C @ M.T - eye),
+            np.max([np.linalg.norm(v1 - v2), np.linalg.norm(v2 - v3), np.linalg.norm(v1 - v3)]),
+            np.linalg.norm(v + v.T) / max(1.0, float(np.linalg.norm(v)))])
+    return (_checks(("lyapunov-residual", "counterterm-three-forms"), worst[:2], 1e-10)
+            + _checks(("counterterm-antisymmetry",), worst[2:], 1e-12))
 
 
 def leadlag_oracle_errors(samples) -> tuple[float, float, float]:
@@ -188,21 +178,13 @@ def leadlag_oracle_errors(samples) -> tuple[float, float, float]:
 
 def leadlag_suite(seed: int = 2, n_sample_sets: int = 12) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    worst_or = worst_diag = worst_qv = 0.0
-    hs = (0.3, 0.4, 0.5)
+    worst = np.zeros(3)
     for i in range(n_sample_sets):
-        h = hs[i % len(hs)]
-        n = int(rng.integers(1, 33))
-        d = int(rng.integers(1, 4))
-        path = sample_fbm(seed=int(rng.integers(1 << 62)), H=h, n=n, d=d)
-        a, b, c = leadlag_oracle_errors(path.values)
-        worst_or, worst_diag, worst_qv = (max(worst_or, a), max(worst_diag, b),
-                                          max(worst_qv, c))
-    return [
-        CheckResult("leadlag-area-oracle", worst_or, 1e-12),
-        CheckResult("leadlag-diagonal-blocks", worst_diag, 1e-12),
-        CheckResult("leadlag-cross-qv", worst_qv, 1e-12),
-    ]
+        n, d = int(rng.integers(1, 33)), int(rng.integers(1, 4))
+        path = sample_fbm(seed=int(rng.integers(1 << 62)), H=(0.3, 0.4, 0.5)[i % 3], n=n, d=d)
+        worst = np.maximum(worst, leadlag_oracle_errors(path.values))
+    return _checks(("leadlag-area-oracle", "leadlag-diagonal-blocks", "leadlag-cross-qv"),
+                   worst, 1e-12)
 
 
 def psi_bruteforce(n: int, K: int, H: float) -> float:
@@ -218,24 +200,16 @@ def psi_suite(seed: int = 3, n_cases: int = 60, bound_kmax: int = 512) -> list[C
         n = int(rng.integers(1, 257))
         K = int(rng.integers(1, n + 1))
         H = float(rng.uniform(0.05, 0.95))
-        psi = psi_closed(n, K, H)
         brute = psi_bruteforce(n, K, H)
-        worst_eq = max(worst_eq, abs(psi - brute) / max(1.0, abs(brute)))
-    worst_bound = 0.0
-    for H in (0.30, 0.35, 0.40, 0.45, 0.50):
-        K = np.arange(1, bound_kmax + 1, dtype=float)
-        ratio = psi_profile(bound_kmax, H) / (2.0 * K)
-        worst_bound = max(worst_bound, float(ratio.max()))
-    return [
-        CheckResult("psi-closed-vs-bruteforce", worst_eq, 1e-12),
-        CheckResult("psi-bound-ratio", worst_bound, 1.0),
-    ]
+        worst_eq = np.maximum(worst_eq, abs(psi_closed(n, K, H) - brute) / max(1.0, abs(brute)))
+    K = np.arange(1, bound_kmax + 1, dtype=float)
+    worst_bound = np.max([psi_profile(bound_kmax, H) / (2.0 * K)
+                          for H in (0.30, 0.35, 0.40, 0.45, 0.50)])
+    return (_checks(("psi-closed-vs-bruteforce",), [worst_eq], 1e-12)
+            + _checks(("psi-bound-ratio",), [worst_bound], 1.0))
 
 
 def run_all(seed: int = 0, n_paths: int = 200, n_drifts: int = 100) -> list[CheckResult]:
-    out = []
-    out += tensor_suite(n_paths=n_paths, seed=seed)
-    out += lyapunov_suite(n_drifts=n_drifts, seed=seed + 1)
-    out += leadlag_suite(seed=seed + 2)
-    out += psi_suite(seed=seed + 3)
-    return out
+    return (tensor_suite(n_paths=n_paths, seed=seed)
+            + lyapunov_suite(n_drifts=n_drifts, seed=seed + 1)
+            + leadlag_suite(seed=seed + 2) + psi_suite(seed=seed + 3))

@@ -22,10 +22,6 @@ and the running quadratic variation alone; no Hoff path or 2d-dimensional
 lift enters it.  Trials run in batches (``TRIAL_BATCH``) with the batch
 axis first, and one Hoelder sweep of all residuals of a batch against the
 zero lift gives every distance.
-
-Block sign convention: the translation must put +v on the (lag, lead)
-block to cancel the -QV/2 the area actually carries (verified against
-``leadlag_lift`` and by direct integration of the two-segment case).
 """
 from __future__ import annotations
 
@@ -67,7 +63,9 @@ def hoff_path(samples) -> tuple[np.ndarray, np.ndarray]:
 
 def counter_terms(H: float, ns, d: int) -> np.ndarray:
     """(k, 2d, 2d) stack of counter-terms for the meshes 1/n, n in ns: with
-    v = n^{1-2H}/2, +v I on the (lag, lead) block and -v I opposite."""
+    v = n^{1-2H}/2, +v I on the (lag, lead) block, cancelling the -QV/2 its
+    area carries (as ``leadlag_lift`` and the integrated Hoff lift show),
+    and -v I opposite."""
     eye, zero = np.eye(d), np.zeros((d, d))
     unit = np.block([[zero, eye], [-eye, zero]])
     v = np.array([0.5 * float(n) ** (1.0 - 2.0 * H) for n in ns])
@@ -97,33 +95,29 @@ def _entry_index(d: int, k: int) -> np.ndarray:
     return index
 
 
-def _leadlag_area(x, stride: int, out, ref=None) -> np.ndarray:
+def _leadlag_area(x, stride: int, out, ref=0.0) -> np.ndarray:
     """The lead-lag Levy area [[A, A - Q/2], [A + Q/2, A]] of samples x of
     shape (..., n + 1, d) at every ``stride``-th sample, as the area entries
     p < q of dimension 2d, into ``out`` (..., n / stride + 1, d (2d - 1)):
     A is the running area of the interpolated samples less ``ref`` and Q
     the running quadratic variation, both from one running_outer_sum pass.
-    A diagonal entry of the (lag, lead) block is -Q_pp/2, and the entries
-    below the diagonal there are -(A_qp + Q_qp/2)."""
+    A diagonal entry of the (lag, lead) block is 0 - Q_pp/2, and the
+    entries below the diagonal there are (0 - A_qp) - Q_qp/2."""
     d = x.shape[-1]
     area = np.empty(out.shape[:-1] + (d * (d - 1) // 2,))
     half_qv = np.empty(out.shape[:-1] + (d * (d + 1) // 2,))
     running_outer_sum(x, stride, area, half_qv)
-    if ref is not None:
-        area -= ref
+    area -= ref
     half_qv *= 0.5
-    ia, iq, io = _entry_index(d, 1), _entry_index(d, 0), _entry_index(2 * d, 1)
-    for p in range(d):
-        for q in range(d):
-            cross = out[..., io[p, d + q]]
-            if p < q:
-                out[..., io[p, q]] = out[..., io[d + p, d + q]] = area[..., ia[p, q]]
-                np.subtract(area[..., ia[p, q]], half_qv[..., iq[p, q]], out=cross)
-            elif p > q:
-                np.add(area[..., ia[q, p]], half_qv[..., iq[q, p]], out=cross)
-                np.negative(cross, out=cross)
-            else:
-                np.negative(half_qv[..., iq[p, p]], out=cross)
+    io, iq = _entry_index(2 * d, 1), _entry_index(d, 0)
+    for p in range(d):  # 0 - Q_pp/2, so that Q_pp = 0 gives +0.0
+        np.subtract(0.0, half_qv[..., iq[p, p]], out=out[..., io[p, d + p]])
+    for e, (p, q) in enumerate(zip(*np.triu_indices(d, 1))):
+        out[..., io[p, q]] = out[..., io[d + p, d + q]] = area[..., e]
+        np.subtract(area[..., e], half_qv[..., iq[p, q]], out=out[..., io[p, d + q]])
+        below = out[..., io[q, d + p]]  # (0 - A_pq) - Q_pq/2
+        np.subtract(0.0, area[..., e], out=below)
+        below -= half_qv[..., iq[p, q]]
     return out
 
 
@@ -149,10 +143,8 @@ def psi_profile(K_max: int, H: float) -> np.ndarray:
     w2 = (2.0 * fgn_autocov(np.arange(K_max), H)) ** 2
     K = np.arange(1, K_max + 1, dtype=float)
     # phi(K) = 1/4 [K w_0^2 + 2 sum_{x=1}^{K-1} (K - x) w_x^2]
-    csum = np.cumsum(w2[1:])
-    xsum = np.cumsum(np.arange(1, K_max) * w2[1:])
-    tail_count = np.concatenate([[0.0], csum])
-    tail_xw = np.concatenate([[0.0], xsum])
+    tail_count = np.concatenate([[0.0], np.cumsum(w2[1:])])
+    tail_xw = np.concatenate([[0.0], np.cumsum(np.arange(1, K_max) * w2[1:])])
     return 0.25 * (K * w2[0] + 2.0 * (K * tail_count - tail_xw))
 
 
@@ -167,29 +159,22 @@ BATCH_BYTES = 1 << 23
 def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int, batch: int = 1) -> int:
     """Bound on the peak bytes of one run_leadlag_trial call on ``batch``
     trials: reference grid n_ref, dimension d, k schedule points, coarsest
-    n_min.  In floats of 8 B, with N = n_ref + 1, it is what the run and the
-    worker thread hold throughout, the run's embedding root (N floats,
-    built before the first batch) and the thread's scratch buffer, plus the
-    largest of the traced peaks of three phases.  The buffer is the larger
-    of the blocks of the lifts and the area and QV sums (running_outer_sum,
-    2d + 1 floats a block row, (2d + 1) min(batch n_ref, ROW_BLOCK)) and the
-    planes of the sweep (tensor2.sweep_blocks, for the batch's k members a
-    trial, with shifts, against the zero target, with no level 1, its
-    geometry built block by block among them): a thread holds one buffer,
-    the largest it has been asked for.  The phases, with E = d (2d - 1) the
-    area entries of a residual:
+    n_min.  In floats of 8 B, with N = n_ref + 1 and E = d (2d - 1) area
+    entries a residual, it is what the run and the worker thread hold
+    throughout, the embedding root (N) and the thread's one scratch buffer,
+    the larger of the lift and sum blocks (running_outer_sum, (2d + 1)
+    min(batch n_ref, ROW_BLOCK)) and the sweep's planes (tensor2.sweep_blocks:
+    batch k members, shifted, no level 1, geometry built block by block),
+    plus the largest of the traced peaks of three phases:
 
     * sampling, N d max(batch + 3, 2 batch): one draw holds d rows of 2n
       normals and their half-spectra (4d floats a step) beside the earlier
       draws of the batch, and stacking the draws holds them twice;
     * lifting, N (1 + batch d) + batch (n_min + 1)(E k + d^2 + d (d - 1)/2):
-      the stacked draws and the times; and on the coarsest grid the
+      the stacked draws and the times, and on the coarsest grid the
       residuals (E floats at each of the M = batch k (n_min + 1) member
-      grid points), which the lead-lag area of each n is written into, the
-      reference lift's area, and the area and QV sums of one n;
-    * sweep, 2 E M: per member point its residual and the sweep's area
-      difference (level 1 is zero, so it makes no level-1 planes); the
-      zero target is broadcast zeros.
+      points), the reference lift's area, and one n's area and QV sums;
+    * sweep, 2 E M: each member point's residual and area difference.
 
     At batch = 1 sampling is the peak, and the traced peak grows by 8 (4d +
     1) B per reference step between 2^19 and 2^20 steps: 40.0 B at d = 1,
@@ -272,17 +257,9 @@ def run_leadlag_trial(cfg: LeadLagConfig, trials, root=None) -> list[list[TrialR
     """One batch of coupled trials across the whole n-schedule: one record
     list per trial index in ``trials``, each bitwise the same whatever
     batch the index is run in.  ``root``, the draws' embedding root, is
-    passed to sample_fbm.
-
-    Distances are measured on the coarsest schedule grid, where the
-    lead-lag lift and the doubled reference (X, X) share level 1, so each
-    trial reduces to its residual there (``_residuals``): level 1 zero and
-    the area [[dA, dA - Q/2], [dA + Q/2, dA]].  One Hoelder sweep of every
-    trial's residuals against the zero lift, shifted by the counter-terms,
-    then gives the raw and renormalised distances of the whole batch.
-    areaDev1 is minus the mean (i, d+i) area entry of the lead-lag lift at
-    (0, 1), where the doubled path's area is exactly 0: half the mean
-    diagonal quadratic variation.
+    passed to sample_fbm.  One Hoelder sweep of every trial's residuals
+    (``_residuals``) against the zero lift, shifted by the counter-terms,
+    gives the raw and renormalised distances of the whole batch.
     """
     res, area = _residuals(cfg, trials, root)
     b, k, n1, entries = res.shape
@@ -301,15 +278,13 @@ def run_leadlag_trial(cfg: LeadLagConfig, trials, root=None) -> list[list[TrialR
 
 def _residuals(cfg: LeadLagConfig, trials, root=None) -> tuple[np.ndarray, np.ndarray]:
     """(B, k, n_min + 1, d (2d - 1)) area residuals of the lead-lag lifts
-    against the doubled reference on the coarsest grid, and (B, k)
-    areaDev1, for the B trials of a batch and the k schedule points.
-
-    Each residual is the lead-lag area of the n-samples (``_leadlag_area``)
-    with the area of the strided reference lift of the n_ref-samples taken
-    off its interpolated part, written straight into its slot.  The batch's
-    n_ref draws are stacked, so the reference lift, and each n's area and
-    QV, are one batched call each.  areaDev1 is read off each residual's
-    last row: minus the mean (i, d + i) Levy area.
+    against the doubled reference (X, X) on the coarsest grid, where the two
+    share level 1, and (B, k) areaDev1, for the B trials of a batch and the
+    k schedule points.  Each residual is the lead-lag area of the n-samples
+    (``_leadlag_area``) less the strided n_ref-lift's area on its
+    interpolated part; the batch's draws are stacked, so each lift is one
+    batched call.  areaDev1 is minus the mean (i, d + i) area entry at
+    (0, 1), where the doubled path's is 0: half the mean diagonal QV.
     """
     d, n_ref, n_min = cfg.d, cfg.n_ref, cfg.n_schedule[0]
     x = np.stack([sample_fbm(seed=derive_seed(cfg.base_seed, k), H=cfg.H, n=n_ref, d=d,

@@ -20,8 +20,8 @@ from .gauss import (derive_Z, derive_seed, float_index, physical_step, required_
                     sample_physical, uniform_times)
 from .linstable import StableDrift, lyapunov_bytes, renorm_v
 from .report import ConfigError, check_run, run_trials
-from .tensor2 import (SweepGeometry, area_entries, holder_distance, lift_piecewise_linear,
-                      sweep_geometry, translate, zero_lift)
+from .tensor2 import (SweepGeometry, area_entries, full_level2, holder_distance,
+                      lift_piecewise_linear, sweep_geometry, translate, zero_lift)
 
 
 @dataclass(frozen=True)
@@ -106,16 +106,13 @@ def fine_grid_n(cfg: MagneticConfig, eps: float) -> int:
 
 
 def fine_step_bytes(d: int) -> int:
-    """Peak bytes a magnetic trial holds per fine-grid step at dimension d.
-
-    At its peak a trial holds P (then Z, written over it), W, the times and
-    the one area buffer its three lifts share: 2d + 1 + d(d - 1)/2 floats a
-    step, since level 1 of each full lift is a view of its path.  Its
-    sampling phase stays below that lift phase: P, W and the times (2d + 1
-    floats a step), with the OU scan run per chunk in O(ROW_BLOCK d).  That
-    is the measured slope of the tracemalloc peak of one trial between
-    260,352 and 516,608 steps: 48.0 B per step at d = 2 and 120.0 at d = 4;
-    all else is O(ROW_BLOCK).
+    """Peak bytes a magnetic trial holds per fine-grid step at dimension d:
+    P (then Z, written over it), W, the times and the one area buffer its
+    three lifts share, 2d + 1 + d(d - 1)/2 floats a step, since level 1 of
+    each full lift is a view of its path; sampling holds P, W and the times.
+    It is the measured slope of one trial's tracemalloc peak between 260,352
+    and 516,608 steps, 48.0 B at d = 2 and 120.0 at d = 4; all else is
+    O(ROW_BLOCK).
     """
     return 8 * (2 * d + 1 + d * (d - 1) // 2)
 
@@ -142,11 +139,8 @@ def run_magnetic_trial(cfg: MagneticConfig, plan: EpsPlan, trial_index: int) -> 
     P, W = sample_physical(drift, eps, cfg.T, n_fine, seed, step=plan.step)
     out_idx = np.arange(0, n_fine + 1, plan.stride)
 
-    # P, Z and W are lifted in turn into one area buffer, each lift
-    # restricted before the next overwrites it, and Z is written over P once
-    # P's lift is restricted.  Level 1 of each full lift is a view of its
-    # path, so after sampling the trial makes no fine-grid array but the
-    # buffer, and holds P (then Z), W, the times and the buffer at its peak.
+    # P, Z (written over P) and W are lifted in turn into one area buffer,
+    # each lift restricted before the next overwrites it: fine_step_bytes
     area = np.empty((n_fine + 1, cfg.d * (cfg.d - 1) // 2))
     liftP = lift_piecewise_linear(P.times, P.values, out=area).restrict(out_idx)
     Z = derive_Z(P, W, out=P.values)
@@ -159,7 +153,8 @@ def run_magnetic_trial(cfg: MagneticConfig, plan: EpsPlan, trial_index: int) -> 
     distP_raw = holder_distance(liftP, zero, cfg.alpha, geometry=geometry)
     distZ_renorm = holder_distance(translate(liftZ, shift), liftW, cfg.alpha, geometry=geometry)
     distZ_raw = holder_distance(liftZ, liftW, cfg.alpha, geometry=geometry)
-    area_dev = float(np.linalg.norm(liftZ.level2[-1] - liftW.level2[-1]))
+    ends = [full_level2(lift.level1[-1], lift.area[-1]) for lift in (liftZ, liftW)]
+    area_dev = float(np.linalg.norm(ends[0] - ends[1]))
     return TrialResult(eps=float(eps), distP_renorm=distP_renorm,
                        distP_raw=distP_raw, distZ_renorm=distZ_renorm,
                        distZ_raw=distZ_raw, areaDev1=area_dev,

@@ -18,15 +18,13 @@ import numpy as np
 from . import __version__
 from .tensor2 import FULL_PAIRS_LIMIT
 
-# Run-size bounds, all checked by check_run, which each experiment config
-# calls when it is built and the identities and psi commands call before
-# any work, so a run too large to finish is rejected first.  TRIAL_BYTES,
+# Run-size bounds, checked by check_run when an experiment config is built
+# and before any work of the identities and psi commands.  TRIAL_BYTES,
 # about 0.75 GB per worker, covers MAX_GRID_STEPS at d = 2 and bounds each
-# model of a trial's bytes, kept beside the arrays it counts:
-# magnetic.fine_step_bytes, linstable.lyapunov_bytes and
-# leadlag.leadlag_trial_bytes.  Every trial result (a few hundred bytes)
-# stays in memory until summary_rows reduces them, so MAX_TRIALS results
-# stay under 1 GB.
+# model of a trial's bytes (magnetic.fine_step_bytes, linstable.lyapunov_bytes
+# and leadlag.leadlag_trial_bytes).  Every trial result (a few hundred
+# bytes) stays in memory until summary_rows reduces them: MAX_TRIALS of
+# them stay under 1 GB.
 MAX_GRID_STEPS = 2 ** 23
 TRIAL_BYTES = 90 * MAX_GRID_STEPS
 MAX_TRIALS = 2 ** 20

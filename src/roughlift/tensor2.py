@@ -11,13 +11,9 @@ Every path lift here is geometric (piecewise-linear lifts, their intervals
 and their translations by an anti-symmetric counter-term), so the symmetric
 part of its level 2 is 1/2 x (x) x (Lyons 1998; Friz & Victoir 2010, ch. 7)
 and a ``LiftedPath`` stores level 1 and the Levy area alone: the d(d-1)/2
-entries p < q of the anti-symmetric part, in np.triu_indices(d, 1) order.
-Lifts of whole paths are stored as running signatures S_{0,i} from the
-first grid point; the lift over any subinterval is recovered by group
-inversion, so the Chen relation holds by construction.
-
-The area counter-term enters through ``translate``: adding (t-s)*v, with v
-the area entries of an anti-symmetric (d, d) array, to every interval lift.
+entries p < q of the anti-symmetric part, in np.triu_indices(d, 1) order,
+as running signatures from the first grid point.  The area counter-term
+enters through ``translate``.
 """
 from __future__ import annotations
 
@@ -38,30 +34,23 @@ IDENTITY_TOL = 1e-12
 # tensor2.FULL_PAIRS_LIMIT to count the pairs of every traced distance.
 FULL_PAIRS_LIMIT = 2048
 
-# Grid pairs per block of the Hoelder sweep, over all members of a batch.  A
-# block is about 45 numpy calls, and numpy releases the interpreter lock only
-# inside each, so longer calls let the sweeps of two pool threads overlap
-# more.  The magnetic-coarse benchmark config (n = 256, d = 2, Intel Xeon, 2
-# cores, one process, 30 runs each, grid geometry kept) took a median of 214
-# ms at --threads 2 in blocks of 2^15 pairs against 256-258 ms at 2^14; at
-# --threads 1, where the larger blocks' masked pairs (j <= i) cost more, 270
-# ms against 258-261 ms, within the runs' spread.
+# Grid pairs per block of the Hoelder sweep, over all members of a batch.
+# numpy releases the interpreter lock only inside a call, so longer calls let
+# two pool threads' sweeps overlap more: the magnetic-coarse config (n = 256,
+# d = 2, 2-core Xeon, 30 runs each) took a median of 214 ms at --threads 2 in
+# blocks of 2^15 pairs against 256-258 ms at 2^14, and at --threads 1, where
+# more masked pairs (j <= i) are computed, 270 against 258-261 ms.
 PAIR_BLOCK = 1 << 15
 
-# sweep_geometry builds the geometry of a sweep's grid (_geometry: the pair
-# masks and the time-step powers of every block, and the time steps with
-# shifts) once, read-only, for every sweep on that grid, when a plane of it
-# has at most GEOMETRY_KEEP * PAIR_BLOCK entries over all blocks: 49,152 at
-# n = 256 and k = 1, so the magnetic output grid has one, and none holds
-# more than (8 (2 + shifts) + 1) GEOMETRY_KEEP PAIR_BLOCK bytes (1.6 MiB).
-# Other sweeps build each block's geometry into the thread's scratch buffer.
+# sweep_geometry keeps a grid's sweep geometry (_geometry) read-only for
+# every sweep on it when a plane of it has at most GEOMETRY_KEEP * PAIR_BLOCK
+# entries over all blocks (49,152 for the magnetic output grid, n = 256), so
+# at most 1.6 MiB; other sweeps build it block by block in their scratch.
 GEOMETRY_KEEP = 2
 
 # The scratch arrays of holder_sweep and running_outer_sum, cut from one
-# buffer per thread, kept across calls and grown on demand: freed, blocks of
-# about 1 MiB (a sweep's planes, 1 MiB at n = 256 against a lift, or a
-# batch's lift rows) go back to the system, and glibc would page them in
-# afresh on every call.
+# buffer per thread kept across calls and grown on demand: freed, blocks of
+# about 1 MiB go back to the system and would be paged in afresh every call.
 _scratch_buffer = threading.local()
 
 # Grid rows per block of the fine-grid kernels (running_outer_sum, over a
@@ -75,13 +64,6 @@ def _as_vector(x, name="vector"):
     a = np.asarray(x, dtype=float)
     if a.ndim != 1:
         raise ValueError(f"{name} must be 1-d, got shape {a.shape}")
-    return a
-
-
-def _as_square(x, name="matrix"):
-    a = np.asarray(x, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
     return a
 
 
@@ -126,9 +108,9 @@ class StepTwoLift:
 
     def __post_init__(self):
         l1 = _as_vector(self.level1, "level1")
-        l2 = _as_square(self.level2, "level2")
-        if l2.shape[0] != l1.shape[0]:
-            raise ValueError("level1/level2 dimension mismatch")
+        l2 = np.asarray(self.level2, dtype=float)
+        if l2.shape != l1.shape * 2:
+            raise ValueError(f"level2 must be square of level1's dimension, got {l2.shape}")
         object.__setattr__(self, "level1", l1)
         object.__setattr__(self, "level2", l2)
 
@@ -140,13 +122,11 @@ class StepTwoLift:
 @dataclass(frozen=True)
 class LiftedPath:
     """Running signatures S_{0,i} of a geometric path over a strictly
-    increasing grid.
-
-    ``level1[i]`` and ``area[i]`` are level 1 and the area entries of
-    S_{0,i}, whose level 2 ``level2`` derives; S_{0,0} is the identity.
-    Interval lifts S_{i,j} come out of ``intervals`` via group inversion and
-    therefore satisfy Chen exactly.  A batch of B paths on one grid puts one
-    leading axis of B members on both arrays.
+    increasing grid: ``level1[i]`` and ``area[i]`` are level 1 and the area
+    entries of S_{0,i}, whose level 2 ``level2`` derives; S_{0,0} is the
+    identity.  Interval lifts S_{i,j} come out of ``intervals`` via group
+    inversion and so satisfy Chen exactly.  A batch of B paths on one grid
+    puts one leading axis of B members on both arrays.
     """
 
     times: np.ndarray
@@ -252,19 +232,13 @@ def lift_piecewise_linear(times, values, stride: int = 1, out=None) -> LiftedPat
     """Lift of the piecewise-linear path through ``values`` at ``times``,
     returned at every ``stride``-th grid point (which must divide the
     number of segments n).  ``values`` of shape (B, n + 1, d) is a batch of
-    B paths on one grid, lifted into one batched LiftedPath; each member's
-    lift is bitwise the one it gets alone.
+    B paths on one grid, each lifted bitwise as it is alone.
 
-    Level 1 is in closed form, x_i - x_0 at the output points, with no
-    running sums.  At stride 1 and x_0 = +0.0 it is a read-only view of
-    ``values``: the caller must not overwrite ``values`` while that lift is
-    in use.  The area comes from the running sums of the Chen products of
-    the segment exponentials (``running_outer_sum``): np.cumsum of the terms
-    from +0.0 at stride 1, and bitwise its rows ``::stride`` at every
-    stride, in O(ROW_BLOCK d) floats of scratch.
-
-    ``out``, a float64 array of shape ([B,] n/stride + 1, d(d-1)/2) that
-    does not overlap ``values``, receives the area in place of a new array.
+    Level 1 is x_i - x_0 at the output points: at stride 1 and x_0 = +0.0 a
+    read-only view of ``values``, which the caller must not overwrite while
+    the lift is in use.  The area is ``running_outer_sum``'s, written into
+    ``out`` when given: a float64 array of shape ([B,] n/stride + 1,
+    d(d-1)/2) that does not overlap ``values``.
     """
     t = np.asarray(times, dtype=float)
     x = np.asarray(values, dtype=float)
@@ -298,27 +272,22 @@ def lift_piecewise_linear(times, values, stride: int = 1, out=None) -> LiftedPat
 def running_outer_sum(x, stride: int, area, qv=None) -> None:
     """The running Levy areas of the piecewise-linear path through the rows
     x_0, ..., x_n of ``x`` ([B,] n + 1, d), at every ``stride``-th i, into
-    ``area`` ([B,] n/stride + 1, d(d-1)/2).  Given ``qv`` ([B,] n/stride +
-    1, d(d+1)/2), the same pass writes the running quadratic variation
-    there: the sums of inc_p inc_q over the segments r < i for p <= q, in
-    np.triu_indices(d) order, with inc_r = x_{r+1} - x_r.
+    ``area`` ([B,] n/stride + 1, d(d-1)/2); given ``qv`` ([B,] n/stride + 1,
+    d(d+1)/2), the same pass writes there the running quadratic variation,
+    the sums of inc_p inc_q for p <= q in np.triu_indices(d) order, with
+    inc_r = x_{r+1} - x_r.
 
-    The area entry p < q is half the difference of the running sums of
-    b_p inc_q and b_q inc_p, with b_r = (x_r - x_0) + inc_r/2: the (p, q)
-    and (q, p) entries of level 2, the Chen product of the segment
-    exponentials.  The one sum of (a_p inc_q - a_q inc_p)/2, a_r = x_r -
-    x_0, is equal in exact arithmetic, but over the 1,861,120 steps at eps
-    = 2^-7 it rounds 1.5e-12 of a renormalised magnetic distance away.
+    Area entry p < q is half the difference of the running sums of b_p
+    inc_q and b_q inc_p, b_r = (x_r - x_0) + inc_r/2: the (p, q) and (q, p)
+    entries of the Chen product of the segment exponentials.  The one sum of
+    (a_p inc_q - a_q inc_p)/2, a_r = x_r - x_0, rounds 1.5e-12 of a
+    renormalised distance away over the 1,861,120 steps at eps = 2^-7.
 
-    Blocks of ROW_BLOCK // B segments a member are copied once into
-    contiguous (..., d, rows) order, b_r written over the copy.  Each sum
-    starts from its carry and runs in place over the block, and its
-    cell-end rows go to the output.  The additions are those of one
-    np.cumsum over the grid, so at every stride and block size each output
-    is bitwise rows ``::stride`` of the stride-1 sums.  The blocks take 2d +
-    1 floats a row (the copy, increments and one sum at a time) of the
-    thread's scratch buffer, (2d + 1) ROW_BLOCK at most, whatever the stride
-    or the memory layout of ``x``.
+    Blocks of ROW_BLOCK // B rows a member are copied once into (..., d,
+    rows) order, and each sum runs in place from its carry in the additions
+    of one np.cumsum over the grid, so every output is bitwise rows
+    ``::stride`` of the stride-1 sums.  The blocks take 2d + 1 floats a row
+    of the thread's scratch buffer, whatever the stride or layout of ``x``.
     """
     batch, n, d = x.shape[:-2], x.shape[-2] - 1, x.shape[-1]
     outs = [(area, np.triu_indices(d, 1), 2)] + ([] if qv is None else
@@ -391,35 +360,24 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None, geomet
     Returns ``(raw, shifted)``.  ``raw[m]`` is ``holder_distance(x_m, y,
     alpha)``, bit for bit.  With ``shifts`` of shape (k, d(d-1)/2),
     ``shifted[m]`` is the distance with (t_j - t_i) shifts[m] added to every
-    area residual, which is ``holder_distance(translate(x_m, shifts[m]), y,
-    alpha)`` up to rounding; without ``shifts`` it is None.
+    area residual, ``holder_distance(translate(x_m, shifts[m]), y, alpha)``
+    up to rounding; without ``shifts`` it is None.
 
     The lifts are geometric, so a pair's level-2 residual is the symmetric
-    1/4 (delta (x) sigma + sigma (x) delta), with delta = dX - dY and sigma =
-    dX + dY, plus the anti-symmetric array of its area residuals r.  The
-    parts are orthogonal, so its squared norm is (|delta|^2 |sigma|^2 +
-    (delta . sigma)^2) / 8, taken from the level-1 planes without
-    cancellation, plus 2 r_pq^2 for each area entry p < q.
+    1/4 (delta (x) sigma + sigma (x) delta), delta = dX - dY and sigma = dX
+    + dY, plus the anti-symmetric array of its area residuals r: its squared
+    norm is (|delta|^2 |sigma|^2 + (delta . sigma)^2) / 8, which does not
+    cancel, plus 2 r_pq^2 for each entry p < q.
 
     The pairs come in blocks of grid rows i0 <= i < i1 against the columns
-    j = i0+1..n, with j <= i masked, about PAIR_BLOCK pairs over all k
-    members.  Each block is a stack of k planes.  The grid's geometry (the
-    masks and time-step powers of every block, _geometry) is shared by every
-    member and both distances: it is ``geometry``, built once for the sweeps
-    of a grid (``sweep_geometry``), or else each block's is built in turn.
-    Planes that are exactly zero are not built: with the target's level 1
-    all zero sigma's planes (sigma = delta) and its cross terms, and with
-    the members' level 1 all zero as well every level-1 plane, the members'
-    cross terms and (t - s)^alpha; and a target whose area is all zero is
-    not subtracted.  Skipping them changes at most the sign of a zero
-    residual entry, which squaring removes, so the results are bitwise
-    unchanged.  The planes (``sweep_blocks``) are sized by the first block,
-    which has the most pairs, and cut from the calling thread's scratch
-    buffer, kept across blocks and calls.  So besides the O(k n d^2) grid
-    arrays (one area difference per member, and level-1 paths unless level
-    1 is zero), the sweep holds at most five planes of max(PAIR_BLOCK, k n)
-    floats and three of max(PAIR_BLOCK // k, n) whatever the number of
-    pairs, and less on a grid whose pairs all fit in one block.
+    j = i0+1..n, j <= i masked, about PAIR_BLOCK pairs over all members:
+    stacks of k planes cut from the thread's scratch buffer and sized by the
+    first block (``sweep_blocks``).  The blocks' geometry (_geometry) is
+    ``geometry``, built once for the sweeps of a grid (``sweep_geometry``),
+    or else built block by block.  Planes that are exactly zero are not
+    built: sigma's (sigma = delta) against a target with level 1 zero, and
+    every level-1 plane when the members' level 1 is zero too.  That changes
+    at most the sign of a zero residual entry, which squaring removes.
     """
     if not (0.0 <= alpha < 0.5):
         raise ValueError("alpha must lie in [0, 1/2)")
@@ -443,10 +401,9 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None, geomet
     zero1 = y_zero and not np.any(x.level1)  # no level-1 planes
     # grid axis last and contiguous, so block planes are read by slices
     da = np.empty((k, len(ps), n + 1))
+    np.copyto(np.moveaxis(da, -1, -2), x.area)  # a copy takes no numpy iterator buffer
     if np.any(y.area):
-        np.subtract(x.area, y.area, out=np.moveaxis(da, -1, -2))
-    else:  # a copy, unlike the subtraction, takes no numpy iterator buffer
-        np.copyto(np.moveaxis(da, -1, -2), x.area)
+        da -= y.area.T
     if not zero1:
         x1 = np.ascontiguousarray(x.level1.reshape(k, n + 1, d).swapaxes(1, 2))
         y1 = np.ascontiguousarray(y.level1.T)[None]
@@ -469,19 +426,17 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None, geomet
             acc2.fill(0.0)  # no level 1: the residual is all area
         else:  # acc2 = half the symmetric part's squared norm
             acc = rest.pop(0)
-            for p in range(d):  # |delta|^2
+            for p in range(d):  # |delta|^2, and |sigma|^2 unless sigma = delta
                 np.subtract(w[:, p, None, i0 + 1:], w[:, p, i0:i1, None], out=a)
                 _accumulate_square(a, acc, p == 0)
-            if y_zero:  # sigma = delta
-                np.multiply(acc, acc, out=acc2)
-                acc2 *= 0.125
-            else:  # |delta|^2 |sigma|^2, then (delta . sigma)^2 once acc is folded
-                for p in range(d):
+                if not y_zero:
                     np.subtract(s[:, p, None, i0 + 1:], s[:, p, i0:i1, None], out=a)
                     _accumulate_square(a, r, p == 0)
-                np.multiply(acc, r, out=acc2)
+            np.multiply(acc, acc if y_zero else r, out=acc2)
             _fold_sup(acc, power, pair, sup[0])
-            if not y_zero:
+            if y_zero:  # (delta . sigma)^2 = |delta|^4
+                acc2 += acc2
+            else:
                 for p in range(d):
                     np.subtract(w[:, p, None, i0 + 1:], w[:, p, i0:i1, None], out=a)
                     np.subtract(s[:, p, None, i0 + 1:], s[:, p, i0:i1, None], out=acc)
@@ -492,7 +447,7 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None, geomet
                         r += a
                 np.multiply(r, r, out=r)
                 acc2 += r
-                acc2 *= 0.0625
+            acc2 *= 0.0625
         if shifted:
             np.copyto(acc2s, acc2)
         for e, (p, q) in enumerate(zip(ps, qs)):
@@ -520,15 +475,11 @@ def sweep_blocks(k: int, n: int, shifted: bool, zero1: bool = False,
                  geometry: bool = False) -> tuple[int, list[int]]:
     """Grid rows per block of a holder_sweep of k >= 1 members on n >= 1
     intervals (ValueError otherwise), and the sizes in floats of the planes
-    it cuts from the thread's scratch buffer.
-
-    The planes: a, r and acc2 for every member, acc2_shifted when
-    ``shifted``, and the level-1 sum acc unless the members and the target
-    have no level 1 (``zero1``); then, unless the sweep is given its
-    ``geometry``, the geometry planes of one block (_geometry): (t - s)^(2
-    alpha), t - s when ``shifted`` (else the power is written over it), and
-    (t - s)^alpha unless ``zero1``.  The first block has the most pairs,
-    rows n a member, so the planes are sized by it.
+    it cuts from the thread's scratch buffer, for the first block, rows n
+    pairs a member: a, r and acc2 for every member, acc2s when ``shifted``
+    and acc unless nothing has level 1 (``zero1``); then, unless it is given
+    its ``geometry``, one block's _geometry planes: (t - s)^(2 alpha), t - s
+    when ``shifted``, and (t - s)^alpha unless ``zero1``.
     """
     if k < 1 or n < 1:
         raise ValueError(f"a sweep needs a member and an interval, got k = {k}, n = {n}")
@@ -571,14 +522,12 @@ def sweep_geometry(times, alpha: float, k: int = 1,
 
 
 def _geometry(t, alpha: float, rows: int, shifted: bool, level1: bool = True, planes=None):
-    """The geometry of a sweep on the grid ``t`` in blocks of ``rows`` grid
-    rows: per block, its rows i0 <= i < i1, the mask of its pairs j > i
-    among the columns j = i0+1..n, (t_j - t_i)^alpha when ``level1`` (else
-    None), (t_j - t_i)^(2 alpha) and, when ``shifted``, t_j - t_i (else
-    None), with t_j - t_i = 1 at the masked pairs to keep their powers
-    finite.  The planes are written into ``planes`` (level1 + 1 + shifted,
-    each of at least a block) when given, the next block over the last, else
-    into new arrays."""
+    """Per block of ``rows`` rows of a sweep on the grid ``t``: its rows i0
+    <= i < i1, the mask of its pairs j > i among the columns j = i0+1..n,
+    (t_j - t_i)^alpha when ``level1``, (t_j - t_i)^(2 alpha) and t_j - t_i
+    when ``shifted`` (else None), with t_j - t_i = 1 at the masked pairs.
+    The planes go into ``planes`` (level1 + 1 + shifted, each of at least a
+    block) when given, each block over the last, else into new arrays."""
     n = len(t) - 1
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
@@ -636,18 +585,12 @@ def _accumulate_square(r, acc, first: bool):
 
 
 def holder_distance(x: LiftedPath, y: LiftedPath, alpha: float, *, geometry=None) -> float:
-    """Inhomogeneous alpha-Hoelder distance between two lifts on one grid:
-    ``holder_sweep(x, y, alpha, geometry=geometry)`` for one member
-    (ValueError if ``x`` is a batch).
-
-    Sum of sup |X_{s,t} - Y_{s,t}| / (t-s)^alpha (Euclidean norm) and
-    sup |XX_{s,t} - YY_{s,t}| / (t-s)^(2 alpha) (Frobenius norm) over all
-    grid pairs s < t.
-
-    Each plane of the sweep repeats, in the same order, the per-pair
-    arithmetic of a row-by-row sweep, and every sum of squares is taken in
-    index order, so the result equals bit for bit that of a row-by-row
-    sweep with the same per-pair arithmetic, at every dimension.
+    """Inhomogeneous alpha-Hoelder distance between two lifts on one grid,
+    sup |X_{s,t} - Y_{s,t}| / (t-s)^alpha (Euclidean norm) plus sup
+    |XX_{s,t} - YY_{s,t}| / (t-s)^(2 alpha) (Frobenius norm) over all grid
+    pairs s < t: ``holder_sweep`` for one member (ValueError for a batch).
+    Its planes repeat the per-pair arithmetic of a row-by-row sweep in
+    order, sums of squares in index order, so the two agree bit for bit.
     """
     if x.level1.ndim != 2:
         raise ValueError("x must be one lift; use holder_sweep for a batch")

@@ -356,7 +356,7 @@ def leadlag_residuals_assembled(cfg, trials, root=None):
     [[dA, dA - Q/2], [dA + Q/2, dA]] built block by block and its entries
     p < q taken, and areaDev1 the mean diagonal of half the QV at the last
     grid point.  It shares the lift and running-sum kernels with the
-    library, so it checks the entry-by-entry assembly, value for value."""
+    library, so it checks the entry-by-entry assembly, bit for bit."""
     from roughlift.gauss import derive_seed, sample_fbm
     from roughlift.tensor2 import full_level2, lift_piecewise_linear, running_outer_sum
 
