@@ -165,7 +165,9 @@ def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int, batch: int = 1) 
     the larger of the lift and sum blocks (running_outer_sum, (2d + 1)
     min(batch n_ref, ROW_BLOCK)) and the sweep's planes (tensor2.sweep_blocks:
     batch k members, shifted, no level 1, geometry built block by block),
-    plus the largest of the traced peaks of three phases:
+    numpy's iterator buffers (np.getbufsize() floats for each of a ufunc
+    call's at most three operands, in any phase), plus the largest of the
+    traced peaks of three phases:
 
     * sampling, N d max(batch + 3, 2 batch): one draw holds d rows of 2n
       normals and their half-spectra (4d floats a step) beside the earlier
@@ -178,8 +180,7 @@ def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int, batch: int = 1) 
 
     At batch = 1 sampling is the peak, and the traced peak grows by 8 (4d +
     1) B per reference step between 2^19 and 2^20 steps: 40.0 B at d = 1,
-    136.0 at d = 4.  Beyond these come numpy's iterator buffers (8192
-    elements an operand, a few at a time) and arrays of O(batch k) floats.
+    136.0 at d = 4.  Beyond these come arrays of O(batch k) floats.
     """
     n = n_ref + 1
     members = batch * k
@@ -189,7 +190,7 @@ def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int, batch: int = 1) 
     sampling = n * d * max(batch + 3, 2 * batch)
     entries = d * (2 * d - 1)
     lifting = n * (1 + batch * d) + batch * (n_min + 1) * (entries * k + d * d + d * (d - 1) // 2)
-    return 8 * (n + scratch + max(sampling, lifting, 2 * entries * points))
+    return 8 * (n + scratch + 3 * np.getbufsize() + max(sampling, lifting, 2 * entries * points))
 
 
 @dataclass(frozen=True)
@@ -253,13 +254,14 @@ class TrialResult:
     vNorm: float
 
 
-def run_leadlag_trial(cfg: LeadLagConfig, trials, root=None) -> list[list[TrialResult]]:
+def run_leadlag_trial(cfg: LeadLagConfig, trials, root) -> list[list[TrialResult]]:
     """One batch of coupled trials across the whole n-schedule: one record
     list per trial index in ``trials``, each bitwise the same whatever
-    batch the index is run in.  ``root``, the draws' embedding root, is
-    passed to sample_fbm.  One Hoelder sweep of every trial's residuals
-    (``_residuals``) against the zero lift, shifted by the counter-terms,
-    gives the raw and renormalised distances of the whole batch.
+    batch the index is run in.  Every draw reads ``root``, the run's
+    ``embedding_root(cfg.n_ref, cfg.H)``.  One Hoelder sweep of every
+    trial's residuals (``_residuals``) against the zero lift, shifted by
+    the counter-terms, gives the raw and renormalised distances of the
+    whole batch.
     """
     res, area = _residuals(cfg, trials, root)
     b, k, n1, entries = res.shape
@@ -276,7 +278,7 @@ def run_leadlag_trial(cfg: LeadLagConfig, trials, root=None) -> list[list[TrialR
             for raws, rens, devs in zip(dist_raw.reshape(b, k), dist_ren.reshape(b, k), area)]
 
 
-def _residuals(cfg: LeadLagConfig, trials, root=None) -> tuple[np.ndarray, np.ndarray]:
+def _residuals(cfg: LeadLagConfig, trials, root) -> tuple[np.ndarray, np.ndarray]:
     """(B, k, n_min + 1, d (2d - 1)) area residuals of the lead-lag lifts
     against the doubled reference (X, X) on the coarsest grid, where the two
     share level 1, and (B, k) areaDev1, for the B trials of a batch and the

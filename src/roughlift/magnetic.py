@@ -107,9 +107,10 @@ def fine_grid_n(cfg: MagneticConfig, eps: float) -> int:
 
 def fine_step_bytes(d: int) -> int:
     """Peak bytes a magnetic trial holds per fine-grid step at dimension d:
-    P (then Z, written over it), W, the times and the one area buffer its
-    three lifts share, 2d + 1 + d(d - 1)/2 floats a step, since level 1 of
-    each full lift is a view of its path; sampling holds P, W and the times.
+    P (then Z, written over it), W, the times and the area of one lift at a
+    time, freed when its restriction returns, 2d + 1 + d(d - 1)/2 floats a
+    step, since level 1 of each full lift is a view of its path; sampling
+    holds P, W and the times.
     It is the measured slope of one trial's tracemalloc peak between 260,352
     and 516,608 steps, 48.0 B at d = 2 and 120.0 at d = 4; all else is
     O(ROW_BLOCK).
@@ -139,13 +140,12 @@ def run_magnetic_trial(cfg: MagneticConfig, plan: EpsPlan, trial_index: int) -> 
     P, W = sample_physical(drift, eps, cfg.T, n_fine, seed, step=plan.step)
     out_idx = np.arange(0, n_fine + 1, plan.stride)
 
-    # P, Z (written over P) and W are lifted in turn into one area buffer,
-    # each lift restricted before the next overwrites it: fine_step_bytes
-    area = np.empty((n_fine + 1, cfg.d * (cfg.d - 1) // 2))
-    liftP = lift_piecewise_linear(P.times, P.values, out=area).restrict(out_idx)
+    # each fine lift is restricted and dropped before the next is made, and
+    # Z is written over P: fine_step_bytes
+    liftP = lift_piecewise_linear(P.times, P.values).restrict(out_idx)
     Z = derive_Z(P, W, out=P.values)
-    liftZ = lift_piecewise_linear(Z.times, Z.values, out=area).restrict(out_idx)
-    liftW = lift_piecewise_linear(W.times, W.values, out=area).restrict(out_idx)
+    liftZ = lift_piecewise_linear(Z.times, Z.values).restrict(out_idx)
+    liftW = lift_piecewise_linear(W.times, W.values).restrict(out_idx)
 
     zero = zero_lift(liftP.times, cfg.d)
     geometry, shift = plan.geometry, area_entries(v)

@@ -42,10 +42,10 @@ FULL_PAIRS_LIMIT = 2048
 # more masked pairs (j <= i) are computed, 270 against 258-261 ms.
 PAIR_BLOCK = 1 << 15
 
-# sweep_geometry keeps a grid's sweep geometry (_geometry) read-only for
-# every sweep on it when a plane of it has at most GEOMETRY_KEEP * PAIR_BLOCK
+# sweep_geometry keeps a grid's sweep geometry (_geometry) read-only for the
+# one-member sweeps on it when a plane has at most GEOMETRY_KEEP * PAIR_BLOCK
 # entries over all blocks (49,152 for the magnetic output grid, n = 256), so
-# at most 1.6 MiB; other sweeps build it block by block in their scratch.
+# at most 1.1 MiB; other sweeps build it block by block in their scratch.
 GEOMETRY_KEEP = 2
 
 # The scratch arrays of holder_sweep and running_outer_sum, cut from one
@@ -228,7 +228,7 @@ def running_sum_block(steps, out, k0: int) -> None:
     np.cumsum(steps, axis=0, out=out[k0 + 1:k0 + 1 + len(steps)])
 
 
-def lift_piecewise_linear(times, values, stride: int = 1, out=None) -> LiftedPath:
+def lift_piecewise_linear(times, values, stride: int = 1) -> LiftedPath:
     """Lift of the piecewise-linear path through ``values`` at ``times``,
     returned at every ``stride``-th grid point (which must divide the
     number of segments n).  ``values`` of shape (B, n + 1, d) is a batch of
@@ -236,9 +236,8 @@ def lift_piecewise_linear(times, values, stride: int = 1, out=None) -> LiftedPat
 
     Level 1 is x_i - x_0 at the output points: at stride 1 and x_0 = +0.0 a
     read-only view of ``values``, which the caller must not overwrite while
-    the lift is in use.  The area is ``running_outer_sum``'s, written into
-    ``out`` when given: a float64 array of shape ([B,] n/stride + 1,
-    d(d-1)/2) that does not overlap ``values``.
+    the lift is in use.  The area is ``running_outer_sum``'s, in a new array
+    of ([B,] n/stride + 1, d(d-1)/2) floats that the lift alone holds.
     """
     t = np.asarray(times, dtype=float)
     x = np.asarray(values, dtype=float)
@@ -251,22 +250,15 @@ def lift_piecewise_linear(times, values, stride: int = 1, out=None) -> LiftedPat
     batch, n, d = x.shape[:-2], x.shape[-2] - 1, x.shape[-1]
     if stride < 1 or n % stride:
         raise ValueError(f"stride = {stride} must be a positive divisor of n = {n}")
-    shape = batch + (n // stride + 1, d * (d - 1) // 2)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64:
-        raise ValueError(f"out must be a float64 array of shape {shape}, "
-                         f"got {out.dtype} {out.shape}")
-    elif np.may_share_memory(out, x):
-        raise ValueError("out must not overlap values")
-    running_outer_sum(x, stride, out)
+    area = np.empty(batch + (n // stride + 1, d * (d - 1) // 2))
+    running_outer_sum(x, stride, area)
     x0 = x[..., :1, :]
     if stride == 1 and not np.any(x0) and not np.any(np.signbit(x0)):
         l1 = x.view()  # x - x_0 is x, bit for bit, when x_0 = +0.0
         l1.flags.writeable = False
     else:
         l1 = x[..., ::stride, :] - x0
-    return LiftedPath(np.ascontiguousarray(t[::stride]), l1, out)
+    return LiftedPath(np.ascontiguousarray(t[::stride]), l1, area)
 
 
 def running_outer_sum(x, stride: int, area, qv=None) -> None:
@@ -373,11 +365,12 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None, geomet
     j = i0+1..n, j <= i masked, about PAIR_BLOCK pairs over all members:
     stacks of k planes cut from the thread's scratch buffer and sized by the
     first block (``sweep_blocks``).  The blocks' geometry (_geometry) is
-    ``geometry``, built once for the sweeps of a grid (``sweep_geometry``),
-    or else built block by block.  Planes that are exactly zero are not
-    built: sigma's (sigma = delta) against a target with level 1 zero, and
-    every level-1 plane when the members' level 1 is zero too.  That changes
-    at most the sign of a zero residual entry, which squaring removes.
+    ``geometry``, built once for the unshifted one-member sweeps of a grid
+    (``sweep_geometry``), or else built block by block.  Planes that are
+    exactly zero are not built: sigma's (sigma = delta) against a target
+    with level 1 zero, and every level-1 plane when the members' level 1 is
+    zero too.  That changes at most the sign of a zero residual entry, which
+    squaring removes.
     """
     if not (0.0 <= alpha < 0.5):
         raise ValueError("alpha must lie in [0, 1/2)")
@@ -501,24 +494,23 @@ class SweepGeometry:
     blocks: tuple
 
 
-def sweep_geometry(times, alpha: float, k: int = 1,
-                   shifted: bool = False) -> SweepGeometry | None:
-    """The geometry of the sweeps of k members on the grid ``times``, with
-    or without shifts, for their ``geometry`` argument: 8 (2 + shifted) + 1
-    bytes (the planes and the pair mask) an entry, or None over
-    GEOMETRY_KEEP * PAIR_BLOCK entries a plane, and on a one-point grid,
-    which has no pairs to sweep."""
+def sweep_geometry(times, alpha: float) -> SweepGeometry | None:
+    """The geometry that the one-member, unshifted sweeps on the grid
+    ``times`` read, for their ``geometry`` argument: 17 bytes (two planes
+    and the pair mask) an entry, or None over GEOMETRY_KEEP * PAIR_BLOCK
+    entries a plane, and on a one-point grid, which has no pairs to sweep.
+    A sweep with other block rows, or shifted, raises when given it."""
     t = np.asarray(times, dtype=float)
     n = len(t) - 1
     if n < 1:
         return None
-    rows = sweep_blocks(k, n, shifted)[0]
+    rows = sweep_blocks(1, n, False)[0]
     if sum(min(rows, n - i0) * (n - i0) for i0 in range(0, n, rows)) > GEOMETRY_KEEP * PAIR_BLOCK:
         return None
-    blocks = tuple(_geometry(t, alpha, rows, shifted))
+    blocks = tuple(_geometry(t, alpha, rows, False))
     for array in (a for block in blocks for a in block[2:] if a is not None):
         array.flags.writeable = False
-    return SweepGeometry((t.tobytes(), alpha, rows, shifted), blocks)
+    return SweepGeometry((t.tobytes(), alpha, rows, False), blocks)
 
 
 def _geometry(t, alpha: float, rows: int, shifted: bool, level1: bool = True, planes=None):

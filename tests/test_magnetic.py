@@ -316,7 +316,7 @@ def test_experiment_rejects_unrunnable_setup_before_sampling(monkeypatch):
         magnetic_experiment(cfg)
 
 def test_trial_matches_cumsum_lift_oracle(monkeypatch):
-    # level 1 in closed form, one reused level-2 buffer and Z written over P
+    # level 1 in closed form, lifts as level 1 and area, and Z written over P
     # against the old trial: whole-grid cumsum lifts (level 1 a running sum
     # of the increments) and a fresh Z, field by field, at eps = 2^-2 (512
     # fine steps) and eps = 2^-6 (330,240 fine steps, 11 ROW_BLOCK chunks)
@@ -325,7 +325,7 @@ def test_trial_matches_cumsum_lift_oracle(monkeypatch):
     keys = [(eps, k) for eps in cfg.eps_schedule for k in range(2)]
     new = trials(cfg, keys)
     monkeypatch.setattr(magnetic, "lift_piecewise_linear",
-                        lambda t, x, out=None: lift_piecewise_linear_full(t, x))
+                        lambda t, x: lift_piecewise_linear_full(t, x))
     monkeypatch.setattr(magnetic, "derive_Z", lambda P, W, out=None: derive_Z(P, W))
     old = trials(cfg, keys)
     for a, b in zip(new, old):

@@ -290,36 +290,18 @@ def test_lift_rejects_stride_not_dividing_n():
             lift_piecewise_linear(t, x, stride=stride)
 
 
-@pytest.mark.parametrize("stride", [1, 4])
-def test_lift_into_out_equals_fresh_lift(stride):
-    rng = np.random.default_rng(20 + stride)
-    n, d = 3 * B + 8, 2
-    t = np.arange(n + 1) / n
-    x = rng.standard_normal((n + 1, d))
-    x[0] = 0.0
-    fresh = lift_piecewise_linear(t, x, stride=stride)
-    out = np.full((n // stride + 1, 1), np.nan)  # a used buffer: row 0 is reset too
-    got = lift_piecewise_linear(t, x, stride=stride, out=out)
-    assert got.area is out
-    assert got.level1.tobytes() == fresh.level1.tobytes()
-    assert got.area.tobytes() == fresh.area.tobytes()
-
-
-def test_lift_rejects_bad_out():
-    n, d = 8, 2
+@pytest.mark.parametrize("stride", [1, 3])
+def test_lift_area_is_fresh(stride):
+    # the lift allocates its area: writeable, and sharing no memory with the
+    # values, whose level 1 may be a view of them at stride 1
+    n, d = 12, 3
     t = np.arange(n + 1.0)
-    x = np.random.default_rng(21).standard_normal((n + 1, d))
-    for out in (np.empty((n, 1)), np.empty((n + 1, d)), np.empty((n // 2 + 1, 1)),
-                np.empty((n + 1, d, d)), np.empty((n + 1, 1), dtype=np.float32),
-                np.empty((n + 1, 1), dtype=int)):
-        with pytest.raises(ValueError, match="out"):
-            lift_piecewise_linear(t, x, out=out)
-    # values and out cut from one buffer, overlapping by one float
-    buf = np.zeros((n + 1) * d + (n + 1) - 1)
-    values = buf[:(n + 1) * d].reshape(n + 1, d)
-    values[1:] = x[1:]
-    with pytest.raises(ValueError, match="overlap"):
-        lift_piecewise_linear(t, values, out=buf[-(n + 1):].reshape(n + 1, 1))
+    for x in (np.random.default_rng(21).standard_normal((n + 1, d)),
+              np.zeros((2, n + 1, d))):
+        x[..., 0, :] = 0.0
+        area = lift_piecewise_linear(t, x, stride=stride).area
+        assert area.flags.writeable and area.flags.owndata
+        assert not np.shares_memory(area, x)
 
 
 def test_lift_level1_is_a_view_only_at_stride_1_from_origin():
@@ -352,8 +334,6 @@ def test_batched_lift_members_match_single_lifts(monkeypatch, row_block, stride)
     x = rng.standard_normal((3, n + 1, d))
     x[1, 0] = 0.0
     batch = lift_piecewise_linear(t, x, stride=stride)
-    out = np.empty((3, n // stride + 1, 1))
-    assert lift_piecewise_linear(t, x, stride=stride, out=out).area is out
     assert batch.dim == d and batch.level1.shape == (3, n // stride + 1, d)
     idx = [0, 2, 5]
     sub = batch.restrict(idx)
@@ -361,7 +341,7 @@ def test_batched_lift_members_match_single_lifts(monkeypatch, row_block, stride)
     for m in range(3):
         one = lift_piecewise_linear(t, x[m], stride=stride)
         assert batch.level1[m].tobytes() == one.level1.tobytes()
-        assert batch.area[m].tobytes() == one.area.tobytes() == out[m].tobytes()
+        assert batch.area[m].tobytes() == one.area.tobytes()
         assert sub.level1[m].tobytes() == one.restrict(idx).level1.tobytes()
         assert sub.area[m].tobytes() == one.restrict(idx).area.tobytes()
         one_inc, one_l2 = one.intervals(np.array([[0], [1]]), np.array([3, 4]))
@@ -733,9 +713,14 @@ def _geometry_cases(rng, n):
 
 
 def _case_geometry(case, alpha):
+    """The kept geometry of an unshifted case whose block rows are a
+    one-member sweep's, else None: the sweep builds its own."""
     x, _, shifts = case
-    return tensor2.sweep_geometry(x.times, alpha, len(x.level1) if x.level1.ndim == 3 else 1,
-                                  shifts is not None)
+    k, n = (len(x.level1) if x.level1.ndim == 3 else 1), len(x.times) - 1
+    rows = [tensor2.sweep_blocks(m, n, False)[0] for m in (k, 1)]
+    if shifts is not None or rows[0] != rows[1]:
+        return None
+    return tensor2.sweep_geometry(x.times, alpha)
 
 
 def _sweep_bits(cases, alpha, geometries=None):
@@ -776,10 +761,18 @@ def test_kept_geometry_is_read_only_and_keyed_by_grid_bits():
     assert holder_distance(x, y, 0.3, geometry=geometry) == holder_distance(x, y, 0.3)
     moved = t.copy()
     moved[5] = np.nextafter(moved[5], 1.0)
-    for other in (tensor2.sweep_geometry(moved, 0.3), tensor2.sweep_geometry(t, 0.2),
-                  tensor2.sweep_geometry(t, 0.3, k=4096), tensor2.sweep_geometry(t, 0.3, 1, True)):
+    for other in (tensor2.sweep_geometry(moved, 0.3), tensor2.sweep_geometry(t, 0.2)):
         with pytest.raises(ValueError, match="geometry"):
             holder_distance(x, y, 0.3, geometry=other)
+    # the one geometry kept is unshifted and for one member's block rows: a
+    # shifted sweep, and a batch of 4096 members on 16 intervals (a row a
+    # block, not 16), raise when given it
+    with pytest.raises(ValueError, match="geometry"):
+        holder_sweep(x, y, 0.3, np.zeros((1, 1)), geometry)
+    batch = _stack([x] * 4096)
+    assert tensor2.sweep_blocks(4096, 16, False)[0] == 1 != geometry.key[2] == 16
+    with pytest.raises(ValueError, match="geometry"):
+        holder_sweep(batch, y, 0.3, geometry=geometry)
 
 
 def test_two_threads_sweeping_different_grids_give_the_serial_bits():
@@ -831,7 +824,6 @@ def test_one_point_grid_has_no_sweep_blocks():
     t = np.array([0.0])
     x = LiftedPath(t, np.zeros((1, 2)), np.zeros((1, 1)))
     assert tensor2.sweep_geometry(t, 0.3) is None
-    assert tensor2.sweep_geometry(t, 0.3, k=3, shifted=True) is None
     raw, shifted = holder_sweep(x, zero_lift(t, 2), 0.3, np.ones((1, 1)))
     assert raw.tolist() == shifted.tolist() == [0.0]
     assert holder_distance(x, x, 0.3, geometry=tensor2.sweep_geometry(t, 0.3)) == 0.0
