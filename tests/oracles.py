@@ -242,7 +242,7 @@ def sample_physical_blocked_scan(drift, eps, T, N, seed, step=None):
     return GridPath(times, P[:N + 1]), GridPath(times, W)
 
 
-def holder_distance_rowloop(x, y, alpha: float) -> float:
+def holder_distance_rowloop(x, y, alpha: float, shift=None) -> float:
     """Reference alpha-Hoelder distance: one vectorised sweep per grid row.
 
     The same pairs, residuals, norms and sup as ``tensor2.holder_distance``,
@@ -250,6 +250,8 @@ def holder_distance_rowloop(x, y, alpha: float) -> float:
     dY, the level-2 residual as its symmetric part, from delta and sigma =
     dX + dY, (|delta|^2 |sigma|^2 + (delta . sigma)^2) / 8, halved, plus the
     squares of the area residuals, then doubled; every sum in index order.
+    Given ``shift`` (area entries), (t_j - t_i) shift is added to every area
+    residual: the distance ``holder_sweep`` reports for a shifted member.
     """
     if not (0.0 <= alpha < 0.5):
         raise ValueError("alpha must lie in [0, 1/2)")
@@ -277,6 +279,8 @@ def holder_distance_rowloop(x, y, alpha: float) -> float:
             cross = x1[i, p] * (x1[j, q] - x1[i, q]) - x1[i, q] * (x1[j, p] - x1[i, p])
             cross -= y1[i, p] * (y1[j, q] - y1[i, q]) - y1[i, q] * (y1[j, p] - y1[i, p])
             r = (da[j, e] - da[i, e]) - cross * 0.5
+            if shift is not None:
+                r = r + dt * shift[e]
             sq = sq + r * r
         sup1 = max(sup1, float(np.max(np.sqrt(dd) / dt ** alpha)))
         sup2 = max(sup2, float(np.max(np.sqrt(sq * 2.0) / dt ** (2.0 * alpha))))

@@ -673,6 +673,32 @@ def test_sweep_zero_planes_match_rowloop(d):
             assert raw.tolist() == [holder_distance_rowloop(x, y, 0.3) for x in xs]
 
 
+@pytest.mark.parametrize("pair_block", [7, tensor2.PAIR_BLOCK])
+def test_shifted_sweep_matches_shifted_rowloop(monkeypatch, pair_block):
+    # the shifted distances, which the lead-lag runs write, are the row
+    # loop's with (t_j - t_i) v_m added to every area residual, bit for bit:
+    # batches of lifts with level 1 zero (-0.0 at places) or moving, against
+    # the zero lift, a signed zero and a lift, with shifts holding -0.0
+    monkeypatch.setattr(tensor2, "PAIR_BLOCK", pair_block)
+    for n in (1, 2, 3, 16, 17, 40, 257):
+        rng = np.random.default_rng(40 + n)
+        d = 2 + n % 2
+        t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n))])
+        signs = rng.standard_normal((n + 1, d))
+        flat = [_zero_level1(rng, t, d, signs) for _ in range(2)]
+        moving = [lift_piecewise_linear(t, rng.standard_normal((n + 1, d))) for _ in range(2)]
+        targets = (zero_lift(t, d), LiftedPath(t, np.where(signs < 0, -0.0, 0.0), flat[0].area),
+                   lift_piecewise_linear(t, rng.standard_normal((n + 1, d))))
+        for y in targets:
+            for xs in (flat, moving, flat + moving):
+                g = rng.standard_normal((len(xs), d, d))
+                shifts = area_entries(g - g.transpose(0, 2, 1))
+                shifts[0, 0] = -0.0
+                _, shifted = holder_sweep(_stack(xs), y, 0.3, shifts)
+                want = [holder_distance_rowloop(x, y, 0.3, v) for x, v in zip(xs, shifts)]
+                assert shifted.tolist() == want, (n, d)
+
+
 def test_sweep_rejects_bad_stacks():
     rng = np.random.default_rng(21)
     _, batch, y, v = _random_stack(rng, 8, 2, 3)
