@@ -25,6 +25,7 @@ zero lift gives every distance.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,8 +164,10 @@ def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int, batch: int = 1) 
     entries a residual, it is what the run and the worker thread hold
     throughout, the embedding root (N) and the thread's one scratch buffer,
     the larger of the lift and sum blocks (running_outer_sum, (2d + 1)
-    min(batch n_ref, ROW_BLOCK)) and the sweep's planes (tensor2.sweep_blocks:
-    batch k members, shifted, no level 1, geometry built block by block),
+    min(batch n_ref, ROW_BLOCK)) and the sweep's arrays (tensor2.sweep_blocks:
+    batch k members of dimension 2d, shifted, no level 1, geometry built
+    block by block; their area differences extended by ceil(n_min/2) points,
+    and the planes),
     numpy's iterator buffers (np.getbufsize() floats for each of a ufunc
     call's at most three operands, in any phase), plus the largest of the
     traced peaks of three phases:
@@ -176,7 +179,8 @@ def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int, batch: int = 1) 
       the stacked draws and the times, and on the coarsest grid the
       residuals (E floats at each of the M = batch k (n_min + 1) member
       points), the reference lift's area, and one n's area and QV sums;
-    * sweep, 2 E M: each member point's residual and area difference.
+    * sweep, E M: each member point's residual (the area differences are
+      in the scratch buffer).
 
     At batch = 1 sampling is the peak, and the traced peak grows by 8 (4d +
     1) B per reference step between 2^19 and 2^20 steps: 40.0 B at d = 1,
@@ -185,12 +189,12 @@ def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int, batch: int = 1) 
     n = n_ref + 1
     members = batch * k
     points = members * (n_min + 1)
-    _, planes = sweep_blocks(members, n_min, shifted=True, zero1=True)
-    scratch = max((2 * d + 1) * min(batch * n_ref, ROW_BLOCK), sum(planes))
+    _, shapes = sweep_blocks(members, n_min, 2 * d, shifted=True, zero1=True)
+    scratch = max((2 * d + 1) * min(batch * n_ref, ROW_BLOCK), sum(map(math.prod, shapes)))
     sampling = n * d * max(batch + 3, 2 * batch)
     entries = d * (2 * d - 1)
     lifting = n * (1 + batch * d) + batch * (n_min + 1) * (entries * k + d * d + d * (d - 1) // 2)
-    return 8 * (n + scratch + 3 * np.getbufsize() + max(sampling, lifting, 2 * entries * points))
+    return 8 * (n + scratch + 3 * np.getbufsize() + max(sampling, lifting, entries * points))
 
 
 @dataclass(frozen=True)

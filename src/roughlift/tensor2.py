@@ -23,6 +23,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # Algebraic identities are exact in exact arithmetic; 1e-12 relative leaves
 # headroom for accumulation over <= 1e4 segments in double precision.
@@ -34,18 +35,22 @@ IDENTITY_TOL = 1e-12
 # tensor2.FULL_PAIRS_LIMIT to count the pairs of every traced distance.
 FULL_PAIRS_LIMIT = 2048
 
-# Grid pairs per block of the Hoelder sweep, over all members of a batch.
-# numpy releases the interpreter lock only inside a call, so longer calls let
-# two pool threads' sweeps overlap more: the magnetic-coarse config (n = 256,
-# d = 2, 2-core Xeon, 30 runs each) took a median of 214 ms at --threads 2 in
-# blocks of 2^15 pairs against 256-258 ms at 2^14, and at --threads 1, where
-# more masked pairs (j <= i) are computed, 270 against 258-261 ms.
+# Grid pairs per block of the Hoelder sweep, over all members of a batch (a
+# block is the fewest lag rows that hold them).  numpy releases the
+# interpreter lock only inside a call, so longer calls let two pool
+# threads' sweeps overlap more: the magnetic-coarse config (n = 256, d = 2,
+# 2-core Xeon, BLAS on one thread, one process, 30 runs each) took a median
+# of 124 ms at --threads 2 in blocks of 2^15 pairs, one block of 128 lags,
+# against 148 ms at 2^14 and 119 ms at 2^16, and at --threads 1 164 ms
+# against 196 and 162 ms.
 PAIR_BLOCK = 1 << 15
 
 # sweep_geometry keeps a grid's sweep geometry (_geometry) read-only for the
 # one-member sweeps on it when a plane has at most GEOMETRY_KEEP * PAIR_BLOCK
-# entries over all blocks (49,152 for the magnetic output grid, n = 256), so
+# entries over all blocks (32,896 for the magnetic output grid, n = 256), so
 # at most 1.1 MiB; other sweeps build it block by block in their scratch.
+# Kept, it took the magnetic-coarse config from 135 to 124 ms at --threads 2
+# and from 197 to 164 ms at --threads 1 (as above, against GEOMETRY_KEEP = 1).
 GEOMETRY_KEEP = 2
 
 # The scratch arrays of holder_sweep and running_outer_sum, cut from one
@@ -56,7 +61,10 @@ _scratch_buffer = threading.local()
 # Grid rows per block of the fine-grid kernels (running_outer_sum, over a
 # whole batch, and gauss.sample_physical), so their working memory beyond
 # the arrays they return is O(ROW_BLOCK) whatever the grid size: 1.25 MiB
-# for a d = 2 lift.  At 1.86M steps, blocks of 2^12 to 2^17 rows ran equally fast.
+# for a d = 2 lift.  At 1.86M steps, blocks of 2^12 to 2^17 rows ran equally
+# fast.  It must stay a multiple of 8: only then does OpenBLAS give each row
+# of sample_physical's noise @ L.T the bits of a one-shot draw (at 7 rows a
+# block, 3 of 30 (d, N) cases moved a P or W value by one ulp).
 ROW_BLOCK = 1 << 15
 
 
@@ -361,16 +369,25 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None, geomet
     norm is (|delta|^2 |sigma|^2 + (delta . sigma)^2) / 8, which does not
     cancel, plus 2 r_pq^2 for each entry p < q.
 
-    The pairs come in blocks of grid rows i0 <= i < i1 against the columns
-    j = i0+1..n, j <= i masked, about PAIR_BLOCK pairs over all members:
-    stacks of k planes cut from the thread's scratch buffer and sized by the
-    first block (``sweep_blocks``).  The blocks' geometry (_geometry) is
-    ``geometry``, built once for the unshifted one-member sweeps of a grid
-    (``sweep_geometry``), or else built block by block.  Planes that are
-    exactly zero are not built: sigma's (sigma = delta) against a target
-    with level 1 zero, and every level-1 plane when the members' level 1 is
-    zero too.  That changes at most the sign of a zero residual entry, which
-    squaring removes.
+    The pairs are laid out by lag: plane entry (l, m), l = 1..ceil(n/2) and
+    m = 0..n, is the pair of grid points m and (m + l) mod (n + 1), so every
+    pair is an entry, once (the middle lag twice for odd n), and no entry
+    is wasted.  A plane of differences is one ufunc call, windows of a
+    grid-last path extended by its first ceil(n/2) points less the path.
+    Where the pair wraps (m + l > n) that is the exact negative of the row
+    loop's difference, so squares and products of two keep its bits, the
+    Chen cross term takes the pair's earlier point as its base, and the
+    shifted residual adds the signed step: every distance is the row loop's
+    to the bit.  The planes come in blocks of lag rows, about PAIR_BLOCK
+    pairs over all members (``sweep_blocks``): stacks of k planes cut, with
+    the extended paths, from the thread's scratch buffer.  The blocks'
+    geometry (_geometry) is ``geometry``, built once for the unshifted
+    one-member sweeps of a grid (``sweep_geometry``), or else built block by
+    block.  Planes that are exactly zero are not built: sigma's (sigma =
+    delta) and the target's cross terms against a target with level 1 zero,
+    where the delta planes serve as the members' increments, and every
+    level-1 plane when the members' level 1 is zero too.  That changes at
+    most the sign of a zero residual entry, which squaring removes.
     """
     if not (0.0 <= alpha < 0.5):
         raise ValueError("alpha must lie in [0, 1/2)")
@@ -392,51 +409,52 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None, geomet
     t = y.times
     y_zero = not np.any(y.level1)
     zero1 = y_zero and not np.any(x.level1)  # no level-1 planes
-    # grid axis last and contiguous, so block planes are read by slices
-    da = np.empty((k, len(ps), n + 1))
-    np.copyto(np.moveaxis(da, -1, -2), x.area)  # a copy takes no numpy iterator buffer
-    if np.any(y.area):
-        da -= y.area.T
-    if not zero1:
-        x1 = np.ascontiguousarray(x.level1.reshape(k, n + 1, d).swapaxes(1, 2))
-        y1 = np.ascontiguousarray(y.level1.T)[None]
-        w, s = x1 - y1, None if y_zero else x1 + y1  # the paths of delta and sigma
     shifted = shifts is not None
-    rows, sizes = sweep_blocks(k, n, shifted, zero1, geometry is not None)
+    rows, shapes = sweep_blocks(k, n, d, shifted, zero1, geometry is not None)
     if geometry is not None and geometry.key != (t.tobytes(), alpha, rows, shifted):
         raise ValueError("the geometry is not that of this grid, alpha and sweep")
-    planes = _scratch(*[(size,) for size in sizes])
-    members = 3 + shifted + (not zero1)  # planes of k members
+    scratch = _scratch(*shapes)
+    paths = 1 if zero1 else 5  # the extended area difference, X, X - Y, X + Y and Y
+    da = _extend(scratch[0], x.area, y.area if np.any(y.area) else None)
+    if not zero1:
+        x1 = w = _extend(scratch[1], x.level1)  # delta is dX against a zero target, bar zero signs
+        if not y_zero:
+            y1 = _extend(scratch[4], y.level1)
+            np.subtract(scratch[1], scratch[4], out=scratch[2])
+            np.add(scratch[1], scratch[4], out=scratch[3])
+            w, s = (sliding_window_view(z, n + 1, axis=-1) for z in scratch[2:4])
+    planes = scratch[paths:paths + 3 + shifted + (0 if zero1 else max(d, 2))]  # k members each
     blocks = (geometry.blocks if geometry is not None
-              else _geometry(t, alpha, rows, shifted, not zero1, planes[members:]))
+              else _geometry(t, alpha, rows, shifted, not zero1, scratch[paths + len(planes):]))
     sup = np.zeros((3, k))  # level 1, level 2, shifted level 2
-    for i0, i1, pair, power, power2, dt in blocks:
-        shape = (i1 - i0, n - i0)
-        m = shape[0] * shape[1]
-        a, r, acc2, *rest = (p[:k * m].reshape((k,) + shape) for p in planes[:members])
+    for l0, l1, late, power, power2, dt in blocks:
+        shape = (k, l1 - l0, n + 1)
+        a, r, acc2, *rest = (p[:math.prod(shape)].reshape(shape) for p in planes)
         acc2s = rest.pop(0) if shifted else None
         if zero1:
             acc2.fill(0.0)  # no level 1: the residual is all area
         else:  # acc2 = half the symmetric part's squared norm
-            acc = rest.pop(0)
+            if y_zero:  # r, unused until the area residuals, holds |delta|^2,
+                acc, dl = r, rest  # and the delta planes are the cross terms' increments
+            else:
+                acc, dl = rest[0], rest[1:]
             for p in range(d):  # |delta|^2, and |sigma|^2 unless sigma = delta
-                np.subtract(w[:, p, None, i0 + 1:], w[:, p, i0:i1, None], out=a)
-                _accumulate_square(a, acc, p == 0)
-                if not y_zero:
-                    np.subtract(s[:, p, None, i0 + 1:], s[:, p, i0:i1, None], out=a)
-                    _accumulate_square(a, r, p == 0)
+                if y_zero:
+                    np.multiply(_diff(w, p, l0, l1, dl[p]), dl[p], out=a if p else acc)
+                    if p:
+                        acc += a
+                else:
+                    _accumulate_square(_diff(w, p, l0, l1, a), acc, p == 0)
+                    _accumulate_square(_diff(s, p, l0, l1, a), r, p == 0)
             np.multiply(acc, acc if y_zero else r, out=acc2)
-            _fold_sup(acc, power, pair, sup[0])
+            _fold_sup(acc, power, sup[0])
             if y_zero:  # (delta . sigma)^2 = |delta|^4
                 acc2 += acc2
             else:
                 for p in range(d):
-                    np.subtract(w[:, p, None, i0 + 1:], w[:, p, i0:i1, None], out=a)
-                    np.subtract(s[:, p, None, i0 + 1:], s[:, p, i0:i1, None], out=acc)
-                    if p == 0:
-                        np.multiply(a, acc, out=r)
-                    else:
-                        a *= acc
+                    _diff(w, p, l0, l1, a)
+                    np.multiply(a, _diff(s, p, l0, l1, acc), out=a if p else r)
+                    if p:
                         r += a
                 np.multiply(r, r, out=r)
                 acc2 += r
@@ -445,50 +463,62 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None, geomet
             np.copyto(acc2s, acc2)
         for e, (p, q) in enumerate(zip(ps, qs)):
             if not zero1:  # the Chen cross term of X - Y, halved
-                _cross_term(x1, p, q, i0, i1, a, acc)
-                if not y_zero:
-                    _cross_term(y1, p, q, i0, i1, acc, r)
+                if y_zero:
+                    _cross_term(x1, p, q, l0, l1, late, a, acc, dl[q], dl[p])
+                else:
+                    _cross_term(x1, p, q, l0, l1, late, a, acc, dl[0])
+                    _cross_term(y1, p, q, l0, l1, late, acc, r, dl[0])
                     np.subtract(a, acc, out=a)
                 a *= 0.5
-            np.subtract(da[:, e, None, i0 + 1:], da[:, e, i0:i1, None], out=r)
+            _diff(da, e, l0, l1, r)
             if not zero1:
                 np.subtract(r, a, out=r)  # the area residual
-            if shifted:
+            if shifted:  # the signed step, as r is signed
                 np.multiply(shifts[:, e, None, None], dt, out=a)
                 np.add(r, a, out=a)
                 _accumulate_square(a, acc2s, False)
             _accumulate_square(r, acc2, False)
         for sq, out in zip((acc2, acc2s)[:1 + shifted], sup[1:]):
             sq *= 2.0  # both halves of every area entry, the symmetric part halved
-            _fold_sup(sq, power2, pair, out)
+            _fold_sup(sq, power2, out)
     return sup[0] + sup[1], sup[0] + sup[2] if shifted else None
 
 
-def sweep_blocks(k: int, n: int, shifted: bool, zero1: bool = False,
-                 geometry: bool = False) -> tuple[int, list[int]]:
-    """Grid rows per block of a holder_sweep of k >= 1 members on n >= 1
-    intervals (ValueError otherwise), and the sizes in floats of the planes
-    it cuts from the thread's scratch buffer, for the first block, rows n
-    pairs a member: a, r and acc2 for every member, acc2s when ``shifted``
-    and acc unless nothing has level 1 (``zero1``); then, unless it is given
-    its ``geometry``, one block's _geometry planes: (t - s)^(2 alpha), t - s
-    when ``shifted``, and (t - s)^alpha unless ``zero1``.
+def sweep_blocks(k: int, n: int, d: int, shifted: bool, zero1: bool = False,
+                 geometry: bool = False) -> tuple[int, list[tuple]]:
+    """Lag rows per block of a holder_sweep of k >= 1 members of dimension d
+    on n >= 1 intervals (ValueError otherwise), the fewest that hold
+    PAIR_BLOCK pairs over all members, or all ceil(n/2) lags, and the shapes
+    of the arrays it cuts from the thread's scratch buffer.  First the
+    paths, grid last and extended by ceil(n/2) points: the area difference,
+    and unless nothing has level 1 (``zero1``) X, X - Y, X + Y and Y.  Then
+    the planes for the first block, rows (n + 1) pairs a member: a, r and
+    acc2 for every member, acc2s when ``shifted``, and unless ``zero1``
+    max(d, 2) more, the d delta planes against a zero target, else acc and
+    one plane of differences.  Then, unless it is given its ``geometry``,
+    one block's _geometry planes: (t - s)^alpha unless ``zero1``, (t -
+    s)^(2 alpha), and the signed step when ``shifted``.
     """
     if k < 1 or n < 1:
         raise ValueError(f"a sweep needs a member and an interval, got k = {k}, n = {n}")
-    rows = min(n, max(1, PAIR_BLOCK // (k * n)))
-    pairs = rows * n
-    sizes = [k * pairs] * (3 + shifted + (not zero1))
+    lags = (n + 1) // 2
+    rows = min(lags, -(-PAIR_BLOCK // (k * (n + 1))))
+    pairs = rows * (n + 1)
+    extended = n + 1 + lags
+    shapes = [(k, d * (d - 1) // 2, extended)]
+    if not zero1:
+        shapes += [(k, d, extended)] * 3 + [(1, d, extended)]
+    shapes += [(k * pairs,)] * (3 + shifted + (0 if zero1 else max(d, 2)))
     if not geometry:
-        sizes += [pairs] * (1 + shifted + (not zero1))
-    return rows, sizes
+        shapes += [(pairs,)] * (1 + shifted + (not zero1))
+    return rows, shapes
 
 
 @dataclass(frozen=True)
 class SweepGeometry:
-    """_geometry's blocks in read-only arrays, shared by the sweeps and
-    threads given them, for the grid bytes, alpha, block rows and shifting
-    of ``key``."""
+    """_geometry's blocks, each its lags, wrap mask and step powers in
+    read-only arrays, shared by the sweeps and threads given them, for the
+    grid bytes, alpha, block lag rows and shifting of ``key``."""
 
     key: tuple
     blocks: tuple
@@ -497,16 +527,14 @@ class SweepGeometry:
 def sweep_geometry(times, alpha: float) -> SweepGeometry | None:
     """The geometry that the one-member, unshifted sweeps on the grid
     ``times`` read, for their ``geometry`` argument: 17 bytes (two planes
-    and the pair mask) an entry, or None over GEOMETRY_KEEP * PAIR_BLOCK
+    and the wrap mask) an entry, or None over GEOMETRY_KEEP * PAIR_BLOCK
     entries a plane, and on a one-point grid, which has no pairs to sweep.
     A sweep with other block rows, or shifted, raises when given it."""
     t = np.asarray(times, dtype=float)
     n = len(t) - 1
-    if n < 1:
+    if n < 1 or (n + 1) // 2 * (n + 1) > GEOMETRY_KEEP * PAIR_BLOCK:
         return None
-    rows = sweep_blocks(1, n, False)[0]
-    if sum(min(rows, n - i0) * (n - i0) for i0 in range(0, n, rows)) > GEOMETRY_KEEP * PAIR_BLOCK:
-        return None
+    rows = sweep_blocks(1, n, 1, False)[0]
     blocks = tuple(_geometry(t, alpha, rows, False))
     for array in (a for block in blocks for a in block[2:] if a is not None):
         array.flags.writeable = False
@@ -514,27 +542,47 @@ def sweep_geometry(times, alpha: float) -> SweepGeometry | None:
 
 
 def _geometry(t, alpha: float, rows: int, shifted: bool, level1: bool = True, planes=None):
-    """Per block of ``rows`` rows of a sweep on the grid ``t``: its rows i0
-    <= i < i1, the mask of its pairs j > i among the columns j = i0+1..n,
-    (t_j - t_i)^alpha when ``level1``, (t_j - t_i)^(2 alpha) and t_j - t_i
-    when ``shifted`` (else None), with t_j - t_i = 1 at the masked pairs.
-    The planes go into ``planes`` (level1 + 1 + shifted, each of at least a
-    block) when given, each block over the last, else into new arrays."""
+    """Per block of ``rows`` lag rows of a sweep on the grid ``t``: its lags
+    l0 <= l < l1, and over its pairs of points m and (m + l) mod (n + 1),
+    when ``level1`` the mask of those that wrap (the window's point is the
+    earlier) and |t_j - t_i|^alpha, then |t_j - t_i|^(2 alpha), and when
+    ``shifted`` the signed step, window less row, which is negative where
+    the pair wraps (else None).  The planes go into ``planes`` (level1 + 1 +
+    shifted, each of at least a block) when given, each block over the
+    last, else into new arrays."""
     n = len(t) - 1
-    for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
-        shape = (i1 - i0, n - i0)
+    lags = (n + 1) // 2
+    window = sliding_window_view(np.concatenate([t, t[:lags]]), n + 1)
+    for l0 in range(1, lags + 1, rows):
+        l1 = min(l0 + rows, lags + 1)
+        shape = (l1 - l0, n + 1)
         if planes is None:
             g = np.empty((level1 + 1 + shifted,) + shape)
         else:
             g = [p[:shape[0] * shape[1]].reshape(shape) for p in planes]
-        pair = np.arange(i0, i1)[:, None] < np.arange(i0 + 1, n + 1)
         dt = g[-1]
-        np.subtract(t[i0 + 1:], t[i0:i1, None], out=dt)
-        np.copyto(dt, 1.0, where=np.logical_not(pair))
-        power = np.power(dt, alpha, out=g[0]) if level1 else None
-        power2 = np.power(dt, 2.0 * alpha, out=g[int(level1)])  # over dt without shifts
-        yield i0, i1, pair, power, power2, dt if shifted else None
+        np.subtract(window[l0:l1], t, out=dt)
+        late = np.less(dt, 0.0) if level1 else None
+        step = np.abs(dt, out=g[int(level1)])  # over dt without shifts
+        power = np.power(step, alpha, out=g[0]) if level1 else None
+        power2 = np.power(step, 2.0 * alpha, out=step)
+        yield l0, l1, late, power, power2, dt if shifted else None
+
+
+def _extend(z, path, ref=None) -> np.ndarray:
+    """z = ``path`` ([k,] n + 1, c) less ``ref`` (n + 1, c), if given, grid
+    last and extended by its first points, for ``z`` of shape (k, c, n + 1
+    + ceil(n/2)); returns the windows z[..., l:l + n + 1], l = 0..ceil(n/2),
+    a (k, c, ceil(n/2) + 1, n + 1) view.  Both parts are copied from
+    ``path``: a copy within ``z`` would take a temporary, as numpy cannot
+    rule out their overlap."""
+    n1 = path.shape[-2]
+    path = path.reshape((len(z),) + path.shape[-2:])
+    for part in (z[..., :n1], z[..., n1:]):
+        np.copyto(np.moveaxis(part, -1, -2), path[:, :part.shape[-1]])
+        if ref is not None:
+            part -= ref[:part.shape[-1]].T
+    return sliding_window_view(z, n1, axis=-1)
 
 
 def _scratch(*shapes) -> list[np.ndarray]:
@@ -549,22 +597,37 @@ def _scratch(*shapes) -> list[np.ndarray]:
     return [buf[end - size:end].reshape(shape) for shape, size, end in zip(shapes, sizes, ends)]
 
 
-def _fold_sup(sq, power, pair, sup):
-    """sup = max(sup, sqrt(sq) / power over the pairs), per member;
+def _fold_sup(sq, power, sup):
+    """sup = max(sup, sqrt(sq) / power over a block's pairs), per member;
     ``sq`` is overwritten."""
     np.sqrt(sq, out=sq)
     np.divide(sq, power, out=sq)
-    np.maximum(sup, np.max(sq, axis=tuple(range(1, sq.ndim)), where=pair, initial=0.0), out=sup)
+    np.maximum(sup, np.max(sq, axis=(1, 2)), out=sup)
 
 
-def _cross_term(z, p, q, i0, i1, out, tmp):
+def _diff(z, c, l0, l1, out) -> np.ndarray:
+    """out = z_c at the window less z_c at the row over the pairs of a
+    block's lags l0 <= l < l1, for the windows z of extended paths."""
+    return np.subtract(z[:, c, l0:l1], z[:, c, :1], out=out)
+
+
+def _cross_term(z, p, q, l0, l1, late, out, tmp, dq, dp=None):
     """out = z_p,i (z_q,j - z_q,i) - z_q,i (z_p,j - z_p,i) over a block's
-    pairs, for the paths z of shape (k, d, n + 1); ``tmp`` is overwritten."""
-    np.subtract(z[:, q, None, i0 + 1:], z[:, q, i0:i1, None], out=out)
-    np.multiply(z[:, p, i0:i1, None], out, out=out)
-    np.subtract(z[:, p, None, i0 + 1:], z[:, p, i0:i1, None], out=tmp)
-    np.multiply(z[:, q, i0:i1, None], tmp, out=tmp)
+    pairs i < j, the base z_i at the pair's earlier point (the window where
+    ``late``), for the windows z of extended paths: from the difference
+    planes ``dq`` and ``dp``, or, without ``dp``, with each difference
+    computed into ``dq`` in turn.  ``tmp`` is overwritten."""
+    _base(z, p, l0, l1, late, out)
+    out *= dq if dp is not None else _diff(z, q, l0, l1, dq)
+    _base(z, q, l0, l1, late, tmp)
+    tmp *= dp if dp is not None else _diff(z, p, l0, l1, dq)
     np.subtract(out, tmp, out=out)
+
+
+def _base(z, p, l0, l1, late, out) -> None:
+    """out = z_p at the earlier point of each pair of a block's lags."""
+    np.copyto(out, z[:, p, :1])
+    np.copyto(out, z[:, p, l0:l1], where=late)
 
 
 def _accumulate_square(r, acc, first: bool):

@@ -506,7 +506,9 @@ def leadlag_trial_full_lifts(cfg, trial_index: int):
 # sweeps that square all d^2 level-2 residual entries of every pair: the
 # library's route before lifts were stored as level 1 and Levy area, kept
 # verbatim, its names prefixed full_, as the oracle of every TrialResult
-# field.  It shares the sweep geometry and scratch helpers of tensor2.
+# field.  Its sweeps keep the row-block layout (grid rows i against the
+# columns j > i, j <= i masked) with their own geometry, built per block,
+# and share tensor2's scratch helpers.
 
 @dataclass(frozen=True)
 class FullLiftedPath:
@@ -644,21 +646,39 @@ def full_translate(path: FullLiftedPath, v) -> FullLiftedPath:
     return FullLiftedPath(path.times, path.level1.copy(), path.level2 + shift)
 
 
-def _full_sweep_blocks(k: int, n: int, shifted: bool, zero_target: bool, zero1: bool = False,
-                       geometry: bool = False) -> tuple[int, list[int]]:
+def _full_sweep_blocks(k: int, n: int, shifted: bool, zero_target: bool,
+                       zero1: bool = False) -> tuple[int, list[int]]:
     from roughlift import tensor2
 
     rows = min(n, max(1, tensor2.PAIR_BLOCK // (k * n)))
     pairs = rows * n
     sizes = [k * pairs] * (3 + shifted) + [pairs] * (1 - zero_target)
-    if not geometry:
-        sizes += [pairs] * (1 + shifted + (not zero1))
-    return rows, sizes
+    return rows, sizes + [pairs] * (1 + shifted + (not zero1))
 
 
-def full_holder_sweep(x: FullLiftedPath, y: FullLiftedPath, alpha: float, shifts=None,
-                      geometry=None):
-    from roughlift.tensor2 import _accumulate_square, _fold_sup, _geometry, _scratch
+def _full_geometry(t, alpha: float, rows: int, shifted: bool, level1: bool, planes):
+    n = len(t) - 1
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        shape = (i1 - i0, n - i0)
+        g = [p[:shape[0] * shape[1]].reshape(shape) for p in planes]
+        pair = np.arange(i0, i1)[:, None] < np.arange(i0 + 1, n + 1)
+        dt = g[-1]
+        np.subtract(t[i0 + 1:], t[i0:i1, None], out=dt)
+        np.copyto(dt, 1.0, where=np.logical_not(pair))
+        power = np.power(dt, alpha, out=g[0]) if level1 else None
+        power2 = np.power(dt, 2.0 * alpha, out=g[int(level1)])  # over dt without shifts
+        yield i0, i1, pair, power, power2, dt if shifted else None
+
+
+def _full_fold_sup(sq, power, pair, sup):
+    np.sqrt(sq, out=sq)
+    np.divide(sq, power, out=sq)
+    np.maximum(sup, np.max(sq, axis=tuple(range(1, sq.ndim)), where=pair, initial=0.0), out=sup)
+
+
+def full_holder_sweep(x: FullLiftedPath, y: FullLiftedPath, alpha: float, shifts=None):
+    from roughlift.tensor2 import _accumulate_square, _scratch
 
     if not (0.0 <= alpha < 0.5):
         raise ValueError("alpha must lie in [0, 1/2)")
@@ -690,13 +710,10 @@ def full_holder_sweep(x: FullLiftedPath, y: FullLiftedPath, alpha: float, shifts
         y1 = np.ascontiguousarray(y.level1.T)
         w = x1 - y1
     shifted = shifts is not None
-    rows, sizes = _full_sweep_blocks(k, n, shifted, y_zero, zero1, geometry is not None)
-    if geometry is not None and geometry.key != (t.tobytes(), alpha, rows, shifted):
-        raise ValueError("the geometry is not that of this grid, alpha and sweep")
+    rows, sizes = _full_sweep_blocks(k, n, shifted, y_zero, zero1)
     planes = _scratch(*[(size,) for size in sizes])
-    blocks = (geometry.blocks if geometry is not None
-              else _geometry(t, alpha, rows, shifted, not zero1,
-                             planes[3 + shifted + (not y_zero):]))
+    blocks = _full_geometry(t, alpha, rows, shifted, not zero1,
+                            planes[3 + shifted + (not y_zero):])
     sup = np.zeros((3, k))  # level 1, level 2, shifted level 2
     for i0, i1, pair, power, power2, dt in blocks:
         shape = (i1 - i0, n - i0)
@@ -707,7 +724,7 @@ def full_holder_sweep(x: FullLiftedPath, y: FullLiftedPath, alpha: float, shifts
             for p in range(d):
                 np.subtract(w[:, p, None, i0 + 1:], w[:, p, i0:i1, None], out=a)
                 _accumulate_square(a, acc, p == 0)
-            _fold_sup(acc, power, pair, sup[0])
+            _full_fold_sup(acc, power, pair, sup[0])
         for p in range(d):
             for q in range(d):
                 np.subtract(dl2[:, p, q, None, i0 + 1:], dl2[:, p, q, i0:i1, None], out=r)
@@ -724,17 +741,16 @@ def full_holder_sweep(x: FullLiftedPath, y: FullLiftedPath, alpha: float, shifts
                     np.add(r, a, out=a)
                     _accumulate_square(a, acc_shifted[0], p == q == 0)
                 _accumulate_square(r, acc, p == q == 0)
-        _fold_sup(acc, power2, pair, sup[1])
+        _full_fold_sup(acc, power2, pair, sup[1])
         if shifted:
-            _fold_sup(acc_shifted[0], power2, pair, sup[2])
+            _full_fold_sup(acc_shifted[0], power2, pair, sup[2])
     return sup[0] + sup[1], sup[0] + sup[2] if shifted else None
 
 
-def full_holder_distance(x: FullLiftedPath, y: FullLiftedPath, alpha: float, *,
-                         geometry=None) -> float:
+def full_holder_distance(x: FullLiftedPath, y: FullLiftedPath, alpha: float) -> float:
     if x.level1.ndim != 2:
         raise ValueError("x must be one lift; use holder_sweep for a batch")
-    return float(full_holder_sweep(x, y, alpha, geometry=geometry)[0][0])
+    return float(full_holder_sweep(x, y, alpha)[0][0])
 
 
 def magnetic_trial_full_level2(cfg, plan, trial_index: int):
@@ -756,13 +772,10 @@ def magnetic_trial_full_level2(cfg, plan, trial_index: int):
     liftW = full_lift_piecewise_linear(W.times, W.values, out=level2).restrict(out_idx)
 
     zero = full_zero_lift(liftP.times, cfg.d)
-    geometry = plan.geometry
-    distP_renorm = full_holder_distance(full_translate(liftP, v), zero, cfg.alpha,
-                                        geometry=geometry)
-    distP_raw = full_holder_distance(liftP, zero, cfg.alpha, geometry=geometry)
-    distZ_renorm = full_holder_distance(full_translate(liftZ, v), liftW, cfg.alpha,
-                                        geometry=geometry)
-    distZ_raw = full_holder_distance(liftZ, liftW, cfg.alpha, geometry=geometry)
+    distP_renorm = full_holder_distance(full_translate(liftP, v), zero, cfg.alpha)
+    distP_raw = full_holder_distance(liftP, zero, cfg.alpha)
+    distZ_renorm = full_holder_distance(full_translate(liftZ, v), liftW, cfg.alpha)
+    distZ_raw = full_holder_distance(liftZ, liftW, cfg.alpha)
     area_dev = float(np.linalg.norm(liftZ.level2[-1] - liftW.level2[-1]))
     return TrialResult(eps=float(eps), distP_renorm=distP_renorm,
                        distP_raw=distP_raw, distZ_renorm=distZ_renorm,

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, replace
@@ -511,8 +512,9 @@ def test_trial_memory_bound_holds_at_4x_pair_block(monkeypatch):
 def _sweep_peak_bytes(k, n, d):
     # the sweep as a lead-lag batch runs it: k residuals of lead-lag
     # dimension d (lifts of dimension 2d) with level 1 zero, against the zero
-    # lift; the input lifts and the thread's sweep planes (kept across calls,
-    # and O(PAIR_BLOCK) at both shapes) are allocated before tracing starts
+    # lift; the input lifts are allocated before tracing starts, and the
+    # sweep runs on a fresh thread, so the thread's scratch buffer (the
+    # extended area differences and the planes) is traced
     rng = np.random.default_rng(k * n + d)
     times = np.linspace(0.0, 1.0, n + 1)
     area = rng.standard_normal((k, n + 1, d * (2 * d - 1)))
@@ -520,10 +522,10 @@ def _sweep_peak_bytes(k, n, d):
     x = LiftedPath(times, np.broadcast_to(0.0, (k, n + 1, 2 * d)), area)
     y = zero_lift(times, 2 * d)
     shifts = rng.standard_normal((k, d * (2 * d - 1)))
-    holder_sweep(x, y, 0.3, shifts)
     tracemalloc.start()
     try:
-        holder_sweep(x, y, 0.3, shifts)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(holder_sweep, x, y, 0.3, shifts).result()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -532,18 +534,21 @@ def _sweep_peak_bytes(k, n, d):
 @pytest.mark.parametrize("d", [1, 2, 4])
 def test_sweep_memory_per_member_point(d):
     # the sweep term of leadlag_trial_bytes: between (k, n) = (32, 128) and
-    # (64, 256), both at k n <= PAIR_BLOCK, the sweep's traced peak grows by
-    # 8 d (2d - 1) B per member grid point (the area difference of the
-    # 2d-dimensional residuals; level 1 is zero, so there is no level-1
-    # difference); the bound's per-member term, less the member's own
-    # residual, covers that with at most 56 B of planes: with k n_min >=
-    # PAIR_BLOCK a block is one grid row, and the planes grow by 4 n_min
-    # floats a member
+    # (64, 256), the sweep's traced peak grows by the scratch arrays that
+    # tensor2.sweep_blocks gives it, per member grid point: the area
+    # differences, 8 d (2d - 1) B a point extended by ceil(n/2) points (level
+    # 1 is zero, so there is no level-1 path), and planes of about
+    # PAIR_BLOCK pairs at both shapes; the bound's per-member term, less the
+    # member's own residual, covers that with at most 56 B of planes: with
+    # k (n_min + 1) >= PAIR_BLOCK a block is one lag row, and the planes
+    # grow by 4 (n_min + 1) floats a member
     shapes = ((32, 128), (64, 256))
     points = [k * (n + 1) for k, n in shapes]
     peaks = [_sweep_peak_bytes(k, n, d) for k, n in shapes]
+    arrays = [8 * sum(map(math.prod, tensor2.sweep_blocks(k, n, 2 * d, True, True)[1]))
+              for k, n in shapes]
     slope = (peaks[1] - peaks[0]) / (points[1] - points[0])
-    core = 8 * d * (2 * d - 1)
+    core = (arrays[1] - arrays[0]) / (points[1] - points[0])
     assert 0.98 * core <= slope <= 1.02 * core + 56
     n_min = 64  # so many schedule points on that grid make the sweep the peak phase
     k = tensor2.PAIR_BLOCK // n_min
@@ -573,9 +578,10 @@ def test_batches_shrink_to_the_byte_budget():
 
     assert batch(4096) == batch(*BENCHMARK_SHAPE) == TRIAL_BATCH
     assert [batch(n_ref) for n_ref in (2 ** 15, 2 ** 16, 2 ** 17, 2 ** 18)] == [8, 6, 3, 1]
-    # the sweep's planes are charged at their block size, within the lift
-    # blocks here; its residuals of 28 area entries a point, not 64 level-2
-    # ones, let a full batch fit (a cold first batch of 8 traces 6.24 MB)
+    # the sweep's scratch arrays (extended area differences and planes) are
+    # charged at their size, over the lift blocks here; its residuals of 28
+    # area entries a point, not 64 level-2 ones, let a full batch fit (a
+    # cold first batch of 8 traces 6.22 MB against a bound of 7.71 MB)
     assert batch(4096, d=4, schedule=(512, 1024)) == TRIAL_BATCH
     for n_ref, d, schedule in ((4096, 1, (16, 32)), (2 ** 16, 1, (16, 32)),
                                (4096, 4, (512, 1024))):

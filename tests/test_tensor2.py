@@ -699,6 +699,38 @@ def test_shifted_sweep_matches_shifted_rowloop(monkeypatch, pair_block):
                 assert shifted.tolist() == want, (n, d)
 
 
+@pytest.mark.parametrize("pair_block", [7, tensor2.PAIR_BLOCK])
+def test_lag_blocks_visit_every_pair(monkeypatch, pair_block):
+    # on the grid t_i = 2^i a step 2^j - 2^i (exact) names its pair i < j:
+    # the blocks of one and of three members visit every lag row once, and
+    # entry (l, m) is the pair of m and (m + l) mod (n + 1), the mask
+    # marking where the window's point is the earlier and the signed step
+    # negative; so each pair is visited once, the middle lag of an odd n twice
+    monkeypatch.setattr(tensor2, "PAIR_BLOCK", pair_block)
+    for n in range(1, 41):
+        t = 2.0 ** np.arange(n + 1)
+        i, j = np.triu_indices(n + 1, 1)
+        want = sorted(zip(i.tolist(), j.tolist()))
+        if n % 2:
+            want = sorted(want + [(i, i + (n + 1) // 2) for i in range((n + 1) // 2)])
+        for k in (1, 3):
+            rows = tensor2.sweep_blocks(k, n, 2, True)[0]
+            lags, pairs = [], []
+            for l0, l1, late, power, power2, dt in tensor2._geometry(t, 0.3, rows, True):
+                lag = np.arange(l0, l1)[:, None]
+                m = np.arange(n + 1)
+                w = (m + lag) % (n + 1)
+                assert np.array_equal(late, w < m) and np.array_equal(dt < 0, late)
+                assert np.array_equal(np.abs(dt), t[np.maximum(m, w)] - t[np.minimum(m, w)])
+                assert np.array_equal(power2, np.abs(dt) ** 0.6)
+                step = np.abs(dt).ravel()
+                later = np.frexp(step)[1]  # 2^(j-1) <= 2^j - 2^i < 2^j
+                pairs += zip((np.frexp(2.0 ** later - step)[1] - 1).tolist(), later.tolist())
+                lags += lag.ravel().tolist()
+            assert lags == list(range(1, (n + 1) // 2 + 1)), (n, k)
+            assert sorted(pairs) == want, (n, k)
+
+
 def test_sweep_rejects_bad_stacks():
     rng = np.random.default_rng(21)
     _, batch, y, v = _random_stack(rng, 8, 2, 3)
@@ -743,7 +775,7 @@ def _case_geometry(case, alpha):
     one-member sweep's, else None: the sweep builds its own."""
     x, _, shifts = case
     k, n = (len(x.level1) if x.level1.ndim == 3 else 1), len(x.times) - 1
-    rows = [tensor2.sweep_blocks(m, n, False)[0] for m in (k, 1)]
+    rows = [tensor2.sweep_blocks(m, n, 2, False)[0] for m in (k, 1)]
     if shifts is not None or rows[0] != rows[1]:
         return None
     return tensor2.sweep_geometry(x.times, alpha)
@@ -796,7 +828,7 @@ def test_kept_geometry_is_read_only_and_keyed_by_grid_bits():
     with pytest.raises(ValueError, match="geometry"):
         holder_sweep(x, y, 0.3, np.zeros((1, 1)), geometry)
     batch = _stack([x] * 4096)
-    assert tensor2.sweep_blocks(4096, 16, False)[0] == 1 != geometry.key[2] == 16
+    assert tensor2.sweep_blocks(4096, 16, 1, False)[0] == 1 != geometry.key[2] == 8
     with pytest.raises(ValueError, match="geometry"):
         holder_sweep(batch, y, 0.3, geometry=geometry)
 
@@ -831,7 +863,7 @@ def _retained_bytes(x, y, geometry=None):
 def test_sweeps_keep_no_more_than_the_geometry_bound():
     # a sweep keeps nothing after it returns; a large grid gets no geometry,
     # and the output grid of the magnetic benchmark one of 17 B an entry,
-    # within the bound
+    # 128 lags of 257 pairs, within the bound
     rng = np.random.default_rng(32)
     x, y = _random_nonuniform_pair(rng, 2048, 2)
     assert tensor2.sweep_geometry(x.times, 0.3) is None
@@ -839,7 +871,7 @@ def test_sweeps_keep_no_more_than_the_geometry_bound():
     x, y = _random_nonuniform_pair(rng, 256, 2)
     geometry = tensor2.sweep_geometry(x.times, 0.3)
     held = sum(a.nbytes for block in geometry.blocks for a in block[2:] if a is not None)
-    assert held == 49152 * 17 <= 17 * tensor2.GEOMETRY_KEEP * tensor2.PAIR_BLOCK
+    assert held == 128 * 257 * 17 <= 17 * tensor2.GEOMETRY_KEEP * tensor2.PAIR_BLOCK
     assert _retained_bytes(x, y) < 2 ** 12
     assert _retained_bytes(x, y, geometry) < 2 ** 12
 
@@ -855,7 +887,7 @@ def test_one_point_grid_has_no_sweep_blocks():
     assert holder_distance(x, x, 0.3, geometry=tensor2.sweep_geometry(t, 0.3)) == 0.0
     for k, n in ((1, 0), (0, 4), (0, 0)):
         with pytest.raises(ValueError, match="a member and an interval"):
-            tensor2.sweep_blocks(k, n, shifted=False)
+            tensor2.sweep_blocks(k, n, 2, shifted=False)
 
 # ------------------------------------------------------------ LiftedPath API
 
