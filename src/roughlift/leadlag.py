@@ -161,13 +161,13 @@ def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int, batch: int = 1) 
     """Bound on the peak bytes of one run_leadlag_trial call on ``batch``
     trials: reference grid n_ref, dimension d, k schedule points, coarsest
     n_min.  In floats of 8 B, with N = n_ref + 1 and E = d (2d - 1) area
-    entries a residual, it is what the run and the worker thread hold
-    throughout, the embedding root (N) and the thread's one scratch buffer,
-    the larger of the lift and sum blocks (running_outer_sum, (2d + 1)
-    min(batch n_ref, ROW_BLOCK)) and the sweep's arrays (tensor2.sweep_blocks:
-    batch k members of dimension 2d, shifted, no level 1, geometry built
-    block by block; their area differences extended by ceil(n_min/2) points,
-    and the planes),
+    entries a residual, it is the run's embedding root (N), the kernels'
+    working arrays, which each call allocates and frees but which are
+    charged as if held for the whole batch: the larger of the lift and sum
+    blocks (running_outer_sum, (2d + 1) min(batch n_ref, ROW_BLOCK)) and the
+    sweep's arrays (tensor2.sweep_blocks: batch k members of dimension 2d,
+    shifted, no level 1, geometry built block by block; their area
+    differences extended by ceil(n_min/2) points, and the planes),
     numpy's iterator buffers (np.getbufsize() floats for each of a ufunc
     call's at most three operands, in any phase), plus the largest of the
     traced peaks of three phases:
@@ -180,7 +180,7 @@ def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int, batch: int = 1) 
       residuals (E floats at each of the M = batch k (n_min + 1) member
       points), the reference lift's area, and one n's area and QV sums;
     * sweep, E M: each member point's residual (the area differences are
-      in the scratch buffer).
+      among the sweep's working arrays).
 
     At batch = 1 sampling is the peak, and the traced peak grows by 8 (4d +
     1) B per reference step between 2^19 and 2^20 steps: 40.0 B at d = 1,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,15 +47,10 @@ PAIR_BLOCK = 1 << 15
 # sweep_geometry keeps a grid's sweep geometry (_geometry) read-only for the
 # one-member sweeps on it when a plane has at most GEOMETRY_KEEP * PAIR_BLOCK
 # entries over all blocks (32,896 for the magnetic output grid, n = 256), so
-# at most 1.1 MiB; other sweeps build it block by block in their scratch.
+# at most 1.1 MiB; other sweeps build it block by block in their planes.
 # Kept, it took the magnetic-coarse config from 135 to 124 ms at --threads 2
 # and from 197 to 164 ms at --threads 1 (as above, against GEOMETRY_KEEP = 1).
 GEOMETRY_KEEP = 2
-
-# The scratch arrays of holder_sweep and running_outer_sum, cut from one
-# buffer per thread kept across calls and grown on demand: freed, blocks of
-# about 1 MiB go back to the system and would be paged in afresh every call.
-_scratch_buffer = threading.local()
 
 # Grid rows per block of the fine-grid kernels (running_outer_sum, over a
 # whole batch, and gauss.sample_physical), so their working memory beyond
@@ -287,7 +281,8 @@ def running_outer_sum(x, stride: int, area, qv=None) -> None:
     rows) order, and each sum runs in place from its carry in the additions
     of one np.cumsum over the grid, so every output is bitwise rows
     ``::stride`` of the stride-1 sums.  The blocks take 2d + 1 floats a row
-    of the thread's scratch buffer, whatever the stride or layout of ``x``.
+    of working arrays allocated by the call and freed when it returns,
+    whatever the stride or layout of ``x``.
     """
     batch, n, d = x.shape[:-2], x.shape[-2] - 1, x.shape[-1]
     outs = [(area, np.triu_indices(d, 1), 2)] + ([] if qv is None else
@@ -380,14 +375,15 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None, geomet
     shifted residual adds the signed step: every distance is the row loop's
     to the bit.  The planes come in blocks of lag rows, about PAIR_BLOCK
     pairs over all members (``sweep_blocks``): stacks of k planes cut, with
-    the extended paths, from the thread's scratch buffer.  The blocks'
-    geometry (_geometry) is ``geometry``, built once for the unshifted
-    one-member sweeps of a grid (``sweep_geometry``), or else built block by
-    block.  Planes that are exactly zero are not built: sigma's (sigma =
-    delta) and the target's cross terms against a target with level 1 zero,
-    where the delta planes serve as the members' increments, and every
-    level-1 plane when the members' level 1 is zero too.  That changes at
-    most the sign of a zero residual entry, which squaring removes.
+    the extended paths, from one array that the call allocates and frees.
+    The blocks' geometry (_geometry) is ``geometry``, built once for the
+    unshifted one-member sweeps of a grid (``sweep_geometry``), or else
+    built block by block.  Planes that are exactly zero are not built:
+    sigma's (sigma = delta) and the target's cross terms against a target
+    with level 1 zero, where the delta planes serve as the members'
+    increments, and every level-1 plane when the members' level 1 is zero
+    too.  That changes at most the sign of a zero residual entry, which
+    squaring removes.
     """
     if not (0.0 <= alpha < 0.5):
         raise ValueError("alpha must lie in [0, 1/2)")
@@ -489,7 +485,7 @@ def sweep_blocks(k: int, n: int, d: int, shifted: bool, zero1: bool = False,
     """Lag rows per block of a holder_sweep of k >= 1 members of dimension d
     on n >= 1 intervals (ValueError otherwise), the fewest that hold
     PAIR_BLOCK pairs over all members, or all ceil(n/2) lags, and the shapes
-    of the arrays it cuts from the thread's scratch buffer.  First the
+    of the arrays it cuts from the one array it allocates.  First the
     paths, grid last and extended by ceil(n/2) points: the area difference,
     and unless nothing has level 1 (``zero1``) X, X - Y, X + Y and Y.  Then
     the planes for the first block, rows (n + 1) pairs a member: a, r and
@@ -572,8 +568,9 @@ def _geometry(t, alpha: float, rows: int, shifted: bool, level1: bool = True, pl
 def _extend(z, path, ref=None) -> np.ndarray:
     """z = ``path`` ([k,] n + 1, c) less ``ref`` (n + 1, c), if given, grid
     last and extended by its first points, for ``z`` of shape (k, c, n + 1
-    + ceil(n/2)); returns the windows z[..., l:l + n + 1], l = 0..ceil(n/2),
-    a (k, c, ceil(n/2) + 1, n + 1) view.  Both parts are copied from
+    + ceil(n/2)), one of holder_sweep's working arrays; returns the windows
+    z[..., l:l + n + 1], l = 0..ceil(n/2), a (k, c, ceil(n/2) + 1, n + 1)
+    view.  Both parts are copied from
     ``path``: a copy within ``z`` would take a temporary, as numpy cannot
     rule out their overlap."""
     n1 = path.shape[-2]
@@ -586,13 +583,10 @@ def _extend(z, path, ref=None) -> np.ndarray:
 
 
 def _scratch(*shapes) -> list[np.ndarray]:
-    """Arrays of the given shapes, disjoint views of this thread's scratch
-    buffer, valid until the thread calls _scratch again."""
+    """Arrays of the given shapes, disjoint views of one new array, freed
+    with the last of them."""
     sizes = [math.prod(shape) for shape in shapes]
-    buf = getattr(_scratch_buffer, "buf", None)
-    if buf is None or len(buf) < sum(sizes):
-        _scratch_buffer.buf = buf = None  # the old buffer goes before the new one is made
-        buf = _scratch_buffer.buf = np.empty(sum(sizes))
+    buf = np.empty(sum(sizes))
     ends = itertools.accumulate(sizes)
     return [buf[end - size:end].reshape(shape) for shape, size, end in zip(shapes, sizes, ends)]
 

@@ -446,13 +446,10 @@ def test_trial_records_do_not_depend_on_batch(d):
 
 
 def _trial_peak_bytes(cfg):
-    # one whole batch on a fresh worker thread (no scratch buffer yet), as
-    # the first batch of a run starts, after the run has built its root
+    # one whole batch, after the run has built its root
     tracemalloc.start()
     try:
-        root = _root(cfg)
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            pool.submit(run_leadlag_trial, cfg, range(cfg.batch), root).result()
+        run_leadlag_trial(cfg, range(cfg.batch), _root(cfg))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -509,12 +506,37 @@ def test_trial_memory_bound_holds_at_4x_pair_block(monkeypatch):
         _assert_trial_within_bound(n_ref, d, schedule)
 
 
+@pytest.mark.parametrize("n_ref, d, schedule", [SHAPES[1], BENCHMARK_SHAPE])
+def test_warm_worker_batch_holds_what_the_first_did(n_ref, d, schedule):
+    # two batches in turn on one worker thread, as a run hands them out: the
+    # kernels keep no arrays between calls, so the second batch peaks where
+    # the first did, and both within the bound
+    cfg = LeadLagConfig(H=0.4, n_schedule=schedule, n_ref=n_ref, d=d, mc_trials=1)
+
+    def two_batches(root):
+        peaks = []
+        for k0 in (0, cfg.batch):
+            tracemalloc.reset_peak()
+            run_leadlag_trial(cfg, range(k0, k0 + cfg.batch), root)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        return peaks
+
+    tracemalloc.start()
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            cold, warm = pool.submit(two_batches, _root(cfg)).result()
+    finally:
+        tracemalloc.stop()
+    assert max(cold, warm) <= _bound(cfg)
+    assert abs(warm - cold) <= 2 ** 16
+
+
 def _sweep_peak_bytes(k, n, d):
     # the sweep as a lead-lag batch runs it: k residuals of lead-lag
     # dimension d (lifts of dimension 2d) with level 1 zero, against the zero
-    # lift; the input lifts are allocated before tracing starts, and the
-    # sweep runs on a fresh thread, so the thread's scratch buffer (the
-    # extended area differences and the planes) is traced
+    # lift; the input lifts are allocated before tracing starts, so the
+    # sweep's own arrays (the extended area differences and the planes) are
+    # what is traced
     rng = np.random.default_rng(k * n + d)
     times = np.linspace(0.0, 1.0, n + 1)
     area = rng.standard_normal((k, n + 1, d * (2 * d - 1)))
@@ -524,8 +546,7 @@ def _sweep_peak_bytes(k, n, d):
     shifts = rng.standard_normal((k, d * (2 * d - 1)))
     tracemalloc.start()
     try:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            pool.submit(holder_sweep, x, y, 0.3, shifts).result()
+        holder_sweep(x, y, 0.3, shifts)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

