@@ -107,7 +107,7 @@ def sample_bm(T: float, N: int, d: int, seed: int) -> GridPath:
     rng = _rng(seed)
     inc = rng.standard_normal((N, d)) * np.sqrt(T / N)
     vals = np.zeros((N + 1, d))
-    np.cumsum(inc, axis=0, out=vals[1:])
+    running_sum_block(inc, vals, 0)
     return GridPath(uniform_times(N, T), vals)
 
 
@@ -174,7 +174,7 @@ def sample_fbm(seed: int, H: float, n: int, d: int = 1, T: float = 1.0,
     inc = _fgn_circulant(_rng(seed), d, n, root)
     inc *= (T / n) ** H
     vals = np.zeros((n + 1, d))
-    np.cumsum(inc.T, axis=0, out=vals[1:])
+    running_sum_block(inc.T, vals, 0)
     return GridPath(uniform_times(n, T), vals)
 
 
@@ -304,8 +304,10 @@ def sample_physical(drift: StableDrift, eps: float, T: float, N: int, seed: int,
 def derive_Z(P: GridPath, W: GridPath, out=None) -> GridPath:
     """Z = W - P pointwise; equals M X for the physical pair since both
     start at zero.  ``out``, a float64 array of P's shape, receives Z in
-    place of a new array; it may be ``P.values`` itself."""
-    if len(P.times) != len(W.times) or any_blockwise(np.not_equal, P.times, W.times):
+    place of a new array; it may be ``P.values`` itself.  Grids that are one
+    array, as sample_physical returns them, are not compared."""
+    if P.times is not W.times and (len(P.times) != len(W.times)
+                                   or any_blockwise(np.not_equal, P.times, W.times)):
         raise ValueError("grids must be identical")
     if out is not None and (out.shape != P.values.shape or out.dtype != np.float64):
         raise ValueError(f"out must be a float64 array of shape {P.values.shape}, "

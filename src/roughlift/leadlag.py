@@ -164,13 +164,15 @@ def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int, batch: int = 1) 
     entries a residual, it is the run's embedding root (N), the kernels'
     working arrays, which each call allocates and frees but which are
     charged as if held for the whole batch: the larger of the lift and sum
-    blocks (running_outer_sum, (2d + 1) min(batch n_ref, ROW_BLOCK)) and the
-    sweep's arrays (tensor2.sweep_blocks: batch k members of dimension 2d,
-    shifted, no level 1, geometry built block by block; their area
-    differences extended by ceil(n_min/2) points, and the planes),
-    numpy's iterator buffers (np.getbufsize() floats for each of a ufunc
-    call's at most three operands, in any phase), plus the largest of the
-    traced peaks of three phases:
+    blocks (running_outer_sum on the reference grid: 2d + 1 floats a row of
+    min(batch n_ref, ROW_BLOCK) + batch, and a row of its block's rows a
+    member for the sums) and the sweep's arrays (tensor2.sweep_blocks: batch
+    k members of dimension 2d, shifted, no level 1, geometry built block by
+    block; their area differences extended by ceil(n_min/2) points, and the
+    planes), numpy's iterator buffers (np.getbufsize() floats for each of
+    the two operands of the sweep's plane differences: running_outer_sum
+    takes none, and no phase takes more), plus the largest of the traced
+    peaks of three phases:
 
     * sampling, N d max(batch + 3, 2 batch): one draw holds d rows of 2n
       normals and their half-spectra (4d floats a step) beside the earlier
@@ -190,11 +192,13 @@ def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int, batch: int = 1) 
     members = batch * k
     points = members * (n_min + 1)
     _, shapes = sweep_blocks(members, n_min, 2 * d, shifted=True, zero1=True)
-    scratch = max((2 * d + 1) * min(batch * n_ref, ROW_BLOCK), sum(map(math.prod, shapes)))
+    rows = min(n_ref, max(1, ROW_BLOCK // batch))
+    scratch = max((2 * d + 1) * (min(batch * n_ref, ROW_BLOCK) + batch) + rows,
+                  sum(map(math.prod, shapes)))
     sampling = n * d * max(batch + 3, 2 * batch)
     entries = d * (2 * d - 1)
     lifting = n * (1 + batch * d) + batch * (n_min + 1) * (entries * k + d * d + d * (d - 1) // 2)
-    return 8 * (n + scratch + 3 * np.getbufsize() + max(sampling, lifting, entries * points))
+    return 8 * (n + scratch + 2 * np.getbufsize() + max(sampling, lifting, entries * points))
 
 
 @dataclass(frozen=True)

@@ -54,10 +54,12 @@ GEOMETRY_KEEP = 2
 
 # Grid rows per block of the fine-grid kernels (running_outer_sum, over a
 # whole batch, and gauss.sample_physical), so their working memory beyond
-# the arrays they return is O(ROW_BLOCK) whatever the grid size: 1.25 MiB
-# for a d = 2 lift.  At 1.86M steps, blocks of 2^12 to 2^17 rows ran equally
-# fast.  It must stay a multiple of 8: only then does OpenBLAS give each row
-# of sample_physical's noise @ L.T the bits of a one-shot draw (at 7 rows a
+# the arrays they return is O(ROW_BLOCK) whatever the grid size: 1.5 MiB
+# for a d = 2 lift.  Every running sum in a block is a 1-d np.cumsum of at
+# most ROW_BLOCK entries into separate memory, which runs without the GIL.
+# At 1.86M steps, blocks of 2^12 to 2^17 rows ran equally fast.  It must
+# stay a multiple of 8: only then does OpenBLAS give each row of
+# sample_physical's noise @ L.T the bits of a one-shot draw (at 7 rows a
 # block, 3 of 30 (d, N) cases moved a P or W value by one ulp).
 ROW_BLOCK = 1 << 15
 
@@ -220,14 +222,20 @@ def levy_area(a: StepTwoLift) -> np.ndarray:
 
 
 def running_sum_block(steps, out, k0: int) -> None:
-    """Rows k0 + 1 .. k0 + len(steps) of the running sum out[k] = steps_0 +
+    """Rows k0 + 1 .. k0 + len(steps) of the running sum of the rows of
+    ``steps`` (rows, d) into ``out`` (N + 1, d), out[k] = steps_0 +
     ... + steps_{k-1}, given out[k0]; ``steps`` is overwritten.  The carried
     row is added to the block's first step, so the additions happen in the
     order of one np.cumsum over the whole grid and the result is bitwise
     equal to it, except that a sum starts from out[0] = +0.0: a first step
-    of -0.0 comes out as +0.0, as in a matmul's 0 + a b."""
+    of -0.0 comes out as +0.0, as in a matmul's 0 + a b.  Each column is
+    summed by its own 1-d np.cumsum into its column of ``out``, which
+    releases the GIL (an ``axis=0`` sum over the block does not) and adds
+    in the same order."""
     steps[0] += out[k0]
-    np.cumsum(steps, axis=0, out=out[k0 + 1:k0 + 1 + len(steps)])
+    block = out[k0 + 1:k0 + 1 + len(steps)]
+    for c in range(steps.shape[1]):
+        np.cumsum(steps[:, c], out=block[:, c])
 
 
 def lift_piecewise_linear(times, values, stride: int = 1) -> LiftedPath:
@@ -277,50 +285,65 @@ def running_outer_sum(x, stride: int, area, qv=None) -> None:
     (a_p inc_q - a_q inc_p)/2, a_r = x_r - x_0, rounds 1.5e-12 of a
     renormalised distance away over the 1,861,120 steps at eps = 2^-7.
 
-    Blocks of ROW_BLOCK // B rows a member are copied once into (..., d,
-    rows) order, and each sum runs in place from its carry in the additions
-    of one np.cumsum over the grid, so every output is bitwise rows
-    ``::stride`` of the stride-1 sums.  The blocks take 2d + 1 floats a row
-    of working arrays allocated by the call and freed when it returns,
-    whatever the stride or layout of ``x``.
+    Blocks of m = ROW_BLOCK // B rows a member are copied once into (d, B,
+    m + 1) order, so that each component of the whole batch is one
+    contiguous slab.  The increments, the b's and the products are ufunc
+    calls on whole slabs (each member's last entry a junk difference across
+    members), and the calls on strided views take one member at a time, so
+    numpy takes no iterator buffer.  Each sum is a 1-d np.cumsum of one
+    member's row from its carry into one more row, an ``out`` that shares
+    no memory with the input: the one form in which np.cumsum releases the
+    GIL, so two pool threads' lifts overlap.  The additions are those of one
+    np.cumsum over the grid, so every output is bitwise rows ``::stride`` of
+    the stride-1 sums.  The blocks take 2d + 1 floats a row (m + 1 rows a
+    member) and that one row of m of working arrays, allocated by the call
+    and freed when it returns, whatever the stride or layout of ``x``.
     """
-    batch, n, d = x.shape[:-2], x.shape[-2] - 1, x.shape[-1]
-    outs = [(area, np.triu_indices(d, 1), 2)] + ([] if qv is None else
-                                                 [(qv, np.triu_indices(d), 1)])
+    members, n, d = math.prod(x.shape[:-2]), x.shape[-2] - 1, x.shape[-1]
+    # one member axis, also for a single path: a unit axis, so views
+    x = x.reshape((members,) + x.shape[-2:])
+    outs = [(out.reshape((members,) + out.shape[-2:]), list(pairs(range(d), 2)), terms)
+            for out, pairs, terms in ((area, itertools.combinations, 2),
+                                      (qv, itertools.combinations_with_replacement, 1))
+            if out is not None]  # p < q and p <= q in np.triu_indices order
     if not any(out.size for out, _, _ in outs):  # an empty batch, or no entries
         return
-    rows = min(n, max(1, ROW_BLOCK // math.prod(batch)))
-    xt, inc, term = _scratch(batch + (d, rows + 1), batch + (d, rows), batch + (rows,))
-    carry = [np.zeros(batch + (len(entries[0]), sums)) for _, entries, sums in outs]
-    x0 = x[..., :1, :].swapaxes(-1, -2)
+    rows = min(n, max(1, ROW_BLOCK // members))
+    size = members * (rows + 1)
+    xt, inc, term, sums = _scratch((d * size,), (d * size,), (size,), (rows,))
+    carry = [np.zeros((members, len(entries), terms)) for _, entries, terms in outs]
     for out, _, _ in outs:
-        out[..., 0, :] = 0.0
+        out[:, 0, :] = 0.0
     for k0 in range(0, n, rows):
         m = min(rows, n - k0)
-        xb, ib, steps = xt[..., :m + 1], inc[..., :m], term[..., :m]
-        np.copyto(xb, x[..., k0:k0 + m + 1, :].swapaxes(-1, -2))
-        np.subtract(xb[..., 1:], xb[..., :-1], out=ib)
-        bb = xb[..., :-1]
+        cut = members * (m + 1)
+        xb = xt[:d * cut].reshape(d, members, m + 1)
+        ib = inc[:d * cut].reshape(d, members, m + 1)
+        steps = term[:cut].reshape(members, m + 1)
+        np.copyto(xb, x[:, k0:k0 + m + 1, :].transpose(2, 0, 1))
+        np.subtract(xt[1:d * cut], xt[:d * cut - 1], out=inc[:d * cut - 1])
+        inc[d * cut - 1] = 0.0  # the last slab row's junk entry, which that skips
         if area.size:  # (x_r - x_0) + inc_r/2, written over x_r
-            bb -= x0
             for p in range(d):
-                bb[..., p, :] += np.multiply(ib[..., p, :], 0.5, out=steps)
+                for row, start in zip(xb[p], x[:, 0, p]):
+                    np.subtract(row, start, out=row)
+                np.add(xb[p], np.multiply(ib[p], 0.5, out=steps), out=xb[p])
         c0, c1 = k0 // stride + 1, (k0 + m) // stride + 1  # the block's output rows
-        cells = slice(c0 * stride - k0 - 1, None, stride)  # and their rows in the block
-        for (out, (ps, qs), sums), carried in zip(outs, carry):
-            for e, (p, q) in enumerate(zip(ps, qs)):
-                cell_ends = out[..., c0:c1, e]
-                for j, (u, v) in enumerate(((p, q), (q, p))[:sums]):  # area: both terms
-                    np.multiply(bb[..., u, :] if sums == 2 else ib[..., u, :], ib[..., v, :],
-                                out=steps)
-                    steps[..., 0] += carried[..., e, j]
-                    np.cumsum(steps, axis=-1, out=steps)
-                    carried[..., e, j] = steps[..., -1]
-                    if j == 0:
-                        np.copyto(cell_ends, steps[..., cells])
-                    else:
-                        cell_ends -= steps[..., cells]
-                        cell_ends *= 0.5
+        cells = slice(c0 * stride - k0 - 1, m, stride)  # and their rows in the block
+        for (out, entries, terms), carried in zip(outs, carry):
+            for e, (p, q) in enumerate(entries):
+                cell_ends = out[:, c0:c1, e]
+                for j, (u, v) in enumerate(((p, q), (q, p))[:terms]):  # area: both terms
+                    np.multiply(xb[u] if terms == 2 else ib[u], ib[v], out=steps)
+                    steps[:, 0] += carried[:, e, j]
+                    for b, (row, ends) in enumerate(zip(steps, cell_ends)):
+                        np.cumsum(row[:m], out=sums[:m])
+                        carried[b, e, j] = sums[m - 1]
+                        if j == 0:
+                            np.copyto(ends, sums[cells])
+                        else:
+                            ends -= sums[cells]
+                            ends *= 0.5
 
 
 def zero_lift(times, dim: int) -> LiftedPath:

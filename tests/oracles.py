@@ -620,7 +620,8 @@ def full_running_outer_sum(x, stride: int, out, midpoint: bool = True) -> None:
             for q in range(d):
                 np.multiply(ab[..., p, :], ib[..., q, :], out=steps)
                 if stride == 1:
-                    tensor2.running_sum_block(steps.T, out[..., p, q].T, k0)  # rows first
+                    tensor2.running_sum_block(steps.reshape(-1, m).T,  # rows first
+                                              out[..., p, q].reshape(-1, n + 1).T, k0)
                 else:  # summed in place from the carry, as running_sum_block adds it
                     steps[..., 0] += carry[..., p, q]
                     np.cumsum(steps, axis=-1, out=steps)

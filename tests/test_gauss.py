@@ -13,7 +13,7 @@ from roughlift import (StableDrift, derive_seed, derive_Z, fgn_autocov, lyapunov
 from roughlift import gauss
 from roughlift.gauss import SCAN_WIDTH, GridPath, _scan_levels, float_index
 from roughlift.identities import random_stable_drifts
-from roughlift.tensor2 import ROW_BLOCK
+from roughlift.tensor2 import ROW_BLOCK, running_sum_block
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -331,14 +331,36 @@ def test_physical_halving_h_consistency():
         assert np.all(np.abs(vals.var(axis=0, ddof=1) - exact) <= 3.0 * se), N
 
 
-# N = one block minus/plus one and a ragged third block
-@pytest.mark.parametrize("N", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 5])
-def test_physical_blocks_match_whole_draw(N):
-    drift = StableDrift(np.eye(2), 2.0 * J)
+# magnetic fields B0 for d = 1, 2 and 3
+B0_BY_DIM = {1: np.zeros((1, 1)), 2: J,
+             3: np.array([[0.0, -1.0, 0.5], [1.0, 0.0, -0.25], [-0.5, 0.25, 0.0]])}
+
+
+# N = one block minus/plus one and a ragged third block, at d = 2 (ids
+# without a d) and at d = 1 and 3
+@pytest.mark.parametrize("N, d", [
+    pytest.param(N, d, id=str(N) if d == 2 else f"{N}-d{d}") for d in (2, 1, 3)
+    for N in (1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 5)])
+def test_physical_blocks_match_whole_draw(N, d):
+    # W is summed one column at a time, block by block from the carried
+    # row, with the bits of one axis=0 cumsum over the whole grid
+    drift = StableDrift(np.eye(d), 2.0 * B0_BY_DIM[d])
     P, W = sample_physical(drift, 8.0, 1.0, N, seed=N)
     times, P_want, W_want = physical_whole_draw(drift, 8.0, 1.0, N, seed=N)
     assert np.array_equal(P.times, times) and np.array_equal(W.times, times)
-    assert np.array_equal(P.values, P_want) and np.array_equal(W.values, W_want)
+    assert P.values.tobytes() == P_want.tobytes() and W.values.tobytes() == W_want.tobytes()
+    # a first step of -0.0: the blocks start from W[0] = +0.0, so W[1] is
+    # +0.0 where the whole-grid cumsum keeps -0.0, and every later row,
+    # -0.0 + s = 0.0 + s, has the same bits
+    noise = np.random.default_rng(N).standard_normal((N, 2 * d))
+    noise[0, d:] = -0.0
+    want = np.zeros((N + 1, d))
+    np.cumsum(noise[:, d:], axis=0, out=want[1:])
+    got = np.zeros((N + 1, d))
+    for k0 in range(0, N, ROW_BLOCK):
+        running_sum_block(noise[k0:k0 + ROW_BLOCK, d:], got, k0)
+    assert np.all(np.signbit(want[1])) and not np.any(np.signbit(got[1]))
+    assert got[2:].tobytes() == want[2:].tobytes()
 
 
 def test_physical_memory_bounded_by_block():
@@ -429,6 +451,23 @@ def test_derive_Z_identities():
     assert np.all(derive_Z(zeroP, W).values == W.values)
     with pytest.raises(ValueError):
         derive_Z(P, GridPath(W.times[:64], W.values[:64] - W.values[0]))
+
+
+def test_derive_Z_compares_grids_unless_one_array(monkeypatch):
+    # sample_physical gives P and W one times array, which is not compared;
+    # distinct arrays are compared blockwise: equal ones pass, and a grid
+    # that differs in one point raises
+    drift = StableDrift(np.eye(2), 2.0 * J)
+    P, W = sample_physical(drift, 0.5, 1.0, 128, seed=5)
+    assert P.times is W.times
+    Z = derive_Z(P, W)
+    assert derive_Z(P, GridPath(W.times.copy(), W.values)).values.tobytes() == Z.values.tobytes()
+    moved = W.times.copy()
+    moved[77] = np.nextafter(moved[77], 1.0)
+    with pytest.raises(ValueError, match="grids"):
+        derive_Z(P, GridPath(moved, W.values))
+    monkeypatch.setattr(gauss, "any_blockwise", lambda *args: pytest.fail("grids compared"))
+    assert derive_Z(P, W).values.tobytes() == Z.values.tobytes()
 
 
 def test_derive_Z_into_out():
