@@ -25,17 +25,15 @@ zero lift gives every distance.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gauss import derive_seed, embedding_root, fgn_autocov, sample_fbm
 from .report import ConfigError, check_run, run_trials
-from .tensor2 import (ROW_BLOCK, LiftedPath, area_entries, holder_sweep, lift_piecewise_linear,
-                      running_outer_sum, sweep_blocks, zero_lift)
-# holder_distance and translate stay importable from here: perfbench/tracing.py
-# wraps them under this module's name
+from .tensor2 import (LiftedPath, area_entries, holder_sweep, lift_piecewise_linear,
+                      outer_sum_memory, running_outer_sum, sweep_memory, zero_lift)
+# importable from here, as perfbench/tracing.py wraps them under this module's name
 from .tensor2 import holder_distance, translate  # noqa: F401
 
 
@@ -151,54 +149,40 @@ def psi_profile(K_max: int, H: float) -> np.ndarray:
 
 # Trials per run_leadlag_trial call, whatever the thread count: a batch
 # shares its lift and sweep calls, which the interpreter's per-call cost
-# dominates at the benchmark shape (n_ref = 4096, 64 trials).  A batch holds
-# at most BATCH_BYTES (leadlag_trial_bytes) unless it is a single trial.
+# dominates at the benchmark shape (n_ref = 4096, 64 trials).  A batch's
+# leadlag_trial_bytes stays within BATCH_BYTES unless it is a single trial.
 TRIAL_BATCH = 8
 BATCH_BYTES = 1 << 23
 
 
-def leadlag_trial_bytes(n_ref: int, d: int, k: int, n_min: int, batch: int = 1) -> int:
+def leadlag_trial_bytes(n_ref: int, d: int, schedule, batch: int = 1) -> int:
     """Bound on the peak bytes of one run_leadlag_trial call on ``batch``
-    trials: reference grid n_ref, dimension d, k schedule points, coarsest
-    n_min.  In floats of 8 B, with N = n_ref + 1 and E = d (2d - 1) area
-    entries a residual, it is the run's embedding root (N), the kernels'
-    working arrays, which each call allocates and frees but which are
-    charged as if held for the whole batch: the larger of the lift and sum
-    blocks (running_outer_sum on the reference grid: 2d + 1 floats a row of
-    min(batch n_ref, ROW_BLOCK) + batch, and a row of its block's rows a
-    member for the sums) and the sweep's arrays (tensor2.sweep_blocks: batch
-    k members of dimension 2d, shifted, no level 1, geometry built block by
-    block; their area differences extended by ceil(n_min/2) points, and the
-    planes), numpy's iterator buffers (np.getbufsize() floats for each of
-    the two operands of the sweep's plane differences: running_outer_sum
-    takes none, and no phase takes more), plus the largest of the traced
-    peaks of three phases:
+    trials on the reference grid n_ref in dimension d over the n-schedule
+    ``schedule``: the run's embedding root, N = n_ref + 1 floats, 32 KiB for
+    the interpreter's objects (at most 19 KB in the phases traced), and the
+    largest of three phases, each the arrays it holds and the working bytes
+    tensor2 sizes for the kernel it calls.  In floats, with E = d (2d - 1)
+    area entries a residual, k schedule points and the coarsest n_min:
 
-    * sampling, N d max(batch + 3, 2 batch): one draw holds d rows of 2n
-      normals and their half-spectra (4d floats a step) beside the earlier
-      draws of the batch, and stacking the draws holds them twice;
+    * sampling, N d max(batch + 3, 2 batch): a draw's normals and their
+      half-spectra (4d floats a step) beside the earlier draws, then the
+      draws and their stack;
     * lifting, N (1 + batch d) + batch (n_min + 1)(E k + d^2 + d (d - 1)/2):
-      the stacked draws and the times, and on the coarsest grid the
-      residuals (E floats at each of the M = batch k (n_min + 1) member
-      points), the reference lift's area, and one n's area and QV sums;
-    * sweep, E M: each member point's residual (the area differences are
-      among the sweep's working arrays).
-
-    At batch = 1 sampling is the peak, and the traced peak grows by 8 (4d +
-    1) B per reference step between 2^19 and 2^20 steps: 40.0 B at d = 1,
-    136.0 at d = 4.  Beyond these come arrays of O(batch k) floats.
+      the draws and the times, the residuals, the reference area and one
+      n's area and QV sums, and the reference lift's or the finest n's
+      running_outer_sum, the larger;
+    * sweep, (batch k E + 1)(n_min + 2): the residuals, their shifts and the
+      times, and their holder_sweep.
     """
-    n = n_ref + 1
-    members = batch * k
-    points = members * (n_min + 1)
-    _, shapes = sweep_blocks(members, n_min, 2 * d, shifted=True, zero1=True)
-    rows = min(n_ref, max(1, ROW_BLOCK // batch))
-    scratch = max((2 * d + 1) * (min(batch * n_ref, ROW_BLOCK) + batch) + rows,
-                  sum(map(math.prod, shapes)))
-    sampling = n * d * max(batch + 3, 2 * batch)
-    entries = d * (2 * d - 1)
-    lifting = n * (1 + batch * d) + batch * (n_min + 1) * (entries * k + d * d + d * (d - 1) // 2)
-    return 8 * (n + scratch + 2 * np.getbufsize() + max(sampling, lifting, entries * points))
+    n, n_min, k = n_ref + 1, schedule[0], len(schedule)
+    entries, points = d * (2 * d - 1), batch * (n_min + 1)
+    sampling = 8 * n * d * max(batch + 3, 2 * batch)
+    lifting = 8 * (n * (1 + batch * d) + points * (entries * k + d * d + d * (d - 1) // 2))
+    lifting += max(outer_sum_memory(batch, n_ref, d, False)[2],
+                   outer_sum_memory(batch, schedule[-1], d, True)[2])
+    sweep = 8 * (batch * k * entries + 1) * (n_min + 2)
+    sweep += sweep_memory(batch * k, n_min, 2 * d, True, True)[2]
+    return 8 * n + 2 ** 15 + max(sampling, lifting, sweep)
 
 
 @dataclass(frozen=True)
@@ -240,15 +224,14 @@ class LeadLagConfig:
         object.__setattr__(self, "n_schedule", ns)
         check_run(seed=self.base_seed, trials=len(ns) * self.mc_trials, grid_steps=self.n_ref,
                   hoelder_n=ns[0],  # the coarsest grid is the grid of the Hoelder sweep
-                  trial_bytes=leadlag_trial_bytes(self.n_ref, self.d, len(ns), ns[0], self.batch))
+                  trial_bytes=leadlag_trial_bytes(self.n_ref, self.d, ns, self.batch))
 
     @property
     def batch(self) -> int:
-        """Trials per run_leadlag_trial call: the most, up to TRIAL_BATCH,
-        whose leadlag_trial_bytes stays within BATCH_BYTES, and at least 1."""
-        args = (self.n_ref, self.d, len(self.n_schedule), self.n_schedule[0])
-        return max(b for b in range(1, TRIAL_BATCH + 1)
-                   if b == 1 or leadlag_trial_bytes(*args, b) <= BATCH_BYTES)
+        """Trials per run_leadlag_trial call: the most, up to TRIAL_BATCH, whose
+        per-phase bound leadlag_trial_bytes stays within BATCH_BYTES, or 1."""
+        return max(b for b in range(1, TRIAL_BATCH + 1) if b == 1 or leadlag_trial_bytes(
+            self.n_ref, self.d, self.n_schedule, b) <= BATCH_BYTES)
 
 
 @dataclass(frozen=True)
@@ -266,20 +249,18 @@ def run_leadlag_trial(cfg: LeadLagConfig, trials, root) -> list[list[TrialResult
     """One batch of coupled trials across the whole n-schedule: one record
     list per trial index in ``trials``, each bitwise the same whatever
     batch the index is run in.  Every draw reads ``root``, the run's
-    ``embedding_root(cfg.n_ref, cfg.H)``.  One Hoelder sweep of every
-    trial's residuals (``_residuals``) against the zero lift, shifted by
-    the counter-terms, gives the raw and renormalised distances of the
-    whole batch.
-    """
+    ``embedding_root(cfg.n_ref, cfg.H)``.  One Hoelder sweep of the batch's
+    residuals (``_residuals``) against the zero lift, shifted by the
+    counter-terms, gives every raw and renormalised distance."""
     res, area = _residuals(cfg, trials, root)
     b, k, n1, entries = res.shape
     times = np.arange(n1) / cfg.n_schedule[0]
     members = LiftedPath(times, np.broadcast_to(0.0, (b * k, n1, 2 * cfg.d)),
                          res.reshape(b * k, n1, entries))
     shifts = counter_terms(cfg.H, cfg.n_schedule, cfg.d)
-    dist_raw, dist_ren = holder_sweep(members, zero_lift(times, 2 * cfg.d), cfg.alpha,
-                                    np.tile(area_entries(shifts), (b, 1)))
     vnorms = [float(np.linalg.norm(v)) for v in shifts]
+    shifts = np.tile(area_entries(shifts), (b, 1))  # each member's area entries
+    dist_raw, dist_ren = holder_sweep(members, zero_lift(times, 2 * cfg.d), cfg.alpha, shifts)
     return [[TrialResult(n=n, dist_renorm=float(ren), dist_raw=float(raw), areaDev1=float(dev),
                          vNorm=vnorm)
              for n, raw, ren, dev, vnorm in zip(cfg.n_schedule, raws, rens, devs, vnorms)]
@@ -294,8 +275,7 @@ def _residuals(cfg: LeadLagConfig, trials, root) -> tuple[np.ndarray, np.ndarray
     (``_leadlag_area``) less the strided n_ref-lift's area on its
     interpolated part; the batch's draws are stacked, so each lift is one
     batched call.  areaDev1 is minus the mean (i, d + i) area entry at
-    (0, 1), where the doubled path's is 0: half the mean diagonal QV.
-    """
+    (0, 1), where the doubled path's is 0: half the mean diagonal QV."""
     d, n_ref, n_min = cfg.d, cfg.n_ref, cfg.n_schedule[0]
     x = np.stack([sample_fbm(seed=derive_seed(cfg.base_seed, k), H=cfg.H, n=n_ref, d=d,
                              root=root).values for k in trials])
@@ -311,9 +291,8 @@ def leadlag_experiment(cfg: LeadLagConfig, threads: int = 1) -> list[dict]:
     """Per-n means and standard errors over mc_trials coupled trials, in
     batches of cfg.batch, every draw through one embedding root built first:
     a root that cannot be built raises a ConfigError (a ValueError) before
-    any sampling.  run_leadlag_trial is looked up by name at each call, so a
-    wrapper set on this module (the traced benchmark's batch span) sees
-    every batch."""
+    any sampling.  run_leadlag_trial is looked up by name at each call, so
+    a wrapper set on this module (the traced batch span) sees every batch."""
     try:
         root = embedding_root(cfg.n_ref, cfg.H)
     except ValueError as e:

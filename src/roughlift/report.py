@@ -21,10 +21,10 @@ from .tensor2 import FULL_PAIRS_LIMIT
 # Run-size bounds, checked by check_run when an experiment config is built
 # and before any work of the identities and psi commands.  TRIAL_BYTES,
 # about 0.75 GB per worker, covers MAX_GRID_STEPS at d = 2 and bounds each
-# model of a trial's bytes (magnetic.fine_step_bytes, linstable.lyapunov_bytes
-# and leadlag.leadlag_trial_bytes).  Every trial result (a few hundred
-# bytes) stays in memory until summary_rows reduces them: MAX_TRIALS of
-# them stay under 1 GB.
+# model of a trial's bytes: magnetic.fine_step_bytes, linstable.lyapunov_bytes
+# and leadlag.leadlag_trial_bytes, whose kernels tensor2 sizes.  Every trial
+# result (a few hundred bytes) stays in memory until summary_rows reduces
+# them: MAX_TRIALS of them stay under 1 GB.
 MAX_GRID_STEPS = 2 ** 23
 TRIAL_BYTES = 90 * MAX_GRID_STEPS
 MAX_TRIALS = 2 ** 20

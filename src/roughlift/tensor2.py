@@ -285,35 +285,30 @@ def running_outer_sum(x, stride: int, area, qv=None) -> None:
     (a_p inc_q - a_q inc_p)/2, a_r = x_r - x_0, rounds 1.5e-12 of a
     renormalised distance away over the 1,861,120 steps at eps = 2^-7.
 
-    Blocks of m = ROW_BLOCK // B rows a member are copied once into (d, B,
-    m + 1) order, so that each component of the whole batch is one
-    contiguous slab.  The increments, the b's and the products are ufunc
+    Blocks (``outer_sum_memory``, whatever the stride or layout of ``x``)
+    are copied once into (d, B, m + 1) order, each component of the batch
+    one contiguous slab; the increments, the b's and the products are ufunc
     calls on whole slabs (each member's last entry a junk difference across
-    members), and the calls on strided views take one member at a time, so
+    members), and those on strided views take one member at a time, so
     numpy takes no iterator buffer.  Each sum is a 1-d np.cumsum of one
-    member's row from its carry into one more row, an ``out`` that shares
-    no memory with the input: the one form in which np.cumsum releases the
+    member's row from its carry into one more row, an ``out`` sharing no
+    memory with the input: the one form in which np.cumsum releases the
     GIL, so two pool threads' lifts overlap.  The additions are those of one
-    np.cumsum over the grid, so every output is bitwise rows ``::stride`` of
-    the stride-1 sums.  The blocks take 2d + 1 floats a row (m + 1 rows a
-    member) and that one row of m of working arrays, allocated by the call
-    and freed when it returns, whatever the stride or layout of ``x``.
-    """
+    np.cumsum over the grid: every output is bitwise rows ``::stride`` of
+    the stride-1 sums."""
     members, n, d = math.prod(x.shape[:-2]), x.shape[-2] - 1, x.shape[-1]
+    rows, shapes, _ = outer_sum_memory(members, n, d, qv is not None)
+    if not shapes:  # an empty batch, or no entries
+        return
     # one member axis, also for a single path: a unit axis, so views
     x = x.reshape((members,) + x.shape[-2:])
     outs = [(out.reshape((members,) + out.shape[-2:]), list(pairs(range(d), 2)), terms)
             for out, pairs, terms in ((area, itertools.combinations, 2),
                                       (qv, itertools.combinations_with_replacement, 1))
             if out is not None]  # p < q and p <= q in np.triu_indices order
-    if not any(out.size for out, _, _ in outs):  # an empty batch, or no entries
-        return
-    rows = min(n, max(1, ROW_BLOCK // members))
-    size = members * (rows + 1)
-    xt, inc, term, sums = _scratch((d * size,), (d * size,), (size,), (rows,))
-    carry = [np.zeros((members, len(entries), terms)) for _, entries, terms in outs]
-    for out, _, _ in outs:
-        out[:, 0, :] = 0.0
+    xt, inc, term, sums, *carry = _scratch(*shapes)
+    for (out, _, _), carried in zip(outs, carry):
+        out[:, 0, :] = carried[...] = 0.0
     for k0 in range(0, n, rows):
         m = min(rows, n - k0)
         cut = members * (m + 1)
@@ -344,6 +339,22 @@ def running_outer_sum(x, stride: int, area, qv=None) -> None:
                         else:
                             ends -= sums[cells]
                             ends *= 0.5
+
+
+def outer_sum_memory(members: int, n: int, d: int, qv: bool) -> tuple[int, list[tuple], int]:
+    """Rows m a member per block of a running_outer_sum of ``members`` paths
+    of dimension d on n intervals (with the QV when ``qv``), the shapes of
+    the arrays it cuts from the one array it allocates and their bytes, none
+    without entries: a block's x_r and increments, d slabs of m + 1 rows a
+    member, a slab of products, m sums, and the carries of every entry."""
+    area, squares = d * (d - 1) // 2, d * (d + 1) // 2 * qv
+    if not members or not area + squares:
+        return 0, [], 0
+    rows = min(n, max(1, ROW_BLOCK // members))
+    size = members * (rows + 1)
+    shapes = [(d * size,)] * 2 + [(size,), (rows,), (members, area, 2)]
+    shapes += [(members, squares, 1)] * qv
+    return rows, shapes, 8 * sum(map(math.prod, shapes))
 
 
 def zero_lift(times, dim: int) -> LiftedPath:
@@ -397,8 +408,7 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None, geomet
     Chen cross term takes the pair's earlier point as its base, and the
     shifted residual adds the signed step: every distance is the row loop's
     to the bit.  The planes come in blocks of lag rows, about PAIR_BLOCK
-    pairs over all members (``sweep_blocks``): stacks of k planes cut, with
-    the extended paths, from one array that the call allocates and frees.
+    pairs over all members, among the working arrays of ``sweep_memory``.
     The blocks' geometry (_geometry) is ``geometry``, built once for the
     unshifted one-member sweeps of a grid (``sweep_geometry``), or else
     built block by block.  Planes that are exactly zero are not built:
@@ -406,8 +416,7 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None, geomet
     with level 1 zero, where the delta planes serve as the members'
     increments, and every level-1 plane when the members' level 1 is zero
     too.  That changes at most the sign of a zero residual entry, which
-    squaring removes.
-    """
+    squaring removes."""
     if not (0.0 <= alpha < 0.5):
         raise ValueError("alpha must lie in [0, 1/2)")
     if y.level1.ndim != 2:
@@ -429,10 +438,11 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None, geomet
     y_zero = not np.any(y.level1)
     zero1 = y_zero and not np.any(x.level1)  # no level-1 planes
     shifted = shifts is not None
-    rows, shapes = sweep_blocks(k, n, d, shifted, zero1, geometry is not None)
+    rows, shapes, _ = sweep_memory(k, n, d, shifted, zero1, geometry is not None)
     if geometry is not None and geometry.key != (t.tobytes(), alpha, rows, shifted):
         raise ValueError("the geometry is not that of this grid, alpha and sweep")
-    scratch = _scratch(*shapes)
+    sup, *scratch = _scratch(*shapes)  # level 1, level 2, shifted level 2
+    sup.fill(0.0)
     paths = 1 if zero1 else 5  # the extended area difference, X, X - Y, X + Y and Y
     da = _extend(scratch[0], x.area, y.area if np.any(y.area) else None)
     if not zero1:
@@ -445,7 +455,6 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None, geomet
     planes = scratch[paths:paths + 3 + shifted + (0 if zero1 else max(d, 2))]  # k members each
     blocks = (geometry.blocks if geometry is not None
               else _geometry(t, alpha, rows, shifted, not zero1, scratch[paths + len(planes):]))
-    sup = np.zeros((3, k))  # level 1, level 2, shifted level 2
     for l0, l1, late, power, power2, dt in blocks:
         shape = (k, l1 - l0, n + 1)
         a, r, acc2, *rest = (p[:math.prod(shape)].reshape(shape) for p in planes)
@@ -503,34 +512,44 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None, geomet
     return sup[0] + sup[1], sup[0] + sup[2] if shifted else None
 
 
-def sweep_blocks(k: int, n: int, d: int, shifted: bool, zero1: bool = False,
-                 geometry: bool = False) -> tuple[int, list[tuple]]:
+def sweep_memory(k: int, n: int, d: int, shifted: bool, zero1: bool = False,
+                 geometry: bool = False) -> tuple[int, list[tuple], int]:
     """Lag rows per block of a holder_sweep of k >= 1 members of dimension d
     on n >= 1 intervals (ValueError otherwise), the fewest that hold
-    PAIR_BLOCK pairs over all members, or all ceil(n/2) lags, and the shapes
-    of the arrays it cuts from the one array it allocates.  First the
-    paths, grid last and extended by ceil(n/2) points: the area difference,
-    and unless nothing has level 1 (``zero1``) X, X - Y, X + Y and Y.  Then
-    the planes for the first block, rows (n + 1) pairs a member: a, r and
-    acc2 for every member, acc2s when ``shifted``, and unless ``zero1``
-    max(d, 2) more, the d delta planes against a zero target, else acc and
-    one plane of differences.  Then, unless it is given its ``geometry``,
-    one block's _geometry planes: (t - s)^alpha unless ``zero1``, (t -
-    s)^(2 alpha), and the signed step when ``shifted``.
-    """
+    PAIR_BLOCK pairs over all members, or all ceil(n/2) lags; the shapes of
+    the arrays it cuts from the one array it allocates (sups, paths extended
+    by ceil(n/2) points, a block's planes, and unless given its ``geometry``
+    a block's _geometry planes); and its bytes, with a block's maxima, what
+    _geometry allocates (the extended times, and a wrap mask unless nothing
+    has level 1, ``zero1``) and the larger iterator buffers (``_buffers``)
+    of a plane difference or the step powers, in a full or the last block."""
     if k < 1 or n < 1:
         raise ValueError(f"a sweep needs a member and an interval, got k = {k}, n = {n}")
     lags = (n + 1) // 2
     rows = min(lags, -(-PAIR_BLOCK // (k * (n + 1))))
     pairs = rows * (n + 1)
     extended = n + 1 + lags
-    shapes = [(k, d * (d - 1) // 2, extended)]
+    shapes = [(3, k), (k, d * (d - 1) // 2, extended)]
     if not zero1:
         shapes += [(k, d, extended)] * 3 + [(1, d, extended)]
     shapes += [(k * pairs,)] * (3 + shifted + (0 if zero1 else max(d, 2)))
-    if not geometry:
-        shapes += [(pairs,)] * (1 + shifted + (not zero1))
-    return rows, shapes
+    shapes += [(pairs,)] * (1 + shifted + (not zero1)) * (not geometry)
+    buffers = max(max(_buffers((k, r, n + 1), 2), _buffers((k, r * (n + 1)), 1))
+                  for r in {rows, lags - (lags - 1) // rows * rows})
+    built = 0 if geometry else 8 * extended + (0 if zero1 else pairs)
+    return rows, shapes, 8 * (sum(map(math.prod, shapes)) + k + buffers) + built
+
+
+def _buffers(shape, operands: int) -> int:
+    """Floats of the iterator buffers numpy 2.4 takes for a ufunc over
+    ``shape`` whose ``operands`` operands no one stride walks: none unless
+    more than ``operands`` rows of the last axis fit np.getbufsize() and the
+    call, else per operand the call, or as many blocks of last axes as fit."""
+    size, dims = np.getbufsize(), [s for s in shape if s > 1] or [1]
+    if min(size, math.prod(dims)) // dims[-1] <= operands:
+        return 0
+    core = max(p for p in (math.prod(dims[i:]) for i in range(len(dims))) if p <= size)
+    return operands * min(math.prod(dims), size - size % core)
 
 
 @dataclass(frozen=True)
@@ -553,7 +572,7 @@ def sweep_geometry(times, alpha: float) -> SweepGeometry | None:
     n = len(t) - 1
     if n < 1 or (n + 1) // 2 * (n + 1) > GEOMETRY_KEEP * PAIR_BLOCK:
         return None
-    rows = sweep_blocks(1, n, 1, False)[0]
+    rows = sweep_memory(1, n, 1, False)[0]
     blocks = tuple(_geometry(t, alpha, rows, False))
     for array in (a for block in blocks for a in block[2:] if a is not None):
         array.flags.writeable = False
@@ -566,12 +585,13 @@ def _geometry(t, alpha: float, rows: int, shifted: bool, level1: bool = True, pl
     when ``level1`` the mask of those that wrap (the window's point is the
     earlier) and |t_j - t_i|^alpha, then |t_j - t_i|^(2 alpha), and when
     ``shifted`` the signed step, window less row, which is negative where
-    the pair wraps (else None).  The planes go into ``planes`` (level1 + 1 +
-    shifted, each of at least a block) when given, each block over the
-    last, else into new arrays."""
+    the pair wraps (else None).  Given ``planes`` (level1 + 1 + shifted, each
+    of a block or more), each block goes over the last, the mask into the
+    first's; else into new arrays."""
     n = len(t) - 1
     lags = (n + 1) // 2
     window = sliding_window_view(np.concatenate([t, t[:lags]]), n + 1)
+    late = None
     for l0 in range(1, lags + 1, rows):
         l1 = min(l0 + rows, lags + 1)
         shape = (l1 - l0, n + 1)
@@ -581,7 +601,8 @@ def _geometry(t, alpha: float, rows: int, shifted: bool, level1: bool = True, pl
             g = [p[:shape[0] * shape[1]].reshape(shape) for p in planes]
         dt = g[-1]
         np.subtract(window[l0:l1], t, out=dt)
-        late = np.less(dt, 0.0) if level1 else None
+        if level1:
+            late = np.less(dt, 0.0, out=late[:len(dt)] if planes and late is not None else None)
         step = np.abs(dt, out=g[int(level1)])  # over dt without shifts
         power = np.power(step, alpha, out=g[0]) if level1 else None
         power2 = np.power(step, 2.0 * alpha, out=step)
@@ -593,9 +614,8 @@ def _extend(z, path, ref=None) -> np.ndarray:
     last and extended by its first points, for ``z`` of shape (k, c, n + 1
     + ceil(n/2)), one of holder_sweep's working arrays; returns the windows
     z[..., l:l + n + 1], l = 0..ceil(n/2), a (k, c, ceil(n/2) + 1, n + 1)
-    view.  Both parts are copied from
-    ``path``: a copy within ``z`` would take a temporary, as numpy cannot
-    rule out their overlap."""
+    view.  Both parts are copied from ``path``: a copy within ``z`` would
+    take a temporary, as numpy cannot rule out their overlap."""
     n1 = path.shape[-2]
     path = path.reshape((len(z),) + path.shape[-2:])
     for part in (z[..., :n1], z[..., n1:]):

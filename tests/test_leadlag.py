@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, replace
@@ -456,8 +455,7 @@ def _trial_peak_bytes(cfg):
 
 
 def _bound(cfg):
-    return leadlag_trial_bytes(cfg.n_ref, cfg.d, len(cfg.n_schedule), cfg.n_schedule[0],
-                               cfg.batch)
+    return leadlag_trial_bytes(cfg.n_ref, cfg.d, cfg.n_schedule, cfg.batch)
 
 
 @pytest.mark.parametrize("d", [1, 4])
@@ -487,15 +485,20 @@ SHAPES = [
 
 
 def _assert_trial_within_bound(n_ref, d, schedule):
-    # the bound charges numpy's iterator buffers, so a batch is held to it
-    # with no slack
+    # tensor2 sizes each kernel's working bytes, numpy's iterator buffers
+    # among them, so a batch is held to the bound with no slack; returns the
+    # traced peak and the bound
     cfg = LeadLagConfig(H=0.4, n_schedule=schedule, n_ref=n_ref, d=d, mc_trials=1)
-    assert _trial_peak_bytes(cfg) <= _bound(cfg)
+    peak, bound = _trial_peak_bytes(cfg), _bound(cfg)
+    assert peak <= bound
+    return peak, bound
 
 
 @pytest.mark.parametrize("n_ref, d, schedule", SHAPES)
 def test_trial_memory_within_bound(n_ref, d, schedule):
-    _assert_trial_within_bound(n_ref, d, schedule)
+    # and the bound is tight: each phase is charged only what it holds
+    peak, bound = _assert_trial_within_bound(n_ref, d, schedule)
+    assert bound <= 1.3 * peak
 
 
 def test_trial_memory_bound_holds_at_4x_pair_block(monkeypatch):
@@ -554,29 +557,18 @@ def _sweep_peak_bytes(k, n, d):
 
 @pytest.mark.parametrize("d", [1, 2, 4])
 def test_sweep_memory_per_member_point(d):
-    # the sweep term of leadlag_trial_bytes: between (k, n) = (32, 128) and
-    # (64, 256), the sweep's traced peak grows by the scratch arrays that
-    # tensor2.sweep_blocks gives it, per member grid point: the area
-    # differences, 8 d (2d - 1) B a point extended by ceil(n/2) points (level
-    # 1 is zero, so there is no level-1 path), and planes of about
-    # PAIR_BLOCK pairs at both shapes; the bound's per-member term, less the
-    # member's own residual, covers that with at most 56 B of planes: with
-    # k (n_min + 1) >= PAIR_BLOCK a block is one lag row, and the planes
-    # grow by 4 (n_min + 1) floats a member
+    # between (k, n) = (32, 128) and (64, 256), the sweep's traced peak grows
+    # per member grid point by the bytes tensor2.sweep_memory sizes: the
+    # area differences, 8 d (2d - 1) B a point extended by ceil(n/2) points
+    # (level 1 is zero, so there is no level-1 path), planes of about
+    # PAIR_BLOCK pairs at both shapes, and numpy's iterator buffers
     shapes = ((32, 128), (64, 256))
     points = [k * (n + 1) for k, n in shapes]
     peaks = [_sweep_peak_bytes(k, n, d) for k, n in shapes]
-    arrays = [8 * sum(map(math.prod, tensor2.sweep_blocks(k, n, 2 * d, True, True)[1]))
-              for k, n in shapes]
+    sized = [tensor2.sweep_memory(k, n, 2 * d, True, True)[2] for k, n in shapes]
     slope = (peaks[1] - peaks[0]) / (points[1] - points[0])
-    core = (arrays[1] - arrays[0]) / (points[1] - points[0])
+    core = (sized[1] - sized[0]) / (points[1] - points[0])
     assert 0.98 * core <= slope <= 1.02 * core + 56
-    n_min = 64  # so many schedule points on that grid make the sweep the peak phase
-    k = tensor2.PAIR_BLOCK // n_min
-    per_member = (leadlag_trial_bytes(4096, d, k + 1, n_min)
-                  - leadlag_trial_bytes(4096, d, k, n_min)) / (n_min + 1)
-    sweep_term = per_member - 8 * d * (2 * d - 1)
-    assert slope <= sweep_term <= slope + 56
 
 
 def test_config_rejects_trial_over_byte_budget():
@@ -598,19 +590,18 @@ def test_batches_shrink_to_the_byte_budget():
         return LeadLagConfig(H=0.4, n_schedule=schedule, n_ref=n_ref, d=d, mc_trials=1).batch
 
     assert batch(4096) == batch(*BENCHMARK_SHAPE) == TRIAL_BATCH
-    assert [batch(n_ref) for n_ref in (2 ** 15, 2 ** 16, 2 ** 17, 2 ** 18)] == [8, 6, 3, 1]
-    # the sweep's scratch arrays (extended area differences and planes) are
-    # charged at their size, over the lift blocks here; its residuals of 28
-    # area entries a point, not 64 level-2 ones, let a full batch fit (a
-    # cold first batch of 8 traces 6.22 MB against a bound of 7.71 MB)
+    assert [batch(n_ref) for n_ref in (2 ** 15, 2 ** 16, 2 ** 17, 2 ** 18)] == [8, 7, 3, 1]
+    # each phase is charged its own arrays and its kernel's working bytes,
+    # and the residuals hold 28 area entries a point, not 64 level-2 ones, so
+    # a full batch fits (it traces 5.85 MB against a bound of 6.10 MB, whose
+    # peak phase is the lifting)
     assert batch(4096, d=4, schedule=(512, 1024)) == TRIAL_BATCH
     for n_ref, d, schedule in ((4096, 1, (16, 32)), (2 ** 16, 1, (16, 32)),
                                (4096, 4, (512, 1024))):
         cfg = LeadLagConfig(H=0.4, n_schedule=schedule, n_ref=n_ref, d=d, mc_trials=1)
         assert _bound(cfg) <= BATCH_BYTES
         if cfg.batch < TRIAL_BATCH:
-            assert leadlag_trial_bytes(n_ref, d, len(schedule), schedule[0],
-                                       cfg.batch + 1) > BATCH_BYTES
+            assert leadlag_trial_bytes(n_ref, d, schedule, cfg.batch + 1) > BATCH_BYTES
 
 
 # ---------------------------------------------------------------- experiment

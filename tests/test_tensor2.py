@@ -709,7 +709,7 @@ def test_lag_blocks_visit_every_pair(monkeypatch, pair_block):
         if n % 2:
             want = sorted(want + [(i, i + (n + 1) // 2) for i in range((n + 1) // 2)])
         for k in (1, 3):
-            rows = tensor2.sweep_blocks(k, n, 2, True)[0]
+            rows = tensor2.sweep_memory(k, n, 2, True)[0]
             lags, pairs = [], []
             for l0, l1, late, power, power2, dt in tensor2._geometry(t, 0.3, rows, True):
                 lag = np.arange(l0, l1)[:, None]
@@ -770,7 +770,7 @@ def _case_geometry(case, alpha):
     one-member sweep's, else None: the sweep builds its own."""
     x, _, shifts = case
     k, n = (len(x.level1) if x.level1.ndim == 3 else 1), len(x.times) - 1
-    rows = [tensor2.sweep_blocks(m, n, 2, False)[0] for m in (k, 1)]
+    rows = [tensor2.sweep_memory(m, n, 2, False)[0] for m in (k, 1)]
     if shifts is not None or rows[0] != rows[1]:
         return None
     return tensor2.sweep_geometry(x.times, alpha)
@@ -823,7 +823,7 @@ def test_kept_geometry_is_read_only_and_keyed_by_grid_bits():
     with pytest.raises(ValueError, match="geometry"):
         holder_sweep(x, y, 0.3, np.zeros((1, 1)), geometry)
     batch = _stack([x] * 4096)
-    assert tensor2.sweep_blocks(4096, 16, 1, False)[0] == 1 != geometry.key[2] == 8
+    assert tensor2.sweep_memory(4096, 16, 1, False)[0] == 1 != geometry.key[2] == 8
     with pytest.raises(ValueError, match="geometry"):
         holder_sweep(batch, y, 0.3, geometry=geometry)
 
@@ -880,7 +880,97 @@ def test_one_point_grid_has_no_sweep_blocks():
     assert holder_distance(x, x, 0.3, geometry=tensor2.sweep_geometry(t, 0.3)) == 0.0
     for k, n in ((1, 0), (0, 4), (0, 0)):
         with pytest.raises(ValueError, match="a member and an interval"):
-            tensor2.sweep_blocks(k, n, 2, shifted=False)
+            tensor2.sweep_memory(k, n, 2, shifted=False)
+
+# ------------------------------------------------- kernel working memory
+
+def _sweep_form(rng, form):
+    """A sweep as the runs call it, and its sweep_memory arguments: a
+    lead-lag batch (16 residuals of lead-lag dimension 4, level 1 zero,
+    shifted, against the zero lift, 64 blocks of 4 lags), or one magnetic
+    member against the zero lift or a lift, with its grid's kept geometry or
+    building it (two blocks, the last ragged)."""
+    if form == "lead-lag batch":
+        k, n, d = 16, 512, 8
+        t = np.arange(n + 1) / n
+        area = rng.standard_normal((k, n + 1, d * (d - 1) // 2))
+        area[:, 0] = 0.0
+        x = LiftedPath(t, np.broadcast_to(0.0, (k, n + 1, d)), area)
+        y, shifts = zero_lift(t, d), rng.standard_normal((k, d * (d - 1) // 2))
+        return (lambda: holder_sweep(x, y, 0.3, shifts)), (k, n, d, True, True)
+    n = 300
+    t = np.arange(n + 1) / n
+    x, y = (lift_piecewise_linear(t, rng.standard_normal((n + 1, 2))) for _ in range(2))
+    if form.startswith("zero"):
+        y = zero_lift(t, 2)
+    geometry = tensor2.sweep_geometry(t, 0.3) if form.endswith("kept") else None
+    return ((lambda: holder_distance(x, y, 0.3, geometry=geometry)),
+            (1, n, 2, False, False, geometry is not None))
+
+
+def _outer_sum_form(rng, form):
+    """A running_outer_sum as the lifts call it, and its outer_sum_memory
+    arguments: a path's area (d = 2), a lead-lag n-lift's area and QV (d = 4)
+    or QV alone (d = 1) on strided views of a batch of finer paths, and the
+    strided reference lift of a batch (d = 2)."""
+    batch, n, d, stride, qv, view = {
+        "area": ((), 2 ** 16, 2, 1, False, 1),
+        "area and QV": ((8,), 1024, 4, 2, True, 4),
+        "QV only": ((8,), 1024, 1, 64, True, 4),
+        "strided batch": ((8,), 4096, 2, 256, False, 1)}[form]
+    x = rng.standard_normal(batch + (view * n + 1, d))[..., ::view, :]
+    area = np.empty(batch + (n // stride + 1, d * (d - 1) // 2))
+    squares = np.empty(batch + (n // stride + 1, d * (d + 1) // 2)) if qv else None
+    return ((lambda: tensor2.running_outer_sum(x, stride, area, squares)),
+            (math.prod(batch), n, d, qv))
+
+
+@pytest.mark.parametrize("bufsize", [8192, 16])
+@pytest.mark.parametrize("kernel, form", [
+    *(("sweep", form) for form in ("lead-lag batch", "zero kept", "zero built", "lift kept",
+                                   "lift built")),
+    *(("outer sum", form) for form in ("area", "area and QV", "QV only", "strided batch"))])
+def test_kernel_memory_is_its_sized_bytes(kernel, form, bufsize):
+    # each kernel allocates the working arrays its sizing function gives, and
+    # numpy takes the iterator buffers it counts, whatever np.getbufsize():
+    # the traced peak of a call, inputs and outputs allocated first, is the
+    # sized bytes plus the interpreter's objects (views, frames), under 16 KiB
+    rng = np.random.default_rng(33)
+    old = np.setbufsize(bufsize)
+    try:
+        if kernel == "sweep":
+            call, args = _sweep_form(rng, form)
+            sized = tensor2.sweep_memory(*args)[2]
+        else:
+            call, args = _outer_sum_form(rng, form)
+            sized = tensor2.outer_sum_memory(*args)[2]
+        call()  # numpy's small caches filled
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        np.setbufsize(old)
+    assert sized <= peak <= sized + 2 ** 14, (peak - sized)
+
+
+def test_outer_sum_with_no_entries_takes_nothing():
+    # at d = 1 a lift has no area entries: its running_outer_sum returns
+    # before it allocates anything
+    assert tensor2.outer_sum_memory(8, 4096, 1, False) == (0, [], 0)
+    assert tensor2.outer_sum_memory(0, 4096, 2, True) == (0, [], 0)
+    x = np.random.default_rng(34).standard_normal((8, 4097, 1))
+    area = np.empty((8, 17, 0))
+    tracemalloc.start()
+    try:
+        tensor2.running_outer_sum(x, 256, area)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 10
+
 
 # ------------------------------------------------------------ LiftedPath API
 
