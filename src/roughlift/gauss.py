@@ -145,10 +145,11 @@ def _fgn_circulant(rng: np.random.Generator, d: int, n: int, root: np.ndarray) -
     """d rows of exact unit-spacing fGn: each row of 2n iid normals mapped
     through the real symmetric square root ``root`` of the circulant
     embedding, first n outputs kept.  Real input and a real symmetric
-    spectrum make the map one rfft/irfft pair; the normals are dropped once
-    transformed."""
+    spectrum make the map one rfft/irfft pair; the root scales the real and
+    imaginary parts, uncast, and the normals are dropped once transformed."""
     spectrum = np.fft.rfft(rng.standard_normal((d, 2 * n)))
-    spectrum *= root
+    spectrum.real *= root
+    spectrum.imag *= root
     return np.fft.irfft(spectrum, n=2 * n)[:, :n]
 
 
@@ -172,7 +173,8 @@ def sample_fbm(seed: int, H: float, n: int, d: int = 1, T: float = 1.0,
     elif root.shape != (n + 1,):
         raise ValueError(f"root must have shape {(n + 1,)}, got {root.shape}")
     inc = _fgn_circulant(_rng(seed), d, n, root)
-    inc *= (T / n) ** H
+    for row in inc:  # one stride walks a row, so numpy takes no iterator buffer
+        row *= (T / n) ** H
     vals = np.zeros((n + 1, d))
     running_sum_block(inc.T, vals, 0)
     return GridPath(uniform_times(n, T), vals)

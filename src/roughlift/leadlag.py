@@ -159,7 +159,7 @@ def leadlag_trial_bytes(n_ref: int, d: int, schedule, batch: int = 1) -> int:
     """Bound on the peak bytes of one run_leadlag_trial call on ``batch``
     trials on the reference grid n_ref in dimension d over the n-schedule
     ``schedule``: the run's embedding root, N = n_ref + 1 floats, 32 KiB for
-    the interpreter's objects (at most 19 KB in the phases traced), and the
+    the interpreter's objects (10-24 KB in the phases traced), and the
     largest of three phases, each the arrays it holds and the working bytes
     tensor2 sizes for the kernel it calls.  In floats, with E = d (2d - 1)
     area entries a residual, k schedule points and the coarsest n_min:

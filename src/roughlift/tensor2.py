@@ -408,7 +408,8 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None, geomet
     Chen cross term takes the pair's earlier point as its base, and the
     shifted residual adds the signed step: every distance is the row loop's
     to the bit.  The planes come in blocks of lag rows, about PAIR_BLOCK
-    pairs over all members, among the working arrays of ``sweep_memory``.
+    pairs over all members, among ``sweep_memory``'s working arrays, which
+    are its bytes whatever the caller's numpy buffer size: it runs at the least.
     The blocks' geometry (_geometry) is ``geometry``, built once for the
     unshifted one-member sweeps of a grid (``sweep_geometry``), or else
     built block by block.  Planes that are exactly zero are not built:
@@ -417,6 +418,16 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None, geomet
     increments, and every level-1 plane when the members' level 1 is zero
     too.  That changes at most the sign of a zero residual entry, which
     squaring removes."""
+    # 16, numpy's least buffer size: numpy buffers at most 16 floats an
+    # operand.  Per thread; np.errstate restores it only on numpy >= 2.0.
+    old = np.setbufsize(16)
+    try:
+        return _holder_sweep(x, y, alpha, shifts, geometry)
+    finally:
+        np.setbufsize(old)
+
+
+def _holder_sweep(x, y, alpha, shifts, geometry):
     if not (0.0 <= alpha < 0.5):
         raise ValueError("alpha must lie in [0, 1/2)")
     if y.level1.ndim != 2:
@@ -519,10 +530,9 @@ def sweep_memory(k: int, n: int, d: int, shifted: bool, zero1: bool = False,
     PAIR_BLOCK pairs over all members, or all ceil(n/2) lags; the shapes of
     the arrays it cuts from the one array it allocates (sups, paths extended
     by ceil(n/2) points, a block's planes, and unless given its ``geometry``
-    a block's _geometry planes); and its bytes, with a block's maxima, what
-    _geometry allocates (the extended times, and a wrap mask unless nothing
-    has level 1, ``zero1``) and the larger iterator buffers (``_buffers``)
-    of a plane difference or the step powers, in a full or the last block."""
+    a block's _geometry planes); and its bytes, with a block's maxima and
+    what _geometry allocates (the extended times, and a wrap mask unless
+    nothing has level 1, ``zero1``), whatever the numpy buffer size."""
     if k < 1 or n < 1:
         raise ValueError(f"a sweep needs a member and an interval, got k = {k}, n = {n}")
     lags = (n + 1) // 2
@@ -534,22 +544,8 @@ def sweep_memory(k: int, n: int, d: int, shifted: bool, zero1: bool = False,
         shapes += [(k, d, extended)] * 3 + [(1, d, extended)]
     shapes += [(k * pairs,)] * (3 + shifted + (0 if zero1 else max(d, 2)))
     shapes += [(pairs,)] * (1 + shifted + (not zero1)) * (not geometry)
-    buffers = max(max(_buffers((k, r, n + 1), 2), _buffers((k, r * (n + 1)), 1))
-                  for r in {rows, lags - (lags - 1) // rows * rows})
     built = 0 if geometry else 8 * extended + (0 if zero1 else pairs)
-    return rows, shapes, 8 * (sum(map(math.prod, shapes)) + k + buffers) + built
-
-
-def _buffers(shape, operands: int) -> int:
-    """Floats of the iterator buffers numpy 2.4 takes for a ufunc over
-    ``shape`` whose ``operands`` operands no one stride walks: none unless
-    more than ``operands`` rows of the last axis fit np.getbufsize() and the
-    call, else per operand the call, or as many blocks of last axes as fit."""
-    size, dims = np.getbufsize(), [s for s in shape if s > 1] or [1]
-    if min(size, math.prod(dims)) // dims[-1] <= operands:
-        return 0
-    core = max(p for p in (math.prod(dims[i:]) for i in range(len(dims))) if p <= size)
-    return operands * min(math.prod(dims), size - size % core)
+    return rows, shapes, 8 * (sum(map(math.prod, shapes)) + k) + built
 
 
 @dataclass(frozen=True)

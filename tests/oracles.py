@@ -20,7 +20,10 @@ difference and half-QV arrays instead of written entry by entry; lifts
 holding their whole d x d level 2 and sweeps squaring all of its residual
 entries (the full-level-2 route) instead of level 1 and Levy area; a
 complex FFT per component, with the embedding rebuilt on every call,
-instead of the real-spectrum fGn map; and the Cholesky factor of
+instead of the real-spectrum fGn map; the real root cast to complex and
+multiplied into the half-spectra, and the increments scaled as one view,
+instead of the root's products with the real and imaginary parts and a
+scale a row; and the Cholesky factor of
 the fGn covariance instead of its circulant embedding.
 """
 import math
@@ -442,6 +445,25 @@ def sample_fbm_complex_fft(seed, H, n, d=1, T=1.0, root=None):
     for c in range(d):
         z = rng.standard_normal(2 * n)
         np.cumsum(spacing_scale * _fgn_circulant_complex(z, n, H), out=vals[1:, c])
+    return GridPath(uniform_times(n, T), vals)
+
+
+def sample_fbm_cast_root(seed, H, n, d=1, T=1.0, root=None):
+    """gauss.sample_fbm with the embedding root multiplied into the complex
+    half-spectra, which casts it to complex, and the (d, n) view of the
+    increments scaled in one call, around the same FFTs and running sums:
+    sample_fbm must draw its bits."""
+    from roughlift.gauss import GridPath, _rng, embedding_root, uniform_times
+    from roughlift.tensor2 import running_sum_block
+
+    if root is None:
+        root = embedding_root(n, H)
+    spectrum = np.fft.rfft(_rng(seed).standard_normal((d, 2 * n)))
+    spectrum *= root
+    inc = np.fft.irfft(spectrum, n=2 * n)[:, :n]
+    inc *= (T / n) ** H
+    vals = np.zeros((n + 1, d))
+    running_sum_block(inc.T, vals, 0)
     return GridPath(uniform_times(n, T), vals)
 
 

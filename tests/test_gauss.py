@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import (finite_cov_quadrature, ou_recursion_eig, ou_recursion_loop, ou_scan_chunks,
-                     physical_whole_draw, sample_fbm_cholesky, sample_fbm_complex_fft)
+                     physical_whole_draw, sample_fbm_cast_root, sample_fbm_cholesky,
+                     sample_fbm_complex_fft)
 from roughlift import (StableDrift, derive_seed, derive_Z, fgn_autocov, lyapunov_C,
                        ou_joint_transition, required_steps, sample_bm, sample_fbm,
                        sample_physical)
@@ -230,6 +231,42 @@ def test_fbm_threads_sharing_a_root_agree():
         sys.setswitchinterval(interval)
     assert out[0] is not None and all(o == out[0] for o in out)
     assert out[0] == sample_fbm(**spec).values.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_fbm_draws_the_bits_of_the_cast_root_route(d):
+    # scaling the spectrum's real and imaginary parts by the real root, and
+    # the increments a row at a time, gives the bits of the complex product
+    # and the one scale of the (d, n) view
+    for n in (1, 2, 3, 16, 17, 255, 1000, 4096):
+        for H in (0.26, 0.3, 0.4, 0.45, 0.5):
+            root = gauss.embedding_root(n, H)
+            for seed, T in ((derive_seed(62, n, d), 1.0), (3, 2.5), (2 ** 64 - 1, 0.5)):
+                spec = dict(seed=seed, H=H, n=n, d=d, T=T)
+                got = sample_fbm(**spec, root=root).values
+                assert got.tobytes() == sample_fbm_cast_root(**spec).values.tobytes(), spec
+
+
+@pytest.mark.parametrize("bufsize", [8192, 16])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_fbm_draw_holds_only_its_arrays(d, bufsize):
+    # a draw's peak is its normals and their half-spectra, 4d floats a step,
+    # whatever np.getbufsize(): no complex copy of the root and no iterator
+    # buffer, only the interpreter's objects (about 2.2 KB)
+    old = np.setbufsize(bufsize)
+    try:
+        for n in (256, 512, 1024, 2048, 4096):
+            root = gauss.embedding_root(n, 0.4)
+            sample_fbm(1, 0.4, n, d, root=root)  # numpy's small caches filled
+            tracemalloc.start()
+            try:
+                sample_fbm(1, 0.4, n, d, root=root)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * 4 * d * n + 2 ** 12, (n, peak - 8 * 4 * d * n)
+    finally:
+        np.setbufsize(old)
 
 
 def test_fbm_general_horizon_scaling():

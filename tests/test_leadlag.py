@@ -485,9 +485,8 @@ SHAPES = [
 
 
 def _assert_trial_within_bound(n_ref, d, schedule):
-    # tensor2 sizes each kernel's working bytes, numpy's iterator buffers
-    # among them, so a batch is held to the bound with no slack; returns the
-    # traced peak and the bound
+    # tensor2 sizes each kernel's working bytes, so a batch is held to the
+    # bound with no slack; returns the traced peak and the bound
     cfg = LeadLagConfig(H=0.4, n_schedule=schedule, n_ref=n_ref, d=d, mc_trials=1)
     peak, bound = _trial_peak_bytes(cfg), _bound(cfg)
     assert peak <= bound
@@ -534,6 +533,30 @@ def test_warm_worker_batch_holds_what_the_first_did(n_ref, d, schedule):
     assert abs(warm - cold) <= 2 ** 16
 
 
+@pytest.mark.parametrize("n_ref, d, schedule", SHAPES)
+def test_trial_memory_does_not_depend_on_buffer_size(n_ref, d, schedule):
+    # the kernels take no iterator buffer over numpy's least, so a batch
+    # peaks at the same bytes at any np.getbufsize(), and its bound and
+    # batch size do not read it
+    cfg = LeadLagConfig(H=0.4, n_schedule=schedule, n_ref=n_ref, d=d, mc_trials=1)
+
+    def at(bufsize, measure):
+        old = np.setbufsize(bufsize)
+        try:
+            return measure()
+        finally:
+            np.setbufsize(old)
+
+    _trial_peak_bytes(cfg)  # numpy's small caches filled
+    peaks = [at(bufsize, lambda: _trial_peak_bytes(cfg)) for bufsize in (8192, 16)]
+    assert abs(peaks[0] - peaks[1]) <= 2 ** 12, peaks
+
+    def sized():
+        return _bound(cfg), cfg.batch
+
+    assert at(2 ** 20, sized) == sized()
+
+
 def _sweep_peak_bytes(k, n, d):
     # the sweep as a lead-lag batch runs it: k residuals of lead-lag
     # dimension d (lifts of dimension 2d) with level 1 zero, against the zero
@@ -561,7 +584,7 @@ def test_sweep_memory_per_member_point(d):
     # per member grid point by the bytes tensor2.sweep_memory sizes: the
     # area differences, 8 d (2d - 1) B a point extended by ceil(n/2) points
     # (level 1 is zero, so there is no level-1 path), planes of about
-    # PAIR_BLOCK pairs at both shapes, and numpy's iterator buffers
+    # PAIR_BLOCK pairs at both shapes
     shapes = ((32, 128), (64, 256))
     points = [k * (n + 1) for k, n in shapes]
     peaks = [_sweep_peak_bytes(k, n, d) for k, n in shapes]
@@ -593,7 +616,7 @@ def test_batches_shrink_to_the_byte_budget():
     assert [batch(n_ref) for n_ref in (2 ** 15, 2 ** 16, 2 ** 17, 2 ** 18)] == [8, 7, 3, 1]
     # each phase is charged its own arrays and its kernel's working bytes,
     # and the residuals hold 28 area entries a point, not 64 level-2 ones, so
-    # a full batch fits (it traces 5.85 MB against a bound of 6.10 MB, whose
+    # a full batch fits (it traces 5.74 MB against a bound of 6.10 MB, whose
     # peak phase is the lifting)
     assert batch(4096, d=4, schedule=(512, 1024)) == TRIAL_BATCH
     for n_ref, d, schedule in ((4096, 1, (16, 32)), (2 ** 16, 1, (16, 32)),

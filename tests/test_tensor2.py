@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -931,8 +932,8 @@ def _outer_sum_form(rng, form):
                                    "lift built")),
     *(("outer sum", form) for form in ("area", "area and QV", "QV only", "strided batch"))])
 def test_kernel_memory_is_its_sized_bytes(kernel, form, bufsize):
-    # each kernel allocates the working arrays its sizing function gives, and
-    # numpy takes the iterator buffers it counts, whatever np.getbufsize():
+    # each kernel allocates the working arrays its sizing function gives and
+    # takes no iterator buffer over numpy's least, whatever np.getbufsize():
     # the traced peak of a call, inputs and outputs allocated first, is the
     # sized bytes plus the interpreter's objects (views, frames), under 16 KiB
     rng = np.random.default_rng(33)
@@ -954,6 +955,44 @@ def test_kernel_memory_is_its_sized_bytes(kernel, form, bufsize):
     finally:
         np.setbufsize(old)
     assert sized <= peak <= sized + 2 ** 14, (peak - sized)
+
+
+def test_sweep_restores_the_callers_buffer_size():
+    # a sweep runs at numpy's least buffer size and hands back the caller's,
+    # also when it raises; the setting is per thread, so sweeps in pool
+    # threads leave each other's and the main thread's alone
+    rng = np.random.default_rng(35)
+    x, y = _random_nonuniform_pair(rng, 40, 2)
+    shifts = rng.standard_normal((1, 1))
+    old = np.setbufsize(4096)
+    try:
+        holder_sweep(x, y, 0.3, shifts)
+        assert np.getbufsize() == 4096
+        holder_distance(x, y, 0.3)
+        assert np.getbufsize() == 4096
+        with pytest.raises(ValueError, match="alpha"):
+            holder_distance(x, y, 0.5)
+        assert np.getbufsize() == 4096
+
+        def sweeps(bufsize):  # more threads than cores, switching often
+            np.setbufsize(bufsize)
+            seen = set()
+            for _ in range(20):
+                holder_distance(x, y, 0.3)
+                seen.add(np.getbufsize())
+            return seen
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                seen = list(pool.map(sweeps, (32, 64, 128, 256), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen == [{32}, {64}, {128}, {256}]
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
 
 
 def test_outer_sum_with_no_entries_takes_nothing():
