@@ -15,30 +15,26 @@ rng_trials = 20000
 print("== fBm increment autocovariance (H = 0.25, n = 64, lag 1) ==")
 H, n = 0.25, 64
 target = fgn_autocov(1, H, 1.0 / n)
-acc = []
-for i in range(rng_trials):
-    v = sample_fbm(seed=derive_seed(0, i), H=H, n=n).values[:, 0]
-    inc = np.diff(v)
-    acc.append(np.mean(inc[:-1] * inc[1:]))
-acc = np.asarray(acc)
+# one batched call: a (trials, n + 1, 1) array, member i drawn from seed i
+inc = np.diff(sample_fbm([derive_seed(0, i) for i in range(rng_trials)], H, n)[:, :, 0])
+acc = np.mean(inc[:, :-1] * inc[:, 1:], axis=1)
 print(f"sampled {acc.mean():+.6f}  target {target:+.6f}  "
       f"se {acc.std(ddof=1) / np.sqrt(len(acc)):.6f}")
 print("(negative: rough paths anti-correlate consecutive increments)")
 
 print("\n== Cholesky cross-check at H = 1/2 ==")
 n = 128
-a = sample_fbm(seed=7, H=0.5, n=n)
+(a,) = sample_fbm([7], H=0.5, n=n)
 # sample_fbm's normals: a Philox stream keyed by the seed, 2n per component;
 # the Cholesky route maps the first n through the factor of the fGn covariance
 z = np.random.Generator(np.random.Philox(key=7)).standard_normal(2 * n)[:n]
 cov = fgn_autocov(np.subtract.outer(np.arange(n), np.arange(n)), 0.5, 1.0 / n)
 b = np.concatenate([[0.0], np.cumsum(np.linalg.cholesky(cov) @ z)])
 print("max |circulant - cholesky| from identical normals:",
-      np.abs(a.values[:, 0] - b).max())
+      np.abs(a[:, 0] - b).max())
 
 print("\n== Brownian motion covariance ==")
-prods = np.array([sample_bm(1.0, 2, 1, seed=derive_seed(1, i)).values[1:, 0].prod()
-                  for i in range(rng_trials)])
+prods = sample_bm(1.0, 2, 1, [derive_seed(1, i) for i in range(rng_trials)])[:, 1:, 0].prod(axis=1)
 print(f"E[W_1/2 W_1] sampled {prods.mean():.5f}  target 0.5")
 
 print("\n== physical pair: stationary momentum variance ==")

@@ -4,6 +4,9 @@
 * Fractional Brownian motion: circulant embedding of the increment
   covariance (real FFTs, exact in law, O(n log n)); a run builds the
   embedding's root once (``embedding_root``) and passes it to every draw.
+
+  Both draw a batch of seeds in one call, one path a seed, each with the
+  bits of its seed's draw alone.
 * The physical pair (P, W): the momentum of dP = -(M/eps^2) P dt + dW
   stepped with its exact joint Gaussian transition, so the law at grid
   points carries no discretisation error.  The mean step P -> E P is a
@@ -100,15 +103,39 @@ def uniform_times(n: int, T: float) -> np.ndarray:
     return t
 
 
-def sample_bm(T: float, N: int, d: int, seed: int) -> GridPath:
-    """Brownian motion on a uniform grid: iid N(0, T/N) increments."""
+def _running_sums(seeds, n: int, d: int, steps) -> np.ndarray:
+    """(B, n + 1, d) paths from the origin of the B seeds, member b the
+    running sum (running_sum_block) of the (n, d) steps ``steps(seed)`` of
+    its seed, so each member has the bits of a batch of one.  The batch's
+    array is allocated after the first member's steps are drawn, and each
+    member's steps are freed before the next are drawn."""
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    for b, seed in enumerate(seeds):
+        inc = steps(seed)
+        if b == 0:
+            out = np.empty((len(seeds), n + 1, d))
+            out[:, 0] = 0.0
+        running_sum_block(inc, out[b], 0)
+        del inc
+    return out
+
+
+def sample_bm(T: float, N: int, d: int, seeds) -> np.ndarray:
+    """Brownian motion on the uniform N-step grid on [0, T] for each of the
+    B seeds, as a (B, N + 1, d) array: iid N(0, T/N) increments, one Philox
+    stream a seed (one draw is a batch of one)."""
     if N < 1 or d < 1 or T <= 0.0:
         raise ValueError("need N >= 1, d >= 1, T > 0")
-    rng = _rng(seed)
-    inc = rng.standard_normal((N, d)) * np.sqrt(T / N)
-    vals = np.zeros((N + 1, d))
-    running_sum_block(inc, vals, 0)
-    return GridPath(uniform_times(N, T), vals)
+    scale = np.sqrt(T / N)
+
+    def steps(seed):
+        inc = _rng(seed).standard_normal((N, d))
+        inc *= scale
+        return inc
+
+    return _running_sums(seeds, N, d, steps)
 
 
 def fgn_autocov(k, H: float, spacing: float = 1.0) -> np.ndarray:
@@ -153,13 +180,18 @@ def _fgn_circulant(rng: np.random.Generator, d: int, n: int, root: np.ndarray) -
     return np.fft.irfft(spectrum, n=2 * n)[:, :n]
 
 
-def sample_fbm(seed: int, H: float, n: int, d: int = 1, T: float = 1.0,
-               root=None) -> GridPath:
+def sample_fbm(seeds, H: float, n: int, d: int = 1, T: float = 1.0,
+               root=None) -> np.ndarray:
     """d components of fractional Brownian motion with Hurst index H at
-    times i*T/n, i = 0..n, exact in law.
+    times i*T/n, i = 0..n, exact in law, for each of the B seeds, as a
+    (B, n + 1, d) array (one draw is a batch of one).
 
-    The 2n normals per component are drawn for all components as one
-    (d, 2n) block (the stream of d successive draws).  ``root`` is
+    A member draws its 2n normals per component from its seed's Philox
+    stream as one (d, 2n) block (the stream of d successive draws), maps
+    them through one rfft/irfft pair (_fgn_circulant) and sums them into
+    its row of the batch, so it has the bits of its draw alone.  The
+    transforms run one member at a time: a batch holds its array and one
+    member's transform, 4d floats a step.  ``root`` is
     ``embedding_root(n, H)``, built here when not given.
     """
     if not (0.0 < H < 1.0):
@@ -172,12 +204,15 @@ def sample_fbm(seed: int, H: float, n: int, d: int = 1, T: float = 1.0,
         root = embedding_root(n, H)
     elif root.shape != (n + 1,):
         raise ValueError(f"root must have shape {(n + 1,)}, got {root.shape}")
-    inc = _fgn_circulant(_rng(seed), d, n, root)
-    for row in inc:  # one stride walks a row, so numpy takes no iterator buffer
-        row *= (T / n) ** H
-    vals = np.zeros((n + 1, d))
-    running_sum_block(inc.T, vals, 0)
-    return GridPath(uniform_times(n, T), vals)
+    scale = (T / n) ** H
+
+    def steps(seed):
+        inc = _fgn_circulant(_rng(seed), d, n, root)
+        for row in inc:  # one stride walks a row, so numpy takes no iterator buffer
+            row *= scale
+        return inc.T
+
+    return _running_sums(seeds, n, d, steps)
 
 
 def required_steps(drift: StableDrift, eps: float, T: float) -> int:

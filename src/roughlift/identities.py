@@ -181,8 +181,8 @@ def leadlag_suite(seed: int = 2, n_sample_sets: int = 12) -> list[CheckResult]:
     worst = np.zeros(3)
     for i in range(n_sample_sets):
         n, d = int(rng.integers(1, 33)), int(rng.integers(1, 4))
-        path = sample_fbm(seed=int(rng.integers(1 << 62)), H=(0.3, 0.4, 0.5)[i % 3], n=n, d=d)
-        worst = np.maximum(worst, leadlag_oracle_errors(path.values))
+        (path,) = sample_fbm([int(rng.integers(1 << 62))], (0.3, 0.4, 0.5)[i % 3], n, d)
+        worst = np.maximum(worst, leadlag_oracle_errors(path))
     return _checks(("leadlag-area-oracle", "leadlag-diagonal-blocks", "leadlag-cross-qv"),
                    worst, 1e-12)
 

@@ -20,11 +20,13 @@ schedule grid the lead-lag lift and the doubled path share level 1, so a
 trial is measured by its residual there, built from d-dimensional areas
 and the running quadratic variation alone; no Hoff path or 2d-dimensional
 lift enters it.  Trials run in batches (``TRIAL_BATCH``) with the batch
-axis first, and one Hoelder sweep of all residuals of a batch against the
-zero lift gives every distance.
+axis first, each batch reading the run's plan (``plan_run``) and drawing
+its paths in one sample_fbm call, and one Hoelder sweep of all residuals
+of a batch against the zero lift gives every distance.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +85,7 @@ def leadlag_lift(samples) -> LiftedPath:
     """
     x = _as_samples(samples)
     n, d = x.shape[0] - 1, x.shape[1]
-    area = _leadlag_area(x, 1, np.empty((n + 1, d * (2 * d - 1))))
+    area = _leadlag_area(x, 1, np.empty((n + 1, d * (2 * d - 1))), _area_maps(d))
     return LiftedPath(np.arange(n + 1) / n, np.hstack([x - x[0]] * 2), area)
 
 
@@ -94,29 +96,43 @@ def _entry_index(d: int, k: int) -> np.ndarray:
     return index
 
 
-def _leadlag_area(x, stride: int, out, ref=0.0) -> np.ndarray:
+def _area_maps(d: int) -> tuple[tuple, tuple]:
+    """Where _leadlag_area writes in dimension d: per p, the QV entry (p, p)
+    and the area entry (p, d + p); per area entry e = (p, q), p < q, of
+    dimension d, the area entries (p, q), (d + p, d + q), (p, d + q) and
+    (q, d + p) of dimension 2d and the QV entry (p, q).  Plain ints."""
+    io, iq = _entry_index(2 * d, 1), _entry_index(d, 0)
+    diagonal = tuple((int(iq[p, p]), int(io[p, d + p])) for p in range(d))
+    entries = tuple(tuple(int(i) for i in (io[p, q], io[d + p, d + q], io[p, d + q],
+                                           io[q, d + p], iq[p, q]))
+                    for p, q in itertools.combinations(range(d), 2))
+    return diagonal, entries
+
+
+def _leadlag_area(x, stride: int, out, maps, ref=0.0) -> np.ndarray:
     """The lead-lag Levy area [[A, A - Q/2], [A + Q/2, A]] of samples x of
     shape (..., n + 1, d) at every ``stride``-th sample, as the area entries
-    p < q of dimension 2d, into ``out`` (..., n / stride + 1, d (2d - 1)):
-    A is the running area of the interpolated samples less ``ref`` and Q
-    the running quadratic variation, both from one running_outer_sum pass.
-    A diagonal entry of the (lag, lead) block is 0 - Q_pp/2, and the
-    entries below the diagonal there are (0 - A_qp) - Q_qp/2."""
+    p < q of dimension 2d, into ``out`` (..., n / stride + 1, d (2d - 1)),
+    at the entries ``maps`` (``_area_maps(d)``): A is the running area of
+    the interpolated samples less ``ref`` and Q the running quadratic
+    variation, both from one running_outer_sum pass.  A diagonal entry of
+    the (lag, lead) block is 0 - Q_pp/2, and the entries below the diagonal
+    there are (0 - A_qp) - Q_qp/2."""
     d = x.shape[-1]
     area = np.empty(out.shape[:-1] + (d * (d - 1) // 2,))
     half_qv = np.empty(out.shape[:-1] + (d * (d + 1) // 2,))
     running_outer_sum(x, stride, area, half_qv)
     area -= ref
     half_qv *= 0.5
-    io, iq = _entry_index(2 * d, 1), _entry_index(d, 0)
-    for p in range(d):  # 0 - Q_pp/2, so that Q_pp = 0 gives +0.0
-        np.subtract(0.0, half_qv[..., iq[p, p]], out=out[..., io[p, d + p]])
-    for e, (p, q) in enumerate(zip(*np.triu_indices(d, 1))):
-        out[..., io[p, q]] = out[..., io[d + p, d + q]] = area[..., e]
-        np.subtract(area[..., e], half_qv[..., iq[p, q]], out=out[..., io[p, d + q]])
-        below = out[..., io[q, d + p]]  # (0 - A_pq) - Q_pq/2
+    diagonal, entries = maps
+    for square, cross in diagonal:  # 0 - Q_pp/2, so that Q_pp = 0 gives +0.0
+        np.subtract(0.0, half_qv[..., square], out=out[..., cross])
+    for e, (lag, lead, upper, lower, qv) in enumerate(entries):
+        out[..., lag] = out[..., lead] = area[..., e]
+        np.subtract(area[..., e], half_qv[..., qv], out=out[..., upper])
+        below = out[..., lower]  # (0 - A_pq) - Q_pq/2
         np.subtract(0.0, area[..., e], out=below)
-        below -= half_qv[..., iq[p, q]]
+        below -= half_qv[..., qv]
     return out
 
 
@@ -148,7 +164,7 @@ def psi_profile(K_max: int, H: float) -> np.ndarray:
 
 
 # Trials per run_leadlag_trial call, whatever the thread count: a batch
-# shares its lift and sweep calls, which the interpreter's per-call cost
+# shares its draw, lift and sweep calls, which the interpreter's per-call cost
 # dominates at the benchmark shape (n_ref = 4096, 64 trials).  A batch's
 # leadlag_trial_bytes stays within BATCH_BYTES unless it is a single trial.
 TRIAL_BATCH = 8
@@ -158,31 +174,38 @@ BATCH_BYTES = 1 << 23
 def leadlag_trial_bytes(n_ref: int, d: int, schedule, batch: int = 1) -> int:
     """Bound on the peak bytes of one run_leadlag_trial call on ``batch``
     trials on the reference grid n_ref in dimension d over the n-schedule
-    ``schedule``: the run's embedding root, N = n_ref + 1 floats, 32 KiB for
-    the interpreter's objects (10-24 KB in the phases traced), and the
-    largest of three phases, each the arrays it holds and the working bytes
-    tensor2 sizes for the kernel it calls.  In floats, with E = d (2d - 1)
-    area entries a residual, k schedule points and the coarsest n_min:
+    ``schedule``: the run's plan (``plan_run``), 32 KiB for the
+    interpreter's objects (10-24 KB in the phases traced), and the largest
+    of four phases, each the arrays it holds and the working bytes tensor2
+    sizes for the kernel it calls.  In floats, with N = n_ref + 1, E =
+    d (2d - 1) area entries a residual, k schedule points, the coarsest
+    n_min and P = batch (n_min + 1):
 
-    * sampling, N d max(batch + 3, 2 batch): a draw's normals and their
-      half-spectra (4d floats a step) beside the earlier draws, then the
-      draws and their stack;
-    * lifting, N (1 + batch d) + batch (n_min + 1)(E k + d^2 + d (d - 1)/2):
-      the draws and the times, the residuals, the reference area and one
-      n's area and QV sums, and the reference lift's or the finest n's
-      running_outer_sum, the larger;
-    * sweep, (batch k E + 1)(n_min + 2): the residuals, their shifts and the
-      times, and their holder_sweep.
+    * the plan, 2N + n_min + 1 + k E: the embedding root, the reference and
+      sweep grids and the counter-terms' area entries;
+    * sampling, N d (4 + batch), or 4 N d for one trial: a member's normals
+      and half-spectra (4d floats a step) beside the batch's draws, which
+      are allocated after the first member's transform;
+    * the reference lift, N d batch + P (d + d (d - 1)/2) + n_min + 1: the
+      draws and the lift's level 1, area and times, and its
+      running_outer_sum;
+    * the n-lifts, N d batch + P (E k + d (d - 1)/2 + d^2): the draws, the
+      residuals, the reference area and one n's area and QV sums, and the
+      finest n's running_outer_sum;
+    * sweep, batch k E (n_min + 2): the residuals and their shifts, and
+      their holder_sweep.
     """
     n, n_min, k = n_ref + 1, schedule[0], len(schedule)
-    entries, points = d * (2 * d - 1), batch * (n_min + 1)
-    sampling = 8 * n * d * max(batch + 3, 2 * batch)
-    lifting = 8 * (n * (1 + batch * d) + points * (entries * k + d * d + d * (d - 1) // 2))
-    lifting += max(outer_sum_memory(batch, n_ref, d, False)[2],
-                   outer_sum_memory(batch, schedule[-1], d, True)[2])
-    sweep = 8 * (batch * k * entries + 1) * (n_min + 2)
+    entries, points, draws = d * (2 * d - 1), batch * (n_min + 1), n * d * batch
+    plan = 2 * n + n_min + 1 + k * entries
+    sampling = 8 * n * d * (4 + batch if batch > 1 else 4)
+    reference = 8 * (draws + points * (d + d * (d - 1) // 2) + n_min + 1)
+    reference += outer_sum_memory(batch, n_ref, d, False)[2]
+    lifting = 8 * (draws + points * (entries * k + d * (d - 1) // 2 + d * d))
+    lifting += outer_sum_memory(batch, schedule[-1], d, True)[2]
+    sweep = 8 * batch * k * entries * (n_min + 2)
     sweep += sweep_memory(batch * k, n_min, 2 * d, True, True)[2]
-    return 8 * n + 2 ** 15 + max(sampling, lifting, sweep)
+    return 8 * plan + 2 ** 15 + max(sampling, reference, lifting, sweep)
 
 
 @dataclass(frozen=True)
@@ -245,57 +268,88 @@ class TrialResult:
     vNorm: float
 
 
-def run_leadlag_trial(cfg: LeadLagConfig, trials, root) -> list[list[TrialResult]]:
+@dataclass(frozen=True)
+class LeadLagPlan:
+    """What every batch of a lead-lag run reads, built by ``plan_run``
+    before the pool starts, its arrays read-only: the fBm embedding root
+    (``embedding_root(n_ref, H)``), the reference grid's times, the zero
+    lift of dimension 2d on the sweep grid (the coarsest schedule grid),
+    the counter-terms' area entries (k, d (2d - 1)) and norms, where
+    _leadlag_area writes (``_area_maps``) and the area entries (i, d + i)."""
+
+    root: np.ndarray
+    ref_times: np.ndarray
+    zero: LiftedPath
+    shifts: np.ndarray
+    vnorms: tuple[float, ...]
+    maps: tuple
+    cross: np.ndarray
+
+
+def plan_run(cfg: LeadLagConfig) -> LeadLagPlan:
+    """The run's plan, built before any sampling: an embedding root that
+    cannot be built raises a ConfigError (a ValueError)."""
+    try:
+        root = embedding_root(cfg.n_ref, cfg.H)
+    except ValueError as e:
+        raise ConfigError(f"unrunnable at n_ref = {cfg.n_ref}, H = {cfg.H:g}: {e}") from e
+    ref_times = np.arange(cfg.n_ref + 1) / cfg.n_ref
+    times = np.arange(cfg.n_schedule[0] + 1) / cfg.n_schedule[0]
+    terms = counter_terms(cfg.H, cfg.n_schedule, cfg.d)
+    shifts = area_entries(terms)
+    maps = _area_maps(cfg.d)
+    cross = np.array([entry for _, entry in maps[0]])  # the (i, d + i) entries
+    for array in (ref_times, times, shifts, cross):
+        array.flags.writeable = False
+    return LeadLagPlan(root, ref_times, zero_lift(times, 2 * cfg.d), shifts,
+                       tuple(float(np.linalg.norm(v)) for v in terms), maps, cross)
+
+
+def run_leadlag_trial(cfg: LeadLagConfig, trials, plan: LeadLagPlan) -> list[list[TrialResult]]:
     """One batch of coupled trials across the whole n-schedule: one record
     list per trial index in ``trials``, each bitwise the same whatever
-    batch the index is run in.  Every draw reads ``root``, the run's
-    ``embedding_root(cfg.n_ref, cfg.H)``.  One Hoelder sweep of the batch's
-    residuals (``_residuals``) against the zero lift, shifted by the
+    batch the index is run in.  ``plan`` is the run's ``plan_run(cfg)``;
+    the batch's draws are one sample_fbm call.  One Hoelder sweep of the
+    batch's residuals (``_residuals``) against the zero lift, shifted by the
     counter-terms, gives every raw and renormalised distance."""
-    res, area = _residuals(cfg, trials, root)
+    res, area = _residuals(cfg, trials, plan)
     b, k, n1, entries = res.shape
-    times = np.arange(n1) / cfg.n_schedule[0]
-    members = LiftedPath(times, np.broadcast_to(0.0, (b * k, n1, 2 * cfg.d)),
+    zero = plan.zero
+    members = LiftedPath(zero.times, np.broadcast_to(0.0, (b * k, n1, 2 * cfg.d)),
                          res.reshape(b * k, n1, entries))
-    shifts = counter_terms(cfg.H, cfg.n_schedule, cfg.d)
-    vnorms = [float(np.linalg.norm(v)) for v in shifts]
-    shifts = np.tile(area_entries(shifts), (b, 1))  # each member's area entries
-    dist_raw, dist_ren = holder_sweep(members, zero_lift(times, 2 * cfg.d), cfg.alpha, shifts)
+    shifts = np.tile(plan.shifts, (b, 1))  # each member's area entries
+    dist_raw, dist_ren = holder_sweep(members, zero, cfg.alpha, shifts)
     return [[TrialResult(n=n, dist_renorm=float(ren), dist_raw=float(raw), areaDev1=float(dev),
                          vNorm=vnorm)
-             for n, raw, ren, dev, vnorm in zip(cfg.n_schedule, raws, rens, devs, vnorms)]
+             for n, raw, ren, dev, vnorm in zip(cfg.n_schedule, raws, rens, devs, plan.vnorms)]
             for raws, rens, devs in zip(dist_raw.reshape(b, k), dist_ren.reshape(b, k), area)]
 
 
-def _residuals(cfg: LeadLagConfig, trials, root) -> tuple[np.ndarray, np.ndarray]:
+def _residuals(cfg: LeadLagConfig, trials, plan: LeadLagPlan) -> tuple[np.ndarray, np.ndarray]:
     """(B, k, n_min + 1, d (2d - 1)) area residuals of the lead-lag lifts
     against the doubled reference (X, X) on the coarsest grid, where the two
     share level 1, and (B, k) areaDev1, for the B trials of a batch and the
     k schedule points.  Each residual is the lead-lag area of the n-samples
     (``_leadlag_area``) less the strided n_ref-lift's area on its
-    interpolated part; the batch's draws are stacked, so each lift is one
-    batched call.  areaDev1 is minus the mean (i, d + i) area entry at
-    (0, 1), where the doubled path's is 0: half the mean diagonal QV."""
+    interpolated part; the batch's draws are one (B, n_ref + 1, d) array,
+    so each lift is one batched call.  areaDev1 is minus the mean
+    (i, d + i) area entry at (0, 1), where the doubled path's is 0: half
+    the mean diagonal QV."""
     d, n_ref, n_min = cfg.d, cfg.n_ref, cfg.n_schedule[0]
-    x = np.stack([sample_fbm(seed=derive_seed(cfg.base_seed, k), H=cfg.H, n=n_ref, d=d,
-                             root=root).values for k in trials])
-    ref = lift_piecewise_linear(np.arange(n_ref + 1) / n_ref, x, stride=n_ref // n_min).area
+    x = sample_fbm([derive_seed(cfg.base_seed, k) for k in trials], cfg.H, n_ref, d,
+                   root=plan.root)
+    ref = lift_piecewise_linear(plan.ref_times, x, stride=n_ref // n_min).area
     res = np.empty((len(x), len(cfg.n_schedule), n_min + 1, d * (2 * d - 1)))
     for m, n in enumerate(cfg.n_schedule):
-        _leadlag_area(x[:, ::n_ref // n], n // n_min, res[:, m], ref)
-    cross = _entry_index(2 * d, 1)[np.arange(d), d + np.arange(d)]  # the (i, d + i) entries
-    return res, -np.mean(res[:, :, -1, cross], axis=-1)
+        _leadlag_area(x[:, ::n_ref // n], n // n_min, res[:, m], plan.maps, ref)
+    return res, -np.mean(res[:, :, -1, plan.cross], axis=-1)
 
 
 def leadlag_experiment(cfg: LeadLagConfig, threads: int = 1) -> list[dict]:
     """Per-n means and standard errors over mc_trials coupled trials, in
-    batches of cfg.batch, every draw through one embedding root built first:
-    a root that cannot be built raises a ConfigError (a ValueError) before
-    any sampling.  run_leadlag_trial is looked up by name at each call, so
+    batches of cfg.batch, every batch reading the one plan built first
+    (``plan_run``).  run_leadlag_trial is looked up by name at each call, so
     a wrapper set on this module (the traced batch span) sees every batch."""
-    try:
-        root = embedding_root(cfg.n_ref, cfg.H)
-    except ValueError as e:
-        raise ConfigError(f"unrunnable at n_ref = {cfg.n_ref}, H = {cfg.H:g}: {e}") from e
-    return run_trials(lambda ks: run_leadlag_trial(cfg, ks, root), cfg.mc_trials, threads,
+    plan = plan_run(cfg)
+    return run_trials(lambda ks: run_leadlag_trial(cfg, ks, plan), cfg.mc_trials, threads,
                       cfg.batch)

@@ -356,20 +356,19 @@ def qv_matmul(x, stride: int):
     return out
 
 
-def leadlag_residuals_assembled(cfg, trials, root=None):
+def leadlag_residuals_assembled(cfg, trials, plan=None):
     """leadlag._residuals with the residual assembled from fresh arrays: for
     each n the difference dA of its strided lift's area from the reference
     lift's, then half the QV, then the full anti-symmetric 2d x 2d array
     [[dA, dA - Q/2], [dA + Q/2, dA]] built block by block and its entries
     p < q taken, and areaDev1 the mean diagonal of half the QV at the last
     grid point.  It shares the lift and running-sum kernels with the
-    library, so it checks the entry-by-entry assembly, bit for bit."""
-    from roughlift.gauss import derive_seed, sample_fbm
+    library, so it checks the entry-by-entry assembly, bit for bit; it
+    draws each trial alone (_draws) and reads only the root of ``plan``."""
     from roughlift.tensor2 import full_level2, lift_piecewise_linear, running_outer_sum
 
     d, n_ref, n_min = cfg.d, cfg.n_ref, cfg.n_schedule[0]
-    x = np.stack([sample_fbm(seed=derive_seed(cfg.base_seed, k), H=cfg.H, n=n_ref, d=d,
-                             root=root).values for k in trials])
+    x = _draws(cfg, trials, plan)
     t = np.arange(n_ref + 1) / n_ref
     ref = lift_piecewise_linear(t, x, stride=n_ref // n_min).area
     res = np.empty((len(x), len(cfg.n_schedule), n_min + 1, d * (2 * d - 1)))
@@ -419,6 +418,56 @@ def physical_whole_draw(drift, eps, T, N, seed):
     np.cumsum(noise[:, d:], axis=0, out=W[1:])
     P = ou_scan_chunks(trans.meanMap, noise[:, :d], np.zeros(d))
     return np.arange(N + 1) / N * T, P, W
+
+
+def sample_bm_single(T, N, d, seed):
+    """gauss.sample_bm's draw of one seed as a GridPath, as it was before
+    the batched form: the (N, d) normals scaled into a new array and summed
+    into a zero array by running_sum_block, with the grid's times."""
+    from roughlift.gauss import GridPath, _rng, uniform_times
+    from roughlift.tensor2 import running_sum_block
+
+    inc = _rng(seed).standard_normal((N, d)) * np.sqrt(T / N)
+    vals = np.zeros((N + 1, d))
+    running_sum_block(inc, vals, 0)
+    return GridPath(uniform_times(N, T), vals)
+
+
+def sample_fbm_single(seed, H, n, d=1, T=1.0, root=None):
+    """gauss.sample_fbm's draw of one seed as a GridPath, as it was before
+    the batched form: the library's fGn map (_fgn_circulant), each row
+    scaled, summed into a zero array by running_sum_block, with the grid's
+    times.  The batched sampler must give each member these bits."""
+    from roughlift.gauss import GridPath, _fgn_circulant, _rng, embedding_root, uniform_times
+    from roughlift.tensor2 import running_sum_block
+
+    if root is None:
+        root = embedding_root(n, H)
+    inc = _fgn_circulant(_rng(seed), d, n, root)
+    for row in inc:
+        row *= (T / n) ** H
+    vals = np.zeros((n + 1, d))
+    running_sum_block(inc.T, vals, 0)
+    return GridPath(uniform_times(n, T), vals)
+
+
+def batch_of(sample_single):
+    """A sampler of one seed, sample_single(seed, H, n, d, T, root) -> a
+    GridPath, as the batched gauss.sample_fbm: seeds in, their stacked
+    (B, n + 1, d) values out."""
+    def sample(seeds, H, n, d=1, T=1.0, root=None):
+        return np.stack([sample_single(seed, H, n, d, T, root).values for seed in seeds])
+    return sample
+
+
+def _draws(cfg, trials, plan=None):
+    """The (B, n_ref + 1, d) reference draws of a lead-lag batch, one
+    sample_fbm_single call a trial, stacked."""
+    from roughlift.gauss import derive_seed
+
+    root = None if plan is None else plan.root
+    return np.stack([sample_fbm_single(derive_seed(cfg.base_seed, k), cfg.H, cfg.n_ref, cfg.d,
+                                       root=root).values for k in trials])
 
 
 def _fgn_circulant_complex(z, n, H):
@@ -493,12 +542,11 @@ def leadlag_trial_full_lifts(cfg, trial_index: int):
     grid, restricted to the coarsest schedule grid, and two holder_distance
     calls per n, the renormalised one on a translated lift.  The counter-term
     is written out here: n^{1-2H}/2 on [[0, I], [-I, 0]]."""
-    from roughlift.gauss import derive_seed, sample_fbm
+    from roughlift.gauss import derive_seed
     from roughlift.leadlag import TrialResult, hoff_path
     from roughlift.tensor2 import area_entries, holder_distance, lift_piecewise_linear, translate
 
-    ref = sample_fbm(seed=derive_seed(cfg.base_seed, trial_index), H=cfg.H, n=cfg.n_ref,
-                     d=cfg.d)
+    ref = sample_fbm_single(derive_seed(cfg.base_seed, trial_index), cfg.H, cfg.n_ref, cfg.d)
     doubled = np.hstack([ref.values, ref.values])
     ref_lift = lift_piecewise_linear(ref.times, doubled)
     n_min = cfg.n_schedule[0]
@@ -819,12 +867,9 @@ def _full_leadlag_level2(x, stride: int, out, ref=0.0) -> np.ndarray:
     return out
 
 
-def _full_leadlag_residuals(cfg, trials, root=None):
-    from roughlift.gauss import derive_seed, sample_fbm
-
+def _full_leadlag_residuals(cfg, trials, plan=None):
     d, n_ref, n_min = cfg.d, cfg.n_ref, cfg.n_schedule[0]
-    x = np.stack([sample_fbm(seed=derive_seed(cfg.base_seed, k), H=cfg.H, n=n_ref, d=d,
-                             root=root).values for k in trials])
+    x = _draws(cfg, trials, plan)
     ref = full_lift_piecewise_linear(np.arange(n_ref + 1) / n_ref, x,
                                      stride=n_ref // n_min).level2
     res = np.empty((len(x), len(cfg.n_schedule), n_min + 1, 2 * d, 2 * d))
@@ -835,13 +880,13 @@ def _full_leadlag_residuals(cfg, trials, root=None):
     return res, -np.mean(area, axis=-1)
 
 
-def leadlag_trial_full_level2(cfg, trials, root=None):
+def leadlag_trial_full_level2(cfg, trials, plan=None):
     """leadlag.run_leadlag_trial on the full-level-2 route: residuals of
     2d x 2d level 2 and a sweep squaring all their entries, shifted by the
     counter-terms' full arrays."""
     from roughlift.leadlag import TrialResult, counter_terms
 
-    res, area = _full_leadlag_residuals(cfg, trials, root)
+    res, area = _full_leadlag_residuals(cfg, trials, plan)
     b, k, n1, d2 = res.shape[:4]
     times = np.arange(n1) / cfg.n_schedule[0]
     members = FullLiftedPath(times, np.broadcast_to(0.0, (b * k, n1, d2)),

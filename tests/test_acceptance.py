@@ -156,20 +156,16 @@ def test_criterion_8_sampler_laws():
     details = []
     ok = True
     for H in (0.3, 0.5):
-        prods = np.empty(100_000)
-        for i in range(len(prods)):
-            v = rl.sample_fbm(seed=rl.derive_seed(81, i), H=H, n=2).values
-            prods[i] = v[1, 0] * v[2, 0]
+        v = rl.sample_fbm([rl.derive_seed(81, i) for i in range(100_000)], H, 2)
+        prods = v[:, 1, 0] * v[:, 2, 0]
         se = prods.std(ddof=1) / np.sqrt(len(prods))
         gap = abs(prods.mean() - 0.5)
         ok &= gap <= 3.0 * se
         details.append(f"H={H}: cov gap={gap:.2e} <= 3se={3 * se:.2e}")
     # H = 1/2 marginal matches the BM sampler (two-sample KS, 1% band)
     m = 20_000
-    fbm_term = np.array([rl.sample_fbm(seed=rl.derive_seed(82, i), H=0.5, n=2).values[-1, 0]
-                         for i in range(m)])
-    bm_term = np.array([rl.sample_bm(1.0, 2, 1, seed=rl.derive_seed(83, i)).values[-1, 0]
-                        for i in range(m)])
+    fbm_term = rl.sample_fbm([rl.derive_seed(82, i) for i in range(m)], 0.5, 2)[:, -1, 0]
+    bm_term = rl.sample_bm(1.0, 2, 1, [rl.derive_seed(83, i) for i in range(m)])[:, -1, 0]
     ks = ks_2samp(fbm_term, bm_term)
     ok &= ks.pvalue >= 0.01
     details.append(f"KS p={ks.pvalue:.3f} (>=0.01)")

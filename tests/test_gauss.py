@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import (finite_cov_quadrature, ou_recursion_eig, ou_recursion_loop, ou_scan_chunks,
-                     physical_whole_draw, sample_fbm_cast_root, sample_fbm_cholesky,
-                     sample_fbm_complex_fft)
+                     physical_whole_draw, sample_bm_single, sample_fbm_cast_root,
+                     sample_fbm_cholesky, sample_fbm_complex_fft, sample_fbm_single)
 from roughlift import (StableDrift, derive_seed, derive_Z, fgn_autocov, lyapunov_C,
                        ou_joint_transition, required_steps, sample_bm, sample_fbm,
                        sample_physical)
@@ -51,15 +51,14 @@ def test_derive_seed_rejects_outside_u64(value):
 # ------------------------------------------------------------------ sample_bm
 
 def test_bm_shape_and_start():
-    path = sample_bm(2.0, 8, 3, seed=1)
-    assert path.values.shape == (9, 3)
-    assert np.all(path.values[0] == 0.0)
-    assert path.times[0] == 0.0 and path.times[-1] == 2.0
+    paths = sample_bm(2.0, 8, 3, [1, 2])
+    assert paths.shape == (2, 9, 3)
+    assert np.all(paths[:, 0] == 0.0)
+    assert gauss.uniform_times(8, 2.0)[[0, -1]].tolist() == [0.0, 2.0]
 
 
 def test_bm_single_step_variance():
-    draws = np.array([sample_bm(3.0, 1, 1, seed=derive_seed(9, i)).values[1, 0]
-                      for i in range(4000)])
+    draws = sample_bm(3.0, 1, 1, [derive_seed(9, i) for i in range(4000)])[:, 1, 0]
     se = draws.std(ddof=1) ** 2 * np.sqrt(2.0 / (len(draws) - 1))
     assert abs(np.var(draws, ddof=1) - 3.0) <= 3.0 * se
 
@@ -69,24 +68,38 @@ def test_seed_outside_u64_is_rejected(seed):
     # a seed is not wrapped mod 2^64: -1 would draw the stream of 2^64 - 1,
     # and 2^64 that of 0
     drift = StableDrift(np.eye(2), J)
-    for draw in (lambda: sample_bm(1.0, 4, 1, seed=seed),
-                 lambda: sample_fbm(seed=seed, H=0.4, n=4),
+    for draw in (lambda: sample_bm(1.0, 4, 1, [seed]),
+                 lambda: sample_fbm([seed], H=0.4, n=4),
+                 lambda: sample_fbm([0, seed], H=0.4, n=4),
                  lambda: sample_physical(drift, 1.0, 1.0, 64, seed)):
         with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
             draw()
 
 
 def test_seed_range_ends_are_distinct_streams():
-    assert np.any(sample_bm(1.0, 4, 1, seed=0).values
-                  != sample_bm(1.0, 4, 1, seed=2 ** 64 - 1).values)
+    ends = sample_bm(1.0, 4, 1, [0, 2 ** 64 - 1])
+    assert np.any(ends[0] != ends[1])
 
 
 def test_bm_determinism():
-    a = sample_bm(1.0, 16, 2, seed=123)
-    b = sample_bm(1.0, 16, 2, seed=123)
-    assert np.all(a.values == b.values)
-    c = sample_bm(1.0, 16, 2, seed=124)
-    assert np.any(c.values != a.values)
+    a = sample_bm(1.0, 16, 2, [123])
+    b = sample_bm(1.0, 16, 2, [123])
+    assert np.all(a == b)
+    c = sample_bm(1.0, 16, 2, [124])
+    assert np.any(c != a)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 16, 17, 255, 4096])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_bm_batch_members_are_single_draws(N, d):
+    # every member of a batch has the bits of its seed's draw alone
+    for B in (1, 3, 8):
+        for T in (1.0, 2.5):
+            seeds = [derive_seed(63, N, d, B, b) for b in range(B)]
+            got = sample_bm(T, N, d, seeds)
+            assert got.shape == (B, N + 1, d)
+            for member, seed in zip(got, seeds):
+                assert member.tobytes() == sample_bm_single(T, N, d, seed).values.tobytes()
 
 
 # ----------------------------------------------------------------- sample_fbm
@@ -94,27 +107,47 @@ def test_bm_determinism():
 def test_fbm_spec_validation():
     for H in (1.2, 1.0, 0.0, -0.3):
         with pytest.raises(ValueError, match=r"H must lie in \(0, 1\)"):
-            sample_fbm(seed=0, H=H, n=4)
+            sample_fbm([0], H=H, n=4)
     for n, d in ((0, 1), (-1, 1), (4, 0)):
         with pytest.raises(ValueError, match="n and d must be >= 1"):
-            sample_fbm(seed=0, H=0.4, n=n, d=d)
+            sample_fbm([0], H=0.4, n=n, d=d)
     for T in (0.0, -1.0):
         with pytest.raises(ValueError, match="T must be positive"):
-            sample_fbm(seed=0, H=0.4, n=4, T=T)
+            sample_fbm([0], H=0.4, n=4, T=T)
+    with pytest.raises(ValueError, match="at least one seed"):
+        sample_fbm([], H=0.4, n=4)
 
 
 def test_fbm_h_half_methods_agree_pathwise():
     # both methods consume the same normals; at H = 1/2 the covariance is
     # diagonal and they reduce to the same map
     for seed in (0, 1, 2):
-        spec = dict(seed=seed, H=0.5, n=64, d=2)
-        a, b = sample_fbm(**spec), sample_fbm_cholesky(**spec)
-        assert np.abs(a.values - b.values).max() <= 1e-10
+        spec = dict(H=0.5, n=64, d=2)
+        a, b = sample_fbm([seed], **spec)[0], sample_fbm_cholesky(seed, **spec)
+        assert np.abs(a - b.values).max() <= 1e-10
 
 
 def test_fbm_determinism():
-    spec = dict(seed=77, H=0.3, n=32, d=2)
-    assert np.all(sample_fbm(**spec).values == sample_fbm(**spec).values)
+    spec = dict(seeds=[77], H=0.3, n=32, d=2)
+    assert np.all(sample_fbm(**spec) == sample_fbm(**spec))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 255, 4096])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_fbm_batch_members_are_single_draws(n, d):
+    # every member of a batch has the bits of its seed's draw alone, with
+    # the root given or built
+    for H, T in ((0.26, 1.0), (0.4, 2.5), (0.5, 0.5)):
+        root = gauss.embedding_root(n, H)
+        for B in (1, 3, 8):
+            seeds = [derive_seed(64, n, d, B, b) for b in range(B)]
+            got = sample_fbm(seeds, H, n, d, T, root=root)
+            assert got.shape == (B, n + 1, d)
+            for member, seed in zip(got, seeds):
+                want = sample_fbm_single(seed, H, n, d, T, root=root).values
+                assert member.tobytes() == want.tobytes(), (H, T, B)
+            if B == 3:
+                assert sample_fbm(seeds, H, n, d, T).tobytes() == got.tobytes()
 
 
 def test_fbm_increment_autocov_lag1():
@@ -122,20 +155,15 @@ def test_fbm_increment_autocov_lag1():
     H, n = 0.25, 64
     expected = 0.5 * n ** (-0.5) * (2.0 ** 0.5 - 2.0)
     assert abs(fgn_autocov(1, H, 1.0 / n) - expected) <= 1e-15
-    prods = []
-    for i in range(20000):
-        v = sample_fbm(seed=derive_seed(3, i), H=H, n=n).values[:, 0]
-        inc = np.diff(v)
-        prods.append(np.mean(inc[:-1] * inc[1:]))
-    prods = np.asarray(prods)
+    inc = np.diff(sample_fbm([derive_seed(3, i) for i in range(20000)], H, n)[:, :, 0])
+    prods = np.mean(inc[:, :-1] * inc[:, 1:], axis=1)
     se = prods.std(ddof=1) / np.sqrt(len(prods))
     assert abs(prods.mean() - expected) <= 3.0 * se
 
 
 def test_fbm_terminal_variance_unit():
     # R(1,1) = 1 for every H
-    draws = np.array([sample_fbm(seed=derive_seed(5, i), H=0.4, n=8).values[-1, 0]
-                      for i in range(20000)])
+    draws = sample_fbm([derive_seed(5, i) for i in range(20000)], 0.4, 8)[:, -1, 0]
     sq = draws ** 2
     se = sq.std(ddof=1) / np.sqrt(len(sq))
     assert abs(sq.mean() - 1.0) <= 3.0 * se
@@ -144,11 +172,8 @@ def test_fbm_terminal_variance_unit():
 def test_fbm_increment_stationarity():
     # sample autocovariance at fixed lag must not depend on position
     H, n, trials = 0.35, 16, 30000
-    acc = np.zeros((trials, 3))
-    for i in range(trials):
-        v = sample_fbm(seed=derive_seed(8, i), H=H, n=n).values[:, 0]
-        inc = np.diff(v)
-        acc[i] = [inc[1] * inc[3], inc[6] * inc[8], inc[12] * inc[14]]
+    inc = np.diff(sample_fbm([derive_seed(8, i) for i in range(trials)], H, n)[:, :, 0])
+    acc = inc[:, [1, 6, 12]] * inc[:, [3, 8, 14]]
     means = acc.mean(axis=0)
     ses = acc.std(axis=0, ddof=1) / np.sqrt(trials)
     expected = fgn_autocov(2, H, 1.0 / n)
@@ -159,7 +184,7 @@ def test_fbm_negative_embedding_raises(monkeypatch):
     # lags 0 and +-1 only: circulant eigenvalues 1 + 2 cos(pi j / n), down to -1
     monkeypatch.setattr(gauss, "fgn_autocov", lambda k, H: (np.abs(k) <= 1).astype(float))
     with pytest.raises(ValueError, match="negative embedding eigenvalue"):
-        sample_fbm(seed=5, H=0.4, n=16)
+        sample_fbm([5], H=0.4, n=16)
 
 
 @pytest.mark.parametrize("H", [0.26, 0.3, 0.35, 0.4, 0.45, 0.5])
@@ -178,11 +203,10 @@ def test_fgn_embedding_eigenvalues_nonnegative(H):
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 2 ** 12, 2 ** 16])
 @pytest.mark.parametrize("d", [1, 3])
 def test_fbm_matches_complex_fft_oracle(H, n, d):
-    spec = dict(seed=derive_seed(61, n, d), H=H, n=n, d=d)
-    path, want = sample_fbm(**spec), sample_fbm_complex_fft(**spec)
-    assert np.array_equal(path.times, want.times)
-    assert np.all(path.values[0] == 0.0)
-    assert np.abs(path.values - want.values).max() <= 1e-12 * np.abs(want.values).max()
+    seed, spec = derive_seed(61, n, d), dict(H=H, n=n, d=d)
+    (path,), want = sample_fbm([seed], **spec), sample_fbm_complex_fft(seed, **spec)
+    assert np.all(path[0] == 0.0)
+    assert np.abs(path - want.values).max() <= 1e-12 * np.abs(want.values).max()
 
 
 def test_embedding_root_is_read_only():
@@ -197,18 +221,18 @@ def test_fbm_given_root_draws_the_same_bits():
     # a root built once and passed in gives each (n, H) the draw that builds
     # its own root, bit for bit; a root of another n is rejected
     for n, H in [(16, 0.4), (17, 0.4), (16, 0.3), (16, 0.4 + 2 ** -40)]:
-        spec = dict(seed=7, H=H, n=n, d=2)
-        got = sample_fbm(**spec, root=gauss.embedding_root(n, H)).values
-        assert got.tobytes() == sample_fbm(**spec).values.tobytes()
-        want = sample_fbm_complex_fft(**spec).values
+        spec = dict(H=H, n=n, d=2)
+        (got,) = sample_fbm([7], **spec, root=gauss.embedding_root(n, H))
+        assert got.tobytes() == sample_fbm([7], **spec)[0].tobytes()
+        want = sample_fbm_complex_fft(7, **spec).values
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     with pytest.raises(ValueError, match="root must have shape"):
-        sample_fbm(seed=7, H=0.4, n=16, root=gauss.embedding_root(17, 0.4))
+        sample_fbm([7], H=0.4, n=16, root=gauss.embedding_root(17, 0.4))
 
 
 def test_fbm_threads_sharing_a_root_agree():
     # more threads than cores draw through one root, with frequent switches
-    spec = dict(seed=19, H=0.35, n=2 ** 14, d=2)
+    spec = dict(seeds=[19], H=0.35, n=2 ** 14, d=2)
     root = gauss.embedding_root(spec["n"], spec["H"])
     workers = 4
     barrier = threading.Barrier(workers, timeout=30)
@@ -216,7 +240,7 @@ def test_fbm_threads_sharing_a_root_agree():
 
     def draw(i):
         barrier.wait()
-        out[i] = sample_fbm(**spec, root=root).values.tobytes()
+        out[i] = sample_fbm(**spec, root=root).tobytes()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -230,7 +254,7 @@ def test_fbm_threads_sharing_a_root_agree():
     finally:
         sys.setswitchinterval(interval)
     assert out[0] is not None and all(o == out[0] for o in out)
-    assert out[0] == sample_fbm(**spec).values.tobytes()
+    assert out[0] == sample_fbm(**spec).tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -242,9 +266,9 @@ def test_fbm_draws_the_bits_of_the_cast_root_route(d):
         for H in (0.26, 0.3, 0.4, 0.45, 0.5):
             root = gauss.embedding_root(n, H)
             for seed, T in ((derive_seed(62, n, d), 1.0), (3, 2.5), (2 ** 64 - 1, 0.5)):
-                spec = dict(seed=seed, H=H, n=n, d=d, T=T)
-                got = sample_fbm(**spec, root=root).values
-                assert got.tobytes() == sample_fbm_cast_root(**spec).values.tobytes(), spec
+                spec = dict(H=H, n=n, d=d, T=T)
+                (got,) = sample_fbm([seed], **spec, root=root)
+                assert got.tobytes() == sample_fbm_cast_root(seed, **spec).values.tobytes(), spec
 
 
 @pytest.mark.parametrize("bufsize", [8192, 16])
@@ -257,10 +281,10 @@ def test_fbm_draw_holds_only_its_arrays(d, bufsize):
     try:
         for n in (256, 512, 1024, 2048, 4096):
             root = gauss.embedding_root(n, 0.4)
-            sample_fbm(1, 0.4, n, d, root=root)  # numpy's small caches filled
+            sample_fbm([1], 0.4, n, d, root=root)  # numpy's small caches filled
             tracemalloc.start()
             try:
-                sample_fbm(1, 0.4, n, d, root=root)
+                sample_fbm([1], 0.4, n, d, root=root)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -269,11 +293,30 @@ def test_fbm_draw_holds_only_its_arrays(d, bufsize):
         np.setbufsize(old)
 
 
+@pytest.mark.parametrize("d", [1, 4])
+def test_fbm_batch_holds_its_array_and_one_transform(d):
+    # the batch's array is allocated after the first member's transform, and
+    # each member's steps are freed before the next member's are drawn: a
+    # batch of B peaks at its array beside one transform, (B + 4) d floats
+    # a step, and no more than the interpreter's objects beyond them
+    n = 4096
+    root = gauss.embedding_root(n, 0.4)
+    for B in (2, 3, 8):
+        sample_fbm(range(B), 0.4, n, d, root=root)  # numpy's small caches filled
+        tracemalloc.start()
+        try:
+            sample_fbm(range(B), 0.4, n, d, root=root)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = 8 * (B + 4) * d * (n + 1)
+        assert arrays - 2 ** 12 <= peak <= arrays + 2 ** 12, (B, peak - arrays)
+
+
 def test_fbm_general_horizon_scaling():
     # Var(X_T) = T^{2H} via self-similar increment scaling
     H, T = 0.35, 2.0
-    draws = np.array([sample_fbm(seed=derive_seed(37, i), H=H, n=1, T=T).values[-1, 0]
-                      for i in range(20000)])
+    draws = sample_fbm([derive_seed(37, i) for i in range(20000)], H, 1, T=T)[:, -1, 0]
     sq = draws ** 2
     se = sq.std(ddof=1) / np.sqrt(len(sq))
     assert abs(sq.mean() - T ** (2 * H)) <= 3.0 * se
@@ -281,12 +324,11 @@ def test_fbm_general_horizon_scaling():
 
 def test_fbm_cholesky_same_law_moments():
     H, n, trials = 0.3, 16, 20000
+    seeds = [derive_seed(13, i) for i in range(trials)]
     term = np.empty((trials, 2))
-    for i in range(trials):
-        s = derive_seed(13, i)
-        spec = dict(seed=s, H=H, n=n)
-        term[i, 0] = sample_fbm(**spec).values[-1, 0]
-        term[i, 1] = sample_fbm_cholesky(**spec).values[-1, 0]
+    term[:, 0] = sample_fbm(seeds, H, n)[:, -1, 0]
+    for i, s in enumerate(seeds):
+        term[i, 1] = sample_fbm_cholesky(s, H, n).values[-1, 0]
     sq = term ** 2
     ses = sq.std(axis=0, ddof=1) / np.sqrt(trials)
     assert np.all(np.abs(sq.mean(axis=0) - 1.0) <= 3.0 * ses)

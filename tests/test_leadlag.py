@@ -14,7 +14,7 @@ from roughlift.leadlag import BATCH_BYTES, TRIAL_BATCH, leadlag_trial_bytes
 from roughlift.report import MAX_GRID_STEPS, TRIAL_BYTES
 from roughlift.tensor2 import LiftedPath, holder_sweep, lift_piecewise_linear, zero_lift
 
-from oracles import (leadlag_residuals_assembled, leadlag_trial_full_level2,
+from oracles import (batch_of, leadlag_residuals_assembled, leadlag_trial_full_level2,
                      leadlag_trial_full_lifts, lift_piecewise_linear_full,
                      lift_strided_whole_grid, qv_matmul, sample_fbm_complex_fft)
 
@@ -98,7 +98,7 @@ def test_leadlag_lift_single_cell():
 def test_leadlag_lift_matches_integrated_hoff_lift(d, H):
     # both levels against the lift of the Hoff path at its even knots
     for n in (1, 2, 7, 32):
-        x = sample_fbm(seed=derive_seed(41, n, d), H=H, n=n, d=d).values
+        (x,) = sample_fbm([derive_seed(41, n, d)], H, n, d)
         got = leadlag_lift(x)
         want = lift_piecewise_linear(*hoff_path(x)).restrict(2 * np.arange(n + 1))
         assert np.array_equal(got.times, want.times)
@@ -125,8 +125,8 @@ def test_oracle_matches_lift_on_random_fbm():
     for H in (0.3, 0.4, 0.5):
         n = int(rng.integers(2, 33))
         d = int(rng.integers(1, 4))
-        path = sample_fbm(seed=int(rng.integers(1 << 62)), H=H, n=n, d=d)
-        err_oracle, err_diag, err_qv = leadlag_oracle_errors(path.values)
+        (path,) = sample_fbm([int(rng.integers(1 << 62))], H, n, d)
+        err_oracle, err_diag, err_qv = leadlag_oracle_errors(path)
         assert err_oracle <= 1e-12
         assert err_diag <= 1e-12   # diagonal blocks equal the interpolation area
         assert err_qv <= 1e-12     # cross block shifts by -QV/2 exactly
@@ -209,21 +209,15 @@ def test_trial_rejects_out_of_window_H():
 
 # -------------------------------------------------------------------- trials
 
-def _root(cfg):
-    """The embedding root that leadlag_experiment builds for a run and
-    hands to each of its batches."""
-    return gauss.embedding_root(cfg.n_ref, cfg.H)
-
-
 def test_trial_area_deviation_equals_half_qv():
     # dual route: the measured cross deviation must equal half the mean
     # diagonal quadratic variation of the subsampled path, per trial
     cfg = LeadLagConfig(H=0.4, n_schedule=(8, 32), n_ref=256, d=2, mc_trials=1,
                         base_seed=3)
-    results = run_leadlag_trial(cfg, [0], _root(cfg))[0]
-    ref = sample_fbm(seed=derive_seed(3, 0), H=0.4, n=256, d=2)
+    results = run_leadlag_trial(cfg, [0], leadlag.plan_run(cfg))[0]
+    (ref,) = sample_fbm([derive_seed(3, 0)], 0.4, 256, 2)
     for r in results:
-        x = ref.values[::256 // r.n]
+        x = ref[::256 // r.n]
         inc = np.diff(x, axis=0)
         qv_diag = np.sum(inc ** 2, axis=0)
         assert abs(r.areaDev1 - 0.5 * qv_diag.mean()) <= 1e-12 * max(1.0, qv_diag.mean())
@@ -232,7 +226,7 @@ def test_trial_area_deviation_equals_half_qv():
 def test_trial_h_half_counterterm_is_ito_stratonovich_shift():
     cfg = LeadLagConfig(H=0.5, n_schedule=(64,), n_ref=1024, d=1, mc_trials=1,
                         base_seed=5, alpha=0.25)
-    rows = [records[0] for records in run_leadlag_trial(cfg, range(6), _root(cfg))]
+    rows = [records[0] for records in run_leadlag_trial(cfg, range(6), leadlag.plan_run(cfg))]
     assert all(r.vNorm == 0.5 * np.sqrt(2.0) for r in rows)
     assert np.mean([r.dist_renorm for r in rows]) < np.mean([r.dist_raw for r in rows])
 
@@ -240,8 +234,8 @@ def test_trial_h_half_counterterm_is_ito_stratonovich_shift():
 def test_trial_coupled_grid_alignment():
     # the subsampled path is the restriction of the one reference draw
     cfg = LeadLagConfig(H=0.4, n_schedule=(8,), n_ref=64, d=1, mc_trials=1, base_seed=9)
-    ref = sample_fbm(seed=derive_seed(9, 2), H=0.4, n=64, d=1)
-    x8 = ref.values[::8]
+    (ref,) = sample_fbm([derive_seed(9, 2)], 0.4, 64, 1)
+    x8 = ref[::8]
     _, values = hoff_path(x8)
     assert values.shape == (17, 2)
     assert np.all(values[::2, 0] == x8[:, 0])
@@ -259,7 +253,7 @@ def test_trial_matches_full_lift_oracle(d, H):
         for schedule, n_ref in (((8, 16, 64), 256), ((16,), 64)):
             cfg = LeadLagConfig(H=H, alpha=alpha, n_schedule=schedule, n_ref=n_ref, d=d,
                                 mc_trials=2, base_seed=11)
-            batch = run_leadlag_trial(cfg, range(2), _root(cfg))
+            batch = run_leadlag_trial(cfg, range(2), leadlag.plan_run(cfg))
             for k in range(2):
                 got, want = batch[k], leadlag_trial_full_lifts(cfg, k)
                 assert [r.n for r in got] == [r.n for r in want] == list(schedule)
@@ -307,13 +301,13 @@ def test_trial_matches_cumsum_lift_oracle(monkeypatch, d):
     # 1e-12 relative, the counter-term norm bit for bit
     cfg = LeadLagConfig(H=0.4, alpha=0.3, n_schedule=(16, 32, 64, 128), n_ref=1024, d=d,
                         mc_trials=4, base_seed=3)
-    got = run_leadlag_trial(cfg, range(cfg.mc_trials), _root(cfg))
+    got = run_leadlag_trial(cfg, range(cfg.mc_trials), leadlag.plan_run(cfg))
     calls = []
     monkeypatch.setattr(leadlag, "lift_piecewise_linear", _counted(calls, _batched(
         lambda t, x, stride: lift_piecewise_linear_full(t, x).restrict(
             np.arange(0, len(t), stride)))))
     monkeypatch.setattr(leadlag, "running_outer_sum", _counted(calls, _cumsum_sums_into))
-    want = run_leadlag_trial(cfg, range(cfg.mc_trials), _root(cfg))
+    want = run_leadlag_trial(cfg, range(cfg.mc_trials), leadlag.plan_run(cfg))
     assert len(calls) == 1 + len(cfg.n_schedule)  # the batch's references, every n
     for k in range(cfg.mc_trials):
         for r, w in zip(got[k], want[k], strict=True):
@@ -341,10 +335,10 @@ def test_trial_matches_matmul_lift_and_qv_oracle(monkeypatch, d, schedule, n_ref
     # within 1e-12 relative, the counter-term norm bit for bit
     cfg = LeadLagConfig(H=0.4, alpha=0.3, n_schedule=schedule, n_ref=n_ref, d=d, mc_trials=8,
                         base_seed=13)
-    got = run_leadlag_trial(cfg, range(cfg.mc_trials), _root(cfg))
+    got = run_leadlag_trial(cfg, range(cfg.mc_trials), leadlag.plan_run(cfg))
     monkeypatch.setattr(leadlag, "lift_piecewise_linear", _batched(lift_strided_whole_grid))
     monkeypatch.setattr(leadlag, "running_outer_sum", _matmul_sums_into)
-    want = run_leadlag_trial(cfg, range(cfg.mc_trials), _root(cfg))
+    want = run_leadlag_trial(cfg, range(cfg.mc_trials), leadlag.plan_run(cfg))
     for k in range(cfg.mc_trials):
         for r, w in zip(got[k], want[k], strict=True):
             assert r.n == w.n and r.vNorm == w.vNorm
@@ -366,10 +360,10 @@ def test_trial_matches_full_level2_oracle(d, schedule, n_ref, trials):
     cfg = LeadLagConfig(H=0.4, alpha=0.3, n_schedule=schedule, n_ref=n_ref, d=d,
                         mc_trials=trials, base_seed=0)
     batches = [range(k, min(k + cfg.batch, trials)) for k in range(0, trials, cfg.batch)]
-    root = _root(cfg)
+    plan = leadlag.plan_run(cfg)
     for ks in batches:
-        for records, oracle in zip(run_leadlag_trial(cfg, ks, root),
-                                   leadlag_trial_full_level2(cfg, ks, root), strict=True):
+        for records, oracle in zip(run_leadlag_trial(cfg, ks, plan),
+                                   leadlag_trial_full_level2(cfg, ks, plan), strict=True):
             for r, w in zip(records, oracle, strict=True):
                 assert r.n == w.n and r.vNorm == w.vNorm
                 for name in ("dist_renorm", "dist_raw", "areaDev1"):
@@ -396,12 +390,12 @@ def test_trial_matches_assembled_residual_oracle(monkeypatch, d, schedule, n_ref
     cfg = LeadLagConfig(H=0.4, alpha=0.3, n_schedule=schedule, n_ref=n_ref, d=d, mc_trials=8,
                         base_seed=17)
     trials = range(cfg.batch)
-    for got, want in zip(leadlag._residuals(cfg, trials, _root(cfg)),
+    for got, want in zip(leadlag._residuals(cfg, trials, leadlag.plan_run(cfg)),
                          leadlag_residuals_assembled(cfg, trials), strict=True):
         assert got.shape == want.shape and _bits(got) == _bits(want)
-    got = run_leadlag_trial(cfg, trials, _root(cfg))
+    got = run_leadlag_trial(cfg, trials, leadlag.plan_run(cfg))
     monkeypatch.setattr(leadlag, "_residuals", leadlag_residuals_assembled)
-    want = run_leadlag_trial(cfg, trials, _root(cfg))
+    want = run_leadlag_trial(cfg, trials, leadlag.plan_run(cfg))
     assert len(got) == len(want) == len(trials)
     for records, oracle in zip(got, want):
         assert _bits([astuple(r) for r in records]) == _bits([astuple(r) for r in oracle])
@@ -410,16 +404,17 @@ def test_trial_matches_assembled_residual_oracle(monkeypatch, d, schedule, n_ref
 def test_trial_matches_complex_fft_sampler(monkeypatch):
     # the leadlag benchmark config, all 64 trials: with the real-FFT fGn map
     # every field stays within 1e-12 relative of the trial drawn by
-    # the per-component complex-FFT route, the counter-term norm bit for bit
+    # the per-component complex-FFT route, a batch's draws in one call, the
+    # counter-term norm bit for bit
     cfg = LeadLagConfig(H=0.4, alpha=0.3, n_schedule=(16, 32, 64, 128, 256, 512, 1024),
                         n_ref=4096, d=1, mc_trials=64, base_seed=0)
     batches = [range(k, k + cfg.batch) for k in range(0, cfg.mc_trials, cfg.batch)]
-    root = _root(cfg)
-    got = [records for ks in batches for records in run_leadlag_trial(cfg, ks, root)]
+    plan = leadlag.plan_run(cfg)
+    got = [records for ks in batches for records in run_leadlag_trial(cfg, ks, plan)]
     calls = []
-    monkeypatch.setattr(leadlag, "sample_fbm", _counted(calls, sample_fbm_complex_fft))
-    want = [records for ks in batches for records in run_leadlag_trial(cfg, ks, root)]
-    assert len(calls) == cfg.mc_trials
+    monkeypatch.setattr(leadlag, "sample_fbm", _counted(calls, batch_of(sample_fbm_complex_fft)))
+    want = [records for ks in batches for records in run_leadlag_trial(cfg, ks, plan)]
+    assert len(calls) == len(batches) == cfg.mc_trials // TRIAL_BATCH
     for k in range(cfg.mc_trials):
         for r, w in zip(got[k], want[k], strict=True):
             assert r.n == w.n and r.vNorm == w.vNorm
@@ -435,20 +430,49 @@ def test_trial_records_do_not_depend_on_batch(d):
     cfg = LeadLagConfig(H=0.4, alpha=0.3, n_schedule=(8, 16, 64), n_ref=256, d=d,
                         mc_trials=2 * TRIAL_BATCH + 3, base_seed=7)
     assert cfg.batch == TRIAL_BATCH
-    root = _root(cfg)
-    alone = [run_leadlag_trial(cfg, [k], root)[0] for k in range(cfg.mc_trials)]
+    plan = leadlag.plan_run(cfg)
+    alone = [run_leadlag_trial(cfg, [k], plan)[0] for k in range(cfg.mc_trials)]
     batched = [records for k in range(0, cfg.mc_trials, cfg.batch)
                for records in run_leadlag_trial(cfg, range(k, min(k + cfg.batch, cfg.mc_trials)),
-                                                root)]
+                                                plan)]
     assert batched == alone
-    assert run_leadlag_trial(cfg, range(3, 3 + cfg.batch), root) == alone[3:3 + cfg.batch]
+    assert run_leadlag_trial(cfg, range(3, 3 + cfg.batch), plan) == alone[3:3 + cfg.batch]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_plan_arrays_are_read_only(d):
+    cfg = LeadLagConfig(H=0.4, n_schedule=(8, 16, 64), n_ref=256, d=d, mc_trials=1)
+    plan = leadlag.plan_run(cfg)
+    arrays = [plan.root, plan.ref_times, plan.zero.times, plan.zero.level1, plan.zero.area,
+              plan.shifts, plan.cross]
+    for a in arrays:
+        assert isinstance(a, np.ndarray) and not a.flags.writeable
+    assert plan.shifts.shape == (3, d * (2 * d - 1)) and len(plan.vnorms) == 3
+    # the entry maps are tuples of ints, immutable as they are
+    assert all(type(i) is int for group in plan.maps for entry in group for i in entry)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_batch_records_equal_those_from_a_plan_built_for_it_alone(d):
+    # every batch of a run reads one plan, in turn and on 2 threads; each
+    # batch's records equal those it gets from a plan built for it alone
+    cfg = LeadLagConfig(H=0.4, alpha=0.3, n_schedule=(8, 16, 64), n_ref=256, d=d,
+                        mc_trials=2 * TRIAL_BATCH + 3, base_seed=8)
+    batches = [range(k, min(k + cfg.batch, cfg.mc_trials))
+               for k in range(0, cfg.mc_trials, cfg.batch)]
+    shared = leadlag.plan_run(cfg)
+    in_turn = [run_leadlag_trial(cfg, ks, shared) for ks in batches]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        pooled = list(pool.map(lambda ks: run_leadlag_trial(cfg, ks, shared), batches))
+    alone = [run_leadlag_trial(cfg, ks, leadlag.plan_run(cfg)) for ks in batches]
+    assert in_turn == pooled == alone
 
 
 def _trial_peak_bytes(cfg):
-    # one whole batch, after the run has built its root
+    # one whole batch and the run's plan, built in the trace
     tracemalloc.start()
     try:
-        run_leadlag_trial(cfg, range(cfg.batch), _root(cfg))
+        run_leadlag_trial(cfg, range(cfg.batch), leadlag.plan_run(cfg))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -462,14 +486,15 @@ def _bound(cfg):
 def test_trial_memory_per_reference_step(d):
     # the bound behind TRIAL_BYTES: the slope of a trial's traced peak over
     # n_ref (2^19 and 2^20, batches of one trial) is the per-step term of
-    # leadlag_trial_bytes, 8 (4d + 1) B
+    # leadlag_trial_bytes, 8 (4d + 2) B: the plan's root and reference
+    # times beside one draw's transform
     cfgs = [LeadLagConfig(H=0.4, n_schedule=(32, 64), n_ref=n_ref, d=d, mc_trials=1)
             for n_ref in (2 ** 19, 2 ** 20)]
     assert [cfg.batch for cfg in cfgs] == [1, 1]
     peaks = [_trial_peak_bytes(cfg) for cfg in cfgs]
     slope = (peaks[1] - peaks[0]) / (cfgs[1].n_ref - cfgs[0].n_ref)
     per_step = (_bound(cfgs[1]) - _bound(cfgs[0])) / (cfgs[1].n_ref - cfgs[0].n_ref)
-    assert per_step == 8 * (4 * d + 1)
+    assert per_step == 8 * (4 * d + 2)
     assert abs(slope - per_step) <= 0.01 * per_step
     assert all(peak <= _bound(cfg) for peak, cfg in zip(peaks, cfgs))
 
@@ -515,18 +540,18 @@ def test_warm_worker_batch_holds_what_the_first_did(n_ref, d, schedule):
     # the first did, and both within the bound
     cfg = LeadLagConfig(H=0.4, n_schedule=schedule, n_ref=n_ref, d=d, mc_trials=1)
 
-    def two_batches(root):
+    def two_batches(plan):
         peaks = []
         for k0 in (0, cfg.batch):
             tracemalloc.reset_peak()
-            run_leadlag_trial(cfg, range(k0, k0 + cfg.batch), root)
+            run_leadlag_trial(cfg, range(k0, k0 + cfg.batch), plan)
             peaks.append(tracemalloc.get_traced_memory()[1])
         return peaks
 
     tracemalloc.start()
     try:
         with ThreadPoolExecutor(max_workers=1) as pool:
-            cold, warm = pool.submit(two_batches, _root(cfg)).result()
+            cold, warm = pool.submit(two_batches, leadlag.plan_run(cfg)).result()
     finally:
         tracemalloc.stop()
     assert max(cold, warm) <= _bound(cfg)
@@ -600,9 +625,12 @@ def test_config_rejects_trial_over_byte_budget():
     assert cfg.batch == 1 and _bound(cfg) <= TRIAL_BYTES
     with pytest.raises(ValueError, match="TRIAL_BYTES"):
         replace(cfg, d=3)
-    # a coarse n_min costs nothing: the lifts' blocks hold O(ROW_BLOCK d)
-    # floats whatever the stride, so sampling stays the peak
-    assert _bound(replace(cfg, n_schedule=(1, 2))) == _bound(cfg)
+    # a coarse n_min costs nothing beyond the plan's sweep grid and
+    # counter-term entries (n_min + 1 + k d (2d - 1) floats): the lifts'
+    # blocks hold O(ROW_BLOCK d) floats whatever the stride, so sampling
+    # stays the peak
+    plan_floats = (8 + 1 + 3 * 6) - (1 + 1 + 2 * 6)
+    assert _bound(cfg) - _bound(replace(cfg, n_schedule=(1, 2))) == 8 * plan_floats
 
 
 def test_batches_shrink_to_the_byte_budget():
@@ -613,11 +641,14 @@ def test_batches_shrink_to_the_byte_budget():
         return LeadLagConfig(H=0.4, n_schedule=schedule, n_ref=n_ref, d=d, mc_trials=1).batch
 
     assert batch(4096) == batch(*BENCHMARK_SHAPE) == TRIAL_BATCH
-    assert [batch(n_ref) for n_ref in (2 ** 15, 2 ** 16, 2 ** 17, 2 ** 18)] == [8, 7, 3, 1]
+    # a batch holds its draws and one member's transform, (batch + 4) d
+    # floats a reference step, beside the plan's 2
+    assert [batch(n_ref) for n_ref in (2 ** 15, 2 ** 16, 2 ** 17, 2 ** 18)] == [8, 8, 1, 1]
+    assert [batch(2 ** 16, d) for d in (2, 3)] == [2, 1]
     # each phase is charged its own arrays and its kernel's working bytes,
     # and the residuals hold 28 area entries a point, not 64 level-2 ones, so
-    # a full batch fits (it traces 5.74 MB against a bound of 6.10 MB, whose
-    # peak phase is the lifting)
+    # a full batch fits (it traces 5.78 MB against a bound of 5.79 MB, whose
+    # peak phase is the sweep)
     assert batch(4096, d=4, schedule=(512, 1024)) == TRIAL_BATCH
     for n_ref, d, schedule in ((4096, 1, (16, 32)), (2 ** 16, 1, (16, 32)),
                                (4096, 4, (512, 1024))):
@@ -645,7 +676,7 @@ def test_experiment_builds_one_embedding_root(monkeypatch):
 def test_experiment_single_trial_table():
     cfg = LeadLagConfig(H=0.4, n_schedule=(8, 16), n_ref=128, mc_trials=1, base_seed=2)
     rows = leadlag_experiment(cfg)
-    single = run_leadlag_trial(cfg, [0], _root(cfg))[0]
+    single = run_leadlag_trial(cfg, [0], leadlag.plan_run(cfg))[0]
     assert rows[0]["dist_renorm_mean"] == single[0].dist_renorm
     assert rows[1]["areaDev1_mean"] == single[1].areaDev1
     assert rows[0]["dist_renorm_se"] == 0.0

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from roughlift.gauss import embedding_root, sample_bm, sample_fbm
+from roughlift import leadlag
+from roughlift.gauss import sample_bm, sample_fbm
 from roughlift.leadlag import LeadLagConfig, run_leadlag_trial
 from roughlift.magnetic import MagneticConfig, fine_grid_n, plan_run, run_magnetic_trial
 from roughlift.tensor2 import ROW_BLOCK
@@ -56,13 +57,15 @@ def test_leadlag_batch_sums_release_the_gil(cumsum_calls, d):
     # a batch of 8 trials: each member's sums are their own calls
     cfg = LeadLagConfig(H=0.4, n_schedule=(16, 32), n_ref=256, d=d, mc_trials=8)
     assert cfg.batch == 8
-    run_leadlag_trial(cfg, range(cfg.batch), embedding_root(cfg.n_ref, cfg.H))
+    run_leadlag_trial(cfg, range(cfg.batch), leadlag.plan_run(cfg))
     assert_released(cumsum_calls, {"roughlift.tensor2"})
 
 
 @pytest.mark.parametrize("d", [1, 3])
 def test_sampler_sums_release_the_gil(cumsum_calls, d):
-    sample_fbm(seed=1, H=0.4, n=64, d=d)
-    sample_bm(1.0, 64, d, seed=1)
+    # a batch of 3 from each sampler: each member's column sums are their
+    # own calls
+    sample_fbm([1, 2, 3], H=0.4, n=64, d=d)
+    sample_bm(1.0, 64, d, [1, 2, 3])
     assert_released(cumsum_calls, {"roughlift.tensor2"})
-    assert len(cumsum_calls) == 2 * d
+    assert len(cumsum_calls) == 2 * 3 * d
