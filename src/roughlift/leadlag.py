@@ -19,10 +19,10 @@ The experiment uses the identity directly.  At the points of the coarsest
 schedule grid the lead-lag lift and the doubled path share level 1, so a
 trial is measured by its residual there, built from d-dimensional areas
 and the running quadratic variation alone; no Hoff path or 2d-dimensional
-lift enters it.  Trials run in batches (``TRIAL_BATCH``) with the batch
-axis first, each batch reading the run's plan (``plan_run``) and drawing
-its paths in one sample_fbm call, and one Hoelder sweep of all residuals
-of a batch against the zero lift gives every distance.
+lift enters it, and the n_ref path's reference area is one
+running_outer_sum.  Trials run in batches (``TRIAL_BATCH``), each reading
+the run's plan (``plan_run``) and drawing its paths in one sample_fbm
+call, and one Hoelder sweep of a batch's residuals gives every distance.
 """
 from __future__ import annotations
 
@@ -33,10 +33,10 @@ import numpy as np
 
 from .gauss import derive_seed, embedding_root, fgn_autocov, sample_fbm
 from .report import ConfigError, check_run, run_trials
-from .tensor2 import (LiftedPath, area_entries, holder_sweep, lift_piecewise_linear,
-                      outer_sum_memory, running_outer_sum, sweep_memory, zero_lift)
+from .tensor2 import (LiftedPath, area_entries, holder_sweep, outer_sum_memory,
+                      running_outer_sum, sweep_memory, zero_lift)
 # importable from here, as perfbench/tracing.py wraps them under this module's name
-from .tensor2 import holder_distance, translate  # noqa: F401
+from .tensor2 import holder_distance, lift_piecewise_linear, translate  # noqa: F401
 
 
 def _as_samples(samples) -> np.ndarray:
@@ -89,22 +89,16 @@ def leadlag_lift(samples) -> LiftedPath:
     return LiftedPath(np.arange(n + 1) / n, np.hstack([x - x[0]] * 2), area)
 
 
-def _entry_index(d: int, k: int) -> np.ndarray:
-    """(d, d) positions of the entries p <= q - k among the np.triu_indices(d, k)."""
-    index, entries = np.full((d, d), -1), np.triu_indices(d, k)
-    index[entries] = np.arange(len(entries[0]))
-    return index
-
-
 def _area_maps(d: int) -> tuple[tuple, tuple]:
     """Where _leadlag_area writes in dimension d: per p, the QV entry (p, p)
     and the area entry (p, d + p); per area entry e = (p, q), p < q, of
     dimension d, the area entries (p, q), (d + p, d + q), (p, d + q) and
-    (q, d + p) of dimension 2d and the QV entry (p, q).  Plain ints."""
-    io, iq = _entry_index(2 * d, 1), _entry_index(d, 0)
-    diagonal = tuple((int(iq[p, p]), int(io[p, d + p])) for p in range(d))
-    entries = tuple(tuple(int(i) for i in (io[p, q], io[d + p, d + q], io[p, d + q],
-                                           io[q, d + p], iq[p, q]))
+    (q, d + p) of dimension 2d and the QV entry (p, q), in the orders
+    running_outer_sum writes (combinations, combinations_with_replacement)."""
+    io = {pq: e for e, pq in enumerate(itertools.combinations(range(2 * d), 2))}
+    iq = {pq: e for e, pq in enumerate(itertools.combinations_with_replacement(range(d), 2))}
+    diagonal = tuple((iq[p, p], io[p, d + p]) for p in range(d))
+    entries = tuple((io[p, q], io[d + p, d + q], io[p, d + q], io[q, d + p], iq[p, q])
                     for p, q in itertools.combinations(range(d), 2))
     return diagonal, entries
 
@@ -181,14 +175,13 @@ def leadlag_trial_bytes(n_ref: int, d: int, schedule, batch: int = 1) -> int:
     d (2d - 1) area entries a residual, k schedule points, the coarsest
     n_min and P = batch (n_min + 1):
 
-    * the plan, 2N + n_min + 1 + k E: the embedding root, the reference and
-      sweep grids and the counter-terms' area entries;
+    * the plan, N + n_min + 1 + k E: the embedding root, the sweep grid
+      and the counter-terms' area entries;
     * sampling, N d (4 + batch), or 4 N d for one trial: a member's normals
       and half-spectra (4d floats a step) beside the batch's draws, which
       are allocated after the first member's transform;
-    * the reference lift, N d batch + P (d + d (d - 1)/2) + n_min + 1: the
-      draws and the lift's level 1, area and times, and its
-      running_outer_sum;
+    * the reference area, N d batch + P d (d - 1)/2: the draws and the
+      area, and its running_outer_sum;
     * the n-lifts, N d batch + P (E k + d (d - 1)/2 + d^2): the draws, the
       residuals, the reference area and one n's area and QV sums, and the
       finest n's running_outer_sum;
@@ -197,9 +190,9 @@ def leadlag_trial_bytes(n_ref: int, d: int, schedule, batch: int = 1) -> int:
     """
     n, n_min, k = n_ref + 1, schedule[0], len(schedule)
     entries, points, draws = d * (2 * d - 1), batch * (n_min + 1), n * d * batch
-    plan = 2 * n + n_min + 1 + k * entries
+    plan = n + n_min + 1 + k * entries
     sampling = 8 * n * d * (4 + batch if batch > 1 else 4)
-    reference = 8 * (draws + points * (d + d * (d - 1) // 2) + n_min + 1)
+    reference = 8 * (draws + points * (d * (d - 1) // 2))
     reference += outer_sum_memory(batch, n_ref, d, False)[2]
     lifting = 8 * (draws + points * (entries * k + d * (d - 1) // 2 + d * d))
     lifting += outer_sum_memory(batch, schedule[-1], d, True)[2]
@@ -272,13 +265,12 @@ class TrialResult:
 class LeadLagPlan:
     """What every batch of a lead-lag run reads, built by ``plan_run``
     before the pool starts, its arrays read-only: the fBm embedding root
-    (``embedding_root(n_ref, H)``), the reference grid's times, the zero
-    lift of dimension 2d on the sweep grid (the coarsest schedule grid),
-    the counter-terms' area entries (k, d (2d - 1)) and norms, where
+    (``embedding_root(n_ref, H)``), its one array of n_ref + 1 floats, the
+    zero lift of dimension 2d on the sweep grid (the coarsest schedule
+    grid), the counter-terms' area entries (k, d (2d - 1)) and norms, where
     _leadlag_area writes (``_area_maps``) and the area entries (i, d + i)."""
 
     root: np.ndarray
-    ref_times: np.ndarray
     zero: LiftedPath
     shifts: np.ndarray
     vnorms: tuple[float, ...]
@@ -293,15 +285,14 @@ def plan_run(cfg: LeadLagConfig) -> LeadLagPlan:
         root = embedding_root(cfg.n_ref, cfg.H)
     except ValueError as e:
         raise ConfigError(f"unrunnable at n_ref = {cfg.n_ref}, H = {cfg.H:g}: {e}") from e
-    ref_times = np.arange(cfg.n_ref + 1) / cfg.n_ref
     times = np.arange(cfg.n_schedule[0] + 1) / cfg.n_schedule[0]
     terms = counter_terms(cfg.H, cfg.n_schedule, cfg.d)
     shifts = area_entries(terms)
     maps = _area_maps(cfg.d)
     cross = np.array([entry for _, entry in maps[0]])  # the (i, d + i) entries
-    for array in (ref_times, times, shifts, cross):
+    for array in (times, shifts, cross):
         array.flags.writeable = False
-    return LeadLagPlan(root, ref_times, zero_lift(times, 2 * cfg.d), shifts,
+    return LeadLagPlan(root, zero_lift(times, 2 * cfg.d), shifts,
                        tuple(float(np.linalg.norm(v)) for v in terms), maps, cross)
 
 
@@ -330,15 +321,16 @@ def _residuals(cfg: LeadLagConfig, trials, plan: LeadLagPlan) -> tuple[np.ndarra
     against the doubled reference (X, X) on the coarsest grid, where the two
     share level 1, and (B, k) areaDev1, for the B trials of a batch and the
     k schedule points.  Each residual is the lead-lag area of the n-samples
-    (``_leadlag_area``) less the strided n_ref-lift's area on its
-    interpolated part; the batch's draws are one (B, n_ref + 1, d) array,
-    so each lift is one batched call.  areaDev1 is minus the mean
-    (i, d + i) area entry at (0, 1), where the doubled path's is 0: half
-    the mean diagonal QV."""
+    (``_leadlag_area``) less, on its interpolated part, the n_ref path's
+    running area on the coarsest grid; the batch's draws are one (B, n_ref
+    + 1, d) array, so that and each n's sums are one running_outer_sum call
+    each.  areaDev1 is minus the mean (i, d + i) area entry at (0, 1),
+    where the doubled path's is 0: half the mean diagonal QV."""
     d, n_ref, n_min = cfg.d, cfg.n_ref, cfg.n_schedule[0]
     x = sample_fbm([derive_seed(cfg.base_seed, k) for k in trials], cfg.H, n_ref, d,
                    root=plan.root)
-    ref = lift_piecewise_linear(plan.ref_times, x, stride=n_ref // n_min).area
+    ref = np.empty((len(x), n_min + 1, d * (d - 1) // 2))
+    running_outer_sum(x, n_ref // n_min, ref)
     res = np.empty((len(x), len(cfg.n_schedule), n_min + 1, d * (2 * d - 1)))
     for m, n in enumerate(cfg.n_schedule):
         _leadlag_area(x[:, ::n_ref // n], n // n_min, res[:, m], plan.maps, ref)

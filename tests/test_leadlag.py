@@ -1,6 +1,6 @@
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -264,16 +264,6 @@ def test_trial_matches_full_lift_oracle(d, H):
                         assert abs(a - b) <= 1e-12 * abs(b), (name, r.n, alpha, k)
 
 
-def _batched(lift):
-    """A per-path lift function extended to batches of paths (a leading
-    axis): each member lifted alone, the results stacked into one lift."""
-    def lift_batch(t, x, stride):
-        lifts = [lift(t, member, stride) for member in x]
-        return LiftedPath(lifts[0].times, np.stack([m.level1 for m in lifts]),
-                          np.stack([m.area for m in lifts]))
-    return lift_batch
-
-
 def _counted(calls, f):
     def counted(*args, **kwargs):
         calls.append(1)
@@ -281,12 +271,15 @@ def _counted(calls, f):
     return counted
 
 
-def _cumsum_sums_into(x, stride, area, qv):
-    # each n's area and QV, which leadlag asks of the running-sum kernel in
-    # one call, from whole-grid cumsums: the area of the cumsum lift and the
-    # running sums of the increments' products, at every stride-th sample
+def _cumsum_sums_into(x, stride, area, qv=None):
+    # the reference area, and each n's area and QV, which leadlag asks of the
+    # running-sum kernel in one call, from whole-grid cumsums: the area of
+    # the cumsum lift and the running sums of the increments' products, at
+    # every stride-th sample
     t = np.arange(x.shape[-2]) / (x.shape[-2] - 1)
     area[...] = np.stack([lift_piecewise_linear_full(t, m).area[::stride] for m in x])
+    if qv is None:
+        return
     inc = np.diff(x, axis=-2)
     p, q = np.triu_indices(x.shape[-1])
     qv[..., 0, :] = 0.0
@@ -295,20 +288,16 @@ def _cumsum_sums_into(x, stride, area, qv):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_trial_matches_cumsum_lift_oracle(monkeypatch, d):
-    # level 1 in closed form against the old lift: a whole-grid cumsum lift
-    # (level 1 a running sum of the increments) restricted to the stride,
-    # and each n's area and QV from whole-grid cumsums, every field within
-    # 1e-12 relative, the counter-term norm bit for bit
+    # the running sums against the old lift: the reference area and each
+    # n's area and QV from whole-grid cumsums, every field within 1e-12
+    # relative, the counter-term norm bit for bit
     cfg = LeadLagConfig(H=0.4, alpha=0.3, n_schedule=(16, 32, 64, 128), n_ref=1024, d=d,
                         mc_trials=4, base_seed=3)
     got = run_leadlag_trial(cfg, range(cfg.mc_trials), leadlag.plan_run(cfg))
     calls = []
-    monkeypatch.setattr(leadlag, "lift_piecewise_linear", _counted(calls, _batched(
-        lambda t, x, stride: lift_piecewise_linear_full(t, x).restrict(
-            np.arange(0, len(t), stride)))))
     monkeypatch.setattr(leadlag, "running_outer_sum", _counted(calls, _cumsum_sums_into))
     want = run_leadlag_trial(cfg, range(cfg.mc_trials), leadlag.plan_run(cfg))
-    assert len(calls) == 1 + len(cfg.n_schedule)  # the batch's references, every n
+    assert len(calls) == 1 + len(cfg.n_schedule)  # the batch's reference area, every n
     for k in range(cfg.mc_trials):
         for r, w in zip(got[k], want[k], strict=True):
             assert r.n == w.n and r.vNorm == w.vNorm
@@ -317,17 +306,20 @@ def test_trial_matches_cumsum_lift_oracle(monkeypatch, d):
                 assert abs(a - b) <= 1e-12 * abs(b), (name, r.n, k)
 
 
-def _matmul_sums_into(x, stride, area, qv):
-    # leadlag asks the running-sum kernel for each n's area and QV at once
+def _matmul_sums_into(x, stride, area, qv=None):
+    # leadlag asks the running-sum kernel for the reference area, and for
+    # each n's area and QV at once
     t = np.arange(x.shape[-2]) / (x.shape[-2] - 1)
     area[...] = np.stack([lift_strided_whole_grid(t, m, stride).area for m in x])
-    qv[...] = qv_matmul(x, stride)[(...,) + np.triu_indices(x.shape[-1])]
+    if qv is not None:
+        qv[...] = qv_matmul(x, stride)[(...,) + np.triu_indices(x.shape[-1])]
 
 
 @pytest.mark.parametrize("d, schedule, n_ref", [
     (1, (16, 32, 64, 128, 256, 512, 1024), 4096),   # the leadlag benchmark shape
     (2, (16, 32, 64, 128, 256, 512, 1024), 4096),
     (1, (1, 2), 2 ** 16),                           # reference cells spanning blocks
+    (2, (1, 2), 2 ** 16),                           # and carrying reference areas
 ])
 def test_trial_matches_matmul_lift_and_qv_oracle(monkeypatch, d, schedule, n_ref):
     # the running sums against the old route: each cell's lift terms and QV
@@ -336,7 +328,6 @@ def test_trial_matches_matmul_lift_and_qv_oracle(monkeypatch, d, schedule, n_ref
     cfg = LeadLagConfig(H=0.4, alpha=0.3, n_schedule=schedule, n_ref=n_ref, d=d, mc_trials=8,
                         base_seed=13)
     got = run_leadlag_trial(cfg, range(cfg.mc_trials), leadlag.plan_run(cfg))
-    monkeypatch.setattr(leadlag, "lift_piecewise_linear", _batched(lift_strided_whole_grid))
     monkeypatch.setattr(leadlag, "running_outer_sum", _matmul_sums_into)
     want = run_leadlag_trial(cfg, range(cfg.mc_trials), leadlag.plan_run(cfg))
     for k in range(cfg.mc_trials):
@@ -381,6 +372,7 @@ def _bits(a):
     (3, (16, 64, 256), 1024),                       # odd d: blocks split unevenly in memory
     (4, (16, 64, 256), 1024),
     (1, (1, 2), 2 ** 16),                           # reference cells spanning blocks
+    (2, (1, 2), 2 ** 16),                           # and carrying reference areas
 ])
 def test_trial_matches_assembled_residual_oracle(monkeypatch, d, schedule, n_ref):
     # the lead-lag area written entry by entry into each residual against
@@ -443,13 +435,25 @@ def test_trial_records_do_not_depend_on_batch(d):
 def test_plan_arrays_are_read_only(d):
     cfg = LeadLagConfig(H=0.4, n_schedule=(8, 16, 64), n_ref=256, d=d, mc_trials=1)
     plan = leadlag.plan_run(cfg)
-    arrays = [plan.root, plan.ref_times, plan.zero.times, plan.zero.level1, plan.zero.area,
-              plan.shifts, plan.cross]
+    arrays = [plan.root, plan.zero.times, plan.zero.level1, plan.zero.area, plan.shifts,
+              plan.cross]
     for a in arrays:
         assert isinstance(a, np.ndarray) and not a.flags.writeable
     assert plan.shifts.shape == (3, d * (2 * d - 1)) and len(plan.vnorms) == 3
     # the entry maps are tuples of ints, immutable as they are
     assert all(type(i) is int for group in plan.maps for entry in group for i in entry)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_plan_holds_one_reference_grid_array(d):
+    # the reference area comes from the draws by running_outer_sum alone, so
+    # of every array the plan holds only the embedding root is as long as
+    # the reference grid
+    cfg = LeadLagConfig(H=0.4, n_schedule=(8, 16, 64), n_ref=256, d=d, mc_trials=1)
+    plan = leadlag.plan_run(cfg)
+    values = [getattr(owner, f.name) for owner in (plan, plan.zero) for f in fields(owner)]
+    long = [a for a in values if isinstance(a, np.ndarray) and a.size > cfg.n_ref]
+    assert len(long) == 1 and long[0] is plan.root and plan.root.shape == (cfg.n_ref + 1,)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -486,15 +490,15 @@ def _bound(cfg):
 def test_trial_memory_per_reference_step(d):
     # the bound behind TRIAL_BYTES: the slope of a trial's traced peak over
     # n_ref (2^19 and 2^20, batches of one trial) is the per-step term of
-    # leadlag_trial_bytes, 8 (4d + 2) B: the plan's root and reference
-    # times beside one draw's transform
+    # leadlag_trial_bytes, 8 (4d + 1) B: the plan's root beside one draw's
+    # transform
     cfgs = [LeadLagConfig(H=0.4, n_schedule=(32, 64), n_ref=n_ref, d=d, mc_trials=1)
             for n_ref in (2 ** 19, 2 ** 20)]
     assert [cfg.batch for cfg in cfgs] == [1, 1]
     peaks = [_trial_peak_bytes(cfg) for cfg in cfgs]
     slope = (peaks[1] - peaks[0]) / (cfgs[1].n_ref - cfgs[0].n_ref)
     per_step = (_bound(cfgs[1]) - _bound(cfgs[0])) / (cfgs[1].n_ref - cfgs[0].n_ref)
-    assert per_step == 8 * (4 * d + 2)
+    assert per_step == 8 * (4 * d + 1)
     assert abs(slope - per_step) <= 0.01 * per_step
     assert all(peak <= _bound(cfg) for peak, cfg in zip(peaks, cfgs))
 
@@ -642,12 +646,12 @@ def test_batches_shrink_to_the_byte_budget():
 
     assert batch(4096) == batch(*BENCHMARK_SHAPE) == TRIAL_BATCH
     # a batch holds its draws and one member's transform, (batch + 4) d
-    # floats a reference step, beside the plan's 2
-    assert [batch(n_ref) for n_ref in (2 ** 15, 2 ** 16, 2 ** 17, 2 ** 18)] == [8, 8, 1, 1]
-    assert [batch(2 ** 16, d) for d in (2, 3)] == [2, 1]
+    # floats a reference step, beside the plan's 1
+    assert [batch(n_ref) for n_ref in (2 ** 15, 2 ** 16, 2 ** 17, 2 ** 18)] == [8, 8, 2, 1]
+    assert [batch(2 ** 16, d) for d in (2, 3)] == [3, 1]
     # each phase is charged its own arrays and its kernel's working bytes,
     # and the residuals hold 28 area entries a point, not 64 level-2 ones, so
-    # a full batch fits (it traces 5.78 MB against a bound of 5.79 MB, whose
+    # a full batch fits (it traces 5.74 MB against a bound of 5.76 MB, whose
     # peak phase is the sweep)
     assert batch(4096, d=4, schedule=(512, 1024)) == TRIAL_BATCH
     for n_ref, d, schedule in ((4096, 1, (16, 32)), (2 ** 16, 1, (16, 32)),
