@@ -17,24 +17,26 @@ doubled path (X, X).
 
 The experiment uses the identity directly.  At the points of the coarsest
 schedule grid the lead-lag lift and the doubled path share level 1, so a
-trial is measured by its residual there, built from d-dimensional areas
-and the running quadratic variation alone; no Hoff path or 2d-dimensional
-lift enters it, and the n_ref path's reference area is one
-running_outer_sum.  Trials run in batches (``TRIAL_BATCH``), each reading
-the run's plan (``plan_run``) and drawing its paths in one sample_fbm
-call, and one Hoelder sweep of a batch's residuals gives every distance.
+trial is measured by its area residual there, a function of d^2 numbers:
+the n-samples' running area less the n_ref path's, and their running
+quadratic variation, each from one running_outer_sum; no Hoff path or
+2d-dimensional lift enters it.  Trials run in batches (``TRIAL_BATCH``),
+each reading the run's plan (``plan_run``) and drawing its paths in one
+sample_fbm call, and one Hoelder sweep of a batch's residuals gives every
+distance.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gauss import derive_seed, embedding_root, fgn_autocov, sample_fbm
 from .report import ConfigError, check_run, run_trials
-from .tensor2 import (LiftedPath, area_entries, holder_sweep, outer_sum_memory,
-                      running_outer_sum, sweep_memory, zero_lift)
+from .tensor2 import (LiftedPath, area_entries, full_level2, holder_sweep, outer_sum_memory,
+                      running_outer_sum, sweep_memory)
 # importable from here, as perfbench/tracing.py wraps them under this module's name
 from .tensor2 import holder_distance, lift_piecewise_linear, translate  # noqa: F401
 
@@ -77,57 +79,23 @@ def leadlag_lift(samples) -> LiftedPath:
     """Lead-lag lift at the even knots 2i/(2n), in closed form (no Hoff path).
 
     Level 1 is (X_i - X_0, X_i - X_0), and the Levy area is [[A, A - Q/2],
-    [A + Q/2, A]] (``_leadlag_area``), with A the running area of the
-    interpolated samples and Q = sum dX (x) dX the running quadratic
-    variation: every diagonal block of the area is the interpolation's area
-    and the (lag, lead) block is that area minus half the QV.  Equals the
-    integrated lift of ``hoff_path(samples)`` at its even knots to rounding.
+    [A + Q/2, A]], with A the running area of the interpolated samples and
+    Q = sum dX (x) dX the running quadratic variation, both from one
+    running_outer_sum: every diagonal block of the area is the
+    interpolation's area and the (lag, lead) block is that area minus half
+    the QV.  Equals the integrated lift of ``hoff_path(samples)`` at its
+    even knots to rounding.
     """
     x = _as_samples(samples)
     n, d = x.shape[0] - 1, x.shape[1]
-    area = _leadlag_area(x, 1, np.empty((n + 1, d * (2 * d - 1))), _area_maps(d))
-    return LiftedPath(np.arange(n + 1) / n, np.hstack([x - x[0]] * 2), area)
-
-
-def _area_maps(d: int) -> tuple[tuple, tuple]:
-    """Where _leadlag_area writes in dimension d: per p, the QV entry (p, p)
-    and the area entry (p, d + p); per area entry e = (p, q), p < q, of
-    dimension d, the area entries (p, q), (d + p, d + q), (p, d + q) and
-    (q, d + p) of dimension 2d and the QV entry (p, q), in the orders
-    running_outer_sum writes (combinations, combinations_with_replacement)."""
-    io = {pq: e for e, pq in enumerate(itertools.combinations(range(2 * d), 2))}
-    iq = {pq: e for e, pq in enumerate(itertools.combinations_with_replacement(range(d), 2))}
-    diagonal = tuple((iq[p, p], io[p, d + p]) for p in range(d))
-    entries = tuple((io[p, q], io[d + p, d + q], io[p, d + q], io[q, d + p], iq[p, q])
-                    for p, q in itertools.combinations(range(d), 2))
-    return diagonal, entries
-
-
-def _leadlag_area(x, stride: int, out, maps, ref=0.0) -> np.ndarray:
-    """The lead-lag Levy area [[A, A - Q/2], [A + Q/2, A]] of samples x of
-    shape (..., n + 1, d) at every ``stride``-th sample, as the area entries
-    p < q of dimension 2d, into ``out`` (..., n / stride + 1, d (2d - 1)),
-    at the entries ``maps`` (``_area_maps(d)``): A is the running area of
-    the interpolated samples less ``ref`` and Q the running quadratic
-    variation, both from one running_outer_sum pass.  A diagonal entry of
-    the (lag, lead) block is 0 - Q_pp/2, and the entries below the diagonal
-    there are (0 - A_qp) - Q_qp/2."""
-    d = x.shape[-1]
-    area = np.empty(out.shape[:-1] + (d * (d - 1) // 2,))
-    half_qv = np.empty(out.shape[:-1] + (d * (d + 1) // 2,))
-    running_outer_sum(x, stride, area, half_qv)
-    area -= ref
-    half_qv *= 0.5
-    diagonal, entries = maps
-    for square, cross in diagonal:  # 0 - Q_pp/2, so that Q_pp = 0 gives +0.0
-        np.subtract(0.0, half_qv[..., square], out=out[..., cross])
-    for e, (lag, lead, upper, lower, qv) in enumerate(entries):
-        out[..., lag] = out[..., lead] = area[..., e]
-        np.subtract(area[..., e], half_qv[..., qv], out=out[..., upper])
-        below = out[..., lower]  # (0 - A_pq) - Q_pq/2
-        np.subtract(0.0, area[..., e], out=below)
-        below -= half_qv[..., qv]
-    return out
+    area, qv = np.empty((n + 1, d * (d - 1) // 2)), np.empty((n + 1, d * (d + 1) // 2))
+    running_outer_sum(x, 1, area, qv)
+    a = full_level2(np.zeros((n + 1, d)), area)  # level 1 zero: the anti-symmetric array
+    half_qv = np.empty_like(a)
+    p, q = np.triu_indices(d)
+    half_qv[:, p, q] = half_qv[:, q, p] = 0.5 * qv
+    lift = np.block([[a, a - half_qv], [a + half_qv, a]])
+    return LiftedPath(np.arange(n + 1) / n, np.hstack([x - x[0]] * 2), area_entries(lift))
 
 
 def psi_closed(n: int, K: int, H: float) -> float:
@@ -171,33 +139,33 @@ def leadlag_trial_bytes(n_ref: int, d: int, schedule, batch: int = 1) -> int:
     ``schedule``: the run's plan (``plan_run``), 32 KiB for the
     interpreter's objects (10-24 KB in the phases traced), and the largest
     of four phases, each the arrays it holds and the working bytes tensor2
-    sizes for the kernel it calls.  In floats, with N = n_ref + 1, E =
-    d (2d - 1) area entries a residual, k schedule points, the coarsest
-    n_min and P = batch (n_min + 1):
+    sizes for the kernel it calls.  In floats, with N = n_ref + 1, E = d^2
+    entries a residual point, k schedule points, the coarsest n_min and
+    P = batch (n_min + 1):
 
     * the plan, N + n_min + 1 + k E: the embedding root, the sweep grid
-      and the counter-terms' area entries;
+      and the residuals' shifts;
     * sampling, N d (4 + batch), or 4 N d for one trial: a member's normals
       and half-spectra (4d floats a step) beside the batch's draws, which
       are allocated after the first member's transform;
     * the reference area, N d batch + P d (d - 1)/2: the draws and the
       area, and its running_outer_sum;
-    * the n-lifts, N d batch + P (E k + d (d - 1)/2 + d^2): the draws, the
-      residuals, the reference area and one n's area and QV sums, and the
-      finest n's running_outer_sum;
+    * the n-lifts, N d batch + P (E k + d (d - 1)/2): the draws, the
+      residuals, into which each n's area and QV are summed, and the
+      reference area, and the finest n's running_outer_sum;
     * sweep, batch k E (n_min + 2): the residuals and their shifts, and
       their holder_sweep.
     """
     n, n_min, k = n_ref + 1, schedule[0], len(schedule)
-    entries, points, draws = d * (2 * d - 1), batch * (n_min + 1), n * d * batch
+    entries, points, draws = d * d, batch * (n_min + 1), n * d * batch
     plan = n + n_min + 1 + k * entries
     sampling = 8 * n * d * (4 + batch if batch > 1 else 4)
     reference = 8 * (draws + points * (d * (d - 1) // 2))
     reference += outer_sum_memory(batch, n_ref, d, False)[2]
-    lifting = 8 * (draws + points * (entries * k + d * (d - 1) // 2 + d * d))
+    lifting = 8 * (draws + points * (entries * k + d * (d - 1) // 2))
     lifting += outer_sum_memory(batch, schedule[-1], d, True)[2]
     sweep = 8 * batch * k * entries * (n_min + 2)
-    sweep += sweep_memory(batch * k, n_min, 2 * d, True, True)[2]
+    sweep += sweep_memory(batch * k, n_min, entries, True, True)[2]
     return 8 * plan + 2 ** 15 + max(sampling, reference, lifting, sweep)
 
 
@@ -266,16 +234,14 @@ class LeadLagPlan:
     """What every batch of a lead-lag run reads, built by ``plan_run``
     before the pool starts, its arrays read-only: the fBm embedding root
     (``embedding_root(n_ref, H)``), its one array of n_ref + 1 floats, the
-    zero lift of dimension 2d on the sweep grid (the coarsest schedule
-    grid), the counter-terms' area entries (k, d (2d - 1)) and norms, where
-    _leadlag_area writes (``_area_maps``) and the area entries (i, d + i)."""
+    sweep grid's times (the coarsest schedule grid), and per schedule point
+    the residual's shifts (k, d^2), which the counter-terms put on its
+    diagonal QV entries, and the counter-terms' norms."""
 
     root: np.ndarray
-    zero: LiftedPath
+    times: np.ndarray
     shifts: np.ndarray
     vnorms: tuple[float, ...]
-    maps: tuple
-    cross: np.ndarray
 
 
 def plan_run(cfg: LeadLagConfig) -> LeadLagPlan:
@@ -285,15 +251,15 @@ def plan_run(cfg: LeadLagConfig) -> LeadLagPlan:
         root = embedding_root(cfg.n_ref, cfg.H)
     except ValueError as e:
         raise ConfigError(f"unrunnable at n_ref = {cfg.n_ref}, H = {cfg.H:g}: {e}") from e
+    d, k = cfg.d, len(cfg.n_schedule)
     times = np.arange(cfg.n_schedule[0] + 1) / cfg.n_schedule[0]
-    terms = counter_terms(cfg.H, cfg.n_schedule, cfg.d)
-    shifts = area_entries(terms)
-    maps = _area_maps(cfg.d)
-    cross = np.array([entry for _, entry in maps[0]])  # the (i, d + i) entries
-    for array in (times, shifts, cross):
+    terms = counter_terms(cfg.H, cfg.n_schedule, d)
+    shifts = np.zeros((k, d * d))  # v on the QV entries (p, p), from the (lag, lead) block
+    p, q = np.triu_indices(d)
+    shifts[:, d * (d - 1) // 2:] = terms[:, p, d + q]
+    for array in (times, shifts):
         array.flags.writeable = False
-    return LeadLagPlan(root, zero_lift(times, 2 * cfg.d), shifts,
-                       tuple(float(np.linalg.norm(v)) for v in terms), maps, cross)
+    return LeadLagPlan(root, times, shifts, tuple(float(np.linalg.norm(v)) for v in terms))
 
 
 def run_leadlag_trial(cfg: LeadLagConfig, trials, plan: LeadLagPlan) -> list[list[TrialResult]]:
@@ -301,15 +267,13 @@ def run_leadlag_trial(cfg: LeadLagConfig, trials, plan: LeadLagPlan) -> list[lis
     list per trial index in ``trials``, each bitwise the same whatever
     batch the index is run in.  ``plan`` is the run's ``plan_run(cfg)``;
     the batch's draws are one sample_fbm call.  One Hoelder sweep of the
-    batch's residuals (``_residuals``) against the zero lift, shifted by the
-    counter-terms, gives every raw and renormalised distance."""
+    batch's area residuals (``_residuals``), shifted by the counter-terms,
+    gives every raw and renormalised distance."""
     res, area = _residuals(cfg, trials, plan)
     b, k, n1, entries = res.shape
-    zero = plan.zero
-    members = LiftedPath(zero.times, np.broadcast_to(0.0, (b * k, n1, 2 * cfg.d)),
-                         res.reshape(b * k, n1, entries))
-    shifts = np.tile(plan.shifts, (b, 1))  # each member's area entries
-    dist_raw, dist_ren = holder_sweep(members, zero, cfg.alpha, shifts)
+    shifts = np.tile(plan.shifts, (b, 1))  # each member's shifts
+    dist_raw, dist_ren = holder_sweep(res.reshape(b * k, n1, entries), plan.times, cfg.alpha,
+                                      shifts)
     return [[TrialResult(n=n, dist_renorm=float(ren), dist_raw=float(raw), areaDev1=float(dev),
                          vNorm=vnorm)
              for n, raw, ren, dev, vnorm in zip(cfg.n_schedule, raws, rens, devs, plan.vnorms)]
@@ -317,24 +281,39 @@ def run_leadlag_trial(cfg: LeadLagConfig, trials, plan: LeadLagPlan) -> list[lis
 
 
 def _residuals(cfg: LeadLagConfig, trials, plan: LeadLagPlan) -> tuple[np.ndarray, np.ndarray]:
-    """(B, k, n_min + 1, d (2d - 1)) area residuals of the lead-lag lifts
-    against the doubled reference (X, X) on the coarsest grid, where the two
-    share level 1, and (B, k) areaDev1, for the B trials of a batch and the
-    k schedule points.  Each residual is the lead-lag area of the n-samples
-    (``_leadlag_area``) less, on its interpolated part, the n_ref path's
-    running area on the coarsest grid; the batch's draws are one (B, n_ref
-    + 1, d) array, so that and each n's sums are one running_outer_sum call
-    each.  areaDev1 is minus the mean (i, d + i) area entry at (0, 1),
-    where the doubled path's is 0: half the mean diagonal QV."""
+    """(B, k, n_min + 1, d^2) area residuals of the lead-lag lifts against
+    the doubled reference (X, X) on the coarsest grid, where the two share
+    level 1, and (B, k) areaDev1, for the B trials of a batch and the k
+    schedule points.  With R = A - A_ref, A the running area of the
+    n-samples and A_ref the n_ref path's, and Q the n-samples' running QV,
+    the lead-lag residual's d (2d - 1) area entries are R_pq twice, R_pq -
+    Q_pq/2 and -R_pq - Q_pq/2 for p < q, and -Q_pp/2: their squares sum to
+    those of the d^2 entries 2 R_pq, then Q_pq/sqrt(2) (p < q) and -Q_pp/2
+    in the order running_outer_sum writes Q, which are the residual.  The
+    batch's draws are one (B, n_ref + 1, d) array, so A_ref and each n's A
+    and Q are one running_outer_sum call each.  areaDev1 is the mean Q_pp/2
+    at t = 1, where the doubled path's area entries are 0."""
     d, n_ref, n_min = cfg.d, cfg.n_ref, cfg.n_schedule[0]
     x = sample_fbm([derive_seed(cfg.base_seed, k) for k in trials], cfg.H, n_ref, d,
                    root=plan.root)
-    ref = np.empty((len(x), n_min + 1, d * (d - 1) // 2))
+    pairs = d * (d - 1) // 2
+    ref = np.empty((len(x), n_min + 1, pairs))
     running_outer_sum(x, n_ref // n_min, ref)
-    res = np.empty((len(x), len(cfg.n_schedule), n_min + 1, d * (2 * d - 1)))
+    res = np.empty((len(x), len(cfg.n_schedule), n_min + 1, d * d))
+    squares = list(itertools.combinations_with_replacement(range(d), 2))
     for m, n in enumerate(cfg.n_schedule):
-        _leadlag_area(x[:, ::n_ref // n], n // n_min, res[:, m], plan.maps, ref)
-    return res, -np.mean(res[:, :, -1, plan.cross], axis=-1)
+        area, qv = res[:, m, :, :pairs], res[:, m, :, pairs:]
+        running_outer_sum(x[:, ::n_ref // n], n // n_min, area, qv)
+        area -= ref
+        area *= 2.0
+        for (p, q), entry in zip(squares, np.moveaxis(qv, -1, 0)):
+            if p == q:  # 0 - Q_pp/2, so that Q_pp = 0 gives +0.0
+                entry *= 0.5
+                np.subtract(0.0, entry, out=entry)
+            else:
+                entry *= math.sqrt(0.5)
+    diagonal = [pairs + e for e, (p, q) in enumerate(squares) if p == q]
+    return res, -np.mean(res[:, :, -1, diagonal], axis=-1)
 
 
 def leadlag_experiment(cfg: LeadLagConfig, threads: int = 1) -> list[dict]:

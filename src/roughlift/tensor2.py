@@ -389,16 +389,21 @@ def translate(path: LiftedPath, v) -> LiftedPath:
     return LiftedPath(path.times, path.level1.copy(), path.area + shift)
 
 
-def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None, geometry=None):
+def holder_sweep(x: LiftedPath | np.ndarray, y: LiftedPath | np.ndarray, alpha: float,
+                 shifts=None, geometry=None):
     """Inhomogeneous alpha-Hoelder distances of the k members of ``x`` (one
     lift, k = 1, or a batch of k) to one target ``y`` on the same grid,
-    from one sweep over all grid pairs s < t.
+    from one sweep over all grid pairs s < t.  On the level-1-free route
+    ``x`` is instead the (k, n + 1, E) area residuals of k members against
+    a target, all of level 1 zero, E entries a point, each weighted as a
+    lift's area entry, and ``y`` is the grid's times.
 
     Returns ``(raw, shifted)``.  ``raw[m]`` is ``holder_distance(x_m, y,
-    alpha)``, bit for bit.  With ``shifts`` of shape (k, d(d-1)/2),
-    ``shifted[m]`` is the distance with (t_j - t_i) shifts[m] added to every
-    area residual, ``holder_distance(translate(x_m, shifts[m]), y, alpha)``
-    up to rounding; without ``shifts`` it is None.
+    alpha)``, bit for bit.  With ``shifts`` of shape (k, E), E the area
+    entries a point (d(d-1)/2 for lifts of dimension d), ``shifted[m]`` is
+    the distance with (t_j - t_i) shifts[m] added to every area residual,
+    ``holder_distance(translate(x_m, shifts[m]), y, alpha)`` up to
+    rounding; without ``shifts`` it is None.
 
     The lifts are geometric, so a pair's level-2 residual is the symmetric
     1/4 (delta (x) sigma + sigma (x) delta), delta = dX - dY and sigma = dX
@@ -438,32 +443,39 @@ def holder_sweep(x: LiftedPath, y: LiftedPath, alpha: float, shifts=None, geomet
 def _holder_sweep(x, y, alpha, shifts, geometry):
     if not (0.0 <= alpha < 0.5):
         raise ValueError("alpha must lie in [0, 1/2)")
-    if y.level1.ndim != 2:
-        raise ValueError("the target must be one lift")
-    if x.dim != y.dim:
-        raise ValueError("dimension mismatch")
-    if len(x.times) != len(y.times) or np.any(x.times != y.times):
-        raise ValueError("grids must be identical")
-    k = len(x.level1) if x.level1.ndim == 3 else 1
-    d, n = y.dim, len(y.times) - 1
-    ps, qs = _area_pairs(d)
+    if isinstance(x, LiftedPath):
+        if y.level1.ndim != 2:
+            raise ValueError("the target must be one lift")
+        if x.dim != y.dim:
+            raise ValueError("dimension mismatch")
+        if len(x.times) != len(y.times) or np.any(x.times != y.times):
+            raise ValueError("grids must be identical")
+        t, area, target, d = y.times, x.area, y.area if np.any(y.area) else None, y.dim
+        y_zero = not np.any(y.level1)
+        zero1 = y_zero and not np.any(x.level1)  # no level-1 planes
+    else:  # area residuals on the grid y
+        t, area, target, d = np.asarray(y, dtype=float), np.asarray(x, dtype=float), None, 0
+        if area.ndim != 3 or area.shape[1] != len(t):
+            raise ValueError("area residuals must be (k, len(times), E)")
+        y_zero = zero1 = True
+    k = len(area) if area.ndim == 3 else 1
+    n, entries = len(t) - 1, area.shape[-1]
     if shifts is not None:
         shifts = np.asarray(shifts, dtype=float)
-        if shifts.shape != (k, len(ps)):
-            raise ValueError(f"shifts must have shape {(k, len(ps))}, got {shifts.shape}")
+        if shifts.shape != (k, entries):
+            raise ValueError(f"shifts must have shape {(k, entries)}, got {shifts.shape}")
     if n < 1 or k < 1:
         return np.zeros(k), None if shifts is None else np.zeros(k)
-    t = y.times
-    y_zero = not np.any(y.level1)
-    zero1 = y_zero and not np.any(x.level1)  # no level-1 planes
     shifted = shifts is not None
-    rows, shapes, _ = sweep_memory(k, n, d, shifted, zero1, geometry is not None)
+    ps, qs = _area_pairs(d)
+    rows, shapes, _ = sweep_memory(k, n, entries if zero1 else d, shifted, zero1,
+                                   geometry is not None)
     if geometry is not None and geometry.key != (t.tobytes(), alpha, rows, shifted):
         raise ValueError("the geometry is not that of this grid, alpha and sweep")
     sup, *scratch = _scratch(*shapes)  # level 1, level 2, shifted level 2
     sup.fill(0.0)
     paths = 1 if zero1 else 5  # the extended area difference, X, X - Y, X + Y and Y
-    da = _extend(scratch[0], x.area, y.area if np.any(y.area) else None)
+    da = _extend(scratch[0], area, target)
     if not zero1:
         x1 = w = _extend(scratch[1], x.level1)  # delta is dX against a zero target, bar zero signs
         if not y_zero:
@@ -508,8 +520,9 @@ def _holder_sweep(x, y, alpha, shifts, geometry):
             acc2 *= 0.0625
         if shifted:
             np.copyto(acc2s, acc2)
-        for e, (p, q) in enumerate(zip(ps, qs)):
+        for e in range(entries):
             if not zero1:  # the Chen cross term of X - Y, halved
+                p, q = ps[e], qs[e]
                 if y_zero:
                     _cross_term(x1, p, q, l0, l1, late, a, acc, dl[q], dl[p])
                 else:
@@ -533,8 +546,9 @@ def _holder_sweep(x, y, alpha, shifts, geometry):
 
 def sweep_memory(k: int, n: int, d: int, shifted: bool, zero1: bool = False,
                  geometry: bool = False) -> tuple[int, list[tuple], int]:
-    """Lag rows per block of a holder_sweep of k >= 1 members of dimension d
-    on n >= 1 intervals (ValueError otherwise), the fewest that hold
+    """Lag rows per block of a holder_sweep of k >= 1 members of dimension d,
+    or, when nothing has level 1 (``zero1``), of d area entries a point, on
+    n >= 1 intervals (ValueError otherwise), the fewest that hold
     PAIR_BLOCK pairs over all members, or all ceil(n/2) lags; the shapes of
     the arrays it cuts from the one array it allocates (sups, paths extended
     by ceil(n/2) points, a block's planes, and unless given its ``geometry``
@@ -547,7 +561,7 @@ def sweep_memory(k: int, n: int, d: int, shifted: bool, zero1: bool = False,
     rows = min(lags, -(-PAIR_BLOCK // (k * (n + 1))))
     pairs = rows * (n + 1)
     extended = n + 1 + lags
-    shapes = [(3, k), (k, d * (d - 1) // 2, extended)]
+    shapes = [(3, k), (k, d if zero1 else d * (d - 1) // 2, extended)]
     if not zero1:
         shapes += [(k, d, extended)] * 3 + [(1, d, extended)]
     shapes += [(k * pairs,)] * (3 + shifted + (0 if zero1 else max(d, 2)))

@@ -357,14 +357,14 @@ def qv_matmul(x, stride: int):
 
 
 def leadlag_residuals_assembled(cfg, trials, plan=None):
-    """leadlag._residuals with the residual assembled from fresh arrays: for
-    each n the difference dA of its strided lift's area from the reference
-    lift's, then half the QV, then the full anti-symmetric 2d x 2d array
-    [[dA, dA - Q/2], [dA + Q/2, dA]] built block by block and its entries
-    p < q taken, and areaDev1 the mean diagonal of half the QV at the last
-    grid point.  It shares the lift and running-sum kernels with the
-    library, so it checks the entry-by-entry assembly, bit for bit; it
-    draws each trial alone (_draws) and reads only the root of ``plan``."""
+    """The lead-lag trial's residuals as all d (2d - 1) area entries of the
+    2d-dimensional lead-lag lift, assembled from fresh arrays: for each n
+    the difference dA of its strided lift's area from the reference lift's,
+    then half the QV, then the full anti-symmetric 2d x 2d array [[dA, dA -
+    Q/2], [dA + Q/2, dA]] built block by block and its entries p < q taken,
+    and areaDev1 the mean diagonal of half the QV at the last grid point.
+    It shares the lift and running-sum kernels with the library; it draws
+    each trial alone (_draws) and reads only the root of ``plan``."""
     from roughlift.tensor2 import full_level2, lift_piecewise_linear, running_outer_sum
 
     d, n_ref, n_min = cfg.d, cfg.n_ref, cfg.n_schedule[0]
@@ -386,6 +386,29 @@ def leadlag_residuals_assembled(cfg, trials, plan=None):
         res[:, m] = full[(...,) + np.triu_indices(2 * d, 1)]
         area[:, m] = np.mean(np.diagonal(half_qv[:, -1], axis1=1, axis2=2), axis=1)
     return res, area
+
+
+def leadlag_trial_entries(cfg, trials, plan=None):
+    """leadlag.run_leadlag_trial on the d (2d - 1)-entry route: the
+    residuals of leadlag_residuals_assembled as lifts of dimension 2d with
+    level 1 zero, one sweep of them against the zero lift, shifted by the
+    counter-terms' area entries."""
+    from roughlift.leadlag import TrialResult, counter_terms
+    from roughlift.tensor2 import LiftedPath, area_entries, holder_sweep, zero_lift
+
+    res, area = leadlag_residuals_assembled(cfg, trials, plan)
+    b, k, n1, entries = res.shape
+    times = np.arange(n1) / cfg.n_schedule[0]
+    members = LiftedPath(times, np.broadcast_to(0.0, (b * k, n1, 2 * cfg.d)),
+                         res.reshape(b * k, n1, entries))
+    terms = counter_terms(cfg.H, cfg.n_schedule, cfg.d)
+    dist_raw, dist_ren = holder_sweep(members, zero_lift(times, 2 * cfg.d), cfg.alpha,
+                                      np.tile(area_entries(terms), (b, 1)))
+    vnorms = [float(np.linalg.norm(v)) for v in terms]
+    return [[TrialResult(n=n, dist_renorm=float(ren), dist_raw=float(raw), areaDev1=float(dev),
+                         vNorm=vnorm)
+             for n, raw, ren, dev, vnorm in zip(cfg.n_schedule, raws, rens, devs, vnorms)]
+            for raws, rens, devs in zip(dist_raw.reshape(b, k), dist_ren.reshape(b, k), area)]
 
 
 def ou_scan_chunks(E, xi, p0):

@@ -12,11 +12,12 @@ from roughlift import gauss, leadlag, tensor2
 from roughlift.identities import leadlag_oracle_errors, psi_bruteforce
 from roughlift.leadlag import BATCH_BYTES, TRIAL_BATCH, leadlag_trial_bytes
 from roughlift.report import MAX_GRID_STEPS, TRIAL_BYTES
-from roughlift.tensor2 import LiftedPath, holder_sweep, lift_piecewise_linear, zero_lift
+from roughlift.tensor2 import area_entries, holder_sweep, lift_piecewise_linear
 
-from oracles import (batch_of, leadlag_residuals_assembled, leadlag_trial_full_level2,
-                     leadlag_trial_full_lifts, lift_piecewise_linear_full,
-                     lift_strided_whole_grid, qv_matmul, sample_fbm_complex_fft)
+from oracles import (batch_of, leadlag_residuals_assembled, leadlag_trial_entries,
+                     leadlag_trial_full_level2, leadlag_trial_full_lifts,
+                     lift_piecewise_linear_full, lift_strided_whole_grid, qv_matmul,
+                     sample_fbm_complex_fft)
 
 
 # ----------------------------------------------------------------- hoff_path
@@ -344,10 +345,10 @@ def test_trial_matches_matmul_lift_and_qv_oracle(monkeypatch, d, schedule, n_ref
     (3, (16, 64, 256), 1024, 8),
 ])
 def test_trial_matches_full_level2_oracle(d, schedule, n_ref, trials):
-    # residuals as area entries and a sweep squaring only those, against
-    # residuals holding the whole 2d x 2d level 2 and a sweep squaring all
-    # of it: every field within 1e-12 relative, the counter-term norm bit
-    # for bit
+    # residuals as d^2 area entries and a sweep squaring only those,
+    # against residuals holding the whole 2d x 2d level 2 and a sweep
+    # squaring all of it: every field within 1e-12 relative, the
+    # counter-term norm bit for bit
     cfg = LeadLagConfig(H=0.4, alpha=0.3, n_schedule=schedule, n_ref=n_ref, d=d,
                         mc_trials=trials, base_seed=0)
     batches = [range(k, min(k + cfg.batch, trials)) for k in range(0, trials, cfg.batch)]
@@ -374,23 +375,57 @@ def _bits(a):
     (1, (1, 2), 2 ** 16),                           # reference cells spanning blocks
     (2, (1, 2), 2 ** 16),                           # and carrying reference areas
 ])
-def test_trial_matches_assembled_residual_oracle(monkeypatch, d, schedule, n_ref):
-    # the lead-lag area written entry by entry into each residual against
-    # the full anti-symmetric residual assembled from a fresh dA = A - ref
-    # and half-QV array per n: residuals, areaDev1 and every trial record
-    # bit for bit
+def test_trial_matches_assembled_residual_oracle(d, schedule, n_ref):
+    # the d^2-entry residual and its sweep against the trial on all d (2d - 1)
+    # area entries of the lead-lag residual, assembled from a fresh dA = A -
+    # ref and half-QV array per n: at d = 1, where both hold the one entry
+    # -Q/2, the residuals and every trial record bit for bit; at any d
+    # areaDev1 and the counter-term norm bit for bit and every field within
+    # 1e-12 relative
     cfg = LeadLagConfig(H=0.4, alpha=0.3, n_schedule=schedule, n_ref=n_ref, d=d, mc_trials=8,
                         base_seed=17)
     trials = range(cfg.batch)
-    for got, want in zip(leadlag._residuals(cfg, trials, leadlag.plan_run(cfg)),
-                         leadlag_residuals_assembled(cfg, trials), strict=True):
-        assert got.shape == want.shape and _bits(got) == _bits(want)
-    got = run_leadlag_trial(cfg, trials, leadlag.plan_run(cfg))
-    monkeypatch.setattr(leadlag, "_residuals", leadlag_residuals_assembled)
-    want = run_leadlag_trial(cfg, trials, leadlag.plan_run(cfg))
+    plan = leadlag.plan_run(cfg)
+    (res, dev), (res_entries, dev_entries) = (leadlag._residuals(cfg, trials, plan),
+                                              leadlag_residuals_assembled(cfg, trials))
+    assert res.shape[:-1] == res_entries.shape[:-1] and res.shape[-1] == d * d
+    assert _bits(dev) == _bits(dev_entries)
+    got, want = run_leadlag_trial(cfg, trials, plan), leadlag_trial_entries(cfg, trials)
     assert len(got) == len(want) == len(trials)
+    if d == 1:
+        assert _bits(res) == _bits(res_entries)
+        for records, oracle in zip(got, want):
+            assert _bits([astuple(r) for r in records]) == _bits([astuple(r) for r in oracle])
     for records, oracle in zip(got, want):
-        assert _bits([astuple(r) for r in records]) == _bits([astuple(r) for r in oracle])
+        for r, w in zip(records, oracle, strict=True):
+            assert r.n == w.n and r.vNorm == w.vNorm and r.areaDev1 == w.areaDev1
+            for name in ("dist_renorm", "dist_raw"):
+                a, b = getattr(r, name), getattr(w, name)
+                assert abs(a - b) <= 1e-12 * abs(b), (name, r.n)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_residual_invariants_square_to_the_lead_lag_area_entries(d):
+    # the identity behind the d^2-entry residual: for anti-symmetric R,
+    # symmetric Q and a counter-term shift over a step dt, the squares of the
+    # d (2d - 1) area entries of [[R, R - Q/2], [R + Q/2, R]] + dt v sum to
+    # those of 2 R_pq, then Q_pq/sqrt(2) (p < q) and -Q_pp/2 in
+    # np.triu_indices(d) order, with the plan's shifts
+    n = 16
+    cfg = LeadLagConfig(H=0.4, n_schedule=(n,), n_ref=4 * n, d=d, mc_trials=1)
+    (term,), (shift,) = counter_terms(cfg.H, (n,), d), leadlag.plan_run(cfg).shifts
+    rng = np.random.default_rng(60 + d)
+    p, q = np.triu_indices(d)
+    for _ in range(50):
+        g, s = rng.standard_normal((2, d, d))
+        r, qv, dt = g - g.T, s + s.T, rng.uniform(0.0, 1.0)
+        half = 0.5 * qv
+        entries = area_entries(np.block([[r, r - half], [r + half, r]]) + dt * term)
+        weights = np.where(p == q, -0.5, np.sqrt(0.5))
+        invariants = np.concatenate([2.0 * r[np.triu_indices(d, 1)], weights * qv[p, q]])
+        invariants += dt * shift
+        want = np.sum(entries ** 2)
+        assert abs(np.sum(invariants ** 2) - want) <= 1e-14 * want
 
 
 def test_trial_matches_complex_fft_sampler(monkeypatch):
@@ -435,13 +470,13 @@ def test_trial_records_do_not_depend_on_batch(d):
 def test_plan_arrays_are_read_only(d):
     cfg = LeadLagConfig(H=0.4, n_schedule=(8, 16, 64), n_ref=256, d=d, mc_trials=1)
     plan = leadlag.plan_run(cfg)
-    arrays = [plan.root, plan.zero.times, plan.zero.level1, plan.zero.area, plan.shifts,
-              plan.cross]
-    for a in arrays:
-        assert isinstance(a, np.ndarray) and not a.flags.writeable
-    assert plan.shifts.shape == (3, d * (2 * d - 1)) and len(plan.vnorms) == 3
-    # the entry maps are tuples of ints, immutable as they are
-    assert all(type(i) is int for group in plan.maps for entry in group for i in entry)
+    arrays = [getattr(plan, f.name) for f in fields(plan)]
+    assert [a for a in arrays if not isinstance(a, np.ndarray)] == [plan.vnorms]
+    for a in (plan.root, plan.times, plan.shifts):
+        assert not a.flags.writeable
+    assert plan.times.shape == (9,) and plan.shifts.shape == (3, d * d) and len(plan.vnorms) == 3
+    # the norms are a tuple of floats, immutable as they are
+    assert isinstance(plan.vnorms, tuple) and all(type(v) is float for v in plan.vnorms)
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -451,7 +486,7 @@ def test_plan_holds_one_reference_grid_array(d):
     # the reference grid
     cfg = LeadLagConfig(H=0.4, n_schedule=(8, 16, 64), n_ref=256, d=d, mc_trials=1)
     plan = leadlag.plan_run(cfg)
-    values = [getattr(owner, f.name) for owner in (plan, plan.zero) for f in fields(owner)]
+    values = [getattr(plan, f.name) for f in fields(plan)]
     long = [a for a in values if isinstance(a, np.ndarray) and a.size > cfg.n_ref]
     assert len(long) == 1 and long[0] is plan.root and plan.root.shape == (cfg.n_ref + 1,)
 
@@ -587,21 +622,18 @@ def test_trial_memory_does_not_depend_on_buffer_size(n_ref, d, schedule):
 
 
 def _sweep_peak_bytes(k, n, d):
-    # the sweep as a lead-lag batch runs it: k residuals of lead-lag
-    # dimension d (lifts of dimension 2d) with level 1 zero, against the zero
-    # lift; the input lifts are allocated before tracing starts, so the
-    # sweep's own arrays (the extended area differences and the planes) are
-    # what is traced
+    # the sweep as a lead-lag batch runs it: k area residuals of lead-lag
+    # dimension d, d^2 entries a point, with level 1 zero; the inputs are
+    # allocated before tracing starts, so the sweep's own arrays (the
+    # extended area differences and the planes) are what is traced
     rng = np.random.default_rng(k * n + d)
     times = np.linspace(0.0, 1.0, n + 1)
-    area = rng.standard_normal((k, n + 1, d * (2 * d - 1)))
+    area = rng.standard_normal((k, n + 1, d * d))
     area[:, 0] = 0.0
-    x = LiftedPath(times, np.broadcast_to(0.0, (k, n + 1, 2 * d)), area)
-    y = zero_lift(times, 2 * d)
-    shifts = rng.standard_normal((k, d * (2 * d - 1)))
+    shifts = rng.standard_normal((k, d * d))
     tracemalloc.start()
     try:
-        holder_sweep(x, y, 0.3, shifts)
+        holder_sweep(area, times, 0.3, shifts)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -611,13 +643,13 @@ def _sweep_peak_bytes(k, n, d):
 def test_sweep_memory_per_member_point(d):
     # between (k, n) = (32, 128) and (64, 256), the sweep's traced peak grows
     # per member grid point by the bytes tensor2.sweep_memory sizes: the
-    # area differences, 8 d (2d - 1) B a point extended by ceil(n/2) points
+    # area differences, 8 d^2 B a point extended by ceil(n/2) points
     # (level 1 is zero, so there is no level-1 path), planes of about
     # PAIR_BLOCK pairs at both shapes
     shapes = ((32, 128), (64, 256))
     points = [k * (n + 1) for k, n in shapes]
     peaks = [_sweep_peak_bytes(k, n, d) for k, n in shapes]
-    sized = [tensor2.sweep_memory(k, n, 2 * d, True, True)[2] for k, n in shapes]
+    sized = [tensor2.sweep_memory(k, n, d * d, True, True)[2] for k, n in shapes]
     slope = (peaks[1] - peaks[0]) / (points[1] - points[0])
     core = (sized[1] - sized[0]) / (points[1] - points[0])
     assert 0.98 * core <= slope <= 1.02 * core + 56
@@ -630,10 +662,9 @@ def test_config_rejects_trial_over_byte_budget():
     with pytest.raises(ValueError, match="TRIAL_BYTES"):
         replace(cfg, d=3)
     # a coarse n_min costs nothing beyond the plan's sweep grid and
-    # counter-term entries (n_min + 1 + k d (2d - 1) floats): the lifts'
-    # blocks hold O(ROW_BLOCK d) floats whatever the stride, so sampling
-    # stays the peak
-    plan_floats = (8 + 1 + 3 * 6) - (1 + 1 + 2 * 6)
+    # residual shifts (n_min + 1 + k d^2 floats): the lifts' blocks hold
+    # O(ROW_BLOCK d) floats whatever the stride, so sampling stays the peak
+    plan_floats = (8 + 1 + 3 * 4) - (1 + 1 + 2 * 4)
     assert _bound(cfg) - _bound(replace(cfg, n_schedule=(1, 2))) == 8 * plan_floats
 
 
@@ -650,9 +681,10 @@ def test_batches_shrink_to_the_byte_budget():
     assert [batch(n_ref) for n_ref in (2 ** 15, 2 ** 16, 2 ** 17, 2 ** 18)] == [8, 8, 2, 1]
     assert [batch(2 ** 16, d) for d in (2, 3)] == [3, 1]
     # each phase is charged its own arrays and its kernel's working bytes,
-    # and the residuals hold 28 area entries a point, not 64 level-2 ones, so
-    # a full batch fits (it traces 5.74 MB against a bound of 5.76 MB, whose
-    # peak phase is the sweep)
+    # and the residuals hold d^2 = 16 entries a point, not the lead-lag
+    # lift's 28 area entries or 64 level-2 ones, so a full batch fits (it
+    # traces 3.77 MB against a bound of 3.79 MB, whose peak phase is the
+    # sweep)
     assert batch(4096, d=4, schedule=(512, 1024)) == TRIAL_BATCH
     for n_ref, d, schedule in ((4096, 1, (16, 32)), (2 ** 16, 1, (16, 32)),
                                (4096, 4, (512, 1024))):

@@ -670,6 +670,34 @@ def test_sweep_zero_planes_match_rowloop(d):
 
 
 @pytest.mark.parametrize("pair_block", [7, tensor2.PAIR_BLOCK])
+def test_area_residual_sweep_is_the_zero_level1_lift_sweep(monkeypatch, pair_block):
+    # the level-1-free route: a sweep of the members' area residuals on a
+    # grid is, bit for bit, the sweep of lifts with those areas and level 1
+    # zero against the zero lift, raw and shifted; it takes E entries a
+    # point whether or not E is d (d - 1)/2 for a dimension d
+    monkeypatch.setattr(tensor2, "PAIR_BLOCK", pair_block)
+    rng = np.random.default_rng(44)
+    for n, d in ((1, 2), (16, 3), (41, 4)):
+        t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n))])
+        area = rng.standard_normal((3, n + 1, d * (d - 1) // 2))
+        area[:, 0] = 0.0
+        shifts = rng.standard_normal((3, area.shape[-1]))
+        x = LiftedPath(t, np.broadcast_to(0.0, (3, n + 1, d)), area)
+        got = holder_sweep(area, t, 0.3, shifts)
+        want = holder_sweep(x, zero_lift(t, d), 0.3, shifts)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (n, d)
+        assert holder_sweep(area, t, 0.3)[0].tobytes() == want[0].tobytes()
+    raw, shifted = holder_sweep(rng.standard_normal((5, n + 1, 7)), t, 0.3, np.ones((5, 7)))
+    assert raw.shape == shifted.shape == (5,) and np.all(shifted > 0.0)
+    with pytest.raises(ValueError, match="area residuals"):
+        holder_sweep(area[0], t, 0.3)
+    with pytest.raises(ValueError, match="area residuals"):
+        holder_sweep(area, t[1:], 0.3)
+    with pytest.raises(ValueError, match="shifts"):
+        holder_sweep(area, t, 0.3, shifts[:, 1:])
+
+
+@pytest.mark.parametrize("pair_block", [7, tensor2.PAIR_BLOCK])
 def test_shifted_sweep_matches_shifted_rowloop(monkeypatch, pair_block):
     # the shifted distances, which the lead-lag runs write, are the row
     # loop's with (t_j - t_i) v_m added to every area residual, bit for bit:
@@ -887,18 +915,17 @@ def test_one_point_grid_has_no_sweep_blocks():
 
 def _sweep_form(rng, form):
     """A sweep as the runs call it, and its sweep_memory arguments: a
-    lead-lag batch (16 residuals of lead-lag dimension 4, level 1 zero,
-    shifted, against the zero lift, 64 blocks of 4 lags), or one magnetic
+    lead-lag batch (16 area residuals of lead-lag dimension 4, 16 entries a
+    point, level 1 zero, shifted, 64 blocks of 4 lags), or one magnetic
     member against the zero lift or a lift, with its grid's kept geometry or
     building it (two blocks, the last ragged)."""
     if form == "lead-lag batch":
-        k, n, d = 16, 512, 8
+        k, n, entries = 16, 512, 16
         t = np.arange(n + 1) / n
-        area = rng.standard_normal((k, n + 1, d * (d - 1) // 2))
+        area = rng.standard_normal((k, n + 1, entries))
         area[:, 0] = 0.0
-        x = LiftedPath(t, np.broadcast_to(0.0, (k, n + 1, d)), area)
-        y, shifts = zero_lift(t, d), rng.standard_normal((k, d * (d - 1) // 2))
-        return (lambda: holder_sweep(x, y, 0.3, shifts)), (k, n, d, True, True)
+        shifts = rng.standard_normal((k, entries))
+        return (lambda: holder_sweep(area, t, 0.3, shifts)), (k, n, entries, True, True)
     n = 300
     t = np.arange(n + 1) / n
     x, y = (lift_piecewise_linear(t, rng.standard_normal((n + 1, 2))) for _ in range(2))
