@@ -17,6 +17,7 @@ enters through ``translate``.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -236,13 +237,24 @@ def running_sum_block(steps, out, k0: int) -> None:
     row is added to the block's first step, so the additions happen in the
     order of one np.cumsum over the whole grid and the result is bitwise
     equal to it, except that a sum starts from out[0] = +0.0: a first step
-    of -0.0 comes out as +0.0, as in a matmul's 0 + a b.  Each column is
-    summed by its own 1-d np.cumsum into its column of ``out``, which
-    releases the GIL (an ``axis=0`` sum over the block does not) and adds
-    in the same order."""
+    of -0.0 comes out as +0.0, as in a matmul's 0 + a b.  Each sum is a 1-d
+    np.cumsum into ``out``, which releases the GIL (an ``axis=0`` sum over
+    the block does not) and adds in the same order.  Where both arrays hold
+    a row's floats side by side (C order: W's and the Brownian steps),
+    columns 2j and 2j + 1 are one complex np.cumsum, whose real and
+    imaginary lanes are the two columns' sums to the bit, as a complex
+    addition is two IEEE additions; np.cumsum is latency-bound, so the pair
+    costs about what one column does.  A lone last column, and every column
+    of F-ordered steps (the fGn's), is a real np.cumsum of its own."""
     steps[0] += out[k0]
     block = out[k0 + 1:k0 + 1 + len(steps)]
-    for c in range(steps.shape[1]):
+    paired = 0
+    if steps.strides[1] == block.strides[1] == 8:
+        paired = steps.shape[1] // 2 * 2
+        for lanes, sums in zip(steps[:, :paired].view(complex).T,
+                               block[:, :paired].view(complex).T):
+            np.cumsum(lanes, out=sums)
+    for c in range(paired, steps.shape[1]):
         np.cumsum(steps[:, c], out=block[:, c])
 
 
@@ -293,60 +305,100 @@ def running_outer_sum(x, stride: int, area, qv=None) -> None:
     (a_p inc_q - a_q inc_p)/2, a_r = x_r - x_0, rounds 1.5e-12 of a
     renormalised distance away over the 1,861,120 steps at eps = 2^-7.
 
+    The sums run in complex chains of two real lanes (_chains): an area
+    entry's two terms, or two QV entries (a lone last one is a real chain).
+    A complex addition is two IEEE additions, so each lane has the bits of
+    its own real sum, and np.cumsum is latency-bound, so a chain costs
+    about what one real sum does.
+
     Blocks (``outer_sum_memory``, whatever the stride or layout of ``x``)
     are copied once into (d, B, m + 1) order, each component of the batch
-    one contiguous slab; the increments, the b's and the products are ufunc
-    calls on whole slabs (each member's last entry a junk difference across
-    members), and those on strided views take one member at a time, so
-    numpy takes no iterator buffer.  Each sum is a 1-d np.cumsum of one
-    member's row from its carry into one more row, an ``out`` sharing no
-    memory with the input: the one form in which np.cumsum releases the
-    GIL, so two pool threads' lifts overlap.  The additions are those of one
-    np.cumsum over the grid: every output is bitwise rows ``::stride`` of
-    the stride-1 sums."""
+    one contiguous slab; the increments, the b's and the lanes' products
+    are ufunc calls on whole slabs (each member's last entry a junk
+    difference across members), and those on strided views take one member
+    at a time, so numpy takes no iterator buffer.  The b's skip subtracting
+    an x_0 of +0.0, which leaves every bit as it is (P, W and Z start
+    there).  Each chain is a 1-d np.cumsum of one member's row from its
+    carry into one more row, an ``out`` sharing no memory with the input:
+    the one form in which np.cumsum releases the GIL, so two pool threads'
+    lifts overlap.  The additions are those of one np.cumsum over the grid:
+    every output is bitwise rows ``::stride`` of the stride-1 sums."""
     members, n, d = math.prod(x.shape[:-2]), x.shape[-2] - 1, x.shape[-1]
     rows, shapes, _ = outer_sum_memory(members, n, d, qv is not None)
     if not shapes:  # an empty batch, or no entries
         return
     # one member axis, also for a single path: a unit axis, so views
     x = x.reshape((members,) + x.shape[-2:])
-    outs = [(out.reshape((members,) + out.shape[-2:]), list(pairs(range(d), 2)), terms)
-            for out, pairs, terms in ((area, itertools.combinations, 2),
-                                      (qv, itertools.combinations_with_replacement, 1))
-            if out is not None]  # p < q and p <= q in np.triu_indices order
-    xt, inc, term, sums, *carry = _scratch(*shapes)
-    for (out, _, _), carried in zip(outs, carry):
-        out[:, 0, :] = carried[...] = 0.0
+    area = area.reshape((members,) + area.shape[-2:])
+    qv = None if qv is None else qv.reshape((members,) + qv.shape[-2:])
+    chains = _chains(d, qv is not None)
+    block, slab, sums, carry = _scratch(*shapes)
+    xt, inc = block
+    for out in (area, qv):
+        if out is not None:
+            out[:, 0, :] = 0.0
+    carry[...] = 0.0
     for k0 in range(0, n, rows):
         m = min(rows, n - k0)
         cut = members * (m + 1)
         xb = xt[:d * cut].reshape(d, members, m + 1)
         ib = inc[:d * cut].reshape(d, members, m + 1)
-        steps = term[:cut].reshape(members, m + 1)
         np.copyto(xb, x[:, k0:k0 + m + 1, :].transpose(2, 0, 1))
         np.subtract(xt[1:d * cut], xt[:d * cut - 1], out=inc[:d * cut - 1])
         inc[d * cut - 1] = 0.0  # the last slab row's junk entry, which that skips
         if area.size:  # (x_r - x_0) + inc_r/2, written over x_r
+            half = slab[:cut].reshape(members, m + 1)
             for p in range(d):
                 for row, start in zip(xb[p], x[:, 0, p]):
-                    np.subtract(row, start, out=row)
-                np.add(xb[p], np.multiply(ib[p], 0.5, out=steps), out=xb[p])
+                    if start or np.signbit(start):  # x - (+0.0) is x, bit for bit
+                        np.subtract(row, start, out=row)
+                np.add(xb[p], np.multiply(ib[p], 0.5, out=half), out=xb[p])
         c0, c1 = k0 // stride + 1, (k0 + m) // stride + 1  # the block's output rows
         cells = slice(c0 * stride - k0 - 1, m, stride)  # and their rows in the block
-        for (out, entries, terms), carried in zip(outs, carry):
-            for e, (p, q) in enumerate(entries):
-                cell_ends = out[:, c0:c1, e]
-                for j, (u, v) in enumerate(((p, q), (q, p))[:terms]):  # area: both terms
-                    np.multiply(xb[u] if terms == 2 else ib[u], ib[v], out=steps)
-                    steps[:, 0] += carried[:, e, j]
-                    for b, (row, ends) in enumerate(zip(steps, cell_ends)):
-                        np.cumsum(row[:m], out=sums[:m])
-                        carried[b, e, j] = sums[m - 1]
-                        if j == 0:
-                            np.copyto(ends, sums[cells])
-                        else:
-                            ends -= sums[cells]
-                            ends *= 0.5
+        for c, (is_area, entries, factors) in enumerate(chains):
+            k = len(factors)
+            terms = slab[:k * cut].reshape(members, m + 1, k)
+            for lane, (p, q) in enumerate(factors):
+                np.multiply(xb[p] if is_area else ib[p], ib[q], out=terms[..., lane])
+            terms, carried = _chain(terms), _chain(carry[:, c, :k])
+            terms[:, 0] += carried
+            # the last chain sums over the block's x_r and increments, which
+            # no product reads after its own
+            s = _chain((sums if c < len(chains) - 1 else block.reshape(-1))[:k * m].reshape(m, k))
+            lanes = (s.real[cells], s.imag[cells]) if k == 2 else (s[cells],)
+            ends = [(area if is_area else qv)[:, c0:c1, e] for e in entries]
+            for b, row in enumerate(terms):
+                np.cumsum(row[:m], out=s)
+                carried[b] = s[m - 1]
+                if is_area:
+                    np.subtract(*lanes, out=ends[0][b])
+                    ends[0][b] *= 0.5
+                else:
+                    for lane, end in zip(lanes, ends):
+                        np.copyto(end[b], lane)
+
+
+def _chain(a) -> np.ndarray:
+    """A chain's sums from ``a`` (..., k) of its k = 1 or 2 lanes: the
+    complex view a[..., 0] + i a[..., 1] of two, the lane itself of one."""
+    return a.view(complex)[..., 0] if a.shape[-1] == 2 else a[..., 0]
+
+
+@functools.cache  # read-only tuples, one per (d, qv)
+def _chains(d: int, qv: bool) -> tuple[tuple[bool, tuple, tuple], ...]:
+    """running_outer_sum's chains at dimension d, area first: (is the chain
+    an area entry's, its entries in the output, and the factors (p, q) of
+    each lane, b_p inc_q for an area entry and inc_p inc_q for the QV).
+    Area entry e = (p, q), p < q, sums b_p inc_q and b_q inc_p; the QV
+    entries p <= q, in np.triu_indices(d) order, go two a chain, and an odd
+    last one alone."""
+    chains = [(True, (e,), ((p, q), (q, p)))
+              for e, (p, q) in enumerate(itertools.combinations(range(d), 2))]
+    if qv:
+        squares = list(itertools.combinations_with_replacement(range(d), 2))
+        chains += [(False, tuple(range(e, min(e + 2, len(squares)))), tuple(squares[e:e + 2]))
+                   for e in range(0, len(squares), 2)]
+    return tuple(chains)
 
 
 def outer_sum_memory(members: int, n: int, d: int, qv: bool) -> tuple[int, list[tuple], int]:
@@ -354,14 +406,19 @@ def outer_sum_memory(members: int, n: int, d: int, qv: bool) -> tuple[int, list[
     of dimension d on n intervals (with the QV when ``qv``), the shapes of
     the arrays it cuts from the one array it allocates and their bytes, none
     without entries: a block's x_r and increments, d slabs of m + 1 rows a
-    member, a slab of products, m sums, and the carries of every entry."""
+    member; a chain's products, of m + 1 rows a member; m sums, none for a
+    single chain (the last chain sums over the x_r and increments); and the
+    carry of every chain (_chains).  The last three hold two lanes a row,
+    which it views as complex, unless the one chain is a lone QV entry's
+    (d = 1)."""
     area, squares = d * (d - 1) // 2, d * (d + 1) // 2 * qv
     if not members or not area + squares:
         return 0, [], 0
     rows = min(n, max(1, ROW_BLOCK // members))
     size = members * (rows + 1)
-    shapes = [(d * size,)] * 2 + [(size,), (rows,), (members, area, 2)]
-    shapes += [(members, squares, 1)] * qv
+    chains, lanes = area + -(-squares // 2), 2 if area or squares > 1 else 1
+    shapes = [(2, d * size), (lanes * size,), (lanes * rows * (chains > 1),),
+              (members, chains, lanes)]
     return rows, shapes, 8 * sum(map(math.prod, shapes))
 
 

@@ -23,7 +23,8 @@ complex FFT per component, with the embedding rebuilt on every call,
 instead of the real-spectrum fGn map; the real root cast to complex and
 multiplied into the half-spectra, and the increments scaled as one view,
 instead of the root's products with the real and imaginary parts and a
-scale a row; and the Cholesky factor of
+scale a row; real running sums a column and a term at a time instead of
+two lanes a complex chain; and the Cholesky factor of
 the fGn covariance instead of its circulant embedding.
 """
 import math
@@ -720,6 +721,70 @@ def full_running_outer_sum(x, stride: int, out, midpoint: bool = True) -> None:
                     np.cumsum(steps, axis=-1, out=steps)
                     carry[..., p, q] = steps[..., -1]
                     out[..., c0:c1, p, q] = steps[..., c0 * stride - k0 - 1::stride]
+
+
+def running_sum_columns(steps, out, k0: int) -> None:
+    """tensor2.running_sum_block with every column a real np.cumsum of its
+    own, in place of two adjacent columns a complex chain."""
+    steps[0] += out[k0]
+    block = out[k0 + 1:k0 + 1 + len(steps)]
+    for c in range(steps.shape[1]):
+        np.cumsum(steps[:, c], out=block[:, c])
+
+
+def running_outer_sum_terms(x, stride: int, area, qv=None) -> None:
+    """tensor2.running_outer_sum with every term of every entry a real
+    running sum of its own (an area entry's two terms apart, each QV entry
+    alone), from a carry of each term, in place of the complex chains."""
+    import itertools
+
+    from roughlift import tensor2
+
+    members, n, d = math.prod(x.shape[:-2]), x.shape[-2] - 1, x.shape[-1]
+    areas, squares = d * (d - 1) // 2, d * (d + 1) // 2 * (qv is not None)
+    if not members or not areas + squares:
+        return
+    rows = min(n, max(1, tensor2.ROW_BLOCK // members))
+    size = members * (rows + 1)
+    x = x.reshape((members,) + x.shape[-2:])
+    outs = [(out.reshape((members,) + out.shape[-2:]), list(pairs(range(d), 2)), terms)
+            for out, pairs, terms in ((area, itertools.combinations, 2),
+                                      (qv, itertools.combinations_with_replacement, 1))
+            if out is not None]
+    xt, inc, term, sums = (np.empty(k) for k in (d * size, d * size, size, rows))
+    carry = [np.zeros((members, len(entries), terms)) for _, entries, terms in outs]
+    for out, _, _ in outs:
+        out[:, 0, :] = 0.0
+    for k0 in range(0, n, rows):
+        m = min(rows, n - k0)
+        cut = members * (m + 1)
+        xb = xt[:d * cut].reshape(d, members, m + 1)
+        ib = inc[:d * cut].reshape(d, members, m + 1)
+        steps = term[:cut].reshape(members, m + 1)
+        np.copyto(xb, x[:, k0:k0 + m + 1, :].transpose(2, 0, 1))
+        np.subtract(xt[1:d * cut], xt[:d * cut - 1], out=inc[:d * cut - 1])
+        inc[d * cut - 1] = 0.0
+        if areas:  # (x_r - x_0) + inc_r/2, written over x_r
+            for p in range(d):
+                for row, start in zip(xb[p], x[:, 0, p]):
+                    np.subtract(row, start, out=row)
+                np.add(xb[p], np.multiply(ib[p], 0.5, out=steps), out=xb[p])
+        c0, c1 = k0 // stride + 1, (k0 + m) // stride + 1
+        cells = slice(c0 * stride - k0 - 1, m, stride)
+        for (out, entries, terms), carried in zip(outs, carry):
+            for e, (p, q) in enumerate(entries):
+                cell_ends = out[:, c0:c1, e]
+                for j, (u, v) in enumerate(((p, q), (q, p))[:terms]):
+                    np.multiply(xb[u] if terms == 2 else ib[u], ib[v], out=steps)
+                    steps[:, 0] += carried[:, e, j]
+                    for b, (row, ends) in enumerate(zip(steps, cell_ends)):
+                        np.cumsum(row[:m], out=sums[:m])
+                        carried[b, e, j] = sums[m - 1]
+                        if j == 0:
+                            np.copyto(ends, sums[cells])
+                        else:
+                            ends -= sums[cells]
+                            ends *= 0.5
 
 
 def full_zero_lift(times, dim: int) -> FullLiftedPath:

@@ -442,6 +442,21 @@ def test_physical_blocks_match_whole_draw(N, d):
     assert got[2:].tobytes() == want[2:].tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_physical_block_rows_of_every_residue_match_whole_draw(d):
+    # a last block of 2 to 17 rows, every length mod 16: blocks of two or
+    # more rows multiply by a C-ordered copy of L^T, and every row keeps the
+    # bits of the whole-grid product with the F-ordered view L.T
+    B0 = B0_BY_DIM[d] if d < 4 else np.kron(np.eye(2), J)
+    drift = StableDrift(np.eye(d), 2.0 * B0)
+    for rows in range(2, 18):
+        N = ROW_BLOCK + rows
+        P, W = sample_physical(drift, 8.0, 1.0, N, seed=rows)
+        _, P_want, W_want = physical_whole_draw(drift, 8.0, 1.0, N, seed=rows)
+        assert P.values.tobytes() == P_want.tobytes(), (d, rows)
+        assert W.values.tobytes() == W_want.tobytes(), (d, rows)
+
+
 def test_physical_memory_bounded_by_block():
     # beyond P, W and the times the sampler keeps O(ROW_BLOCK) rows (1 MiB
     # measured); a whole-grid draw keeps 40 MiB more here

@@ -215,10 +215,11 @@ def test_trial_matches_eig_recursion_oracle(patch_oracle):
     keys = [(eps, k) for eps in cfg.eps_schedule for k in range(2)]
     new = trials(cfg, keys)
 
-    def eig_scan_block(E, xi, out, k0):
+    def eig_scan_block(E, xi, out, k0, scratch):  # the oracle needs no scratch
         out[k0 + 1:k0 + 1 + len(xi)] = ou_recursion_eig(E, xi, out[k0])[1:]
 
     levels = patch_oracle(gauss, "_scan_levels", lambda E, rows: E)
+    patch_oracle(gauss, "_scan_floats", lambda E, rows: 0)
     scans = patch_oracle(gauss, "_ou_scan_block", eig_scan_block)
     old = trials(cfg, keys)
     assert len(levels) == 2 and len(scans) == len(keys)  # one plan per eps

@@ -13,7 +13,7 @@ from roughlift.tensor2 import area_entries, full_level2, holder_sweep
 from roughlift.identities import random_lifted_paths
 
 from oracles import (holder_distance_rowloop, lift_piecewise_linear_full, lift_strided_whole_grid,
-                     pl_iterated_integral)
+                     pl_iterated_integral, running_outer_sum_terms, running_sum_columns)
 
 TOL = 1e-12
 
@@ -934,6 +934,94 @@ def _sweep_form(rng, form):
     geometry = tensor2.sweep_geometry(t, 0.3) if form.endswith("kept") else None
     return ((lambda: holder_distance(x, y, 0.3, geometry=geometry)),
             (1, n, 2, False, False, geometry is not None))
+
+
+# ----------------------------------------------- two real sums a complex chain
+
+def _extremes(rng, shape):
+    """Normals of shape (rows, columns), rows >= 12, with a -0.0 first row,
+    subnormals, magnitudes from 1e-300 to 1e300, and an inf, a -inf and a
+    NaN in column 0 alone, so that they reach one lane of a pair."""
+    a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+    a[0] = -0.0
+    a[3] = 5e-324
+    a[4, ::2] = -2.5e-310
+    a[7, 0], a[9, 0], a[11, 0] = np.inf, -np.inf, np.nan
+    return a
+
+
+def _recorded_cumsums(monkeypatch):
+    """The dtype of the input of each np.cumsum call from then on."""
+    dtypes = []
+    cumsum = np.cumsum
+
+    def recorded(a, *args, **kwargs):
+        dtypes.append(np.asarray(a).dtype)
+        return cumsum(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", recorded)
+    return dtypes
+
+
+@pytest.mark.parametrize("layout", ["C", "noise columns", "F"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_running_sum_block_matches_real_columns(monkeypatch, d, layout):
+    # column pairs summed as one complex chain carry the bits of the real
+    # column sums, block by block from the carry, at +-0.0 starts,
+    # subnormals, and an inf or NaN in one lane; F-ordered steps (the fGn's)
+    # cannot be viewed as complex and stay one real sum a column
+    rng = np.random.default_rng(40 + d)
+    sizes = (1, 12, 3, 40)
+    n = sum(sizes)
+    for values in (rng.standard_normal((n, d)), _extremes(rng, (n, d))):
+        if layout == "noise columns":  # the W half of sample_physical's noise
+            steps = [np.concatenate([values, values], axis=1)[:, d:] for _ in range(2)]
+        else:  # each kernel overwrites its steps
+            steps = [np.array(values, order=layout[0]) for _ in range(2)]
+        got, want = np.zeros((n + 1, d)), np.zeros((n + 1, d))
+        dtypes = _recorded_cumsums(monkeypatch)
+        with np.errstate(all="ignore"):  # inf - inf
+            for k0, m in zip((0, 1, 13, 16), sizes):
+                tensor2.running_sum_block(steps[0][k0:k0 + m], got, k0)
+                running_sum_columns(steps[1][k0:k0 + m], want, k0)
+        monkeypatch.undo()
+        assert got.tobytes() == want.tobytes(), (d, layout)
+        chains = d if layout == "F" else d // 2 + d % 2
+        assert len(dtypes) == len(sizes) * (d + chains), (d, layout)
+        assert dtypes[:chains].count(np.complex128) == (0 if layout == "F" else d // 2)
+
+
+def _assert_outer_sums_match_terms(x, stride, qv):
+    d = x.shape[-1]
+    shape = x.shape[:-2] + ((x.shape[-2] - 1) // stride + 1,)
+    got = [np.empty(shape + (d * (d - 1) // 2,)), np.empty(shape + (d * (d + 1) // 2,))]
+    want = [np.empty_like(a) for a in got]
+    with np.errstate(all="ignore"):  # inf - inf
+        tensor2.running_outer_sum(x, stride, got[0], got[1] if qv else None)
+        running_outer_sum_terms(x, stride, want[0], want[1] if qv else None)
+    for a, b in zip(got[:1 + qv], want):
+        assert a.tobytes() == b.tobytes(), (x.shape, stride, qv)
+
+
+@pytest.mark.parametrize("row_block", [7, B])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_running_outer_sum_matches_real_terms(monkeypatch, d, row_block):
+    # an area entry's two terms, and two QV entries, summed as one complex
+    # chain carry the bits of their real running sums: one path and a
+    # strided batch, at strides 1 and 3, with the QV and without, from an
+    # x_0 of +0.0 (whose subtraction is skipped), -0.0 and elsewhere, with
+    # subnormals, huge and tiny steps and an inf or NaN in one component;
+    # blocks of 7 rows carry every chain across many ragged blocks
+    monkeypatch.setattr(tensor2, "ROW_BLOCK", row_block)
+    rng = np.random.default_rng(50 + d)
+    n = 48
+    fine = rng.standard_normal((3, 2 * n + 1, d))
+    fine[0, 0] = 0.0
+    fine[1, 0] = -0.0
+    for x in (fine[0], fine[:, ::2], _extremes(rng, (n + 1, d))):
+        for stride in (1, 3):
+            for qv in (False, True):
+                _assert_outer_sums_match_terms(x, stride, qv)
 
 
 def _outer_sum_form(rng, form):

@@ -64,8 +64,9 @@ def test_leadlag_batch_sums_release_the_gil(cumsum_calls, d):
 @pytest.mark.parametrize("d", [1, 3])
 def test_sampler_sums_release_the_gil(cumsum_calls, d):
     # a batch of 3 from each sampler: each member's column sums are their
-    # own calls
+    # own calls, the fBm's F-ordered steps one column a call and the
+    # Brownian steps two adjacent columns a call (a lone last one alone)
     sample_fbm([1, 2, 3], H=0.4, n=64, d=d)
     sample_bm(1.0, 64, d, [1, 2, 3])
     assert_released(cumsum_calls, {"roughlift.tensor2"})
-    assert len(cumsum_calls) == 2 * 3 * d
+    assert len(cumsum_calls) == 3 * (d + (d + 1) // 2)
