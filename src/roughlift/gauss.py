@@ -260,7 +260,7 @@ def _scan_levels(E: np.ndarray, rows: int) -> list[tuple[np.ndarray, np.ndarray]
         F = powers[s].T
 
 
-def _ou_scan_block(levels, xi: np.ndarray, out: np.ndarray, k0: int, scratch=None) -> None:
+def _ou_scan_block(levels, xi: np.ndarray, out: np.ndarray, k0: int, scratch: np.ndarray) -> None:
     """Rows k0 + 1 .. k0 + len(xi) of P_{k+1} = E P_k + xi_k, given out[k0].
 
     The steps come in blocks of s.  One matmul with the Toeplitz T scans
@@ -268,15 +268,12 @@ def _ou_scan_block(levels, xi: np.ndarray, out: np.ndarray, k0: int, scratch=Non
     block ends by the same scan with E^s (the next level), from out[k0];
     and one matmul with S adds E^(m+1) c_j to step m of block j.  Every
     level's padded steps, scans and starts are cut from ``scratch``, a
-    float array of at least ``_scan_floats(levels, len(xi))`` entries, or
-    a new one.
+    float array of at least ``_scan_floats(levels, len(xi))`` entries.
     """
     T, S = levels[0]
     n, d = xi.shape
     s = T.shape[0] // d
     nb = -(-n // s)
-    if scratch is None:
-        scratch = np.empty(_scan_floats(levels, n))
     x, y = scratch[:2 * nb * s * d].reshape(2, nb, s * d)
     c = scratch[2 * nb * s * d:(2 * nb * s + nb) * d].reshape(nb, d)
     # copied as n records of d floats: numpy copies a strided (n, d) slice

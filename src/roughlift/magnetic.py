@@ -123,7 +123,8 @@ class EpsPlan:
     """What every trial at one eps reads, built by ``plan_run``: the drift,
     the fine step count, the output grid's stride in it, the OU step of
     sample_physical (gauss.physical_step) and the output grid's sweep
-    geometry (None where the sweeps build their own), all read-only."""
+    geometry (tensor2.sweep_geometry: None unless a sweep of the grid is one
+    block, n <= 256, and the sweeps build their own), all read-only."""
 
     eps: float
     drift: StableDrift

@@ -45,14 +45,6 @@ FULL_PAIRS_LIMIT = 2048
 # against 196 and 162 ms.
 PAIR_BLOCK = 1 << 15
 
-# sweep_geometry keeps a grid's sweep geometry (_geometry) read-only for the
-# one-member sweeps on it when a plane has at most GEOMETRY_KEEP * PAIR_BLOCK
-# entries over all blocks (32,896 for the magnetic output grid, n = 256), so
-# at most 1.1 MiB; other sweeps build it block by block in their planes.
-# Kept, it took the magnetic-coarse config from 135 to 124 ms at --threads 2
-# and from 197 to 164 ms at --threads 1 (as above, against GEOMETRY_KEEP = 1).
-GEOMETRY_KEEP = 2
-
 # Grid rows per block of the fine-grid kernels (running_outer_sum, over a
 # whole batch, and gauss.sample_physical), so their working memory beyond
 # the arrays they return is O(ROW_BLOCK) whatever the grid size: 1.5 MiB
@@ -78,6 +70,20 @@ def any_blockwise(op, a, b) -> bool:
     not one a grid point."""
     return any(np.any(op(a[k:k + ROW_BLOCK], b[k:k + ROW_BLOCK]))
                for k in range(0, len(a), ROW_BLOCK))
+
+
+def _grid_times(times) -> np.ndarray:
+    """``times`` as a float array, ValueError unless a non-empty 1-d grid of
+    finite, strictly increasing times: any_blockwise flags each step that is
+    not t_{i+1} > t_i, which a NaN is not either, so finite ends make every
+    time finite."""
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or len(t) < 1:
+        raise ValueError("times must be a non-empty 1-d array")
+    if (not (np.isfinite(t[0]) and np.isfinite(t[-1]))
+            or any_blockwise(lambda a, b: ~(a > b), t[1:], t[:-1])):
+        raise ValueError("times must be finite and strictly increasing")
+    return t
 
 
 def _area_pairs(d: int) -> tuple[list[int], list[int]]:
@@ -134,8 +140,8 @@ class StepTwoLift:
 
 @dataclass(frozen=True)
 class LiftedPath:
-    """Running signatures S_{0,i} of a geometric path over a strictly
-    increasing grid: ``level1[i]`` and ``area[i]`` are level 1 and the area
+    """Running signatures S_{0,i} of a geometric path over a finite,
+    strictly increasing grid: ``level1[i]`` and ``area[i]`` are level 1 and the area
     entries of S_{0,i}, whose level 2 ``level2`` derives; S_{0,0} is the
     identity.  Interval lifts S_{i,j} come out of ``intervals`` via group
     inversion and so satisfy Chen exactly.  A batch of B paths on one grid
@@ -147,13 +153,9 @@ class LiftedPath:
     area: np.ndarray  # ([B,] N+1, d(d-1)/2)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = _grid_times(self.times)
         l1 = np.asarray(self.level1, dtype=float)
         a = np.asarray(self.area, dtype=float)
-        if t.ndim != 1 or len(t) < 1:
-            raise ValueError("times must be a non-empty 1-d array")
-        if any_blockwise(np.less_equal, t[1:], t[:-1]):
-            raise ValueError("times must be strictly increasing")
         if l1.ndim not in (2, 3) or a.ndim != l1.ndim:
             raise ValueError("running signature arrays must be ([B,] N+1, d) and "
                              "([B,] N+1, d(d-1)/2)")
@@ -203,6 +205,8 @@ class LiftedPath:
         idx = np.asarray(indices, dtype=int)
         if idx.ndim != 1 or len(idx) < 1 or np.any(np.diff(idx) <= 0):
             raise ValueError("indices must be strictly increasing")
+        if idx[0] < 0 or idx[-1] >= self.n_points:
+            raise ValueError(f"indices must lie in [0, {self.n_points})")
         return LiftedPath(self.times[idx], *self.intervals(idx[0], idx))
 
 
@@ -481,13 +485,13 @@ def holder_sweep(x: LiftedPath | np.ndarray, y: LiftedPath | np.ndarray, alpha: 
     pairs over all members, among ``sweep_memory``'s working arrays, which
     are its bytes whatever the caller's numpy buffer size: it runs at the least.
     The blocks' geometry (_geometry) is ``geometry``, built once for the
-    unshifted one-member sweeps of a grid (``sweep_geometry``), or else
-    built block by block.  Planes that are exactly zero are not built:
-    sigma's (sigma = delta) and the target's cross terms against a target
-    with level 1 zero, where the delta planes serve as the members'
-    increments, and every level-1 plane when the members' level 1 is zero
-    too.  That changes at most the sign of a zero residual entry, which
-    squaring removes."""
+    unshifted one-member sweeps of a grid whose sweep is one block
+    (``sweep_geometry``), or else built block by block.  Planes that are
+    exactly zero are not built: sigma's (sigma = delta) and the target's
+    cross terms against a target with level 1 zero, where the delta planes
+    serve as the members' increments.  That changes at most the sign of a
+    zero residual entry, which squaring removes.  Area residuals have no
+    level-1 planes at all."""
     # 16, numpy's least buffer size: numpy buffers at most 16 floats an
     # operand.  Per thread; np.errstate restores it only on numpy >= 2.0.
     old = np.setbufsize(16)
@@ -508,10 +512,9 @@ def _holder_sweep(x, y, alpha, shifts, geometry):
         if len(x.times) != len(y.times) or np.any(x.times != y.times):
             raise ValueError("grids must be identical")
         t, area, target, d = y.times, x.area, y.area if np.any(y.area) else None, y.dim
-        y_zero = not np.any(y.level1)
-        zero1 = y_zero and not np.any(x.level1)  # no level-1 planes
-    else:  # area residuals on the grid y
-        t, area, target, d = np.asarray(y, dtype=float), np.asarray(x, dtype=float), None, 0
+        y_zero, zero1 = not np.any(y.level1), False
+    else:  # area residuals on the grid y: no level-1 planes
+        t, area, target, d = _grid_times(y), np.asarray(x, dtype=float), None, 0
         if area.ndim != 3 or area.shape[1] != len(t):
             raise ValueError("area residuals must be (k, len(times), E)")
         y_zero = zero1 = True
@@ -604,14 +607,14 @@ def _holder_sweep(x, y, alpha, shifts, geometry):
 def sweep_memory(k: int, n: int, d: int, shifted: bool, zero1: bool = False,
                  geometry: bool = False) -> tuple[int, list[tuple], int]:
     """Lag rows per block of a holder_sweep of k >= 1 members of dimension d,
-    or, when nothing has level 1 (``zero1``), of d area entries a point, on
+    or, for area residuals (``zero1``), of d area entries a point, on
     n >= 1 intervals (ValueError otherwise), the fewest that hold
     PAIR_BLOCK pairs over all members, or all ceil(n/2) lags; the shapes of
     the arrays it cuts from the one array it allocates (sups, paths extended
     by ceil(n/2) points, a block's planes, and unless given its ``geometry``
     a block's _geometry planes); and its bytes, with a block's maxima and
     what _geometry allocates (the extended times, and a wrap mask unless
-    nothing has level 1, ``zero1``), whatever the numpy buffer size."""
+    for area residuals, ``zero1``), whatever the numpy buffer size."""
     if k < 1 or n < 1:
         raise ValueError(f"a sweep needs a member and an interval, got k = {k}, n = {n}")
     lags = (n + 1) // 2
@@ -639,45 +642,44 @@ class SweepGeometry:
 
 def sweep_geometry(times, alpha: float) -> SweepGeometry | None:
     """The geometry that the one-member, unshifted sweeps on the grid
-    ``times`` read, for their ``geometry`` argument: 17 bytes (two planes
-    and the wrap mask) an entry, or None over GEOMETRY_KEEP * PAIR_BLOCK
-    entries a plane, and on a one-point grid, which has no pairs to sweep.
+    ``times`` read, for their ``geometry`` argument, when such a sweep is one
+    block (n <= 256 at PAIR_BLOCK = 2^15), else None, as on a one-point grid,
+    which has no pairs to sweep: that block's wrap mask and two planes, 17
+    bytes an entry, cut as the sweep cuts them from sweep_memory's shapes.
     A sweep with other block rows, or shifted, raises when given it."""
     t = np.asarray(times, dtype=float)
     n = len(t) - 1
-    if n < 1 or (n + 1) // 2 * (n + 1) > GEOMETRY_KEEP * PAIR_BLOCK:
+    if n < 1:
         return None
-    rows = sweep_memory(1, n, 1, False)[0]
-    blocks = tuple(_geometry(t, alpha, rows, False))
-    for array in (a for block in blocks for a in block[2:] if a is not None):
+    rows, shapes, _ = sweep_memory(1, n, 1, False)
+    if rows < (n + 1) // 2:
+        return None
+    block = next(_geometry(t, alpha, rows, False, True, _scratch(*shapes[-2:])))
+    for array in block[2:5]:
         array.flags.writeable = False
-    return SweepGeometry((t.tobytes(), alpha, rows, False), blocks)
+    return SweepGeometry((t.tobytes(), alpha, rows, False), (block,))
 
 
-def _geometry(t, alpha: float, rows: int, shifted: bool, level1: bool = True, planes=None):
+def _geometry(t, alpha: float, rows: int, shifted: bool, level1: bool, planes):
     """Per block of ``rows`` lag rows of a sweep on the grid ``t``: its lags
     l0 <= l < l1, and over its pairs of points m and (m + l) mod (n + 1),
     when ``level1`` the mask of those that wrap (the window's point is the
     earlier) and |t_j - t_i|^alpha, then |t_j - t_i|^(2 alpha), and when
     ``shifted`` the signed step, window less row, which is negative where
-    the pair wraps (else None).  Given ``planes`` (level1 + 1 + shifted, each
-    of a block or more), each block goes over the last, the mask into the
-    first's; else into new arrays."""
+    the pair wraps (else None).  Each block goes over the last: the mask in
+    one new array, the rest in ``planes`` (level1 + 1 + shifted, each of a
+    block or more)."""
     n = len(t) - 1
     lags = (n + 1) // 2
     window = sliding_window_view(np.concatenate([t, t[:lags]]), n + 1)
     late = None
     for l0 in range(1, lags + 1, rows):
         l1 = min(l0 + rows, lags + 1)
-        shape = (l1 - l0, n + 1)
-        if planes is None:
-            g = np.empty((level1 + 1 + shifted,) + shape)
-        else:
-            g = [p[:shape[0] * shape[1]].reshape(shape) for p in planes]
+        g = [p[:(l1 - l0) * (n + 1)].reshape(l1 - l0, n + 1) for p in planes]
         dt = g[-1]
         np.subtract(window[l0:l1], t, out=dt)
         if level1:
-            late = np.less(dt, 0.0, out=late[:len(dt)] if planes and late is not None else None)
+            late = np.less(dt, 0.0, out=None if late is None else late[:len(dt)])
         step = np.abs(dt, out=g[int(level1)])  # over dt without shifts
         power = np.power(step, alpha, out=g[0]) if level1 else None
         power2 = np.power(step, 2.0 * alpha, out=step)

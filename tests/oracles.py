@@ -416,15 +416,16 @@ def ou_scan_chunks(E, xi, p0):
     """P_{k+1} = E P_k + xi_k from P_0 = p0 by the library's OU scan, over
     ROW_BLOCK chunks as gauss.sample_physical runs it; the oracles above
     check it."""
-    from roughlift.gauss import _ou_scan_block, _scan_levels
+    from roughlift.gauss import _ou_scan_block, _scan_floats, _scan_levels
     from roughlift.tensor2 import ROW_BLOCK
 
     N, d = xi.shape
     P = np.empty((N + 1, d))
     P[0] = p0
     levels = _scan_levels(E, min(N, ROW_BLOCK))
+    scratch = np.empty(_scan_floats(levels, ROW_BLOCK))
     for k0 in range(0, N, ROW_BLOCK):
-        _ou_scan_block(levels, xi[k0:k0 + ROW_BLOCK], P, k0)
+        _ou_scan_block(levels, xi[k0:k0 + ROW_BLOCK], P, k0, scratch)
     return P
 
 

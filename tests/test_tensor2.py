@@ -376,6 +376,44 @@ def test_lifted_path_rejects_bad_batches():
         holder_sweep(batch, batch, 0.3)
 
 
+@pytest.mark.parametrize("row_block", [2, tensor2.ROW_BLOCK])
+@pytest.mark.parametrize("times", [[0.0, 1.0, 2.0, 3.0, np.inf], [-np.inf, 1.0, 2.0, 3.0, 4.0],
+                                   [0.0, 1.0, 2.0, np.nan, 4.0], [np.nan, 1.0, 2.0, 3.0, 4.0],
+                                   [0.0, 1.0, 2.0, 3.0, np.nan], [0.0, 2.0, 1.0, 3.0, 4.0],
+                                   [0.0, 1.0, 2.0, 2.0, 4.0]])
+def test_lifts_and_residual_sweeps_reject_one_set_of_grids(monkeypatch, row_block, times):
+    # a time at an infinity (whose lift's distance read a finite 1.42), a NaN
+    # (which a lift took, and a sweep misreported as unequal grids), times
+    # out of order or repeated: a lift and a sweep of area residuals reject
+    # them alike, also where the NaN is in a later block of the check
+    monkeypatch.setattr(tensor2, "ROW_BLOCK", row_block)
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        LiftedPath(times, np.zeros((5, 2)), np.zeros((5, 1)))
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        lift_piecewise_linear(times, np.zeros((5, 2)))
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        holder_sweep(np.zeros((1, 5, 1)), times, 0.3)
+
+
+def test_residual_sweeps_reject_grids_that_are_not_1d():
+    with pytest.raises(ValueError, match="1-d"):
+        holder_sweep(np.zeros((1, 5, 1)), np.arange(5.0)[None], 0.3)
+    with pytest.raises(ValueError, match="1-d"):
+        holder_sweep(np.zeros((1, 1, 1)), np.array([]), 0.3)
+
+
+def test_restrict_rejects_indices_off_the_grid():
+    # negative indices would count from the end, and one past the last would
+    # raise an IndexError: both name the valid range, for one path or a batch
+    x, _ = _random_pair(np.random.default_rng(37), n=4)
+    batch = _stack([x, x])
+    for idx in ([-3, -1], [-1, 2], [2, 5], [0, 1, 7]):
+        for path in (x, batch):
+            with pytest.raises(ValueError, match=r"indices must lie in \[0, 5\)"):
+                path.restrict(idx)
+    assert x.restrict([0, 4]).times.tolist() == [x.times[0], x.times[4]]
+
+
 def test_lift_strided_memory_bounded_by_block():
     # 1025 output points; the unstrided lift of this grid is 48 MiB
     n, d, stride = 2 ** 20, 2, 2 ** 10
@@ -738,9 +776,11 @@ def test_lag_blocks_visit_every_pair(monkeypatch, pair_block):
         if n % 2:
             want = sorted(want + [(i, i + (n + 1) // 2) for i in range((n + 1) // 2)])
         for k in (1, 3):
-            rows = tensor2.sweep_memory(k, n, 2, True)[0]
+            rows, shapes, _ = tensor2.sweep_memory(k, n, 2, True)
+            planes = tensor2._scratch(*shapes[-3:])  # the sweep's geometry planes
             lags, pairs = [], []
-            for l0, l1, late, power, power2, dt in tensor2._geometry(t, 0.3, rows, True):
+            for l0, l1, late, power, power2, dt in tensor2._geometry(t, 0.3, rows, True, True,
+                                                                     planes):
                 lag = np.arange(l0, l1)[:, None]
                 m = np.arange(n + 1)
                 w = (m + lag) % (n + 1)
@@ -883,19 +923,47 @@ def _retained_bytes(x, y, geometry=None):
 
 
 def test_sweeps_keep_no_more_than_the_geometry_bound():
-    # a sweep keeps nothing after it returns; a large grid gets no geometry,
-    # and the output grid of the magnetic benchmark one of 17 B an entry,
-    # 128 lags of 257 pairs, within the bound
+    # a sweep keeps nothing after it returns; a grid whose one-member sweep
+    # takes more than one block gets no geometry, and the output grid of the
+    # magnetic benchmark, one block of all 128 lags of 257 pairs, one of
+    # 17 B an entry: one block's wrap mask and two planes
     rng = np.random.default_rng(32)
-    x, y = _random_nonuniform_pair(rng, 2048, 2)
-    assert tensor2.sweep_geometry(x.times, 0.3) is None
-    assert _retained_bytes(x, y) < 2 ** 12
+    for n in (2048, 257):
+        x, y = _random_nonuniform_pair(rng, n, 2)
+        assert tensor2.sweep_memory(1, n, 1, False)[0] < (n + 1) // 2
+        assert tensor2.sweep_geometry(x.times, 0.3) is None
+        assert _retained_bytes(x, y) < 2 ** 12
     x, y = _random_nonuniform_pair(rng, 256, 2)
     geometry = tensor2.sweep_geometry(x.times, 0.3)
-    held = sum(a.nbytes for block in geometry.blocks for a in block[2:] if a is not None)
-    assert held == 128 * 257 * 17 <= 17 * tensor2.GEOMETRY_KEEP * tensor2.PAIR_BLOCK
+    (block,) = geometry.blocks
+    assert block[:2] == (1, 129) and geometry.key[2] == 128
+    held = sum(a.nbytes for a in block[2:] if a is not None)
+    assert held == 128 * 257 * 17
     assert _retained_bytes(x, y) < 2 ** 12
     assert _retained_bytes(x, y, geometry) < 2 ** 12
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+def test_geometry_is_kept_exactly_for_one_block_sweeps(alpha):
+    # for n = 1..400 a grid has a kept geometry exactly when the one-member
+    # unshifted sweep is one block (n <= 256), and its block's mask, step
+    # power and squared step power are, bit for bit, those the sweep builds
+    # for that grid
+    rng = np.random.default_rng(36)
+    for n in range(1, 401):
+        t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n))])
+        rows, shapes, _ = tensor2.sweep_memory(1, n, 1, False)
+        geometry = tensor2.sweep_geometry(t, alpha)
+        assert (geometry is not None) == (rows == (n + 1) // 2) == (n <= 256), n
+        if geometry is None:
+            continue
+        (kept,) = geometry.blocks
+        built = list(tensor2._geometry(t, alpha, rows, False, True,
+                                       tensor2._scratch(*shapes[-2:])))
+        assert len(built) == 1 and kept[:2] == built[0][:2] and kept[5] is built[0][5] is None
+        for a, b in zip(kept[2:5], built[0][2:5]):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), n
+
 
 def test_one_point_grid_has_no_sweep_blocks():
     # a one-point grid has no pairs: its sweeps give zeros, it has no
@@ -917,8 +985,9 @@ def _sweep_form(rng, form):
     """A sweep as the runs call it, and its sweep_memory arguments: a
     lead-lag batch (16 area residuals of lead-lag dimension 4, 16 entries a
     point, level 1 zero, shifted, 64 blocks of 4 lags), or one magnetic
-    member against the zero lift or a lift, with its grid's kept geometry or
-    building it (two blocks, the last ragged)."""
+    member against the zero lift or a lift, with its grid's kept geometry
+    (n = 256, one block) or building it (n = 300, two blocks, the last
+    ragged)."""
     if form == "lead-lag batch":
         k, n, entries = 16, 512, 16
         t = np.arange(n + 1) / n
@@ -926,12 +995,13 @@ def _sweep_form(rng, form):
         area[:, 0] = 0.0
         shifts = rng.standard_normal((k, entries))
         return (lambda: holder_sweep(area, t, 0.3, shifts)), (k, n, entries, True, True)
-    n = 300
+    n = 256 if form.endswith("kept") else 300
     t = np.arange(n + 1) / n
     x, y = (lift_piecewise_linear(t, rng.standard_normal((n + 1, 2))) for _ in range(2))
     if form.startswith("zero"):
         y = zero_lift(t, 2)
     geometry = tensor2.sweep_geometry(t, 0.3) if form.endswith("kept") else None
+    assert (geometry is None) == form.endswith("built")
     return ((lambda: holder_distance(x, y, 0.3, geometry=geometry)),
             (1, n, 2, False, False, geometry is not None))
 
